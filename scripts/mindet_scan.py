@@ -11,6 +11,9 @@ import argparse
 
 from skewlat import ConstacyclicCode, QuotientRing, SkewPoly, min_det_sample
 from skewlat.fixtures import GAUSSIAN_P3_U1, fixture_code
+from skewlat.spacetime import exhaustive_sweep
+
+SWEEP_BOUND = 10**4
 
 CASES = {
     "division (e^2 = -1), ideal lattice": lambda: fixture_code("gaussian-p3-inert"),
@@ -31,17 +34,18 @@ def main():
         code = build()
         print(f"== {label} ==")
         for bound in range(1, args.max_bound + 1):
-            space = (2 * bound + 1) ** (code.n * code.n)
-            exhaustive = space <= 10**4
             value = min_det_sample(
                 code,
                 bound,
                 seed=args.seed,
                 samples=args.samples,
-                enumeration_bound=10**4,
+                enumeration_bound=SWEEP_BOUND,
             )
-            mode = "exhaustive" if exhaustive else f"sampled x{args.samples}"
-            print(f"   box {bound} ({space} points, {mode}): min |norm det| = {value}")
+            if exhaustive_sweep(code, bound, SWEEP_BOUND):
+                mode = "exhaustive"
+            else:
+                mode = f"sampled x{args.samples}"
+            print(f"   box {bound} ({mode}): min |norm det| = {value}")
         print()
 
 

@@ -3,8 +3,7 @@
 Configs are flat ``key = value`` text files; values are integers, bracketed
 integer lists (possibly nested), or one of a few keywords.  Blank lines and
 ``#`` comments are allowed.  Required keys: p, min_poly, sigma_image, u.
-Optional: conjugation_mode, assume_division, generator, bound, seed, box,
-e_weight.
+Optional: conjugation_mode, generator, bound, seed, box, e_weight.
 
 Commands: divisors, code, dual, lattice, stmatrix, mindet, coset-encode,
 coset-decode, verify-examples.  Results go to stdout (plain tables by
@@ -27,15 +26,20 @@ from .fixtures import worked_example_checks
 from .lattice import NaturalOrder, construction_a_basis, lift_codeword
 from .number_ring import ENUMERATION_BOUND, AlgebraSpec, QuotientRing
 from .skew import SkewPoly, monic_right_divisors
-from .spacetime import coset_decode_label, coset_encode, matrix_rep, min_det_sample
+from .spacetime import (
+    coset_decode_label,
+    coset_encode,
+    exhaustive_sweep,
+    matrix_rep,
+    min_det_sample,
+)
 
 _INT_KEYS = ("p", "u", "bound", "seed", "box", "e_weight")
 _LIST_KEYS = ("min_poly", "sigma_image")
 _NESTED_KEYS = ("generator",)
 _WORD_KEYS = ("conjugation_mode",)
-_BOOL_KEYS = ("assume_division",)
 REQUIRED_KEYS = ("p", "min_poly", "sigma_image", "u")
-KNOWN_KEYS = _INT_KEYS + _LIST_KEYS + _NESTED_KEYS + _WORD_KEYS + _BOOL_KEYS
+KNOWN_KEYS = _INT_KEYS + _LIST_KEYS + _NESTED_KEYS + _WORD_KEYS
 
 
 @dataclass
@@ -45,7 +49,6 @@ class Config:
     sigma_image: list
     u: int
     conjugation_mode: str = "complex"
-    assume_division: bool = False
     generator: list | None = None
     bound: int = ENUMERATION_BOUND
     seed: int = 0
@@ -59,7 +62,6 @@ class Config:
             u=self.u,
             p=self.p,
             conjugation_mode=self.conjugation_mode,
-            assume_division=self.assume_division,
         )
 
 
@@ -107,16 +109,8 @@ def parse_config(text: str) -> Config:
             values[key] = _parse_int_list(raw, lineno)
         elif key in _NESTED_KEYS:
             values[key] = _parse_int_list(raw, lineno, nested=True)
-        elif key in _WORD_KEYS:
-            values[key] = raw
         else:
-            lowered = raw.lower()
-            if lowered in ("1", "true"):
-                values[key] = True
-            elif lowered in ("0", "false"):
-                values[key] = False
-            else:
-                raise ParseError(f"line {lineno}: {key} must be 0/1 or true/false")
+            values[key] = raw
     for key in REQUIRED_KEYS:
         if key not in values:
             raise MissingKey(f"missing required key {key!r}")
@@ -131,7 +125,6 @@ def serialize_config(cfg: Config) -> str:
         f"sigma_image = {list(cfg.sigma_image)}",
         f"u = {cfg.u}",
         f"conjugation_mode = {cfg.conjugation_mode}",
-        f"assume_division = {1 if cfg.assume_division else 0}",
     ]
     if cfg.generator is not None:
         lines.append(f"generator = {cfg.generator}")
@@ -235,8 +228,7 @@ def cmd_mindet(cfg: Config, args) -> dict:
     ring = _ring(cfg)
     code = _code(cfg, ring)
     coeff_bound = args.coeff_bound
-    space = (2 * coeff_bound + 1) ** (ring.n * ring.n)
-    exhaustive = space <= cfg.bound
+    exhaustive = exhaustive_sweep(code, coeff_bound, cfg.bound)
     value = min_det_sample(
         code,
         coeff_bound,
@@ -353,6 +345,16 @@ _HANDLERS = {
 }
 
 
+def _int_at_least(low):
+    def integer(raw):
+        value = int(raw)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skewlat",
@@ -369,15 +371,15 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("divisors", "list monic right divisors of x^n - u")
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_int_at_least(0), required=True)
     add("code", "build the code of the configured generator")
     add("dual", "dual generator and self-duality of the configured code")
     p = add("lattice", "Construction A basis, Gram matrix, determinant, index")
     p = add("stmatrix", "matrix representation of an order element")
     p.add_argument("--element", help="row-major coordinate matrix, e.g. [[1,1],[1,0]]")
     p = add("mindet", "minimum |norm det| over sampled pairs of lattice points")
-    p.add_argument("--coeff-bound", type=int, default=1)
-    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--coeff-bound", type=_int_at_least(1), default=1)
+    p.add_argument("--samples", type=_int_at_least(1), default=2000)
     p = add("coset-encode", "encode (message, offset) to a lattice point")
     p.add_argument("--msg", required=True, help="message symbols, e.g. [[1,0]]")
     p.add_argument("--offset", help="integer offset coordinates, e.g. [1,0,0,0]")

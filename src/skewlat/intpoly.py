@@ -12,10 +12,6 @@ def trim(coeffs):
     return tuple(c)
 
 
-def degree(coeffs):
-    return len(trim(coeffs)) - 1
-
-
 def pad(coeffs, length):
     c = tuple(coeffs)
     if len(c) > length:
@@ -52,20 +48,27 @@ def mul(a, b):
     return trim(out)
 
 
-def mod_monic(a, m):
-    """Remainder of a modulo the monic polynomial m, computed over Z."""
+def divmod_monic(a, m):
+    """Quotient and remainder of a by the monic polynomial m, computed over Z."""
     m = trim(m)
     if not m or m[-1] != 1:
         raise ValueError("modulus must be monic")
     n = len(m) - 1
     out = list(a)
+    quot = [0] * max(len(out) - n, 0)
     for d in range(len(out) - 1, n - 1, -1):
         c = out[d]
         if c:
+            quot[d - n] = c
             for j in range(n):
                 out[d - n + j] -= c * m[j]
             out[d] = 0
-    return trim(out[:n])
+    return trim(quot), trim(out[:n])
+
+
+def mod_monic(a, m):
+    """Remainder of a modulo the monic polynomial m, computed over Z."""
+    return divmod_monic(a, m)[1]
 
 
 def compose(f, g):
@@ -81,10 +84,3 @@ def compose(f, g):
 
 def compose_mod(f, g, m):
     return mod_monic(compose(f, g), m)
-
-
-def eval_at(coeffs, x):
-    out = 0
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out

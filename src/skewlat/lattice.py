@@ -5,7 +5,9 @@ e*t = sigma(t)*e.  An OrderElement stores an n x n integer matrix whose row i
 holds the coordinates of the O_K component of e^i in powers of the field
 generator.  Flattened row-major, that gives coordinates in the Z-basis
 {theta^j e^i} of the order, N = n^2 of them, ordered 1, theta, ...,
-theta^(n-1), e, theta e, ...
+theta^(n-1), e, theta e, ...  Arithmetic in O_K goes through the shared
+number_ring.IntegralArithmetic of the spec, the same instance QuotientRing
+reduces modulo p, so building a NaturalOrder is a cache lookup.
 
 Lifting a codeword takes its canonical representatives in [0, p) as integer
 coordinates; reducing an order element mods every coordinate by p.  The
@@ -28,10 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import intpoly
 from .codes import ConstacyclicCode, brute_force_dual
 from .errors import IndefiniteForm, InvalidSpec, LengthMismatch
-from .number_ring import ENUMERATION_BOUND, AlgebraSpec, QuotientRing
+from .number_ring import ENUMERATION_BOUND, AlgebraSpec, QuotientRing, integral_arithmetic
 
 
 class NaturalOrder:
@@ -43,49 +44,16 @@ class NaturalOrder:
         self.p = spec.p
         self.u = spec.u
         self.min_poly = spec.min_poly
-        n = self.n
-
-        s_red = intpoly.pad(intpoly.mod_monic(spec.sigma_image, spec.min_poly), n)
-        powers = [intpoly.pad((1,), n)]
-        for _ in range(n - 1):
-            powers.append(self._reduce(intpoly.mul(powers[-1], s_red)))
-        tables = [tuple(intpoly.pad((0,) * j + (1,), n) for j in range(n)), tuple(powers)]
-        for _ in range(n - 2):
-            tables.append(tuple(self._combine(vec, tables[1]) for vec in tables[-1]))
-        self._sigma_tables = tables[:n]
-
-        # Tr(theta^j) for j < n via Newton's identities.
-        sums = [n]
-        m = spec.min_poly
-        for k in range(1, n):
-            acc = k * m[n - k]
-            for i in range(1, k):
-                acc += m[n - i] * sums[k - i]
-            sums.append(-acc)
-        self.trace_sums = tuple(sums)
+        self._core = integral_arithmetic(spec.min_poly, spec.sigma_image)
+        self.trace_sums = self._core.trace_sums
 
     # -- O_K coefficient vectors (length n integer tuples) ---------------
 
-    def _reduce(self, coeffs):
-        return intpoly.pad(intpoly.mod_monic(coeffs, self.min_poly), self.n)
-
-    def _combine(self, vec, table):
-        out = [0] * self.n
-        for j, c in enumerate(vec):
-            if c:
-                img = table[j]
-                for i in range(self.n):
-                    out[i] += c * img[i]
-        return tuple(out)
-
     def ok_mul(self, a, b):
-        return self._reduce(intpoly.mul(a, b))
+        return tuple(self._core.mul(a, b))
 
     def ok_sigma(self, vec, power=1):
-        k = power % self.n
-        if k == 0:
-            return tuple(vec)
-        return self._combine(vec, self._sigma_tables[k])
+        return tuple(self._core.sigma(vec, power))
 
     def ok_trace(self, vec) -> int:
         return sum(c * t for c, t in zip(vec, self.trace_sums))
@@ -97,16 +65,14 @@ class NaturalOrder:
 
     def ok_norm(self, vec) -> int:
         """Field norm, as the determinant of the multiplication matrix."""
-        basis = [intpoly.pad((0,) * j + (1,), self.n) for j in range(self.n)]
-        cols = [self.ok_mul(vec, b) for b in basis]
-        return det_int([[cols[j][i] for j in range(self.n)] for i in range(self.n)])
+        return det_int(self._core.mul_matrix(vec))
 
     # -- order elements ---------------------------------------------------
 
     def element(self, rows) -> "OrderElement":
         if len(rows) != self.n:
             raise LengthMismatch(f"expected {self.n} rows")
-        return OrderElement(self, tuple(self._reduce(tuple(int(v) for v in row)) for row in rows))
+        return OrderElement(self, tuple(tuple(self._core.reduce(row)) for row in rows))
 
     @property
     def zero(self):

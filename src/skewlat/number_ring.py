@@ -7,9 +7,16 @@ and a rational prime p.  Elements are coefficient vectors of length n with
 entries reduced into [0, p), constant term first.  That canonical form makes
 equality, hashing and enumeration order deterministic.
 
+The arithmetic itself lives in one place, IntegralArithmetic: multiplication,
+sigma and multiplication matrices in O_K = Z[y]/(m) over the integers, built
+once per (min_poly, sigma_image).  QuotientRing reduces its results modulo p;
+lattice.NaturalOrder uses the same instance and keeps them over Z.
+
 Depending on how p factors, R is a finite field (p inert), a product of
 fields (p split) or a local ring with nilpotents (p ramified); decompose()
 exposes that structure together with the projections onto the local factors.
+The factor search divides by monic candidates over Z and then reduces modulo
+p; that is exact because reduction commutes with division by a monic divisor.
 
 All values are immutable after construction and safe to share across threads.
 """
@@ -18,6 +25,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt
 
@@ -56,8 +64,6 @@ class AlgebraSpec:
     p: rational prime defining the quotient.
     conjugation_mode: "complex" (conjugate = sigma, imaginary quadratic) or
         "identity" (totally real); used only by the trace form.
-    assume_division: caller's assertion that the algebra is division; this
-        library never proves it, see norm_witnesses().
     """
 
     min_poly: tuple
@@ -65,7 +71,6 @@ class AlgebraSpec:
     u: int
     p: int
     conjugation_mode: str = "complex"
-    assume_division: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "min_poly", _as_int_tuple(self.min_poly, "min_poly"))
@@ -122,6 +127,91 @@ def _check_sigma(m, s):
         iterate = intpoly.compose_mod(iterate, s, m)
     if order != n:
         raise InvalidSigma(f"automorphism order is {order}, expected {n}")
+
+
+class IntegralArithmetic:
+    """Arithmetic of O_K = Z[y]/(m) on integer coefficient vectors of length n.
+
+    Built once per (min_poly, sigma_image) pair by integral_arithmetic().
+    Owns the folding row y^n mod m, the tables of sigma^k on the powers y^j
+    and the power sums Tr(y^j).  Results are integer lists reduced modulo
+    m only: QuotientRing reduces them modulo p, NaturalOrder keeps them over Z.
+    """
+
+    def __init__(self, min_poly, sigma_image):
+        n = len(min_poly) - 1
+        self.n = n
+
+        # y^n mod m: folds every coefficient above degree n-1 back down.
+        self._yn = tuple(-c for c in min_poly[:n])
+
+        # sigma^k applied to the basis powers y^j, for k = 1 .. n-1.
+        self.sigma_image = intpoly.pad(intpoly.mod_monic(sigma_image, min_poly), n)
+        powers = [intpoly.pad((1,), n)]
+        for _ in range(n - 1):
+            powers.append(tuple(self.mul(powers[-1], self.sigma_image)))
+        tables = [tuple(powers)]
+        for _ in range(n - 2):
+            tables.append(tuple(tuple(self._apply(vec, tables[0])) for vec in tables[-1]))
+        self._sigma_tables = tuple(tables)
+
+        # Tr(y^j) for j < n via Newton's identities.
+        sums = [n]
+        for k in range(1, n):
+            acc = k * min_poly[n - k]
+            for i in range(1, k):
+                acc += min_poly[n - i] * sums[k - i]
+            sums.append(-acc)
+        self.trace_sums = tuple(sums)
+
+    def _fold(self, c):
+        """Reduce the integer list c modulo m in place, down to length n."""
+        n = self.n
+        while len(c) > n:
+            top = c.pop()
+            if top:
+                for j, y in enumerate(self._yn, len(c) - n):
+                    c[j] += top * y
+        return c
+
+    def reduce(self, coeffs):
+        """Integer coefficients of any length, reduced modulo m to length n."""
+        c = [int(v) for v in coeffs]
+        return self._fold(c + [0] * (self.n - len(c)))
+
+    def mul(self, a, b):
+        conv = [0] * (2 * self.n - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    conv[i + j] += ai * bj
+        return self._fold(conv)
+
+    def _apply(self, vec, table):
+        out = [0] * self.n
+        for j, c in enumerate(vec):
+            if c:
+                img = table[j]
+                for i in range(self.n):
+                    out[i] += c * img[i]
+        return out
+
+    def sigma(self, vec, power=1):
+        k = power % self.n
+        return self._apply(vec, self._sigma_tables[k - 1]) if k else list(vec)
+
+    def mul_matrix(self, vec):
+        """Matrix of multiplication by vec, row-major; column j is vec * y^j."""
+        cols = [list(vec)]
+        for _ in range(self.n - 1):
+            cols.append(self._fold([0, *cols[-1]]))
+        return [list(row) for row in zip(*cols)]
+
+
+@lru_cache(maxsize=None)
+def integral_arithmetic(min_poly, sigma_image) -> IntegralArithmetic:
+    """The shared IntegralArithmetic of O_K for this (min_poly, sigma_image)."""
+    return IntegralArithmetic(min_poly, sigma_image)
 
 
 class RingElement:
@@ -264,28 +354,9 @@ class QuotientRing:
         self.spec = spec
         self.p = spec.p
         self.n = n
+        self._core = integral_arithmetic(spec.min_poly, spec.sigma_image)
         self.modulus = tuple(c % spec.p for c in spec.min_poly)
-        self.sigma_poly = tuple(
-            (c % spec.p)
-            for c in intpoly.pad(intpoly.mod_monic(spec.sigma_image, spec.min_poly), n)
-        )
-
-        # y^(n+t) mod (p, m) for t = 0 .. n-2, used to fold products.
-        self._yn = tuple(-c % self.p for c in self.modulus[:n])
-        self._high_powers = [self._yn]
-        for _ in range(n - 2):
-            self._high_powers.append(self._times_y(self._high_powers[-1]))
-
-        # sigma^k applied to the basis powers y^j, for k = 0 .. n-1.
-        first = [intpoly.pad((1,), n)]
-        for _ in range(n - 1):
-            first.append(self._mul(first[-1], self.sigma_poly))
-        tables = [tuple(intpoly.pad((0,) * j + (1,), n) for j in range(n)), tuple(first)]
-        for _ in range(n - 2):
-            prev = tables[-1]
-            tables.append(tuple(self._apply_table(vec, tables[1]) for vec in prev))
-        self._sigma_tables = tables[:n]
-
+        self.sigma_poly = tuple(c % spec.p for c in self._core.sigma_image)
         self._decomposition = None
 
     # -- raw coefficient arithmetic ------------------------------------
@@ -295,11 +366,8 @@ class QuotientRing:
             if coeffs.ring == self:
                 return coeffs.coeffs
             raise ValueError("element belongs to a different ring")
-        c = [int(v) for v in coeffs]
-        if len(c) > self.n:
-            c = list(intpoly.mod_monic(c, self.spec.min_poly))
-        c += [0] * (self.n - len(c))
-        return tuple(v % self.p for v in c)
+        p = self.p
+        return tuple(v % p for v in self._core.reduce(coeffs))
 
     def _make(self, reduced):
         el = object.__new__(RingElement)
@@ -307,37 +375,9 @@ class QuotientRing:
         el.coeffs = reduced
         return el
 
-    def _times_y(self, vec):
-        top = vec[-1]
-        out = [0] + list(vec[:-1])
-        if top:
-            out = [(o + top * c) % self.p for o, c in zip(out, self._yn)]
-        return tuple(v % self.p for v in out)
-
     def _mul(self, a, b):
-        n, p = self.n, self.p
-        conv = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        out = conv[:n]
-        for t in range(n, 2 * n - 1):
-            c = conv[t]
-            if c:
-                red = self._high_powers[t - n]
-                for j in range(n):
-                    out[j] += c * red[j]
-        return tuple(v % p for v in out)
-
-    def _apply_table(self, vec, table):
-        out = [0] * self.n
-        for j, c in enumerate(vec):
-            if c:
-                img = table[j]
-                for i in range(self.n):
-                    out[i] += c * img[i]
-        return tuple(v % self.p for v in out)
+        p = self.p
+        return tuple(v % p for v in self._core.mul(a, b))
 
     # -- public API ----------------------------------------------------
 
@@ -382,18 +422,13 @@ class QuotientRing:
         if k == 0:
             return self.coerce(a)
         a = self.coerce(a)
-        return self._make(self._apply_table(a.coeffs, self._sigma_tables[k]))
+        p = self.p
+        return self._make(tuple(v % p for v in self._core.sigma(a.coeffs, k)))
 
     def inverse(self, a: RingElement) -> RingElement:
         a = self.coerce(a)
-        cols = []
-        vec = a.coeffs
-        for _ in range(self.n):
-            cols.append(vec)
-            vec = self._times_y(vec)
-        matrix = [[cols[j][i] for j in range(self.n)] for i in range(self.n)]
         rhs = [1] + [0] * (self.n - 1)
-        sol = _solve_mod_p(matrix, rhs, self.p)
+        sol = _solve_mod_p(self._core.mul_matrix(a.coeffs), rhs, self.p)
         if sol is None:
             raise NotInvertible(f"{a!r} is not a unit")
         return self._make(tuple(sol))
@@ -458,40 +493,8 @@ def _solve_mod_p(matrix, rhs, p):
 # -- factorization of m mod p and the local projections ----------------
 
 
-def _fp_trim(c, p):
-    out = [v % p for v in c]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _fp_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(out, p)
-
-
-def _fp_divmod(a, b, p):
-    """Divide by b with invertible leading coefficient, over F_p."""
-    a = list(_fp_trim(a, p))
-    b = _fp_trim(b, p)
-    inv = pow(b[-1], -1, p)
-    db = len(b) - 1
-    q = [0] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        shift = len(a) - 1 - db
-        c = (a[-1] * inv) % p
-        q[shift] = c
-        for j, bj in enumerate(b):
-            a[shift + j] = (a[shift + j] - c * bj) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return _fp_trim(q, p), _fp_trim(a, p)
+def _trim_mod(c, p):
+    return intpoly.trim(v % p for v in c)
 
 
 def _factor_mod_p(m, p, search_bound=ENUMERATION_BOUND):
@@ -501,7 +504,7 @@ def _factor_mod_p(m, p, search_bound=ENUMERATION_BOUND):
     divisors of growing degree; adequate at the small sizes this library
     targets.  Factors come out in discovery order, which is deterministic.
     """
-    rem = _fp_trim(m, p)
+    rem = _trim_mod(m, p)
     factors = []
 
     def record(f):
@@ -513,11 +516,11 @@ def _factor_mod_p(m, p, search_bound=ENUMERATION_BOUND):
     def divide_out(cand):
         nonlocal rem
         while len(rem) - 1 >= len(cand) - 1:
-            q, s = _fp_divmod(rem, cand, p)
-            if s != ():
+            q, s = intpoly.divmod_monic(rem, cand)
+            if any(v % p for v in s):
                 break
             record(cand)
-            rem = q
+            rem = _trim_mod(q, p)
 
     for r in range(p):
         divide_out(((-r) % p, 1))
@@ -548,7 +551,7 @@ class RingDecomposition:
         for f, e in self.factors:
             q = (1,)
             for _ in range(e):
-                q = _fp_mul(q, f, ring.p)
+                q = _trim_mod(intpoly.mul(q, f), ring.p)
             self.moduli.append(q)
 
     @property
@@ -567,7 +570,7 @@ class RingDecomposition:
         a = self.ring.coerce(a)
         out = []
         for q in self.moduli:
-            _, r = _fp_divmod(a.coeffs, q, self.ring.p)
+            r = _trim_mod(intpoly.mod_monic(a.coeffs, q), self.ring.p)
             out.append(tuple(r) + (0,) * (len(q) - 1 - len(r)))
         return tuple(out)
 

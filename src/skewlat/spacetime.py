@@ -156,6 +156,14 @@ def right_multiplication_det(a: OrderElement) -> int:
     return det_int([[cols[j][i] for j in range(N)] for i in range(N)])
 
 
+def exhaustive_sweep(
+    code: ConstacyclicCode, coeff_bound: int, enumeration_bound: int = ENUMERATION_BOUND
+) -> bool:
+    """Whether min_det_sample sweeps every pair of its coefficient box: true
+    when the (2 * coeff_bound + 1)^(n^2) box points fit in enumeration_bound."""
+    return (2 * coeff_bound + 1) ** (code.ring.n**2) <= enumeration_bound
+
+
 def min_det_sample(
     code: ConstacyclicCode,
     coeff_bound: int,
@@ -174,14 +182,14 @@ def min_det_sample(
     positive output is expected for division configurations; zero exhibits a
     concrete rank-deficient difference.
     """
+    fits = exhaustive_sweep(code, coeff_bound, enumeration_bound)
+    if exhaustive is None:
+        exhaustive = fits
+    elif exhaustive and not fits:
+        raise TooLarge(f"coefficient box {coeff_bound} exceeds bound {enumeration_bound}")
     basis = construction_a_basis(code).basis
     cols = list(zip(*basis))
     N = len(cols)
-    space = (2 * coeff_bound + 1) ** N
-    if exhaustive is None:
-        exhaustive = space <= enumeration_bound
-    elif exhaustive and space > enumeration_bound:
-        raise TooLarge(f"{space} box points exceeds bound {enumeration_bound}")
     order = NaturalOrder(code.ring.spec)
 
     def point(zs):

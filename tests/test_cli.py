@@ -251,6 +251,51 @@ def test_usage_errors_exit_two(capsys, cfg_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mindet", "--coeff-bound", "0"),
+        ("mindet", "--coeff-bound", "-1"),
+        ("mindet", "--samples", "0"),
+        ("divisors", "--degree", "-1"),
+    ],
+)
+def test_out_of_range_flags_are_usage_errors(capsys, cfg_path, argv):
+    rc, out, err = run(capsys, argv[0], "--config", cfg_path, *argv[1:])
+    assert rc == 2
+    assert out == ""
+    assert "usage:" in err and argv[1] in err
+    assert "Traceback" not in err
+
+
+def test_verify_examples_fails_under_optimize():
+    # python -O strips assert statements; the checks must not rely on them.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "import json, sys\n"
+        "from skewlat import cli, fixtures\n"
+        "fixtures.FIXTURE_GENERATORS['gaussian-p3-inert'] = ((2, 1), (1, 0))\n"
+        "sys.exit(cli.main(['verify-examples', '--json']))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["passed"] is False
+    failed = [c for c in payload["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["gaussian-p3-inert"]
+
+
 def test_bound_flag_overrides_config(capsys, cfg_path):
     rc, out, err = run(
         capsys, "divisors", "--config", cfg_path, "--degree", "2", "--bound", "10"

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from skewlat import AlgebraSpec, QuotientRing, norm_witnesses
+from skewlat import AlgebraSpec, QuotientRing, intpoly, norm_witnesses
 from skewlat.errors import (
     InvalidSigma,
     InvalidSpec,
@@ -164,9 +164,7 @@ def _local_mul(u, v, modulus, p):
     for i, ui in enumerate(u):
         for j, vj in enumerate(v):
             prod[i + j] += ui * vj
-    from skewlat.number_ring import _fp_divmod
-
-    rem = _fp_divmod(prod, modulus, p)[1]
+    rem = tuple(v % p for v in intpoly.mod_monic(prod, modulus))
     return rem + (0,) * (len(modulus) - 1 - len(rem))
 
 
