@@ -3,7 +3,7 @@
 Configs are flat ``key = value`` text files; values are integers, bracketed
 integer lists (possibly nested), or one of a few keywords.  Blank lines and
 ``#`` comments are allowed.  Required keys: p, min_poly, sigma_image, u.
-Optional: conjugation_mode, generator, bound, seed, box, e_weight.
+Optional: conjugation_mode, generator, bound, seed, e_weight.
 
 Commands: divisors, code, dual, lattice, stmatrix, mindet, coset-encode,
 coset-decode, verify-examples.  Results go to stdout (plain tables by
@@ -34,7 +34,7 @@ from .spacetime import (
     min_det_sample,
 )
 
-_INT_KEYS = ("p", "u", "bound", "seed", "box", "e_weight")
+_INT_KEYS = ("p", "u", "bound", "seed", "e_weight")
 _LIST_KEYS = ("min_poly", "sigma_image")
 _NESTED_KEYS = ("generator",)
 _WORD_KEYS = ("conjugation_mode",)
@@ -52,7 +52,6 @@ class Config:
     generator: list | None = None
     bound: int = ENUMERATION_BOUND
     seed: int = 0
-    box: int = 3
     e_weight: int = 1
 
     def spec(self) -> AlgebraSpec:
@@ -131,7 +130,6 @@ def serialize_config(cfg: Config) -> str:
     lines += [
         f"bound = {cfg.bound}",
         f"seed = {cfg.seed}",
-        f"box = {cfg.box}",
         f"e_weight = {cfg.e_weight}",
     ]
     return "\n".join(lines) + "\n"

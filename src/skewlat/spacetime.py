@@ -8,7 +8,9 @@ matrix_rep(a*b) = matrix_rep(b) * matrix_rep(a), because column c tracks
 right multiplication acting on e^c.
 
 min_det_sample probes the space-time design criterion: over a division
-algebra the determinant of M(a) - M(a') never vanishes for a != a'.  The
+algebra the determinant of M(a) - M(a') never vanishes for a != a'.  Since
+M is additive, M(a) - M(a') = M(a - a'), so the probe evaluates one matrix
+per lattice difference, each nonzero difference once up to sign.  The
 probe is a sample, never a certificate.
 
 Coset encoding splits a lattice point into an information codeword plus a
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import islice, product
 
 from . import intpoly
 from .codes import ConstacyclicCode
@@ -159,9 +161,19 @@ def right_multiplication_det(a: OrderElement) -> int:
 def exhaustive_sweep(
     code: ConstacyclicCode, coeff_bound: int, enumeration_bound: int = ENUMERATION_BOUND
 ) -> bool:
-    """Whether min_det_sample sweeps every pair of its coefficient box: true
-    when the (2 * coeff_bound + 1)^(n^2) box points fit in enumeration_bound."""
+    """Whether min_det_sample sweeps exhaustively: true when the
+    (2 * coeff_bound + 1)^(n^2) box points fit in enumeration_bound.  The
+    sweep visits their ((4 * coeff_bound + 1)^(n^2) - 1) / 2 differences up to sign."""
     return (2 * coeff_bound + 1) ** (code.ring.n**2) <= enumeration_bound
+
+
+def _sampled_differences(rng, coeff_bound, N):
+    """Endless z1 - z2 for random distinct box points z1, z2."""
+    while True:
+        z1 = tuple(rng.randint(-coeff_bound, coeff_bound) for _ in range(N))
+        z2 = tuple(rng.randint(-coeff_bound, coeff_bound) for _ in range(N))
+        if z1 != z2:
+            yield tuple(a - b for a, b in zip(z1, z2))
 
 
 def min_det_sample(
@@ -175,18 +187,24 @@ def min_det_sample(
 ) -> int:
     """Minimum |norm(det(M(a) - M(a')))| over distinct pairs of lattice points.
 
-    Points are integer combinations of the code's lattice basis with
-    coefficients in [-coeff_bound, coeff_bound].  When the coefficient box is
-    small enough the sweep is exhaustive over all pairs, otherwise `samples`
-    random pairs are drawn from a generator seeded with `seed`.  Strictly
-    positive output is expected for division configurations; zero exhibits a
-    concrete rank-deficient difference.
+    Points have coordinates in [-coeff_bound, coeff_bound] in the code's
+    lattice basis.  M(a) - M(a') = M(a - a'), so one matrix is evaluated per
+    difference.  When the box is small enough (exhaustive_sweep) every nonzero
+    difference in the doubled box is visited once up to sign, otherwise
+    `samples` differences of random distinct box points are drawn from a
+    generator seeded with `seed`.  Strictly positive output is expected for
+    division configurations; zero exhibits a concrete rank-deficient difference.
+    Raises ValueError when coeff_bound < 1, or when samples < 1 in sampled mode.
     """
+    if coeff_bound < 1:
+        raise ValueError("coeff_bound must be at least 1")
     fits = exhaustive_sweep(code, coeff_bound, enumeration_bound)
     if exhaustive is None:
         exhaustive = fits
     elif exhaustive and not fits:
         raise TooLarge(f"coefficient box {coeff_bound} exceeds bound {enumeration_bound}")
+    if not exhaustive and samples < 1:
+        raise ValueError("samples must be at least 1 when sampling")
     basis = construction_a_basis(code).basis
     cols = list(zip(*basis))
     N = len(cols)
@@ -200,37 +218,19 @@ def min_det_sample(
                     flat[i] += z * col[i]
         return order.from_flat(flat)
 
-    best = None
     if exhaustive:
-        mats = [
-            matrix_rep(point(zs))
-            for zs in product(range(-coeff_bound, coeff_bound + 1), repeat=N)
-        ]
-        pairs = combinations(range(len(mats)), 2)
-        for i, j in pairs:
-            if mats[i] == mats[j]:
-                continue
-            value = abs((mats[i] - mats[j]).norm_det())
-            if best is None or value < best:
-                best = value
-            if best == 0:
-                break
+        span = range(-2 * coeff_bound, 2 * coeff_bound + 1)
+        zero = (0,) * N
+        diffs = (d for d in product(span, repeat=N) if d > zero)
     else:
-        rng = random.Random(seed)
-        done = 0
-        while done < samples:
-            z1 = tuple(rng.randint(-coeff_bound, coeff_bound) for _ in range(N))
-            z2 = tuple(rng.randint(-coeff_bound, coeff_bound) for _ in range(N))
-            if z1 == z2:
-                continue
-            value = abs((matrix_rep(point(z1)) - matrix_rep(point(z2))).norm_det())
-            if best is None or value < best:
-                best = value
-            done += 1
+        diffs = islice(_sampled_differences(random.Random(seed), coeff_bound, N), samples)
+    best = None
+    for d in diffs:
+        value = abs(matrix_rep(point(d)).norm_det())
+        if best is None or value < best:
+            best = value
             if best == 0:
                 break
-    if best is None:
-        raise ValueError("no distinct pairs available; increase coeff_bound")
     return best
 
 

@@ -1,6 +1,16 @@
-"""Shared random generators for the test suite (seeded, deterministic)."""
+"""Shared specs and random generators for the test suite (seeded, deterministic)."""
 
-from skewlat import SkewPoly
+from skewlat import AlgebraSpec, SkewPoly
+
+# The cyclic cubic field of 2*cos(2*pi/7): minimal polynomial y^3 + y^2 - 2y - 1,
+# Galois group generated by y -> y^2 - 2, with e^3 = 2 over p = 5.
+CUBIC = AlgebraSpec(
+    min_poly=(-1, -2, 1, 1),
+    sigma_image=(-2, 0, 1),
+    u=2,
+    p=5,
+    conjugation_mode="identity",
+)
 
 
 def random_element(ring, rng):

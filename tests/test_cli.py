@@ -77,6 +77,8 @@ def test_parse_config_errors_carry_line_numbers():
         parse_config("p = 3\np = 5\n")
     with pytest.raises(ParseError, match="key = value"):
         parse_config("p 3\n")
+    with pytest.raises(UnknownKey, match="'box'"):  # the unused coset offset box key is gone
+        parse_config(GAUSSIAN_P3_TEXT + "box = 3\n")
 
 
 def test_error_code_names():

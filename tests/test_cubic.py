@@ -10,7 +10,6 @@ import warnings
 import pytest
 
 from skewlat import (
-    AlgebraSpec,
     ConstacyclicCode,
     NaturalOrder,
     QuotientRing,
@@ -26,15 +25,7 @@ from skewlat import (
 from skewlat.errors import Unsupported
 from skewlat.number_ring import norm_witnesses
 
-from helpers import random_element, random_poly, random_unit_lead_poly
-
-CUBIC = AlgebraSpec(
-    min_poly=(-1, -2, 1, 1),
-    sigma_image=(-2, 0, 1),
-    u=2,
-    p=5,
-    conjugation_mode="identity",
-)
+from helpers import CUBIC, random_element, random_poly, random_unit_lead_poly
 
 
 @pytest.fixture

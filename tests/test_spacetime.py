@@ -1,4 +1,6 @@
 import random
+import warnings
+from itertools import combinations, product
 from math import sqrt
 
 import pytest
@@ -7,6 +9,7 @@ from skewlat import (
     ConstacyclicCode,
     NaturalOrder,
     SkewPoly,
+    construction_a_basis,
     coset_decode_label,
     coset_encode,
     matrix_rep,
@@ -15,13 +18,53 @@ from skewlat import (
     right_multiplication_det,
     sample_offsets,
 )
+from skewlat import spacetime
 from skewlat.errors import LengthMismatch, NotInLattice, TooLarge
-from skewlat.fixtures import FIXTURE_SPECS, GAUSSIAN_P3_U1, fixture_code
+from skewlat.fixtures import FIXTURE_NAMES, FIXTURE_SPECS, GAUSSIAN_P3_U1, fixture_code
 from skewlat.number_ring import QuotientRing
 
-from helpers import random_message
+from helpers import CUBIC, random_message
 
 QUATERNION = FIXTURE_SPECS["gaussian-p3-inert"]
+
+
+def sabotage_code():
+    return ConstacyclicCode.from_generator(SkewPoly.one(QuotientRing(GAUSSIAN_P3_U1)))
+
+
+def cubic_code():
+    """The cubic code generated by x + 2a^2, a right divisor of x^3 - 2."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # degree > 2 irreducibility is trusted
+        ring = QuotientRing(CUBIC)
+    return ConstacyclicCode.from_generator(SkewPoly(ring, [ring.element([0, 0, 2]), ring.one]))
+
+
+def pairwise_min_det(code, coeff_bound, *, seed=0, samples=None):
+    """Oracle: min |norm det(M(a) - M(a'))| over pairs of box points, one
+    matrix per point.  All pairs when samples is None, otherwise `samples`
+    random distinct pairs, z1 drawn before z2, from a generator seeded with
+    `seed`."""
+    order = NaturalOrder(code.ring.spec)
+    cols = list(zip(*construction_a_basis(code).basis))
+    N = len(cols)
+
+    def mat(zs):
+        flat = [sum(z * col[i] for z, col in zip(zs, cols)) for i in range(N)]
+        return matrix_rep(order.from_flat(flat))
+
+    if samples is None:
+        box = range(-coeff_bound, coeff_bound + 1)
+        mats = [mat(zs) for zs in product(box, repeat=N)]
+        return min(abs((m1 - m2).norm_det()) for m1, m2 in combinations(mats, 2))
+    rng = random.Random(seed)
+    values = []
+    while len(values) < samples:
+        z1 = tuple(rng.randint(-coeff_bound, coeff_bound) for _ in range(N))
+        z2 = tuple(rng.randint(-coeff_bound, coeff_bound) for _ in range(N))
+        if z1 != z2:
+            values.append(abs((mat(z1) - mat(z2)).norm_det()))
+    return min(values)
 
 
 def random_order_element(order, rng, span=5):
@@ -119,6 +162,65 @@ def test_min_det_sampled_mode_is_deterministic():
     assert min_det_sample(code, 2, **kw) == min_det_sample(code, 2, **kw)
     with pytest.raises(TooLarge):
         min_det_sample(code, 2, enumeration_bound=10, exhaustive=True)
+
+
+@pytest.mark.parametrize("exhaustive", [None, False])
+@pytest.mark.parametrize("coeff_bound, samples", [(0, 10), (-1, 10), (1, 0), (1, -3)])
+def test_min_det_rejects_empty_box_and_no_samples(exhaustive, coeff_bound, samples):
+    code = fixture_code("gaussian-p3-inert")
+    with pytest.raises(ValueError):  # enumeration_bound=10 makes None sample
+        min_det_sample(
+            code, coeff_bound, samples=samples, enumeration_bound=10, exhaustive=exhaustive
+        )
+
+
+def test_min_det_exhaustive_sweep_ignores_samples():
+    code = fixture_code("gaussian-p3-inert")
+    assert min_det_sample(code, 1, samples=0) == 9
+    with pytest.raises(ValueError):
+        min_det_sample(code, 0, exhaustive=True)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda name=name: fixture_code(name) for name in FIXTURE_NAMES] + [sabotage_code],
+    ids=list(FIXTURE_NAMES) + ["gaussian-p3-u1"],
+)
+def test_min_det_difference_sweep_matches_pair_sweep(build):
+    code = build()
+    assert min_det_sample(code, 1, exhaustive=True) == pairwise_min_det(code, 1)
+
+
+def test_min_det_exhaustive_sweep_visits_each_difference_once_up_to_sign(monkeypatch):
+    code = fixture_code("gaussian-p3-inert")
+    seen = []
+
+    def recording_matrix_rep(a):
+        seen.append(a.flatten())
+        return matrix_rep(a)
+
+    monkeypatch.setattr(spacetime, "matrix_rep", recording_matrix_rep)
+    assert min_det_sample(code, 1, exhaustive=True) == 9
+    N = 4
+    assert len(seen) == len(set(seen)) == (5**N - 1) // 2
+    visited = set(seen) | {tuple(-v for v in d) for d in seen}
+    assert len(visited) == 5**N - 1  # no zero and never both d and -d
+    cols = list(zip(*construction_a_basis(code).basis))
+    for zs in product(range(-2, 3), repeat=N):  # every difference of two box points
+        if any(zs):
+            assert tuple(sum(z * col[i] for z, col in zip(zs, cols)) for i in range(N)) in visited
+
+
+@pytest.mark.parametrize(
+    "build, coeff_bound",
+    [(lambda: fixture_code("gaussian-p3-inert"), 2), (cubic_code, 1)],
+    ids=["gaussian-p3-box2", "cubic-box1"],
+)
+def test_min_det_sampled_differences_match_sampled_pairs(build, coeff_bound):
+    code = build()
+    for seed in range(10):
+        got = min_det_sample(code, coeff_bound, seed=seed, samples=30, exhaustive=False)
+        assert got == pairwise_min_det(code, coeff_bound, seed=seed, samples=30)
 
 
 def test_coset_encode_examples():
