@@ -1,9 +1,11 @@
 """Constacyclic codes: left ideals (g(x))/(x^n - u) of the skew quotient.
 
-A code is built from a monic right divisor g of x^n - u.  The parity check h
-is the quotient of x^n - u by g; it satisfies h*g = g*h = x^n - u and a vector
-is a codeword exactly when its polynomial kills h on the right.  Codewords are
-plain tuples of RingElement of length n.
+A code's length n and constant u are those of its ring's AlgebraSpec, so a
+code and its Construction A lattice share one x^n - u.  A code is built from
+a monic right divisor g of x^n - u.  The parity check h is the quotient of
+x^n - u by g; it satisfies h*g = g*h = x^n - u and a vector is a codeword
+exactly when its polynomial kills h on the right.  Codewords are plain tuples
+of RingElement of length n.
 
 Everything here is exact and, at the configured sizes, exhaustively checkable:
 enumerate_codewords and brute_force_dual are the independent oracles against
@@ -20,18 +22,18 @@ from .skew import SkewPoly, central_poly
 
 
 class ConstacyclicCode:
-    """The code of length n generated by the monic right divisor g of x^n - u."""
+    """The code generated by the monic right divisor g of x^n - u, n and u the ring's."""
 
-    def __init__(self, ring: QuotientRing, n: int, u, g: SkewPoly, h: SkewPoly, k: int):
+    def __init__(self, ring: QuotientRing, g: SkewPoly, h: SkewPoly):
         self.ring = ring
-        self.n = n
-        self.u = u
+        self.n = ring.n
+        self.u = ring.u
         self.g = g
         self.h = h
-        self.k = k
+        self.k = self.n - int(g.degree)
 
     @classmethod
-    def from_generator(cls, g: SkewPoly, n: int | None = None, u=None) -> "ConstacyclicCode":
+    def from_generator(cls, g: SkewPoly) -> "ConstacyclicCode":
         """Build the code, computing the parity check by right division.
 
         A non-monic g with unit leading coefficient is normalized to the monic
@@ -39,9 +41,7 @@ class ConstacyclicCode:
         divide x^n - u.
         """
         ring = g.ring
-        if n is None:
-            n = ring.n
-        u = ring.coerce(u if u is not None else ring.spec.u)
+        n = ring.n
         if not g.is_monic:
             try:
                 g = g.lead.inverse() * g
@@ -51,13 +51,13 @@ class ConstacyclicCode:
                 ) from None
         if g.degree > n:
             raise NotADivisor(f"degree {g.degree} exceeds length {n}")
-        central = central_poly(ring, n, u)
+        central = central_poly(ring, n, ring.u)
         h, r = central.right_divmod(g)
         if not r.is_zero:
             raise NotADivisor(f"{g} does not right divide {central}")
         if g * h != central:
             raise NotADivisor(f"{g} is only a one-sided divisor of {central}")
-        return cls(ring, n, u, g, h, n - int(g.degree))
+        return cls(ring, g, h)
 
     # -- vector / polynomial conversions --------------------------------
 
@@ -117,7 +117,7 @@ class ConstacyclicCode:
         return SkewPoly(ring, coeffs)
 
     def dual_code(self) -> "ConstacyclicCode":
-        return ConstacyclicCode.from_generator(self.dual_generator(), self.n, self.u)
+        return ConstacyclicCode.from_generator(self.dual_generator())
 
     def is_self_dual(self) -> bool:
         return self == self.dual_code()
@@ -126,7 +126,7 @@ class ConstacyclicCode:
         """Codeword-set equality, decided by mutual generator membership."""
         if not isinstance(other, ConstacyclicCode):
             return NotImplemented
-        if self.ring != other.ring or self.n != other.n or self.u != other.u:
+        if self.ring != other.ring:
             return False
         return self.is_codeword(self.to_codeword(other.g)) and other.is_codeword(
             other.to_codeword(self.g)

@@ -84,3 +84,17 @@ def compose(f, g):
 
 def compose_mod(f, g, m):
     return mod_monic(compose(f, g), m)
+
+
+def to_str(coeffs, var):
+    """Readable ascending form, e.g. "2 + a + 3*a^2" for (2, 1, 3) in var "a"."""
+    terms = []
+    for j, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if j == 0:
+            terms.append(str(c))
+        else:
+            power = var if j == 1 else f"{var}^{j}"
+            terms.append(power if c == 1 else f"{c}*{power}")
+    return " + ".join(terms) if terms else "0"

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import intpoly
 from .codes import ConstacyclicCode, brute_force_dual
 from .errors import IndefiniteForm, InvalidSpec, LengthMismatch
 from .number_ring import ENUMERATION_BOUND, AlgebraSpec, QuotientRing, integral_arithmetic
@@ -193,23 +194,11 @@ class OrderElement:
         return [list(row) for row in self.rows]
 
     def __str__(self):
-        def ok_str(vec):
-            terms = []
-            for j, c in enumerate(vec):
-                if c == 0:
-                    continue
-                if j == 0:
-                    terms.append(str(c))
-                else:
-                    var = "y" if j == 1 else f"y^{j}"
-                    terms.append(var if c == 1 else f"{c}*{var}")
-            return " + ".join(terms) if terms else "0"
-
         blocks = []
         for i, row in enumerate(self.rows):
             if not any(row):
                 continue
-            body = ok_str(row)
+            body = intpoly.to_str(row, "y")
             if i == 0:
                 blocks.append(body)
             else:
@@ -358,14 +347,14 @@ class LatticeBasis:
 def gram_matrix(basis, spec: AlgebraSpec, e_weight: int = 1):
     """Gram matrix of the basis columns under the trace form.
 
-    Raises IndefiniteForm when a diagonal entry is nonpositive, which signals
-    a conjugation_mode inconsistent with the field.
+    basis is row-major with the generators as columns, in the flat basis of
+    the order.  Raises IndefiniteForm when a diagonal entry is nonpositive,
+    which signals a conjugation_mode inconsistent with the field.
     """
-    rows = basis.basis if isinstance(basis, LatticeBasis) else basis
     if e_weight < 1:
         raise InvalidSpec("e_weight must be a positive integer")
     order = NaturalOrder(spec)
-    elems = [order.from_flat(col) for col in zip(*rows)]
+    elems = [order.from_flat(col) for col in zip(*basis)]
     weights = [e_weight**i for i in range(order.n)]
 
     def form(x, y):
@@ -447,8 +436,8 @@ def dual_lattice_inclusion_check(
     True whenever every codeword of code_a is orthogonal to code_b; in
     particular a self-dual code against itself gives equal lattices.
     """
-    if code_a.ring != code_b.ring or code_a.n != code_b.n:
-        raise InvalidSpec("codes must share the same ring and length")
+    if code_a.ring != code_b.ring:
+        raise InvalidSpec("codes must share the same ring")
     target = dual_lattice_basis(code_b, bound=bound).basis
     source = construction_a_basis(code_a).basis
     return all(lattice_contains(target, col) for col in zip(*source))

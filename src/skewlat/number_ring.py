@@ -223,35 +223,26 @@ class RingElement:
         self.ring = ring
         self.coeffs = ring._reduce(coeffs)
 
-    def _coerce(self, other):
-        if isinstance(other, RingElement):
-            if other.ring is self.ring or other.ring == self.ring:
-                return other
-            raise ValueError("elements belong to different rings")
-        if isinstance(other, int):
-            return self.ring.from_int(other)
-        return None
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, (RingElement, int)):
             return NotImplemented
+        other = self.ring.coerce(other)
         p = self.ring.p
         return self.ring._make(tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, (RingElement, int)):
             return NotImplemented
+        other = self.ring.coerce(other)
         p = self.ring.p
         return self.ring._make(tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, (RingElement, int)):
             return NotImplemented
+        other = self.ring.coerce(other)
         return other - self
 
     def __neg__(self):
@@ -259,9 +250,9 @@ class RingElement:
         return self.ring._make(tuple(-a % p for a in self.coeffs))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, (RingElement, int)):
             return NotImplemented
+        other = self.ring.coerce(other)
         return self.ring._make(self.ring._mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
@@ -311,16 +302,7 @@ class RingElement:
         return list(self.coeffs)
 
     def __str__(self):
-        terms = []
-        for j, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if j == 0:
-                terms.append(str(c))
-            else:
-                var = "a" if j == 1 else f"a^{j}"
-                terms.append(var if c == 1 else f"{c}*{var}")
-        return " + ".join(terms) if terms else "0"
+        return intpoly.to_str(self.coeffs, "a")
 
     def __repr__(self):
         return f"RingElement({self} mod {self.ring.p})"
@@ -362,10 +344,6 @@ class QuotientRing:
     # -- raw coefficient arithmetic ------------------------------------
 
     def _reduce(self, coeffs):
-        if isinstance(coeffs, RingElement):
-            if coeffs.ring == self:
-                return coeffs.coeffs
-            raise ValueError("element belongs to a different ring")
         p = self.p
         return tuple(v % p for v in self._core.reduce(coeffs))
 
@@ -386,6 +364,8 @@ class QuotientRing:
         return self.p**self.n
 
     def element(self, coeffs) -> RingElement:
+        if isinstance(coeffs, RingElement):
+            return self.coerce(coeffs)
         return RingElement(self, coeffs)
 
     def from_int(self, value) -> RingElement:
@@ -409,8 +389,10 @@ class QuotientRing:
         return self.from_int(self.spec.u)
 
     def coerce(self, value) -> RingElement:
+        """value as an element of this ring: the one place that checks an
+        element's ring, raising ValueError for an element of another ring."""
         if isinstance(value, RingElement):
-            if value.ring == self:
+            if value.ring is self or value.ring == self:
                 return value
             raise ValueError("element belongs to a different ring")
         if isinstance(value, int):
@@ -553,10 +535,6 @@ class RingDecomposition:
             for _ in range(e):
                 q = _trim_mod(intpoly.mul(q, f), ring.p)
             self.moduli.append(q)
-
-    @property
-    def num_primes(self):
-        return len(self.factors)
 
     def ramification(self) -> str:
         if any(e > 1 for _, e in self.factors):

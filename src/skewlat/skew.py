@@ -3,12 +3,14 @@
 SkewPoly is the ring R[x; sigma] with multiplication twisted by
 x*s = sigma(s)*x, so (a x^i)(b x^j) = a sigma^i(b) x^(i+j).  OppositePoly is
 the same construction in a variable w with the inverse twist
-w*s = sigma^(-1)(s)*w; opposite() embeds R[x; sigma] into it reversing
+w*s = sigma^(-1)(s)*w; opposite() maps each ring onto the other reversing
 products, which is how parity-check data turns into dual generators.
 
 Left and right division require a divisor whose leading coefficient is a
 unit; the quotient/remainder pair is then unique, which makes polynomials of
-degree below n canonical representatives modulo the central x^n - u.
+degree below n canonical representatives modulo the central x^n - u.  There
+is one division loop, right_divmod; left division is right division in the
+opposite ring, mapped back.
 
 The zero polynomial has an empty coefficient tuple and degree -inf (a float
 sentinel, so degree comparisons in division loops need no special casing).
@@ -164,20 +166,13 @@ class SkewPoly:
         return q, r
 
     def left_divmod(self, g: "SkewPoly"):
-        """Unique (q, r) with self = g*q + r and deg r < deg g."""
-        g = self._coerce(g)
-        lead_inv = self._check_divisor(g)
-        ring = self.ring
-        q = type(self).zero(ring)
-        r = self
-        l = g.degree
-        while not r.is_zero and r.degree >= l:
-            shift = r.degree - l
-            c = ring.sigma(r.lead * lead_inv, -self.TWIST * l)
-            term = type(self).monomial(ring, shift, c)
-            q = q + term
-            r = r - g * term
-        return q, r
+        """Unique (q, r) with self = g*q + r and deg r < deg g.
+
+        Right division in the opposite ring: opposite(self) =
+        opposite(q)*opposite(g) + opposite(r), and opposite is its own inverse.
+        """
+        q, r = opposite(self).right_divmod(opposite(self._coerce(g)))
+        return opposite(q), opposite(r)
 
     def mod_central(self, n: int, u) -> "SkewPoly":
         """Canonical representative of degree < n modulo x^n - u."""
@@ -225,13 +220,16 @@ class OppositePoly(SkewPoly):
     VAR = "w"
 
 
-def opposite(f: SkewPoly) -> OppositePoly:
-    """Product-reversing embedding: sum a_i x^i maps to sum sigma^(-i)(a_i) w^i.
+def opposite(f: SkewPoly) -> SkewPoly:
+    """Product-reversing isomorphism between R[x; sigma] and R[w; sigma^(-1)].
 
-    Additive, and reverses multiplication: opposite(f*g) = opposite(g)*opposite(f).
+    sum a_i x^i maps to sum sigma^(-i)(a_i) w^i, and an OppositePoly maps back
+    by sigma^(i), so opposite(opposite(f)) == f.  Additive, and reverses
+    multiplication: opposite(f*g) = opposite(g)*opposite(f).
     """
     ring = f.ring
-    return OppositePoly(ring, tuple(ring.sigma(c, -i) for i, c in enumerate(f.coeffs)))
+    image = SkewPoly if isinstance(f, OppositePoly) else OppositePoly
+    return image(ring, tuple(ring.sigma(c, -f.TWIST * i) for i, c in enumerate(f.coeffs)))
 
 
 def central_poly(ring: QuotientRing, n: int, u, cls=SkewPoly) -> SkewPoly:

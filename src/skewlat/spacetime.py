@@ -162,9 +162,10 @@ def exhaustive_sweep(
     code: ConstacyclicCode, coeff_bound: int, enumeration_bound: int = ENUMERATION_BOUND
 ) -> bool:
     """Whether min_det_sample sweeps exhaustively: true when the
-    (2 * coeff_bound + 1)^(n^2) box points fit in enumeration_bound.  The
-    sweep visits their ((4 * coeff_bound + 1)^(n^2) - 1) / 2 differences up to sign."""
-    return (2 * coeff_bound + 1) ** (code.ring.n**2) <= enumeration_bound
+    ((4 * coeff_bound + 1)^(n^2) - 1) / 2 differences the sweep evaluates,
+    each nonzero point of the doubled box once up to sign, fit in
+    enumeration_bound."""
+    return ((4 * coeff_bound + 1) ** (code.ring.n**2) - 1) // 2 <= enumeration_bound
 
 
 def _sampled_differences(rng, coeff_bound, N):
@@ -189,11 +190,12 @@ def min_det_sample(
 
     Points have coordinates in [-coeff_bound, coeff_bound] in the code's
     lattice basis.  M(a) - M(a') = M(a - a'), so one matrix is evaluated per
-    difference.  When the box is small enough (exhaustive_sweep) every nonzero
-    difference in the doubled box is visited once up to sign, otherwise
-    `samples` differences of random distinct box points are drawn from a
-    generator seeded with `seed`.  Strictly positive output is expected for
-    division configurations; zero exhibits a concrete rank-deficient difference.
+    difference.  When those differences fit in enumeration_bound
+    (exhaustive_sweep) every nonzero difference in the doubled box is visited
+    once up to sign, otherwise `samples` differences of random distinct box
+    points are drawn from a generator seeded with `seed`.  Strictly positive
+    output is expected for division configurations; zero exhibits a concrete
+    rank-deficient difference.
     Raises ValueError when coeff_bound < 1, or when samples < 1 in sampled mode.
     """
     if coeff_bound < 1:

@@ -149,7 +149,7 @@ def test_dual_generator_values():
 
 def test_dual_generator_needs_u_squared_one():
     ring = QuotientRing(AlgebraSpec((1, 0, 1), (0, -1), u=2, p=5))
-    code = ConstacyclicCode.from_generator(SkewPoly.one(ring), u=2)
+    code = ConstacyclicCode.from_generator(SkewPoly.one(ring))
     with pytest.raises(UnsupportedU):
         code.dual_generator()
     with pytest.raises(UnsupportedU):

@@ -12,6 +12,7 @@ import pytest
 from skewlat import (
     ConstacyclicCode,
     NaturalOrder,
+    OppositePoly,
     QuotientRing,
     SkewPoly,
     central_poly,
@@ -62,6 +63,8 @@ def test_division_and_reversal_in_degree_three(ring):
         assert f == g * q2 + r2 and r2.degree < g.degree
         h = random_poly(ring, rng, max_degree=4)
         assert opposite(f * h) == opposite(h) * opposite(f)
+        w = OppositePoly(ring, h.coeffs)
+        assert opposite(opposite(f)) == f and opposite(opposite(w)) == w
 
 
 def test_opposite_ring_division(ring):

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from skewlat import AlgebraSpec, QuotientRing, intpoly, norm_witnesses
+from skewlat import AlgebraSpec, QuotientRing, SkewPoly, intpoly, norm_witnesses
 from skewlat.errors import (
     InvalidSigma,
     InvalidSpec,
@@ -56,6 +56,29 @@ def test_gaussian_p3_multiplication():
     assert (a + 1) * (a - 1) == ring.one
     assert a * a == -ring.one
     assert (a + 1) * (a + 2) == ring.one  # a+2 == a-1
+
+
+def test_element_of_another_ring_is_rejected_everywhere():
+    ring = QuotientRing(GAUSSIAN_P3)
+    alien = QuotientRing(GAUSSIAN_P5).gen
+    a = ring.gen
+    entry_points = [
+        lambda: a + alien,
+        lambda: alien + a,
+        lambda: a - alien,
+        lambda: alien - a,
+        lambda: a * alien,
+        lambda: alien * a,
+        lambda: ring.coerce(alien),
+        lambda: ring.element(alien),
+        lambda: SkewPoly(ring, [1, alien]),
+    ]
+    for call in entry_points:
+        with pytest.raises(ValueError, match="different ring"):
+            call()
+    # An equal ring built separately is the same ring, not another one.
+    twin = QuotientRing(GAUSSIAN_P3)
+    assert ring.coerce(twin.gen) == a and ring.element(twin.gen) == a
 
 
 def test_ramified_nilpotent():

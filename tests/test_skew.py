@@ -177,6 +177,8 @@ def test_opposite_reverses_products(ring):
         g = random_poly(ring, rng, max_degree=4)
         assert opposite(f * g) == opposite(g) * opposite(f)
         assert opposite(f + g) == opposite(f) + opposite(g)
+        h = OppositePoly(ring, g.coeffs)
+        assert opposite(opposite(f)) == f and opposite(opposite(h)) == h
 
 
 def test_opposite_twist(p3):

@@ -211,6 +211,16 @@ def test_min_det_exhaustive_sweep_visits_each_difference_once_up_to_sign(monkeyp
             assert tuple(sum(z * col[i] for z, col in zip(zs, cols)) for i in range(N)) in visited
 
 
+def test_exhaustive_sweep_bounds_the_differences_it_evaluates():
+    code = fixture_code("gaussian-p3-inert")
+    # At box 1 the 3^4 = 81 points fit in 100, but the (5^4 - 1) / 2 = 312
+    # differences the sweep evaluates do not.
+    assert not spacetime.exhaustive_sweep(code, 1, enumeration_bound=100)
+    assert spacetime.exhaustive_sweep(code, 1, enumeration_bound=312)
+    with pytest.raises(TooLarge):
+        min_det_sample(code, 1, enumeration_bound=100, exhaustive=True)
+
+
 @pytest.mark.parametrize(
     "build, coeff_bound",
     [(lambda: fixture_code("gaussian-p3-inert"), 2), (cubic_code, 1)],
