@@ -81,6 +81,8 @@ def _parse_int_list(raw, lineno, nested=False):
 
     if not isinstance(value, list):
         raise ParseError(f"line {lineno}: expected a bracketed list, got {raw!r}")
+    if nested and not all(isinstance(item, list) for item in value):
+        raise ParseError(f"line {lineno}: expected a list of lists, got {raw!r}")
     check(value, 2 if nested else 1)
     return value
 
@@ -206,12 +208,12 @@ def cmd_lattice(cfg: Config, args) -> dict:
 
 def cmd_stmatrix(cfg: Config, args) -> dict:
     ring = _ring(cfg)
-    code = _code(cfg, ring)
-    order = NaturalOrder(cfg.spec())
+    order = NaturalOrder(ring.spec)
     if args.element:
         rows = _parse_cli_list(args.element, "--element", nested=True)
         element = order.element(rows)
     else:
+        code = _code(cfg, ring)
         element = lift_codeword(order, code.to_codeword(code.g))
     matrix = matrix_rep(element)
     return {
@@ -258,7 +260,7 @@ def cmd_coset_encode(cfg: Config, args) -> dict:
 def cmd_coset_decode(cfg: Config, args) -> dict:
     ring = _ring(cfg)
     code = _code(cfg, ring)
-    order = NaturalOrder(cfg.spec())
+    order = NaturalOrder(ring.spec)
     rows = _parse_cli_list(args.point, "--point", nested=True)
     point = order.element(rows)
     codeword, offset = coset_decode_label(code, point)
@@ -362,22 +364,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name, help_text, needs_config=True):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=needs_config, help="path to a config file")
+        if needs_config:
+            p.add_argument("--config", required=True, help="path to a config file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--bound", type=int, help="enumeration bound override")
-        p.add_argument("--seed", type=int, help="random seed override")
         return p
 
     p = add("divisors", "list monic right divisors of x^n - u")
     p.add_argument("--degree", type=_int_at_least(0), required=True)
+    p.add_argument("--bound", type=int, help="enumeration bound override")
     add("code", "build the code of the configured generator")
     add("dual", "dual generator and self-duality of the configured code")
     p = add("lattice", "Construction A basis, Gram matrix, determinant, index")
     p = add("stmatrix", "matrix representation of an order element")
     p.add_argument("--element", help="row-major coordinate matrix, e.g. [[1,1],[1,0]]")
-    p = add("mindet", "minimum |norm det| over sampled pairs of lattice points")
+    p = add(
+        "mindet",
+        "minimum |norm det| over nonzero lattice differences in the doubled box, "
+        "exhaustive or sampled",
+    )
     p.add_argument("--coeff-bound", type=_int_at_least(1), default=1)
     p.add_argument("--samples", type=_int_at_least(1), default=2000)
+    p.add_argument("--bound", type=int, help="enumeration bound override")
+    p.add_argument("--seed", type=int, help="random seed override")
     p = add("coset-encode", "encode (message, offset) to a lattice point")
     p.add_argument("--msg", required=True, help="message symbols, e.g. [[1,0]]")
     p.add_argument("--offset", help="integer offset coordinates, e.g. [1,0,0,0]")
@@ -398,10 +406,9 @@ def main(argv=None) -> int:
             cfg = None
         else:
             cfg = load_config(args.config)
-            if args.bound is not None:
-                cfg.bound = args.bound
-            if args.seed is not None:
-                cfg.seed = args.seed
+            for key in ("bound", "seed"):  # registered only where a command reads them
+                if getattr(args, key, None) is not None:
+                    setattr(cfg, key, getattr(args, key))
         payload = _HANDLERS[args.command](cfg, args)
     except SkewLatError as exc:
         print(f"error[{error_code(exc)}]: {exc}", file=sys.stderr)

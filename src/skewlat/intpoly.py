@@ -28,14 +28,6 @@ def add(a, b):
     return trim(out)
 
 
-def neg(a):
-    return tuple(-v for v in a)
-
-
-def sub(a, b):
-    return add(a, neg(b))
-
-
 def mul(a, b):
     a, b = trim(a), trim(b)
     if not a or not b:

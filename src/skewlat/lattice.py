@@ -7,7 +7,8 @@ generator.  Flattened row-major, that gives coordinates in the Z-basis
 {theta^j e^i} of the order, N = n^2 of them, ordered 1, theta, ...,
 theta^(n-1), e, theta e, ...  Arithmetic in O_K goes through the shared
 number_ring.IntegralArithmetic of the spec, the same instance QuotientRing
-reduces modulo p, so building a NaturalOrder is a cache lookup.
+reduces modulo p, so building a NaturalOrder is a cache lookup.  Coordinate
+vectors of equal length, O_K rows or flat points, add through vector_sum.
 
 Lifting a codeword takes its canonical representatives in [0, p) as integer
 coordinates; reducing an order element mods every coordinate by p.  The
@@ -77,13 +78,11 @@ class NaturalOrder:
 
     @property
     def zero(self):
-        return self.element([[0] * self.n] * self.n)
+        return self.element([()] * self.n)
 
     @property
     def one(self):
-        rows = [[0] * self.n for _ in range(self.n)]
-        rows[0][0] = 1
-        return self.element(rows)
+        return self.basis_element(0)
 
     def basis_element(self, flat_index) -> "OrderElement":
         vec = [0] * (self.n * self.n)
@@ -121,19 +120,15 @@ class OrderElement:
                 return other
             raise ValueError("elements belong to different orders")
         if isinstance(other, int):
-            rows = [[0] * self.order.n for _ in range(self.order.n)]
-            rows[0][0] = other
-            return self.order.element(rows)
+            return self.order.one * other
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return OrderElement(
-            self.order,
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
-        )
+        pairs = zip(self.rows, other.rows)
+        return OrderElement(self.order, tuple(vector_sum(pair, self.order.n) for pair in pairs))
 
     __radd__ = __add__
 
@@ -156,7 +151,7 @@ class OrderElement:
             return NotImplemented
         order = self.order
         n = order.n
-        acc = [[0] * n for _ in range(n)]
+        products = [[] for _ in range(n)]  # products[t] lands on e^t
         for i, a_i in enumerate(self.rows):
             if not any(a_i):
                 continue
@@ -168,14 +163,11 @@ class OrderElement:
                 if t >= n:
                     t -= n
                     c = tuple(order.u * v for v in c)
-                for idx in range(n):
-                    acc[t][idx] += c[idx]
-        return order.element(acc)
+                products[t].append(c)
+        return order.element([vector_sum(terms, n) for terms in products])
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
+    # Reflected only for a left operand that is not an OrderElement: an int, which is central.
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         return (
@@ -278,6 +270,11 @@ def hnf(mat):
     if not placed:
         return [[] for _ in range(nrows)]
     return [[col[i] for _, col in placed] for i in range(nrows)]
+
+
+def vector_sum(vectors, length):
+    """Coordinatewise sum of integer vectors of one length, `length` zeros if none."""
+    return tuple(map(sum, zip(*vectors))) or (0,) * length
 
 
 def det_int(mat) -> int:

@@ -83,18 +83,27 @@ class AlgebraSpec:
         return len(self.min_poly) - 1
 
 
+# Miller-Rabin over the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p):
+    """Deterministic Miller-Rabin; raises TooLarge where it is not proven."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p >= _MILLER_RABIN_LIMIT:
+        raise TooLarge(f"primality of p = {p} is only decided below {_MILLER_RABIN_LIMIT}")
+    for a in _MILLER_RABIN_BASES:
+        if p % a == 0:
+            return p == a
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, p)
+        if x != 1 and p - 1 not in (pow(x, 2**r, p) for r in range(s)):
             return False
-        d += 2
     return True
 
 
@@ -485,6 +494,7 @@ def _factor_mod_p(m, p, search_bound=ENUMERATION_BOUND):
     Exhaustive root search first (roots in ascending order), then monic
     divisors of growing degree; adequate at the small sizes this library
     targets.  Factors come out in discovery order, which is deterministic.
+    Raises TooLarge when p, or p^d for a degree-d search, exceeds search_bound.
     """
     rem = _trim_mod(m, p)
     factors = []
@@ -504,6 +514,8 @@ def _factor_mod_p(m, p, search_bound=ENUMERATION_BOUND):
             record(cand)
             rem = _trim_mod(q, p)
 
+    if p > search_bound:
+        raise TooLarge(f"root search over {p} residues exceeds bound")
     for r in range(p):
         divide_out(((-r) % p, 1))
 

@@ -11,7 +11,8 @@ min_det_sample probes the space-time design criterion: over a division
 algebra the determinant of M(a) - M(a') never vanishes for a != a'.  Since
 M is additive, M(a) - M(a') = M(a - a'), so the probe evaluates one matrix
 per lattice difference, each nonzero difference once up to sign.  The
-probe is a sample, never a certificate.
+probe is a sample, never a certificate.  Matrix entries, cofactor terms and
+lattice points all add through lattice.vector_sum.
 
 Coset encoding splits a lattice point into an information codeword plus a
 random offset in p times the order, the wiretap-coding primitive.
@@ -23,7 +24,6 @@ import random
 from dataclasses import dataclass
 from itertools import islice, product
 
-from . import intpoly
 from .codes import ConstacyclicCode
 from .errors import LengthMismatch, NotInLattice, TooLarge
 from .lattice import (
@@ -33,6 +33,7 @@ from .lattice import (
     det_int,
     lift_codeword,
     reduce_element,
+    vector_sum,
 )
 from .number_ring import ENUMERATION_BOUND
 
@@ -47,21 +48,17 @@ class SpaceTimeMatrix:
         self.entries = tuple(tuple(tuple(int(v) for v in e) for e in row) for row in entries)
 
     def __add__(self, other):
-        self._check(other)
-        return SpaceTimeMatrix(
-            self.order,
-            [
-                [intpoly.pad(intpoly.add(a, b), self.order.n) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
+        return self._entrywise(other, 1)
 
     def __sub__(self, other):
+        return self._entrywise(other, -1)
+
+    def _entrywise(self, other, sign):
         self._check(other)
         return SpaceTimeMatrix(
             self.order,
             [
-                [intpoly.pad(intpoly.sub(a, b), self.order.n) for a, b in zip(ra, rb)]
+                [vector_sum((a, [sign * v for v in b]), self.order.n) for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.entries, other.entries)
             ],
         )
@@ -70,19 +67,12 @@ class SpaceTimeMatrix:
         self._check(other)
         order = self.order
         n = order.n
-        out = []
-        for r in range(n):
-            row = []
-            for s in range(n):
-                acc = (0,) * n
-                for t in range(n):
-                    acc = intpoly.pad(
-                        intpoly.add(acc, order.ok_mul(self.entries[r][t], other.entries[t][s])),
-                        n,
-                    )
-                row.append(acc)
-            out.append(row)
-        return SpaceTimeMatrix(order, out)
+        a, b = self.entries, other.entries
+
+        def entry(r, s):
+            return vector_sum([order.ok_mul(a[r][t], b[t][s]) for t in range(n)], n)
+
+        return SpaceTimeMatrix(order, [[entry(r, s) for s in range(n)] for r in range(n)])
 
     def _check(self, other):
         if not isinstance(other, SpaceTimeMatrix) or other.order != self.order:
@@ -105,16 +95,14 @@ class SpaceTimeMatrix:
         def rec(rows):
             if len(rows) == 1:
                 return rows[0][0]
-            acc = (0,) * order.n
+            terms = []
             for j, top in enumerate(rows[0]):
                 if not any(top):
                     continue
                 minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
                 term = order.ok_mul(top, rec(minor))
-                if j % 2:
-                    term = tuple(-v for v in term)
-                acc = intpoly.pad(intpoly.add(acc, term), order.n)
-            return acc
+                terms.append([-v for v in term] if j % 2 else term)
+            return vector_sum(terms, order.n)
 
         return rec([list(row) for row in self.entries])
 
@@ -174,7 +162,7 @@ def _sampled_differences(rng, coeff_bound, N):
         z1 = tuple(rng.randint(-coeff_bound, coeff_bound) for _ in range(N))
         z2 = tuple(rng.randint(-coeff_bound, coeff_bound) for _ in range(N))
         if z1 != z2:
-            yield tuple(a - b for a, b in zip(z1, z2))
+            yield vector_sum((z1, [-v for v in z2]), N)
 
 
 def min_det_sample(
@@ -213,12 +201,8 @@ def min_det_sample(
     order = NaturalOrder(code.ring.spec)
 
     def point(zs):
-        flat = [0] * N
-        for z, col in zip(zs, cols):
-            if z:
-                for i in range(N):
-                    flat[i] += z * col[i]
-        return order.from_flat(flat)
+        terms = [[z * v for v in col] for z, col in zip(zs, cols) if z]
+        return order.from_flat(vector_sum(terms, N))
 
     if exhaustive:
         span = range(-2 * coeff_bound, 2 * coeff_bound + 1)

@@ -33,3 +33,9 @@ def random_unit_lead_poly(ring, rng, max_degree=3):
 
 def random_message(code, rng):
     return [random_element(code.ring, rng) for _ in range(code.k)]
+
+
+def random_order_element(order, rng, span=5):
+    return order.element(
+        [[rng.randrange(-span, span + 1) for _ in range(order.n)] for _ in range(order.n)]
+    )

@@ -260,14 +260,75 @@ def test_usage_errors_exit_two(capsys, cfg_path):
         ("mindet", "--coeff-bound", "-1"),
         ("mindet", "--samples", "0"),
         ("divisors", "--degree", "-1"),
+        # Flags a command does not read: only divisors and mindet take
+        # --bound, only mindet takes --seed, verify-examples takes no config.
+        *[
+            (command, flag, "3")
+            for command in ("code", "dual", "lattice", "stmatrix")
+            for flag in ("--bound", "--seed")
+        ],
+        ("coset-encode", "--bound", "3", "--msg", "[[1, 0]]"),
+        ("coset-encode", "--seed", "3", "--msg", "[[1, 0]]"),
+        ("coset-decode", "--bound", "3", "--point", "[[1, 1], [1, 0]]"),
+        ("coset-decode", "--seed", "3", "--point", "[[1, 1], [1, 0]]"),
+        ("divisors", "--seed", "3", "--degree", "1"),
+        ("verify-examples", "--config", "nonexistent"),
+        ("verify-examples", "--bound", "3"),
+        ("verify-examples", "--seed", "3"),
     ],
 )
 def test_out_of_range_flags_are_usage_errors(capsys, cfg_path, argv):
-    rc, out, err = run(capsys, argv[0], "--config", cfg_path, *argv[1:])
+    config = [] if argv[0] == "verify-examples" else ["--config", cfg_path]
+    rc, out, err = run(capsys, argv[0], *config, *argv[1:])
     assert rc == 2
     assert out == ""
     assert "usage:" in err and argv[1] in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, cfg_text",
+    [
+        (["code"], GAUSSIAN_P3_TEXT.replace("[[1, 1], [1, 0]]", "[1, 1]")),
+        (["stmatrix", "--element", "[1,2]"], GAUSSIAN_P3_TEXT),
+        (["coset-decode", "--point", "[1,2]"], GAUSSIAN_P3_TEXT),
+        (["coset-encode", "--msg", "[1,0]"], GAUSSIAN_P3_TEXT),
+    ],
+    ids=["generator", "element", "point", "msg"],
+)
+def test_flat_list_where_nested_belongs_is_parse_error(capsys, tmp_path, argv, cfg_text):
+    path = tmp_path / "flat.cfg"
+    path.write_text(cfg_text)
+    rc, out, err = run(capsys, argv[0], "--config", str(path), *argv[1:])
+    assert rc == 1
+    assert out == ""
+    assert err.strip().splitlines()[-1].startswith("error[PARSE_ERROR]")
+    assert "Traceback" not in err
+
+
+def test_stmatrix_element_needs_no_generator(capsys, cfg_path, tmp_path):
+    nogen = tmp_path / "nogen.cfg"
+    nogen.write_text(GAUSSIAN_P3_TEXT.replace("generator = [[1, 1], [1, 0]]\n", ""))
+    element = ["--element", "[[1, 2], [0, 1]]", "--json"]
+    rc, with_gen, _ = run(capsys, "stmatrix", "--config", cfg_path, *element)
+    assert rc == 0
+    rc, without_gen, err = run(capsys, "stmatrix", "--config", str(nogen), *element)
+    assert rc == 0, err
+    assert without_gen == with_gen
+    rc, _, err = run(capsys, "stmatrix", "--config", str(nogen))
+    assert rc == 1 and "MISSING_KEY" in err
+
+
+@pytest.mark.parametrize("command", ["code", "lattice"])
+def test_nineteen_digit_prime_config_runs(capsys, tmp_path, command):
+    big = tmp_path / "big.cfg"
+    big.write_text(
+        "p = 1000000000000000003\nmin_poly = [1, 0, 1]\nsigma_image = [0, -1]\n"
+        "u = -1\ngenerator = [[1, 0]]\n"
+    )
+    rc, out, err = run(capsys, command, "--config", str(big), "--json")
+    assert rc == 0, err
+    assert json.loads(out)
 
 
 def test_verify_examples_fails_under_optimize():

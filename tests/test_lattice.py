@@ -22,7 +22,7 @@ from skewlat import (
 from skewlat.errors import IndefiniteForm
 from skewlat.fixtures import FIXTURE_SPECS, fixture_code, fixture_ring
 
-from helpers import random_element
+from helpers import CUBIC, random_element, random_order_element
 
 IDENTITY4 = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
 
@@ -79,6 +79,50 @@ def test_lift_is_multiplicative_modulo_p(fixture_name):
         prod_lift = lift_codeword(order, v) * lift_codeword(order, w)
         poly_prod = (SkewPoly(ring, v) * SkewPoly(ring, w)).mod_central(code.n, code.u)
         assert reduce_element(prod_lift, ring) == poly_prod.padded_coeffs(code.n)
+
+
+# -- order arithmetic ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "spec", [FIXTURE_SPECS["gaussian-p3-inert"], CUBIC], ids=["quaternion", "cubic"]
+)
+def test_integer_operands_are_the_scalar_embedding(spec):
+    order = NaturalOrder(spec)
+    rng = random.Random(5)
+    for _ in range(20):
+        a = random_order_element(order, rng)
+        k = rng.randrange(-6, 7)
+        scalar = order.one * k
+        assert a + k == a + scalar
+        assert k + a == scalar + a
+        assert a - k == a - scalar
+        assert a * k == a * scalar
+        assert k * a == scalar * a
+
+
+def test_one_and_zero_rows():
+    quaternion = order_for("gaussian-p3-inert")
+    assert quaternion.one.rows == ((1, 0), (0, 0))
+    assert quaternion.zero.rows == ((0, 0), (0, 0))
+    cubic = NaturalOrder(CUBIC)
+    assert cubic.one.rows == ((1, 0, 0), (0, 0, 0), (0, 0, 0))
+    assert cubic.zero.rows == ((0, 0, 0),) * 3
+
+
+def test_element_of_another_order_is_rejected():
+    a = order_for("gaussian-p3-inert").basis_element(1)
+    alien = order_for("sqrt2-p3-selfdual").basis_element(1)
+    for call in (
+        lambda: a + alien,
+        lambda: alien + a,
+        lambda: a - alien,
+        lambda: alien - a,
+        lambda: a * alien,
+        lambda: alien * a,
+    ):
+        with pytest.raises(ValueError, match="different orders"):
+            call()
 
 
 # -- hnf ------------------------------------------------------------------

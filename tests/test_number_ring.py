@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,7 @@ from skewlat.errors import (
     Unsupported,
 )
 from skewlat.fixtures import GAUSSIAN_P3, GAUSSIAN_P5, SQRT2_P3
+from skewlat.number_ring import _is_prime
 
 from helpers import random_element
 
@@ -48,6 +50,31 @@ def test_ring_new_rejects_bad_p_and_u():
         QuotientRing(AlgebraSpec((-4, 0, 1), (0, -1), u=-1, p=3))
     with pytest.raises(InvalidSpec):
         QuotientRing(AlgebraSpec((1, 1), (0, 1), u=1, p=3))
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-100, 2 * 10**4):
+        assert _is_prime(n) == _trial_division_is_prime(n), n
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # Strong pseudoprimes to every prime base up to 7, 31 and 37 respectively.
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+    assert _is_prime(10**18 + 3)
+    with pytest.raises(TooLarge):
+        _is_prime(3_317_044_064_679_887_385_961_981)
+
+
+def test_nineteen_digit_prime_builds_but_decompose_is_too_large():
+    ring = QuotientRing(AlgebraSpec((1, 0, 1), (0, -1), u=-1, p=10**18 + 3))
+    assert ring.p == 10**18 + 3
+    with pytest.raises(TooLarge):
+        ring.decompose()
 
 
 def test_gaussian_p3_multiplication():

@@ -23,7 +23,7 @@ from skewlat.errors import LengthMismatch, NotInLattice, TooLarge
 from skewlat.fixtures import FIXTURE_NAMES, FIXTURE_SPECS, GAUSSIAN_P3_U1, fixture_code
 from skewlat.number_ring import QuotientRing
 
-from helpers import CUBIC, random_message
+from helpers import CUBIC, random_message, random_order_element
 
 QUATERNION = FIXTURE_SPECS["gaussian-p3-inert"]
 
@@ -67,12 +67,6 @@ def pairwise_min_det(code, coeff_bound, *, seed=0, samples=None):
     return min(values)
 
 
-def random_order_element(order, rng, span=5):
-    return order.element(
-        [[rng.randrange(-span, span + 1) for _ in range(order.n)] for _ in range(order.n)]
-    )
-
-
 def test_quaternion_matrix_form():
     order = NaturalOrder(QUATERNION)
     rng = random.Random(1)
@@ -91,6 +85,21 @@ def test_identity_matrix():
     order = NaturalOrder(QUATERNION)
     m = matrix_rep(order.one)
     assert m.entries == (((1, 0), (0, 0)), ((0, 0), (1, 0)))
+
+
+def test_matrix_of_another_order_is_rejected():
+    m = matrix_rep(NaturalOrder(QUATERNION).basis_element(1))
+    alien = matrix_rep(NaturalOrder(FIXTURE_SPECS["sqrt2-p3-selfdual"]).basis_element(1))
+    for call in (
+        lambda: m + alien,
+        lambda: alien + m,
+        lambda: m - alien,
+        lambda: alien - m,
+        lambda: m * alien,
+        lambda: alien * m,
+    ):
+        with pytest.raises(ValueError, match="different orders"):
+            call()
 
 
 def test_matrix_rep_additive_and_reverses_products():
