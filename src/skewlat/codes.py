@@ -38,10 +38,12 @@ class ConstacyclicCode:
 
         A non-monic g with unit leading coefficient is normalized to the monic
         generator of the same ideal.  Raises NotADivisor when g does not right
-        divide x^n - u.
+        divide x^n - u, the zero polynomial included.
         """
         ring = g.ring
         n = ring.n
+        if g.is_zero:
+            raise NotADivisor("the zero polynomial does not divide x^n - u")
         if not g.is_monic:
             try:
                 g = g.lead.inverse() * g

@@ -141,6 +141,12 @@ class OrderElement:
             return NotImplemented
         return self + (-other)
 
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
     def __mul__(self, other):
         if isinstance(other, int):
             return OrderElement(

@@ -12,6 +12,13 @@ degree below n canonical representatives modulo the central x^n - u.  There
 is one division loop, right_divmod; left division is right division in the
 opposite ring, mapped back.
 
+Monic right divisors of x^n - u come from roots and cofactors: degree 1 by
+the norm test N_n(-c) = u over the p^n ring elements (Lam-Leroy evaluation),
+degree d > n - d as the quotients of x^n - u by the divisors of degree n - d.
+Only the middle degrees 2 <= d <= n/2 (n >= 4) scan the p^(n*d) monic
+candidates, and the enumeration bound counts ring elements, or candidates on
+that scan.
+
 The zero polynomial has an empty coefficient tuple and degree -inf (a float
 sentinel, so degree comparisons in division loops need no special casing).
 """
@@ -20,7 +27,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .errors import DivisionByZero, NonUnitLeading, NotInvertible, TooLarge
+from .errors import DivisionByZero, NonUnitLeading, NotADivisor, NotInvertible, TooLarge
 from .number_ring import ENUMERATION_BOUND, QuotientRing, RingElement
 
 NEG_INF = float("-inf")
@@ -241,20 +248,70 @@ def central_poly(ring: QuotientRing, n: int, u, cls=SkewPoly) -> SkewPoly:
 
 
 def monic_right_divisors(ring: QuotientRing, n: int, u, degree: int, bound=ENUMERATION_BOUND):
-    """All monic right divisors of x^n - u of the given degree, brute force.
+    """All monic right divisors of x^n - u of the given degree.
 
-    Candidates are scanned lexicographically by coefficient vector, so the
-    result order is deterministic.
+    The result is lexicographic by coefficient vector, constant term first.
+    n must be a positive multiple of ring.n, the order of sigma, so that
+    sigma^n = id.  How the divisors are found depends on d = degree:
+
+    - d = 1, by roots: x + c right-divides x^n - u exactly when N_n(-c) = u,
+      where N_n(a) = sigma^(n-1)(a)...sigma(a)*a is the remainder of x^n on
+      right division by x - a (Lam-Leroy evaluation).  Each of the p^n
+      elements c costs n - 1 ring multiplications.
+    - d > n - d, by cofactors: x^n - u is central and a monic polynomial is
+      not a zero divisor, so h*g = x^n - u exactly when g*h = x^n - u.  The
+      divisors of degree d are the quotients (x^n - u)/g over the divisors g
+      of degree n - d, one right division each, and the map is a bijection.
+      Degree n is the cofactor of 1; degree above n has no divisor.
+    - 2 <= d <= n/2, which needs n >= 4: a scan of the p^(n*d) monic
+      candidates, one right division each.
+
+    bound limits the p^n elements the root scan visits and, on the middle
+    degrees only, the candidates; beyond it TooLarge is raised.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
+    if n < 1 or n % ring.n:
+        raise ValueError(f"n = {n} is not a positive multiple of the order {ring.n} of sigma")
+    central = central_poly(ring, n, u)
+    if degree > n:
+        return []
+    if degree > n - degree:
+        cofactors = []
+        for g in _low_degree_divisors(central, n - degree, bound):
+            q, r = central.right_divmod(g)
+            if not r.is_zero:
+                raise NotADivisor(f"{g} does not right divide {central}")
+            cofactors.append(q)
+        return sorted(cofactors, key=lambda f: tuple(c.coeffs for c in f.coeffs))
+    return _low_degree_divisors(central, degree, bound)
+
+
+def _low_degree_divisors(central: SkewPoly, degree: int, bound):
+    """Monic right divisors of the central x^n - u of degree d <= n/2."""
+    ring = central.ring
+    n = int(central.degree)
+    if degree == 0:
+        return [SkewPoly.one(ring)]
+    if degree == 1:
+        # N_n(-c) = (-1)^n N_n(c), so x + c divides when N_n(c) = (-1)^n u.
+        u = -central.coeffs[0]
+        target = u if n % 2 == 0 else -u
+        return [SkewPoly(ring, (c, 1)) for c in ring.elements(bound) if _norm(c, n) == target]
     if ring.size**degree > bound:
         raise TooLarge(f"{ring.size}^{degree} candidates exceeds bound {bound}")
-    central = central_poly(ring, n, u)
-    lower = [list(ring.elements(bound))] * degree if degree else []
     out = []
-    for tail in product(*lower):
-        g = SkewPoly(ring, tuple(tail) + (ring.one,))
+    for tail in product(list(ring.elements(bound)), repeat=degree):
+        g = SkewPoly(ring, tail + (ring.one,))
         if central.right_divmod(g)[1].is_zero:
             out.append(g)
+    return out
+
+
+def _norm(a: RingElement, n: int) -> RingElement:
+    """N_n(a) = sigma^(n-1)(a)...sigma(a)*a; R is commutative, so factor order is free."""
+    ring = a.ring
+    out = a
+    for i in range(1, n):
+        out = out * ring.sigma(a, i)
     return out

@@ -1,6 +1,13 @@
-"""Shared specs and random generators for the test suite (seeded, deterministic)."""
+"""Shared specs, random generators and brute-force oracles for the test suite."""
 
-from skewlat import AlgebraSpec, SkewPoly
+import warnings
+from itertools import product
+from math import isqrt
+
+from hypothesis import strategies as st
+
+from skewlat import ENUMERATION_BOUND, AlgebraSpec, QuotientRing, SkewPoly, central_poly
+from skewlat.errors import TooLarge
 
 # The cyclic cubic field of 2*cos(2*pi/7): minimal polynomial y^3 + y^2 - 2y - 1,
 # Galois group generated by y -> y^2 - 2, with e^3 = 2 over p = 5.
@@ -11,6 +18,54 @@ CUBIC = AlgebraSpec(
     p=5,
     conjugation_mode="identity",
 )
+
+# Cyclic cubic fields whose Galois group is generated by y -> y^2 - 2: the
+# fields of 2*cos(2*pi/7) and of 2*cos(2*pi/9).
+CYCLIC_CUBICS = ((-1, -2, 1, 1), (1, -3, 0, 1))
+
+
+def quiet_ring(spec):
+    """QuotientRing(spec) without the warning that degree > 2 irreducibility is trusted."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return QuotientRing(spec)
+
+
+@st.composite
+def valid_specs(draw, primes=(2, 3, 5, 7)):
+    """Random valid specs: a quadratic field y^2 + b*y + c with a non-square
+    discriminant and sigma: y -> -b - y, or a cyclic cubic with sigma:
+    y -> y^2 - 2; p drawn from primes and an integer u prime to p."""
+    p = draw(st.sampled_from(primes))
+    if draw(st.booleans()):
+        b, c = draw(
+            st.tuples(st.integers(-3, 3), st.integers(-5, 5)).filter(
+                lambda bc: not _is_square(bc[0] * bc[0] - 4 * bc[1])
+            )
+        )
+        min_poly, sigma_image = (c, b, 1), (-b, -1)
+    else:
+        min_poly, sigma_image = draw(st.sampled_from(CYCLIC_CUBICS)), (-2, 0, 1)
+    u = draw(st.integers(-6, 6).filter(lambda v: v % p))
+    return AlgebraSpec(min_poly, sigma_image, u=u, p=p, conjugation_mode="identity")
+
+
+def _is_square(d):
+    return d >= 0 and isqrt(d) ** 2 == d
+
+
+def brute_force_right_divisors(ring, n, u, degree, bound=ENUMERATION_BOUND):
+    """Oracle: every monic candidate of the given degree, one right division
+    each, in lexicographic order of coefficient vectors (constant term first)."""
+    if ring.size**degree > bound:
+        raise TooLarge(f"{ring.size}^{degree} candidates exceeds bound {bound}")
+    central = central_poly(ring, n, u)
+    out = []
+    for tail in product(list(ring.elements(bound)), repeat=degree):
+        g = SkewPoly(ring, tail + (ring.one,))
+        if central.right_divmod(g)[1].is_zero:
+            out.append(g)
+    return out
 
 
 def random_element(ring, rng):

@@ -306,6 +306,16 @@ def test_flat_list_where_nested_belongs_is_parse_error(capsys, tmp_path, argv, c
     assert "Traceback" not in err
 
 
+def test_zero_generator_is_not_a_divisor(capsys, tmp_path):
+    path = tmp_path / "zero.cfg"
+    path.write_text(GAUSSIAN_P3_TEXT.replace("[[1, 1], [1, 0]]", "[]"))
+    rc, out, err = run(capsys, "code", "--config", str(path))
+    assert rc == 1
+    assert out == ""
+    assert err.strip().splitlines()[-1].startswith("error[NOT_A_DIVISOR]")
+    assert "Traceback" not in err
+
+
 def test_stmatrix_element_needs_no_generator(capsys, cfg_path, tmp_path):
     nogen = tmp_path / "nogen.cfg"
     nogen.write_text(GAUSSIAN_P3_TEXT.replace("generator = [[1, 1], [1, 0]]\n", ""))
@@ -361,7 +371,7 @@ def test_verify_examples_fails_under_optimize():
 
 def test_bound_flag_overrides_config(capsys, cfg_path):
     rc, out, err = run(
-        capsys, "divisors", "--config", cfg_path, "--degree", "2", "--bound", "10"
+        capsys, "divisors", "--config", cfg_path, "--degree", "1", "--bound", "5"
     )
     assert rc == 1
     assert "TOO_LARGE" in err

@@ -97,6 +97,7 @@ def test_integer_operands_are_the_scalar_embedding(spec):
         assert a + k == a + scalar
         assert k + a == scalar + a
         assert a - k == a - scalar
+        assert k - a == scalar - a
         assert a * k == a * scalar
         assert k * a == scalar * a
 

@@ -1,7 +1,8 @@
 import random
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from skewlat import (
     AlgebraSpec,
@@ -15,7 +16,14 @@ from skewlat import (
 from skewlat.errors import DivisionByZero, NonUnitLeading, TooLarge
 from skewlat.fixtures import GAUSSIAN_P2, GAUSSIAN_P3
 
-from helpers import random_poly, random_unit_lead_poly
+from helpers import (
+    CUBIC,
+    brute_force_right_divisors,
+    quiet_ring,
+    random_poly,
+    random_unit_lead_poly,
+    valid_specs,
+)
 
 NEG_INF = float("-inf")
 
@@ -211,8 +219,66 @@ def test_monic_right_divisors_edge_degrees(p3):
     assert monic_right_divisors(p3, 2, -1, 0) == [SkewPoly.one(p3)]
     deg2 = monic_right_divisors(p3, 2, -1, 2)
     assert central_poly(p3, 2, -1) in deg2
+    assert monic_right_divisors(p3, 2, -1, 3) == []
     with pytest.raises(TooLarge):
-        monic_right_divisors(p3, 2, -1, 3, bound=100)
+        monic_right_divisors(p3, 2, -1, 1, bound=5)
+
+
+# Above this many candidates the brute-force oracle takes seconds.
+ORACLE_BUDGET = 5_000
+
+
+def assert_divisors_match_oracle(ring, u):
+    n = ring.n
+    central = central_poly(ring, n, u)
+    for degree in range(n + 2):
+        found = monic_right_divisors(ring, n, u, degree)
+        if ring.size**degree <= ORACLE_BUDGET:
+            assert found == brute_force_right_divisors(ring, n, u, degree), degree
+        elif degree >= n:
+            assert found == ([central] if degree == n else [])
+        else:
+            for g in found:
+                assert g.is_monic and g.degree == degree
+                assert central.right_divmod(g)[1].is_zero
+
+
+@settings(max_examples=20, deadline=None)
+@given(valid_specs())
+@example(replace(CUBIC, p=2, u=1))
+@example(replace(CUBIC, p=3, u=-1))
+@example(AlgebraSpec((1, 0, 1), (0, -1), u=-1, p=3))
+def test_divisors_match_brute_force(spec):
+    assert_divisors_match_oracle(quiet_ring(spec), spec.u)
+
+
+def test_quartic_middle_degree_scan_and_cofactors():
+    # y^4 + y^3 + y^2 + y + 1 with sigma: y -> y^2, at p = 2: degree 2 is
+    # the candidate scan and degree 3 the cofactors of the roots.
+    ring = quiet_ring(AlgebraSpec((1, 1, 1, 1, 1), (0, 0, 1), u=1, p=2, conjugation_mode="identity"))
+    assert [len(monic_right_divisors(ring, 4, 1, d)) for d in range(6)] == [1, 15, 35, 15, 1, 0]
+    assert_divisors_match_oracle(ring, 1)
+
+
+def test_cubic_p13_roots_and_cofactors():
+    ring = quiet_ring(replace(CUBIC, p=13))
+    central = central_poly(ring, 3, 2)
+    roots = monic_right_divisors(ring, 3, 2, 1)
+    quadratics = monic_right_divisors(ring, 3, 2, 2)
+    assert len(roots) == len(quadratics) == 144
+    assert roots == brute_force_right_divisors(ring, 3, 2, 1)
+    cofactors = set()
+    for h in quadratics:
+        q, r = central.right_divmod(h)
+        assert r.is_zero
+        cofactors.add(q)
+    assert cofactors == set(roots)
+
+
+def test_monic_right_divisors_needs_a_multiple_of_the_sigma_order(p3):
+    with pytest.raises(ValueError):
+        monic_right_divisors(p3, 3, -1, 1)
+    assert monic_right_divisors(p3, 4, -1, 1) == brute_force_right_divisors(p3, 4, -1, 1)
 
 
 def test_central_poly_requires_fixed_u():
