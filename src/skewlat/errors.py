@@ -53,10 +53,6 @@ class UnsupportedU(SkewLatError):
     """Dual-generator formula needs u*u = 1."""
 
 
-class Unsupported(SkewLatError):
-    """Operation is restricted to quadratic fields."""
-
-
 class LengthMismatch(SkewLatError):
     """Vector argument has the wrong length."""
 

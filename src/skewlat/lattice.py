@@ -66,8 +66,8 @@ class NaturalOrder:
         return tuple(vec)
 
     def ok_norm(self, vec) -> int:
-        """Field norm, as the determinant of the multiplication matrix."""
-        return det_int(self._core.mul_matrix(vec))
+        """Field norm N(vec) = vec*sigma(vec)...sigma^(n-1)(vec), an integer."""
+        return self._core.norm_cofactor(vec)[0]
 
     # -- order elements ---------------------------------------------------
 

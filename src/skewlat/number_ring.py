@@ -8,9 +8,10 @@ entries reduced into [0, p), constant term first.  That canonical form makes
 equality, hashing and enumeration order deterministic.
 
 The arithmetic itself lives in one place, IntegralArithmetic: multiplication,
-sigma and multiplication matrices in O_K = Z[y]/(m) over the integers, built
-once per (min_poly, sigma_image).  QuotientRing reduces its results modulo p;
-lattice.NaturalOrder uses the same instance and keeps them over Z.
+sigma and the field norm N(a) = a*sigma(a)...sigma^(n-1)(a) in O_K = Z[y]/(m)
+over the integers, built once per (min_poly, sigma_image).  QuotientRing
+reduces its results modulo p, so inverses are norm cofactors divided by the
+norm; lattice.NaturalOrder uses the same instance and keeps them over Z.
 
 Depending on how p factors, R is a finite field (p inert), a product of
 fields (p split) or a local ring with nilpotents (p ramified); decompose()
@@ -38,7 +39,6 @@ from .errors import (
     NotIrreducible,
     NotPrime,
     TooLarge,
-    Unsupported,
 )
 
 ENUMERATION_BOUND = 10**6
@@ -107,15 +107,61 @@ def _is_prime(p):
     return True
 
 
+def _integer_root(m):
+    """An integer root of the monic integer polynomial m of degree 2 or 3, or None.
+
+    Every real root lies inside the Cauchy bound 1 + max|m_i|, and m is monotone
+    between the integers next to its critical points, so bisection on each
+    monotone piece decides exactly, with O(log bound) evaluations.
+    """
+
+    def at(x):
+        v = 0
+        for c in reversed(m):
+            v = v * x + c
+        return v
+
+    bound = 1 + max(abs(c) for c in m[:-1])
+    if len(m) == 3:
+        near = [-m[1] // 2]  # m' = 2y + m1
+    else:
+        # m' = 3y^2 + 2 m2 y + m1 vanishes at (-m2 +- sqrt(disc)) / 3.
+        disc = m[2] * m[2] - 3 * m[1]
+        near = [(-m[2] + r) // 3 for r in (isqrt(disc), -isqrt(disc))] if disc >= 0 else []
+    # Each critical point lies within 1 of its `near` integer, so it falls in
+    # a unit gap between cuts and m is monotone on every longer piece.
+    cuts = sorted({-bound, bound}.union(*(range(f - 1, f + 3) for f in near)))
+    points = [(x, at(x)) for x in cuts if -bound <= x <= bound]
+    for x, v in points:
+        if v == 0:
+            return x
+    for (lo, vlo), (hi, vhi) in zip(points, points[1:]):
+        negative = vlo < 0
+        if negative == (vhi < 0):
+            continue
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            v = at(mid)
+            if v == 0:
+                return mid
+            if (v < 0) == negative:
+                lo = mid
+            else:
+                hi = mid
+    return None
+
+
 def _check_irreducible(m):
+    """Exact up to degree 3, where m is reducible over Q exactly when it has a
+    rational, hence (m monic) integer, root; trusted with a warning above."""
     n = len(m) - 1
-    if n == 2:
-        disc = m[1] * m[1] - 4 * m[0]
-        if disc >= 0 and isqrt(disc) ** 2 == disc:
-            raise NotIrreducible(f"discriminant {disc} is a perfect square")
+    if n <= 3:
+        root = _integer_root(m)
+        if root is not None:
+            raise NotIrreducible(f"min_poly has the integer root {root}")
     else:
         warnings.warn(
-            "irreducibility over Q is only verified for quadratic polynomials; "
+            "irreducibility over Q is only verified up to degree 3; "
             f"degree {n} is trusted",
             stacklevel=3,
         )
@@ -145,6 +191,7 @@ class IntegralArithmetic:
     Owns the folding row y^n mod m, the tables of sigma^k on the powers y^j
     and the power sums Tr(y^j).  Results are integer lists reduced modulo
     m only: QuotientRing reduces them modulo p, NaturalOrder keeps them over Z.
+    norm_cofactor is the one norm rule of the library.
     """
 
     def __init__(self, min_poly, sigma_image):
@@ -209,12 +256,23 @@ class IntegralArithmetic:
         k = power % self.n
         return self._apply(vec, self._sigma_tables[k - 1]) if k else list(vec)
 
-    def mul_matrix(self, vec):
-        """Matrix of multiplication by vec, row-major; column j is vec * y^j."""
-        cols = [list(vec)]
-        for _ in range(self.n - 1):
-            cols.append(self._fold([0, *cols[-1]]))
-        return [list(row) for row in zip(*cols)]
+    def norm_cofactor(self, vec):
+        """(N, c) with c = sigma(vec)...sigma^(n-1)(vec) and vec*c = N.
+
+        When m is irreducible and sigma generates the Galois group of
+        K = Q[y]/(m), N is the field norm, an integer; a product with a
+        nonzero non-constant coordinate raises InvalidSpec.
+        """
+        cofactor = self.sigma(vec)
+        for k in range(2, self.n):
+            cofactor = self.mul(cofactor, self.sigma(vec, k))
+        norm, *rest = self.mul(vec, cofactor)
+        if any(rest):
+            raise InvalidSpec(
+                "a*sigma(a)...sigma^(n-1)(a) is not rational: min_poly is reducible "
+                "or sigma does not generate its Galois group"
+            )
+        return norm, cofactor
 
 
 @lru_cache(maxsize=None)
@@ -301,11 +359,7 @@ class RingElement:
         return self.ring.inverse(self)
 
     def is_unit(self):
-        try:
-            self.ring.inverse(self)
-            return True
-        except NotInvertible:
-            return False
+        return self.ring.norm(self) != 0
 
     def to_list(self):
         return list(self.coeffs)
@@ -321,8 +375,8 @@ class QuotientRing:
     """The ring R = Z[y]/(p, m(y)) with its automorphism sigma.
 
     Validates the full configuration on construction: p prime, u a unit mod p,
-    m monic irreducible (quadratic case checked, higher degrees trusted with a
-    warning), and s(y) inducing an automorphism of order exactly n.
+    m monic irreducible (checked exactly for n <= 3, trusted with a warning
+    above that), and s(y) inducing an automorphism of order exactly n.
     """
 
     def __init__(self, spec: AlgebraSpec):
@@ -416,13 +470,19 @@ class QuotientRing:
         p = self.p
         return self._make(tuple(v % p for v in self._core.sigma(a.coeffs, k)))
 
+    def norm(self, a: RingElement) -> int:
+        """The field norm N(a) = a*sigma(a)...sigma^(n-1)(a), in [0, p)."""
+        return self._core.norm_cofactor(self.coerce(a).coeffs)[0] % self.p
+
     def inverse(self, a: RingElement) -> RingElement:
+        """sigma(a)...sigma^(n-1)(a) / N(a); a is a unit exactly when p does not divide N(a)."""
         a = self.coerce(a)
-        rhs = [1] + [0] * (self.n - 1)
-        sol = _solve_mod_p(self._core.mul_matrix(a.coeffs), rhs, self.p)
-        if sol is None:
+        p = self.p
+        norm, cofactor = self._core.norm_cofactor(a.coeffs)
+        if norm % p == 0:
             raise NotInvertible(f"{a!r} is not a unit")
-        return self._make(tuple(sol))
+        scale = pow(norm, -1, p)
+        return self._make(tuple(v * scale % p for v in cofactor))
 
     def elements(self, bound=ENUMERATION_BOUND):
         """All p^n elements, lexicographic by coefficient vector."""
@@ -449,36 +509,6 @@ class QuotientRing:
 
     def __repr__(self):
         return f"QuotientRing(p={self.p}, m={list(self.modulus)})"
-
-
-def _solve_mod_p(matrix, rhs, p):
-    """Solve M x = rhs over F_p by Gaussian elimination; None if unsolvable."""
-    n = len(matrix)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    pivot_cols = []
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, n) if aug[r][col] % p), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = pow(aug[row][col], -1, p)
-        aug[row] = [(v * inv) % p for v in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col] % p:
-                factor = aug[r][col]
-                aug[r] = [(a - factor * b) % p for a, b in zip(aug[r], aug[row])]
-        pivot_cols.append(col)
-        row += 1
-        if row == n:
-            break
-    for r in range(row, n):
-        if aug[r][n] % p:
-            return None
-    sol = [0] * n
-    for r, col in enumerate(pivot_cols):
-        sol[col] = aug[r][n] % p
-    return sol
 
 
 # -- factorization of m mod p and the local projections ----------------
@@ -570,21 +600,16 @@ class RingDecomposition:
 
 
 def norm_witnesses(spec: AlgebraSpec, bound: int):
-    """Search |a|,|b| <= bound for field norms N(a + b*theta) equal to u^i.
+    """Search the vectors a in [-bound, bound]^n for field norms N(a) equal to u^i.
 
-    Returns all witnesses (a, b, i) with i in 1..n-1.  An empty list is
-    consistent with, but does not prove, the division property.  Quadratic
-    fields only.
+    Returns all witnesses (*a, i) with i in 1..n-1, lexicographic in a; for a
+    quadratic field they read (a0, a1, i).  An empty list is consistent with,
+    but does not prove, the division property.
     """
-    if spec.n != 2:
-        raise Unsupported("norm search is implemented for quadratic fields only")
-    c0, c1 = spec.min_poly[0], spec.min_poly[1]
+    core = integral_arithmetic(spec.min_poly, spec.sigma_image)
     targets = [(spec.u**i, i) for i in range(1, spec.n)]
     out = []
-    for a in range(-bound, bound + 1):
-        for b in range(-bound, bound + 1):
-            nm = a * a - a * b * c1 + b * b * c0
-            for value, i in targets:
-                if nm == value:
-                    out.append((a, b, i))
+    for vec in product(range(-bound, bound + 1), repeat=spec.n):
+        norm = core.norm_cofactor(vec)[0]
+        out.extend((*vec, i) for value, i in targets if norm == value)
     return out

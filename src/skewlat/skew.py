@@ -256,8 +256,9 @@ def monic_right_divisors(ring: QuotientRing, n: int, u, degree: int, bound=ENUME
 
     - d = 1, by roots: x + c right-divides x^n - u exactly when N_n(-c) = u,
       where N_n(a) = sigma^(n-1)(a)...sigma(a)*a is the remainder of x^n on
-      right division by x - a (Lam-Leroy evaluation).  Each of the p^n
-      elements c costs n - 1 ring multiplications.
+      right division by x - a (Lam-Leroy evaluation).  As sigma^(ring.n) = id,
+      N_n(c) = N(c)^(n / ring.n) with N the field norm, so each of the p^n
+      elements c costs one QuotientRing.norm.
     - d > n - d, by cofactors: x^n - u is central and a monic polynomial is
       not a zero divisor, so h*g = x^n - u exactly when g*h = x^n - u.  The
       divisors of degree d are the quotients (x^n - u)/g over the divisors g
@@ -294,10 +295,16 @@ def _low_degree_divisors(central: SkewPoly, degree: int, bound):
     if degree == 0:
         return [SkewPoly.one(ring)]
     if degree == 1:
-        # N_n(-c) = (-1)^n N_n(c), so x + c divides when N_n(c) = (-1)^n u.
+        # N_n(-c) = (-1)^n N_n(c), so x + c divides when N_n(c) = (-1)^n u;
+        # sigma^(ring.n) = id makes N_n(c) = N(c)^(n / ring.n).
         u = -central.coeffs[0]
         target = u if n % 2 == 0 else -u
-        return [SkewPoly(ring, (c, 1)) for c in ring.elements(bound) if _norm(c, n) == target]
+        power = n // ring.n
+        return [
+            SkewPoly(ring, (c, 1))
+            for c in ring.elements(bound)
+            if ring.from_int(pow(ring.norm(c), power, ring.p)) == target
+        ]
     if ring.size**degree > bound:
         raise TooLarge(f"{ring.size}^{degree} candidates exceeds bound {bound}")
     out = []
@@ -307,11 +314,3 @@ def _low_degree_divisors(central: SkewPoly, degree: int, bound):
             out.append(g)
     return out
 
-
-def _norm(a: RingElement, n: int) -> RingElement:
-    """N_n(a) = sigma^(n-1)(a)...sigma(a)*a; R is commutative, so factor order is free."""
-    ring = a.ring
-    out = a
-    for i in range(1, n):
-        out = out * ring.sigma(a, i)
-    return out

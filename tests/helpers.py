@@ -25,7 +25,7 @@ CYCLIC_CUBICS = ((-1, -2, 1, 1), (1, -3, 0, 1))
 
 
 def quiet_ring(spec):
-    """QuotientRing(spec) without the warning that degree > 2 irreducibility is trusted."""
+    """QuotientRing(spec) without the warning that degree > 3 irreducibility is trusted."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return QuotientRing(spec)

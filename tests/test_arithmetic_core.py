@@ -3,15 +3,18 @@
 QuotientRing (modulo p) and NaturalOrder (over Z) both run on one
 IntegralArithmetic per spec.  These tests cross the two views against each
 other and against plain intpoly arithmetic, on quadratic and cubic specs
-whose primes cover the inert, split and ramified cases.
+whose primes cover the inert, split and ramified cases, and on random valid
+specs from helpers.valid_specs.
 """
 
 import random
-import warnings
 
 import pytest
+from hypothesis import given, settings
 
 from skewlat import AlgebraSpec, NaturalOrder, QuotientRing, det_int, intpoly
+
+from helpers import valid_specs
 
 # (min_poly, sigma_image, conjugation_mode)
 FIELDS = {
@@ -43,11 +46,11 @@ IDS = [f"{name}-p{p}" for name, p, _ in CASES]
 def _build(name, p):
     min_poly, sigma_image, mode = FIELDS[name]
     # u = -1 is a unit modulo every p.
-    spec = AlgebraSpec(min_poly, sigma_image, u=-1, p=p, conjugation_mode=mode)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # cubic irreducibility is trusted
-        ring = QuotientRing(spec)
-    return ring, NaturalOrder(spec)
+    return _rings(AlgebraSpec(min_poly, sigma_image, u=-1, p=p, conjugation_mode=mode))
+
+
+def _rings(spec):
+    return QuotientRing(spec), NaturalOrder(spec)
 
 
 def _vectors(n, seed, count=25, box=12):
@@ -86,29 +89,37 @@ def test_ring_and_order_agree(field, p, kind):
             assert ring.sigma(ring.element(a), k).coeffs == _mod(image, p)
 
 
+# Each fixed case also runs on a few random valid specs.
 @pytest.mark.parametrize("field,p,kind", CASES, ids=IDS)
-def test_inverse_agrees_with_order(field, p, kind):
-    ring, order = _build(field, p)
-    one = (1,) + (0,) * (ring.n - 1)
-    for a in _vectors(ring.n, seed=p * 17 + ring.n):
-        x = ring.element(a)
-        # R is finite, so x is a unit exactly when its norm is prime to p.
-        assert x.is_unit() == (order.ok_norm(a) % p != 0)
-        if x.is_unit():
-            inv = x.inverse().coeffs
-            assert _mod(order.ok_mul(a, inv), p) == one
+@settings(max_examples=3, deadline=None)
+@given(spec=valid_specs())
+def test_inverse_agrees_with_order(field, p, kind, spec):
+    for ring, order in (_build(field, p), _rings(spec)):
+        n, q = ring.n, ring.p
+        one = (1,) + (0,) * (n - 1)
+        for a in _vectors(n, seed=q * 17 + n):
+            x = ring.element(a)
+            assert ring.norm(x) == order.ok_norm(a) % q
+            # R is finite, so x is a unit exactly when its norm is prime to p.
+            assert x.is_unit() == (order.ok_norm(a) % q != 0)
+            if x.is_unit():
+                inv = x.inverse().coeffs
+                assert _mod(order.ok_mul(a, inv), q) == one
 
 
+# Each fixed case also runs on a few random valid specs.
 @pytest.mark.parametrize("field,p,kind", CASES, ids=IDS)
-def test_norm_is_det_of_multiplication_matrix(field, p, kind):
-    ring, order = _build(field, p)
-    n = ring.n
-    basis = [intpoly.pad((0,) * j + (1,), n) for j in range(n)]
-    vecs = _vectors(n, seed=p * 7 + n)
-    for a, b in zip(vecs, reversed(vecs)):
-        cols = [order.ok_mul(a, e) for e in basis]
-        assert order.ok_norm(a) == det_int([list(row) for row in zip(*cols)])
-        assert order.ok_norm(order.ok_mul(a, b)) == order.ok_norm(a) * order.ok_norm(b)
+@settings(max_examples=3, deadline=None)
+@given(spec=valid_specs())
+def test_norm_is_det_of_multiplication_matrix(field, p, kind, spec):
+    for ring, order in (_build(field, p), _rings(spec)):
+        n = ring.n
+        basis = [intpoly.pad((0,) * j + (1,), n) for j in range(n)]
+        vecs = _vectors(n, seed=ring.p * 7 + n)
+        for a, b in zip(vecs, reversed(vecs)):
+            cols = [order.ok_mul(a, e) for e in basis]
+            assert order.ok_norm(a) == det_int([list(row) for row in zip(*cols)])
+            assert order.ok_norm(order.ok_mul(a, b)) == order.ok_norm(a) * order.ok_norm(b)
 
 
 @pytest.mark.parametrize("field,p,kind", CASES, ids=IDS)

@@ -6,10 +6,12 @@ y^3 + y^2 - 2y - 1, whose Galois group is generated by y -> y^2 - 2.
 
 import random
 import warnings
+from dataclasses import replace
 
 import pytest
 
 from skewlat import (
+    AlgebraSpec,
     ConstacyclicCode,
     NaturalOrder,
     OppositePoly,
@@ -23,7 +25,7 @@ from skewlat import (
     opposite,
     right_multiplication_det,
 )
-from skewlat.errors import Unsupported
+from skewlat.errors import NotIrreducible
 from skewlat.number_ring import norm_witnesses
 
 from helpers import CUBIC, random_element, random_poly, random_unit_lead_poly
@@ -31,14 +33,25 @@ from helpers import CUBIC, random_element, random_poly, random_unit_lead_poly
 
 @pytest.fixture
 def ring():
+    return QuotientRing(CUBIC)
+
+
+def test_irreducibility_is_checked_for_cubics_and_trusted_above():
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # degree > 2 irreducibility is trusted
-        return QuotientRing(CUBIC)
-
-
-def test_construction_warns_about_trusted_irreducibility():
-    with pytest.warns(UserWarning, match="irreducibility"):
+        warnings.simplefilter("error")
         QuotientRing(CUBIC)
+    quartic = AlgebraSpec((1, 1, 1, 1, 1), (0, 0, 1), u=1, p=2, conjugation_mode="identity")
+    with pytest.warns(UserWarning, match="irreducibility"):
+        QuotientRing(quartic)
+    big = 10**18 + 9
+    for min_poly in (
+        (-2, -3, 0, 1),  # (y + 1)^2 (y - 2)
+        (0, 0, 1, 1),  # y^2 (y + 1)
+        (3, 0, -4, 1),  # (y - 1)(y^2 - 3y - 3): the root 1 between the critical points
+        (-big, 1 - big, 1 - big, 1),  # (y - big)(y^2 + y + 1)
+    ):
+        with pytest.raises(NotIrreducible):
+            QuotientRing(replace(CUBIC, min_poly=min_poly))
 
 
 def test_sigma_has_order_three(ring):
@@ -132,6 +145,10 @@ def test_edge_lattices_and_gram(ring):
     assert hnf(gram) == hnf(hnf(gram))
 
 
-def test_norm_search_rejects_cubic():
-    with pytest.raises(Unsupported):
-        norm_witnesses(CUBIC, 3)
+def test_norm_search_covers_cubics():
+    # 2 is inert with residue degree 3, so neither 2 nor 4 is a norm.
+    assert norm_witnesses(CUBIC, 3) == []
+    # N(3 + y) = -m(-3) = 13 for m = y^3 + y^2 - 2y - 1.
+    hits = norm_witnesses(replace(CUBIC, u=13), 3)
+    assert (3, 1, 0, 1) in hits
+    assert all(i in (1, 2) for *_, i in hits)

@@ -3,7 +3,7 @@ from itertools import product
 from math import isqrt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from skewlat import AlgebraSpec, QuotientRing, SkewPoly, intpoly, norm_witnesses
 from skewlat.errors import (
@@ -14,12 +14,11 @@ from skewlat.errors import (
     NotIrreducible,
     NotPrime,
     TooLarge,
-    Unsupported,
 )
 from skewlat.fixtures import GAUSSIAN_P3, GAUSSIAN_P5, SQRT2_P3
-from skewlat.number_ring import _is_prime
+from skewlat.number_ring import _integer_root, _is_prime
 
-from helpers import random_element
+from helpers import random_element, valid_specs
 
 
 def test_ring_new_fixture_parameters():
@@ -50,6 +49,19 @@ def test_ring_new_rejects_bad_p_and_u():
         QuotientRing(AlgebraSpec((-4, 0, 1), (0, -1), u=-1, p=3))
     with pytest.raises(InvalidSpec):
         QuotientRing(AlgebraSpec((1, 1), (0, 1), u=1, p=3))
+
+
+def test_integer_root_matches_scan():
+    # Oracle: every integer inside the Cauchy bound, for all monic quadratics
+    # and cubics with small coefficients (double roots and roots between the
+    # critical points included).
+    for n in (2, 3):
+        for low in product(range(-6, 7), repeat=n):
+            m = low + (1,)
+            bound = 1 + max(map(abs, low))
+            roots = [x for x in range(-bound, bound + 1) if sum(c * x**i for i, c in enumerate(m)) == 0]
+            root = _integer_root(m)
+            assert (root in roots) if roots else (root is None), m
 
 
 def _trial_division_is_prime(n):
@@ -165,15 +177,19 @@ def test_sigma_swaps_split_projections():
         assert dec.project(x.sigma()) == (right, left)
 
 
-def test_inverse_matches_exhaustive_search(ring):
-    els = list(ring.elements())
-    for x in els:
-        by_search = [y for y in els if x * y == ring.one]
-        try:
-            inv = x.inverse()
-            assert [inv] == by_search
-        except NotInvertible:
-            assert by_search == []
+# The fixture ring is only read, so sharing it across examples is safe.
+@settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=valid_specs())
+def test_inverse_matches_exhaustive_search(ring, spec):
+    for r in (ring, QuotientRing(spec)):
+        els = list(r.elements())
+        for x in els:
+            by_search = [y for y in els if x * y == r.one]
+            try:
+                inv = x.inverse()
+                assert [inv] == by_search
+            except NotInvertible:
+                assert by_search == []
 
 
 def test_inverse_examples():
@@ -252,7 +268,8 @@ def test_norm_witnesses():
     assert norm_witnesses(SQRT2_P3, 20) == []
     hits = norm_witnesses(AlgebraSpec((1, 0, 1), (0, -1), u=1, p=3), 1)
     assert (1, 0, 1) in hits
-    with pytest.raises(Unsupported):
+    # y -> y is no generator of a Galois group, so a*a*a need not be rational.
+    with pytest.raises(InvalidSpec):
         norm_witnesses(AlgebraSpec((-1, -1, 0, 1), (0, 1), u=2, p=5), 5)
 
 

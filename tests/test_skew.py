@@ -249,7 +249,7 @@ def assert_divisors_match_oracle(ring, u):
 @example(replace(CUBIC, p=3, u=-1))
 @example(AlgebraSpec((1, 0, 1), (0, -1), u=-1, p=3))
 def test_divisors_match_brute_force(spec):
-    assert_divisors_match_oracle(quiet_ring(spec), spec.u)
+    assert_divisors_match_oracle(QuotientRing(spec), spec.u)
 
 
 def test_quartic_middle_degree_scan_and_cofactors():
@@ -261,7 +261,7 @@ def test_quartic_middle_degree_scan_and_cofactors():
 
 
 def test_cubic_p13_roots_and_cofactors():
-    ring = quiet_ring(replace(CUBIC, p=13))
+    ring = QuotientRing(replace(CUBIC, p=13))
     central = central_poly(ring, 3, 2)
     roots = monic_right_divisors(ring, 3, 2, 1)
     quadratics = monic_right_divisors(ring, 3, 2, 2)

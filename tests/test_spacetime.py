@@ -1,5 +1,4 @@
 import random
-import warnings
 from itertools import combinations, product
 from math import sqrt
 
@@ -34,9 +33,7 @@ def sabotage_code():
 
 def cubic_code():
     """The cubic code generated by x + 2a^2, a right divisor of x^3 - 2."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # degree > 2 irreducibility is trusted
-        ring = QuotientRing(CUBIC)
+    ring = QuotientRing(CUBIC)
     return ConstacyclicCode.from_generator(SkewPoly(ring, [ring.element([0, 0, 2]), ring.one]))
 
 
