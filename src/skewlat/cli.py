@@ -118,25 +118,6 @@ def parse_config(text: str) -> Config:
     return Config(**values)
 
 
-def serialize_config(cfg: Config) -> str:
-    """Canonical text form; parse(serialize(parse(t))) == parse(t)."""
-    lines = [
-        f"p = {cfg.p}",
-        f"min_poly = {list(cfg.min_poly)}",
-        f"sigma_image = {list(cfg.sigma_image)}",
-        f"u = {cfg.u}",
-        f"conjugation_mode = {cfg.conjugation_mode}",
-    ]
-    if cfg.generator is not None:
-        lines.append(f"generator = {cfg.generator}")
-    lines += [
-        f"bound = {cfg.bound}",
-        f"seed = {cfg.seed}",
-        f"e_weight = {cfg.e_weight}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def load_config(path: str) -> Config:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())

@@ -12,22 +12,6 @@ def trim(coeffs):
     return tuple(c)
 
 
-def pad(coeffs, length):
-    c = tuple(coeffs)
-    if len(c) > length:
-        raise ValueError(f"cannot pad length-{len(c)} polynomial to {length}")
-    return c + (0,) * (length - len(c))
-
-
-def add(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, v in enumerate(b):
-        out[i] += v
-    return trim(out)
-
-
 def mul(a, b):
     a, b = trim(a), trim(b)
     if not a or not b:
@@ -61,21 +45,6 @@ def divmod_monic(a, m):
 def mod_monic(a, m):
     """Remainder of a modulo the monic polynomial m, computed over Z."""
     return divmod_monic(a, m)[1]
-
-
-def compose(f, g):
-    """f(g(y)) by Horner evaluation."""
-    f = trim(f)
-    if not f:
-        return ()
-    out = (f[-1],)
-    for c in reversed(f[:-1]):
-        out = add(mul(out, g), (c,))
-    return out
-
-
-def compose_mod(f, g, m):
-    return mod_monic(compose(f, g), m)
 
 
 def to_str(coeffs, var):

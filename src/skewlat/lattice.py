@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from . import intpoly
 from .codes import ConstacyclicCode, brute_force_dual
 from .errors import IndefiniteForm, InvalidSpec, LengthMismatch
-from .number_ring import ENUMERATION_BOUND, AlgebraSpec, QuotientRing, integral_arithmetic
+from .number_ring import AlgebraSpec, QuotientRing, integral_arithmetic
 
 
 class NaturalOrder:
@@ -417,9 +417,7 @@ def construction_a_basis(code: ConstacyclicCode, e_weight: int = 1) -> LatticeBa
     return _basis_from_generators(generators, spec, e_weight)
 
 
-def dual_lattice_basis(
-    code: ConstacyclicCode, e_weight: int = 1, bound=ENUMERATION_BOUND
-) -> LatticeBasis:
+def dual_lattice_basis(code: ConstacyclicCode) -> LatticeBasis:
     """Basis of the preimage lattice of the Euclidean dual code.
 
     Built from the brute-force dual so it stays valid even when u*u != 1 and
@@ -427,13 +425,11 @@ def dual_lattice_basis(
     """
     spec = code.ring.spec
     order = NaturalOrder(spec)
-    generators = [lift_codeword(order, v).flatten() for v in brute_force_dual(code, bound)]
-    return _basis_from_generators(generators, spec, e_weight)
+    generators = [lift_codeword(order, v).flatten() for v in brute_force_dual(code)]
+    return _basis_from_generators(generators, spec, 1)
 
 
-def dual_lattice_inclusion_check(
-    code_a: ConstacyclicCode, code_b: ConstacyclicCode, bound=ENUMERATION_BOUND
-) -> bool:
+def dual_lattice_inclusion_check(code_a: ConstacyclicCode, code_b: ConstacyclicCode) -> bool:
     """Whether the lattice of code_a is contained in the lattice of code_b's dual.
 
     True whenever every codeword of code_a is orthogonal to code_b; in
@@ -441,6 +437,6 @@ def dual_lattice_inclusion_check(
     """
     if code_a.ring != code_b.ring:
         raise InvalidSpec("codes must share the same ring")
-    target = dual_lattice_basis(code_b, bound=bound).basis
+    target = dual_lattice_basis(code_b).basis
     source = construction_a_basis(code_a).basis
     return all(lattice_contains(target, col) for col in zip(*source))

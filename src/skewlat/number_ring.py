@@ -12,6 +12,8 @@ sigma and the field norm N(a) = a*sigma(a)...sigma^(n-1)(a) in O_K = Z[y]/(m)
 over the integers, built once per (min_poly, sigma_image).  QuotientRing
 reduces its results modulo p, so inverses are norm cofactors divided by the
 norm; lattice.NaturalOrder uses the same instance and keeps them over Z.
+It is also the one place that validates sigma, so NaturalOrder and
+norm_witnesses reject every sigma that QuotientRing rejects.
 
 Depending on how p factors, R is a finite field (p inert), a product of
 fields (p split) or a local ring with nilpotents (p ramified); decompose()
@@ -167,23 +169,6 @@ def _check_irreducible(m):
         )
 
 
-def _check_sigma(m, s):
-    """s must satisfy m(s(y)) = 0 mod m(y) over Z and have order exactly n."""
-    n = len(m) - 1
-    if intpoly.compose_mod(m, s, m) != ():
-        raise InvalidSigma("m(s(y)) is not divisible by m(y)")
-    y = (0, 1)
-    iterate = intpoly.mod_monic(s, m)
-    order = None
-    for k in range(1, n + 1):
-        if iterate == y:
-            order = k
-            break
-        iterate = intpoly.compose_mod(iterate, s, m)
-    if order != n:
-        raise InvalidSigma(f"automorphism order is {order}, expected {n}")
-
-
 class IntegralArithmetic:
     """Arithmetic of O_K = Z[y]/(m) on integer coefficient vectors of length n.
 
@@ -191,7 +176,9 @@ class IntegralArithmetic:
     Owns the folding row y^n mod m, the tables of sigma^k on the powers y^j
     and the power sums Tr(y^j).  Results are integer lists reduced modulo
     m only: QuotientRing reduces them modulo p, NaturalOrder keeps them over Z.
-    norm_cofactor is the one norm rule of the library.
+    norm_cofactor is the one norm rule of the library.  The one check of sigma
+    runs here too: InvalidSigma unless s(y) induces a ring map of O_K of
+    order exactly n.
     """
 
     def __init__(self, min_poly, sigma_image):
@@ -201,12 +188,25 @@ class IntegralArithmetic:
         # y^n mod m: folds every coefficient above degree n-1 back down.
         self._yn = tuple(-c for c in min_poly[:n])
 
-        # sigma^k applied to the basis powers y^j, for k = 1 .. n-1.
-        self.sigma_image = intpoly.pad(intpoly.mod_monic(sigma_image, min_poly), n)
-        powers = [intpoly.pad((1,), n)]
-        for _ in range(n - 1):
-            powers.append(tuple(self.mul(powers[-1], self.sigma_image)))
-        tables = [tuple(powers)]
+        # sigma^k applied to the basis powers y^j, for k = 1 .. n-1, once s is
+        # known to give a ring map (m(s) = sum m_j s^j vanishes in O_K) whose
+        # iterates sigma^k(y) first return to y at k = n.
+        self.sigma_image = tuple(self.reduce(sigma_image))
+        powers = [self.reduce((1,))]
+        for _ in range(n):
+            powers.append(self.mul(powers[-1], self.sigma_image))
+        if any(sum(c * power[i] for c, power in zip(min_poly, powers)) for i in range(n)):
+            raise InvalidSigma("m(s(y)) is not divisible by m(y)")
+        tables = [tuple(tuple(power) for power in powers[:n])]
+        y = self.reduce((0, 1))
+        image, order = y, None
+        for k in range(1, n + 1):
+            image = self._apply(image, tables[0])
+            if image == y:
+                order = k
+                break
+        if order != n:
+            raise InvalidSigma(f"automorphism order is {order}, expected {n}")
         for _ in range(n - 2):
             tables.append(tuple(tuple(self._apply(vec, tables[0])) for vec in tables[-1]))
         self._sigma_tables = tuple(tables)
@@ -259,19 +259,17 @@ class IntegralArithmetic:
     def norm_cofactor(self, vec):
         """(N, c) with c = sigma(vec)...sigma^(n-1)(vec) and vec*c = N.
 
-        When m is irreducible and sigma generates the Galois group of
-        K = Q[y]/(m), N is the field norm, an integer; a product with a
-        nonzero non-constant coordinate raises InvalidSpec.
+        sigma has order n on O_K, so when m is irreducible it generates the
+        Galois group of K = Q[y]/(m) and N is the field norm, an integer.  A
+        product with a nonzero non-constant coordinate, which only a
+        reducible m allows, raises InvalidSpec.
         """
         cofactor = self.sigma(vec)
         for k in range(2, self.n):
             cofactor = self.mul(cofactor, self.sigma(vec, k))
         norm, *rest = self.mul(vec, cofactor)
         if any(rest):
-            raise InvalidSpec(
-                "a*sigma(a)...sigma^(n-1)(a) is not rational: min_poly is reducible "
-                "or sigma does not generate its Galois group"
-            )
+            raise InvalidSpec("a*sigma(a)...sigma^(n-1)(a) is not rational: min_poly is reducible")
         return norm, cofactor
 
 
@@ -394,12 +392,11 @@ class QuotientRing:
         if gcd(spec.u, spec.p) != 1:
             raise NonUnitU(f"u = {spec.u} is not a unit modulo p = {spec.p}")
         _check_irreducible(spec.min_poly)
-        _check_sigma(spec.min_poly, spec.sigma_image)
+        self._core = integral_arithmetic(spec.min_poly, spec.sigma_image)
 
         self.spec = spec
         self.p = spec.p
         self.n = n
-        self._core = integral_arithmetic(spec.min_poly, spec.sigma_image)
         self.modulus = tuple(c % spec.p for c in spec.min_poly)
         self.sigma_poly = tuple(c % spec.p for c in self._core.sigma_image)
         self._decomposition = None
@@ -518,13 +515,13 @@ def _trim_mod(c, p):
     return intpoly.trim(v % p for v in c)
 
 
-def _factor_mod_p(m, p, search_bound=ENUMERATION_BOUND):
+def _factor_mod_p(m, p):
     """Monic irreducible factors of m over F_p, with multiplicities.
 
     Exhaustive root search first (roots in ascending order), then monic
     divisors of growing degree; adequate at the small sizes this library
     targets.  Factors come out in discovery order, which is deterministic.
-    Raises TooLarge when p, or p^d for a degree-d search, exceeds search_bound.
+    Raises TooLarge when p, or p^d for a degree-d search, exceeds ENUMERATION_BOUND.
     """
     rem = _trim_mod(m, p)
     factors = []
@@ -544,7 +541,7 @@ def _factor_mod_p(m, p, search_bound=ENUMERATION_BOUND):
             record(cand)
             rem = _trim_mod(q, p)
 
-    if p > search_bound:
+    if p > ENUMERATION_BOUND:
         raise TooLarge(f"root search over {p} residues exceeds bound")
     for r in range(p):
         divide_out(((-r) % p, 1))
@@ -553,7 +550,7 @@ def _factor_mod_p(m, p, search_bound=ENUMERATION_BOUND):
     # of each degree d (scanned in ascending d) is irreducible.
     d = 2
     while 2 * d <= len(rem) - 1:
-        if p**d > search_bound:
+        if p**d > ENUMERATION_BOUND:
             raise TooLarge(f"factor search over {p}^{d} candidates exceeds bound")
         for tail in product(range(p), repeat=d):
             divide_out(tail + (1,))

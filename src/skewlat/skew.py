@@ -4,7 +4,7 @@ SkewPoly is the ring R[x; sigma] with multiplication twisted by
 x*s = sigma(s)*x, so (a x^i)(b x^j) = a sigma^i(b) x^(i+j).  OppositePoly is
 the same construction in a variable w with the inverse twist
 w*s = sigma^(-1)(s)*w; opposite() maps each ring onto the other reversing
-products, which is how parity-check data turns into dual generators.
+products.
 
 Left and right division require a divisor whose leading coefficient is a
 unit; the quotient/remainder pair is then unique, which makes polynomials of

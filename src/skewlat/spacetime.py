@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import islice, product
+from math import factorial
 
 from .codes import ConstacyclicCode
 from .errors import LengthMismatch, NotInLattice, TooLarge
@@ -152,8 +153,12 @@ def exhaustive_sweep(
     """Whether min_det_sample sweeps exhaustively: true when the
     ((4 * coeff_bound + 1)^(n^2) - 1) / 2 differences the sweep evaluates,
     each nonzero point of the doubled box once up to sign, fit in
-    enumeration_bound."""
-    return ((4 * coeff_bound + 1) ** (code.ring.n**2) - 1) // 2 <= enumeration_bound
+    enumeration_bound.  Each difference weighs n!/2, the cofactor terms of
+    its n x n determinant relative to n = 2, so every quadratic decision
+    counts differences and a cubic difference counts three times."""
+    n = code.ring.n
+    differences = ((4 * coeff_bound + 1) ** (n * n) - 1) // 2
+    return differences * factorial(n) // 2 <= enumeration_bound
 
 
 def _sampled_differences(rng, coeff_bound, N):
@@ -178,12 +183,12 @@ def min_det_sample(
 
     Points have coordinates in [-coeff_bound, coeff_bound] in the code's
     lattice basis.  M(a) - M(a') = M(a - a'), so one matrix is evaluated per
-    difference.  When those differences fit in enumeration_bound
-    (exhaustive_sweep) every nonzero difference in the doubled box is visited
-    once up to sign, otherwise `samples` differences of random distinct box
-    points are drawn from a generator seeded with `seed`.  Strictly positive
-    output is expected for division configurations; zero exhibits a concrete
-    rank-deficient difference.
+    difference.  When those differences, each weighted by n!/2, fit in
+    enumeration_bound (exhaustive_sweep) every nonzero difference in the
+    doubled box is visited once up to sign, otherwise `samples` differences
+    of random distinct box points are drawn from a generator seeded with
+    `seed`.  Strictly positive output is expected for division
+    configurations; zero exhibits a concrete rank-deficient difference.
     Raises ValueError when coeff_bound < 1, or when samples < 1 in sampled mode.
     """
     if coeff_bound < 1:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from skewlat.cli import Config, error_code, load_config, main, parse_config, serialize_config
+from skewlat.cli import Config, error_code, load_config, main, parse_config
 from skewlat.errors import (
     MissingKey,
     NotPrime,
@@ -54,14 +54,6 @@ def test_parse_config_minimal_four_keys():
 
     cfg = parse_config("p = 3\nmin_poly = [1, 0, 1]\nsigma_image = [0, -1]\nu = -1")
     assert cfg.spec() == GAUSSIAN_P3
-
-
-def test_parse_config_round_trip():
-    cfg = parse_config(GAUSSIAN_P3_TEXT)
-    canonical = serialize_config(cfg)
-    again = parse_config(canonical)
-    assert serialize_config(again) == canonical
-    assert again == cfg
 
 
 def test_parse_config_errors_carry_line_numbers():

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from skewlat import (
     AlgebraSpec,
@@ -16,7 +16,7 @@ from skewlat import (
 from skewlat.errors import LengthMismatch, NotADivisor, TooLarge, UnsupportedU
 from skewlat.fixtures import FIXTURE_NAMES, GAUSSIAN_P3, fixture_code, fixture_ring
 
-from helpers import random_element, random_message
+from helpers import random_element, random_message, valid_specs
 
 SELF_DUAL = {
     "gaussian-p3-inert": False,
@@ -183,13 +183,16 @@ def test_dual_size_law(code):
     assert len(set(code.codewords())) * len(set(brute_force_dual(code))) == code.ring.size**code.n
 
 
-def test_proposition_both_sided_for_all_degree_one_divisors(code):
-    ring = code.ring
-    central = central_poly(ring, code.n, code.u)
-    for g in monic_right_divisors(ring, code.n, ring.spec.u, 1):
-        built = ConstacyclicCode.from_generator(g)
-        assert built.h * built.g == central
-        assert built.g * built.h == central
+# Each fixture also runs on a few random valid specs, cubics included.
+@settings(max_examples=3, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=valid_specs())
+def test_proposition_both_sided_for_all_degree_one_divisors(code, spec):
+    for ring in (code.ring, QuotientRing(spec)):
+        central = central_poly(ring, ring.n, ring.u)
+        for g in monic_right_divisors(ring, ring.n, ring.spec.u, 1):
+            built = ConstacyclicCode.from_generator(g)
+            assert built.h * built.g == central
+            assert built.g * built.h == central
 
 
 def test_code_equality_by_mutual_membership(p3_code):

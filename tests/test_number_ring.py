@@ -5,7 +5,7 @@ from math import isqrt
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from skewlat import AlgebraSpec, QuotientRing, SkewPoly, intpoly, norm_witnesses
+from skewlat import AlgebraSpec, NaturalOrder, QuotientRing, SkewPoly, intpoly, norm_witnesses
 from skewlat.errors import (
     InvalidSigma,
     InvalidSpec,
@@ -33,11 +33,14 @@ def test_ring_new_fixture_parameters():
 
 
 def test_ring_new_rejects_bad_sigma():
-    with pytest.raises(InvalidSigma):
-        QuotientRing(AlgebraSpec((1, 0, 1), (1, 1), u=-1, p=3))
-    # identity has order 1, not 2
-    with pytest.raises(InvalidSigma):
-        QuotientRing(AlgebraSpec((1, 0, 1), (0, 1), u=-1, p=3))
+    # y -> 1 + y is no ring map of Z[i], and the identity has order 1, not 2.
+    # The order and the norm search apply the same sigma, so they reject it too.
+    bad = {(1, 1): "not divisible", (0, 1): "order is 1, expected 2"}
+    for sigma_image, message in bad.items():
+        spec = AlgebraSpec((1, 0, 1), sigma_image, u=-1, p=3)
+        for build in (QuotientRing, NaturalOrder, lambda s: norm_witnesses(s, 1)):
+            with pytest.raises(InvalidSigma, match=message):
+                build(spec)
 
 
 def test_ring_new_rejects_bad_p_and_u():
@@ -268,8 +271,8 @@ def test_norm_witnesses():
     assert norm_witnesses(SQRT2_P3, 20) == []
     hits = norm_witnesses(AlgebraSpec((1, 0, 1), (0, -1), u=1, p=3), 1)
     assert (1, 0, 1) in hits
-    # y -> y is no generator of a Galois group, so a*a*a need not be rational.
-    with pytest.raises(InvalidSpec):
+    # y -> y has order 1 on a cubic, so sigma is rejected before any norm.
+    with pytest.raises(InvalidSigma):
         norm_witnesses(AlgebraSpec((-1, -1, 0, 1), (0, 1), u=2, p=5), 5)
 
 

@@ -223,6 +223,12 @@ def test_exhaustive_sweep_bounds_the_differences_it_evaluates():
     # differences the sweep evaluates do not.
     assert not spacetime.exhaustive_sweep(code, 1, enumeration_bound=100)
     assert spacetime.exhaustive_sweep(code, 1, enumeration_bound=312)
+    # The cubic's (5^9 - 1) / 2 = 976,562 differences fit in the default
+    # bound, but at 3!/2 = 3 cofactor terms' weight each they do not.
+    cubic = cubic_code()
+    assert not spacetime.exhaustive_sweep(cubic, 1)
+    assert not spacetime.exhaustive_sweep(cubic, 1, enumeration_bound=2_929_685)
+    assert spacetime.exhaustive_sweep(cubic, 1, enumeration_bound=2_929_686)
     with pytest.raises(TooLarge):
         min_det_sample(code, 1, enumeration_bound=100, exhaustive=True)
 
