@@ -12,9 +12,9 @@ vectors of equal length, O_K rows or flat points, add through vector_sum.
 
 Lifting a codeword takes its canonical representatives in [0, p) as integer
 coordinates; reducing an order element mods every coordinate by p.  The
-lattice attached to a code is spanned by the lifts of the k generator
-codewords x^i g together with p times the standard basis, normalized by
-Hermite Normal Form.
+lattice attached to a code is spanned by the lifts of its k*n additive
+generators theta^j x^i g together with p times the standard basis,
+normalized by Hermite Normal Form.
 
 HNF convention: column style, lower triangular, positive diagonal, entries to
 the left of each pivot reduced into [0, pivot).  That canonical form makes
@@ -399,29 +399,21 @@ def construction_a_basis(code: ConstacyclicCode, e_weight: int = 1) -> LatticeBa
     """Basis of the preimage lattice of the code under reduction modulo p.
 
     Generated by p times the standard order basis together with the lifts of
-    the codewords theta^j x^i g, which span the code as an additive group
-    (the x^i g alone only span it as an R-module).  The index in the full
+    the code's additive generators theta^j x^i g.  The index in the full
     order is p^(n(n-k)) when the code is a free module of rank k.
     """
     spec = code.ring.spec
-    ring = code.ring
     order = NaturalOrder(spec)
-    from .skew import SkewPoly
-
-    generators = []
-    for i in range(code.k):
-        for j in range(ring.n):
-            scalar = ring.gen**j if j else ring.one
-            f = SkewPoly.monomial(ring, i, scalar) * code.g
-            generators.append(lift_codeword(order, code.to_codeword(f)).flatten())
+    generators = [lift_codeword(order, c).flatten() for c in code.additive_generators()]
     return _basis_from_generators(generators, spec, e_weight)
 
 
 def dual_lattice_basis(code: ConstacyclicCode) -> LatticeBasis:
     """Basis of the preimage lattice of the Euclidean dual code.
 
-    Built from the brute-force dual so it stays valid even when u*u != 1 and
-    no dual generator formula applies.
+    Built from brute_force_dual, the F_p-nullspace of the code's products,
+    so it is exact for every u, including u*u != 1 where no dual generator
+    formula applies, and costs the size of the dual.
     """
     spec = code.ring.spec
     order = NaturalOrder(spec)

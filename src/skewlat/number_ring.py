@@ -15,6 +15,10 @@ norm; lattice.NaturalOrder uses the same instance and keeps them over Z.
 It is also the one place that validates sigma, so NaturalOrder and
 norm_witnesses reject every sigma that QuotientRing rejects.
 
+echelon_mod_p is the one elimination over F_p, and nullspace_mod_p reads
+solution bases off it; codes.brute_force_dual solves its orthogonality
+equations with them.
+
 Depending on how p factors, R is a finite field (p inert), a product of
 fields (p split) or a local ring with nilpotents (p ramified); decompose()
 exposes that structure together with the projections onto the local factors.
@@ -506,6 +510,55 @@ class QuotientRing:
 
     def __repr__(self):
         return f"QuotientRing(p={self.p}, m={list(self.modulus)})"
+
+
+# -- linear algebra over F_p ----------------------------------------------
+
+
+def echelon_mod_p(rows, p):
+    """Reduced row echelon form of an integer matrix over F_p.
+
+    Returns (basis, pivots): the nonzero rows of the form, entries in [0, p),
+    each with a 1 in its pivot column and 0 in the other rows' pivot columns,
+    and the strictly increasing pivot columns.  The one elimination over F_p
+    of the library.
+    """
+    basis, pivots = [], []
+    pending = [[v % p for v in row] for row in rows]
+    ncols = len(pending[0]) if pending else 0
+    for col in range(ncols):
+        at = next((i for i, row in enumerate(pending) if row[col]), None)
+        if at is None:
+            continue
+        row = pending.pop(at)
+        scale = pow(row[col], -1, p)
+        row = [v * scale % p for v in row]
+        for other in pending + basis:
+            factor = other[col]
+            if factor:
+                for j in range(col, ncols):
+                    other[j] = (other[j] - factor * row[j]) % p
+        basis.append(row)
+        pivots.append(col)
+    return basis, pivots
+
+
+def nullspace_mod_p(rows, ncols, p):
+    """Basis of {v in F_p^ncols : row . v = 0 mod p for every row}.
+
+    One vector per free column f of the echelon form: 1 at f, 0 at the other
+    free columns, and minus the column f entry of each echelon row at that
+    row's pivot.  The vectors come in increasing order of f.
+    """
+    basis, pivots = echelon_mod_p(rows, p)
+    out = []
+    for free in sorted(set(range(ncols)).difference(pivots)):
+        vec = [0] * ncols
+        vec[free] = 1
+        for row, pivot in zip(basis, pivots):
+            vec[pivot] = -row[free] % p
+        out.append(vec)
+    return out
 
 
 # -- factorization of m mod p and the local projections ----------------

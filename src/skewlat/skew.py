@@ -182,10 +182,21 @@ class SkewPoly:
         return opposite(q), opposite(r)
 
     def mod_central(self, n: int, u) -> "SkewPoly":
-        """Canonical representative of degree < n modulo x^n - u."""
+        """Canonical representative of degree < n modulo x^n - u.
+
+        u is fixed by sigma, so c*x^i = c*x^(i-n)*x^n is congruent to
+        (u*c)*x^(i-n) for i >= n; folding from the top down leaves the
+        remainder of right division by x^n - u without dividing.
+        """
         if self.degree < n:
             return self
-        return self.right_divmod(central_poly(self.ring, n, u, cls=type(self)))[1]
+        u = _central_constant(self.ring, u)
+        cs = list(self.coeffs)
+        for i in range(len(cs) - 1, n - 1, -1):
+            top = cs.pop()
+            if top:
+                cs[i - n] = cs[i - n] + u * top
+        return type(self)(self.ring, cs)
 
     def padded_coeffs(self, length):
         if self.degree >= length:
@@ -239,12 +250,18 @@ def opposite(f: SkewPoly) -> SkewPoly:
     return image(ring, tuple(ring.sigma(c, -f.TWIST * i) for i, c in enumerate(f.coeffs)))
 
 
-def central_poly(ring: QuotientRing, n: int, u, cls=SkewPoly) -> SkewPoly:
-    """The polynomial x^n - u; requires sigma(u) = u so it is central."""
+def _central_constant(ring: QuotientRing, u) -> RingElement:
+    """u as a ring element, raising ValueError unless sigma fixes it, which
+    is what makes x^n - u central."""
     u = ring.coerce(u)
     if ring.sigma(u) != u:
         raise ValueError("u must be fixed by sigma for x^n - u to be central")
-    return cls(ring, (-u,) + (0,) * (n - 1) + (1,))
+    return u
+
+
+def central_poly(ring: QuotientRing, n: int, u, cls=SkewPoly) -> SkewPoly:
+    """The polynomial x^n - u; requires sigma(u) = u so it is central."""
+    return cls(ring, (-_central_constant(ring, u),) + (0,) * (n - 1) + (1,))
 
 
 def monic_right_divisors(ring: QuotientRing, n: int, u, degree: int, bound=ENUMERATION_BOUND):

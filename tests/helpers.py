@@ -6,7 +6,14 @@ from math import isqrt
 
 from hypothesis import strategies as st
 
-from skewlat import ENUMERATION_BOUND, AlgebraSpec, QuotientRing, SkewPoly, central_poly
+from skewlat import (
+    ENUMERATION_BOUND,
+    AlgebraSpec,
+    QuotientRing,
+    SkewPoly,
+    central_poly,
+    inner_product,
+)
 from skewlat.errors import TooLarge
 
 # The cyclic cubic field of 2*cos(2*pi/7): minimal polynomial y^3 + y^2 - 2y - 1,
@@ -66,6 +73,21 @@ def brute_force_right_divisors(ring, n, u, degree, bound=ENUMERATION_BOUND):
         if central.right_divmod(g)[1].is_zero:
             out.append(g)
     return out
+
+
+def enumerated_dual(code, bound=ENUMERATION_BOUND):
+    """Oracle: every vector of R^n tested against every codeword, in
+    lexicographic order of coefficient vectors (component 0 first)."""
+    ring = code.ring
+    if ring.size**code.n > bound:
+        raise TooLarge(f"{ring.size}^{code.n} vectors exceeds bound {bound}")
+    words = list(code.codewords(bound))
+    zero = ring.zero
+    return [
+        v
+        for v in product(list(ring.elements(bound)), repeat=code.n)
+        if all(inner_product(c, v) == zero for c in words)
+    ]
 
 
 def random_element(ring, rng):

@@ -1,7 +1,8 @@
 import random
+from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from skewlat import (
     AlgebraSpec,
@@ -10,13 +11,14 @@ from skewlat import (
     SkewPoly,
     brute_force_dual,
     central_poly,
+    dual_lattice_basis,
     inner_product,
     monic_right_divisors,
 )
 from skewlat.errors import LengthMismatch, NotADivisor, TooLarge, UnsupportedU
 from skewlat.fixtures import FIXTURE_NAMES, GAUSSIAN_P3, fixture_code, fixture_ring
 
-from helpers import random_element, random_message, valid_specs
+from helpers import CUBIC, enumerated_dual, random_element, random_message, valid_specs
 
 SELF_DUAL = {
     "gaussian-p3-inert": False,
@@ -166,7 +168,7 @@ def test_brute_force_dual_matches_dual_generator(name):
     code = fixture_code(name)
     brute = set(brute_force_dual(code))
     assert brute == set(code.dual_code().codewords())
-    assert len(list(brute_force_dual(code))) == len(brute)
+    assert brute_force_dual(code) == enumerated_dual(code)
 
 
 def test_brute_force_dual_values(p3_code):
@@ -181,6 +183,51 @@ def test_brute_force_dual_values(p3_code):
 
 def test_dual_size_law(code):
     assert len(set(code.codewords())) * len(set(brute_force_dual(code))) == code.ring.size**code.n
+
+
+# The oracle scans |R|^n vectors; above this many only the size law is checked.
+ORACLE_VECTORS = 5000
+
+
+def _divisor_codes(ring, per_degree=2):
+    """Codes of the first few monic right divisors of every degree 0..n: from
+    g = 1 (dual {0}) to g = x^n - u (dual R^n)."""
+    for degree in range(ring.n + 1):
+        for g in monic_right_divisors(ring, ring.n, ring.spec.u, degree)[:per_degree]:
+            yield ConstacyclicCode.from_generator(g)
+
+
+@settings(max_examples=12, deadline=None)
+@given(spec=valid_specs())
+@example(spec=AlgebraSpec((1, 0, 1), (0, -1), u=-1, p=7))
+@example(spec=replace(CUBIC, p=2, u=1))
+@example(spec=replace(CUBIC, p=3, u=1))
+def test_dual_matches_enumeration(spec):
+    ring = QuotientRing(spec)
+    for code in _divisor_codes(ring):
+        if ring.size ** (code.n - code.k) > ORACLE_VECTORS:
+            with pytest.raises(TooLarge):
+                brute_force_dual(code, bound=ORACLE_VECTORS)
+            continue
+        dual = brute_force_dual(code)
+        if ring.size**code.n <= ORACLE_VECTORS:
+            assert dual == enumerated_dual(code)
+            continue
+        assert len(dual) * ring.size**code.k == ring.size**code.n
+        assert dual == sorted(dual, key=lambda v: tuple(c.coeffs for c in v))
+        words = code.additive_generators()
+        assert all(inner_product(c, v) == ring.zero for c in words for v in dual)
+
+
+def test_cubic_dual_and_its_lattice():
+    ring = QuotientRing(CUBIC)
+    a = ring.gen
+    code = ConstacyclicCode.from_generator(SkewPoly(ring, (2 * a * a, 1)))
+    dual = brute_force_dual(code)
+    assert len(dual) == 125
+    words = code.additive_generators()
+    assert all(inner_product(c, v) == ring.zero for c in words for v in dual)
+    assert dual_lattice_basis(code).index == 5**6
 
 
 # Each fixture also runs on a few random valid specs, cubics included.
@@ -207,8 +254,9 @@ def test_code_equality_by_mutual_membership(p3_code):
 def test_codeword_enumeration_bound(p3_code):
     with pytest.raises(TooLarge):
         list(p3_code.codewords(bound=4))
+    assert len(brute_force_dual(p3_code, bound=9)) == 9
     with pytest.raises(TooLarge):
-        brute_force_dual(p3_code, bound=10)
+        brute_force_dual(p3_code, bound=8)
 
 
 @given(st.lists(st.integers(0, 2), min_size=2, max_size=2))

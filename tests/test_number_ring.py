@@ -16,7 +16,7 @@ from skewlat.errors import (
     TooLarge,
 )
 from skewlat.fixtures import GAUSSIAN_P3, GAUSSIAN_P5, SQRT2_P3
-from skewlat.number_ring import _integer_root, _is_prime
+from skewlat.number_ring import _integer_root, _is_prime, echelon_mod_p, nullspace_mod_p
 
 from helpers import random_element, valid_specs
 
@@ -90,6 +90,40 @@ def test_nineteen_digit_prime_builds_but_decompose_is_too_large():
     assert ring.p == 10**18 + 3
     with pytest.raises(TooLarge):
         ring.decompose()
+
+
+def _span_mod_p(vectors, ncols, p):
+    out = set()
+    for coeffs in product(range(p), repeat=len(vectors)):
+        out.add(tuple(sum(a * v[j] for a, v in zip(coeffs, vectors)) % p for j in range(ncols)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from((2, 3, 5, 7)),
+    ncols=st.integers(1, 4),
+    data=st.data(),
+)
+def test_echelon_and_nullspace_match_enumeration(p, ncols, data):
+    rows = data.draw(
+        st.lists(st.lists(st.integers(-10, 10), min_size=ncols, max_size=ncols), max_size=4)
+    )
+    basis, pivots = echelon_mod_p(rows, p)
+    assert pivots == sorted(set(pivots)) and len(pivots) == len(basis)
+    for row, pivot in zip(basis, pivots):
+        assert all(0 <= v < p for v in row)
+        assert not any(row[:pivot]) and row[pivot] == 1
+        assert all(other[pivot] == 0 for other in basis if other is not row)
+    assert _span_mod_p(basis, ncols, p) == _span_mod_p(rows, ncols, p)
+
+    kernel = nullspace_mod_p(rows, ncols, p)
+    assert len(kernel) == ncols - len(basis)
+    solutions = {
+        v for v in product(range(p), repeat=ncols)
+        if all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in rows)
+    }
+    assert _span_mod_p(kernel, ncols, p) == solutions
 
 
 def test_gaussian_p3_multiplication():

@@ -158,6 +158,19 @@ def test_reduce_mod_central(p3):
     assert f.mod_central(2, -1) is f
 
 
+@settings(max_examples=15, deadline=None)
+@given(spec=valid_specs(), seed=st.integers(0, 2**16))
+def test_mod_central_fold_is_the_division_remainder(spec, seed):
+    ring = QuotientRing(spec)
+    rng = random.Random(seed)
+    n = ring.n
+    for cls in (SkewPoly, OppositePoly):
+        central = central_poly(ring, n, spec.u, cls=cls)
+        for _ in range(10):
+            f = cls(ring, random_poly(ring, rng, max_degree=2 * n + 1).coeffs)
+            assert f.mod_central(n, spec.u) == f.right_divmod(central)[1]
+
+
 def test_centrality(ring):
     rng = random.Random(5)
     central = central_poly(ring, ring.n, ring.spec.u)
@@ -286,6 +299,8 @@ def test_central_poly_requires_fixed_u():
     moved = ring5.gen  # sigma(gen) = -gen != gen
     with pytest.raises(ValueError):
         central_poly(ring5, 2, moved)
+    with pytest.raises(ValueError):
+        SkewPoly.monomial(ring5, 2).mod_central(2, moved)
 
 
 def test_serialization(p3):
