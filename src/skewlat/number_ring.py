@@ -12,8 +12,10 @@ sigma and the field norm N(a) = a*sigma(a)...sigma^(n-1)(a) in O_K = Z[y]/(m)
 over the integers, built once per (min_poly, sigma_image).  QuotientRing
 reduces its results modulo p, so inverses are norm cofactors divided by the
 norm; lattice.NaturalOrder uses the same instance and keeps them over Z.
-It is also the one place that validates sigma, so NaturalOrder and
-norm_witnesses reject every sigma that QuotientRing rejects.
+It is also the one place that checks m irreducible and sigma an
+automorphism, and AlgebraSpec checks m monic of degree at least 2, so
+NaturalOrder and norm_witnesses reject every spec that QuotientRing rejects
+for its field, with the same error class.
 
 echelon_mod_p is the one elimination over F_p, and nullspace_mod_p reads
 solution bases off it; codes.brute_force_dual solves its orthogonality
@@ -63,6 +65,9 @@ def _as_int_tuple(values, field_name):
 class AlgebraSpec:
     """Configuration of the cyclic algebra and of its coefficient ring.
 
+    Raises InvalidSpec unless min_poly is monic of degree at least 2, so no
+    ring, order or norm is ever built on such a polynomial.
+
     min_poly: monic integer coefficients of m(y), constant first, degree n.
     sigma_image: integer coefficients of s(y), the image of the generator
         under the automorphism.
@@ -83,6 +88,10 @@ class AlgebraSpec:
         object.__setattr__(self, "sigma_image", _as_int_tuple(self.sigma_image, "sigma_image"))
         object.__setattr__(self, "u", int(self.u))
         object.__setattr__(self, "p", int(self.p))
+        if self.n < 2:
+            raise InvalidSpec("min_poly must have degree at least 2")
+        if self.min_poly[-1] != 1:
+            raise InvalidSpec("min_poly must be monic")
 
     @property
     def n(self):
@@ -157,22 +166,6 @@ def _integer_root(m):
     return None
 
 
-def _check_irreducible(m):
-    """Exact up to degree 3, where m is reducible over Q exactly when it has a
-    rational, hence (m monic) integer, root; trusted with a warning above."""
-    n = len(m) - 1
-    if n <= 3:
-        root = _integer_root(m)
-        if root is not None:
-            raise NotIrreducible(f"min_poly has the integer root {root}")
-    else:
-        warnings.warn(
-            "irreducibility over Q is only verified up to degree 3; "
-            f"degree {n} is trusted",
-            stacklevel=3,
-        )
-
-
 class IntegralArithmetic:
     """Arithmetic of O_K = Z[y]/(m) on integer coefficient vectors of length n.
 
@@ -180,14 +173,22 @@ class IntegralArithmetic:
     Owns the folding row y^n mod m, the tables of sigma^k on the powers y^j
     and the power sums Tr(y^j).  Results are integer lists reduced modulo
     m only: QuotientRing reduces them modulo p, NaturalOrder keeps them over Z.
-    norm_cofactor is the one norm rule of the library.  The one check of sigma
-    runs here too: InvalidSigma unless s(y) induces a ring map of O_K of
-    order exactly n.
+    norm_cofactor is the one norm rule of the library.  The checks of m and
+    sigma run here too, so QuotientRing, NaturalOrder and norm_witnesses
+    reject the same specs: NotIrreducible for a reducible m of degree at most
+    3 (above that irreducibility is trusted, and QuotientRing warns), then
+    InvalidSigma unless s(y) induces a ring map of O_K of order exactly n.
     """
 
     def __init__(self, min_poly, sigma_image):
         n = len(min_poly) - 1
         self.n = n
+
+        # A monic quadratic or cubic is reducible over Q exactly when it has a
+        # rational, hence integer, root.
+        root = _integer_root(min_poly) if n <= 3 else None
+        if root is not None:
+            raise NotIrreducible(f"min_poly has the integer root {root}")
 
         # y^n mod m: folds every coefficient above degree n-1 back down.
         self._yn = tuple(-c for c in min_poly[:n])
@@ -376,17 +377,14 @@ class RingElement:
 class QuotientRing:
     """The ring R = Z[y]/(p, m(y)) with its automorphism sigma.
 
-    Validates the full configuration on construction: p prime, u a unit mod p,
-    m monic irreducible (checked exactly for n <= 3, trusted with a warning
-    above that), and s(y) inducing an automorphism of order exactly n.
+    Validates the full configuration on construction: m monic of degree at
+    least 2 (AlgebraSpec), the conjugation mode, p prime, u a unit mod p, then
+    m irreducible (exactly for n <= 3, trusted with a warning above that) and
+    s(y) an automorphism of order exactly n (both in IntegralArithmetic).
     """
 
     def __init__(self, spec: AlgebraSpec):
         n = spec.n
-        if n < 2:
-            raise InvalidSpec("min_poly must have degree at least 2")
-        if spec.min_poly[-1] != 1:
-            raise InvalidSpec("min_poly must be monic")
         if spec.conjugation_mode not in ("complex", "identity"):
             raise InvalidSpec("conjugation_mode must be 'complex' or 'identity'")
         if spec.conjugation_mode == "complex" and n != 2:
@@ -395,7 +393,12 @@ class QuotientRing:
             raise NotPrime(f"p = {spec.p} is not prime")
         if gcd(spec.u, spec.p) != 1:
             raise NonUnitU(f"u = {spec.u} is not a unit modulo p = {spec.p}")
-        _check_irreducible(spec.min_poly)
+        if n > 3:
+            warnings.warn(
+                "irreducibility over Q is only verified up to degree 3; "
+                f"degree {n} is trusted",
+                stacklevel=2,
+            )
         self._core = integral_arithmetic(spec.min_poly, spec.sigma_image)
 
         self.spec = spec

@@ -7,12 +7,19 @@ it.  The map is additive and injective and reverses products,
 matrix_rep(a*b) = matrix_rep(b) * matrix_rep(a), because column c tracks
 right multiplication acting on e^c.
 
+The centre of the algebra is Q, so det M(a) = nrd(a), the reduced norm, is
+a rational integer and norm_det is nrd ** n.
+
 min_det_sample probes the space-time design criterion: over a division
 algebra the determinant of M(a) - M(a') never vanishes for a != a'.  Since
-M is additive, M(a) - M(a') = M(a - a'), so the probe evaluates one matrix
-per lattice difference, each nonzero difference once up to sign.  The
-probe is a sample, never a certificate.  Matrix entries, cofactor terms and
-lattice points all add through lattice.vector_sum.
+M is additive, M(a) - M(a') = M(a - a') is linear in the lattice
+coordinates of the difference, so nrd of a difference is an integer form of
+degree n in them.  The probe builds that form once per call
+(reduced_norm_form), checks it rational once, evaluates it at each nonzero
+difference once up to sign, and re-checks the minimizing difference with
+matrix_rep and norm_det.  The probe is a sample, never a certificate.
+Matrix entries, cofactor terms and lattice points all add through
+lattice.vector_sum.
 
 Coset encoding splits a lattice point into an information codeword plus a
 random offset in p times the order, the wiretap-coding primitive.
@@ -26,7 +33,7 @@ from itertools import islice, product
 from math import factorial
 
 from .codes import ConstacyclicCode
-from .errors import LengthMismatch, NotInLattice, TooLarge
+from .errors import InvalidSpec, LengthMismatch, NotInLattice, TooLarge
 from .lattice import (
     NaturalOrder,
     OrderElement,
@@ -36,7 +43,7 @@ from .lattice import (
     reduce_element,
     vector_sum,
 )
-from .number_ring import ENUMERATION_BOUND
+from .number_ring import ENUMERATION_BOUND, integral_arithmetic
 
 
 class SpaceTimeMatrix:
@@ -93,29 +100,45 @@ class SpaceTimeMatrix:
         """Determinant in O_K by cofactor expansion (exact)."""
         order = self.order
 
-        def rec(rows):
-            if len(rows) == 1:
-                return rows[0][0]
-            terms = []
-            for j, top in enumerate(rows[0]):
-                if not any(top):
-                    continue
-                minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-                term = order.ok_mul(top, rec(minor))
-                terms.append([-v for v in term] if j % 2 else term)
-            return vector_sum(terms, order.n)
+        def signed_sum(terms):
+            return vector_sum([[-v for v in t] if odd else t for odd, t in terms], order.n)
 
-        return rec([list(row) for row in self.entries])
+        return _cofactor_det(self.entries, any, order.ok_mul, signed_sum)
 
     def norm_det(self) -> int:
-        """The rational norm of the determinant."""
-        return self.order.ok_norm(self.det())
+        """The rational norm of the determinant, nrd ** n.
+
+        The centre of the algebra is Q, so det M(a) = nrd(a) is an integer
+        and its field norm is its n-th power.  Raises InvalidSpec if the
+        determinant has a nonzero non-constant coordinate.
+        """
+        nrd, *rest = self.det()
+        if any(rest):
+            raise InvalidSpec("the determinant has a nonzero non-constant coordinate")
+        return nrd**self.order.n
 
     def to_lists(self):
         return [[list(e) for e in row] for row in self.entries]
 
     def __repr__(self):
         return f"SpaceTimeMatrix({self.to_lists()})"
+
+
+def _cofactor_det(rows, nonzero, mul, signed_sum):
+    """Determinant of a square matrix by expansion along the first row.
+
+    Entries for which nonzero() is false are skipped, products go through
+    mul(entry, minor) and each row's terms combine through
+    signed_sum([(odd, term), ...]), where odd marks a negated term.
+    """
+    if len(rows) == 1:
+        return rows[0][0]
+    terms = []
+    for j, top in enumerate(rows[0]):
+        if nonzero(top):
+            minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+            terms.append((j % 2, mul(top, _cofactor_det(minor, nonzero, mul, signed_sum))))
+    return signed_sum(terms)
 
 
 def matrix_rep(a: OrderElement) -> SpaceTimeMatrix:
@@ -154,8 +177,11 @@ def exhaustive_sweep(
     ((4 * coeff_bound + 1)^(n^2) - 1) / 2 differences the sweep evaluates,
     each nonzero point of the doubled box once up to sign, fit in
     enumeration_bound.  Each difference weighs n!/2, the cofactor terms of
-    its n x n determinant relative to n = 2, so every quadratic decision
-    counts differences and a cubic difference counts three times."""
+    an n x n determinant relative to n = 2, so every quadratic decision
+    counts differences and a cubic difference counts three times.  The
+    weight is kept as the decision rule so that modes stay stable; it no
+    longer measures the cost of a difference, which is one evaluation of
+    the reduced norm form."""
     n = code.ring.n
     differences = ((4 * coeff_bound + 1) ** (n * n) - 1) // 2
     return differences * factorial(n) // 2 <= enumeration_bound
@@ -170,6 +196,60 @@ def _sampled_differences(rng, coeff_bound, N):
             yield vector_sum((z1, [-v for v in z2]), N)
 
 
+def reduced_norm_form(order: NaturalOrder, columns):
+    """The integer form F with F(d) = nrd(sum_j d_j columns[j]), as a function of d.
+
+    columns are flat coordinate vectors of order elements.  M is additive,
+    so M(sum_j d_j b_j) = sum_j d_j M(b_j): its entries are linear forms in
+    d with O_K coefficient vectors, and its determinant is a form of degree
+    n in the N = len(columns) variables (at most 10 monomials for n = 2, 165
+    for n = 3).  The form is expanded once, by the cofactor recursion of
+    SpaceTimeMatrix.det over IntegralArithmetic.mul, and checked rational
+    once: InvalidSpec if any coefficient has a nonzero non-constant
+    coordinate.  Evaluating it costs n multiplications per monomial.
+    """
+    core = integral_arithmetic(order.min_poly, order.spec.sigma_image)
+    n = order.n
+    mats = [matrix_rep(order.from_flat(col)).entries for col in columns]
+    rows = [
+        [{(j,): m[r][c] for j, m in enumerate(mats) if any(m[r][c])} for c in range(n)]
+        for r in range(n)
+    ]
+
+    def add_to(form, mono, vec):
+        acc = form.get(mono)
+        form[mono] = vec if acc is None else [a + b for a, b in zip(acc, vec)]
+
+    def mul(f, g):
+        out = {}
+        for mf, a in f.items():
+            for mg, b in g.items():
+                add_to(out, tuple(sorted(mf + mg)), core.mul(a, b))
+        return out
+
+    def signed_sum(terms):
+        out = {}
+        for odd, term in terms:
+            for mono, vec in term.items():
+                add_to(out, mono, [-v for v in vec] if odd else vec)
+        return out
+
+    form = _cofactor_det(rows, bool, mul, signed_sum)
+    if any(any(rest) for _, *rest in form.values()):
+        raise InvalidSpec("the reduced norm form has a nonzero non-constant coordinate")
+    terms = [(vec[0], mono) for mono, vec in form.items() if vec[0]]
+
+    def evaluate(d):
+        total = 0
+        for c, mono in terms:
+            for i in mono:
+                c *= d[i]
+            total += c
+        return total
+
+    return evaluate
+
+
 def min_det_sample(
     code: ConstacyclicCode,
     coeff_bound: int,
@@ -182,13 +262,17 @@ def min_det_sample(
     """Minimum |norm(det(M(a) - M(a')))| over distinct pairs of lattice points.
 
     Points have coordinates in [-coeff_bound, coeff_bound] in the code's
-    lattice basis.  M(a) - M(a') = M(a - a'), so one matrix is evaluated per
-    difference.  When those differences, each weighted by n!/2, fit in
+    lattice basis.  M(a) - M(a') = M(a - a') and |norm det| = |nrd|^n, so
+    each difference d of basis coordinates costs one evaluation of the
+    integer form reduced_norm_form, built and checked rational once per
+    call.  When those differences, each weighted by n!/2, fit in
     enumeration_bound (exhaustive_sweep) every nonzero difference in the
     doubled box is visited once up to sign, otherwise `samples` differences
     of random distinct box points are drawn from a generator seeded with
-    `seed`.  Strictly positive output is expected for division
-    configurations; zero exhibits a concrete rank-deficient difference.
+    `seed`.  The minimizing difference is re-checked with matrix_rep and
+    norm_det; a disagreement raises RuntimeError.  Strictly positive output
+    is expected for division configurations; zero exhibits a concrete
+    rank-deficient difference.
     Raises ValueError when coeff_bound < 1, or when samples < 1 in sampled mode.
     """
     if coeff_bound < 1:
@@ -204,10 +288,7 @@ def min_det_sample(
     cols = list(zip(*basis))
     N = len(cols)
     order = NaturalOrder(code.ring.spec)
-
-    def point(zs):
-        terms = [[z * v for v in col] for z, col in zip(zs, cols) if z]
-        return order.from_flat(vector_sum(terms, N))
+    nrd = reduced_norm_form(order, cols)
 
     if exhaustive:
         span = range(-2 * coeff_bound, 2 * coeff_bound + 1)
@@ -215,13 +296,17 @@ def min_det_sample(
         diffs = (d for d in product(span, repeat=N) if d > zero)
     else:
         diffs = islice(_sampled_differences(random.Random(seed), coeff_bound, N), samples)
-    best = None
+    best = best_d = None
     for d in diffs:
-        value = abs(matrix_rep(point(d)).norm_det())
+        value = abs(nrd(d))
         if best is None or value < best:
-            best = value
+            best, best_d = value, d
             if best == 0:
                 break
+    best **= order.n
+    witness = order.from_flat(vector_sum([[z * v for v in col] for z, col in zip(best_d, cols)], N))
+    if abs(matrix_rep(witness).norm_det()) != best:
+        raise RuntimeError(f"reduced norm form disagrees with norm_det at difference {best_d}")
     return best
 
 

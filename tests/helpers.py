@@ -42,8 +42,11 @@ def quiet_ring(spec):
 def valid_specs(draw, primes=(2, 3, 5, 7)):
     """Random valid specs: a quadratic field y^2 + b*y + c with a non-square
     discriminant and sigma: y -> -b - y, or a cyclic cubic with sigma:
-    y -> y^2 - 2; p drawn from primes and an integer u prime to p."""
+    y -> y^2 - 2; p drawn from primes and an integer u prime to p.  The
+    conjugation mode matches the field ("complex" exactly for imaginary
+    quadratics), so Construction A's trace form is positive definite."""
     p = draw(st.sampled_from(primes))
+    mode = "identity"
     if draw(st.booleans()):
         b, c = draw(
             st.tuples(st.integers(-3, 3), st.integers(-5, 5)).filter(
@@ -51,10 +54,12 @@ def valid_specs(draw, primes=(2, 3, 5, 7)):
             )
         )
         min_poly, sigma_image = (c, b, 1), (-b, -1)
+        if b * b - 4 * c < 0:
+            mode = "complex"
     else:
         min_poly, sigma_image = draw(st.sampled_from(CYCLIC_CUBICS)), (-2, 0, 1)
     u = draw(st.integers(-6, 6).filter(lambda v: v % p))
-    return AlgebraSpec(min_poly, sigma_image, u=u, p=p, conjugation_mode="identity")
+    return AlgebraSpec(min_poly, sigma_image, u=u, p=p, conjugation_mode=mode)
 
 
 def _is_square(d):

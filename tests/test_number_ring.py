@@ -43,6 +43,41 @@ def test_ring_new_rejects_bad_sigma():
                 build(spec)
 
 
+@st.composite
+def reducible_specs(draw):
+    """Specs whose m is reducible over Q: m = (y - r)(y - s) with sigma
+    swapping the roots, a ring map of order 2, so only the irreducibility
+    check can reject it; or the cubic (y + 1)^2 (y - 2) with the sigma of
+    the cyclic cubics, rejected for m before sigma is looked at."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    u = draw(st.integers(-6, 6).filter(lambda v: v % p))
+    if draw(st.booleans()):
+        roots = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+        r, s = draw(roots.filter(lambda t: t[0] != t[1]))
+        return AlgebraSpec((r * s, -(r + s), 1), (r + s, -1), u=u, p=p, conjugation_mode="identity")
+    return AlgebraSpec((-2, -3, 0, 1), (-2, 0, 1), u=u, p=p, conjugation_mode="identity")
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=reducible_specs())
+def test_order_and_norms_reject_a_reducible_min_poly(spec):
+    # Without the check in the shared core, NaturalOrder builds y^2 - 4 and
+    # matrix_rep(2 + y).det() is (0, 0), with no error.
+    for build in (QuotientRing, NaturalOrder, lambda s: norm_witnesses(s, 1)):
+        with pytest.raises(NotIrreducible, match="integer root"):
+            build(spec)
+
+
+def test_spec_rejects_a_non_monic_or_linear_min_poly():
+    # Raised by AlgebraSpec itself, so no ring, order or norm sees such an m:
+    # the order's folding row assumes m monic.
+    with pytest.raises(InvalidSpec, match="must be monic"):
+        AlgebraSpec((1, 0, 2), (0, -1), u=-1, p=3)
+    for min_poly in ((), (1,), (1, 1)):
+        with pytest.raises(InvalidSpec, match="degree at least 2"):
+            AlgebraSpec(min_poly, (0, 1), u=1, p=3)
+
+
 def test_ring_new_rejects_bad_p_and_u():
     with pytest.raises(NotPrime):
         QuotientRing(AlgebraSpec((1, 0, 1), (0, -1), u=-1, p=4))

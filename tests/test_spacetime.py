@@ -3,26 +3,29 @@ from itertools import combinations, product
 from math import sqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewlat import (
     ConstacyclicCode,
     NaturalOrder,
     SkewPoly,
+    SpaceTimeMatrix,
     construction_a_basis,
     coset_decode_label,
     coset_encode,
     matrix_rep,
     min_det_sample,
+    monic_right_divisors,
     reduce_element,
     right_multiplication_det,
     sample_offsets,
 )
 from skewlat import spacetime
-from skewlat.errors import LengthMismatch, NotInLattice, TooLarge
+from skewlat.errors import InvalidSpec, LengthMismatch, NotInLattice, TooLarge
 from skewlat.fixtures import FIXTURE_NAMES, FIXTURE_SPECS, GAUSSIAN_P3_U1, fixture_code
 from skewlat.number_ring import QuotientRing
 
-from helpers import CUBIC, random_message, random_order_element
+from helpers import CUBIC, random_message, random_order_element, valid_specs
 
 QUATERNION = FIXTURE_SPECS["gaussian-p3-inert"]
 
@@ -200,21 +203,26 @@ def test_min_det_difference_sweep_matches_pair_sweep(build):
 def test_min_det_exhaustive_sweep_visits_each_difference_once_up_to_sign(monkeypatch):
     code = fixture_code("gaussian-p3-inert")
     seen = []
+    build = spacetime.reduced_norm_form
 
-    def recording_matrix_rep(a):
-        seen.append(a.flatten())
-        return matrix_rep(a)
+    def recording_form(order, columns):
+        nrd = build(order, columns)
 
-    monkeypatch.setattr(spacetime, "matrix_rep", recording_matrix_rep)
+        def evaluate(d):
+            seen.append(tuple(d))
+            return nrd(d)
+
+        return evaluate
+
+    monkeypatch.setattr(spacetime, "reduced_norm_form", recording_form)
     assert min_det_sample(code, 1, exhaustive=True) == 9
     N = 4
     assert len(seen) == len(set(seen)) == (5**N - 1) // 2
     visited = set(seen) | {tuple(-v for v in d) for d in seen}
     assert len(visited) == 5**N - 1  # no zero and never both d and -d
-    cols = list(zip(*construction_a_basis(code).basis))
     for zs in product(range(-2, 3), repeat=N):  # every difference of two box points
         if any(zs):
-            assert tuple(sum(z * col[i] for z, col in zip(zs, cols)) for i in range(N)) in visited
+            assert zs in visited
 
 
 def test_exhaustive_sweep_bounds_the_differences_it_evaluates():
@@ -243,6 +251,76 @@ def test_min_det_sampled_differences_match_sampled_pairs(build, coeff_bound):
     for seed in range(10):
         got = min_det_sample(code, coeff_bound, seed=seed, samples=30, exhaustive=False)
         assert got == pairwise_min_det(code, coeff_bound, seed=seed, samples=30)
+
+
+def _small_codes(spec):
+    """The codes of g = 1 (the whole order) and of the first monic right
+    divisor of degree 1, when there is one."""
+    ring = QuotientRing(spec)
+    for degree in (0, 1):
+        for g in monic_right_divisors(ring, ring.n, spec.u, degree)[:1]:
+            yield ConstacyclicCode.from_generator(g)
+
+
+@settings(max_examples=12, deadline=None)
+@given(spec=valid_specs(), seed=st.integers(0, 2**16))
+def test_reduced_norm_form_is_the_determinant(spec, seed):
+    order = NaturalOrder(spec)
+    rng = random.Random(seed)
+    for code in _small_codes(spec):
+        cols = list(zip(*construction_a_basis(code).basis))
+        N = len(cols)
+        nrd = spacetime.reduced_norm_form(order, cols)
+        for _ in range(8):
+            d = [rng.randint(-3, 3) for _ in range(N)]
+            point = order.from_flat([sum(z * col[i] for z, col in zip(d, cols)) for i in range(N)])
+            m = matrix_rep(point)
+            det = m.det()
+            assert not any(det[1:])
+            assert nrd(d) == det[0]
+            assert m.norm_det() == right_multiplication_det(point) == det[0] ** order.n
+
+
+@settings(max_examples=8, deadline=None)
+@given(spec=valid_specs().filter(lambda s: s.n == 2))
+def test_min_det_exhaustive_matches_pairs_on_random_quadratics(spec):
+    for code in _small_codes(spec):
+        assert min_det_sample(code, 1, exhaustive=True) == pairwise_min_det(code, 1)
+
+
+@settings(max_examples=4, deadline=None)
+@given(spec=valid_specs().filter(lambda s: s.n == 3))
+def test_min_det_sampled_matches_sampled_pairs_on_random_cubics(spec):
+    for code in _small_codes(spec):
+        for seed in range(3):
+            got = min_det_sample(code, 1, seed=seed, samples=30, exhaustive=False)
+            assert got == pairwise_min_det(code, 1, seed=seed, samples=30)
+
+
+def test_determinant_with_an_irrational_coordinate_raises(monkeypatch):
+    # diag(i, 1) is no codeword matrix: its determinant i is not rational.
+    order = NaturalOrder(QUATERNION)
+    m = SpaceTimeMatrix(order, [[(0, 1), (0, 0)], [(0, 0), (1, 0)]])
+    assert m.det() == (0, 1)
+    with pytest.raises(InvalidSpec, match="non-constant"):
+        m.norm_det()
+    # A form built from such matrices fails its one rationality check.
+    monkeypatch.setattr(
+        spacetime,
+        "matrix_rep",
+        lambda a: SpaceTimeMatrix(a.order, [[a.rows[0], (0, 0)], [(0, 0), (1, 0)]]),
+    )
+    with pytest.raises(InvalidSpec, match="non-constant"):
+        spacetime.reduced_norm_form(order, [(0, 1, 0, 0), (1, 0, 0, 0)])
+
+
+def test_min_det_rechecks_its_witness(monkeypatch):
+    build = spacetime.reduced_norm_form
+    monkeypatch.setattr(
+        spacetime, "reduced_norm_form", lambda order, cols: lambda d: build(order, cols)(d) + 1
+    )
+    with pytest.raises(RuntimeError, match="disagrees with norm_det"):
+        min_det_sample(fixture_code("gaussian-p3-inert"), 1)
 
 
 def test_coset_encode_examples():
