@@ -171,11 +171,11 @@ def cmd_dual(cfg: Config, args) -> dict:
     ring = _ring(cfg)
     code = _code(cfg, ring)
     gp = code.dual_generator()
-    dual = code.dual_code()
+    dual = ConstacyclicCode.from_generator(gp)
     return {
         "g_perp": gp.to_lists(),
         "g_perp_monic": dual.g.to_lists(),
-        "self_dual": code.is_self_dual(),
+        "self_dual": code == dual,
         "pretty": {"g_perp": str(gp), "g_perp_monic": str(dual.g)},
     }
 

@@ -378,10 +378,11 @@ def gram_matrix(basis, spec: AlgebraSpec, e_weight: int = 1):
     return gram
 
 
-def _basis_from_generators(generators, spec: AlgebraSpec, e_weight: int) -> LatticeBasis:
+def _lift_basis(words, spec: AlgebraSpec, e_weight: int) -> LatticeBasis:
+    """The lattice spanned by the lifts of words and p times the standard basis."""
     order = NaturalOrder(spec)
     N = order.n * order.n
-    cols = [list(g) for g in generators]
+    cols = [list(lift_codeword(order, w).flatten()) for w in words]
     for r in range(N):
         unit = [0] * N
         unit[r] = spec.p
@@ -402,10 +403,7 @@ def construction_a_basis(code: ConstacyclicCode, e_weight: int = 1) -> LatticeBa
     the code's additive generators theta^j x^i g.  The index in the full
     order is p^(n(n-k)) when the code is a free module of rank k.
     """
-    spec = code.ring.spec
-    order = NaturalOrder(spec)
-    generators = [lift_codeword(order, c).flatten() for c in code.additive_generators()]
-    return _basis_from_generators(generators, spec, e_weight)
+    return _lift_basis(code.additive_generators(), code.ring.spec, e_weight)
 
 
 def dual_lattice_basis(code: ConstacyclicCode) -> LatticeBasis:
@@ -415,10 +413,7 @@ def dual_lattice_basis(code: ConstacyclicCode) -> LatticeBasis:
     so it is exact for every u, including u*u != 1 where no dual generator
     formula applies, and costs the size of the dual.
     """
-    spec = code.ring.spec
-    order = NaturalOrder(spec)
-    generators = [lift_codeword(order, v).flatten() for v in brute_force_dual(code)]
-    return _basis_from_generators(generators, spec, 1)
+    return _lift_basis(brute_force_dual(code), code.ring.spec, 1)
 
 
 def dual_lattice_inclusion_check(code_a: ConstacyclicCode, code_b: ConstacyclicCode) -> bool:

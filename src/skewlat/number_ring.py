@@ -12,10 +12,8 @@ sigma and the field norm N(a) = a*sigma(a)...sigma^(n-1)(a) in O_K = Z[y]/(m)
 over the integers, built once per (min_poly, sigma_image).  QuotientRing
 reduces its results modulo p, so inverses are norm cofactors divided by the
 norm; lattice.NaturalOrder uses the same instance and keeps them over Z.
-It is also the one place that checks m irreducible and sigma an
-automorphism, and AlgebraSpec checks m monic of degree at least 2, so
-NaturalOrder and norm_witnesses reject every spec that QuotientRing rejects
-for its field, with the same error class.
+AlgebraSpec is the one check of a spec's fields, and IntegralArithmetic of
+m and sigma, so no consumer of a spec validates it again.
 
 echelon_mod_p is the one elimination over F_p, and nullspace_mod_p reads
 solution bases off it; codes.brute_force_dual solves its orthogonality
@@ -52,21 +50,32 @@ from .errors import (
 ENUMERATION_BOUND = 10**6
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _as_int_tuple(values, field_name):
-    if isinstance(values, (int, str)):
-        raise InvalidSpec(f"{field_name} must be a sequence of integers")
     try:
-        return tuple(int(v) for v in values)
-    except (TypeError, ValueError):
-        raise InvalidSpec(f"{field_name} must be a sequence of integers") from None
+        out = None if isinstance(values, str) else tuple(values)
+    except TypeError:
+        out = None
+    if out is None or not all(map(_is_int, out)):
+        raise InvalidSpec(f"{field_name} must be a sequence of integers")
+    return out
 
 
 @dataclass(frozen=True)
 class AlgebraSpec:
     """Configuration of the cyclic algebra and of its coefficient ring.
 
-    Raises InvalidSpec unless min_poly is monic of degree at least 2, so no
-    ring, order or norm is ever built on such a polynomial.
+    Construction is the one check of the fields, so every ring, order and
+    norm built on a spec accepts the same ones.  It raises, in this order:
+    InvalidSpec for a value that is not an int (floats, strings and bools
+    included), an m not monic of degree at least 2, an unknown
+    conjugation_mode, or "complex" on a field that is not quadratic;
+    NotPrime for a composite p; NonUnitU for a u that is not a unit mod p;
+    and TooLarge when n^4 > ENUMERATION_BOUND.  IntegralArithmetic, which
+    applies m and sigma, checks them next.
 
     min_poly: monic integer coefficients of m(y), constant first, degree n.
     sigma_image: integer coefficients of s(y), the image of the generator
@@ -86,12 +95,25 @@ class AlgebraSpec:
     def __post_init__(self):
         object.__setattr__(self, "min_poly", _as_int_tuple(self.min_poly, "min_poly"))
         object.__setattr__(self, "sigma_image", _as_int_tuple(self.sigma_image, "sigma_image"))
-        object.__setattr__(self, "u", int(self.u))
-        object.__setattr__(self, "p", int(self.p))
-        if self.n < 2:
+        for name in ("u", "p"):
+            if not _is_int(getattr(self, name)):
+                raise InvalidSpec(f"{name} must be an integer")
+        n = self.n
+        if n < 2:
             raise InvalidSpec("min_poly must have degree at least 2")
         if self.min_poly[-1] != 1:
             raise InvalidSpec("min_poly must be monic")
+        if self.conjugation_mode not in ("complex", "identity"):
+            raise InvalidSpec("conjugation_mode must be 'complex' or 'identity'")
+        if self.conjugation_mode == "complex" and n != 2:
+            raise InvalidSpec("complex conjugation mode requires a quadratic field")
+        if not _is_prime(self.p):
+            raise NotPrime(f"p = {self.p} is not prime")
+        if gcd(self.u, self.p) != 1:
+            raise NonUnitU(f"u = {self.u} is not a unit modulo p = {self.p}")
+        # IntegralArithmetic tabulates sigma^k(y^j) for all k, j < n, about n^4 steps.
+        if n**4 > ENUMERATION_BOUND:
+            raise TooLarge(f"degree {n}: n^4 = {n**4} exceeds bound {ENUMERATION_BOUND}")
 
     @property
     def n(self):
@@ -173,9 +195,8 @@ class IntegralArithmetic:
     Owns the folding row y^n mod m, the tables of sigma^k on the powers y^j
     and the power sums Tr(y^j).  Results are integer lists reduced modulo
     m only: QuotientRing reduces them modulo p, NaturalOrder keeps them over Z.
-    norm_cofactor is the one norm rule of the library.  The checks of m and
-    sigma run here too, so QuotientRing, NaturalOrder and norm_witnesses
-    reject the same specs: NotIrreducible for a reducible m of degree at most
+    norm_cofactor is the one norm rule of the library.  After AlgebraSpec's
+    field checks it raises NotIrreducible for a reducible m of degree at most
     3 (above that irreducibility is trusted, and QuotientRing warns), then
     InvalidSigma unless s(y) induces a ring map of O_K of order exactly n.
     """
@@ -377,22 +398,12 @@ class RingElement:
 class QuotientRing:
     """The ring R = Z[y]/(p, m(y)) with its automorphism sigma.
 
-    Validates the full configuration on construction: m monic of degree at
-    least 2 (AlgebraSpec), the conjugation mode, p prime, u a unit mod p, then
-    m irreducible (exactly for n <= 3, trusted with a warning above that) and
-    s(y) an automorphism of order exactly n (both in IntegralArithmetic).
+    Validates nothing (see AlgebraSpec); it only warns that irreducibility
+    is trusted above degree 3.
     """
 
     def __init__(self, spec: AlgebraSpec):
         n = spec.n
-        if spec.conjugation_mode not in ("complex", "identity"):
-            raise InvalidSpec("conjugation_mode must be 'complex' or 'identity'")
-        if spec.conjugation_mode == "complex" and n != 2:
-            raise InvalidSpec("complex conjugation mode requires a quadratic field")
-        if not _is_prime(spec.p):
-            raise NotPrime(f"p = {spec.p} is not prime")
-        if gcd(spec.u, spec.p) != 1:
-            raise NonUnitU(f"u = {spec.u} is not a unit modulo p = {spec.p}")
         if n > 3:
             warnings.warn(
                 "irreducibility over Q is only verified up to degree 3; "

@@ -234,6 +234,19 @@ def test_domain_errors_exit_one(capsys, tmp_path):
     assert "MISSING_KEY" in err
 
 
+def test_huge_degree_is_too_large_before_any_core_work(capsys, tmp_path):
+    # The spec answers before the arithmetic core starts its n^4 sigma tables,
+    # which take tens of seconds at degree 1200.
+    path = tmp_path / "huge.cfg"
+    min_poly = [1] + [0] * 1199 + [1]
+    path.write_text(
+        f"p = 3\nmin_poly = {min_poly}\nsigma_image = [1, 1]\nu = 1\nconjugation_mode = identity\n"
+    )
+    rc, out, err = run(capsys, "code", "--config", str(path), "--json")
+    assert rc == 1 and out == ""
+    assert err.startswith("error[TOO_LARGE]: degree 1200")
+
+
 def test_usage_errors_exit_two(capsys, cfg_path):
     rc, _, _ = run(capsys, "no-such-command")
     assert rc == 2

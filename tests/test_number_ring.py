@@ -78,6 +78,60 @@ def test_spec_rejects_a_non_monic_or_linear_min_poly():
             AlgebraSpec(min_poly, (0, 1), u=1, p=3)
 
 
+def test_spec_rejects_values_that_are_not_ints():
+    # int() would truncate these to the p = 3 ring or read "5" and True as 5 and 1.
+    base = dict(min_poly=(1, 0, 1), sigma_image=(0, -1), u=-1, p=3)
+    for field, value, message in (
+        ("p", 3.7, "p must be an integer"),
+        ("u", "5", "u must be an integer"),
+        ("u", True, "u must be an integer"),
+        ("min_poly", (1.9, 0, 1), "min_poly must be a sequence of integers"),
+        ("sigma_image", (0, False), "sigma_image must be a sequence of integers"),
+        ("min_poly", "101", "min_poly must be a sequence of integers"),
+    ):
+        with pytest.raises(InvalidSpec, match=message):
+            AlgebraSpec(**{**base, field: value})
+
+
+# Each field rule raises from AlgebraSpec itself, so no ring, order, norm
+# search or matrix is ever built on such a spec.
+FIELD_VIOLATIONS = (
+    (dict(conjugation_mode="bogus"), InvalidSpec, "conjugation_mode must be 'complex' or 'identity'"),
+    (
+        dict(min_poly=(-1, -2, 1, 1), sigma_image=(-2, 0, 1), u=2, p=5),
+        InvalidSpec,
+        "complex conjugation mode requires a quadratic field",
+    ),
+    (dict(p=4), NotPrime, "p = 4 is not prime"),
+    (dict(u=6), NonUnitU, "u = 6 is not a unit modulo p = 3"),
+    (dict(u=0), NonUnitU, "u = 0 is not a unit modulo p = 3"),
+)
+
+
+@pytest.mark.parametrize(
+    "fields, error, message", FIELD_VIOLATIONS, ids=("bogus-mode", "complex-cubic", "p4", "u6", "u0")
+)
+def test_spec_is_the_one_gate_for_field_rules(fields, error, message):
+    base = dict(min_poly=(1, 0, 1), sigma_image=(0, -1), u=-1, p=3)
+    with pytest.raises(error) as info:
+        AlgebraSpec(**{**base, **fields})
+    assert str(info.value) == message
+
+
+def test_spec_bounds_the_degree_before_any_core_work():
+    def spec(n, p=2):
+        # y^n + 1 with y -> 1 + y, which is no ring map of Z[y]/(y^n + 1).
+        return AlgebraSpec((1,) + (0,) * (n - 1) + (1,), (1, 1), u=1, p=p, conjugation_mode="identity")
+
+    with pytest.raises(TooLarge, match="degree 32"):
+        spec(32)
+    with pytest.raises(InvalidSigma, match="not divisible"):
+        NaturalOrder(spec(31))
+    # The bound is the last field check, so a quick answer such as NotPrime keeps its precedence.
+    with pytest.raises(NotPrime):
+        spec(1200, p=4)
+
+
 def test_ring_new_rejects_bad_p_and_u():
     with pytest.raises(NotPrime):
         QuotientRing(AlgebraSpec((1, 0, 1), (0, -1), u=-1, p=4))
@@ -342,7 +396,7 @@ def test_norm_witnesses():
     assert (1, 0, 1) in hits
     # y -> y has order 1 on a cubic, so sigma is rejected before any norm.
     with pytest.raises(InvalidSigma):
-        norm_witnesses(AlgebraSpec((-1, -1, 0, 1), (0, 1), u=2, p=5), 5)
+        norm_witnesses(AlgebraSpec((-1, -1, 0, 1), (0, 1), u=2, p=5, conjugation_mode="identity"), 5)
 
 
 def test_norm_witnesses_matches_quadratic_norm():
