@@ -175,7 +175,7 @@ def cmd_dual(cfg: Config, args) -> dict:
     return {
         "g_perp": gp.to_lists(),
         "g_perp_monic": dual.g.to_lists(),
-        "self_dual": code == dual,
+        "self_dual": code.is_self_dual(),
         "pretty": {"g_perp": str(gp), "g_perp_monic": str(dual.g)},
     }
 

@@ -10,10 +10,12 @@ plain tuples of RingElement of length n.
 
 Everything here is exact.  As an additive group a code is spanned by the
 k*m codewords theta^j x^i g (m = [K:Q], theta the ring generator), and the
-Euclidean scalar product is F_p-bilinear, so brute_force_dual finds the dual
-as the F_p-nullspace of the products with those codewords.  It never uses
-dual_generator(), which makes it the check of the algebraic dual for every
-u; its work grows with the size of the dual, not with |R|^n.
+Euclidean scalar product is F_p-bilinear, so products of those generators
+decide duality for every u: is_orthogonal_to tests C inside D^perp, and
+is_self_dual adds 2k = n.  brute_force_dual finds the dual itself as the
+F_p-nullspace of the same products; it never uses dual_generator(), which
+makes it the check of the algebraic dual, and its work grows with the size
+of the dual, not with |R|^n.  Only dual_generator and dual_code need u*u = 1.
 """
 
 from __future__ import annotations
@@ -132,8 +134,17 @@ class ConstacyclicCode:
     def dual_code(self) -> "ConstacyclicCode":
         return ConstacyclicCode.from_generator(self.dual_generator())
 
+    def is_orthogonal_to(self, other: "ConstacyclicCode") -> bool:
+        """Whether every codeword of self is orthogonal to every codeword of
+        other: the product is F_p-bilinear, so the additive generators decide."""
+        theirs = other.additive_generators()
+        return all(not inner_product(c, d) for c in self.additive_generators() for d in theirs)
+
     def is_self_dual(self) -> bool:
-        return self == self.dual_code()
+        """C = C^perp, for every u: |C| |C^perp| = |R|^n over the Frobenius
+        ring R and |C| = |R|^k, so C is self-dual exactly when 2k = n and C is
+        orthogonal to itself."""
+        return 2 * self.k == self.n and self.is_orthogonal_to(self)
 
     def __eq__(self, other):
         """Codeword-set equality, decided by mutual generator membership."""
@@ -177,11 +188,11 @@ def brute_force_dual(code: ConstacyclicCode, bound=ENUMERATION_BOUND):
     The product is F_p-bilinear, so v is in the dual exactly when it is
     orthogonal to each of the k*m additive generators c of the code.  Each c
     gives m linear equations over F_p in the m*n coordinates of v: column
-    (i, j), for the coordinate j of component i, holds inner_product(c,
-    theta^j e_i).  (The product is even R-bilinear, so the equations of
-    theta^j x^i g repeat those of x^i g; solving over all k*m generators
-    keeps the argument to F_p-linear algebra on the set construction_a_basis
-    lifts.)  The dual is the nullspace of those equations, and the
+    (i, j), for the coordinate j of component i, holds c_i * theta^j, the
+    product of c with theta^j e_i.  (The product is even R-bilinear, so the
+    equations of theta^j x^i g repeat those of x^i g; solving over all k*m
+    generators keeps the argument to F_p-linear algebra on the set
+    construction_a_basis lifts.)  The dual is the nullspace of those equations, and the
     p^dim combinations of its basis are returned as tuples of RingElement,
     sorted by coefficient vector (component 0 first), the order of a scan of
     R^n.  bound caps the p^dim vectors; TooLarge is raised before any of
@@ -189,20 +200,15 @@ def brute_force_dual(code: ConstacyclicCode, bound=ENUMERATION_BOUND):
 
     Independent of dual_generator(), so it checks the algebraic dual and
     serves any u.  The name is older than the nullspace: the benchmark's
-    traced run requires calls to brute_force_dual and inner_product, so both
-    stay until it pins the public entry points instead.
+    traced run requires calls to brute_force_dual, so it stays until that run
+    pins the public entry points instead.
     """
     ring = code.ring
     p, m, n = ring.p, ring.n, code.n
-    zero = ring.zero
-    columns = [
-        tuple(ring.gen**j if t == i else zero for t in range(n))
-        for i in range(n)
-        for j in range(m)
-    ]
+    powers = [ring.gen**j for j in range(m)]
     equations = []
     for c in code.additive_generators():
-        products = [inner_product(c, col).coeffs for col in columns]
+        products = [(c_i * power).coeffs for c_i in c for power in powers]
         equations.extend(zip(*products))
     kernel = nullspace_mod_p(equations, m * n, p)
     if p ** len(kernel) > bound:

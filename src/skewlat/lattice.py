@@ -29,6 +29,7 @@ for totally real ones, and w an optional positive e-block weight (default 1).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from . import intpoly
@@ -288,7 +289,7 @@ def det_int(mat) -> int:
     n = len(mat)
     if n == 0:
         return 1
-    a = [list(map(int, row)) for row in mat]
+    a = [list(map(operator.index, row)) for row in mat]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -354,7 +355,7 @@ def gram_matrix(basis, spec: AlgebraSpec, e_weight: int = 1):
     the order.  Raises IndefiniteForm when a diagonal entry is nonpositive,
     which signals a conjugation_mode inconsistent with the field.
     """
-    if e_weight < 1:
+    if not isinstance(e_weight, int) or e_weight < 1:
         raise InvalidSpec("e_weight must be a positive integer")
     order = NaturalOrder(spec)
     elems = [order.from_flat(col) for col in zip(*basis)]
@@ -419,11 +420,12 @@ def dual_lattice_basis(code: ConstacyclicCode) -> LatticeBasis:
 def dual_lattice_inclusion_check(code_a: ConstacyclicCode, code_b: ConstacyclicCode) -> bool:
     """Whether the lattice of code_a is contained in the lattice of code_b's dual.
 
-    True whenever every codeword of code_a is orthogonal to code_b; in
-    particular a self-dual code against itself gives equal lattices.
+    Both lattices contain p times the order, and reduction modulo p maps the
+    lattices that do one to one onto the codes, preserving inclusion; so the
+    answer is whether code_a lies in the dual of code_b, which
+    is_orthogonal_to decides exactly, for every u, without building either
+    lattice.
     """
     if code_a.ring != code_b.ring:
         raise InvalidSpec("codes must share the same ring")
-    target = dual_lattice_basis(code_b).basis
-    source = construction_a_basis(code_a).basis
-    return all(lattice_contains(target, col) for col in zip(*source))
+    return code_a.is_orthogonal_to(code_b)

@@ -30,6 +30,7 @@ All values are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -258,7 +259,7 @@ class IntegralArithmetic:
 
     def reduce(self, coeffs):
         """Integer coefficients of any length, reduced modulo m to length n."""
-        c = [int(v) for v in coeffs]
+        c = list(map(operator.index, coeffs))
         return self._fold(c + [0] * (self.n - len(c)))
 
     def mul(self, a, b):

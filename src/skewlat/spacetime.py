@@ -27,6 +27,7 @@ random offset in p times the order, the wiretap-coding primitive.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from itertools import islice, product
@@ -53,7 +54,7 @@ class SpaceTimeMatrix:
 
     def __init__(self, order: NaturalOrder, entries):
         self.order = order
-        self.entries = tuple(tuple(tuple(int(v) for v in e) for e in row) for row in entries)
+        self.entries = tuple(tuple(tuple(map(operator.index, e)) for e in row) for row in entries)
 
     def __add__(self, other):
         return self._entrywise(other, 1)
@@ -334,7 +335,7 @@ def coset_encode(code: ConstacyclicCode, msg, offset_coords) -> CosetEncoding:
     if len(offset_coords) != N:
         raise LengthMismatch(f"expected {N} offset coordinates")
     codeword = code.encode(msg)
-    offset = order.from_flat([code.ring.p * int(c) for c in offset_coords])
+    offset = order.from_flat([code.ring.p * c for c in offset_coords])
     point = lift_codeword(order, codeword) + offset
     return CosetEncoding(codeword=codeword, offset=offset, point=point)
 

@@ -9,10 +9,16 @@ from hypothesis import strategies as st
 from skewlat import (
     ENUMERATION_BOUND,
     AlgebraSpec,
+    ConstacyclicCode,
     QuotientRing,
     SkewPoly,
+    brute_force_dual,
     central_poly,
+    construction_a_basis,
+    dual_lattice_basis,
     inner_product,
+    lattice_contains,
+    monic_right_divisors,
 )
 from skewlat.errors import TooLarge
 
@@ -93,6 +99,34 @@ def enumerated_dual(code, bound=ENUMERATION_BOUND):
         for v in product(list(ring.elements(bound)), repeat=code.n)
         if all(inner_product(c, v) == zero for c in words)
     ]
+
+
+def divisor_codes(ring, per_degree=None):
+    """Codes of the monic right divisors of every degree 0..n, the first
+    per_degree of each (all by default): from g = 1 (dual {0}) to g = x^n - u
+    (dual R^n)."""
+    for degree in range(ring.n + 1):
+        for g in monic_right_divisors(ring, ring.n, ring.spec.u, degree)[:per_degree]:
+            yield ConstacyclicCode.from_generator(g)
+
+
+def enumerated_self_duality(code):
+    """Oracle: whether the codeword set equals the brute-force dual.  A dual
+    larger than the code raises TooLarge before any vector is built."""
+    size = code.ring.size**code.k
+    try:
+        dual = brute_force_dual(code, bound=size)
+    except TooLarge:
+        return False
+    return len(dual) == size and set(code.codewords()) == set(dual)
+
+
+def lattice_inclusion(code_a, code_b):
+    """Oracle: every Construction A basis column of code_a lies in the lattice
+    of code_b's dual, both lattices built in full."""
+    target = dual_lattice_basis(code_b).basis
+    source = construction_a_basis(code_a).basis
+    return all(lattice_contains(target, col) for col in zip(*source))
 
 
 def random_element(ring, rng):

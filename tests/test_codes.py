@@ -18,7 +18,15 @@ from skewlat import (
 from skewlat.errors import LengthMismatch, NotADivisor, TooLarge, UnsupportedU
 from skewlat.fixtures import FIXTURE_NAMES, GAUSSIAN_P3, fixture_code, fixture_ring
 
-from helpers import CUBIC, enumerated_dual, random_element, random_message, valid_specs
+from helpers import (
+    CUBIC,
+    divisor_codes,
+    enumerated_dual,
+    enumerated_self_duality,
+    random_element,
+    random_message,
+    valid_specs,
+)
 
 SELF_DUAL = {
     "gaussian-p3-inert": False,
@@ -154,8 +162,7 @@ def test_dual_generator_needs_u_squared_one():
     code = ConstacyclicCode.from_generator(SkewPoly.one(ring))
     with pytest.raises(UnsupportedU):
         code.dual_generator()
-    with pytest.raises(UnsupportedU):
-        code.is_self_dual()
+    assert code.is_self_dual() is False
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -189,14 +196,6 @@ def test_dual_size_law(code):
 ORACLE_VECTORS = 5000
 
 
-def _divisor_codes(ring, per_degree=2):
-    """Codes of the first few monic right divisors of every degree 0..n: from
-    g = 1 (dual {0}) to g = x^n - u (dual R^n)."""
-    for degree in range(ring.n + 1):
-        for g in monic_right_divisors(ring, ring.n, ring.spec.u, degree)[:per_degree]:
-            yield ConstacyclicCode.from_generator(g)
-
-
 @settings(max_examples=12, deadline=None)
 @given(spec=valid_specs())
 @example(spec=AlgebraSpec((1, 0, 1), (0, -1), u=-1, p=7))
@@ -204,7 +203,7 @@ def _divisor_codes(ring, per_degree=2):
 @example(spec=replace(CUBIC, p=3, u=1))
 def test_dual_matches_enumeration(spec):
     ring = QuotientRing(spec)
-    for code in _divisor_codes(ring):
+    for code in divisor_codes(ring, per_degree=2):
         if ring.size ** (code.n - code.k) > ORACLE_VECTORS:
             with pytest.raises(TooLarge):
                 brute_force_dual(code, bound=ORACLE_VECTORS)
@@ -228,6 +227,39 @@ def test_cubic_dual_and_its_lattice():
     words = code.additive_generators()
     assert all(inner_product(c, v) == ring.zero for c in words for v in dual)
     assert dual_lattice_basis(code).index == 5**6
+
+
+# valid_specs draws u in [-6, 6], so most specs have u^2 != 1 and no dual generator.
+@settings(max_examples=15, deadline=None)
+@given(spec=valid_specs())
+@example(spec=AlgebraSpec((1, 0, 1), (0, -1), u=2, p=5))
+@example(spec=AlgebraSpec((-2, 0, 1), (0, -1), u=3, p=7, conjugation_mode="identity"))
+@example(spec=replace(CUBIC, p=3, u=1))
+def test_self_duality_matches_the_enumerated_dual_for_every_u(spec):
+    ring = QuotientRing(spec)
+    for code in divisor_codes(ring):
+        assert code.is_self_dual() == enumerated_self_duality(code)
+
+
+def test_orthogonality_of_generators_decides_the_dual_code(p3_code):
+    ring = p3_code.ring
+    zero = ConstacyclicCode.from_generator(central_poly(ring, 2, -1))
+    full = ConstacyclicCode.from_generator(SkewPoly.one(ring))
+    assert p3_code.dual_code().is_orthogonal_to(p3_code)
+    assert p3_code.is_orthogonal_to(p3_code.dual_code())
+    assert not p3_code.is_orthogonal_to(p3_code)
+    assert zero.is_orthogonal_to(full) and full.is_orthogonal_to(zero)
+    assert not full.is_orthogonal_to(full)
+
+
+def test_cubic_self_duality_at_p31_without_a_dual_generator():
+    ring = QuotientRing(replace(CUBIC, p=31))
+    a = ring.gen
+    g = SkewPoly(ring, (11 * a * a, 1))
+    code = ConstacyclicCode.from_generator(g)
+    cofactor = ConstacyclicCode.from_generator(code.h)
+    assert (code.k, cofactor.k) == (2, 1)
+    assert not code.is_self_dual() and not cofactor.is_self_dual()
 
 
 # Each fixture also runs on a few random valid specs, cubics included.

@@ -1,12 +1,15 @@
 import random
+from dataclasses import replace
 from itertools import permutations, product
 
 import pytest
+from hypothesis import example, given, settings
 
 from skewlat import (
     AlgebraSpec,
     ConstacyclicCode,
     NaturalOrder,
+    QuotientRing,
     SkewPoly,
     central_poly,
     construction_a_basis,
@@ -19,10 +22,17 @@ from skewlat import (
     lift_codeword,
     reduce_element,
 )
-from skewlat.errors import IndefiniteForm
+from skewlat.errors import IndefiniteForm, InvalidSpec
 from skewlat.fixtures import FIXTURE_SPECS, fixture_code, fixture_ring
 
-from helpers import CUBIC, random_element, random_order_element
+from helpers import (
+    CUBIC,
+    divisor_codes,
+    lattice_inclusion,
+    random_element,
+    random_order_element,
+    valid_specs,
+)
 
 IDENTITY4 = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
 
@@ -349,3 +359,46 @@ def test_inclusion_matches_orthogonality_oracle():
     dual_code = code.dual_code()
     assert set(dual_code.codewords()) <= dual_words
     assert dual_lattice_inclusion_check(dual_code, code)
+
+
+# The full-lattice oracle lists the dual of code_b; above this many dual
+# vectors the pair is left out.
+ORACLE_DUAL_VECTORS = 5000
+
+
+@settings(max_examples=10, deadline=None)
+@given(spec=valid_specs())
+@example(spec=AlgebraSpec((1, 0, 1), (0, -1), u=2, p=5))
+@example(spec=replace(CUBIC, u=1))
+def test_inclusion_matches_the_full_lattice_oracle(spec):
+    ring = QuotientRing(spec)
+    codes = list(divisor_codes(ring, per_degree=2))
+    for code_b in codes:
+        if ring.size ** (code_b.n - code_b.k) > ORACLE_DUAL_VECTORS:
+            continue
+        for code_a in codes:
+            assert dual_lattice_inclusion_check(code_a, code_b) == lattice_inclusion(code_a, code_b)
+
+
+def test_cubic_inclusion_at_p31_builds_no_lattice():
+    ring = QuotientRing(replace(CUBIC, p=31))
+    a = ring.gen
+    code = ConstacyclicCode.from_generator(SkewPoly(ring, (11 * a * a, 1)))
+    cofactor = ConstacyclicCode.from_generator(code.h)  # 31^6 dual vectors
+    zero = ConstacyclicCode.from_generator(central_poly(ring, 3, 2))
+    for c in (code, cofactor):
+        assert not dual_lattice_inclusion_check(c, c)
+        assert dual_lattice_inclusion_check(zero, c) and dual_lattice_inclusion_check(c, zero)
+
+
+# -- integers only, never truncated ------------------------------------------
+
+
+def test_det_int_rejects_a_float_entry():
+    with pytest.raises(TypeError):
+        det_int([[1.5, 0], [0, 1]])
+
+
+def test_construction_a_rejects_a_float_e_weight():
+    with pytest.raises(InvalidSpec, match="e_weight must be a positive integer"):
+        construction_a_basis(fixture_code("gaussian-p3-inert"), e_weight=1.5)

@@ -223,6 +223,12 @@ def test_gaussian_p3_multiplication():
     assert (a + 1) * (a + 2) == ring.one  # a+2 == a-1
 
 
+@pytest.mark.parametrize("coeffs", [[1.9, 2.5], ["2", 1]])
+def test_element_rejects_coefficients_that_are_not_integers(coeffs):
+    with pytest.raises(TypeError):
+        QuotientRing(GAUSSIAN_P3).element(coeffs)
+
+
 def test_element_of_another_ring_is_rejected_everywhere():
     ring = QuotientRing(GAUSSIAN_P3)
     alien = QuotientRing(GAUSSIAN_P5).gen

@@ -340,6 +340,17 @@ def test_coset_encode_examples():
         coset_encode(code, [ring.one], [0, 0])
 
 
+def test_coset_encode_rejects_a_float_offset():
+    code = fixture_code("gaussian-p3-inert")
+    with pytest.raises(TypeError):
+        coset_encode(code, [code.ring.one], [0.7, 1.2, 0, 0])
+
+
+def test_space_time_matrix_rejects_a_float_entry():
+    with pytest.raises(TypeError):
+        SpaceTimeMatrix(NaturalOrder(QUATERNION), [[(1.5, 0), (0, 0)], [(0, 0), (1, 0)]])
+
+
 def test_coset_decode_examples():
     code = fixture_code("gaussian-p3-inert")
     ring = code.ring
