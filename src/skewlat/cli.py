@@ -326,11 +326,13 @@ _HANDLERS = {
 }
 
 
-def _int_at_least(low):
+def _int_in_range(low, high=None):
     def integer(raw):
         value = int(raw)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return integer
@@ -351,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("divisors", "list monic right divisors of x^n - u")
-    p.add_argument("--degree", type=_int_at_least(0), required=True)
+    p.add_argument("--degree", type=_int_in_range(0), required=True)
     p.add_argument("--bound", type=int, help="enumeration bound override")
     add("code", "build the code of the configured generator")
     add("dual", "dual generator and self-duality of the configured code")
@@ -363,8 +365,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "minimum |norm det| over nonzero lattice differences in the doubled box, "
         "exhaustive or sampled",
     )
-    p.add_argument("--coeff-bound", type=_int_at_least(1), default=1)
-    p.add_argument("--samples", type=_int_at_least(1), default=2000)
+    p.add_argument("--coeff-bound", type=_int_in_range(1), default=1)
+    p.add_argument("--samples", type=_int_in_range(1, ENUMERATION_BOUND), default=2000)
     p.add_argument("--bound", type=int, help="enumeration bound override")
     p.add_argument("--seed", type=int, help="random seed override")
     p = add("coset-encode", "encode (message, offset) to a lattice point")

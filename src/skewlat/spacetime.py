@@ -15,9 +15,11 @@ algebra the determinant of M(a) - M(a') never vanishes for a != a'.  Since
 M is additive, M(a) - M(a') = M(a - a') is linear in the lattice
 coordinates of the difference, so nrd of a difference is an integer form of
 degree n in them.  The probe builds that form once per call
-(reduced_norm_form), checks it rational once, evaluates it at each nonzero
-difference once up to sign, and re-checks the minimizing difference with
-matrix_rep and norm_det.  The probe is a sample, never a certificate.
+(reduced_norm_form), checks it rational once, compiles it once into a
+nested integer function, evaluates it at each nonzero difference once up to
+sign (or at differences of sampled box points), and re-checks the
+minimizing difference with matrix_rep and norm_det.  The probe is a sample,
+never a certificate.
 Matrix entries, cofactor terms and lattice points all add through
 lattice.vector_sum.
 
@@ -189,12 +191,35 @@ def exhaustive_sweep(
 
 
 def _sampled_differences(rng, coeff_bound, N):
-    """Endless z1 - z2 for random distinct box points z1, z2."""
+    """Endless z1 - z2 for random distinct box points z1, z2, z1 drawn first.
+
+    rng.randint(-b, b) is -b + rng.randrange(2b + 1), the same call on the
+    same stream, and the common shift -b cancels in z1 - z2 and in z1 != z2,
+    so the points are drawn shifted into [0, 2b] and the differences are
+    those of randint-drawn pairs.
+    """
+    draw = rng.randrange
+    widths = (2 * coeff_bound + 1,) * N
     while True:
-        z1 = tuple(rng.randint(-coeff_bound, coeff_bound) for _ in range(N))
-        z2 = tuple(rng.randint(-coeff_bound, coeff_bound) for _ in range(N))
+        z1 = tuple(map(draw, widths))
+        z2 = tuple(map(draw, widths))
         if z1 != z2:
-            yield vector_sum((z1, [-v for v in z2]), N)
+            yield tuple(map(operator.sub, z1, z2))
+
+
+def _horner_source(form):
+    """Python source of a form, given as {sorted variable indices: int}.
+
+    Monomials are grouped by their leading variable, recursively, so the
+    source reads sum_i d_i * (sum_{j >= i} d_j * (...)): nesting is as deep
+    as the degree and each + chain has at most one term per variable.
+    """
+    if () in form:
+        return repr(form[()])
+    groups = {}
+    for mono, coeff in form.items():
+        groups.setdefault(mono[0], {})[mono[1:]] = coeff
+    return "+".join(f"d{i}*({_horner_source(groups[i])})" for i in sorted(groups))
 
 
 def reduced_norm_form(order: NaturalOrder, columns):
@@ -207,7 +232,11 @@ def reduced_norm_form(order: NaturalOrder, columns):
     for n = 3).  The form is expanded once, by the cofactor recursion of
     SpaceTimeMatrix.det over IntegralArithmetic.mul, and checked rational
     once: InvalidSpec if any coefficient has a nonzero non-constant
-    coordinate.  Evaluating it costs n multiplications per monomial.
+    coordinate.  Its monomials are then grouped Horner-style by leading
+    variable, F(d) = sum_i d_i * (sum_{j >= i} d_j * (...)), and compiled
+    once into a Python function of d over locals d0 ... d{N-1} and integer
+    literals, which shares each partial product among the monomials that
+    extend it.
     """
     core = integral_arithmetic(order.min_poly, order.spec.sigma_image)
     n = order.n
@@ -238,17 +267,12 @@ def reduced_norm_form(order: NaturalOrder, columns):
     form = _cofactor_det(rows, bool, mul, signed_sum)
     if any(any(rest) for _, *rest in form.values()):
         raise InvalidSpec("the reduced norm form has a nonzero non-constant coordinate")
-    terms = [(vec[0], mono) for mono, vec in form.items() if vec[0]]
-
-    def evaluate(d):
-        total = 0
-        for c, mono in terms:
-            for i in mono:
-                c *= d[i]
-            total += c
-        return total
-
-    return evaluate
+    terms = {mono: vec[0] for mono, vec in form.items() if vec[0]}
+    names = "".join(f"d{i}, " for i in range(len(columns)))
+    source = f"def form(d):\n    {names}= d\n    return {_horner_source(terms) or 0}\n"
+    namespace = {}
+    exec(compile(source, "<reduced norm form>", "exec"), namespace)
+    return namespace["form"]
 
 
 def min_det_sample(
@@ -265,8 +289,8 @@ def min_det_sample(
     Points have coordinates in [-coeff_bound, coeff_bound] in the code's
     lattice basis.  M(a) - M(a') = M(a - a') and |norm det| = |nrd|^n, so
     each difference d of basis coordinates costs one evaluation of the
-    integer form reduced_norm_form, built and checked rational once per
-    call.  When those differences, each weighted by n!/2, fit in
+    integer form reduced_norm_form, built, checked rational and compiled once
+    per call.  When those differences, each weighted by n!/2, fit in
     enumeration_bound (exhaustive_sweep) every nonzero difference in the
     doubled box is visited once up to sign, otherwise `samples` differences
     of random distinct box points are drawn from a generator seeded with

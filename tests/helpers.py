@@ -32,6 +32,17 @@ CUBIC = AlgebraSpec(
     conjugation_mode="identity",
 )
 
+# The totally real cyclic quartic field Q(zeta_16)^+ of 2*cos(pi/8): minimal
+# polynomial y^4 - 4y^2 + 2, Galois group generated by y -> y^3 - 3y, with
+# e^4 = 3 over p = 5.  Its rings warn that degree-4 irreducibility is trusted.
+QUARTIC = AlgebraSpec(
+    min_poly=(2, 0, -4, 0, 1),
+    sigma_image=(0, -3, 0, 1),
+    u=3,
+    p=5,
+    conjugation_mode="identity",
+)
+
 # Cyclic cubic fields whose Galois group is generated by y -> y^2 - 2: the
 # fields of 2*cos(2*pi/7) and of 2*cos(2*pi/9).
 CYCLIC_CUBICS = ((-1, -2, 1, 1), (1, -3, 0, 1))

@@ -264,6 +264,7 @@ def test_usage_errors_exit_two(capsys, cfg_path):
         ("mindet", "--coeff-bound", "0"),
         ("mindet", "--coeff-bound", "-1"),
         ("mindet", "--samples", "0"),
+        ("mindet", "--samples", "1000001"),
         ("divisors", "--degree", "-1"),
         # Flags a command does not read: only divisors and mindet take
         # --bound, only mindet takes --seed, verify-examples takes no config.

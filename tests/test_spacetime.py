@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import sqrt
 
 import pytest
@@ -25,7 +25,7 @@ from skewlat.errors import InvalidSpec, LengthMismatch, NotInLattice, TooLarge
 from skewlat.fixtures import FIXTURE_NAMES, FIXTURE_SPECS, GAUSSIAN_P3_U1, fixture_code
 from skewlat.number_ring import QuotientRing
 
-from helpers import CUBIC, random_message, random_order_element, valid_specs
+from helpers import CUBIC, QUARTIC, quiet_ring, random_message, random_order_element, valid_specs
 
 QUATERNION = FIXTURE_SPECS["gaussian-p3-inert"]
 
@@ -38,6 +38,14 @@ def cubic_code():
     """The cubic code generated by x + 2a^2, a right divisor of x^3 - 2."""
     ring = QuotientRing(CUBIC)
     return ConstacyclicCode.from_generator(SkewPoly(ring, [ring.element([0, 0, 2]), ring.one]))
+
+
+def quartic_code():
+    """The quartic code generated by x + a^3, a right divisor of x^4 - 3."""
+    ring = quiet_ring(QUARTIC)
+    return ConstacyclicCode.from_generator(
+        SkewPoly(ring, [ring.element([0, 0, 0, 1]), ring.one])
+    )
 
 
 def pairwise_min_det(code, coeff_bound, *, seed=0, samples=None):
@@ -243,14 +251,29 @@ def test_exhaustive_sweep_bounds_the_differences_it_evaluates():
 
 @pytest.mark.parametrize(
     "build, coeff_bound",
-    [(lambda: fixture_code("gaussian-p3-inert"), 2), (cubic_code, 1)],
-    ids=["gaussian-p3-box2", "cubic-box1"],
+    [(lambda: fixture_code("gaussian-p3-inert"), 2), (cubic_code, 1), (quartic_code, 1)],
+    ids=["gaussian-p3-box2", "cubic-box1", "quartic-box1"],
 )
 def test_min_det_sampled_differences_match_sampled_pairs(build, coeff_bound):
     code = build()
     for seed in range(10):
         got = min_det_sample(code, coeff_bound, seed=seed, samples=30, exhaustive=False)
         assert got == pairwise_min_det(code, coeff_bound, seed=seed, samples=30)
+
+
+@pytest.mark.parametrize("coeff_bound", [1, 2, 3])
+@pytest.mark.parametrize("N", [4, 9])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_sampled_differences_are_those_of_randint_pairs(seed, coeff_bound, N):
+    rng = random.Random(seed)
+    expected = []
+    while len(expected) < 500:
+        z1 = [rng.randint(-coeff_bound, coeff_bound) for _ in range(N)]
+        z2 = [rng.randint(-coeff_bound, coeff_bound) for _ in range(N)]
+        if z1 != z2:
+            expected.append(tuple(a - b for a, b in zip(z1, z2)))
+    got = spacetime._sampled_differences(random.Random(seed), coeff_bound, N)
+    assert list(islice(got, 500)) == expected
 
 
 def _small_codes(spec):
@@ -262,23 +285,31 @@ def _small_codes(spec):
             yield ConstacyclicCode.from_generator(g)
 
 
+def assert_form_is_the_determinant(code, rng, trials):
+    order = NaturalOrder(code.ring.spec)
+    cols = list(zip(*construction_a_basis(code).basis))
+    N = len(cols)
+    nrd = spacetime.reduced_norm_form(order, cols)
+    for _ in range(trials):
+        d = [rng.randint(-3, 3) for _ in range(N)]
+        point = order.from_flat([sum(z * col[i] for z, col in zip(d, cols)) for i in range(N)])
+        m = matrix_rep(point)
+        det = m.det()
+        assert not any(det[1:])
+        assert nrd(d) == det[0]
+        assert m.norm_det() == right_multiplication_det(point) == det[0] ** order.n
+
+
 @settings(max_examples=12, deadline=None)
 @given(spec=valid_specs(), seed=st.integers(0, 2**16))
 def test_reduced_norm_form_is_the_determinant(spec, seed):
-    order = NaturalOrder(spec)
     rng = random.Random(seed)
     for code in _small_codes(spec):
-        cols = list(zip(*construction_a_basis(code).basis))
-        N = len(cols)
-        nrd = spacetime.reduced_norm_form(order, cols)
-        for _ in range(8):
-            d = [rng.randint(-3, 3) for _ in range(N)]
-            point = order.from_flat([sum(z * col[i] for z, col in zip(d, cols)) for i in range(N)])
-            m = matrix_rep(point)
-            det = m.det()
-            assert not any(det[1:])
-            assert nrd(d) == det[0]
-            assert m.norm_det() == right_multiplication_det(point) == det[0] ** order.n
+        assert_form_is_the_determinant(code, rng, 8)
+
+
+def test_reduced_norm_form_is_the_determinant_on_a_quartic():
+    assert_form_is_the_determinant(quartic_code(), random.Random(4), 20)
 
 
 @settings(max_examples=8, deadline=None)
