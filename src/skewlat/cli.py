@@ -106,6 +106,8 @@ def parse_config(text: str) -> Config:
                 values[key] = int(raw)
             except ValueError:
                 raise ParseError(f"line {lineno}: {key} must be an integer") from None
+            if key == "bound" and values[key] < 0:
+                raise ParseError(f"line {lineno}: bound must be at least 0, got {values[key]}")
         elif key in _LIST_KEYS:
             values[key] = _parse_int_list(raw, lineno)
         elif key in _NESTED_KEYS:
@@ -354,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("divisors", "list monic right divisors of x^n - u")
     p.add_argument("--degree", type=_int_in_range(0), required=True)
-    p.add_argument("--bound", type=int, help="enumeration bound override")
+    p.add_argument("--bound", type=_int_in_range(0), help="enumeration bound override")
     add("code", "build the code of the configured generator")
     add("dual", "dual generator and self-duality of the configured code")
     p = add("lattice", "Construction A basis, Gram matrix, determinant, index")
@@ -367,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--coeff-bound", type=_int_in_range(1), default=1)
     p.add_argument("--samples", type=_int_in_range(1, ENUMERATION_BOUND), default=2000)
-    p.add_argument("--bound", type=int, help="enumeration bound override")
+    p.add_argument("--bound", type=_int_in_range(0), help="enumeration bound override")
     p.add_argument("--seed", type=int, help="random seed override")
     p = add("coset-encode", "encode (message, offset) to a lattice point")
     p.add_argument("--msg", required=True, help="message symbols, e.g. [[1,0]]")

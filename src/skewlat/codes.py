@@ -9,18 +9,32 @@ codeword exactly when its polynomial kills h on the right.  Codewords are
 plain tuples of RingElement of length n.
 
 Everything here is exact.  As an additive group a code is spanned by the
-k*m codewords theta^j x^i g (m = [K:Q], theta the ring generator), and the
-Euclidean scalar product is F_p-bilinear, so products of those generators
-decide duality for every u: is_orthogonal_to tests C inside D^perp, and
-is_self_dual adds 2k = n.  brute_force_dual finds the dual itself as the
-F_p-nullspace of the same products; it never uses dual_generator(), which
-makes it the check of the algebraic dual, and its work grows with the size
-of the dual, not with |R|^n.  Only dual_generator and dual_code need u*u = 1.
+k*m codewords theta^j x^i g (m = [K:Q], theta the ring generator); they are
+F_p-independent, since b*g = 0 with g monic forces b = 0.
+
+encode and is_codeword use two F_p matrices, built from those generators on
+the first call to either and never in the constructor, so building a code
+costs nothing extra.  G has the k*m generators' flat coefficient vectors as
+rows (i outer, j inner: the order of the message coordinates) and n*m
+columns; H is its nullspace ker G.  Encoding b is the combination of the rows
+of G with b's coordinates, which equals b*g because deg(b*g) < n.  v is a
+codeword exactly when H*v = 0, because over F_p the row space of G is
+(ker G)^perp.
+
+The Euclidean scalar product is F_p-bilinear, so products of the same
+generators decide duality for every u: is_orthogonal_to tests C inside
+D^perp, and is_self_dual adds 2k = n.  brute_force_dual finds the dual itself
+as the F_p-nullspace of the same products; it never uses dual_generator(),
+which makes it the check of the algebraic dual, and its work grows with the
+size of the dual, not with |R|^n.  Only dual_generator and dual_code need
+u*u = 1.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
+from operator import mul
 
 from .errors import LengthMismatch, NonUnitLeading, NotADivisor, NotInvertible, TooLarge, UnsupportedU
 from .number_ring import ENUMERATION_BOUND, QuotientRing, nullspace_mod_p
@@ -77,17 +91,44 @@ class ConstacyclicCode:
 
     # -- core operations -------------------------------------------------
 
+    @cached_property
+    def _check_matrices(self):
+        """(columns of G, rows of H), built on the first encode or
+        is_codeword.  The pair depends only on g, so it is the same whichever
+        thread builds it, and no field of the code is reassigned."""
+        rows = [[v for c in word for v in c.coeffs] for word in self.additive_generators()]
+        width = self.n * self.ring.n
+        columns = [[row[col] for row in rows] for col in range(width)]
+        return columns, nullspace_mod_p(rows, width, self.ring.p)
+
     def encode(self, msg):
-        """Codeword of the message polynomial b(x): coefficients of b*g."""
+        """Codeword of the message polynomial b(x): the coefficients of b*g.
+
+        Computed as sum_{i,j} b_i[j] G[i*m + j] mod p, which is exact:
+        b_i x^i g = sum_j b_i[j] theta^j x^i g, and deg(b*g) < n, so b*g
+        needs no reduction modulo x^n - u.
+        """
         if len(msg) != self.k:
             raise LengthMismatch(f"expected {self.k} message symbols, got {len(msg)}")
-        b = SkewPoly(self.ring, msg)
-        return self.to_codeword(b * self.g)
+        coerce, p = self.ring.coerce, self.ring.p
+        flat = [v for symbol in msg for v in coerce(symbol).coeffs]
+        return self._from_flat([sum(map(mul, flat, col)) % p for col in self._check_matrices[0]])
 
     def is_codeword(self, v) -> bool:
-        """Parity test: a(x)*h(x) = 0 modulo x^n - u."""
-        a = self.to_poly(v)
-        return (a * self.h).mod_central(self.n, self.u).is_zero
+        """Parity test a(x)*h(x) = 0 modulo x^n - u, decided as H*v = 0 mod p
+        on the flat coefficients of v.  Exact because the code is the row
+        space of G, and over F_p that row space is (ker G)^perp = H^perp."""
+        if len(v) != self.n:
+            raise LengthMismatch(f"expected length {self.n}, got {len(v)}")
+        coerce, p = self.ring.coerce, self.ring.p
+        flat = [x for c in v for x in coerce(c).coeffs]
+        return not any(sum(map(mul, row, flat)) % p for row in self._check_matrices[1])
+
+    def _from_flat(self, flat):
+        """The vector of n ring elements whose coefficients, entries in [0, p),
+        run component by component through flat."""
+        m, make = self.ring.n, self.ring._make
+        return tuple(make(tuple(flat[i * m : (i + 1) * m])) for i in range(self.n))
 
     def shift(self, v):
         """The twisted shift x*v(x) mod x^n - u, that is
@@ -220,6 +261,4 @@ def brute_force_dual(code: ConstacyclicCode, bound=ENUMERATION_BOUND):
             for point in span
             for a in range(p)
         ]
-    return [
-        tuple(ring.element(flat[i * m : (i + 1) * m]) for i in range(n)) for flat in sorted(span)
-    ]
+    return [code._from_flat(flat) for flat in sorted(span)]

@@ -112,6 +112,17 @@ def enumerated_dual(code, bound=ENUMERATION_BOUND):
     ]
 
 
+def skew_encode(code, msg):
+    """Oracle: the codeword of the message polynomial b, the coefficients of
+    the skew product b*g padded to length n (deg(b*g) < n needs no folding)."""
+    return (SkewPoly(code.ring, msg) * code.g).padded_coeffs(code.n)
+
+
+def skew_is_codeword(code, v):
+    """Oracle: whether a(x)*h(x) = 0 modulo x^n - u, a the polynomial of v."""
+    return (SkewPoly(code.ring, v) * code.h).mod_central(code.n, code.u).is_zero
+
+
 def divisor_codes(ring, per_degree=None):
     """Codes of the monic right divisors of every degree 0..n, the first
     per_degree of each (all by default): from g = 1 (dual {0}) to g = x^n - u

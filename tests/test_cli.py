@@ -73,6 +73,12 @@ def test_parse_config_errors_carry_line_numbers():
         parse_config(GAUSSIAN_P3_TEXT + "box = 3\n")
 
 
+def test_negative_config_bound_is_parse_error():
+    with pytest.raises(ParseError, match="line 7: bound must be at least 0, got -1"):
+        parse_config(GAUSSIAN_P3_TEXT + "bound = -1\n")
+    assert parse_config(GAUSSIAN_P3_TEXT + "bound = 0\n").bound == 0
+
+
 def test_error_code_names():
     assert error_code(UnsupportedU("x")) == "UNSUPPORTED_U"
     assert error_code(NotPrime("x")) == "NOT_PRIME"
@@ -281,6 +287,8 @@ def test_usage_errors_exit_two(capsys, cfg_path):
         ("verify-examples", "--config", "nonexistent"),
         ("verify-examples", "--bound", "3"),
         ("verify-examples", "--seed", "3"),
+        ("divisors", "--bound", "-5", "--degree", "1"),
+        ("mindet", "--bound", "-1"),
     ],
 )
 def test_out_of_range_flags_are_usage_errors(capsys, cfg_path, argv):
@@ -376,11 +384,12 @@ def test_verify_examples_fails_under_optimize():
 
 
 def test_bound_flag_overrides_config(capsys, cfg_path):
-    rc, out, err = run(
-        capsys, "divisors", "--config", cfg_path, "--degree", "1", "--bound", "5"
-    )
-    assert rc == 1
-    assert "TOO_LARGE" in err
+    for bound in ("5", "0"):  # 0 is a bound, not a usage error
+        rc, out, err = run(
+            capsys, "divisors", "--config", cfg_path, "--degree", "1", "--bound", bound
+        )
+        assert rc == 1
+        assert "TOO_LARGE" in err
 
 
 def test_load_config_matches_parse(cfg_path):

@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -25,6 +26,8 @@ from helpers import (
     enumerated_self_duality,
     random_element,
     random_message,
+    skew_encode,
+    skew_is_codeword,
     valid_specs,
 )
 
@@ -106,13 +109,43 @@ def test_is_codeword_examples(p3_code):
 
 
 def test_membership_agrees_with_enumeration(code):
-    from itertools import product
-
     ring = code.ring
     words = set(code.codewords())
     assert len(words) == ring.size**code.k
     for v in product(list(ring.elements()), repeat=code.n):
         assert code.is_codeword(v) == (v in words)
+
+
+# The oracles multiply skew polynomials; encode and is_codeword use the F_p
+# matrices G and H = ker G instead.  divisor_codes starts at g = 1 (k = n).
+@settings(max_examples=15, deadline=None)
+@given(spec=valid_specs(), seed=st.integers(0, 2**32 - 1))
+@example(spec=replace(CUBIC, p=7, u=3), seed=0)
+def test_encode_and_membership_match_the_skew_products(spec, seed):
+    ring = QuotientRing(spec)
+    rng = random.Random(seed)
+    for code in divisor_codes(ring, per_degree=2):
+        for _ in range(4):
+            msg = random_message(code, rng)
+            word = code.encode(msg)
+            assert word == skew_encode(code, msg)
+            assert code.is_codeword(word) and skew_is_codeword(code, word)
+            noise = tuple(random_element(ring, rng) for _ in range(code.n))
+            while not any(noise):
+                noise = tuple(random_element(ring, rng) for _ in range(code.n))
+            moved = tuple(c + e for c, e in zip(word, noise))
+            assert code.is_codeword(moved) == skew_is_codeword(code, moved)
+
+
+@settings(max_examples=10, deadline=None)
+@given(spec=valid_specs())
+def test_codewords_list_the_skew_products_in_message_order(spec):
+    ring = QuotientRing(spec)
+    for code in divisor_codes(ring, per_degree=1):
+        if ring.size**code.k > 2000:
+            continue
+        messages = product(list(ring.elements()), repeat=code.k)
+        assert list(code.codewords()) == [skew_encode(code, msg) for msg in messages]
 
 
 def test_shift_examples(p3_code):
@@ -183,8 +216,6 @@ def test_brute_force_dual_values(p3_code):
     a = ring.gen
     assert set(brute_force_dual(p3_code)) == {(t, -(a + 1) * t) for t in ring.elements()}
     zero = ConstacyclicCode.from_generator(central_poly(ring, 2, -1))
-    from itertools import product
-
     assert set(brute_force_dual(zero)) == set(product(list(ring.elements()), repeat=2))
 
 
