@@ -221,8 +221,13 @@ def lift_codeword(order: NaturalOrder, codeword) -> OrderElement:
 
 def reduce_element(a: OrderElement, ring: QuotientRing):
     """Coordinatewise reduction modulo p; inverse of lift_codeword on
-    canonical representatives."""
-    return tuple(ring.element(row) for row in a.rows)
+    canonical representatives.  Raises ValueError for an element of an order
+    of another spec than the ring's."""
+    spec = a.order.spec
+    if spec is not ring.spec and spec != ring.spec:
+        raise ValueError("elements belong to different orders")
+    p = ring.p
+    return tuple(ring._make(tuple(v % p for v in row)) for row in a.rows)
 
 
 # -- exact integer linear algebra ----------------------------------------

@@ -9,9 +9,11 @@ equality, hashing and enumeration order deterministic.
 
 The arithmetic itself lives in one place, IntegralArithmetic: multiplication,
 sigma and the field norm N(a) = a*sigma(a)...sigma^(n-1)(a) in O_K = Z[y]/(m)
-over the integers, built once per (min_poly, sigma_image).  QuotientRing
-reduces its results modulo p, so inverses are norm cofactors divided by the
-norm; lattice.NaturalOrder uses the same instance and keeps them over Z.
+over the integers, built once per (min_poly, sigma_image).  The norm is
+compiled lazily, on its first call, into one straight-line integer function
+with O(n^3) terms, cached on the core.  QuotientRing reduces its results
+modulo p, so inverses are norm cofactors divided by the norm;
+lattice.NaturalOrder uses the same instance and keeps them over Z.
 AlgebraSpec is the one check of a spec's fields, and IntegralArithmetic of
 m and sigma, so no consumer of a spec validates it again.
 
@@ -25,7 +27,9 @@ exposes that structure together with the projections onto the local factors.
 The factor search divides by monic candidates over Z and then reduces modulo
 p; that is exact because reduction commutes with division by a monic divisor.
 
-All values are immutable after construction and safe to share across threads.
+All values are immutable after construction and safe to share across threads;
+the norm a core compiles on first use is a pure function of the core, so a
+second thread that compiles it too gets an equal one.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 import operator
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, isqrt
 
@@ -196,10 +200,12 @@ class IntegralArithmetic:
     Owns the folding row y^n mod m, the tables of sigma^k on the powers y^j
     and the power sums Tr(y^j).  Results are integer lists reduced modulo
     m only: QuotientRing reduces them modulo p, NaturalOrder keeps them over Z.
-    norm_cofactor is the one norm rule of the library.  After AlgebraSpec's
-    field checks it raises NotIrreducible for a reducible m of degree at most
-    3 (above that irreducibility is trusted, and QuotientRing warns), then
-    InvalidSigma unless s(y) induces a ring map of O_K of order exactly n.
+    norm_cofactor is the one norm rule of the library, compiled once per
+    core on its first call into straight-line code with O(n^3) terms, so
+    building a core compiles nothing.  After AlgebraSpec's field checks it
+    raises NotIrreducible for a reducible m of degree at most 3 (above that
+    irreducibility is trusted, and QuotientRing warns), then InvalidSigma
+    unless s(y) induces a ring map of O_K of order exactly n.
     """
 
     def __init__(self, min_poly, sigma_image):
@@ -289,15 +295,58 @@ class IntegralArithmetic:
         sigma has order n on O_K, so when m is irreducible it generates the
         Galois group of K = Q[y]/(m) and N is the field norm, an integer.  A
         product with a nonzero non-constant coordinate, which only a
-        reducible m allows, raises InvalidSpec.
+        reducible m allows, raises InvalidSpec.  vec has length n; the
+        arithmetic runs in _norm_program, compiled on the first call.
         """
-        cofactor = self.sigma(vec)
-        for k in range(2, self.n):
-            cofactor = self.mul(cofactor, self.sigma(vec, k))
-        norm, *rest = self.mul(vec, cofactor)
-        if any(rest):
+        prod, cofactor = self._norm_program(vec)
+        if any(prod[1:]):
             raise InvalidSpec("a*sigma(a)...sigma^(n-1)(a) is not rational: min_poly is reducible")
-        return norm, cofactor
+        return prod[0], cofactor
+
+    @cached_property
+    def _norm_program(self):
+        """vec -> (vec*c, c) as tuples, c = sigma(vec)...sigma^(n-1)(vec).
+
+        Straight-line integer code over locals a0 ... a{n-1}, with O(n^3)
+        terms: each sigma^k(vec) is n linear forms in the a_j whose sigma
+        table entries are integer literals, each of the n - 1 products is an
+        unrolled convolution, and its coordinates above n - 1 are folded from
+        the top down by y^n = -m_0 - ... - m_(n-1) y^(n-1), inlined.  Zero
+        table entries and fold coefficients are dropped.
+        """
+        n = self.n
+        names = [f"a{j}" for j in range(n)]
+        lines = [f"    {', '.join(names)}, = v"]
+
+        def assign(name, terms):
+            parts = [t if c == 1 else f"-{t}" if c == -1 else f"{c}*{t}" for c, t in terms if c]
+            lines.append(f"    {name} = {'+'.join(parts).replace('+-', '-') or 0}")
+            return name
+
+        def mul(x, y, out):
+            conv = [[] for _ in range(2 * n - 1)]
+            for i, xi in enumerate(x):
+                for j, yj in enumerate(y):
+                    conv[i + j].append((1, f"{xi}*{yj}"))
+            for t in range(2 * n - 2, -1, -1):
+                # y^n = sum_j _yn[j] y^j sends coordinate h >= n to h - n + j.
+                highs = range(max(t + 1, n), min(t + n + 1, 2 * n - 1))
+                assign(f"{out}_{t}", conv[t] + [(self._yn[t - h + n], f"{out}_{h}") for h in highs])
+            return [f"{out}_{t}" for t in range(n)]
+
+        images = [
+            [assign(f"s{k}_{i}", [(table[j][i], a) for j, a in enumerate(names)]) for i in range(n)]
+            for k, table in enumerate(self._sigma_tables, 1)
+        ]
+        cofactor = images[0]
+        for k, image in enumerate(images[1:], 2):
+            cofactor = mul(cofactor, image, f"c{k}")
+        prod = mul(names, cofactor, "r")
+        lines.append(f"    return ({', '.join(prod)},), ({', '.join(cofactor)},)")
+        namespace = {}
+        source = "def norm(v):\n" + "\n".join(lines) + "\n"
+        exec(compile(source, "<norm cofactor>", "exec"), namespace)
+        return namespace["norm"]
 
 
 @lru_cache(maxsize=None)

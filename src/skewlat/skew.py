@@ -28,7 +28,7 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import DivisionByZero, NonUnitLeading, NotADivisor, NotInvertible, TooLarge
-from .number_ring import ENUMERATION_BOUND, QuotientRing, RingElement
+from .number_ring import ENUMERATION_BOUND, QuotientRing, RingElement, integral_arithmetic
 
 NEG_INF = float("-inf")
 
@@ -275,7 +275,9 @@ def monic_right_divisors(ring: QuotientRing, n: int, u, degree: int, bound=ENUME
       where N_n(a) = sigma^(n-1)(a)...sigma(a)*a is the remainder of x^n on
       right division by x - a (Lam-Leroy evaluation).  As sigma^(ring.n) = id,
       N_n(c) = N(c)^(n / ring.n) with N the field norm, so each of the p^n
-      elements c costs one QuotientRing.norm.
+      elements c, scanned as a raw coefficient tuple, costs one call of the
+      core's compiled norm_cofactor; ring elements and polynomials are built
+      only for the roots.
     - d > n - d, by cofactors: x^n - u is central and a monic polynomial is
       not a zero divisor, so h*g = x^n - u exactly when g*h = x^n - u.  The
       divisors of degree d are the quotients (x^n - u)/g over the divisors g
@@ -313,14 +315,21 @@ def _low_degree_divisors(central: SkewPoly, degree: int, bound):
         return [SkewPoly.one(ring)]
     if degree == 1:
         # N_n(-c) = (-1)^n N_n(c), so x + c divides when N_n(c) = (-1)^n u;
-        # sigma^(ring.n) = id makes N_n(c) = N(c)^(n / ring.n).
+        # sigma^(ring.n) = id makes N_n(c) = N(c)^(n / ring.n).  N(c) mod p
+        # is an integer residue, so a target with a nonzero higher coordinate
+        # has no root.
+        if ring.size > bound:
+            raise TooLarge(f"{ring.size} elements exceeds bound {bound}")
         u = -central.coeffs[0]
-        target = u if n % 2 == 0 else -u
-        power = n // ring.n
+        target, *higher = (u if n % 2 == 0 else -u).coeffs
+        if any(higher):
+            return []
+        power, p = n // ring.n, ring.p
+        norm = integral_arithmetic(ring.spec.min_poly, ring.spec.sigma_image).norm_cofactor
         return [
-            SkewPoly(ring, (c, 1))
-            for c in ring.elements(bound)
-            if ring.from_int(pow(ring.norm(c), power, ring.p)) == target
+            SkewPoly(ring, (ring._make(c), ring.one))
+            for c in product(range(p), repeat=ring.n)
+            if pow(norm(c)[0], power, p) == target
         ]
     if ring.size**degree > bound:
         raise TooLarge(f"{ring.size}^{degree} candidates exceeds bound {bound}")

@@ -20,7 +20,7 @@ from skewlat import (
     lattice_contains,
     monic_right_divisors,
 )
-from skewlat.errors import TooLarge
+from skewlat.errors import InvalidSpec, TooLarge
 
 # The cyclic cubic field of 2*cos(2*pi/7): minimal polynomial y^3 + y^2 - 2y - 1,
 # Galois group generated by y -> y^2 - 2, with e^3 = 2 over p = 5.
@@ -95,6 +95,19 @@ def brute_force_right_divisors(ring, n, u, degree, bound=ENUMERATION_BOUND):
         if central.right_divmod(g)[1].is_zero:
             out.append(g)
     return out
+
+
+def table_norm_cofactor(core, vec):
+    """Oracle: IntegralArithmetic.norm_cofactor through the core's sigma
+    tables and folded products, sigma(vec) times each sigma^k(vec) in turn,
+    then times vec."""
+    cofactor = core.sigma(vec)
+    for k in range(2, core.n):
+        cofactor = core.mul(cofactor, core.sigma(vec, k))
+    norm, *rest = core.mul(vec, cofactor)
+    if any(rest):
+        raise InvalidSpec("a*sigma(a)...sigma^(n-1)(a) is not rational: min_poly is reducible")
+    return norm, tuple(cofactor)
 
 
 def enumerated_dual(code, bound=ENUMERATION_BOUND):

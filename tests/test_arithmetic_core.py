@@ -8,13 +8,17 @@ specs from helpers.valid_specs.
 """
 
 import random
+from functools import partial
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from skewlat import AlgebraSpec, NaturalOrder, QuotientRing, det_int, intpoly
+from skewlat.errors import InvalidSpec
+from skewlat.number_ring import integral_arithmetic
 
-from helpers import valid_specs
+from helpers import CUBIC, QUARTIC, table_norm_cofactor, valid_specs
 
 # (min_poly, sigma_image, conjugation_mode)
 FIELDS = {
@@ -130,6 +134,50 @@ def test_norm_is_det_of_multiplication_matrix(field, p, kind, spec):
             cols = [order.ok_mul(a, e) for e in basis]
             assert order.ok_norm(a) == det_int([list(row) for row in zip(*cols)])
             assert order.ok_norm(order.ok_mul(a, b)) == order.ok_norm(a) * order.ok_norm(b)
+
+
+def assert_norm_matches_table_oracle(spec, seed):
+    """The compiled norm_cofactor equals the table oracle on every element
+    of R, as representatives in [0, p), and on random vectors over Z."""
+    core = integral_arithmetic(spec.min_poly, spec.sigma_image)
+    rng = random.Random(seed)
+    wide = [tuple(rng.randint(-(10**6), 10**6) for _ in range(core.n)) for _ in range(200)]
+    for vec in [*product(range(spec.p), repeat=core.n), *wide]:
+        assert core.norm_cofactor(vec) == table_norm_cofactor(core, vec), vec
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=valid_specs(), seed=st.integers(0, 2**32))
+def test_compiled_norm_matches_the_table_oracle(spec, seed):
+    assert_norm_matches_table_oracle(spec, seed)
+
+
+@pytest.mark.parametrize("spec", [CUBIC, QUARTIC], ids=["cubic", "quartic"])
+def test_compiled_norm_matches_the_table_oracle_on_the_fixtures(spec):
+    assert_norm_matches_table_oracle(spec, seed=spec.n)
+
+
+def test_reducible_min_poly_norms_above_degree_three():
+    # Irreducibility is trusted above degree 3.  y^2 (y - 1)^2 with this s
+    # swaps its two local factors with order 4; such a sigma fixes only Q, so
+    # every norm is rational and InvalidSpec cannot be reached on a quartic.
+    quartic = integral_arithmetic((0, 0, 1, -2, 1), (1, -1, -2, 2))
+    for vec in product(range(-3, 4), repeat=4):
+        assert quartic.norm_cofactor(vec) == table_norm_cofactor(quartic, vec)
+    # y (y^2 - 2y - 1)(y^3 + y^2 - 2y - 1) with s acting on Q, Q(sqrt 2) and
+    # the cubic field by their Galois groups: sigma has order lcm(2, 3) = 6
+    # and fixes Q^3, so the norm of y is not rational.
+    spec = AlgebraSpec(
+        (0, 1, 4, 2, -5, -1, 1), (0, -115, -190, 215, 70, -49), u=1, p=5,
+        conjugation_mode="identity",
+    )
+    sextic = integral_arithmetic(spec.min_poly, spec.sigma_image)
+    y = (0, 1, 0, 0, 0, 0)
+    oracle = partial(table_norm_cofactor, sextic)
+    for norm in (sextic.norm_cofactor, oracle, NaturalOrder(spec).ok_norm):
+        with pytest.raises(InvalidSpec, match="not rational"):
+            norm(y)
+    assert sextic.norm_cofactor((1, 0, 0, 0, 0, 0)) == (1, (1, 0, 0, 0, 0, 0))
 
 
 @pytest.mark.parametrize("field,p,kind", CASES, ids=IDS)

@@ -136,6 +136,18 @@ def test_element_of_another_order_is_rejected():
             call()
 
 
+def test_reduce_element_rejects_a_point_of_another_order():
+    # Same m and sigma but p = 5: reducing it modulo 3 would answer silently.
+    ring = fixture_ring("gaussian-p3-inert")
+    rows = [[4, 1], [1, 0]]
+    alien = NaturalOrder(replace(ring.spec, p=5)).element(rows)
+    with pytest.raises(ValueError, match="^elements belong to different orders$"):
+        reduce_element(alien, ring)
+    # An equal spec built separately names the same order.
+    same = NaturalOrder(replace(ring.spec)).element(rows)
+    assert reduce_element(same, ring) == (ring.element((1, 1)), ring.one)
+
+
 # -- hnf ------------------------------------------------------------------
 
 

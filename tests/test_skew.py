@@ -237,6 +237,18 @@ def test_monic_right_divisors_edge_degrees(p3):
         monic_right_divisors(p3, 2, -1, 1, bound=5)
 
 
+def test_root_scan_checks_its_bound_first_and_needs_an_integer_target(p3):
+    # sigma fixes all of Z[i]/(2), so x^2 - a is central; every norm is an
+    # integer residue, so no x + c divides it.
+    p2 = QuotientRing(GAUSSIAN_P2)
+    a = p2.gen
+    assert monic_right_divisors(p2, 2, a, 1) == brute_force_right_divisors(p2, 2, a, 1) == []
+    for ring, u in ((p3, -1), (p2, a)):
+        bound = ring.size - 1
+        with pytest.raises(TooLarge, match=f"^{ring.size} elements exceeds bound {bound}$"):
+            monic_right_divisors(ring, 2, u, 1, bound=bound)
+
+
 # Above this many candidates the brute-force oracle takes seconds.
 ORACLE_BUDGET = 5_000
 
