@@ -8,7 +8,8 @@ Optional: conjugation_mode, generator, bound, seed, e_weight.
 Commands: divisors, code, dual, lattice, stmatrix, mindet, coset-encode,
 coset-decode, verify-examples.  Results go to stdout (plain tables by
 default, machine-readable with --json), diagnostics to stderr.  Exit codes:
-0 success, 1 domain error (with a stable error code), 2 usage error.
+0 success, 1 domain error (with a stable error code) or a closed stdout
+(without a traceback), 2 usage error.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -401,12 +403,20 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error[IO]: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        payload = dict(payload)
-        payload.pop("pretty", None)
-        print(json.dumps(payload))
-    else:
-        _print_human(args.command, payload)
+    try:
+        if args.json:
+            payload = dict(payload)
+            payload.pop("pretty", None)
+            print(json.dumps(payload))
+        else:
+            _print_human(args.command, payload)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone: send what is still buffered to devnull, so the
+        # flush at exit cannot raise again, and fail without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     if args.command == "verify-examples" and not payload["passed"]:
         return 1
     return 0

@@ -12,14 +12,16 @@ a rational integer and norm_det is nrd ** n.
 
 min_det_sample probes the space-time design criterion: over a division
 algebra the determinant of M(a) - M(a') never vanishes for a != a'.  Since
-M is additive, M(a) - M(a') = M(a - a') is linear in the lattice
-coordinates of the difference, so nrd of a difference is an integer form of
-degree n in them.  The probe builds that form once per call
-(reduced_norm_form), checks it rational once, compiles it once into a
-nested integer function, evaluates it at each nonzero difference once up to
-sign (or at differences of sampled box points), and re-checks the
-minimizing difference with matrix_rep and norm_det.  The probe is a sample,
-never a certificate.
+M is additive, M(a) - M(a') = M(a - a') is linear in the coordinates of
+the difference, so nrd is an integer form of degree n.  The probe expands
+that form once per call in the order's flat coordinates, where it is sparse
+(reduced_norm_form), checks it rational once, and compiles it once into a
+nested integer function that first maps the difference's lattice
+coordinates to flat ones through the lattice basis.  It evaluates that
+function at each nonzero difference once up to sign, or at differences of
+box points sampled from a batched getrandbits stream equal to randrange's,
+and re-checks the minimizing difference with matrix_rep and norm_det.  The
+probe is a sample, never a certificate.
 Matrix entries, cofactor terms and lattice points all add through
 lattice.vector_sum.
 
@@ -32,7 +34,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import islice, product, repeat
 from math import factorial
 
 from .codes import ConstacyclicCode
@@ -47,6 +49,8 @@ from .lattice import (
     vector_sum,
 )
 from .number_ring import ENUMERATION_BOUND, integral_arithmetic
+
+_DRAW_BATCH = 1024  # getrandbits draws per batch in _sampled_differences
 
 
 class SpaceTimeMatrix:
@@ -196,53 +200,77 @@ def _sampled_differences(rng, coeff_bound, N):
     rng.randint(-b, b) is -b + rng.randrange(2b + 1), the same call on the
     same stream, and the common shift -b cancels in z1 - z2 and in z1 != z2,
     so the points are drawn shifted into [0, 2b] and the differences are
-    those of randint-drawn pairs.
+    those of randint-drawn pairs.  randrange(w) is CPython's
+    _randbelow_with_getrandbits(w): getrandbits(w.bit_length()) until a value
+    below w comes up.  So the points are read off one stream of such draws,
+    made _DRAW_BATCH at a time through getrandbits, with the values >= w
+    dropped: each pair is the next 2N accepted values, z1 then z2, exactly
+    as randrange would give them.
     """
-    draw = rng.randrange
-    widths = (2 * coeff_bound + 1,) * N
+    width = 2 * coeff_bound + 1
+    draw = rng.getrandbits
+    bits = width.bit_length()
+    carry = []
     while True:
-        z1 = tuple(map(draw, widths))
-        z2 = tuple(map(draw, widths))
-        if z1 != z2:
-            yield tuple(map(operator.sub, z1, z2))
+        accepted = carry + [v for v in map(draw, repeat(bits, _DRAW_BATCH)) if v < width]
+        used = len(accepted) - len(accepted) % (2 * N)
+        carry = accepted[used:]
+        points = zip(*[iter(accepted[:used])] * N)
+        for z1, z2 in zip(points, points):
+            if z1 != z2:
+                yield tuple(map(operator.sub, z1, z2))
 
 
 def _horner_source(form):
     """Python source of a form, given as {sorted variable indices: int}.
 
     Monomials are grouped by their leading variable, recursively, so the
-    source reads sum_i d_i * (sum_{j >= i} d_j * (...)): nesting is as deep
-    as the degree and each + chain has at most one term per variable.
+    source reads sum_i x_i * (sum_{j >= i} x_j * (...)): nesting is as deep
+    as the degree and each + chain has at most one term per variable; a
+    factor of 1 is left out.
     """
     if () in form:
         return repr(form[()])
     groups = {}
     for mono, coeff in form.items():
         groups.setdefault(mono[0], {})[mono[1:]] = coeff
-    return "+".join(f"d{i}*({_horner_source(groups[i])})" for i in sorted(groups))
+    return "+".join(
+        f"x{i}" if groups[i] == {(): 1} else f"x{i}*({_horner_source(groups[i])})"
+        for i in sorted(groups)
+    )
+
+
+def _linear_source(coeffs):
+    """Python source of sum_j coeffs[j] * d_j over the nonzero coeffs."""
+    return "+".join(f"d{j}" if c == 1 else f"{c}*d{j}" for j, c in enumerate(coeffs) if c) or "0"
 
 
 def reduced_norm_form(order: NaturalOrder, columns):
     """The integer form F with F(d) = nrd(sum_j d_j columns[j]), as a function of d.
 
-    columns are flat coordinate vectors of order elements.  M is additive,
-    so M(sum_j d_j b_j) = sum_j d_j M(b_j): its entries are linear forms in
-    d with O_K coefficient vectors, and its determinant is a form of degree
-    n in the N = len(columns) variables (at most 10 monomials for n = 2, 165
-    for n = 3).  The form is expanded once, by the cofactor recursion of
+    columns are the flat coordinate vectors of a basis of a full-rank
+    sublattice of the order, and B is the basis map x = B d, x_i =
+    sum_j columns[j][i] d_j.  M is additive, so M(x) = sum_i x_i M(e_i) over
+    the order's basis elements e_i: its entries are linear forms in the n^2
+    flat coordinates x with O_K coefficient vectors, and nrd is a form G of
+    degree n in x.  Entry (r, c) of M(x) reads only the n coordinates of the
+    e^((r - c) mod n) coefficient of x, so G is sparse: 4 monomials on Z[i]
+    and 57 on the cubic, where F = G o B, dense in d, has up to 10 for n = 2
+    and 165 for n = 3.  G is expanded once, by the cofactor recursion of
     SpaceTimeMatrix.det over IntegralArithmetic.mul, and checked rational
     once: InvalidSpec if any coefficient has a nonzero non-constant
-    coordinate.  Its monomials are then grouped Horner-style by leading
-    variable, F(d) = sum_i d_i * (sum_{j >= i} d_j * (...)), and compiled
-    once into a Python function of d over locals d0 ... d{N-1} and integer
-    literals, which shares each partial product among the monomials that
-    extend it.
+    coordinate.  B is invertible over Q, so F is rational exactly when G is.
+    The compiled function of d first computes x = B d, each x_i over the
+    nonzero entries of its row of B, then G grouped Horner-style by
+    leading variable, G(x) = sum_i x_i * (sum_{j >= i} x_j * (...)), over
+    integer literals, which shares each partial product among the monomials
+    that extend it.
     """
     core = integral_arithmetic(order.min_poly, order.spec.sigma_image)
     n = order.n
-    mats = [matrix_rep(order.from_flat(col)).entries for col in columns]
+    mats = [matrix_rep(order.basis_element(i)).entries for i in range(n * n)]
     rows = [
-        [{(j,): m[r][c] for j, m in enumerate(mats) if any(m[r][c])} for c in range(n)]
+        [{(i,): m[r][c] for i, m in enumerate(mats) if any(m[r][c])} for c in range(n)]
         for r in range(n)
     ]
 
@@ -268,8 +296,13 @@ def reduced_norm_form(order: NaturalOrder, columns):
     if any(any(rest) for _, *rest in form.values()):
         raise InvalidSpec("the reduced norm form has a nonzero non-constant coordinate")
     terms = {mono: vec[0] for mono, vec in form.items() if vec[0]}
-    names = "".join(f"d{i}, " for i in range(len(columns)))
-    source = f"def form(d):\n    {names}= d\n    return {_horner_source(terms) or 0}\n"
+    names = "".join(f"d{j}, " for j in range(len(columns)))
+    prologue = "".join(
+        f"    x{i} = {_linear_source([col[i] for col in columns])}\n" for i in range(n * n)
+    )
+    source = (
+        f"def form(d):\n    {names}= d\n{prologue}    return {_horner_source(terms) or 0}\n"
+    )
     namespace = {}
     exec(compile(source, "<reduced norm form>", "exec"), namespace)
     return namespace["form"]

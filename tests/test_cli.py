@@ -383,6 +383,35 @@ def test_verify_examples_fails_under_optimize():
     assert [c["name"] for c in failed] == ["gaussian-p3-inert"]
 
 
+def test_closed_stdout_exits_one_without_a_traceback(cfg_path):
+    # The read end of the pipe is closed before the child starts, so its
+    # first write to stdout fails with EPIPE on every run.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    for json_flag in ([], ["--json"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "skewlat", "divisors", "--config", cfg_path,
+                 "--degree", "1", *json_flag],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == ""
+
+
 def test_bound_flag_overrides_config(capsys, cfg_path):
     for bound in ("5", "0"):  # 0 is a bound, not a usage error
         rc, out, err = run(

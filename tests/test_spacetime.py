@@ -261,19 +261,33 @@ def test_min_det_sampled_differences_match_sampled_pairs(build, coeff_bound):
         assert got == pairwise_min_det(code, coeff_bound, seed=seed, samples=30)
 
 
-@pytest.mark.parametrize("coeff_bound", [1, 2, 3])
+# Width 2 * 4 + 1 = 9 rejects 7 of every 16 four-bit draws; each difference
+# takes at least 2N draws, so _DRAW_BATCH differences span at least 2N batches.
+@pytest.mark.parametrize(
+    "coeff_bound, count",
+    [(1, 500), (2, 500), (3, 500), (4, 500), (2, spacetime._DRAW_BATCH)],
+    ids=["1", "2", "3", "4", "2-batches"],
+)
 @pytest.mark.parametrize("N", [4, 9])
 @pytest.mark.parametrize("seed", [0, 7])
-def test_sampled_differences_are_those_of_randint_pairs(seed, coeff_bound, N):
+def test_sampled_differences_are_those_of_randint_pairs(seed, coeff_bound, N, count):
     rng = random.Random(seed)
     expected = []
-    while len(expected) < 500:
+    while len(expected) < count:
         z1 = [rng.randint(-coeff_bound, coeff_bound) for _ in range(N)]
         z2 = [rng.randint(-coeff_bound, coeff_bound) for _ in range(N)]
         if z1 != z2:
             expected.append(tuple(a - b for a, b in zip(z1, z2)))
     got = spacetime._sampled_differences(random.Random(seed), coeff_bound, N)
-    assert list(islice(got, 500)) == expected
+    assert list(islice(got, count)) == expected
+
+
+def test_min_det_sampled_outputs_are_pinned():
+    # Recorded before the draws were batched: the cubic code of
+    # bench/configs/cubic_p5.cfg at box 1, 50 samples, seeds 0-3.
+    code = cubic_code()
+    got = [min_det_sample(code, 1, seed=seed, samples=50) for seed in range(4)]
+    assert got == [274625, 91125, 274625, 1000]
 
 
 def _small_codes(spec):
