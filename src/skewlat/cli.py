@@ -138,7 +138,8 @@ def _ring(cfg: Config) -> QuotientRing:
     return QuotientRing(cfg.spec())
 
 
-def _code(cfg: Config, ring: QuotientRing) -> ConstacyclicCode:
+def _code(cfg: Config) -> ConstacyclicCode:
+    ring = _ring(cfg)  # the spec is checked before the generator
     if cfg.generator is None:
         raise MissingKey("missing required key 'generator' for this command")
     g = SkewPoly(ring, [ring.element(c) for c in cfg.generator])
@@ -164,16 +165,14 @@ def cmd_divisors(cfg: Config, args) -> dict:
 
 
 def cmd_code(cfg: Config, args) -> dict:
-    ring = _ring(cfg)
-    code = _code(cfg, ring)
+    code = _code(cfg)
     out = code.to_dict()
     out["pretty"] = {"g": str(code.g), "h": str(code.h)}
     return out
 
 
 def cmd_dual(cfg: Config, args) -> dict:
-    ring = _ring(cfg)
-    code = _code(cfg, ring)
+    code = _code(cfg)
     gp = code.dual_generator()
     dual = ConstacyclicCode.from_generator(gp)
     return {
@@ -185,21 +184,18 @@ def cmd_dual(cfg: Config, args) -> dict:
 
 
 def cmd_lattice(cfg: Config, args) -> dict:
-    ring = _ring(cfg)
-    code = _code(cfg, ring)
+    code = _code(cfg)
     basis = construction_a_basis(code, e_weight=cfg.e_weight)
     return basis.to_dict()
 
 
 def cmd_stmatrix(cfg: Config, args) -> dict:
-    ring = _ring(cfg)
-    order = NaturalOrder(ring.spec)
     if args.element:
-        rows = _parse_cli_list(args.element, "--element", nested=True)
-        element = order.element(rows)
+        order = NaturalOrder(_ring(cfg).spec)
+        element = order.element(_parse_cli_list(args.element, "--element", nested=True))
     else:
-        code = _code(cfg, ring)
-        element = lift_codeword(order, code.to_codeword(code.g))
+        code = _code(cfg)
+        element = lift_codeword(NaturalOrder(code.ring.spec), code.to_codeword(code.g))
     matrix = matrix_rep(element)
     return {
         "element": element.to_lists(),
@@ -210,8 +206,7 @@ def cmd_stmatrix(cfg: Config, args) -> dict:
 
 
 def cmd_mindet(cfg: Config, args) -> dict:
-    ring = _ring(cfg)
-    code = _code(cfg, ring)
+    code = _code(cfg)
     coeff_bound = args.coeff_bound
     exhaustive = exhaustive_sweep(code, coeff_bound, cfg.bound)
     value = min_det_sample(
@@ -230,22 +225,20 @@ def cmd_mindet(cfg: Config, args) -> dict:
 
 
 def cmd_coset_encode(cfg: Config, args) -> dict:
-    ring = _ring(cfg)
-    code = _code(cfg, ring)
+    code = _code(cfg)
     msg_lists = _parse_cli_list(args.msg, "--msg", nested=True)
-    msg = [ring.element(c) for c in msg_lists]
+    msg = [code.ring.element(c) for c in msg_lists]
     if args.offset:
         offset = _parse_cli_list(args.offset, "--offset", nested=False)
     else:
-        offset = [0] * (ring.n * ring.n)
+        offset = [0] * (code.n * code.n)
     enc = coset_encode(code, msg, offset)
     return enc.to_dict()
 
 
 def cmd_coset_decode(cfg: Config, args) -> dict:
-    ring = _ring(cfg)
-    code = _code(cfg, ring)
-    order = NaturalOrder(ring.spec)
+    code = _code(cfg)
+    order = NaturalOrder(code.ring.spec)
     rows = _parse_cli_list(args.point, "--point", nested=True)
     point = order.element(rows)
     codeword, offset = coset_decode_label(code, point)

@@ -19,7 +19,8 @@ rows (i outer, j inner: the order of the message coordinates) and n*m
 columns; H is its nullspace ker G.  Encoding b is the combination of the rows
 of G with b's coordinates, which equals b*g because deg(b*g) < n.  v is a
 codeword exactly when H*v = 0, because over F_p the row space of G is
-(ker G)^perp.
+(ker G)^perp.  Those entries lie in [0, p), so the cached columns of G are
+the lifts that lattice.construction_a_basis reads.
 
 The Euclidean scalar product is F_p-bilinear, so products of the same
 generators decide duality for every u: is_orthogonal_to tests C inside
@@ -93,8 +94,8 @@ class ConstacyclicCode:
 
     @cached_property
     def _check_matrices(self):
-        """(columns of G, rows of H), built on the first encode or
-        is_codeword.  The pair depends only on g, so it is the same whichever
+        """(columns of G, rows of H), built on first use, not in the
+        constructor.  The pair depends only on g, so it is the same whichever
         thread builds it, and no field of the code is reassigned."""
         rows = [[v for c in word for v in c.coeffs] for word in self.additive_generators()]
         width = self.n * self.ring.n

@@ -12,8 +12,8 @@ vectors of equal length, O_K rows or flat points, add through vector_sum.
 
 Lifting a codeword takes its canonical representatives in [0, p) as integer
 coordinates; reducing an order element mods every coordinate by p.  The
-lattice attached to a code is spanned by the lifts of its k*n additive
-generators theta^j x^i g together with p times the standard basis,
+lattice attached to a code, lift(C) + pZ^N, is spanned by the columns of its
+cached F_p generator matrix together with p times the standard basis,
 normalized by Hermite Normal Form.
 
 HNF convention: column style, lower triangular, positive diagonal, entries to
@@ -30,7 +30,8 @@ for totally real ones, and w an optional positive e-block weight (default 1).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from math import prod
 
 from . import intpoly
 from .codes import ConstacyclicCode, brute_force_dual
@@ -345,12 +346,7 @@ class LatticeBasis:
     index: int
 
     def to_dict(self):
-        return {
-            "basis": [list(r) for r in self.basis],
-            "gram": [list(r) for r in self.gram],
-            "det": self.det,
-            "index": self.index,
-        }
+        return asdict(self)
 
 
 def gram_matrix(basis, spec: AlgebraSpec, e_weight: int = 1):
@@ -384,42 +380,37 @@ def gram_matrix(basis, spec: AlgebraSpec, e_weight: int = 1):
     return gram
 
 
-def _lift_basis(words, spec: AlgebraSpec, e_weight: int) -> LatticeBasis:
-    """The lattice spanned by the lifts of words and p times the standard basis."""
-    order = NaturalOrder(spec)
-    N = order.n * order.n
-    cols = [list(lift_codeword(order, w).flatten()) for w in words]
-    for r in range(N):
-        unit = [0] * N
-        unit[r] = spec.p
-        cols.append(unit)
-    rows = [[col[i] for col in cols] for i in range(N)]
-    basis = hnf(rows)
-    index = 1
-    for i in range(N):
-        index *= basis[i][i]
+def _lift_basis(gens, spec: AlgebraSpec, e_weight: int) -> LatticeBasis:
+    """The lattice lift(C) + pZ^N: the columns of gens, a row-major N-row
+    matrix with entries in [0, p), together with p times the standard basis."""
+    p, N = spec.p, spec.n * spec.n
+    basis = hnf([[*row, *(p if i == j else 0 for j in range(N))] for i, row in enumerate(gens)])
     gram = gram_matrix(basis, spec, e_weight)
+    index = prod(basis[i][i] for i in range(N))
     return LatticeBasis(basis=basis, gram=gram, det=det_int(gram), index=index)
 
 
 def construction_a_basis(code: ConstacyclicCode, e_weight: int = 1) -> LatticeBasis:
     """Basis of the preimage lattice of the code under reduction modulo p.
 
-    Generated by p times the standard order basis together with the lifts of
-    the code's additive generators theta^j x^i g.  The index in the full
-    order is p^(n(n-k)) when the code is a free module of rank k.
+    Generated by p times the standard order basis together with the columns
+    of the code's F_p generator matrix G, the flat lifts of theta^j x^i g.
+    The index in the full order is p^(n(n-k)) when the code is a free module
+    of rank k.
     """
-    return _lift_basis(code.additive_generators(), code.ring.spec, e_weight)
+    return _lift_basis(code._check_matrices[0], code.ring.spec, e_weight)
 
 
 def dual_lattice_basis(code: ConstacyclicCode) -> LatticeBasis:
     """Basis of the preimage lattice of the Euclidean dual code.
 
-    Built from brute_force_dual, the F_p-nullspace of the code's products,
-    so it is exact for every u, including u*u != 1 where no dual generator
-    formula applies, and costs the size of the dual.
+    Built from the flat coefficients of the words of brute_force_dual, the
+    F_p-nullspace of the code's products, so it is exact for every u,
+    including u*u != 1 where no dual generator formula applies, and costs
+    the size of the dual.
     """
-    return _lift_basis(brute_force_dual(code), code.ring.spec, 1)
+    words = [[v for c in word for v in c.coeffs] for word in brute_force_dual(code)]
+    return _lift_basis(list(zip(*words)), code.ring.spec, 1)
 
 
 def dual_lattice_inclusion_check(code_a: ConstacyclicCode, code_b: ConstacyclicCode) -> bool:

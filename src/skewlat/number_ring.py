@@ -10,10 +10,11 @@ equality, hashing and enumeration order deterministic.
 The arithmetic itself lives in one place, IntegralArithmetic: multiplication,
 sigma and the field norm N(a) = a*sigma(a)...sigma^(n-1)(a) in O_K = Z[y]/(m)
 over the integers, built once per (min_poly, sigma_image).  The norm is
-compiled lazily, on its first call, into one straight-line integer function
-with O(n^3) terms, cached on the core.  QuotientRing reduces its results
-modulo p, so inverses are norm cofactors divided by the norm;
-lattice.NaturalOrder uses the same instance and keeps them over Z.
+compiled lazily, on its first call, by compile_function into one
+straight-line integer function with O(n^3) terms, cached on the core.
+QuotientRing reduces its results modulo p, so inverses are norm cofactors
+divided by the norm; lattice.NaturalOrder uses the same instance and keeps
+them over Z.
 AlgebraSpec is the one check of a spec's fields, and IntegralArithmetic of
 m and sigma, so no consumer of a spec validates it again.
 
@@ -319,8 +320,7 @@ class IntegralArithmetic:
         lines = [f"    {', '.join(names)}, = v"]
 
         def assign(name, terms):
-            parts = [t if c == 1 else f"-{t}" if c == -1 else f"{c}*{t}" for c, t in terms if c]
-            lines.append(f"    {name} = {'+'.join(parts).replace('+-', '-') or 0}")
+            lines.append(f"    {name} = {linear_source(terms)}")
             return name
 
         def mul(x, y, out):
@@ -343,10 +343,20 @@ class IntegralArithmetic:
             cofactor = mul(cofactor, image, f"c{k}")
         prod = mul(names, cofactor, "r")
         lines.append(f"    return ({', '.join(prod)},), ({', '.join(cofactor)},)")
-        namespace = {}
-        source = "def norm(v):\n" + "\n".join(lines) + "\n"
-        exec(compile(source, "<norm cofactor>", "exec"), namespace)
-        return namespace["norm"]
+        return compile_function("def norm(v):\n" + "\n".join(lines) + "\n", "norm")
+
+
+def linear_source(terms):
+    """Source of sum c*t over the (c, t) pairs with c != 0, 1 and -1 as signs; "0" if none."""
+    parts = [t if c == 1 else f"-{t}" if c == -1 else f"{c}*{t}" for c, t in terms if c]
+    return "+".join(parts).replace("+-", "-") or "0"
+
+
+def compile_function(source, name):
+    """The function `name` that the generated Python source defines."""
+    namespace = {}
+    exec(compile(source, f"<generated {name}>", "exec"), namespace)
+    return namespace[name]
 
 
 @lru_cache(maxsize=None)

@@ -21,7 +21,8 @@ coordinates to flat ones through the lattice basis.  It evaluates that
 function at each nonzero difference once up to sign, or at differences of
 box points sampled from a batched getrandbits stream equal to randrange's,
 and re-checks the minimizing difference with matrix_rep and norm_det.  The
-probe is a sample, never a certificate.
+probe is a sample, never a certificate.  Both cofactor expansions, of det M
+and of the form, raise TooLarge past ENUMERATION_BOUND products.
 Matrix entries, cofactor terms and lattice points all add through
 lattice.vector_sum.
 
@@ -48,7 +49,7 @@ from .lattice import (
     reduce_element,
     vector_sum,
 )
-from .number_ring import ENUMERATION_BOUND, integral_arithmetic
+from .number_ring import ENUMERATION_BOUND, compile_function, integral_arithmetic, linear_source
 
 _DRAW_BATCH = 1024  # getrandbits draws per batch in _sampled_differences
 
@@ -104,13 +105,13 @@ class SpaceTimeMatrix:
         return hash(self.entries)
 
     def det(self):
-        """Determinant in O_K by cofactor expansion (exact)."""
+        """Determinant in O_K by cofactor expansion (exact), bounded in products."""
         order = self.order
 
         def signed_sum(terms):
             return vector_sum([[-v for v in t] if odd else t for odd, t in terms], order.n)
 
-        return _cofactor_det(self.entries, any, order.ok_mul, signed_sum)
+        return _cofactor_det(self.entries, any, order.ok_mul, signed_sum, lambda a, b: 1)
 
     def norm_det(self) -> int:
         """The rational norm of the determinant, nrd ** n.
@@ -131,21 +132,31 @@ class SpaceTimeMatrix:
         return f"SpaceTimeMatrix({self.to_lists()})"
 
 
-def _cofactor_det(rows, nonzero, mul, signed_sum):
+def _cofactor_det(rows, nonzero, mul, signed_sum, cost):
     """Determinant of a square matrix by expansion along the first row.
 
     Entries for which nonzero() is false are skipped, products go through
     mul(entry, minor) and each row's terms combine through
     signed_sum([(odd, term), ...]), where odd marks a negated term.
+    Each mul counts cost(entry, minor) products; TooLarge past ENUMERATION_BOUND.
     """
-    if len(rows) == 1:
-        return rows[0][0]
-    terms = []
-    for j, top in enumerate(rows[0]):
-        if nonzero(top):
-            minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-            terms.append((j % 2, mul(top, _cofactor_det(minor, nonzero, mul, signed_sum))))
-    return signed_sum(terms)
+    made = 0
+
+    def expand(rows):
+        nonlocal made
+        if len(rows) == 1:
+            return rows[0][0]
+        terms = []
+        for j, top in enumerate(rows[0]):
+            if nonzero(top):
+                minor = expand([r[:j] + r[j + 1 :] for r in rows[1:]])
+                made += cost(top, minor)
+                if made > ENUMERATION_BOUND:
+                    raise TooLarge(f"cofactor expansion exceeds {ENUMERATION_BOUND} products")
+                terms.append((j % 2, mul(top, minor)))
+        return signed_sum(terms)
+
+    return expand(rows)
 
 
 def matrix_rep(a: OrderElement) -> SpaceTimeMatrix:
@@ -240,11 +251,6 @@ def _horner_source(form):
     )
 
 
-def _linear_source(coeffs):
-    """Python source of sum_j coeffs[j] * d_j over the nonzero coeffs."""
-    return "+".join(f"d{j}" if c == 1 else f"{c}*d{j}" for j, c in enumerate(coeffs) if c) or "0"
-
-
 def reduced_norm_form(order: NaturalOrder, columns):
     """The integer form F with F(d) = nrd(sum_j d_j columns[j]), as a function of d.
 
@@ -292,20 +298,17 @@ def reduced_norm_form(order: NaturalOrder, columns):
                 add_to(out, mono, [-v for v in vec] if odd else vec)
         return out
 
-    form = _cofactor_det(rows, bool, mul, signed_sum)
+    form = _cofactor_det(rows, bool, mul, signed_sum, lambda f, g: len(f) * len(g))
     if any(any(rest) for _, *rest in form.values()):
         raise InvalidSpec("the reduced norm form has a nonzero non-constant coordinate")
     terms = {mono: vec[0] for mono, vec in form.items() if vec[0]}
     names = "".join(f"d{j}, " for j in range(len(columns)))
     prologue = "".join(
-        f"    x{i} = {_linear_source([col[i] for col in columns])}\n" for i in range(n * n)
+        f"    x{i} = {linear_source((col[i], f'd{j}') for j, col in enumerate(columns))}\n"
+        for i in range(n * n)
     )
-    source = (
-        f"def form(d):\n    {names}= d\n{prologue}    return {_horner_source(terms) or 0}\n"
-    )
-    namespace = {}
-    exec(compile(source, "<reduced norm form>", "exec"), namespace)
-    return namespace["form"]
+    source = f"def form(d):\n    {names}= d\n{prologue}    return {_horner_source(terms) or 0}\n"
+    return compile_function(source, "form")
 
 
 def min_det_sample(
@@ -398,12 +401,13 @@ def coset_encode(code: ConstacyclicCode, msg, offset_coords) -> CosetEncoding:
 
 
 def coset_decode_label(code: ConstacyclicCode, point: OrderElement):
-    """Recover (codeword, offset) from a lattice point; the offset lies in
-    p*order.  Raises NotInLattice when the reduction is not a codeword."""
+    """Recover (point mod p, p*floor(point/p)) from a lattice point's coordinates.
+    Raises NotInLattice when the reduction is not a codeword."""
     codeword = reduce_element(point, code.ring)
     if not code.is_codeword(codeword):
         raise NotInLattice("point does not reduce to a codeword")
-    offset = point - lift_codeword(point.order, codeword)
+    p = code.ring.p
+    offset = OrderElement(point.order, tuple(tuple(v - v % p for v in row) for row in point.rows))
     return codeword, offset
 
 

@@ -10,14 +10,17 @@ from skewlat import (
     ENUMERATION_BOUND,
     AlgebraSpec,
     ConstacyclicCode,
+    NaturalOrder,
     QuotientRing,
     SkewPoly,
     brute_force_dual,
     central_poly,
     construction_a_basis,
     dual_lattice_basis,
+    hnf,
     inner_product,
     lattice_contains,
+    lift_codeword,
     monic_right_divisors,
 )
 from skewlat.errors import InvalidSpec, TooLarge
@@ -162,6 +165,16 @@ def lattice_inclusion(code_a, code_b):
     target = dual_lattice_basis(code_b).basis
     source = construction_a_basis(code_a).basis
     return all(lattice_contains(target, col) for col in zip(*source))
+
+
+def lifted_lattice_basis(spec, words):
+    """Oracle: the HNF basis of the lifts of words, each lifted to an order
+    element and flattened, together with p times the standard basis."""
+    order = NaturalOrder(spec)
+    N = order.n * order.n
+    cols = [list(lift_codeword(order, w).flatten()) for w in words]
+    cols += [[spec.p if i == r else 0 for i in range(N)] for r in range(N)]
+    return hnf([[col[i] for col in cols] for i in range(N)])
 
 
 def random_element(ring, rng):

@@ -73,6 +73,28 @@ def test_parse_config_errors_carry_line_numbers():
         parse_config(GAUSSIAN_P3_TEXT + "box = 3\n")
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("min_poly = [[1], 0, 1]", "list nesting too deep"),
+        ("generator = [[[1], 0], [1, 0]]", "list nesting too deep"),
+        ("min_poly = [1, 0.5, 1]", "expected integers"),
+        ("min_poly = [1, True, 1]", "expected integers"),
+        ("generator = [[1, 'a'], [1, 0]]", "expected integers"),
+        ("min_poly = 5", "expected a bracketed list"),
+        ("min_poly = (1, 0, 1)", "expected a bracketed list"),
+    ],
+)
+def test_list_values_are_checked(line, message):
+    key = line.split(" =")[0]
+    text = "".join(
+        row if not row.startswith(key) else line + "\n"
+        for row in GAUSSIAN_P3_TEXT.splitlines(keepends=True)
+    )
+    with pytest.raises(ParseError, match=message):
+        parse_config(text)
+
+
 def test_negative_config_bound_is_parse_error():
     with pytest.raises(ParseError, match="line 7: bound must be at least 0, got -1"):
         parse_config(GAUSSIAN_P3_TEXT + "bound = -1\n")
@@ -188,6 +210,56 @@ def test_coset_round_trip_commands(capsys, cfg_path):
     dec = json.loads(out)
     assert dec["codeword"] == enc["codeword"] == [[1, 1], [1, 0]]
     assert dec["offset"] == enc["offset"] == [[3, 0], [0, 0]]
+
+
+def test_coset_encode_without_offset_is_the_lifted_codeword(capsys, cfg_path):
+    rc, out, err = run(capsys, "coset-encode", "--config", cfg_path, "--msg", "[[1, 0]]", "--json")
+    assert rc == 0, err
+    assert json.loads(out) == {
+        "codeword": [[1, 1], [1, 0]],
+        "offset": [[0, 0], [0, 0]],
+        "point": [[1, 1], [1, 0]],
+    }
+
+
+SEXTIC_TEXT = """\
+p = 5
+min_poly = [-1, 3, 6, -4, -5, 1, 1]
+sigma_image = [-2, 0, 1]
+u = 2
+conjugation_mode = identity
+generator = [[1, 0, 0, 0, 0, 0]]
+"""
+
+PHI11_TEXT = """\
+p = 23
+min_poly = [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
+sigma_image = [0, 0, 1]
+u = 2
+conjugation_mode = identity
+"""
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        (SEXTIC_TEXT, ["mindet", "--coeff-bound", "1"]),
+        (PHI11_TEXT, ["stmatrix", "--element", str([[1] * 10] * 10)]),
+    ],
+    ids=["sextic-mindet", "dense-phi11-stmatrix"],
+)
+def test_factorial_expansions_end_too_large(capsys, tmp_path, monkeypatch, text, argv):
+    # At ENUMERATION_BOUND both run for seconds before they stop (the CI
+    # checks that); a smaller bound shows the same ending at once.
+    from skewlat import spacetime
+
+    monkeypatch.setattr(spacetime, "ENUMERATION_BOUND", 10**4)
+    path = tmp_path / "big.cfg"
+    path.write_text(text)
+    with pytest.warns(UserWarning, match="irreducibility"):
+        rc, out, err = run(capsys, argv[0], "--config", str(path), *argv[1:])
+    assert (rc, out) == (1, "")
+    assert err == "error[TOO_LARGE]: cofactor expansion exceeds 10000 products\n"
 
 
 def test_verify_examples_command(capsys):
@@ -435,3 +507,27 @@ def test_bundled_configs_parse_and_run(capsys):
         assert isinstance(cfg, Config)
         rc, out, err = run(capsys, "code", "--config", path, "--json")
         assert rc == 0, (name, err)
+
+
+def _golden_cases():
+    from pathlib import Path
+
+    golden = Path(__file__).resolve().parent / "cli_human_golden.json"
+    return json.loads(golden.read_text())
+
+
+@pytest.mark.parametrize(
+    "case",
+    _golden_cases(),
+    ids=lambda case: f"{case['config']}:{' '.join(case['argv'][:1] + case['argv'][2:3])}",
+)
+def test_human_output_is_pinned(capsys, case):
+    # Every command in human mode on the bundled configs: the exit code,
+    # stdout and stderr recorded in cli_human_golden.json.
+    from pathlib import Path
+
+    argv = list(case["argv"])
+    if case["config"] is not None:
+        config = Path(__file__).resolve().parent.parent / "configs" / f"{case['config']}.cfg"
+        argv[1:1] = ["--config", str(config)]
+    assert run(capsys, *argv) == (case["rc"], case["stdout"], case["stderr"])

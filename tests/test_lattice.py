@@ -11,6 +11,7 @@ from skewlat import (
     NaturalOrder,
     QuotientRing,
     SkewPoly,
+    brute_force_dual,
     central_poly,
     construction_a_basis,
     det_int,
@@ -29,6 +30,7 @@ from helpers import (
     CUBIC,
     divisor_codes,
     lattice_inclusion,
+    lifted_lattice_basis,
     random_element,
     random_order_element,
     valid_specs,
@@ -390,6 +392,24 @@ def test_inclusion_matches_the_full_lattice_oracle(spec):
             continue
         for code_a in codes:
             assert dual_lattice_inclusion_check(code_a, code_b) == lattice_inclusion(code_a, code_b)
+
+
+@settings(max_examples=10, deadline=None)
+@given(spec=valid_specs())
+@example(spec=CUBIC)
+def test_lattices_match_the_lifted_words_oracle(spec):
+    # Construction A reads the columns of the code's F_p generator matrix,
+    # and the dual lattice the flat coefficients of the dual words; lifting
+    # the same words to order elements must give the same HNF basis.
+    ring = QuotientRing(spec)
+    for code in divisor_codes(ring, per_degree=2):
+        assert construction_a_basis(code).basis == lifted_lattice_basis(
+            spec, code.additive_generators()
+        )
+        if ring.size ** (code.n - code.k) <= ORACLE_DUAL_VECTORS:
+            assert dual_lattice_basis(code).basis == lifted_lattice_basis(
+                spec, brute_force_dual(code)
+            )
 
 
 def test_cubic_inclusion_at_p31_builds_no_lattice():

@@ -16,7 +16,13 @@ from skewlat.errors import (
     TooLarge,
 )
 from skewlat.fixtures import GAUSSIAN_P3, GAUSSIAN_P5, SQRT2_P3
-from skewlat.number_ring import _integer_root, _is_prime, echelon_mod_p, nullspace_mod_p
+from skewlat.number_ring import (
+    _factor_mod_p,
+    _integer_root,
+    _is_prime,
+    echelon_mod_p,
+    nullspace_mod_p,
+)
 
 from helpers import random_element, valid_specs
 
@@ -30,6 +36,20 @@ def test_ring_new_fixture_parameters():
     ring5 = QuotientRing(GAUSSIAN_P5)
     assert ring5.size == 25
     assert ring5.decompose().ramification() == "split"
+
+
+def test_subtraction_from_an_integer():
+    ring = QuotientRing(GAUSSIAN_P3)
+    a = ring.element([1, 2])
+    assert (1 - a).coeffs == (0, 1)
+    assert (7 - a).coeffs == (0, 1)  # 7 = 1 mod 3
+    assert 1 - a == ring.one - a == -(a - 1)
+
+
+def test_factor_scan_of_degree_two():
+    # y^4 - 4y^2 + 2 = (y^2 + 1)(y^2 + 2) mod 7 has no root, so only the
+    # scan over monic quadratics finds its factors.
+    assert _factor_mod_p((2, 0, -4, 0, 1), 7) == [((1, 0, 1), 1), ((2, 0, 1), 1)]
 
 
 def test_ring_new_rejects_bad_sigma():

@@ -49,6 +49,14 @@ def test_addition(p3):
     assert g == SkewPoly(p3, (1 + p3.gen, 1, 1))
 
 
+def test_subtraction_from_a_constant(p3):
+    a = p3.gen
+    f = SkewPoly(p3, (a, 1))  # x + a
+    assert 1 - f == SkewPoly(p3, (1 - a, -1))
+    assert a - f == SkewPoly(p3, (0, -1))
+    assert (1 - f) + f == SkewPoly.one(p3)
+
+
 def test_factorization_of_central(p3):
     a = p3.gen
     x = SkewPoly.monomial(p3, 1)

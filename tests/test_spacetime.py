@@ -1,3 +1,4 @@
+import operator
 import random
 from itertools import combinations, islice, product
 from math import sqrt
@@ -13,6 +14,7 @@ from skewlat import (
     construction_a_basis,
     coset_decode_label,
     coset_encode,
+    lift_codeword,
     matrix_rep,
     min_det_sample,
     monic_right_divisors,
@@ -25,7 +27,15 @@ from skewlat.errors import InvalidSpec, LengthMismatch, NotInLattice, TooLarge
 from skewlat.fixtures import FIXTURE_NAMES, FIXTURE_SPECS, GAUSSIAN_P3_U1, fixture_code
 from skewlat.number_ring import QuotientRing
 
-from helpers import CUBIC, QUARTIC, quiet_ring, random_message, random_order_element, valid_specs
+from helpers import (
+    CUBIC,
+    QUARTIC,
+    divisor_codes,
+    quiet_ring,
+    random_message,
+    random_order_element,
+    valid_specs,
+)
 
 QUATERNION = FIXTURE_SPECS["gaussian-p3-inert"]
 
@@ -359,6 +369,23 @@ def test_determinant_with_an_irrational_coordinate_raises(monkeypatch):
         spacetime.reduced_norm_form(order, [(0, 1, 0, 0), (1, 0, 0, 0)])
 
 
+def test_cofactor_expansions_stop_past_the_enumeration_bound(monkeypatch):
+    # A dense 3 x 3 determinant makes 3 + 3 * 2 = 9 products of O_K entries;
+    # the cubic's reduced norm form makes 189 products of monomial coefficients.
+    order = NaturalOrder(CUBIC)
+    dense = matrix_rep(order.element([[1, 1, 1]] * 3))
+    cols = list(zip(*construction_a_basis(cubic_code()).basis))
+    expansions = {9: dense.det, 189: lambda: spacetime.reduced_norm_form(order, cols)((1,) * 9)}
+    for made, expand in expansions.items():
+        unbounded = expand()
+        monkeypatch.setattr(spacetime, "ENUMERATION_BOUND", made)
+        assert expand() == unbounded
+        monkeypatch.setattr(spacetime, "ENUMERATION_BOUND", made - 1)
+        with pytest.raises(TooLarge, match=f"exceeds {made - 1} products"):
+            expand()
+        monkeypatch.undo()
+
+
 def test_min_det_rechecks_its_witness(monkeypatch):
     build = spacetime.reduced_norm_form
     monkeypatch.setattr(
@@ -427,6 +454,23 @@ def test_coset_round_trip(fixture_name):
         cw, off = coset_decode_label(code, enc.point)
         assert cw == enc.codeword == code.encode(msg)
         assert off == enc.offset
+
+
+@settings(max_examples=10, deadline=None)
+@given(spec=valid_specs(), seed=st.integers(0, 2**32 - 1))
+def test_decode_offset_is_the_point_minus_its_lifted_codeword(spec, seed):
+    # Lattice points are drawn as integer combinations of the Construction A
+    # basis, so their coordinates are negative as often as not.
+    ring = QuotientRing(spec)
+    order = NaturalOrder(spec)
+    rng = random.Random(seed)
+    for code in divisor_codes(ring, per_degree=1):
+        basis = construction_a_basis(code).basis
+        for _ in range(5):
+            z = [rng.randint(-3, 3) for _ in basis]
+            point = order.from_flat([sum(map(operator.mul, row, z)) for row in basis])
+            codeword, offset = coset_decode_label(code, point)
+            assert offset == point - lift_codeword(order, codeword)
 
 
 def test_sample_offsets_contract():
