@@ -12,15 +12,16 @@ Everything here is exact.  As an additive group a code is spanned by the
 k*m codewords theta^j x^i g (m = [K:Q], theta the ring generator); they are
 F_p-independent, since b*g = 0 with g monic forces b = 0.
 
-encode and is_codeword use two F_p matrices, built from those generators on
-the first call to either and never in the constructor, so building a code
-costs nothing extra.  G has the k*m generators' flat coefficient vectors as
-rows (i outer, j inner: the order of the message coordinates) and n*m
-columns; H is its nullspace ker G.  Encoding b is the combination of the rows
-of G with b's coordinates, which equals b*g because deg(b*g) < n.  v is a
-codeword exactly when H*v = 0, because over F_p the row space of G is
-(ker G)^perp.  Those entries lie in [0, p), so the cached columns of G are
-the lifts that lattice.construction_a_basis reads.
+encode and is_codeword use two F_p matrices, each built on the first call
+that needs it and never in the constructor, so building a code costs
+nothing extra.  G has the k*m generators' flat coefficient vectors as rows
+(i outer, j inner: the order of the message coordinates) and n*m columns;
+H is its nullspace ker G, eliminated from G on the first is_codeword.
+Encoding b is the combination of the rows of G with b's coordinates, which
+equals b*g because deg(b*g) < n.  v is a codeword exactly when H*v = 0,
+because over F_p the row space of G is (ker G)^perp.  Those entries lie in
+[0, p), so the cached columns of G are the lifts that
+lattice.construction_a_basis reads, without building H.
 
 The Euclidean scalar product is F_p-bilinear, so products of the same
 generators decide duality for every u: is_orthogonal_to tests C inside
@@ -93,14 +94,19 @@ class ConstacyclicCode:
     # -- core operations -------------------------------------------------
 
     @cached_property
-    def _check_matrices(self):
-        """(columns of G, rows of H), built on first use, not in the
-        constructor.  The pair depends only on g, so it is the same whichever
-        thread builds it, and no field of the code is reassigned."""
+    def _generator_columns(self):
+        """The columns of G, built on first use, not in the constructor.  They
+        depend only on g, so they are the same whichever thread builds them,
+        and no field of the code is reassigned."""
         rows = [[v for c in word for v in c.coeffs] for word in self.additive_generators()]
-        width = self.n * self.ring.n
-        columns = [[row[col] for row in rows] for col in range(width)]
-        return columns, nullspace_mod_p(rows, width, self.ring.p)
+        return [[row[col] for row in rows] for col in range(self.n * self.ring.n)]
+
+    @cached_property
+    def _parity_rows(self):
+        """The rows of H = ker G, eliminated from the columns of G on the
+        first is_codeword, so encoding and Construction A never pay for it."""
+        columns = self._generator_columns
+        return nullspace_mod_p(list(zip(*columns)), len(columns), self.ring.p)
 
     def encode(self, msg):
         """Codeword of the message polynomial b(x): the coefficients of b*g.
@@ -113,7 +119,7 @@ class ConstacyclicCode:
             raise LengthMismatch(f"expected {self.k} message symbols, got {len(msg)}")
         coerce, p = self.ring.coerce, self.ring.p
         flat = [v for symbol in msg for v in coerce(symbol).coeffs]
-        return self._from_flat([sum(map(mul, flat, col)) % p for col in self._check_matrices[0]])
+        return self._from_flat([sum(map(mul, flat, col)) % p for col in self._generator_columns])
 
     def is_codeword(self, v) -> bool:
         """Parity test a(x)*h(x) = 0 modulo x^n - u, decided as H*v = 0 mod p
@@ -123,7 +129,7 @@ class ConstacyclicCode:
             raise LengthMismatch(f"expected length {self.n}, got {len(v)}")
         coerce, p = self.ring.coerce, self.ring.p
         flat = [x for c in v for x in coerce(c).coeffs]
-        return not any(sum(map(mul, row, flat)) % p for row in self._check_matrices[1])
+        return not any(sum(map(mul, row, flat)) % p for row in self._parity_rows)
 
     def _from_flat(self, flat):
         """The vector of n ring elements whose coefficients, entries in [0, p),

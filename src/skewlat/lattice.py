@@ -398,7 +398,7 @@ def construction_a_basis(code: ConstacyclicCode, e_weight: int = 1) -> LatticeBa
     The index in the full order is p^(n(n-k)) when the code is a free module
     of rank k.
     """
-    return _lift_basis(code._check_matrices[0], code.ring.spec, e_weight)
+    return _lift_basis(code._generator_columns, code.ring.spec, e_weight)
 
 
 def dual_lattice_basis(code: ConstacyclicCode) -> LatticeBasis:

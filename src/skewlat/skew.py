@@ -14,10 +14,11 @@ opposite ring, mapped back.
 
 Monic right divisors of x^n - u come from roots and cofactors: degree 1 by
 the norm test N_n(-c) = u over the p^n ring elements (Lam-Leroy evaluation),
-degree d > n - d as the quotients of x^n - u by the divisors of degree n - d.
-Only the middle degrees 2 <= d <= n/2 (n >= 4) scan the p^(n*d) monic
-candidates, and the enumeration bound counts ring elements, or candidates on
-that scan.
+degree n - 1 as the closed-form Lam-Leroy quotients of the same roots, and
+any other degree d > n - d as the quotients of x^n - u by the divisors of
+degree n - d.  Only the middle degrees 2 <= d <= n/2 (n >= 4) scan the
+p^(n*d) monic candidates, and the enumeration bound counts ring elements, or
+candidates on that scan.
 
 The zero polynomial has an empty coefficient tuple and degree -inf (a float
 sentinel, so degree comparisons in division loops need no special casing).
@@ -28,7 +29,7 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import DivisionByZero, NonUnitLeading, NotADivisor, NotInvertible, TooLarge
-from .number_ring import ENUMERATION_BOUND, QuotientRing, RingElement, integral_arithmetic
+from .number_ring import ENUMERATION_BOUND, QuotientRing, RingElement
 
 NEG_INF = float("-inf")
 
@@ -278,11 +279,17 @@ def monic_right_divisors(ring: QuotientRing, n: int, u, degree: int, bound=ENUME
       elements c, scanned as a raw coefficient tuple, costs one call of the
       core's compiled norm_cofactor; ring elements and polynomials are built
       only for the roots.
-    - d > n - d, by cofactors: x^n - u is central and a monic polynomial is
-      not a zero divisor, so h*g = x^n - u exactly when g*h = x^n - u.  The
-      divisors of degree d are the quotients (x^n - u)/g over the divisors g
-      of degree n - d, one right division each, and the map is a bijection.
-      Degree n is the cofactor of 1; degree above n has no divisor.
+    - d = n - 1 >= 2, by the same roots: for each root a,
+      q_a = sum_{j<n} sigma^(n-1)(a)...sigma^(j+1)(a) x^j satisfies
+      q_a*(x - a) = x^n - N_n(a) = x^n - u, and as x^n - u is central also
+      (x - a)*q_a = x^n - u.  So a -> q_a is the cofactor bijection below,
+      computed without any division.
+    - any other d > n - d, by cofactors: x^n - u is central and a monic
+      polynomial is not a zero divisor, so h*g = x^n - u exactly when
+      g*h = x^n - u.  The divisors of degree d are the quotients
+      (x^n - u)/g over the divisors g of degree n - d, one right division
+      each, and the map is a bijection.  Degree n is the cofactor of 1;
+      degree above n has no divisor.
     - 2 <= d <= n/2, which needs n >= 4: a scan of the p^(n*d) monic
       candidates, one right division each.
 
@@ -296,6 +303,8 @@ def monic_right_divisors(ring: QuotientRing, n: int, u, degree: int, bound=ENUME
     central = central_poly(ring, n, u)
     if degree > n:
         return []
+    if degree == n - 1 >= 2:
+        return _root_quotients(central, bound)
     if degree > n - degree:
         cofactors = []
         for g in _low_degree_divisors(central, n - degree, bound):
@@ -307,30 +316,59 @@ def monic_right_divisors(ring: QuotientRing, n: int, u, degree: int, bound=ENUME
     return _low_degree_divisors(central, degree, bound)
 
 
+def _root_quotients(central: SkewPoly, bound):
+    """The monic right divisors of degree n - 1 of the central x^n - u, sorted:
+    one Lam-Leroy quotient q_a per root a, the bijection a -> q_a of
+    monic_right_divisors.  The coefficients q_(n-1) = 1 and
+    q_(j-1) = q_j * sigma^j(a) make q_a*(x - a) = x^n - q_0*a = x^n - N_n(a);
+    they are built on raw tuples, n - 1 sigma applications and n - 2
+    products per root, and polynomials only for the output."""
+    ring = central.ring
+    n = int(central.degree)
+    p, sigma, mul = ring.p, ring._core.sigma, ring._mul
+    one = ring.one.coeffs
+    quotients = []
+    for c in _roots(central, bound):
+        a = tuple(-v % p for v in c)
+        q = tuple(v % p for v in sigma(a, n - 1))
+        coeffs = [one, q]
+        for j in range(n - 2, 0, -1):
+            q = mul(q, sigma(a, j))
+            coeffs.append(q)
+        quotients.append(coeffs[::-1])
+    quotients.sort()
+    return [SkewPoly(ring, [ring._make(q) for q in coeffs]) for coeffs in quotients]
+
+
+def _roots(central: SkewPoly, bound):
+    """The constant terms c of the monic right divisors x + c of the central
+    x^n - u, as raw coefficient tuples in lexicographic order.
+
+    N_n(-c) = (-1)^n N_n(c), so x + c divides when N_n(c) = (-1)^n u;
+    sigma^(ring.n) = id makes N_n(c) = N(c)^(n / ring.n).  N(c) mod p is an
+    integer residue, so a target with a nonzero higher coordinate has no
+    root.
+    """
+    ring = central.ring
+    n = int(central.degree)
+    if ring.size > bound:
+        raise TooLarge(f"{ring.size} elements exceeds bound {bound}")
+    u = -central.coeffs[0]
+    target, *higher = (u if n % 2 == 0 else -u).coeffs
+    if any(higher):
+        return []
+    power, p = n // ring.n, ring.p
+    norm = ring._core.norm_cofactor
+    return [c for c in product(range(p), repeat=ring.n) if pow(norm(c)[0], power, p) == target]
+
+
 def _low_degree_divisors(central: SkewPoly, degree: int, bound):
     """Monic right divisors of the central x^n - u of degree d <= n/2."""
     ring = central.ring
-    n = int(central.degree)
     if degree == 0:
         return [SkewPoly.one(ring)]
     if degree == 1:
-        # N_n(-c) = (-1)^n N_n(c), so x + c divides when N_n(c) = (-1)^n u;
-        # sigma^(ring.n) = id makes N_n(c) = N(c)^(n / ring.n).  N(c) mod p
-        # is an integer residue, so a target with a nonzero higher coordinate
-        # has no root.
-        if ring.size > bound:
-            raise TooLarge(f"{ring.size} elements exceeds bound {bound}")
-        u = -central.coeffs[0]
-        target, *higher = (u if n % 2 == 0 else -u).coeffs
-        if any(higher):
-            return []
-        power, p = n // ring.n, ring.p
-        norm = integral_arithmetic(ring.spec.min_poly, ring.spec.sigma_image).norm_cofactor
-        return [
-            SkewPoly(ring, (ring._make(c), ring.one))
-            for c in product(range(p), repeat=ring.n)
-            if pow(norm(c)[0], power, p) == target
-        ]
+        return [SkewPoly(ring, (ring._make(c), ring.one)) for c in _roots(central, bound)]
     if ring.size**degree > bound:
         raise TooLarge(f"{ring.size}^{degree} candidates exceeds bound {bound}")
     out = []
@@ -339,4 +377,3 @@ def _low_degree_divisors(central: SkewPoly, degree: int, bound):
         if central.right_divmod(g)[1].is_zero:
             out.append(g)
     return out
-

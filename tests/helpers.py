@@ -100,6 +100,19 @@ def brute_force_right_divisors(ring, n, u, degree, bound=ENUMERATION_BOUND):
     return out
 
 
+def division_cofactors(ring, n, u, degree, bound=ENUMERATION_BOUND):
+    """Oracle: the monic right divisors of degree d > n - d as the quotients
+    of x^n - u by the divisors of degree n - d, one right division each, in
+    lexicographic order of coefficient vectors (constant term first)."""
+    central = central_poly(ring, n, u)
+    cofactors = []
+    for g in monic_right_divisors(ring, n, u, n - degree, bound):
+        q, r = central.right_divmod(g)
+        assert r.is_zero, g
+        cofactors.append(q)
+    return sorted(cofactors, key=lambda f: tuple(c.coeffs for c in f.coeffs))
+
+
 def table_norm_cofactor(core, vec):
     """Oracle: IntegralArithmetic.norm_cofactor through the core's sigma
     tables and folded products, sigma(vec) times each sigma^k(vec) in turn,

@@ -18,7 +18,9 @@ from skewlat.fixtures import GAUSSIAN_P2, GAUSSIAN_P3
 
 from helpers import (
     CUBIC,
+    QUARTIC,
     brute_force_right_divisors,
+    division_cofactors,
     quiet_ring,
     random_poly,
     random_unit_lead_poly,
@@ -306,6 +308,44 @@ def test_cubic_p13_roots_and_cofactors():
         assert r.is_zero
         cofactors.add(q)
     assert cofactors == set(roots)
+
+
+def assert_quotients_match_division(ring, n, u):
+    """Degree n - 1 equals the division cofactors, and each divisor q is the
+    Lam-Leroy quotient of one root a: q*(x - a) = x^n - u with
+    a = sigma(q_(n-2)), since q_(n-2) = sigma^(n-1)(a) and sigma^n = id."""
+    central = central_poly(ring, n, u)
+    quotients = monic_right_divisors(ring, n, u, n - 1)
+    assert quotients == division_cofactors(ring, n, u, n - 1)
+    roots = {-g.coeff(0) for g in monic_right_divisors(ring, n, u, 1)}
+    assert {q.coeff(n - 2).sigma() for q in quotients} == roots
+    assert len(quotients) == len(roots)
+    x = SkewPoly.monomial(ring, 1)
+    for q in quotients:
+        assert q * (x - q.coeff(n - 2).sigma()) == central
+    return quotients
+
+
+@settings(max_examples=20, deadline=None)
+@given(valid_specs(), st.sampled_from((1, 2)))
+@example(replace(CUBIC, p=7, u=3), 2)
+@example(AlgebraSpec((1, 0, 1), (0, -1), u=2, p=5), 2)
+def test_degree_n_minus_one_divisors_are_the_division_cofactors(spec, multiple):
+    ring = QuotientRing(spec)
+    assert_quotients_match_division(ring, multiple * ring.n, spec.u)
+
+
+def test_cubic_degree_two_counts():
+    # [3 choose 2]_5 = 31 at the inert p = 5, 12^2 = 144 at the split
+    # p = 13, and none at the ramified p = 7 with u = 2.
+    for p, u, count in ((5, 2, 31), (13, 2, 144), (7, 2, 0)):
+        ring = QuotientRing(replace(CUBIC, p=p, u=u))
+        assert len(assert_quotients_match_division(ring, 3, u)) == count, p
+
+
+def test_quartic_degree_three_quotients():
+    ring = quiet_ring(QUARTIC)
+    assert len(assert_quotients_match_division(ring, 4, QUARTIC.u)) == 156
 
 
 def test_monic_right_divisors_needs_a_multiple_of_the_sigma_order(p3):
