@@ -9,7 +9,8 @@ Commands: divisors, code, dual, lattice, stmatrix, mindet, coset-encode,
 coset-decode, verify-examples.  Results go to stdout (plain tables by
 default, machine-readable with --json), diagnostics to stderr.  Exit codes:
 0 success, 1 domain error (with a stable error code) or a closed stdout
-(without a traceback), 2 usage error.
+(without a traceback), 2 usage error.  Library warnings print to stderr as one
+``warning: <message>`` line each, without a source location.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import os
 import re
 import sys
+import warnings
 from dataclasses import dataclass
 
 from .codes import ConstacyclicCode
@@ -323,6 +325,10 @@ _HANDLERS = {
 }
 
 
+def _warning_line(message, category, filename, lineno, line=None):
+    return f"warning: {message}\n"
+
+
 def _int_in_range(low, high=None):
     def integer(raw):
         value = int(raw)
@@ -381,6 +387,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    saved_format, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         if args.command == "verify-examples":
             cfg = None
@@ -396,6 +403,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error[IO]: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = saved_format
     try:
         if args.json:
             payload = dict(payload)

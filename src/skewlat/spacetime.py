@@ -11,20 +11,13 @@ The centre of the algebra is Q, so det M(a) = nrd(a), the reduced norm, is
 a rational integer and norm_det is nrd ** n.
 
 min_det_sample probes the space-time design criterion: over a division
-algebra the determinant of M(a) - M(a') never vanishes for a != a'.  Since
-M is additive, M(a) - M(a') = M(a - a') is linear in the coordinates of
-the difference, so nrd is an integer form of degree n.  The probe expands
-that form once per call in the order's flat coordinates, where it is sparse
-(reduced_norm_form), checks it rational once, and compiles it once into a
-nested integer function that first maps the difference's lattice
-coordinates to flat ones through the lattice basis.  It evaluates that
-function at each nonzero difference once up to sign, or at differences of
-box points sampled from a batched getrandbits stream equal to randrange's,
-and re-checks the minimizing difference with matrix_rep and norm_det.  The
-probe is a sample, never a certificate.  Both cofactor expansions, of det M
-and of the form, raise TooLarge past ENUMERATION_BOUND products.
-Matrix entries, cofactor terms and lattice points all add through
-lattice.vector_sum.
+algebra det M(a - a') = det(M(a) - M(a')) never vanishes for a != a'.  The
+reduced norm form of reduced_norm_form is expanded once per algebra; each call
+compiles one sweep that evaluates it inline over differences of box points,
+fed at C level by itertools or by getrandbits bytes that are randint's draws.
+It is a sample, never a certificate.  Both cofactor expansions, of det M and
+of the form, raise TooLarge past ENUMERATION_BOUND products.  Matrix entries,
+cofactor terms and lattice points all add through lattice.vector_sum.
 
 Coset encoding splits a lattice point into an information codeword plus a
 random offset in p times the order, the wiretap-coding primitive.
@@ -35,8 +28,8 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
-from itertools import islice, product, repeat
-from math import factorial
+from itertools import chain, islice, product, repeat
+from math import factorial, inf
 
 from .codes import ConstacyclicCode
 from .errors import InvalidSpec, LengthMismatch, NotInLattice, TooLarge
@@ -51,7 +44,8 @@ from .lattice import (
 )
 from .number_ring import ENUMERATION_BOUND, compile_function, integral_arithmetic, linear_source
 
-_DRAW_BATCH = 1024  # getrandbits draws per batch in _sampled_differences
+_DRAW_BATCH = 1024  # 32-bit words per getrandbits batch in _sampled_pairs
+_FLAT_FORMS = {}  # (min_poly, sigma_image, u) -> (source of G, products made)
 
 
 class SpaceTimeMatrix:
@@ -81,8 +75,7 @@ class SpaceTimeMatrix:
 
     def __mul__(self, other):
         self._check(other)
-        order = self.order
-        n = order.n
+        order, n = self.order, self.order.n
         a, b = self.entries, other.entries
 
         def entry(r, s):
@@ -111,7 +104,7 @@ class SpaceTimeMatrix:
         def signed_sum(terms):
             return vector_sum([[-v for v in t] if odd else t for odd, t in terms], order.n)
 
-        return _cofactor_det(self.entries, any, order.ok_mul, signed_sum, lambda a, b: 1)
+        return _cofactor_det(self.entries, any, order.ok_mul, signed_sum, lambda a, b: 1)[0]
 
     def norm_det(self) -> int:
         """The rational norm of the determinant, nrd ** n.
@@ -139,6 +132,7 @@ def _cofactor_det(rows, nonzero, mul, signed_sum, cost):
     mul(entry, minor) and each row's terms combine through
     signed_sum([(odd, term), ...]), where odd marks a negated term.
     Each mul counts cost(entry, minor) products; TooLarge past ENUMERATION_BOUND.
+    Returns (determinant, products made).
     """
     made = 0
 
@@ -156,32 +150,23 @@ def _cofactor_det(rows, nonzero, mul, signed_sum, cost):
                 terms.append((j % 2, mul(top, minor)))
         return signed_sum(terms)
 
-    return expand(rows)
+    return expand(rows), made
 
 
 def matrix_rep(a: OrderElement) -> SpaceTimeMatrix:
     """The codeword matrix M(a); requires the integer constant u of the order."""
-    order = a.order
-    n = order.n
-    u = order.u
-    entries = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            if r >= c:
-                vec = order.ok_sigma(a.rows[r - c], c)
-            else:
-                vec = tuple(u * v for v in order.ok_sigma(a.rows[n - c + r], c))
-            row.append(vec)
-        entries.append(row)
-    return SpaceTimeMatrix(order, entries)
+    order, n = a.order, a.order.n
+
+    def entry(r, c):  # sigma^c(a_{(r - c) mod n}), times u above the diagonal
+        vec = order.ok_sigma(a.rows[(r - c) % n], c)
+        return vec if r >= c else tuple(order.u * v for v in vec)
+
+    return SpaceTimeMatrix(order, [[entry(r, c) for c in range(n)] for r in range(n)])
 
 
 def right_multiplication_det(a: OrderElement) -> int:
-    """Determinant of right multiplication by a on the full order, over Z.
-
-    Independent of matrix_rep; used to cross-check norm_det values.
-    """
+    """Determinant of right multiplication by a on the full order, over Z;
+    independent of matrix_rep, it cross-checks norm_det values."""
     order = a.order
     N = order.n * order.n
     cols = [(order.basis_element(i) * a).flatten() for i in range(N)]
@@ -205,31 +190,31 @@ def exhaustive_sweep(
     return differences * factorial(n) // 2 <= enumeration_bound
 
 
-def _sampled_differences(rng, coeff_bound, N):
-    """Endless z1 - z2 for random distinct box points z1, z2, z1 drawn first.
+def _sampled_pairs(rng, coeff_bound, N):
+    """Endless pairs (z1, z2) of box points shifted into [0, 2b], z1 drawn first.
 
-    rng.randint(-b, b) is -b + rng.randrange(2b + 1), the same call on the
-    same stream, and the common shift -b cancels in z1 - z2 and in z1 != z2,
-    so the points are drawn shifted into [0, 2b] and the differences are
-    those of randint-drawn pairs.  randrange(w) is CPython's
-    _randbelow_with_getrandbits(w): getrandbits(w.bit_length()) until a value
-    below w comes up.  So the points are read off one stream of such draws,
-    made _DRAW_BATCH at a time through getrandbits, with the values >= w
-    dropped: each pair is the next 2N accepted values, z1 then z2, exactly
-    as randrange would give them.
+    randint(-b, b) is -b + randrange(w), w = 2b + 1, and the shift cancels.
+    randrange(w) draws getrandbits(k), k = w.bit_length(), until a value below
+    w comes up: for k <= 32, the top k bits of the next 32-bit word.  So for
+    k <= 8, one bytes.translate of the top bytes of getrandbits(32 *
+    _DRAW_BATCH)'s words, first word lowest, shifts them to k bits and drops
+    values >= w; wider boxes draw word by word.  A pair is the next 2N values.
     """
     width = 2 * coeff_bound + 1
-    draw = rng.getrandbits
     bits = width.bit_length()
-    carry = []
-    while True:
-        accepted = carry + [v for v in map(draw, repeat(bits, _DRAW_BATCH)) if v < width]
-        used = len(accepted) - len(accepted) % (2 * N)
-        carry = accepted[used:]
-        points = zip(*[iter(accepted[:used])] * N)
-        for z1, z2 in zip(points, points):
-            if z1 != z2:
-                yield tuple(map(operator.sub, z1, z2))
+
+    def batches():
+        if bits > 8:
+            while True:
+                yield [v for v in map(rng.getrandbits, repeat(bits, _DRAW_BATCH)) if v < width]
+        table = bytes(b >> (8 - bits) for b in range(256))
+        rejected = bytes(b for b in range(256) if table[b] >= width)
+        while True:
+            words = rng.getrandbits(32 * _DRAW_BATCH).to_bytes(4 * _DRAW_BATCH, "little")
+            yield words[3::4].translate(table, rejected)
+
+    points = zip(*[chain.from_iterable(batches())] * N)
+    return zip(points, points)
 
 
 def _horner_source(form):
@@ -251,64 +236,89 @@ def _horner_source(form):
     )
 
 
+def _flat_form(order):
+    """Source of G (see reduced_norm_form), expanded once per (min_poly, sigma_image,
+    u); TooLarge whenever its expansion made more than ENUMERATION_BOUND products."""
+    key = (order.min_poly, order.spec.sigma_image, order.u)
+    if key not in _FLAT_FORMS:
+        core, n = integral_arithmetic(order.min_poly, order.spec.sigma_image), order.n
+        mats = [matrix_rep(order.basis_element(i)).entries for i in range(n * n)]
+        rows = [
+            [{(i,): m[r][c] for i, m in enumerate(mats) if any(m[r][c])} for c in range(n)]
+            for r in range(n)
+        ]
+
+        def add_to(form, mono, vec):
+            acc = form.get(mono)
+            form[mono] = vec if acc is None else [a + b for a, b in zip(acc, vec)]
+
+        def mul(f, g):
+            out = {}
+            for mf, a in f.items():
+                for mg, b in g.items():
+                    add_to(out, tuple(sorted(mf + mg)), core.mul(a, b))
+            return out
+
+        def signed_sum(terms):
+            out = {}
+            for odd, term in terms:
+                for mono, vec in term.items():
+                    add_to(out, mono, [-v for v in vec] if odd else vec)
+            return out
+
+        form, made = _cofactor_det(rows, bool, mul, signed_sum, lambda f, g: len(f) * len(g))
+        if any(any(rest) for _, *rest in form.values()):
+            raise InvalidSpec("the reduced norm form has a nonzero non-constant coordinate")
+        terms = {mono: vec[0] for mono, vec in form.items() if vec[0]}
+        _FLAT_FORMS[key] = (_horner_source(terms) or "0", made)
+    source, made = _FLAT_FORMS[key]
+    if made > ENUMERATION_BOUND:
+        raise TooLarge(f"cofactor expansion exceeds {ENUMERATION_BOUND} products")
+    return source
+
+
+def _basis_map(columns, indent):
+    """Source lines x_i = sum_j columns[j][i] * d_j, over the nonzero entries."""
+    d = [f"d{j}" for j in range(len(columns))]
+    rows = enumerate(zip(*columns))
+    return "".join(f"{indent}x{i} = {linear_source(zip(row, d))}\n" for i, row in rows)
+
+
 def reduced_norm_form(order: NaturalOrder, columns):
     """The integer form F with F(d) = nrd(sum_j d_j columns[j]), as a function of d.
 
-    columns are the flat coordinate vectors of a basis of a full-rank
-    sublattice of the order, and B is the basis map x = B d, x_i =
-    sum_j columns[j][i] d_j.  M is additive, so M(x) = sum_i x_i M(e_i) over
-    the order's basis elements e_i: its entries are linear forms in the n^2
-    flat coordinates x with O_K coefficient vectors, and nrd is a form G of
-    degree n in x.  Entry (r, c) of M(x) reads only the n coordinates of the
-    e^((r - c) mod n) coefficient of x, so G is sparse: 4 monomials on Z[i]
-    and 57 on the cubic, where F = G o B, dense in d, has up to 10 for n = 2
-    and 165 for n = 3.  G is expanded once, by the cofactor recursion of
-    SpaceTimeMatrix.det over IntegralArithmetic.mul, and checked rational
-    once: InvalidSpec if any coefficient has a nonzero non-constant
-    coordinate.  B is invertible over Q, so F is rational exactly when G is.
-    The compiled function of d first computes x = B d, each x_i over the
-    nonzero entries of its row of B, then G grouped Horner-style by
-    leading variable, G(x) = sum_i x_i * (sum_{j >= i} x_j * (...)), over
-    integer literals, which shares each partial product among the monomials
-    that extend it.
+    columns are the flat coordinates of a basis of a full-rank sublattice of
+    the order; B is the basis map x = B d.  M is additive, so nrd(x) is a form
+    G of degree n in the n^2 flat coordinates, sparse since entry (r, c) of
+    M(x) reads only the e^((r - c) mod n) coefficient of x: 4 monomials on Z[i]
+    and 57 on the cubic, where F = G o B has up to 10 and 165.  G depends only
+    on (min_poly, sigma_image, u); it is expanded once per algebra by the
+    cofactor recursion of SpaceTimeMatrix.det and checked rational, InvalidSpec
+    otherwise (F is rational exactly when G is, B being invertible over Q).
+    The function computes x = B d, then G grouped Horner-style.
     """
-    core = integral_arithmetic(order.min_poly, order.spec.sigma_image)
-    n = order.n
-    mats = [matrix_rep(order.basis_element(i)).entries for i in range(n * n)]
-    rows = [
-        [{(i,): m[r][c] for i, m in enumerate(mats) if any(m[r][c])} for c in range(n)]
-        for r in range(n)
-    ]
-
-    def add_to(form, mono, vec):
-        acc = form.get(mono)
-        form[mono] = vec if acc is None else [a + b for a, b in zip(acc, vec)]
-
-    def mul(f, g):
-        out = {}
-        for mf, a in f.items():
-            for mg, b in g.items():
-                add_to(out, tuple(sorted(mf + mg)), core.mul(a, b))
-        return out
-
-    def signed_sum(terms):
-        out = {}
-        for odd, term in terms:
-            for mono, vec in term.items():
-                add_to(out, mono, [-v for v in vec] if odd else vec)
-        return out
-
-    form = _cofactor_det(rows, bool, mul, signed_sum, lambda f, g: len(f) * len(g))
-    if any(any(rest) for _, *rest in form.values()):
-        raise InvalidSpec("the reduced norm form has a nonzero non-constant coordinate")
-    terms = {mono: vec[0] for mono, vec in form.items() if vec[0]}
     names = "".join(f"d{j}, " for j in range(len(columns)))
-    prologue = "".join(
-        f"    x{i} = {linear_source((col[i], f'd{j}') for j, col in enumerate(columns))}\n"
-        for i in range(n * n)
-    )
-    source = f"def form(d):\n    {names}= d\n{prologue}    return {_horner_source(terms) or 0}\n"
-    return compile_function(source, "form")
+    head = f"def form(d):\n    {names}= d\n{_basis_map(columns, '    ')}"
+    return compile_function(f"{head}    return {_flat_form(order)}\n", "form")
+
+
+def _sweep(columns, flat_form, sampled):
+    """The compiled sweep(pairs, best, left) -> (least |F(d)| below best, first such d),
+    each d read from the loop header, or as z1 - z2 of sampled pairs (z1, z2),
+    skipping equal pairs and stopping after `left` others."""
+    d = [f"d{j}" for j in range(len(columns))]
+    ds = ", ".join(d) + ","
+    head, diffs, tail = ds, "", ""
+    if sampled:
+        head = f"({ds.replace('d', 'a')}), ({ds.replace('d', 'b')})"
+        diffs = "".join(f"        {x} = a{j} - b{j}\n" for j, x in enumerate(d))
+        diffs += f"        if not ({' or '.join(d)}):\n            continue\n"
+        tail = "        left -= 1\n        if not left:\n            break\n"
+    body = f"{diffs}{_basis_map(columns, ' ' * 8)}        v = abs({flat_form})\n"
+    body += f"        if v < best:\n            best, best_d = v, ({ds})\n"
+    body += f"            if not v:\n                break\n{tail}    return best, best_d\n"
+    source = f"def sweep(pairs, best, left):\n    for {head} in pairs:\n{body}"
+    return compile_function(source, "sweep")
 
 
 def min_det_sample(
@@ -323,18 +333,14 @@ def min_det_sample(
     """Minimum |norm(det(M(a) - M(a')))| over distinct pairs of lattice points.
 
     Points have coordinates in [-coeff_bound, coeff_bound] in the code's
-    lattice basis.  M(a) - M(a') = M(a - a') and |norm det| = |nrd|^n, so
-    each difference d of basis coordinates costs one evaluation of the
-    integer form reduced_norm_form, built, checked rational and compiled once
-    per call.  When those differences, each weighted by n!/2, fit in
-    enumeration_bound (exhaustive_sweep) every nonzero difference in the
-    doubled box is visited once up to sign, otherwise `samples` differences
-    of random distinct box points are drawn from a generator seeded with
-    `seed`.  The minimizing difference is re-checked with matrix_rep and
-    norm_det; a disagreement raises RuntimeError.  Strictly positive output
-    is expected for division configurations; zero exhibits a concrete
-    rank-deficient difference.
-    Raises ValueError when coeff_bound < 1, or when samples < 1 in sampled mode.
+    lattice basis; a difference d gives |F(d)|^n, F from reduced_norm_form.
+    When the differences fit in enumeration_bound (exhaustive_sweep) every
+    nonzero one in the doubled box is visited once up to sign, otherwise
+    `samples` differences of random distinct box points are drawn with `seed`.
+    The minimizing difference is re-checked through norm_det (RuntimeError if
+    they disagree); zero exhibits a rank-deficient difference.  Raises
+    ValueError when coeff_bound < 1, and in sampled mode ValueError when
+    samples < 1 and TooLarge when samples > ENUMERATION_BOUND.
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be at least 1")
@@ -345,25 +351,19 @@ def min_det_sample(
         raise TooLarge(f"coefficient box {coeff_bound} exceeds bound {enumeration_bound}")
     if not exhaustive and samples < 1:
         raise ValueError("samples must be at least 1 when sampling")
-    basis = construction_a_basis(code).basis
-    cols = list(zip(*basis))
+    if not exhaustive and samples > ENUMERATION_BOUND:
+        raise TooLarge(f"{samples} samples exceed bound {ENUMERATION_BOUND}")
+    cols = list(zip(*construction_a_basis(code).basis))
     N = len(cols)
     order = NaturalOrder(code.ring.spec)
-    nrd = reduced_norm_form(order, cols)
-
+    sweep = _sweep(cols, _flat_form(order), not exhaustive)
     if exhaustive:
         span = range(-2 * coeff_bound, 2 * coeff_bound + 1)
-        zero = (0,) * N
-        diffs = (d for d in product(span, repeat=N) if d > zero)
+        # product's order is lexicographic, so the d > 0 follow the middle, 0.
+        pairs = islice(product(span, repeat=N), (len(span) ** N + 1) // 2, None)
     else:
-        diffs = islice(_sampled_differences(random.Random(seed), coeff_bound, N), samples)
-    best = best_d = None
-    for d in diffs:
-        value = abs(nrd(d))
-        if best is None or value < best:
-            best, best_d = value, d
-            if best == 0:
-                break
+        pairs = _sampled_pairs(random.Random(seed), coeff_bound, N)
+    best, best_d = sweep(pairs, inf, samples)
     best **= order.n
     witness = order.from_flat(vector_sum([[z * v for v in col] for z, col in zip(best_d, cols)], N))
     if abs(matrix_rep(witness).norm_det()) != best:

@@ -484,6 +484,38 @@ def test_closed_stdout_exits_one_without_a_traceback(cfg_path):
         assert proc.stderr == ""
 
 
+def test_library_warnings_print_as_one_stable_line(tmp_path):
+    # The degree > 3 irreducibility warning names neither a file nor a line,
+    # so editing the CLI cannot change the stderr of a quartic config.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from helpers import QUARTIC
+
+    path = tmp_path / "quartic.cfg"
+    path.write_text(
+        f"p = {QUARTIC.p}\nmin_poly = {list(QUARTIC.min_poly)}\n"
+        f"sigma_image = {list(QUARTIC.sigma_image)}\nu = {QUARTIC.u}\n"
+        f"conjugation_mode = {QUARTIC.conjugation_mode}\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "skewlat", "divisors", "--config", str(path), "--degree", "1",
+         "--json"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["count"] == 156
+    assert proc.stderr == (
+        "warning: irreducibility over Q is only verified up to degree 3; degree 4 is trusted\n"
+    )
+
+
 def test_bound_flag_overrides_config(capsys, cfg_path):
     for bound in ("5", "0"):  # 0 is a bound, not a usage error
         rc, out, err = run(

@@ -221,18 +221,19 @@ def test_min_det_difference_sweep_matches_pair_sweep(build):
 def test_min_det_exhaustive_sweep_visits_each_difference_once_up_to_sign(monkeypatch):
     code = fixture_code("gaussian-p3-inert")
     seen = []
-    build = spacetime.reduced_norm_form
+    build = spacetime._sweep
 
-    def recording_form(order, columns):
-        nrd = build(order, columns)
+    def recording_sweep(*args):
+        sweep = build(*args)
 
-        def evaluate(d):
-            seen.append(tuple(d))
-            return nrd(d)
+        def fed(pairs, *rest):
+            pairs = list(pairs)
+            seen.extend(pairs)
+            return sweep(iter(pairs), *rest)
 
-        return evaluate
+        return fed
 
-    monkeypatch.setattr(spacetime, "reduced_norm_form", recording_form)
+    monkeypatch.setattr(spacetime, "_sweep", recording_sweep)
     assert min_det_sample(code, 1, exhaustive=True) == 9
     N = 4
     assert len(seen) == len(set(seen)) == (5**N - 1) // 2
@@ -273,10 +274,11 @@ def test_min_det_sampled_differences_match_sampled_pairs(build, coeff_bound):
 
 # Width 2 * 4 + 1 = 9 rejects 7 of every 16 four-bit draws; each difference
 # takes at least 2N draws, so _DRAW_BATCH differences span at least 2N batches.
+# Widths 255 and 257 lie either side of the one-byte read of each 32-bit word.
 @pytest.mark.parametrize(
     "coeff_bound, count",
-    [(1, 500), (2, 500), (3, 500), (4, 500), (2, spacetime._DRAW_BATCH)],
-    ids=["1", "2", "3", "4", "2-batches"],
+    [(1, 500), (2, 500), (3, 500), (4, 500), (2, spacetime._DRAW_BATCH), (127, 500), (128, 500)],
+    ids=["1", "2", "3", "4", "2-batches", "127", "128"],
 )
 @pytest.mark.parametrize("N", [4, 9])
 @pytest.mark.parametrize("seed", [0, 7])
@@ -288,7 +290,8 @@ def test_sampled_differences_are_those_of_randint_pairs(seed, coeff_bound, N, co
         z2 = [rng.randint(-coeff_bound, coeff_bound) for _ in range(N)]
         if z1 != z2:
             expected.append(tuple(a - b for a, b in zip(z1, z2)))
-    got = spacetime._sampled_differences(random.Random(seed), coeff_bound, N)
+    pairs = spacetime._sampled_pairs(random.Random(seed), coeff_bound, N)
+    got = (tuple(map(operator.sub, z1, z2)) for z1, z2 in pairs if z1 != z2)
     assert list(islice(got, count)) == expected
 
 
@@ -359,14 +362,19 @@ def test_determinant_with_an_irrational_coordinate_raises(monkeypatch):
     assert m.det() == (0, 1)
     with pytest.raises(InvalidSpec, match="non-constant"):
         m.norm_det()
-    # A form built from such matrices fails its one rationality check.
+    # A form built from such matrices fails its one rationality check, each
+    # time: the cache starts empty, so the patched matrix_rep is expanded,
+    # and a failed expansion is not cached.
+    monkeypatch.setattr(spacetime, "_FLAT_FORMS", {})
     monkeypatch.setattr(
         spacetime,
         "matrix_rep",
         lambda a: SpaceTimeMatrix(a.order, [[a.rows[0], (0, 0)], [(0, 0), (1, 0)]]),
     )
-    with pytest.raises(InvalidSpec, match="non-constant"):
-        spacetime.reduced_norm_form(order, [(0, 1, 0, 0), (1, 0, 0, 0)])
+    for _ in range(2):
+        with pytest.raises(InvalidSpec, match="non-constant"):
+            spacetime.reduced_norm_form(order, [(0, 1, 0, 0), (1, 0, 0, 0)])
+    assert spacetime._FLAT_FORMS == {}
 
 
 def test_cofactor_expansions_stop_past_the_enumeration_bound(monkeypatch):
@@ -387,12 +395,39 @@ def test_cofactor_expansions_stop_past_the_enumeration_bound(monkeypatch):
 
 
 def test_min_det_rechecks_its_witness(monkeypatch):
-    build = spacetime.reduced_norm_form
-    monkeypatch.setattr(
-        spacetime, "reduced_norm_form", lambda order, cols: lambda d: build(order, cols)(d) + 1
-    )
+    build = spacetime._sweep
+
+    def perturbed_sweep(*args):
+        sweep = build(*args)
+
+        def off_by_one(*fed):
+            best, best_d = sweep(*fed)
+            return best + 1, best_d
+
+        return off_by_one
+
+    monkeypatch.setattr(spacetime, "_sweep", perturbed_sweep)
     with pytest.raises(RuntimeError, match="disagrees with norm_det"):
         min_det_sample(fixture_code("gaussian-p3-inert"), 1)
+
+
+def test_flat_forms_are_cached_per_algebra_with_u_in_the_key(monkeypatch):
+    # gaussian-p3 and its u = 1 sabotage share a field but not a form.
+    division, sabotage = fixture_code("gaussian-p3-inert"), sabotage_code()
+    for first, second, values in [(division, sabotage, [9, 0, 9]), (sabotage, division, [0, 9, 0])]:
+        monkeypatch.setattr(spacetime, "_FLAT_FORMS", {})
+        assert [min_det_sample(c, 1) for c in (first, second, first)] == values
+        assert len(spacetime._FLAT_FORMS) == 2
+
+
+def test_sampled_min_det_bounds_its_samples(monkeypatch):
+    code = fixture_code("gaussian-p3-inert")
+    monkeypatch.setattr(spacetime, "ENUMERATION_BOUND", 40)
+    assert min_det_sample(code, 2, seed=99, samples=40, exhaustive=False) > 0
+    monkeypatch.setattr(spacetime, "_sampled_pairs", None)  # nothing may be drawn
+    with pytest.raises(TooLarge, match="41 samples exceed bound 40"):
+        min_det_sample(code, 2, seed=99, samples=41, exhaustive=False)
+    assert min_det_sample(code, 1, samples=41) == 9  # the sweep draws no samples
 
 
 def test_coset_encode_examples():
