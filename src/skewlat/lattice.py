@@ -12,9 +12,10 @@ vectors of equal length, O_K rows or flat points, add through vector_sum.
 
 Lifting a codeword takes its canonical representatives in [0, p) as integer
 coordinates; reducing an order element mods every coordinate by p.  The
-lattice attached to a code, lift(C) + pZ^N, is spanned by the columns of its
-cached F_p generator matrix together with p times the standard basis,
-normalized by Hermite Normal Form.
+lattice attached to a code, lift(C) + pZ^N, contains pZ^N, so it depends only
+on the F_p row space of the code's cached generator matrix: the reduced row
+echelon rows of that space (number_ring.echelon_mod_p), with p times the
+unit vectors of the free coordinates, are already its Hermite Normal Form.
 
 HNF convention: column style, lower triangular, positive diagonal, entries to
 the left of each pivot reduced into [0, pivot).  That canonical form makes
@@ -25,18 +26,21 @@ The trace form used for Gram matrices is
     B(sum a_i e^i, sum b_i e^i) = sum_i w^i * Tr(a_i * conj(b_i))
 with conj = sigma for imaginary quadratic fields ("complex" mode), identity
 for totally real ones, and w an optional positive e-block weight (default 1).
+Its matrix T on the flat basis is built once per (spec, w) and cached, and
+every Gram matrix is read off it as B^T T B.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from math import prod
 
 from . import intpoly
 from .codes import ConstacyclicCode, brute_force_dual
 from .errors import IndefiniteForm, InvalidSpec, LengthMismatch
-from .number_ring import AlgebraSpec, QuotientRing, integral_arithmetic
+from .number_ring import AlgebraSpec, QuotientRing, echelon_mod_p, integral_arithmetic
 
 
 class NaturalOrder:
@@ -349,30 +353,50 @@ class LatticeBasis:
         return asdict(self)
 
 
+@lru_cache(maxsize=32)
+def _trace_form(spec: AlgebraSpec, e_weight: int):
+    """The N x N matrix T of the trace form on the flat basis {theta^j e^i}.
+
+    B(x, y) = x^T T y.  T is block-diagonal: block i is w^i times the n x n
+    matrix [Tr(theta^a conj(theta^b))], built once per (spec, e_weight)
+    through ok_mul, ok_conj and ok_trace; the cache is bounded.
+    """
+    order = NaturalOrder(spec)
+    n = order.n
+    powers = [tuple(int(a == j) for j in range(n)) for a in range(n)]
+    block = [[order.ok_trace(order.ok_mul(x, order.ok_conj(y))) for y in powers] for x in powers]
+    return tuple(
+        tuple(e_weight**i * block[a][b] if i == j else 0 for j in range(n) for b in range(n))
+        for i in range(n)
+        for a in range(n)
+    )
+
+
 def gram_matrix(basis, spec: AlgebraSpec, e_weight: int = 1):
-    """Gram matrix of the basis columns under the trace form.
+    """Gram matrix B^T T B of the basis columns, T from _trace_form.
 
     basis is row-major with the generators as columns, in the flat basis of
-    the order.  Raises IndefiniteForm when a diagonal entry is nonpositive,
-    which signals a conjugation_mode inconsistent with the field.
+    the order; the zero entries of each column are skipped.  Raises
+    LengthMismatch for a column that is not N long, and IndefiniteForm, row
+    by row, at the first nonpositive diagonal entry, which signals a
+    conjugation_mode inconsistent with the field.
     """
     if not isinstance(e_weight, int) or e_weight < 1:
         raise InvalidSpec("e_weight must be a positive integer")
-    order = NaturalOrder(spec)
-    elems = [order.from_flat(col) for col in zip(*basis)]
-    weights = [e_weight**i for i in range(order.n)]
-
-    def form(x, y):
-        total = 0
-        for i in range(order.n):
-            total += weights[i] * order.ok_trace(order.ok_mul(x.rows[i], order.ok_conj(y.rows[i])))
-        return total
-
-    size = len(elems)
+    form = _trace_form(spec, e_weight)
+    N = len(form)
+    cols = []
+    for col in zip(*basis):
+        if len(col) != N:
+            raise LengthMismatch(f"expected {N} coordinates")
+        cols.append([(i, v) for i, v in enumerate(map(operator.index, col)) if v])
+    images = [vector_sum([[v * t for t in form[i]] for i, v in col], N) for col in cols]
+    size = len(cols)
     gram = [[0] * size for _ in range(size)]
-    for r in range(size):
+    for r, col in enumerate(cols):
         for s in range(r, size):
-            gram[r][s] = gram[s][r] = form(elems[r], elems[s])
+            image = images[s]
+            gram[r][s] = gram[s][r] = sum(v * image[i] for i, v in col)
         if gram[r][r] <= 0:
             raise IndefiniteForm(
                 f"diagonal entry {gram[r][r]} <= 0; check conjugation_mode"
@@ -380,11 +404,22 @@ def gram_matrix(basis, spec: AlgebraSpec, e_weight: int = 1):
     return gram
 
 
-def _lift_basis(gens, spec: AlgebraSpec, e_weight: int) -> LatticeBasis:
-    """The lattice lift(C) + pZ^N: the columns of gens, a row-major N-row
-    matrix with entries in [0, p), together with p times the standard basis."""
+def _lift_basis(vectors, spec: AlgebraSpec, e_weight: int) -> LatticeBasis:
+    """The lattice spanned by the integer vectors, each of N flat
+    coordinates, together with p times the standard basis.
+
+    It contains pZ^N, so it depends only on the F_p row space of the
+    vectors: their reduced row echelon form over F_p (echelon_mod_p) spans
+    it with pZ^N.  Each echelon row, read as a column, has its 1 at its
+    pivot, 0 above and at the other pivots, entries in [0, p) below; with
+    p e_j for each free coordinate j that is N columns already in HNF, so
+    hnf makes one pass over them instead of eliminating every vector, and
+    the index is p^(N - rank).
+    """
     p, N = spec.p, spec.n * spec.n
-    basis = hnf([[*row, *(p if i == j else 0 for j in range(N))] for i, row in enumerate(gens)])
+    rows, pivots = echelon_mod_p(vectors, p)
+    free = [j for j in range(N) if j not in pivots]
+    basis = hnf(list(zip(*rows, *([p if i == j else 0 for i in range(N)] for j in free))))
     gram = gram_matrix(basis, spec, e_weight)
     index = prod(basis[i][i] for i in range(N))
     return LatticeBasis(basis=basis, gram=gram, det=det_int(gram), index=index)
@@ -393,12 +428,12 @@ def _lift_basis(gens, spec: AlgebraSpec, e_weight: int) -> LatticeBasis:
 def construction_a_basis(code: ConstacyclicCode, e_weight: int = 1) -> LatticeBasis:
     """Basis of the preimage lattice of the code under reduction modulo p.
 
-    Generated by p times the standard order basis together with the columns
-    of the code's F_p generator matrix G, the flat lifts of theta^j x^i g.
-    The index in the full order is p^(n(n-k)) when the code is a free module
-    of rank k.
+    Generated by p times the standard order basis together with the rows
+    of the code's F_p generator matrix G, the flat lifts of theta^j x^i g,
+    which _lift_basis echelons before its HNF.  The index in the full order
+    is p^(n(n-k)) when the code is a free module of rank k.
     """
-    return _lift_basis(code._generator_columns, code.ring.spec, e_weight)
+    return _lift_basis(zip(*code._generator_columns), code.ring.spec, e_weight)
 
 
 def dual_lattice_basis(code: ConstacyclicCode) -> LatticeBasis:
@@ -406,11 +441,12 @@ def dual_lattice_basis(code: ConstacyclicCode) -> LatticeBasis:
 
     Built from the flat coefficients of the words of brute_force_dual, the
     F_p-nullspace of the code's products, so it is exact for every u,
-    including u*u != 1 where no dual generator formula applies, and costs
-    the size of the dual.
+    including u*u != 1 where no dual generator formula applies.  Only the
+    enumeration of the p^dim words and their echelon over F_p grow with
+    the size of the dual; the HNF and the Gram matrix see N columns.
     """
-    words = [[v for c in word for v in c.coeffs] for word in brute_force_dual(code)]
-    return _lift_basis(list(zip(*words)), code.ring.spec, 1)
+    words = ([v for c in word for v in c.coeffs] for word in brute_force_dual(code))
+    return _lift_basis(words, code.ring.spec, 1)
 
 
 def dual_lattice_inclusion_check(code_a: ConstacyclicCode, code_b: ConstacyclicCode) -> bool:

@@ -12,12 +12,13 @@ a rational integer and norm_det is nrd ** n.
 
 min_det_sample probes the space-time design criterion: over a division
 algebra det M(a - a') = det(M(a) - M(a')) never vanishes for a != a'.  The
-reduced norm form of reduced_norm_form is expanded once per algebra; each call
-compiles one sweep that evaluates it inline over differences of box points,
-fed at C level by itertools or by getrandbits bytes that are randint's draws.
-It is a sample, never a certificate.  Both cofactor expansions, of det M and
-of the form, raise TooLarge past ENUMERATION_BOUND products.  Matrix entries,
-cofactor terms and lattice points all add through lattice.vector_sum.
+reduced norm form of reduced_norm_form is expanded once per algebra, and one
+sweep that evaluates it inline over differences of box points is compiled per
+(basis, form, mode) and kept in a bounded cache; it is fed at C level by
+itertools or by getrandbits bytes that are randint's draws.  It is a sample,
+never a certificate.  Both cofactor expansions, of det M and of the form,
+raise TooLarge past ENUMERATION_BOUND products.  Matrix entries, cofactor
+terms and lattice points all add through lattice.vector_sum.
 
 Coset encoding splits a lattice point into an information codeword plus a
 random offset in p times the order, the wiretap-coding primitive.
@@ -28,6 +29,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, islice, product, repeat
 from math import factorial, inf
 
@@ -302,10 +304,12 @@ def reduced_norm_form(order: NaturalOrder, columns):
     return compile_function(f"{head}    return {_flat_form(order)}\n", "form")
 
 
+@lru_cache(maxsize=32)
 def _sweep(columns, flat_form, sampled):
     """The compiled sweep(pairs, best, left) -> (least |F(d)| below best, first such d),
     each d read from the loop header, or as z1 - z2 of sampled pairs (z1, z2),
-    skipping equal pairs and stopping after `left` others."""
+    skipping equal pairs and stopping after `left` others.  Compiled sweeps are
+    kept in a bounded cache keyed by all three arguments, columns as tuples."""
     d = [f"d{j}" for j in range(len(columns))]
     ds = ", ".join(d) + ","
     head, diffs, tail = ds, "", ""
@@ -353,7 +357,7 @@ def min_det_sample(
         raise ValueError("samples must be at least 1 when sampling")
     if not exhaustive and samples > ENUMERATION_BOUND:
         raise TooLarge(f"{samples} samples exceed bound {ENUMERATION_BOUND}")
-    cols = list(zip(*construction_a_basis(code).basis))
+    cols = tuple(zip(*construction_a_basis(code).basis))
     N = len(cols)
     order = NaturalOrder(code.ring.spec)
     sweep = _sweep(cols, _flat_form(order), not exhaustive)

@@ -23,7 +23,7 @@ from skewlat import (
     lift_codeword,
     monic_right_divisors,
 )
-from skewlat.errors import InvalidSpec, TooLarge
+from skewlat.errors import IndefiniteForm, InvalidSpec, TooLarge
 
 # The cyclic cubic field of 2*cos(2*pi/7): minimal polynomial y^3 + y^2 - 2y - 1,
 # Galois group generated by y -> y^2 - 2, with e^3 = 2 over p = 5.
@@ -188,6 +188,30 @@ def lifted_lattice_basis(spec, words):
     cols = [list(lift_codeword(order, w).flatten()) for w in words]
     cols += [[spec.p if i == r else 0 for i in range(N)] for r in range(N)]
     return hnf([[col[i] for col in cols] for i in range(N)])
+
+
+def pairwise_gram_matrix(basis, spec, e_weight=1):
+    """Oracle: the Gram matrix of the basis columns, one trace-form value
+    sum_i w^i Tr(x_i conj(y_i)) per pair of columns, each column built as an
+    order element, with gram_matrix's LengthMismatch and IndefiniteForm."""
+    order = NaturalOrder(spec)
+    elems = [order.from_flat(col) for col in zip(*basis)]
+    weights = [e_weight**i for i in range(order.n)]
+
+    def form(x, y):
+        total = 0
+        for i in range(order.n):
+            total += weights[i] * order.ok_trace(order.ok_mul(x.rows[i], order.ok_conj(y.rows[i])))
+        return total
+
+    size = len(elems)
+    gram = [[0] * size for _ in range(size)]
+    for r in range(size):
+        for s in range(r, size):
+            gram[r][s] = gram[s][r] = form(elems[r], elems[s])
+        if gram[r][r] <= 0:
+            raise IndefiniteForm(f"diagonal entry {gram[r][r]} <= 0; check conjugation_mode")
+    return gram
 
 
 def random_element(ring, rng):

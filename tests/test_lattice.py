@@ -1,9 +1,10 @@
 import random
 from dataclasses import replace
 from itertools import permutations, product
+from math import prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from skewlat import (
     AlgebraSpec,
@@ -23,14 +24,16 @@ from skewlat import (
     lift_codeword,
     reduce_element,
 )
-from skewlat.errors import IndefiniteForm, InvalidSpec
+from skewlat.errors import IndefiniteForm, InvalidSpec, LengthMismatch
 from skewlat.fixtures import FIXTURE_SPECS, fixture_code, fixture_ring
+from skewlat.lattice import _lift_basis
 
 from helpers import (
     CUBIC,
     divisor_codes,
     lattice_inclusion,
     lifted_lattice_basis,
+    pairwise_gram_matrix,
     random_element,
     random_order_element,
     valid_specs,
@@ -283,6 +286,51 @@ def test_gram_is_symmetric_positive_on_fixture_lattices(fixture_name):
     assert lat.det > 0
 
 
+def _other_mode(spec):
+    """The spec with the conjugation mode that does not fit its field, when
+    the field is quadratic; cubic specs allow only "identity"."""
+    if spec.n != 2:
+        return spec
+    return replace(
+        spec, conjugation_mode="identity" if spec.conjugation_mode == "complex" else "complex"
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=valid_specs(),
+    e_weight=st.sampled_from((1, 2, 3)),
+    flip_mode=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(spec=FIXTURE_SPECS["gaussian-p3-inert"], e_weight=2, flip_mode=True, seed=0)
+@example(spec=FIXTURE_SPECS["sqrt2-p3-selfdual"], e_weight=3, flip_mode=True, seed=1)
+def test_gram_matrix_matches_the_pairwise_oracle(spec, e_weight, flip_mode, seed):
+    # Random sparse columns, zero columns included; in the mode that does not
+    # fit the field the form may be indefinite, and both must then fail at
+    # the same row with the same message.
+    if flip_mode:
+        spec = _other_mode(spec)
+    rng = random.Random(seed)
+    N = spec.n * spec.n
+    size = rng.randrange(1, N + 2)
+    basis = [[rng.choice((0, 0, rng.randrange(-9, 10))) for _ in range(size)] for _ in range(N)]
+    try:
+        expected = pairwise_gram_matrix(basis, spec, e_weight)
+    except IndefiniteForm as exc:
+        with pytest.raises(IndefiniteForm) as caught:
+            gram_matrix(basis, spec, e_weight)
+        assert str(caught.value) == str(exc)
+    else:
+        assert gram_matrix(basis, spec, e_weight) == expected
+    for wrong in (basis[:-1], basis + [basis[0]]):  # every column N - 1 or N + 1 long
+        with pytest.raises(LengthMismatch) as caught:
+            gram_matrix(wrong, spec, e_weight)
+        with pytest.raises(LengthMismatch) as oracle:
+            pairwise_gram_matrix(wrong, spec, e_weight)
+        assert str(caught.value) == str(oracle.value)
+
+
 # -- construction A --------------------------------------------------------
 
 
@@ -410,6 +458,35 @@ def test_lattices_match_the_lifted_words_oracle(spec):
             assert dual_lattice_basis(code).basis == lifted_lattice_basis(
                 spec, brute_force_dual(code)
             )
+
+
+@settings(max_examples=15, deadline=None)
+@given(spec=valid_specs(), seed=st.integers(0, 2**32 - 1))
+@example(spec=CUBIC, seed=0)
+def test_lift_basis_matches_the_lifted_words_oracle_on_awkward_generators(spec, seed):
+    # The lattice contains pZ^N, so duplicated vectors, nonzero vectors that
+    # vanish mod p, and entries shifted by multiples of p (negative or >= p)
+    # span the lattice of the code's words; the zero code has index p^N and
+    # the full code index 1.
+    rng = random.Random(seed)
+    ring = QuotientRing(spec)
+    p, N = spec.p, ring.n * ring.n
+    for code in divisor_codes(ring, per_degree=2):
+        words = code.additive_generators()
+        flat = [[v for c in word for v in c.coeffs] for word in words]
+        awkward = flat + flat
+        awkward += [[p * rng.randrange(-3, 4) for _ in range(N)] for _ in range(2)]
+        awkward += [[v + p * rng.choice((-2, -1, 1, 2)) for v in row] for row in flat]
+        rng.shuffle(awkward)
+        expected = lifted_lattice_basis(spec, words)
+        lat = _lift_basis(awkward, spec, 1)
+        assert lat.basis == expected == construction_a_basis(code).basis
+        assert lat.gram == pairwise_gram_matrix(expected, spec)
+        assert lat.det == det_int(lat.gram)
+        assert lat.index == prod(expected[i][i] for i in range(N))
+        if code.k in (0, code.n):  # the zero code and the full code
+            assert lat.index == p ** (N - code.k * ring.n)
+    assert _lift_basis([], spec, 1).basis == lifted_lattice_basis(spec, [])
 
 
 def test_cubic_inclusion_at_p31_builds_no_lattice():

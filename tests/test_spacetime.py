@@ -420,6 +420,32 @@ def test_flat_forms_are_cached_per_algebra_with_u_in_the_key(monkeypatch):
         assert len(spacetime._FLAT_FORMS) == 2
 
 
+def test_compiled_sweeps_are_cached_per_columns_form_and_mode():
+    # An exhaustive and a sampled sweep of one code share columns and form,
+    # and the full codes of gaussian-p3 and of its u = 1 sabotage share their
+    # columns (the identity) but not a form; each query must get its own
+    # compiled loop, whatever ran before it, and four loops are kept.
+    code = fixture_code("gaussian-p3-inert")
+    full = ConstacyclicCode.from_generator(SkewPoly.one(code.ring))
+    sabotage = sabotage_code()
+    assert construction_a_basis(full).basis == construction_a_basis(sabotage).basis
+    queries = [
+        lambda: min_det_sample(code, 1),
+        lambda: min_det_sample(code, 1, seed=7, samples=50, exhaustive=False),
+        lambda: min_det_sample(full, 1),
+        lambda: min_det_sample(sabotage, 1),
+    ]
+    fresh = []
+    for query in queries:
+        spacetime._sweep.cache_clear()
+        fresh.append(query())
+    assert fresh[2:] == [1, 0]
+    spacetime._sweep.cache_clear()
+    assert [query() for query in queries] == fresh
+    assert [query() for query in reversed(queries)] == fresh[::-1]
+    assert spacetime._sweep.cache_info().currsize == 4
+
+
 def test_sampled_min_det_bounds_its_samples(monkeypatch):
     code = fixture_code("gaussian-p3-inert")
     monkeypatch.setattr(spacetime, "ENUMERATION_BOUND", 40)
