@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 from .codes import ConstacyclicCode
 from .errors import MissingKey, ParseError, SkewLatError, UnknownKey
-from .fixtures import worked_example_checks
 from .lattice import NaturalOrder, construction_a_basis, lift_codeword
 from .number_ring import ENUMERATION_BOUND, AlgebraSpec, QuotientRing
 from .skew import SkewPoly, monic_right_divisors
@@ -251,7 +250,9 @@ def cmd_coset_decode(cfg: Config, args) -> dict:
 
 
 def cmd_verify_examples(cfg, args) -> dict:
-    results = worked_example_checks()
+    from . import fixtures  # only this command needs them; every query imports cli
+
+    results = fixtures.worked_example_checks()
     return {
         "checks": [
             {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results

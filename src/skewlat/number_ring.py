@@ -11,7 +11,8 @@ The arithmetic itself lives in one place, IntegralArithmetic: multiplication,
 sigma and the field norm N(a) = a*sigma(a)...sigma^(n-1)(a) in O_K = Z[y]/(m)
 over the integers, built once per (min_poly, sigma_image).  The norm is
 compiled lazily, on its first call, by compile_function into one
-straight-line integer function with O(n^3) terms, cached on the core.
+straight-line integer function with O(n^3) terms, cached on the core; the
+Hilbert 90 kernel of the divisor roots is emitted by the same _Emitter.
 QuotientRing reduces its results modulo p, so inverses are norm cofactors
 divided by the norm; lattice.NaturalOrder uses the same instance and keeps
 them over Z.
@@ -306,44 +307,83 @@ class IntegralArithmetic:
 
     @cached_property
     def _norm_program(self):
-        """vec -> (vec*c, c) as tuples, c = sigma(vec)...sigma^(n-1)(vec).
+        """a -> (a*c, c) as tuples, c = sigma(a)...sigma^(n-1)(a).
 
-        Straight-line integer code over locals a0 ... a{n-1}, with O(n^3)
-        terms: each sigma^k(vec) is n linear forms in the a_j whose sigma
-        table entries are integer literals, each of the n - 1 products is an
-        unrolled convolution, and its coordinates above n - 1 are folded from
-        the top down by y^n = -m_0 - ... - m_(n-1) y^(n-1), inlined.  Zero
-        table entries and fold coefficients are dropped.
+        Straight-line integer code from _Emitter, with O(n^3) terms: the
+        n - 1 images sigma^k(a) and n - 1 unrolled products.
         """
-        n = self.n
-        names = [f"a{j}" for j in range(n)]
-        lines = [f"    {', '.join(names)}, = v"]
-
-        def assign(name, terms):
-            lines.append(f"    {name} = {linear_source(terms)}")
-            return name
-
-        def mul(x, y, out):
-            conv = [[] for _ in range(2 * n - 1)]
-            for i, xi in enumerate(x):
-                for j, yj in enumerate(y):
-                    conv[i + j].append((1, f"{xi}*{yj}"))
-            for t in range(2 * n - 2, -1, -1):
-                # y^n = sum_j _yn[j] y^j sends coordinate h >= n to h - n + j.
-                highs = range(max(t + 1, n), min(t + n + 1, 2 * n - 1))
-                assign(f"{out}_{t}", conv[t] + [(self._yn[t - h + n], f"{out}_{h}") for h in highs])
-            return [f"{out}_{t}" for t in range(n)]
-
-        images = [
-            [assign(f"s{k}_{i}", [(table[j][i], a) for j, a in enumerate(names)]) for i in range(n)]
-            for k, table in enumerate(self._sigma_tables, 1)
-        ]
+        emit = _Emitter(self, "a")
+        (a,) = emit.args
+        images = [emit.sigma(a, k, f"s{k}") for k in range(1, self.n)]
         cofactor = images[0]
         for k, image in enumerate(images[1:], 2):
-            cofactor = mul(cofactor, image, f"c{k}")
-        prod = mul(names, cofactor, "r")
-        lines.append(f"    return ({', '.join(prod)},), ({', '.join(cofactor)},)")
-        return compile_function("def norm(v):\n" + "\n".join(lines) + "\n", "norm")
+            cofactor = emit.mul(cofactor, image, f"c{k}")
+        prod = emit.mul(a, cofactor, "r")
+        return emit.compile("norm", f"({', '.join(prod)},), ({', '.join(cofactor)},)")
+
+    @cached_property
+    def _hilbert90_program(self):
+        """(c, b) -> (N(b), w) with w = c*b^2*sigma^2(b)...sigma^(n-1)(b).
+
+        sigma^n = id makes sigma(b)^(-1) = b*sigma^2(b)...sigma^(n-1)(b)/N(b),
+        so w = N(b)*c*b/sigma(b): the Hilbert 90 parametrisation of the
+        elements of norm N(c), up to the scalar N(b).  Straight-line integer
+        code from _Emitter, with O(n^3) terms, compiled on the first call.
+        """
+        emit = _Emitter(self, "c", "b")
+        c, b = emit.args
+        images = [emit.sigma(b, k, f"s{k}") for k in range(1, self.n)]
+        tail = b  # b*sigma^2(b)...sigma^(n-1)(b)
+        for k, image in enumerate(images[1:], 2):
+            tail = emit.mul(tail, image, f"t{k}")
+        norm = emit.mul(images[0], tail, "r")[0]
+        w = emit.mul(c, emit.mul(b, tail, "q"), "w")
+        return emit.compile("hilbert90", f"{norm}, ({', '.join(w)},)")
+
+
+class _Emitter:
+    """Straight-line integer source over one IntegralArithmetic.
+
+    Each argument is a vector of length n, unpacked into the locals
+    <arg>0 ... <arg>(n-1); every value is a list of n local names.  sigma^k
+    is n linear forms whose sigma table entries are integer literals, a
+    product is an unrolled convolution whose coordinates above n - 1 are
+    folded from the top down by y^n = -m_0 - ... - m_(n-1) y^(n-1),
+    inlined.  Zero table entries and fold coefficients are dropped.
+    """
+
+    def __init__(self, core, *args):
+        self.core = core
+        self.params = args
+        self.args = [[f"{arg}{j}" for j in range(core.n)] for arg in args]
+        self.lines = [f"    {', '.join(names)}, = {arg}" for arg, names in zip(args, self.args)]
+
+    def assign(self, name, terms):
+        self.lines.append(f"    {name} = {linear_source(terms)}")
+        return name
+
+    def sigma(self, x, k, out):
+        table = self.core._sigma_tables[k - 1]
+        return [
+            self.assign(f"{out}_{i}", [(table[j][i], a) for j, a in enumerate(x)])
+            for i in range(self.core.n)
+        ]
+
+    def mul(self, x, y, out):
+        n, yn = self.core.n, self.core._yn
+        conv = [[] for _ in range(2 * n - 1)]
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                conv[i + j].append((1, f"{xi}*{yj}"))
+        for t in range(2 * n - 2, -1, -1):
+            # y^n = sum_j yn[j] y^j sends coordinate h >= n to h - n + j.
+            highs = range(max(t + 1, n), min(t + n + 1, 2 * n - 1))
+            self.assign(f"{out}_{t}", conv[t] + [(yn[t - h + n], f"{out}_{h}") for h in highs])
+        return [f"{out}_{t}" for t in range(n)]
+
+    def compile(self, name, returns):
+        head = f"def {name}({', '.join(self.params)}):\n"
+        return compile_function(head + "\n".join(self.lines) + f"\n    return {returns}\n", name)
 
 
 def linear_source(terms):

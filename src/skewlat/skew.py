@@ -13,12 +13,15 @@ is one division loop, right_divmod; left division is right division in the
 opposite ring, mapped back.
 
 Monic right divisors of x^n - u come from roots and cofactors: degree 1 by
-the norm test N_n(-c) = u over the p^n ring elements (Lam-Leroy evaluation),
-degree n - 1 as the closed-form Lam-Leroy quotients of the same roots, and
-any other degree d > n - d as the quotients of x^n - u by the divisors of
-degree n - d.  Only the middle degrees 2 <= d <= n/2 (n >= 4) scan the
-p^(n*d) monic candidates, and the enumeration bound counts ring elements, or
-candidates on that scan.
+the norm equation N_n(-c) = u (Lam-Leroy evaluation), degree n - 1 as the
+closed-form Lam-Leroy quotients of the same roots, and any other degree
+d > n - d as the quotients of x^n - u by the divisors of degree n - d.  At
+an unramified p with u a unit the roots are parametrised by Hilbert 90,
+one per unit class of R*/F_p* and norm that fits; otherwise a scan tests
+all p^m ring elements (m = deg m(y)).  Only the middle degrees
+2 <= d <= n/2 (n >= 4) scan the p^(n*d) monic candidates, and the
+enumeration bound counts the ring elements the roots visit, or candidates
+on that scan.
 
 The zero polynomial has an empty coefficient tuple and degree -inf (a float
 sentinel, so degree comparisons in division loops need no special casing).
@@ -27,6 +30,7 @@ sentinel, so degree comparisons in division loops need no special casing).
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 
 from .errors import DivisionByZero, NonUnitLeading, NotADivisor, NotInvertible, TooLarge
 from .number_ring import ENUMERATION_BOUND, QuotientRing, RingElement
@@ -275,10 +279,15 @@ def monic_right_divisors(ring: QuotientRing, n: int, u, degree: int, bound=ENUME
     - d = 1, by roots: x + c right-divides x^n - u exactly when N_n(-c) = u,
       where N_n(a) = sigma^(n-1)(a)...sigma(a)*a is the remainder of x^n on
       right division by x - a (Lam-Leroy evaluation).  As sigma^(ring.n) = id,
-      N_n(c) = N(c)^(n / ring.n) with N the field norm, so each of the p^n
-      elements c, scanned as a raw coefficient tuple, costs one call of the
-      core's compiled norm_cofactor; ring elements and polynomials are built
-      only for the roots.
+      N_n(c) = N(c)^(n / ring.n) with N the field norm.  At an unramified p
+      with u a unit, R is a Galois algebra over F_p with group <sigma>, and
+      by Hilbert 90 the roots are the c_s*b/sigma(b): c_s the first element
+      of each norm s with s^(n / ring.n) = (-1)^n u, b one unit per class of
+      R*/F_p*, one call of a compiled straight-line kernel each.  At a
+      ramified p, or when p divides u, each of the p^m elements
+      (m = ring.n), scanned as a raw coefficient tuple, costs one call of the
+      core's compiled norm_cofactor.  Ring elements and polynomials are
+      built only for the roots, in lexicographic order.
     - d = n - 1 >= 2, by the same roots: for each root a,
       q_a = sum_{j<n} sigma^(n-1)(a)...sigma^(j+1)(a) x^j satisfies
       q_a*(x - a) = x^n - N_n(a) = x^n - u, and as x^n - u is central also
@@ -293,8 +302,11 @@ def monic_right_divisors(ring: QuotientRing, n: int, u, degree: int, bound=ENUME
     - 2 <= d <= n/2, which needs n >= 4: a scan of the p^(n*d) monic
       candidates, one right division each.
 
-    bound limits the p^n elements the root scan visits and, on the middle
-    degrees only, the candidates; beyond it TooLarge is raised.
+    bound limits the elements the roots visit, for d = 1 and d = n - 1, and,
+    on the middle degrees only, the candidates; beyond it TooLarge is raised
+    before any root or candidate is taken.  The roots visit all p^m elements
+    on the scan, and (p^m - 1)/(p - 1) unit class representatives plus the
+    seed search by Hilbert 90.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -344,22 +356,86 @@ def _roots(central: SkewPoly, bound):
     """The constant terms c of the monic right divisors x + c of the central
     x^n - u, as raw coefficient tuples in lexicographic order.
 
-    N_n(-c) = (-1)^n N_n(c), so x + c divides when N_n(c) = (-1)^n u;
-    sigma^(ring.n) = id makes N_n(c) = N(c)^(n / ring.n).  N(c) mod p is an
-    integer residue, so a target with a nonzero higher coordinate has no
-    root.
+    N_n(-c) = (-1)^n N_n(c), so x + c divides when N_n(c) = t with
+    t = (-1)^n u; sigma^(ring.n) = id makes N_n(c) = N(c)^(n / ring.n).
+    N(c) mod p is an integer residue, so a target with a nonzero higher
+    coordinate has no root.  An unramified p with t a unit takes
+    _hilbert90_roots; the rest, ramified p and p | t, the scan.
     """
     ring = central.ring
     n = int(central.degree)
+    u = -central.coeffs[0]
+    target = (u if n % 2 == 0 else -u).coeffs
+    power = n // ring.n
+    if any(target[1:]) or not target[0] or ring.decompose().ramification() == "ramified":
+        return _scan_roots(ring, power, target, bound)
+    return _hilbert90_roots(ring, power, target[0], bound)
+
+
+def _scan_roots(ring: QuotientRing, power, target, bound):
+    """The roots by one norm per element: the c among all p^m elements of R
+    (m = ring.n) with N(c)^power equal to the coefficient tuple target."""
     if ring.size > bound:
         raise TooLarge(f"{ring.size} elements exceeds bound {bound}")
-    u = -central.coeffs[0]
-    target, *higher = (u if n % 2 == 0 else -u).coeffs
+    target, *higher = target
     if any(higher):
         return []
-    power, p = n // ring.n, ring.p
+    p = ring.p
     norm = ring._core.norm_cofactor
     return [c for c in product(range(p), repeat=ring.n) if pow(norm(c)[0], power, p) == target]
+
+
+def _hilbert90_roots(ring: QuotientRing, power, target, bound):
+    """The roots for an unramified p and a unit target t, by Hilbert 90.
+
+    R is then a Galois algebra over F_p with group <sigma>, so its norm maps
+    R* onto F_p* and the elements of norm 1 are exactly the b/sigma(b), b a
+    unit, with b/sigma(b) = b'/sigma(b') exactly when b' is in b*F_p*.  The
+    roots are the c_s*b/sigma(b) for each seed s in F_p* with
+    s^power = t, c_s the lexicographically first element of norm s, and b
+    over the unit classes of R*/F_p* (first nonzero coordinate 1), one call
+    of the core's compiled _hilbert90_program each.
+
+    bound caps the elements visited, the (p^m - 1)/(p - 1) class
+    representatives plus the seed search, and is checked before any root
+    is built.  A seed for every s and distinct roots, #seeds * |R*|/(p - 1)
+    of them with |R*| read off decompose(), are checked with RuntimeError,
+    not assert: a failure means the fixed ring of sigma is not F_p.
+    """
+    p, m = ring.p, ring.n
+    classes = (p**m - 1) // (p - 1)
+    if classes > bound:
+        raise TooLarge(f"{classes} elements exceeds bound {bound}")
+    missing = {target} if power == 1 else {s for s in range(1, p) if pow(s, power, p) == target}
+    if not missing:
+        return []
+    norm = ring._core.norm_cofactor
+    seeds = {}
+    for visited, c in enumerate(product(range(p), repeat=m), classes + 1):
+        if visited > bound:
+            raise TooLarge(f"{visited} elements exceeds bound {bound}")
+        s = norm(c)[0] % p
+        if s in missing:
+            missing.remove(s)
+            seeds[s] = c
+            if not missing:
+                break
+    kernel = ring._core._hilbert90_program
+    roots = []
+    for c in seeds.values():
+        for k in range(m):
+            lead = (0,) * k + (1,)
+            for tail in product(range(p), repeat=m - k - 1):
+                scale, w = kernel(c, lead + tail)
+                scale %= p
+                if scale:
+                    scale = pow(scale, -1, p)
+                    roots.append(tuple(v * scale % p for v in w))
+    # R* is the product of the F_q* over the factors F_q of R.
+    units = prod(p ** (len(f) - 1) - 1 for f, _ in ring.decompose().factors) // (p - 1)
+    if missing or len(set(roots)) != len(roots) or len(roots) != len(seeds) * units:
+        raise RuntimeError("Hilbert 90 roots repeat or miss a norm: sigma fixes more than F_p")
+    return sorted(roots)
 
 
 def _low_degree_divisors(central: SkewPoly, degree: int, bound):

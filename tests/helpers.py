@@ -100,6 +100,17 @@ def brute_force_right_divisors(ring, n, u, degree, bound=ENUMERATION_BOUND):
     return out
 
 
+def hilbert90_visits(ring, n, u):
+    """Oracle: the elements the Hilbert 90 roots of x^n - u visit at an
+    unramified p, (p^m - 1)/(p - 1) unit class representatives and then the
+    seed search, up to the lexicographically first element of the last norm
+    s in F_p* with s^(n/m) = (-1)^n u that it reaches; u is an integer."""
+    p, m = ring.p, ring.n
+    norms = [ring.norm(c) for c in ring.elements()]
+    seeds = [s for s in range(1, p) if pow(s, n // m, p) == (-1) ** n * u % p]
+    return (p**m - 1) // (p - 1) + max((norms.index(s) + 1 for s in seeds), default=0)
+
+
 def division_cofactors(ring, n, u, degree, bound=ENUMERATION_BOUND):
     """Oracle: the monic right divisors of degree d > n - d as the quotients
     of x^n - u by the divisors of degree n - d, one right division each, in

@@ -275,13 +275,13 @@ def test_verify_examples_command(capsys):
 
 
 def test_verify_examples_failure_is_nonzero(capsys, monkeypatch):
-    import skewlat.cli as cli_module
+    import skewlat.fixtures as fixtures_module
     from skewlat.fixtures import CheckResult
 
     def broken():
         return [CheckResult("synthetic", False, "forced failure")]
 
-    monkeypatch.setattr(cli_module, "worked_example_checks", broken)
+    monkeypatch.setattr(fixtures_module, "worked_example_checks", broken)
     rc, out, err = run(capsys, "verify-examples")
     assert rc == 1
     assert "FAIL synthetic" in out

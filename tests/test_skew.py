@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from skewlat import (
+    ENUMERATION_BOUND,
     AlgebraSpec,
     OppositePoly,
     QuotientRing,
@@ -13,7 +14,8 @@ from skewlat import (
     monic_right_divisors,
     opposite,
 )
-from skewlat.errors import DivisionByZero, NonUnitLeading, TooLarge
+from skewlat import skew
+from skewlat.errors import DivisionByZero, InvalidSpec, NonUnitLeading, TooLarge
 from skewlat.fixtures import GAUSSIAN_P2, GAUSSIAN_P3
 
 from helpers import (
@@ -21,6 +23,7 @@ from helpers import (
     QUARTIC,
     brute_force_right_divisors,
     division_cofactors,
+    hilbert90_visits,
     quiet_ring,
     random_poly,
     random_unit_lead_poly,
@@ -243,20 +246,103 @@ def test_monic_right_divisors_edge_degrees(p3):
     deg2 = monic_right_divisors(p3, 2, -1, 2)
     assert central_poly(p3, 2, -1) in deg2
     assert monic_right_divisors(p3, 2, -1, 3) == []
+    visits = hilbert90_visits(p3, 2, -1)
     with pytest.raises(TooLarge):
-        monic_right_divisors(p3, 2, -1, 1, bound=5)
+        monic_right_divisors(p3, 2, -1, 1, bound=visits - 1)
+    assert len(monic_right_divisors(p3, 2, -1, 1, bound=visits)) == 4
 
 
-def test_root_scan_checks_its_bound_first_and_needs_an_integer_target(p3):
+def _unexpected(*args):
+    raise AssertionError("unexpected call")
+
+
+def test_root_scan_checks_its_bound_first_and_needs_an_integer_target(p3, monkeypatch):
+    # p3 is unramified: the Hilbert 90 path visits its 4 unit classes, then
+    # 5 seed candidates up to 1 + a, the first element of norm -u = 2.
+    visits = hilbert90_visits(p3, 2, -1)
+    assert visits == 4 + 5
+    monkeypatch.setattr(p3._core, "_hilbert90_program", _unexpected)
+    # Past the bound in the seed search, and already on the 4 classes.
+    for bound, count in ((visits - 1, visits), (3, 4)):
+        with pytest.raises(TooLarge, match=f"^{count} elements exceeds bound {bound}$"):
+            monic_right_divisors(p3, 2, -1, 1, bound=bound)
+    monkeypatch.undo()
+    assert monic_right_divisors(p3, 2, -1, 1, bound=visits) == brute_force_right_divisors(p3, 2, -1, 1)
     # sigma fixes all of Z[i]/(2), so x^2 - a is central; every norm is an
     # integer residue, so no x + c divides it.
     p2 = QuotientRing(GAUSSIAN_P2)
     a = p2.gen
     assert monic_right_divisors(p2, 2, a, 1) == brute_force_right_divisors(p2, 2, a, 1) == []
-    for ring, u in ((p3, -1), (p2, a)):
-        bound = ring.size - 1
-        with pytest.raises(TooLarge, match=f"^{ring.size} elements exceeds bound {bound}$"):
-            monic_right_divisors(ring, 2, u, 1, bound=bound)
+    bound = p2.size - 1
+    with pytest.raises(TooLarge, match=f"^{p2.size} elements exceeds bound {bound}$"):
+        monic_right_divisors(p2, 2, a, 1, bound=bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(valid_specs(primes=(2, 3, 5, 7, 11, 13)), st.sampled_from((1, 2)))
+@example(replace(CUBIC, p=11, u=3), 1)
+@example(replace(CUBIC, p=13, u=5), 2)
+@example(AlgebraSpec((1, 0, 1), (0, -1), u=2, p=13), 2)
+def test_hilbert90_roots_equal_the_scan(spec, multiple):
+    """At an unramified p the roots are the Hilbert 90 ones, equal to the
+    scan, and the bound counts unit classes plus the seed search."""
+    ring = QuotientRing(spec)
+    n = multiple * ring.n
+    central = central_poly(ring, n, spec.u)
+    target = ((-1) ** n * spec.u % spec.p,) + (0,) * (ring.n - 1)
+    scan = skew._scan_roots(ring, multiple, target, ring.size)
+    assert skew._roots(central, ENUMERATION_BOUND) == scan
+    if ring.decompose().ramification() == "ramified":
+        return
+    visits = hilbert90_visits(ring, n, spec.u)
+    assert skew._hilbert90_roots(ring, multiple, target[0], visits) == scan
+    with pytest.raises(TooLarge, match=f"^{visits} elements exceeds bound {visits - 1}$"):
+        skew._roots(central, visits - 1)
+
+
+@pytest.mark.parametrize(
+    "p, count",
+    [(5, (5**3 - 1) // 4), (31, (31**3 - 1) // 30), (13, 12**2), (29, 28**2)],
+    ids=["inert-5", "inert-31", "split-13", "split-29"],
+)
+def test_cubic_root_counts(p, count):
+    ring = QuotientRing(replace(CUBIC, p=p))
+    assert ring.decompose().ramification() == ("inert" if p in (5, 31) else "split")
+    roots = skew._roots(central_poly(ring, 3, 2), ENUMERATION_BOUND)
+    assert len(roots) == count
+    assert roots == skew._scan_roots(ring, 1, (-2 % p, 0, 0), ring.size)
+
+
+def test_ramified_p_and_a_target_divisible_by_p_take_the_scan(p3, monkeypatch):
+    monkeypatch.setattr(skew, "_hilbert90_roots", _unexpected)
+    p2 = QuotientRing(GAUSSIAN_P2)
+    assert monic_right_divisors(p2, 2, -1, 1) == brute_force_right_divisors(p2, 2, -1, 1)
+    for u in (2, 3):
+        ring = QuotientRing(replace(CUBIC, p=7, u=u))
+        assert ring.decompose().ramification() == "ramified"
+        assert monic_right_divisors(ring, 3, u, 1) == brute_force_right_divisors(ring, 3, u, 1)
+    # x^2 with p | u: the only root of the field Z[i]/(3) is 0.
+    assert monic_right_divisors(p3, 2, 0, 1) == [SkewPoly.monomial(p3, 1)]
+
+
+def test_hilbert90_roots_keep_the_norm_rationality_check():
+    # y (y^2 - 2y - 1)(y^3 + y^2 - 2y - 1) is squarefree mod 5, so it takes
+    # Hilbert 90, but its sigma fixes Q^3: the seed search meets a norm that
+    # is not rational and raises as the scan does.
+    spec = AlgebraSpec(
+        (0, 1, 4, 2, -5, -1, 1), (0, -115, -190, 215, 70, -49), u=1, p=5,
+        conjugation_mode="identity",
+    )
+    ring = quiet_ring(spec)
+    assert ring.decompose().ramification() == "split"
+    with pytest.raises(InvalidSpec, match="not rational"):
+        monic_right_divisors(ring, 6, 1, 1)
+
+
+def test_hilbert90_roots_check_they_are_distinct(p3, monkeypatch):
+    monkeypatch.setattr(p3._core, "_hilbert90_program", lambda c, b: (1, c))
+    with pytest.raises(RuntimeError, match="repeat"):
+        monic_right_divisors(p3, 2, -1, 1)
 
 
 # Above this many candidates the brute-force oracle takes seconds.
