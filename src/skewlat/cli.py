@@ -22,12 +22,11 @@ import os
 import re
 import sys
 import warnings
-from dataclasses import dataclass
 
 from .codes import ConstacyclicCode
 from .errors import MissingKey, ParseError, SkewLatError, UnknownKey
 from .lattice import NaturalOrder, construction_a_basis, lift_codeword
-from .number_ring import ENUMERATION_BOUND, AlgebraSpec, QuotientRing
+from .number_ring import ENUMERATION_BOUND, AlgebraSpec, QuotientRing, Record
 from .skew import SkewPoly, monic_right_divisors
 from .spacetime import (
     coset_decode_label,
@@ -45,17 +44,19 @@ REQUIRED_KEYS = ("p", "min_poly", "sigma_image", "u")
 KNOWN_KEYS = _INT_KEYS + _LIST_KEYS + _NESTED_KEYS + _WORD_KEYS
 
 
-@dataclass
-class Config:
-    p: int
-    min_poly: list
-    sigma_image: list
-    u: int
-    conjugation_mode: str = "complex"
-    generator: list | None = None
-    bound: int = ENUMERATION_BOUND
-    seed: int = 0
-    e_weight: int = 1
+class Config(Record):
+    __slots__ = _fields = (
+        "p", "min_poly", "sigma_image", "u", "conjugation_mode", "generator", "bound", "seed",
+        "e_weight",
+    )
+
+    def __init__(
+        self, p, min_poly, sigma_image, u, conjugation_mode="complex", generator=None,
+        bound=ENUMERATION_BOUND, seed=0, e_weight=1,
+    ):
+        self.p, self.min_poly, self.sigma_image, self.u = p, min_poly, sigma_image, u
+        self.conjugation_mode, self.generator = conjugation_mode, generator
+        self.bound, self.seed, self.e_weight = bound, seed, e_weight
 
     def spec(self) -> AlgebraSpec:
         return AlgebraSpec(

@@ -9,7 +9,7 @@ is what the CLI command `verify-examples` runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .codes import ConstacyclicCode, brute_force_dual
 from .number_ring import AlgebraSpec, QuotientRing
@@ -52,11 +52,7 @@ def fixture_code(name: str) -> ConstacyclicCode:
     return ConstacyclicCode.from_generator(SkewPoly(ring, FIXTURE_GENERATORS[name]))
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+CheckResult = namedtuple("CheckResult", "name passed detail")
 
 
 def _expect(condition, label):

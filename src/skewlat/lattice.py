@@ -33,14 +33,13 @@ every Gram matrix is read off it as B^T T B.
 from __future__ import annotations
 
 import operator
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 from math import prod
 
 from . import intpoly
 from .codes import ConstacyclicCode, brute_force_dual
 from .errors import IndefiniteForm, InvalidSpec, LengthMismatch
-from .number_ring import AlgebraSpec, QuotientRing, echelon_mod_p, integral_arithmetic
+from .number_ring import AlgebraSpec, QuotientRing, Record, echelon_mod_p, integral_arithmetic
 
 
 class NaturalOrder:
@@ -334,8 +333,7 @@ def lattice_contains(basis_rows, vec) -> bool:
 # -- Construction A -------------------------------------------------------
 
 
-@dataclass
-class LatticeBasis:
+class LatticeBasis(Record):
     """Canonical basis of a full-rank sublattice of the order.
 
     basis: N x N column-HNF matrix, columns are generators in the flat basis.
@@ -344,13 +342,19 @@ class LatticeBasis:
     index: index of the lattice in the full order (product of HNF pivots).
     """
 
-    basis: list
-    gram: list
-    det: int
-    index: int
+    __slots__ = _fields = ("basis", "gram", "det", "index")
+
+    def __init__(self, basis, gram, det, index):
+        self.basis, self.gram, self.det, self.index = basis, gram, det, index
 
     def to_dict(self):
-        return asdict(self)
+        """The fields, with fresh copies of the basis and Gram rows."""
+        return {
+            "basis": [list(row) for row in self.basis],
+            "gram": [list(row) for row in self.gram],
+            "det": self.det,
+            "index": self.index,
+        }
 
 
 @lru_cache(maxsize=32)

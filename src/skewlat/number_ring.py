@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import operator
 import warnings
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, isqrt
@@ -71,8 +70,25 @@ def _as_int_tuple(values, field_name):
     return out
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
+class Record:
+    """Value equality, and a repr Name(field=value, ...), over the fields named in _fields."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return operator.attrgetter(*self._fields)(self)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or self._values() == other._values()
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+
+class AlgebraSpec(Record):
     """Configuration of the cyclic algebra and of its coefficient ring.
 
     Construction is the one check of the fields, so every ring, order and
@@ -82,7 +98,8 @@ class AlgebraSpec:
     conjugation_mode, or "complex" on a field that is not quadratic;
     NotPrime for a composite p; NonUnitU for a u that is not a unit mod p;
     and TooLarge when n^4 > ENUMERATION_BOUND.  IntegralArithmetic, which
-    applies m and sigma, checks them next.
+    applies m and sigma, checks them next.  A spec is immutable, and its
+    hash, which every per-spec cache computes, is taken once here.
 
     min_poly: monic integer coefficients of m(y), constant first, degree n.
     sigma_image: integer coefficients of s(y), the image of the generator
@@ -93,34 +110,47 @@ class AlgebraSpec:
         "identity" (totally real); used only by the trace form.
     """
 
-    min_poly: tuple
-    sigma_image: tuple
-    u: int
-    p: int
-    conjugation_mode: str = "complex"
+    _fields = ("min_poly", "sigma_image", "u", "p", "conjugation_mode")
+    __slots__ = _fields + ("_hash",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "min_poly", _as_int_tuple(self.min_poly, "min_poly"))
-        object.__setattr__(self, "sigma_image", _as_int_tuple(self.sigma_image, "sigma_image"))
-        for name in ("u", "p"):
-            if not _is_int(getattr(self, name)):
+    def __init__(self, min_poly, sigma_image, u, p, conjugation_mode="complex"):
+        min_poly = _as_int_tuple(min_poly, "min_poly")
+        sigma_image = _as_int_tuple(sigma_image, "sigma_image")
+        for name, value in (("u", u), ("p", p)):
+            if not _is_int(value):
                 raise InvalidSpec(f"{name} must be an integer")
-        n = self.n
+        n = len(min_poly) - 1
         if n < 2:
             raise InvalidSpec("min_poly must have degree at least 2")
-        if self.min_poly[-1] != 1:
+        if min_poly[-1] != 1:
             raise InvalidSpec("min_poly must be monic")
-        if self.conjugation_mode not in ("complex", "identity"):
+        if conjugation_mode not in ("complex", "identity"):
             raise InvalidSpec("conjugation_mode must be 'complex' or 'identity'")
-        if self.conjugation_mode == "complex" and n != 2:
+        if conjugation_mode == "complex" and n != 2:
             raise InvalidSpec("complex conjugation mode requires a quadratic field")
-        if not _is_prime(self.p):
-            raise NotPrime(f"p = {self.p} is not prime")
-        if gcd(self.u, self.p) != 1:
-            raise NonUnitU(f"u = {self.u} is not a unit modulo p = {self.p}")
+        if not _is_prime(p):
+            raise NotPrime(f"p = {p} is not prime")
+        if gcd(u, p) != 1:
+            raise NonUnitU(f"u = {u} is not a unit modulo p = {p}")
         # IntegralArithmetic tabulates sigma^k(y^j) for all k, j < n, about n^4 steps.
         if n**4 > ENUMERATION_BOUND:
             raise TooLarge(f"degree {n}: n^4 = {n**4} exceeds bound {ENUMERATION_BOUND}")
+        values = (min_poly, sigma_image, u, p, conjugation_mode)
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_hash", hash(values))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return AlgebraSpec, self._values()
 
     @property
     def n(self):

@@ -12,13 +12,14 @@ a rational integer and norm_det is nrd ** n.
 
 min_det_sample probes the space-time design criterion: over a division
 algebra det M(a - a') = det(M(a) - M(a')) never vanishes for a != a'.  The
-reduced norm form of reduced_norm_form is expanded once per algebra, and one
-sweep that evaluates it inline over differences of box points is compiled per
-(basis, form, mode) and kept in a bounded cache; it is fed at C level by
-itertools or by getrandbits bytes that are randint's draws.  It is a sample,
-never a certificate.  Both cofactor expansions, of det M and of the form,
-raise TooLarge past ENUMERATION_BOUND products.  Matrix entries, cofactor
-terms and lattice points all add through lattice.vector_sum.
+reduced norm, a form in the order's flat coordinates (_flat_form), is
+expanded once per algebra, and one sweep that evaluates it inline over
+differences of box points is compiled per (basis, form, mode) and kept in a
+bounded cache; it is fed at C level by itertools or by getrandbits bytes that
+are randint's draws.  It is a sample, never a certificate.  Both cofactor
+expansions, of det M and of the form, raise TooLarge past ENUMERATION_BOUND
+products.  Matrix entries, cofactor terms and lattice points all add through
+lattice.vector_sum.
 
 Coset encoding splits a lattice point into an information codeword plus a
 random offset in p times the order, the wiretap-coding primitive.
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice, product, repeat
 from math import factorial, inf
@@ -44,7 +44,13 @@ from .lattice import (
     reduce_element,
     vector_sum,
 )
-from .number_ring import ENUMERATION_BOUND, compile_function, integral_arithmetic, linear_source
+from .number_ring import (
+    ENUMERATION_BOUND,
+    Record,
+    compile_function,
+    integral_arithmetic,
+    linear_source,
+)
 
 _DRAW_BATCH = 1024  # 32-bit words per getrandbits batch in _sampled_pairs
 _FLAT_FORMS = {}  # (min_poly, sigma_image, u) -> (source of G, products made)
@@ -239,8 +245,17 @@ def _horner_source(form):
 
 
 def _flat_form(order):
-    """Source of G (see reduced_norm_form), expanded once per (min_poly, sigma_image,
-    u); TooLarge whenever its expansion made more than ENUMERATION_BOUND products."""
+    """Source of the integer form G(x) = nrd(x) in the order's flat coordinates
+    x0, x1, ..., grouped Horner-style; the sweep reads it at x = B d (_basis_map).
+
+    M is additive, so G has degree n in the n^2 coordinates, and it is sparse
+    since entry (r, c) of M(x) reads only the e^((r - c) mod n) coefficient of
+    x: 4 monomials on Z[i] and 57 on the cubic.  G depends only on (min_poly,
+    sigma_image, u); it is expanded once per algebra by the cofactor recursion
+    of SpaceTimeMatrix.det and checked rational, InvalidSpec otherwise (G o B
+    is rational exactly when G is, B being invertible over Q); TooLarge
+    whenever its expansion made more than ENUMERATION_BOUND products.
+    """
     key = (order.min_poly, order.spec.sigma_image, order.u)
     if key not in _FLAT_FORMS:
         core, n = integral_arithmetic(order.min_poly, order.spec.sigma_image), order.n
@@ -286,24 +301,6 @@ def _basis_map(columns, indent):
     return "".join(f"{indent}x{i} = {linear_source(zip(row, d))}\n" for i, row in rows)
 
 
-def reduced_norm_form(order: NaturalOrder, columns):
-    """The integer form F with F(d) = nrd(sum_j d_j columns[j]), as a function of d.
-
-    columns are the flat coordinates of a basis of a full-rank sublattice of
-    the order; B is the basis map x = B d.  M is additive, so nrd(x) is a form
-    G of degree n in the n^2 flat coordinates, sparse since entry (r, c) of
-    M(x) reads only the e^((r - c) mod n) coefficient of x: 4 monomials on Z[i]
-    and 57 on the cubic, where F = G o B has up to 10 and 165.  G depends only
-    on (min_poly, sigma_image, u); it is expanded once per algebra by the
-    cofactor recursion of SpaceTimeMatrix.det and checked rational, InvalidSpec
-    otherwise (F is rational exactly when G is, B being invertible over Q).
-    The function computes x = B d, then G grouped Horner-style.
-    """
-    names = "".join(f"d{j}, " for j in range(len(columns)))
-    head = f"def form(d):\n    {names}= d\n{_basis_map(columns, '    ')}"
-    return compile_function(f"{head}    return {_flat_form(order)}\n", "form")
-
-
 @lru_cache(maxsize=32)
 def _sweep(columns, flat_form, sampled):
     """The compiled sweep(pairs, best, left) -> (least |F(d)| below best, first such d),
@@ -337,7 +334,7 @@ def min_det_sample(
     """Minimum |norm(det(M(a) - M(a')))| over distinct pairs of lattice points.
 
     Points have coordinates in [-coeff_bound, coeff_bound] in the code's
-    lattice basis; a difference d gives |F(d)|^n, F from reduced_norm_form.
+    lattice basis; a difference d gives |G(B d)|^n, G from _flat_form.
     When the differences fit in enumeration_bound (exhaustive_sweep) every
     nonzero one in the doubled box is visited once up to sign, otherwise
     `samples` differences of random distinct box points are drawn with `seed`.
@@ -375,13 +372,13 @@ def min_det_sample(
     return best
 
 
-@dataclass
-class CosetEncoding:
+class CosetEncoding(Record):
     """A lattice point split as information codeword plus offset in p*order."""
 
-    codeword: tuple
-    offset: OrderElement
-    point: OrderElement
+    __slots__ = _fields = ("codeword", "offset", "point")
+
+    def __init__(self, codeword, offset, point):
+        self.codeword, self.offset, self.point = codeword, offset, point
 
     def to_dict(self):
         return {

@@ -516,6 +516,36 @@ def test_library_warnings_print_as_one_stable_line(tmp_path):
     )
 
 
+def test_start_up_imports_no_dataclasses():
+    # Every CLI query is a fresh interpreter, which pays for each module the
+    # package imports; dataclasses, through inspect, is a large share of that.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    heavy = {"dataclasses", "inspect", "dis", "tokenize", "linecache", "copy"}
+    for module in ("skewlat", "skewlat.cli"):
+        script = f"import sys, {module}\nprint(sorted({heavy!r} & set(sys.modules)))\n"
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n", module
+    proc = subprocess.run(
+        [sys.executable, "-m", "skewlat", "code", "--config", str(root / "configs" / "gaussian_p3.cfg"),
+         "--json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["n"] == 2
+
+
 def test_bound_flag_overrides_config(capsys, cfg_path):
     for bound in ("5", "0"):  # 0 is a bound, not a usage error
         rc, out, err = run(

@@ -6,7 +6,6 @@ y^3 + y^2 - 2y - 1, whose Galois group is generated by y -> y^2 - 2.
 
 import random
 import warnings
-from dataclasses import replace
 
 import pytest
 
@@ -28,7 +27,7 @@ from skewlat import (
 from skewlat.errors import NotIrreducible
 from skewlat.number_ring import norm_witnesses
 
-from helpers import CUBIC, random_element, random_poly, random_unit_lead_poly
+from helpers import CUBIC, random_element, random_poly, random_unit_lead_poly, replace_spec
 
 
 @pytest.fixture
@@ -51,7 +50,7 @@ def test_irreducibility_is_checked_for_cubics_and_trusted_above():
         (-big, 1 - big, 1 - big, 1),  # (y - big)(y^2 + y + 1)
     ):
         with pytest.raises(NotIrreducible):
-            QuotientRing(replace(CUBIC, min_poly=min_poly))
+            QuotientRing(replace_spec(CUBIC, min_poly=min_poly))
 
 
 def test_sigma_has_order_three(ring):
@@ -149,6 +148,6 @@ def test_norm_search_covers_cubics():
     # 2 is inert with residue degree 3, so neither 2 nor 4 is a norm.
     assert norm_witnesses(CUBIC, 3) == []
     # N(3 + y) = -m(-3) = 13 for m = y^3 + y^2 - 2y - 1.
-    hits = norm_witnesses(replace(CUBIC, u=13), 3)
+    hits = norm_witnesses(replace_spec(CUBIC, u=13), 3)
     assert (3, 1, 0, 1) in hits
     assert all(i in (1, 2) for *_, i in hits)

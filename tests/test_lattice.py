@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from itertools import permutations, product
 from math import prod
 
@@ -36,6 +35,7 @@ from helpers import (
     pairwise_gram_matrix,
     random_element,
     random_order_element,
+    replace_spec,
     valid_specs,
 )
 
@@ -145,11 +145,11 @@ def test_reduce_element_rejects_a_point_of_another_order():
     # Same m and sigma but p = 5: reducing it modulo 3 would answer silently.
     ring = fixture_ring("gaussian-p3-inert")
     rows = [[4, 1], [1, 0]]
-    alien = NaturalOrder(replace(ring.spec, p=5)).element(rows)
+    alien = NaturalOrder(replace_spec(ring.spec, p=5)).element(rows)
     with pytest.raises(ValueError, match="^elements belong to different orders$"):
         reduce_element(alien, ring)
     # An equal spec built separately names the same order.
-    same = NaturalOrder(replace(ring.spec)).element(rows)
+    same = NaturalOrder(replace_spec(ring.spec)).element(rows)
     assert reduce_element(same, ring) == (ring.element((1, 1)), ring.one)
 
 
@@ -291,7 +291,7 @@ def _other_mode(spec):
     the field is quadratic; cubic specs allow only "identity"."""
     if spec.n != 2:
         return spec
-    return replace(
+    return replace_spec(
         spec, conjugation_mode="identity" if spec.conjugation_mode == "complex" else "complex"
     )
 
@@ -431,7 +431,7 @@ ORACLE_DUAL_VECTORS = 5000
 @settings(max_examples=10, deadline=None)
 @given(spec=valid_specs())
 @example(spec=AlgebraSpec((1, 0, 1), (0, -1), u=2, p=5))
-@example(spec=replace(CUBIC, u=1))
+@example(spec=replace_spec(CUBIC, u=1))
 def test_inclusion_matches_the_full_lattice_oracle(spec):
     ring = QuotientRing(spec)
     codes = list(divisor_codes(ring, per_degree=2))
@@ -490,7 +490,7 @@ def test_lift_basis_matches_the_lifted_words_oracle_on_awkward_generators(spec, 
 
 
 def test_cubic_inclusion_at_p31_builds_no_lattice():
-    ring = QuotientRing(replace(CUBIC, p=31))
+    ring = QuotientRing(replace_spec(CUBIC, p=31))
     a = ring.gen
     code = ConstacyclicCode.from_generator(SkewPoly(ring, (11 * a * a, 1)))
     cofactor = ConstacyclicCode.from_generator(code.h)  # 31^6 dual vectors

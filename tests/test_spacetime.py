@@ -34,6 +34,7 @@ from helpers import (
     quiet_ring,
     random_message,
     random_order_element,
+    reduced_norm_form,
     valid_specs,
 )
 
@@ -316,7 +317,7 @@ def assert_form_is_the_determinant(code, rng, trials):
     order = NaturalOrder(code.ring.spec)
     cols = list(zip(*construction_a_basis(code).basis))
     N = len(cols)
-    nrd = spacetime.reduced_norm_form(order, cols)
+    nrd = reduced_norm_form(order, cols)
     for _ in range(trials):
         d = [rng.randint(-3, 3) for _ in range(N)]
         point = order.from_flat([sum(z * col[i] for z, col in zip(d, cols)) for i in range(N)])
@@ -373,7 +374,7 @@ def test_determinant_with_an_irrational_coordinate_raises(monkeypatch):
     )
     for _ in range(2):
         with pytest.raises(InvalidSpec, match="non-constant"):
-            spacetime.reduced_norm_form(order, [(0, 1, 0, 0), (1, 0, 0, 0)])
+            reduced_norm_form(order, [(0, 1, 0, 0), (1, 0, 0, 0)])
     assert spacetime._FLAT_FORMS == {}
 
 
@@ -383,7 +384,7 @@ def test_cofactor_expansions_stop_past_the_enumeration_bound(monkeypatch):
     order = NaturalOrder(CUBIC)
     dense = matrix_rep(order.element([[1, 1, 1]] * 3))
     cols = list(zip(*construction_a_basis(cubic_code()).basis))
-    expansions = {9: dense.det, 189: lambda: spacetime.reduced_norm_form(order, cols)((1,) * 9)}
+    expansions = {9: dense.det, 189: lambda: reduced_norm_form(order, cols)((1,) * 9)}
     for made, expand in expansions.items():
         unbounded = expand()
         monkeypatch.setattr(spacetime, "ENUMERATION_BOUND", made)
