@@ -98,8 +98,8 @@ class AlgebraSpec(Record):
     conjugation_mode, or "complex" on a field that is not quadratic;
     NotPrime for a composite p; NonUnitU for a u that is not a unit mod p;
     and TooLarge when n^4 > ENUMERATION_BOUND.  IntegralArithmetic, which
-    applies m and sigma, checks them next.  A spec is immutable, and its
-    hash, which every per-spec cache computes, is taken once here.
+    applies m and sigma, checks them next.  A spec is immutable; its field
+    tuple and its hash, which every per-spec cache uses, are kept from here.
 
     min_poly: monic integer coefficients of m(y), constant first, degree n.
     sigma_image: integer coefficients of s(y), the image of the generator
@@ -111,7 +111,7 @@ class AlgebraSpec(Record):
     """
 
     _fields = ("min_poly", "sigma_image", "u", "p", "conjugation_mode")
-    __slots__ = _fields + ("_hash",)
+    __slots__ = _fields + ("_key", "_hash")
 
     def __init__(self, min_poly, sigma_image, u, p, conjugation_mode="complex"):
         min_poly = _as_int_tuple(min_poly, "min_poly")
@@ -135,10 +135,11 @@ class AlgebraSpec(Record):
         # IntegralArithmetic tabulates sigma^k(y^j) for all k, j < n, about n^4 steps.
         if n**4 > ENUMERATION_BOUND:
             raise TooLarge(f"degree {n}: n^4 = {n**4} exceeds bound {ENUMERATION_BOUND}")
-        values = (min_poly, sigma_image, u, p, conjugation_mode)
-        for name, value in zip(self._fields, values):
+        key = (min_poly, sigma_image, u, p, conjugation_mode)
+        for name, value in zip(self._fields, key):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_hash", hash(values))
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -146,11 +147,16 @@ class AlgebraSpec(Record):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __eq__(self, other):
+        if other.__class__ is not AlgebraSpec:
+            return NotImplemented
+        return other is self or self._key == other._key
+
     def __hash__(self):
         return self._hash
 
     def __reduce__(self):
-        return AlgebraSpec, self._values()
+        return AlgebraSpec, self._key
 
     @property
     def n(self):

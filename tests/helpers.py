@@ -56,8 +56,18 @@ CYCLIC_CUBICS = ((-1, -2, 1, 1), (1, -3, 0, 1))
 def replace_spec(spec, **changes):
     """A new AlgebraSpec with some fields changed, built through AlgebraSpec(...)
     so that every field check runs on it."""
-    names = ("min_poly", "sigma_image", "u", "p", "conjugation_mode")
-    return AlgebraSpec(**{**{name: getattr(spec, name) for name in names}, **changes})
+    return AlgebraSpec(**{**dict(zip(spec._fields, spec._values())), **changes})
+
+
+# AlgebraSpec called on one full dict of its fields by keyword, positionally
+# and mixed, so that a test sees each field check from every call form.
+SPEC_CALLS = (
+    lambda f: AlgebraSpec(**f),
+    lambda f: AlgebraSpec(*(f[name] for name in AlgebraSpec._fields)),
+    lambda f: AlgebraSpec(
+        f["min_poly"], f["sigma_image"], u=f["u"], p=f["p"], conjugation_mode=f["conjugation_mode"]
+    ),
+)
 
 
 def quiet_ring(spec):

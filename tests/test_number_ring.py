@@ -24,7 +24,7 @@ from skewlat.number_ring import (
     nullspace_mod_p,
 )
 
-from helpers import random_element, valid_specs
+from helpers import SPEC_CALLS, random_element, valid_specs
 
 
 def test_ring_new_fixture_parameters():
@@ -88,19 +88,23 @@ def test_order_and_norms_reject_a_reducible_min_poly(spec):
             build(spec)
 
 
+# The Gaussian fields with u = -1 over p = 3, which the rejection tests vary.
+GAUSSIAN_FIELDS = dict(min_poly=(1, 0, 1), sigma_image=(0, -1), u=-1, p=3, conjugation_mode="complex")
+
+
 def test_spec_rejects_a_non_monic_or_linear_min_poly():
     # Raised by AlgebraSpec itself, so no ring, order or norm sees such an m:
     # the order's folding row assumes m monic.
-    with pytest.raises(InvalidSpec, match="must be monic"):
-        AlgebraSpec((1, 0, 2), (0, -1), u=-1, p=3)
-    for min_poly in ((), (1,), (1, 1)):
-        with pytest.raises(InvalidSpec, match="degree at least 2"):
-            AlgebraSpec(min_poly, (0, 1), u=1, p=3)
+    for call in SPEC_CALLS:
+        with pytest.raises(InvalidSpec, match="must be monic"):
+            call({**GAUSSIAN_FIELDS, "min_poly": (1, 0, 2)})
+        for min_poly in ((), (1,), (1, 1)):
+            with pytest.raises(InvalidSpec, match="degree at least 2"):
+                call({**GAUSSIAN_FIELDS, "min_poly": min_poly, "sigma_image": (0, 1), "u": 1})
 
 
 def test_spec_rejects_values_that_are_not_ints():
     # int() would truncate these to the p = 3 ring or read "5" and True as 5 and 1.
-    base = dict(min_poly=(1, 0, 1), sigma_image=(0, -1), u=-1, p=3)
     for field, value, message in (
         ("p", 3.7, "p must be an integer"),
         ("u", "5", "u must be an integer"),
@@ -109,8 +113,9 @@ def test_spec_rejects_values_that_are_not_ints():
         ("sigma_image", (0, False), "sigma_image must be a sequence of integers"),
         ("min_poly", "101", "min_poly must be a sequence of integers"),
     ):
-        with pytest.raises(InvalidSpec, match=message):
-            AlgebraSpec(**{**base, field: value})
+        for call in SPEC_CALLS:
+            with pytest.raises(InvalidSpec, match=message):
+                call({**GAUSSIAN_FIELDS, field: value})
 
 
 # Each field rule raises from AlgebraSpec itself, so no ring, order, norm
@@ -132,24 +137,26 @@ FIELD_VIOLATIONS = (
     "fields, error, message", FIELD_VIOLATIONS, ids=("bogus-mode", "complex-cubic", "p4", "u6", "u0")
 )
 def test_spec_is_the_one_gate_for_field_rules(fields, error, message):
-    base = dict(min_poly=(1, 0, 1), sigma_image=(0, -1), u=-1, p=3)
-    with pytest.raises(error) as info:
-        AlgebraSpec(**{**base, **fields})
-    assert str(info.value) == message
+    for call in SPEC_CALLS:
+        with pytest.raises(error) as info:
+            call({**GAUSSIAN_FIELDS, **fields})
+        assert str(info.value) == message
 
 
 def test_spec_bounds_the_degree_before_any_core_work():
-    def spec(n, p=2):
+    def spec(n, p=2, call=SPEC_CALLS[0]):
         # y^n + 1 with y -> 1 + y, which is no ring map of Z[y]/(y^n + 1).
-        return AlgebraSpec((1,) + (0,) * (n - 1) + (1,), (1, 1), u=1, p=p, conjugation_mode="identity")
+        min_poly = (1,) + (0,) * (n - 1) + (1,)
+        return call(dict(min_poly=min_poly, sigma_image=(1, 1), u=1, p=p, conjugation_mode="identity"))
 
-    with pytest.raises(TooLarge, match="degree 32"):
-        spec(32)
     with pytest.raises(InvalidSigma, match="not divisible"):
         NaturalOrder(spec(31))
-    # The bound is the last field check, so a quick answer such as NotPrime keeps its precedence.
-    with pytest.raises(NotPrime):
-        spec(1200, p=4)
+    for call in SPEC_CALLS:
+        with pytest.raises(TooLarge, match="degree 32"):
+            spec(32, call=call)
+        # The bound is the last field check, so a quick answer such as NotPrime keeps its precedence.
+        with pytest.raises(NotPrime):
+            spec(1200, p=4, call=call)
 
 
 def test_ring_new_rejects_bad_p_and_u():
