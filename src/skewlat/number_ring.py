@@ -11,8 +11,8 @@ The arithmetic itself lives in one place, IntegralArithmetic: multiplication,
 sigma and the field norm N(a) = a*sigma(a)...sigma^(n-1)(a) in O_K = Z[y]/(m)
 over the integers, built once per (min_poly, sigma_image).  The norm is
 compiled lazily, on its first call, by compile_function into one
-straight-line integer function with O(n^3) terms, cached on the core; the
-Hilbert 90 kernel of the divisor roots is emitted by the same _Emitter.
+straight-line integer function with O(n^3) terms, cached on the core, that
+also returns the suffix products the divisor roots scale.
 QuotientRing reduces its results modulo p, so inverses are norm cofactors
 divided by the norm; lattice.NaturalOrder uses the same instance and keeps
 them over Z.
@@ -331,56 +331,49 @@ class IntegralArithmetic:
         """(N, c) with c = sigma(vec)...sigma^(n-1)(vec) and vec*c = N.
 
         sigma has order n on O_K, so when m is irreducible it generates the
-        Galois group of K = Q[y]/(m) and N is the field norm, an integer.  A
-        product with a nonzero non-constant coordinate, which only a
-        reducible m allows, raises InvalidSpec.  vec has length n; the
-        arithmetic runs in _norm_program, compiled on the first call.
+        Galois group of K = Q[y]/(m) and N is the field norm, an integer.  c
+        is the last of the suffix products of norm_suffixes, which makes the
+        check that N is rational.
         """
-        prod, cofactor = self._norm_program(vec)
+        norm, suffixes = self.norm_suffixes(vec)
+        return norm, suffixes[-1]
+
+    def norm_suffixes(self, vec):
+        """(N, (S_1, ..., S_(n-1))) with S_r = sigma^(n-1)(vec)...sigma^(n-r)(vec).
+
+        S_(n-1) is the norm cofactor and vec*S_(n-1) = N.  A product with a
+        nonzero non-constant coordinate, which only a reducible m allows,
+        raises InvalidSpec.  vec has length n; the arithmetic runs in
+        _norm_program, compiled on the first call.
+        """
+        prod, suffixes = self._norm_program(vec)
         if any(prod[1:]):
             raise InvalidSpec("a*sigma(a)...sigma^(n-1)(a) is not rational: min_poly is reducible")
-        return prod[0], cofactor
+        return prod[0], suffixes
 
     @cached_property
     def _norm_program(self):
-        """a -> (a*c, c) as tuples, c = sigma(a)...sigma^(n-1)(a).
+        """a -> (a*S_(n-1), (S_1, ..., S_(n-1))) as tuples, S_1 = sigma^(n-1)(a)
+        and S_r = S_(r-1)*sigma^(n-r)(a).
 
         Straight-line integer code from _Emitter, with O(n^3) terms: the
         n - 1 images sigma^k(a) and n - 1 unrolled products.
         """
+        n = self.n
         emit = _Emitter(self, "a")
-        (a,) = emit.args
-        images = [emit.sigma(a, k, f"s{k}") for k in range(1, self.n)]
-        cofactor = images[0]
-        for k, image in enumerate(images[1:], 2):
-            cofactor = emit.mul(cofactor, image, f"c{k}")
-        prod = emit.mul(a, cofactor, "r")
-        return emit.compile("norm", f"({', '.join(prod)},), ({', '.join(cofactor)},)")
-
-    @cached_property
-    def _hilbert90_program(self):
-        """(c, b) -> (N(b), w) with w = c*b^2*sigma^2(b)...sigma^(n-1)(b).
-
-        sigma^n = id makes sigma(b)^(-1) = b*sigma^2(b)...sigma^(n-1)(b)/N(b),
-        so w = N(b)*c*b/sigma(b): the Hilbert 90 parametrisation of the
-        elements of norm N(c), up to the scalar N(b).  Straight-line integer
-        code from _Emitter, with O(n^3) terms, compiled on the first call.
-        """
-        emit = _Emitter(self, "c", "b")
-        c, b = emit.args
-        images = [emit.sigma(b, k, f"s{k}") for k in range(1, self.n)]
-        tail = b  # b*sigma^2(b)...sigma^(n-1)(b)
-        for k, image in enumerate(images[1:], 2):
-            tail = emit.mul(tail, image, f"t{k}")
-        norm = emit.mul(images[0], tail, "r")[0]
-        w = emit.mul(c, emit.mul(b, tail, "q"), "w")
-        return emit.compile("hilbert90", f"{norm}, ({', '.join(w)},)")
+        a = emit.arg
+        suffixes = [emit.sigma(a, n - 1, f"s{n - 1}")]
+        for k in range(n - 2, 0, -1):
+            suffixes.append(emit.mul(suffixes[-1], emit.sigma(a, k, f"s{k}"), f"c{k}"))
+        prod = emit.mul(a, suffixes[-1], "r")
+        returns = "".join(f"({', '.join(s)},), " for s in suffixes)
+        return emit.compile("norm", f"({', '.join(prod)},), ({returns})")
 
 
 class _Emitter:
     """Straight-line integer source over one IntegralArithmetic.
 
-    Each argument is a vector of length n, unpacked into the locals
+    The one argument is a vector of length n, unpacked into the locals
     <arg>0 ... <arg>(n-1); every value is a list of n local names.  sigma^k
     is n linear forms whose sigma table entries are integer literals, a
     product is an unrolled convolution whose coordinates above n - 1 are
@@ -388,11 +381,11 @@ class _Emitter:
     inlined.  Zero table entries and fold coefficients are dropped.
     """
 
-    def __init__(self, core, *args):
+    def __init__(self, core, param):
         self.core = core
-        self.params = args
-        self.args = [[f"{arg}{j}" for j in range(core.n)] for arg in args]
-        self.lines = [f"    {', '.join(names)}, = {arg}" for arg, names in zip(args, self.args)]
+        self.param = param
+        self.arg = [f"{param}{j}" for j in range(core.n)]
+        self.lines = [f"    {', '.join(self.arg)}, = {param}"]
 
     def assign(self, name, terms):
         self.lines.append(f"    {name} = {linear_source(terms)}")
@@ -418,7 +411,7 @@ class _Emitter:
         return [f"{out}_{t}" for t in range(n)]
 
     def compile(self, name, returns):
-        head = f"def {name}({', '.join(self.params)}):\n"
+        head = f"def {name}({self.param}):\n"
         return compile_function(head + "\n".join(self.lines) + f"\n    return {returns}\n", name)
 
 

@@ -16,12 +16,11 @@ Monic right divisors of x^n - u come from roots and cofactors: degree 1 by
 the norm equation N_n(-c) = u (Lam-Leroy evaluation), degree n - 1 as the
 closed-form Lam-Leroy quotients of the same roots, and any other degree
 d > n - d as the quotients of x^n - u by the divisors of degree n - d.  At
-an unramified p with u a unit the roots are parametrised by Hilbert 90,
-one per unit class of R*/F_p* and norm that fits; otherwise a scan tests
-all p^m ring elements (m = deg m(y)).  Only the middle degrees
-2 <= d <= n/2 (n >= 4) scan the p^(n*d) monic candidates, and the
-enumeration bound counts the ring elements the roots visit, or candidates
-on that scan.
+every p the roots are read off the (p^m - 1)/(p - 1) classes of
+(R - 0)/F_p* (m = deg m(y)), one norm each: sigma fixes F_p, so a norm
+scales by lam^m under c -> lam*c.  Only the middle degrees 2 <= d <= n/2
+(n >= 4) scan the p^(n*d) monic candidates, and the enumeration bound
+counts the classes the roots visit, or candidates on that scan.
 
 The zero polynomial has an empty coefficient tuple and degree -inf (a float
 sentinel, so degree comparisons in division loops need no special casing).
@@ -30,7 +29,6 @@ sentinel, so degree comparisons in division loops need no special casing).
 from __future__ import annotations
 
 from itertools import product
-from math import prod
 
 from .errors import DivisionByZero, NonUnitLeading, NotADivisor, NotInvertible, TooLarge
 from .number_ring import ENUMERATION_BOUND, QuotientRing, RingElement
@@ -50,6 +48,15 @@ class SkewPoly:
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
+
+    @classmethod
+    def _make(cls, ring, coeffs):
+        """The polynomial of canonical coefficients, a tuple of elements of
+        ring with a nonzero last entry, taken without coercion."""
+        poly = object.__new__(cls)
+        poly.ring = ring
+        poly.coeffs = coeffs
+        return poly
 
     @classmethod
     def zero(cls, ring):
@@ -279,20 +286,20 @@ def monic_right_divisors(ring: QuotientRing, n: int, u, degree: int, bound=ENUME
     - d = 1, by roots: x + c right-divides x^n - u exactly when N_n(-c) = u,
       where N_n(a) = sigma^(n-1)(a)...sigma(a)*a is the remainder of x^n on
       right division by x - a (Lam-Leroy evaluation).  As sigma^(ring.n) = id,
-      N_n(c) = N(c)^(n / ring.n) with N the field norm.  At an unramified p
-      with u a unit, R is a Galois algebra over F_p with group <sigma>, and
-      by Hilbert 90 the roots are the c_s*b/sigma(b): c_s the first element
-      of each norm s with s^(n / ring.n) = (-1)^n u, b one unit per class of
-      R*/F_p*, one call of a compiled straight-line kernel each.  At a
-      ramified p, or when p divides u, each of the p^m elements
-      (m = ring.n), scanned as a raw coefficient tuple, costs one call of the
-      core's compiled norm_cofactor.  Ring elements and polynomials are
-      built only for the roots, in lexicographic order.
+      N_n(c) = N(c)^(n / ring.n) with N the field norm.  Every nonzero c
+      is lam*b for one lam in F_p* and one class representative b of
+      (R - 0)/F_p* (first nonzero coordinate 1), and N(lam*b) =
+      lam^m N(b) (m = ring.n) at every p, ramified included.  So each
+      class is one call of the core's compiled norm_suffixes on a raw
+      coefficient tuple, and its roots are the lam*b whose lam solves the
+      norm equation.  Ring elements and polynomials are built only for the
+      roots, in lexicographic order.
     - d = n - 1 >= 2, by the same roots: for each root a,
       q_a = sum_{j<n} sigma^(n-1)(a)...sigma^(j+1)(a) x^j satisfies
       q_a*(x - a) = x^n - N_n(a) = x^n - u, and as x^n - u is central also
       (x - a)*q_a = x^n - u.  So a -> q_a is the cofactor bijection below,
-      computed without any division.
+      computed without any division; its coefficients are scalar multiples
+      of the class's suffix products.
     - any other d > n - d, by cofactors: x^n - u is central and a monic
       polynomial is not a zero divisor, so h*g = x^n - u exactly when
       g*h = x^n - u.  The divisors of degree d are the quotients
@@ -302,11 +309,9 @@ def monic_right_divisors(ring: QuotientRing, n: int, u, degree: int, bound=ENUME
     - 2 <= d <= n/2, which needs n >= 4: a scan of the p^(n*d) monic
       candidates, one right division each.
 
-    bound limits the elements the roots visit, for d = 1 and d = n - 1, and,
-    on the middle degrees only, the candidates; beyond it TooLarge is raised
-    before any root or candidate is taken.  The roots visit all p^m elements
-    on the scan, and (p^m - 1)/(p - 1) unit class representatives plus the
-    seed search by Hilbert 90.
+    bound limits the (p^m - 1)/(p - 1) classes the roots visit, for d = 1 and
+    d = n - 1, and, on the middle degrees only, the candidates; beyond it
+    TooLarge is raised before any norm or candidate is taken.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -331,111 +336,79 @@ def monic_right_divisors(ring: QuotientRing, n: int, u, degree: int, bound=ENUME
 def _root_quotients(central: SkewPoly, bound):
     """The monic right divisors of degree n - 1 of the central x^n - u, sorted:
     one Lam-Leroy quotient q_a per root a, the bijection a -> q_a of
-    monic_right_divisors.  The coefficients q_(n-1) = 1 and
-    q_(j-1) = q_j * sigma^j(a) make q_a*(x - a) = x^n - q_0*a = x^n - N_n(a);
-    they are built on raw tuples, n - 1 sigma applications and n - 2
-    products per root, and polynomials only for the output."""
+    monic_right_divisors.  For the root c = lam*b of _root_classes, a = -c
+    and q_j = sigma^(n-1)(a)...sigma^(j+1)(a), L = n - 1 - j factors; sigma
+    fixes lam and sigma^m = id, so q_j = (-lam)^L * N(b)^(L // m) * S_(L % m)
+    with S_0 = 1 and the suffix products S_r of norm_suffixes.  The
+    coefficients are scalar multiples of raw tuples, with no sigma or
+    product per root."""
     ring = central.ring
     n = int(central.degree)
-    p, sigma, mul = ring.p, ring._core.sigma, ring._mul
-    one = ring.one.coeffs
+    p, m = ring.p, ring.n
+    one = ring.one
     quotients = []
-    for c in _roots(central, bound):
-        a = tuple(-v % p for v in c)
-        q = tuple(v % p for v in sigma(a, n - 1))
-        coeffs = [one, q]
-        for j in range(n - 2, 0, -1):
-            q = mul(q, sigma(a, j))
-            coeffs.append(q)
+    for lam, b, norm, suffixes in _root_classes(central, bound):
+        products = (one.coeffs,) + suffixes
+        scale, coeffs = 1, []
+        for length in range(1, n):
+            scale = scale * -lam % p
+            if length % m == 0:
+                scale = scale * norm % p
+            coeffs.append(tuple(scale * v % p for v in products[length % m]))
         quotients.append(coeffs[::-1])
     quotients.sort()
-    return [SkewPoly(ring, [ring._make(q) for q in coeffs]) for coeffs in quotients]
+    return [SkewPoly._make(ring, (*map(ring._make, coeffs), one)) for coeffs in quotients]
 
 
 def _roots(central: SkewPoly, bound):
     """The constant terms c of the monic right divisors x + c of the central
-    x^n - u, as raw coefficient tuples in lexicographic order.
+    x^n - u, as raw coefficient tuples in lexicographic order."""
+    p = central.ring.p
+    return sorted(tuple(lam * v % p for v in b) for lam, b, _, _ in _root_classes(central, bound))
+
+
+def _root_classes(central: SkewPoly, bound):
+    """The roots c of x + c | x^n - u as (lam, b, N(b), suffixes), c = lam*b.
 
     N_n(-c) = (-1)^n N_n(c), so x + c divides when N_n(c) = t with
-    t = (-1)^n u; sigma^(ring.n) = id makes N_n(c) = N(c)^(n / ring.n).
+    t = (-1)^n u; sigma^m = id (m = ring.n) makes N_n(c) = N(c)^(n / m).
     N(c) mod p is an integer residue, so a target with a nonzero higher
-    coordinate has no root.  An unramified p with t a unit takes
-    _hilbert90_roots; the rest, ramified p and p | t, the scan.
+    coordinate has no root.  Every nonzero c is lam*b for exactly one lam in
+    F_p* and one class representative b of (R - 0)/F_p* (first nonzero
+    coordinate 1), and sigma fixes lam, so N(c) = lam^m N(b): for a unit t
+    the roots are the lam*b with lam^n N(b)^(n/m) = t, and for p | t they
+    are 0 (lam = 0) and every lam*b with N(b) = 0.  This holds at every p,
+    ramified included.  Each class is one call of the core's norm_suffixes,
+    which raises InvalidSpec on a norm that is not rational.
+
+    bound caps the (p^m - 1)/(p - 1) classes and is checked before any norm.
     """
     ring = central.ring
     n = int(central.degree)
-    u = -central.coeffs[0]
-    target = (u if n % 2 == 0 else -u).coeffs
-    power = n // ring.n
-    if any(target[1:]) or not target[0] or ring.decompose().ramification() == "ramified":
-        return _scan_roots(ring, power, target, bound)
-    return _hilbert90_roots(ring, power, target[0], bound)
-
-
-def _scan_roots(ring: QuotientRing, power, target, bound):
-    """The roots by one norm per element: the c among all p^m elements of R
-    (m = ring.n) with N(c)^power equal to the coefficient tuple target."""
-    if ring.size > bound:
-        raise TooLarge(f"{ring.size} elements exceeds bound {bound}")
-    target, *higher = target
-    if any(higher):
-        return []
-    p = ring.p
-    norm = ring._core.norm_cofactor
-    return [c for c in product(range(p), repeat=ring.n) if pow(norm(c)[0], power, p) == target]
-
-
-def _hilbert90_roots(ring: QuotientRing, power, target, bound):
-    """The roots for an unramified p and a unit target t, by Hilbert 90.
-
-    R is then a Galois algebra over F_p with group <sigma>, so its norm maps
-    R* onto F_p* and the elements of norm 1 are exactly the b/sigma(b), b a
-    unit, with b/sigma(b) = b'/sigma(b') exactly when b' is in b*F_p*.  The
-    roots are the c_s*b/sigma(b) for each seed s in F_p* with
-    s^power = t, c_s the lexicographically first element of norm s, and b
-    over the unit classes of R*/F_p* (first nonzero coordinate 1), one call
-    of the core's compiled _hilbert90_program each.
-
-    bound caps the elements visited, the (p^m - 1)/(p - 1) class
-    representatives plus the seed search, and is checked before any root
-    is built.  A seed for every s and distinct roots, #seeds * |R*|/(p - 1)
-    of them with |R*| read off decompose(), are checked with RuntimeError,
-    not assert: a failure means the fixed ring of sigma is not F_p.
-    """
     p, m = ring.p, ring.n
+    u = -central.coeffs[0]
+    t, *higher = (u if n % 2 == 0 else -u).coeffs
     classes = (p**m - 1) // (p - 1)
     if classes > bound:
         raise TooLarge(f"{classes} elements exceeds bound {bound}")
-    missing = {target} if power == 1 else {s for s in range(1, p) if pow(s, power, p) == target}
-    if not missing:
+    if any(higher):
         return []
-    norm = ring._core.norm_cofactor
-    seeds = {}
-    for visited, c in enumerate(product(range(p), repeat=m), classes + 1):
-        if visited > bound:
-            raise TooLarge(f"{visited} elements exceeds bound {bound}")
-        s = norm(c)[0] % p
-        if s in missing:
-            missing.remove(s)
-            seeds[s] = c
-            if not missing:
-                break
-    kernel = ring._core._hilbert90_program
-    roots = []
-    for c in seeds.values():
-        for k in range(m):
-            lead = (0,) * k + (1,)
-            for tail in product(range(p), repeat=m - k - 1):
-                scale, w = kernel(c, lead + tail)
-                scale %= p
-                if scale:
-                    scale = pow(scale, -1, p)
-                    roots.append(tuple(v * scale % p for v in w))
-    # R* is the product of the F_q* over the factors F_q of R.
-    units = prod(p ** (len(f) - 1) - 1 for f, _ in ring.decompose().factors) // (p - 1)
-    if missing or len(set(roots)) != len(roots) or len(roots) != len(seeds) * units:
-        raise RuntimeError("Hilbert 90 roots repeat or miss a norm: sigma fixes more than F_p")
-    return sorted(roots)
+    # scales[v] lists the lam in F_p* with lam^n * v = t, v = N(b)^(n/m).
+    if t:
+        scales, out = {}, []
+        for lam in range(1, p):
+            scales.setdefault(t * pow(lam, -n, p) % p, []).append(lam)
+    else:  # 0 is a root too, as lam = 0 on the zero vector
+        zero = (0,) * m
+        scales, out = {0: range(1, p)}, [(0, zero, 0, (zero,) * (m - 1))]
+    norm, power = ring._core.norm_suffixes, n // m
+    for k in range(m):
+        for tail in product(range(p), repeat=m - 1 - k):
+            b = (0,) * k + (1,) + tail
+            s, suffixes = norm(b)
+            for lam in scales.get(pow(s, power, p), ()):
+                out.append((lam, b, s, suffixes))
+    return out
 
 
 def _low_degree_divisors(central: SkewPoly, degree: int, bound):
@@ -444,7 +417,8 @@ def _low_degree_divisors(central: SkewPoly, degree: int, bound):
     if degree == 0:
         return [SkewPoly.one(ring)]
     if degree == 1:
-        return [SkewPoly(ring, (ring._make(c), ring.one)) for c in _roots(central, bound)]
+        one = ring.one
+        return [SkewPoly._make(ring, (ring._make(c), one)) for c in _roots(central, bound)]
     if ring.size**degree > bound:
         raise TooLarge(f"{ring.size}^{degree} candidates exceeds bound {bound}")
     out = []

@@ -119,15 +119,25 @@ def brute_force_right_divisors(ring, n, u, degree, bound=ENUMERATION_BOUND):
     return out
 
 
-def hilbert90_visits(ring, n, u):
-    """Oracle: the elements the Hilbert 90 roots of x^n - u visit at an
-    unramified p, (p^m - 1)/(p - 1) unit class representatives and then the
-    seed search, up to the lexicographically first element of the last norm
-    s in F_p* with s^(n/m) = (-1)^n u that it reaches; u is an integer."""
-    p, m = ring.p, ring.n
-    norms = [ring.norm(c) for c in ring.elements()]
-    seeds = [s for s in range(1, p) if pow(s, n // m, p) == (-1) ** n * u % p]
-    return (p**m - 1) // (p - 1) + max((norms.index(s) + 1 for s in seeds), default=0)
+def root_classes(ring):
+    """Oracle: the number of classes of (R - 0)/F_p* that the roots of
+    x^n - u visit, counted as the nonzero elements whose first nonzero
+    coordinate is 1."""
+    return sum(1 for c in ring.elements() if c and next(v for v in c.coeffs if v) == 1)
+
+
+def scan_roots(ring, power, target, bound):
+    """Oracle: the roots by one norm per element, the c among all p^m elements
+    of R (m = ring.n) with N(c)^power equal to the coefficient tuple target,
+    as raw coefficient tuples in lexicographic order."""
+    if ring.size > bound:
+        raise TooLarge(f"{ring.size} elements exceeds bound {bound}")
+    target, *higher = target
+    if any(higher):
+        return []
+    p = ring.p
+    norm = ring._core.norm_cofactor
+    return [c for c in product(range(p), repeat=ring.n) if pow(norm(c)[0], power, p) == target]
 
 
 def division_cofactors(ring, n, u, degree, bound=ENUMERATION_BOUND):

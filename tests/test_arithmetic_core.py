@@ -138,12 +138,20 @@ def test_norm_is_det_of_multiplication_matrix(field, p, kind, spec):
 
 def assert_norm_matches_table_oracle(spec, seed):
     """The compiled norm_cofactor equals the table oracle on every element
-    of R, as representatives in [0, p), and on random vectors over Z."""
+    of R, as representatives in [0, p), and on random vectors over Z, and
+    norm_suffixes gives the same norm and the table's suffix products
+    S_r = sigma^(n-1)(vec)...sigma^(n-r)(vec)."""
     core = integral_arithmetic(spec.min_poly, spec.sigma_image)
+    n = core.n
     rng = random.Random(seed)
-    wide = [tuple(rng.randint(-(10**6), 10**6) for _ in range(core.n)) for _ in range(200)]
-    for vec in [*product(range(spec.p), repeat=core.n), *wide]:
-        assert core.norm_cofactor(vec) == table_norm_cofactor(core, vec), vec
+    wide = [tuple(rng.randint(-(10**6), 10**6) for _ in range(n)) for _ in range(200)]
+    for vec in [*product(range(spec.p), repeat=n), *wide]:
+        norm, cofactor = table_norm_cofactor(core, vec)
+        assert core.norm_cofactor(vec) == (norm, cofactor), vec
+        suffixes = [tuple(core.sigma(vec, n - 1))]
+        for k in range(n - 2, 0, -1):
+            suffixes.append(tuple(core.mul(suffixes[-1], core.sigma(vec, k))))
+        assert core.norm_suffixes(vec) == (norm, tuple(suffixes)), vec
 
 
 @settings(max_examples=30, deadline=None)

@@ -547,12 +547,15 @@ def test_start_up_imports_no_dataclasses():
 
 
 def test_bound_flag_overrides_config(capsys, cfg_path):
-    for bound in ("5", "0"):  # 0 is a bound, not a usage error
+    # The roots visit the 4 classes of (R - 0)/F_3*.
+    for bound in ("3", "0"):  # 0 is a bound, not a usage error
         rc, out, err = run(
             capsys, "divisors", "--config", cfg_path, "--degree", "1", "--bound", bound
         )
         assert rc == 1
-        assert "TOO_LARGE" in err
+        assert err == f"error[TOO_LARGE]: 4 elements exceeds bound {bound}\n"
+    rc, out, err = run(capsys, "divisors", "--config", cfg_path, "--degree", "1", "--bound", "4")
+    assert rc == 0 and out.startswith("monic right divisors of degree 1: 4\n")
 
 
 def test_load_config_matches_parse(cfg_path):

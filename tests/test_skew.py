@@ -22,11 +22,12 @@ from helpers import (
     QUARTIC,
     brute_force_right_divisors,
     division_cofactors,
-    hilbert90_visits,
     quiet_ring,
     random_poly,
     random_unit_lead_poly,
     replace_spec,
+    root_classes,
+    scan_roots,
     valid_specs,
 )
 
@@ -246,10 +247,10 @@ def test_monic_right_divisors_edge_degrees(p3):
     deg2 = monic_right_divisors(p3, 2, -1, 2)
     assert central_poly(p3, 2, -1) in deg2
     assert monic_right_divisors(p3, 2, -1, 3) == []
-    visits = hilbert90_visits(p3, 2, -1)
-    with pytest.raises(TooLarge):
-        monic_right_divisors(p3, 2, -1, 1, bound=visits - 1)
-    assert len(monic_right_divisors(p3, 2, -1, 1, bound=visits)) == 4
+    classes = root_classes(p3)
+    with pytest.raises(TooLarge, match=f"^{classes} elements exceeds bound {classes - 1}$"):
+        monic_right_divisors(p3, 2, -1, 1, bound=classes - 1)
+    assert len(monic_right_divisors(p3, 2, -1, 1, bound=classes)) == 4
 
 
 def _unexpected(*args):
@@ -257,47 +258,63 @@ def _unexpected(*args):
 
 
 def test_root_scan_checks_its_bound_first_and_needs_an_integer_target(p3, monkeypatch):
-    # p3 is unramified: the Hilbert 90 path visits its 4 unit classes, then
-    # 5 seed candidates up to 1 + a, the first element of norm -u = 2.
-    visits = hilbert90_visits(p3, 2, -1)
-    assert visits == 4 + 5
-    monkeypatch.setattr(p3._core, "_hilbert90_program", _unexpected)
-    # Past the bound in the seed search, and already on the 4 classes.
-    for bound, count in ((visits - 1, visits), (3, 4)):
-        with pytest.raises(TooLarge, match=f"^{count} elements exceeds bound {bound}$"):
+    # The roots visit the 4 classes of (R - 0)/F_3*, and the bound is checked
+    # before the norm kernel runs on any of them.
+    classes = root_classes(p3)
+    assert classes == 4
+    monkeypatch.setattr(p3._core, "_norm_program", _unexpected)
+    for bound in (0, classes - 1):
+        with pytest.raises(TooLarge, match=f"^{classes} elements exceeds bound {bound}$"):
             monic_right_divisors(p3, 2, -1, 1, bound=bound)
     monkeypatch.undo()
-    assert monic_right_divisors(p3, 2, -1, 1, bound=visits) == brute_force_right_divisors(p3, 2, -1, 1)
+    assert monic_right_divisors(p3, 2, -1, 1, bound=classes) == brute_force_right_divisors(p3, 2, -1, 1)
     # sigma fixes all of Z[i]/(2), so x^2 - a is central; every norm is an
-    # integer residue, so no x + c divides it.
+    # integer residue, so no x + c divides it, which is decided after the
+    # bound check on the 3 classes.
     p2 = QuotientRing(GAUSSIAN_P2)
     a = p2.gen
     assert monic_right_divisors(p2, 2, a, 1) == brute_force_right_divisors(p2, 2, a, 1) == []
-    bound = p2.size - 1
-    with pytest.raises(TooLarge, match=f"^{p2.size} elements exceeds bound {bound}$"):
-        monic_right_divisors(p2, 2, a, 1, bound=bound)
+    classes = root_classes(p2)
+    assert classes == 3
+    with pytest.raises(TooLarge, match=f"^{classes} elements exceeds bound {classes - 1}$"):
+        monic_right_divisors(p2, 2, a, 1, bound=classes - 1)
+    assert monic_right_divisors(p2, 2, a, 1, bound=classes) == []
 
 
 @settings(max_examples=40, deadline=None)
-@given(valid_specs(primes=(2, 3, 5, 7, 11, 13)), st.sampled_from((1, 2)))
-@example(replace_spec(CUBIC, p=11, u=3), 1)
-@example(replace_spec(CUBIC, p=13, u=5), 2)
-@example(AlgebraSpec((1, 0, 1), (0, -1), u=2, p=13), 2)
-def test_hilbert90_roots_equal_the_scan(spec, multiple):
-    """At an unramified p the roots are the Hilbert 90 ones, equal to the
-    scan, and the bound counts unit classes plus the seed search."""
+@given(
+    valid_specs(primes=(2, 3, 5, 7, 11, 13)),
+    st.sampled_from((1, 2)),
+    st.one_of(st.none(), st.integers(-13, 13), st.just("a")),
+)
+@example(replace_spec(CUBIC, p=11, u=3), 1, None)
+@example(replace_spec(CUBIC, p=13, u=5), 2, None)
+@example(replace_spec(CUBIC, p=7, u=3), 2, None)
+@example(replace_spec(CUBIC, p=7, u=3), 1, 7)
+@example(AlgebraSpec((1, 0, 1), (0, -1), u=2, p=13), 2, None)
+@example(GAUSSIAN_P2, 1, "a")
+@example(GAUSSIAN_P2, 2, 0)
+def test_roots_and_quotients_equal_their_oracles(spec, multiple, u):
+    """At every p, ramified included, and for u the spec's unit (None), any
+    integer (p | u included) or the generator a where sigma fixes it: the
+    degree-1 divisors are the scan's roots, degree n - 1 the division
+    cofactors, and the bound counts the classes of (R - 0)/F_p*."""
     ring = QuotientRing(spec)
     n = multiple * ring.n
-    central = central_poly(ring, n, spec.u)
-    target = ((-1) ** n * spec.u % spec.p,) + (0,) * (ring.n - 1)
-    scan = skew._scan_roots(ring, multiple, target, ring.size)
-    assert skew._roots(central, ENUMERATION_BOUND) == scan
-    if ring.decompose().ramification() == "ramified":
+    u = spec.u if u is None else ring.gen if u == "a" else u
+    if ring.sigma(ring.coerce(u)) != ring.coerce(u):
         return
-    visits = hilbert90_visits(ring, n, spec.u)
-    assert skew._hilbert90_roots(ring, multiple, target[0], visits) == scan
-    with pytest.raises(TooLarge, match=f"^{visits} elements exceeds bound {visits - 1}$"):
-        skew._roots(central, visits - 1)
+    target = (ring.coerce(u) * (-1) ** n).coeffs
+    roots = monic_right_divisors(ring, n, u, 1)
+    assert [g.coeff(0).coeffs for g in roots] == scan_roots(ring, multiple, target, ring.size)
+    assert all(g.coeffs[-1] == ring.one and len(g.coeffs) == 2 for g in roots)
+    if n > 2:
+        assert monic_right_divisors(ring, n, u, n - 1) == division_cofactors(ring, n, u, n - 1)
+    classes = root_classes(ring)
+    for degree in {1, n - 1}:
+        with pytest.raises(TooLarge, match=f"^{classes} elements exceeds bound {classes - 1}$"):
+            monic_right_divisors(ring, n, u, degree, bound=classes - 1)
+    assert monic_right_divisors(ring, n, u, 1, bound=classes) == roots
 
 
 @pytest.mark.parametrize(
@@ -310,11 +327,10 @@ def test_cubic_root_counts(p, count):
     assert ring.decompose().ramification() == ("inert" if p in (5, 31) else "split")
     roots = skew._roots(central_poly(ring, 3, 2), ENUMERATION_BOUND)
     assert len(roots) == count
-    assert roots == skew._scan_roots(ring, 1, (-2 % p, 0, 0), ring.size)
+    assert roots == scan_roots(ring, 1, (-2 % p, 0, 0), ring.size)
 
 
-def test_ramified_p_and_a_target_divisible_by_p_take_the_scan(p3, monkeypatch):
-    monkeypatch.setattr(skew, "_hilbert90_roots", _unexpected)
+def test_roots_at_a_ramified_p_and_at_p_dividing_u(p3):
     p2 = QuotientRing(GAUSSIAN_P2)
     assert monic_right_divisors(p2, 2, -1, 1) == brute_force_right_divisors(p2, 2, -1, 1)
     for u in (2, 3):
@@ -326,9 +342,9 @@ def test_ramified_p_and_a_target_divisible_by_p_take_the_scan(p3, monkeypatch):
 
 
 def test_hilbert90_roots_keep_the_norm_rationality_check():
-    # y (y^2 - 2y - 1)(y^3 + y^2 - 2y - 1) is squarefree mod 5, so it takes
-    # Hilbert 90, but its sigma fixes Q^3: the seed search meets a norm that
-    # is not rational and raises as the scan does.
+    # y (y^2 - 2y - 1)(y^3 + y^2 - 2y - 1) is squarefree mod 5, but its sigma
+    # fixes Q^3: a class meets a norm that is not rational and raises as the
+    # scan does.
     spec = AlgebraSpec(
         (0, 1, 4, 2, -5, -1, 1), (0, -115, -190, 215, 70, -49), u=1, p=5,
         conjugation_mode="identity",
@@ -339,10 +355,26 @@ def test_hilbert90_roots_keep_the_norm_rationality_check():
         monic_right_divisors(ring, 6, 1, 1)
 
 
-def test_hilbert90_roots_check_they_are_distinct(p3, monkeypatch):
-    monkeypatch.setattr(p3._core, "_hilbert90_program", lambda c, b: (1, c))
-    with pytest.raises(RuntimeError, match="repeat"):
-        monic_right_divisors(p3, 2, -1, 1)
+def test_root_classes_check_every_norm(monkeypatch):
+    """Each class of (R - 0)/F_p* is one kernel call, none repeated, and the
+    rationality check runs on every one: a kernel whose product on the last
+    class has a nonzero higher coordinate raises, at degrees 1 and n - 1."""
+    ring = QuotientRing(CUBIC)
+    core = ring._core
+    program, calls = core._norm_program, []
+
+    def last_class_not_rational(b):
+        calls.append(b)
+        prod, suffixes = program(b)
+        return (prod[0], int(b == (0, 0, 1)), 0), suffixes
+
+    monkeypatch.setattr(core, "_norm_program", last_class_not_rational)
+    for degree in (1, 2):
+        calls.clear()
+        with pytest.raises(InvalidSpec, match="not rational"):
+            monic_right_divisors(ring, 3, 2, degree)
+        assert len(calls) == len(set(calls)) == root_classes(ring) == 31
+        assert calls[-1] == (0, 0, 1)
 
 
 # Above this many candidates the brute-force oracle takes seconds.
