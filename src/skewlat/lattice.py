@@ -121,7 +121,7 @@ class OrderElement:
 
     def _coerce(self, other):
         if isinstance(other, OrderElement):
-            if other.order == self.order:
+            if other.order is self.order or other.order == self.order:
                 return other
             raise ValueError("elements belong to different orders")
         if isinstance(other, int):
@@ -181,11 +181,9 @@ class OrderElement:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return (
-            isinstance(other, OrderElement)
-            and self.order == other.order
-            and self.rows == other.rows
-        )
+        if not isinstance(other, OrderElement):
+            return False
+        return (other.order is self.order or other.order == self.order) and self.rows == other.rows
 
     def __hash__(self):
         return hash(self.rows)

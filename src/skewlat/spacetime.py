@@ -22,7 +22,8 @@ products.  Matrix entries, cofactor terms and lattice points all add through
 lattice.vector_sum.
 
 Coset encoding splits a lattice point into an information codeword plus a
-random offset in p times the order, the wiretap-coding primitive.
+random offset in p times the order (the wiretap-coding primitive), adding or
+reducing integer rows directly; encoded points share one cached order per spec.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .lattice import (
     OrderElement,
     construction_a_basis,
     det_int,
-    lift_codeword,
     reduce_element,
     vector_sum,
 )
@@ -388,28 +388,30 @@ class CosetEncoding(Record):
         }
 
 
+_order = lru_cache(maxsize=32)(NaturalOrder)  # coset_encode's one NaturalOrder per spec
+
+
 def coset_encode(code: ConstacyclicCode, msg, offset_coords) -> CosetEncoding:
     """Map (information, randomness) to the lattice point lift(encode(msg)) +
     p * offset, with offset given by integer coordinates in the order basis."""
-    order = NaturalOrder(code.ring.spec)
-    N = order.n * order.n
-    if len(offset_coords) != N:
-        raise LengthMismatch(f"expected {N} offset coordinates")
+    order, n, p = _order(code.ring.spec), code.ring.n, code.ring.p
+    if len(offset_coords) != n * n:
+        raise LengthMismatch(f"expected {n * n} offset coordinates")
     codeword = code.encode(msg)
-    offset = order.from_flat([code.ring.p * c for c in offset_coords])
-    point = lift_codeword(order, codeword) + offset
-    return CosetEncoding(codeword=codeword, offset=offset, point=point)
+    flat = [operator.index(p * c) for c in offset_coords]
+    rows = tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n))
+    point = tuple(tuple(map(operator.add, c.coeffs, row)) for c, row in zip(codeword, rows))
+    return CosetEncoding(codeword, OrderElement(order, rows), OrderElement(order, point))
 
 
 def coset_decode_label(code: ConstacyclicCode, point: OrderElement):
-    """Recover (point mod p, p*floor(point/p)) from a lattice point's coordinates.
-    Raises NotInLattice when the reduction is not a codeword."""
+    """Split a lattice point into (point mod p, point - point mod p).  Raises ValueError
+    for a point of another spec's order, NotInLattice when point mod p is not a codeword."""
     codeword = reduce_element(point, code.ring)
     if not code.is_codeword(codeword):
         raise NotInLattice("point does not reduce to a codeword")
-    p = code.ring.p
-    offset = OrderElement(point.order, tuple(tuple(v - v % p for v in row) for row in point.rows))
-    return codeword, offset
+    offset = (tuple(map(operator.sub, row, c.coeffs)) for row, c in zip(point.rows, codeword))
+    return codeword, OrderElement(point.order, tuple(offset))
 
 
 def sample_offsets(seed: int, count: int, box: int, dims: int):

@@ -22,6 +22,7 @@ from skewlat import (
     lattice_contains,
     lift_codeword,
     monic_right_divisors,
+    reduce_element,
     spacetime,
 )
 from skewlat.errors import IndefiniteForm, InvalidSpec, TooLarge
@@ -190,6 +191,21 @@ def skew_encode(code, msg):
 def skew_is_codeword(code, v):
     """Oracle: whether a(x)*h(x) = 0 modulo x^n - u, a the polynomial of v."""
     return (SkewPoly(code.ring, v) * code.h).mod_central(code.n, code.u).is_zero
+
+
+def composed_coset_encode(code, msg, offset):
+    """Oracle: (codeword, offset, point) of the coset encoding composed from
+    order operations, lift(encode(msg)) + from_flat(p * offset), in a fresh order."""
+    order = NaturalOrder(code.ring.spec)
+    codeword = code.encode(msg)
+    offset = order.from_flat([code.ring.p * c for c in offset])
+    return codeword, offset, lift_codeword(order, codeword) + offset
+
+
+def composed_coset_decode(code, point):
+    """Oracle: the point reduced modulo p, and the point minus the lift of that reduction."""
+    codeword = reduce_element(point, code.ring)
+    return codeword, point - lift_codeword(point.order, codeword)
 
 
 def divisor_codes(ring, per_degree=None):

@@ -30,11 +30,14 @@ from skewlat.number_ring import QuotientRing
 from helpers import (
     CUBIC,
     QUARTIC,
+    composed_coset_decode,
+    composed_coset_encode,
     divisor_codes,
     quiet_ring,
     random_message,
     random_order_element,
     reduced_norm_form,
+    replace_spec,
     valid_specs,
 )
 
@@ -533,6 +536,44 @@ def test_decode_offset_is_the_point_minus_its_lifted_codeword(spec, seed):
             point = order.from_flat([sum(map(operator.mul, row, z)) for row in basis])
             codeword, offset = coset_decode_label(code, point)
             assert offset == point - lift_codeword(order, codeword)
+
+
+@settings(max_examples=15, deadline=None)
+@given(spec=valid_specs(), seed=st.integers(0, 2**32 - 1))
+def test_coset_round_trip_matches_the_composed_oracle(spec, seed):
+    # The coset functions build rows directly; the oracle composes lift_codeword,
+    # from_flat, reduce_element and OrderElement arithmetic in a fresh order.
+    ring = quiet_ring(spec)
+    rng = random.Random(seed)
+    for code in divisor_codes(ring, per_degree=1):
+        for _ in range(4):
+            msg = random_message(code, rng)
+            offset = [rng.randint(-4, 4) for _ in range(ring.n * ring.n)]
+            enc = coset_encode(code, msg, offset)
+            assert (enc.codeword, enc.offset, enc.point) == composed_coset_encode(code, msg, offset)
+            assert coset_decode_label(code, enc.point) == composed_coset_decode(code, enc.point)
+
+
+def test_coset_decode_rejects_a_point_of_another_order():
+    # Same m and sigma but p = 5: reducing it modulo 3 would answer silently.
+    code = fixture_code("gaussian-p3-inert")
+    rows = [[4, 1], [1, 0]]
+    alien = NaturalOrder(replace_spec(code.ring.spec, p=5)).element(rows)
+    with pytest.raises(ValueError, match="^elements belong to different orders$"):
+        coset_decode_label(code, alien)
+    # An equal spec built separately names the same order.
+    same = NaturalOrder(replace_spec(code.ring.spec)).element(rows)
+    codeword, offset = coset_decode_label(code, same)
+    assert codeword == (code.ring.gen + 1, code.ring.one)
+    assert offset.rows == ((3, 0), (0, 0))
+
+
+def test_coset_encodings_share_one_order():
+    code = fixture_code("gaussian-p3-inert")
+    first = coset_encode(code, [code.ring.one], [1, 0, 0, 0])
+    second = coset_encode(code, [code.ring.zero], [0, 2, -1, 0])
+    assert first.point.order is second.point.order is first.offset.order
+    assert second.point.order is second.offset.order
 
 
 def test_sample_offsets_contract():
