@@ -25,7 +25,7 @@ import warnings
 
 from .codes import ConstacyclicCode
 from .errors import MissingKey, ParseError, SkewLatError, UnknownKey
-from .lattice import NaturalOrder, construction_a_basis, lift_codeword
+from .lattice import construction_a_basis, lift_codeword, natural_order
 from .number_ring import ENUMERATION_BOUND, AlgebraSpec, QuotientRing, Record
 from .skew import SkewPoly, monic_right_divisors
 from .spacetime import (
@@ -193,11 +193,11 @@ def cmd_lattice(cfg: Config, args) -> dict:
 
 def cmd_stmatrix(cfg: Config, args) -> dict:
     if args.element:
-        order = NaturalOrder(_ring(cfg).spec)
+        order = natural_order(_ring(cfg).spec)
         element = order.element(_parse_cli_list(args.element, "--element", nested=True))
     else:
         code = _code(cfg)
-        element = lift_codeword(NaturalOrder(code.ring.spec), code.to_codeword(code.g))
+        element = lift_codeword(natural_order(code.ring.spec), code.to_codeword(code.g))
     matrix = matrix_rep(element)
     return {
         "element": element.to_lists(),
@@ -240,9 +240,8 @@ def cmd_coset_encode(cfg: Config, args) -> dict:
 
 def cmd_coset_decode(cfg: Config, args) -> dict:
     code = _code(cfg)
-    order = NaturalOrder(code.ring.spec)
     rows = _parse_cli_list(args.point, "--point", nested=True)
-    point = order.element(rows)
+    point = natural_order(code.ring.spec).element(rows)
     codeword, offset = coset_decode_label(code, point)
     return {
         "codeword": [c.to_list() for c in codeword],

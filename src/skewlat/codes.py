@@ -13,15 +13,17 @@ k*m codewords theta^j x^i g (m = [K:Q], theta the ring generator); they are
 F_p-independent, since b*g = 0 with g monic forces b = 0.
 
 encode and is_codeword use two F_p matrices, each built on the first call
-that needs it and never in the constructor, so building a code costs
-nothing extra.  G has the k*m generators' flat coefficient vectors as rows
-(i outer, j inner: the order of the message coordinates) and n*m columns;
-H is its nullspace ker G, eliminated from G on the first is_codeword.
-Encoding b is the combination of the rows of G with b's coordinates, which
-equals b*g because deg(b*g) < n.  v is a codeword exactly when H*v = 0,
-because over F_p the row space of G is (ker G)^perp.  Those entries lie in
-[0, p), so the cached columns of G are the lifts that
-lattice.construction_a_basis reads, without building H.
+that needs it and never in the constructor, so building a code costs nothing
+extra; the k*m generators, one skew product each, and the powers theta^j
+they share with brute_force_dual are cached the same way.  G has the
+generators' flat coefficient vectors as rows (i outer, j inner: the order of
+the message coordinates) and n*m columns; H is its nullspace ker G,
+eliminated from G on the first is_codeword.  Encoding b is the combination
+of the rows of G with b's coordinates, which equals b*g because
+deg(b*g) < n.  v is a codeword exactly when H*v = 0, because over F_p the
+row space of G is (ker G)^perp.  Those entries lie in [0, p), so the cached
+columns of G are the lifts that lattice.construction_a_basis reads, without
+building H.
 
 The Euclidean scalar product is F_p-bilinear, so products of the same
 generators decide duality for every u: is_orthogonal_to tests C inside
@@ -94,11 +96,23 @@ class ConstacyclicCode:
     # -- core operations -------------------------------------------------
 
     @cached_property
+    def _powers(self):
+        """theta^j for j < m, read by the generators and by brute_force_dual."""
+        return tuple(self.ring.gen**j for j in range(self.ring.n))
+
+    @cached_property
+    def _generators(self):
+        """The k*m codewords theta^j x^i g, each one skew product, built on first use."""
+        ring, powers = self.ring, self._powers
+        monomials = (SkewPoly.monomial(ring, i, c) for i in range(self.k) for c in powers)
+        return tuple(self.to_codeword(f * self.g) for f in monomials)
+
+    @cached_property
     def _generator_columns(self):
         """The columns of G, built on first use, not in the constructor.  They
         depend only on g, so they are the same whichever thread builds them,
         and no field of the code is reassigned."""
-        rows = [[v for c in word for v in c.coeffs] for word in self.additive_generators()]
+        rows = [[v for c in word for v in c.coeffs] for word in self._generators]
         return [[row[col] for row in rows] for col in range(self.n * self.ring.n)]
 
     @cached_property
@@ -146,13 +160,7 @@ class ConstacyclicCode:
         """The k*m codewords theta^j x^i g, i < k outer and j < m inner: the
         code as an additive group, where the x^i g alone span it only as an
         R-module."""
-        ring = self.ring
-        powers = [ring.gen**j for j in range(ring.n)]
-        return [
-            self.to_codeword(SkewPoly.monomial(ring, i, power) * self.g)
-            for i in range(self.k)
-            for power in powers
-        ]
+        return list(self._generators)
 
     def codewords(self, bound=ENUMERATION_BOUND):
         """All |R|^k codewords, in lexicographic message order."""
@@ -185,8 +193,7 @@ class ConstacyclicCode:
     def is_orthogonal_to(self, other: "ConstacyclicCode") -> bool:
         """Whether every codeword of self is orthogonal to every codeword of
         other: the product is F_p-bilinear, so the additive generators decide."""
-        theirs = other.additive_generators()
-        return all(not inner_product(c, d) for c in self.additive_generators() for d in theirs)
+        return all(not inner_product(c, d) for c in self._generators for d in other._generators)
 
     def is_self_dual(self) -> bool:
         """C = C^perp, for every u: |C| |C^perp| = |R|^n over the Frobenius
@@ -253,10 +260,9 @@ def brute_force_dual(code: ConstacyclicCode, bound=ENUMERATION_BOUND):
     """
     ring = code.ring
     p, m, n = ring.p, ring.n, code.n
-    powers = [ring.gen**j for j in range(m)]
     equations = []
-    for c in code.additive_generators():
-        products = [(c_i * power).coeffs for c_i in c for power in powers]
+    for c in code._generators:
+        products = [(c_i * power).coeffs for c_i in c for power in code._powers]
         equations.extend(zip(*products))
     kernel = nullspace_mod_p(equations, m * n, p)
     if p ** len(kernel) > bound:

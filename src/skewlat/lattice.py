@@ -7,8 +7,8 @@ generator.  Flattened row-major, that gives coordinates in the Z-basis
 {theta^j e^i} of the order, N = n^2 of them, ordered 1, theta, ...,
 theta^(n-1), e, theta e, ...  Arithmetic in O_K goes through the shared
 number_ring.IntegralArithmetic of the spec, the same instance QuotientRing
-reduces modulo p, so building a NaturalOrder is a cache lookup.  Coordinate
-vectors of equal length, O_K rows or flat points, add through vector_sum.
+reduces modulo p, and natural_order(spec) keeps one NaturalOrder per spec.
+Coordinate vectors of equal length, O_K rows or flat points, add through vector_sum.
 
 Lifting a codeword takes its canonical representatives in [0, p) as integer
 coordinates; reducing an order element mods every coordinate by p.  The
@@ -110,6 +110,9 @@ class NaturalOrder:
         return f"NaturalOrder(m={list(self.min_poly)}, u={self.u})"
 
 
+natural_order = lru_cache(maxsize=32)(NaturalOrder)  # the one NaturalOrder per spec, bounded
+
+
 class OrderElement:
     """An element sum_i a_i e^i of the order, rows holding the a_i coordinates."""
 
@@ -170,12 +173,11 @@ class OrderElement:
                 if not any(b_j):
                     continue
                 c = order.ok_mul(a_i, order.ok_sigma(b_j, i))
-                t = i + j
-                if t >= n:
-                    t -= n
+                if i + j >= n:
                     c = tuple(order.u * v for v in c)
-                products[t].append(c)
-        return order.element([vector_sum(terms, n) for terms in products])
+                products[(i + j) % n].append(c)
+        # ok_mul folds every product modulo m, so the sums need no reduction.
+        return OrderElement(order, tuple(vector_sum(terms, n) for terms in products))
 
     # Reflected only for a left operand that is not an OrderElement: an int, which is central.
     __rmul__ = __mul__
@@ -361,9 +363,9 @@ def _trace_form(spec: AlgebraSpec, e_weight: int):
 
     B(x, y) = x^T T y.  T is block-diagonal: block i is w^i times the n x n
     matrix [Tr(theta^a conj(theta^b))], built once per (spec, e_weight)
-    through ok_mul, ok_conj and ok_trace; the cache is bounded.
+    through natural_order(spec)'s ok_mul, ok_conj and ok_trace; the cache is bounded.
     """
-    order = NaturalOrder(spec)
+    order = natural_order(spec)
     n = order.n
     powers = [tuple(int(a == j) for j in range(n)) for a in range(n)]
     block = [[order.ok_trace(order.ok_mul(x, order.ok_conj(y))) for y in powers] for x in powers]

@@ -546,7 +546,6 @@ class QuotientRing:
         self.n = n
         self.modulus = tuple(c % spec.p for c in spec.min_poly)
         self.sigma_poly = tuple(c % spec.p for c in self._core.sigma_image)
-        self._decomposition = None
 
     # -- raw coefficient arithmetic ------------------------------------
 
@@ -635,9 +634,11 @@ class QuotientRing:
         for coeffs in product(range(self.p), repeat=self.n):
             yield self._make(coeffs)
 
+    @cached_property
+    def _decomposition(self):
+        return RingDecomposition(self)
+
     def decompose(self) -> "RingDecomposition":
-        if self._decomposition is None:
-            self._decomposition = RingDecomposition(self)
         return self._decomposition
 
     def __eq__(self, other):

@@ -271,9 +271,9 @@ def _central_constant(ring: QuotientRing, u) -> RingElement:
     return u
 
 
-def central_poly(ring: QuotientRing, n: int, u, cls=SkewPoly) -> SkewPoly:
+def central_poly(ring: QuotientRing, n: int, u) -> SkewPoly:
     """The polynomial x^n - u; requires sigma(u) = u so it is central."""
-    return cls(ring, (-_central_constant(ring, u),) + (0,) * (n - 1) + (1,))
+    return SkewPoly(ring, (-_central_constant(ring, u),) + (0,) * (n - 1) + (1,))
 
 
 def monic_right_divisors(ring: QuotientRing, n: int, u, degree: int, bound=ENUMERATION_BOUND):

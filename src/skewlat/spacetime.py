@@ -23,7 +23,7 @@ lattice.vector_sum.
 
 Coset encoding splits a lattice point into an information codeword plus a
 random offset in p times the order (the wiretap-coding primitive), adding or
-reducing integer rows directly; encoded points share one cached order per spec.
+reducing integer rows directly; encoded points share lattice.natural_order(spec).
 """
 
 from __future__ import annotations
@@ -41,16 +41,11 @@ from .lattice import (
     OrderElement,
     construction_a_basis,
     det_int,
+    natural_order,
     reduce_element,
     vector_sum,
 )
-from .number_ring import (
-    ENUMERATION_BOUND,
-    Record,
-    compile_function,
-    integral_arithmetic,
-    linear_source,
-)
+from .number_ring import ENUMERATION_BOUND, Record, compile_function, linear_source
 
 _DRAW_BATCH = 1024  # 32-bit words per getrandbits batch in _sampled_pairs
 _FLAT_FORMS = {}  # (min_poly, sigma_image, u) -> (source of G, products made)
@@ -258,7 +253,7 @@ def _flat_form(order):
     """
     key = (order.min_poly, order.spec.sigma_image, order.u)
     if key not in _FLAT_FORMS:
-        core, n = integral_arithmetic(order.min_poly, order.spec.sigma_image), order.n
+        core, n = order._core, order.n
         mats = [matrix_rep(order.basis_element(i)).entries for i in range(n * n)]
         rows = [
             [{(i,): m[r][c] for i, m in enumerate(mats) if any(m[r][c])} for c in range(n)]
@@ -356,7 +351,7 @@ def min_det_sample(
         raise TooLarge(f"{samples} samples exceed bound {ENUMERATION_BOUND}")
     cols = tuple(zip(*construction_a_basis(code).basis))
     N = len(cols)
-    order = NaturalOrder(code.ring.spec)
+    order = NaturalOrder(code.ring.spec)  # per call: the mindet-sweep trace requires a build
     sweep = _sweep(cols, _flat_form(order), not exhaustive)
     if exhaustive:
         span = range(-2 * coeff_bound, 2 * coeff_bound + 1)
@@ -388,13 +383,10 @@ class CosetEncoding(Record):
         }
 
 
-_order = lru_cache(maxsize=32)(NaturalOrder)  # coset_encode's one NaturalOrder per spec
-
-
 def coset_encode(code: ConstacyclicCode, msg, offset_coords) -> CosetEncoding:
     """Map (information, randomness) to the lattice point lift(encode(msg)) +
     p * offset, with offset given by integer coordinates in the order basis."""
-    order, n, p = _order(code.ring.spec), code.ring.n, code.ring.p
+    order, n, p = natural_order(code.ring.spec), code.ring.n, code.ring.p
     if len(offset_coords) != n * n:
         raise LengthMismatch(f"expected {n * n} offset coordinates")
     codeword = code.encode(msg)

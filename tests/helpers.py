@@ -193,6 +193,18 @@ def skew_is_codeword(code, v):
     return (SkewPoly(code.ring, v) * code.h).mod_central(code.n, code.u).is_zero
 
 
+def composed_additive_generators(code):
+    """Oracle: the k*m codewords theta^j x^i g, i < k outer and j < m inner,
+    each composed afresh from its skew product and folded modulo x^n - u."""
+    ring = code.ring
+    powers = [ring.gen**j for j in range(ring.n)]
+    return [
+        code.to_codeword(SkewPoly.monomial(ring, i, power) * code.g)
+        for i in range(code.k)
+        for power in powers
+    ]
+
+
 def composed_coset_encode(code, msg, offset):
     """Oracle: (codeword, offset, point) of the coset encoding composed from
     order operations, lift(encode(msg)) + from_flat(p * offset), in a fresh order."""

@@ -562,6 +562,41 @@ def test_load_config_matches_parse(cfg_path):
     assert load_config(cfg_path) == parse_config(GAUSSIAN_P3_TEXT)
 
 
+def test_one_natural_order_per_spec_across_readers(monkeypatch, capsys, cfg_path):
+    # lattice.natural_order is the one cache of NaturalOrder: the trace form,
+    # coset encoding and the stmatrix and coset-decode commands all read it,
+    # so from a cleared cache they build one order between them.
+    from skewlat import ConstacyclicCode, NaturalOrder, QuotientRing, SkewPoly, coset_encode
+    from skewlat import lattice
+
+    builds = []
+    init = NaturalOrder.__init__
+
+    def counting_init(self, spec):
+        builds.append(spec)
+        init(self, spec)
+
+    monkeypatch.setattr(NaturalOrder, "__init__", counting_init)
+    lattice.natural_order.cache_clear()
+    lattice._trace_form.cache_clear()
+    spec = load_config(cfg_path).spec()
+    order = lattice.natural_order(spec)
+    assert lattice.natural_order(load_config(cfg_path).spec()) is order
+    lattice._trace_form(spec, 1)
+    ring = QuotientRing(spec)
+    code = ConstacyclicCode.from_generator(SkewPoly(ring, [ring.gen + 1, ring.one]))
+    enc = coset_encode(code, [ring.one], [1, 0, -1, 2])
+    assert enc.point.order is enc.offset.order is order
+    for argv in (
+        ["stmatrix", "--element", "[[1, 2], [0, 1]]"],
+        ["stmatrix"],
+        ["coset-decode", "--point", json.dumps(enc.point.to_lists())],
+        ["lattice"],
+    ):
+        assert run(capsys, argv[0], "--config", cfg_path, *argv[1:])[0] == 0, argv
+    assert builds == [spec]
+
+
 def test_bundled_configs_parse_and_run(capsys):
     from pathlib import Path
 
@@ -581,18 +616,22 @@ def _golden_cases():
     return json.loads(golden.read_text())
 
 
-@pytest.mark.parametrize(
-    "case",
-    _golden_cases(),
-    ids=lambda case: f"{case['config']}:{' '.join(case['argv'][:1] + case['argv'][2:3])}",
-)
+def _golden_id(case):
+    argv = case["argv"]
+    json_flag = " --json" if "--json" in argv else ""
+    return f"{case['config']}:{' '.join(argv[:1] + argv[2:3])}{json_flag}"
+
+
+@pytest.mark.parametrize("case", _golden_cases(), ids=_golden_id)
 def test_human_output_is_pinned(capsys, case):
-    # Every command in human mode on the bundled configs: the exit code,
-    # stdout and stderr recorded in cli_human_golden.json.
+    # Every command, in human mode and with --json, on the bundled configs and
+    # the benchmark's cubic: the exit code, stdout and stderr recorded in
+    # cli_human_golden.json.
     from pathlib import Path
 
     argv = list(case["argv"])
     if case["config"] is not None:
-        config = Path(__file__).resolve().parent.parent / "configs" / f"{case['config']}.cfg"
+        config_dir = "bench/configs" if case["config"] == "cubic_p5" else "configs"
+        config = Path(__file__).resolve().parent.parent / config_dir / f"{case['config']}.cfg"
         argv[1:1] = ["--config", str(config)]
     assert run(capsys, *argv) == (case["rc"], case["stdout"], case["stderr"])

@@ -11,6 +11,7 @@ from skewlat import (
     SkewPoly,
     brute_force_dual,
     central_poly,
+    construction_a_basis,
     dual_lattice_basis,
     inner_product,
     monic_right_divisors,
@@ -20,6 +21,7 @@ from skewlat.fixtures import FIXTURE_NAMES, GAUSSIAN_P3, fixture_code, fixture_r
 
 from helpers import (
     CUBIC,
+    composed_additive_generators,
     divisor_codes,
     enumerated_dual,
     enumerated_self_duality,
@@ -336,3 +338,40 @@ def test_serialization(p3_code):
     assert d["g"] == [[1, 1], [1, 0]]
     assert d["h"] == [[2, 1], [1, 0]]
     assert d["u"] == [2, 0]
+
+
+# The generators are cached per code; the oracle composes each skew product afresh.
+@settings(max_examples=15, deadline=None)
+@given(spec=valid_specs())
+@example(spec=replace_spec(CUBIC, p=7, u=3))
+def test_cached_generators_match_the_composed_skew_products(spec):
+    ring = QuotientRing(spec)
+    for code in divisor_codes(ring):
+        assert code.additive_generators() == composed_additive_generators(code)
+        assert code.additive_generators() is not code.additive_generators()
+
+
+@pytest.mark.parametrize("spec", [GAUSSIAN_P3, CUBIC], ids=["gaussian-p3", "cubic"])
+def test_a_code_makes_its_generator_products_once(monkeypatch, spec):
+    ring = QuotientRing(spec)
+    products = []
+    mul = SkewPoly.__mul__
+
+    def counting_mul(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    for code in divisor_codes(ring, per_degree=2):  # each built fresh, outside the count
+        monkeypatch.setattr(SkewPoly, "__mul__", counting_mul)
+        code.additive_generators()
+        assert len(products) == code.k * ring.n
+        products.clear()
+        code.is_self_dual()
+        code.is_orthogonal_to(code)
+        if ring.size ** (code.n - code.k) <= ORACLE_VECTORS:
+            brute_force_dual(code)
+        construction_a_basis(code)
+        code.encode([ring.one] * code.k)
+        code.additive_generators()
+        assert not products, code
+        monkeypatch.undo()
