@@ -30,18 +30,23 @@ generators decide duality for every u: is_orthogonal_to tests C inside
 D^perp, and is_self_dual adds 2k = n.  brute_force_dual finds the dual itself
 as the F_p-nullspace of the same products; it never uses dual_generator(),
 which makes it the check of the algebraic dual, and its work grows with the
-size of the dual, not with |R|^n.  Only dual_generator and dual_code need
-u*u = 1.
+size of the dual, not with |R|^n.  Its basis is in reduced echelon form, so
+it builds the words already in the order of their coefficient vectors, with
+no sort.  Only dual_generator and dual_code need u*u = 1.
+
+Codewords and dual words are built from flat coefficients at C level, and
+each component is the one element the ring keeps for its residue (see
+number_ring), so a word costs n table lookups, not n new elements.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
-from operator import mul
+from itertools import product, repeat
+from operator import add, mod, mul
 
 from .errors import LengthMismatch, NonUnitLeading, NotADivisor, NotInvertible, TooLarge, UnsupportedU
-from .number_ring import ENUMERATION_BOUND, QuotientRing, nullspace_mod_p
+from .number_ring import ENUMERATION_BOUND, QuotientRing, echelon_mod_p, nullspace_mod_p
 from .skew import SkewPoly, central_poly
 
 
@@ -143,13 +148,15 @@ class ConstacyclicCode:
             raise LengthMismatch(f"expected length {self.n}, got {len(v)}")
         coerce, p = self.ring.coerce, self.ring.p
         flat = [x for c in v for x in coerce(c).coeffs]
-        return not any(sum(map(mul, row, flat)) % p for row in self._parity_rows)
+        for row in self._parity_rows:
+            if sum(map(mul, row, flat)) % p:
+                return False
+        return True
 
     def _from_flat(self, flat):
         """The vector of n ring elements whose coefficients, entries in [0, p),
-        run component by component through flat."""
-        m, make = self.ring.n, self.ring._make
-        return tuple(make(tuple(flat[i * m : (i + 1) * m])) for i in range(self.n))
+        run component by component through flat, n*m of them."""
+        return tuple(map(self.ring._make, zip(*[iter(flat)] * self.ring.n)))
 
     def shift(self, v):
         """The twisted shift x*v(x) mod x^n - u, that is
@@ -248,10 +255,14 @@ def brute_force_dual(code: ConstacyclicCode, bound=ENUMERATION_BOUND):
     equations of theta^j x^i g repeat those of x^i g; solving over all k*m
     generators keeps the argument to F_p-linear algebra on the set
     construction_a_basis lifts.)  The dual is the nullspace of those equations, and the
-    p^dim combinations of its basis are returned as tuples of RingElement,
-    sorted by coefficient vector (component 0 first), the order of a scan of
-    R^n.  bound caps the p^dim vectors; TooLarge is raised before any of
-    them is built.
+    p^dim combinations of its basis are returned as tuples of RingElement in
+    the order of their coefficient vectors (component 0 first), the order of
+    a scan of R^n.  The basis is echelon_mod_p's reduced echelon form, pivots
+    increasing, so the combination with coefficients (a_1, ..., a_dim) is 0
+    before the first pivot and reads a_i at the i-th pivot, with entries
+    between pivots fixed by the earlier a's: the words come in order when a_1
+    varies slowest, and no sort is needed.  bound caps the p^dim vectors;
+    TooLarge is raised before any of them is built.
 
     Independent of dual_generator(), so it checks the algebraic dual and
     serves any u.  The name is older than the nullspace: the benchmark's
@@ -259,19 +270,16 @@ def brute_force_dual(code: ConstacyclicCode, bound=ENUMERATION_BOUND):
     pins the public entry points instead.
     """
     ring = code.ring
-    p, m, n = ring.p, ring.n, code.n
+    p, m, n, ps = ring.p, ring.n, code.n, ring._ps
     equations = []
     for c in code._generators:
         products = [(c_i * power).coeffs for c_i in c for power in code._powers]
         equations.extend(zip(*products))
-    kernel = nullspace_mod_p(equations, m * n, p)
+    kernel, _ = echelon_mod_p(nullspace_mod_p(equations, m * n, p), p)
     if p ** len(kernel) > bound:
         raise TooLarge(f"{p}^{len(kernel)} dual vectors exceeds bound {bound}")
     span = [(0,) * (m * n)]
-    for vec in kernel:
-        span = [
-            tuple((s + a * v) % p for s, v in zip(point, vec))
-            for point in span
-            for a in range(p)
-        ]
-    return [code._from_flat(flat) for flat in sorted(span)]
+    for vec in reversed(kernel):
+        steps = [tuple(map(mod, map(mul, vec, repeat(a)), ps)) for a in range(p)]
+        span = [tuple(map(mod, map(add, point, step), ps)) for step in steps for point in span]
+    return list(map(code._from_flat, span))

@@ -230,8 +230,8 @@ def reduce_element(a: OrderElement, ring: QuotientRing):
     spec = a.order.spec
     if spec is not ring.spec and spec != ring.spec:
         raise ValueError("elements belong to different orders")
-    p = ring.p
-    return tuple(ring._make(tuple(v % p for v in row)) for row in a.rows)
+    make, ps = ring._make, ring._ps
+    return tuple([make(tuple(map(operator.mod, row, ps))) for row in a.rows])
 
 
 # -- exact integer linear algebra ----------------------------------------

@@ -29,9 +29,19 @@ exposes that structure together with the projections onto the local factors.
 The factor search divides by monic candidates over Z and then reduces modulo
 p; that is exact because reduction commutes with division by a monic divisor.
 
+A QuotientRing keeps one RingElement per reduced coefficient tuple in a
+table, a dict whose __missing__ builds an element on its first use, and
+every element the ring returns comes from there: a repeated residue costs
+one C-level lookup instead of a new object.  The table holds at most
+|R| = p^n elements, and only those built; every path that builds many
+(elements(), codewords(), brute_force_dual, the middle-degree divisor scan)
+is capped by ENUMERATION_BOUND.  Reduced tuples are built by map pipelines
+over the coefficients, at C level.
+
 All values are immutable after construction and safe to share across threads;
 the norm a core compiles on first use is a pure function of the core, so a
-second thread that compiles it too gets an equal one.
+second thread that compiles it too gets an equal one, and two threads that
+build one residue at once may briefly hold equal copies of its element.
 """
 
 from __future__ import annotations
@@ -39,8 +49,9 @@ from __future__ import annotations
 import operator
 import warnings
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import product, repeat
 from math import gcd, isqrt
+from operator import add, mod, mul, neg, sub
 
 from . import intpoly
 from .errors import (
@@ -435,7 +446,11 @@ def integral_arithmetic(min_poly, sigma_image) -> IntegralArithmetic:
 
 
 class RingElement:
-    """Element of a QuotientRing, reduced coefficient vector of length n."""
+    """Element of a QuotientRing, reduced coefficient vector of length n.
+
+    The ring's own results are the one element it keeps per residue;
+    RingElement(ring, coeffs) builds a new one, equal to it.
+    """
 
     __slots__ = ("ring", "coeffs")
 
@@ -446,18 +461,18 @@ class RingElement:
     def __add__(self, other):
         if not isinstance(other, (RingElement, int)):
             return NotImplemented
-        other = self.ring.coerce(other)
-        p = self.ring.p
-        return self.ring._make(tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        ring = self.ring
+        other = ring.coerce(other)
+        return ring._make(tuple(map(mod, map(add, self.coeffs, other.coeffs), ring._ps)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if not isinstance(other, (RingElement, int)):
             return NotImplemented
-        other = self.ring.coerce(other)
-        p = self.ring.p
-        return self.ring._make(tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        ring = self.ring
+        other = ring.coerce(other)
+        return ring._make(tuple(map(mod, map(sub, self.coeffs, other.coeffs), ring._ps)))
 
     def __rsub__(self, other):
         if not isinstance(other, (RingElement, int)):
@@ -466,8 +481,8 @@ class RingElement:
         return other - self
 
     def __neg__(self):
-        p = self.ring.p
-        return self.ring._make(tuple(-a % p for a in self.coeffs))
+        ring = self.ring
+        return ring._make(tuple(map(mod, map(neg, self.coeffs), ring._ps)))
 
     def __mul__(self, other):
         if not isinstance(other, (RingElement, int)):
@@ -524,11 +539,33 @@ class RingElement:
         return f"RingElement({self} mod {self.ring.p})"
 
 
+class _ElementTable(dict):
+    """A ring's elements by reduced coefficient tuple, each built on its first lookup.
+
+    The ring's _make is the table's __getitem__, so looking up an element
+    that is already built runs no Python frame.  setdefault keeps the first
+    of two copies that threads build at once, and both get that one.
+    """
+
+    __slots__ = ("ring",)
+
+    def __init__(self, ring):
+        self.ring = ring
+
+    def __missing__(self, reduced):
+        el = object.__new__(RingElement)
+        el.ring = self.ring
+        el.coeffs = reduced
+        return self.setdefault(reduced, el)
+
+
 class QuotientRing:
     """The ring R = Z[y]/(p, m(y)) with its automorphism sigma.
 
     Validates nothing (see AlgebraSpec); it only warns that irreducibility
-    is trusted above degree 3.
+    is trusted above degree 3.  The ring keeps one RingElement per residue
+    it has built, so it holds at most |R| = p^n of them; element, from_int,
+    the constants, the arithmetic, sigma and inverse all return those.
     """
 
     def __init__(self, spec: AlgebraSpec):
@@ -546,22 +583,19 @@ class QuotientRing:
         self.n = n
         self.modulus = tuple(c % spec.p for c in spec.min_poly)
         self.sigma_poly = tuple(c % spec.p for c in self._core.sigma_image)
+        # An endless repeat has no state, so one serves every map(mod, values, self._ps).
+        self._ps = repeat(spec.p)
+        # The element of a reduced coefficient tuple: a C-level lookup in the
+        # ring's table, which builds each element on its first use.
+        self._make = _ElementTable(self).__getitem__
 
     # -- raw coefficient arithmetic ------------------------------------
 
     def _reduce(self, coeffs):
-        p = self.p
-        return tuple(v % p for v in self._core.reduce(coeffs))
-
-    def _make(self, reduced):
-        el = object.__new__(RingElement)
-        el.ring = self
-        el.coeffs = reduced
-        return el
+        return tuple(map(mod, self._core.reduce(coeffs), self._ps))
 
     def _mul(self, a, b):
-        p = self.p
-        return tuple(v % p for v in self._core.mul(a, b))
+        return tuple(map(mod, self._core.mul(a, b), self._ps))
 
     # -- public API ----------------------------------------------------
 
@@ -572,7 +606,7 @@ class QuotientRing:
     def element(self, coeffs) -> RingElement:
         if isinstance(coeffs, RingElement):
             return self.coerce(coeffs)
-        return RingElement(self, coeffs)
+        return self._make(self._reduce(coeffs))
 
     def from_int(self, value) -> RingElement:
         return self._make(((value % self.p),) + (0,) * (self.n - 1))
@@ -610,8 +644,7 @@ class QuotientRing:
         if k == 0:
             return self.coerce(a)
         a = self.coerce(a)
-        p = self.p
-        return self._make(tuple(v % p for v in self._core.sigma(a.coeffs, k)))
+        return self._make(tuple(map(mod, self._core.sigma(a.coeffs, k), self._ps)))
 
     def norm(self, a: RingElement) -> int:
         """The field norm N(a) = a*sigma(a)...sigma^(n-1)(a), in [0, p)."""
@@ -624,15 +657,14 @@ class QuotientRing:
         norm, cofactor = self._core.norm_cofactor(a.coeffs)
         if norm % p == 0:
             raise NotInvertible(f"{a!r} is not a unit")
-        scale = pow(norm, -1, p)
-        return self._make(tuple(v * scale % p for v in cofactor))
+        scale = repeat(pow(norm, -1, p), self.n)
+        return self._make(tuple(map(mod, map(mul, cofactor, scale), self._ps)))
 
     def elements(self, bound=ENUMERATION_BOUND):
         """All p^n elements, lexicographic by coefficient vector."""
         if self.size > bound:
             raise TooLarge(f"{self.size} elements exceeds bound {bound}")
-        for coeffs in product(range(self.p), repeat=self.n):
-            yield self._make(coeffs)
+        yield from map(self._make, product(range(self.p), repeat=self.n))
 
     @cached_property
     def _decomposition(self):

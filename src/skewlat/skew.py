@@ -28,7 +28,8 @@ sentinel, so degree comparisons in division loops need no special casing).
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import product, repeat
+from operator import mod, mul
 
 from .errors import DivisionByZero, NonUnitLeading, NotADivisor, NotInvertible, TooLarge
 from .number_ring import ENUMERATION_BOUND, QuotientRing, RingElement
@@ -344,7 +345,7 @@ def _root_quotients(central: SkewPoly, bound):
     product per root."""
     ring = central.ring
     n = int(central.degree)
-    p, m = ring.p, ring.n
+    p, m, ps = ring.p, ring.n, ring._ps
     one = ring.one
     quotients = []
     for lam, b, norm, suffixes in _root_classes(central, bound):
@@ -354,7 +355,7 @@ def _root_quotients(central: SkewPoly, bound):
             scale = scale * -lam % p
             if length % m == 0:
                 scale = scale * norm % p
-            coeffs.append(tuple(scale * v % p for v in products[length % m]))
+            coeffs.append(tuple(map(mod, map(mul, products[length % m], repeat(scale)), ps)))
         quotients.append(coeffs[::-1])
     quotients.sort()
     return [SkewPoly._make(ring, (*map(ring._make, coeffs), one)) for coeffs in quotients]
@@ -363,8 +364,9 @@ def _root_quotients(central: SkewPoly, bound):
 def _roots(central: SkewPoly, bound):
     """The constant terms c of the monic right divisors x + c of the central
     x^n - u, as raw coefficient tuples in lexicographic order."""
-    p = central.ring.p
-    return sorted(tuple(lam * v % p for v in b) for lam, b, _, _ in _root_classes(central, bound))
+    ps = central.ring._ps
+    classes = _root_classes(central, bound)
+    return sorted([tuple(map(mod, map(mul, b, repeat(lam)), ps)) for lam, b, _, _ in classes])
 
 
 def _root_classes(central: SkewPoly, bound):

@@ -48,7 +48,7 @@ from .lattice import (
 from .number_ring import ENUMERATION_BOUND, Record, compile_function, linear_source
 
 _DRAW_BATCH = 1024  # 32-bit words per getrandbits batch in _sampled_pairs
-_FLAT_FORMS = {}  # (min_poly, sigma_image, u) -> (source of G, products made)
+_FLAT_FORMS = {}  # (min_poly, sigma_image, u) -> source of G
 
 
 class SpaceTimeMatrix:
@@ -107,7 +107,7 @@ class SpaceTimeMatrix:
         def signed_sum(terms):
             return vector_sum([[-v for v in t] if odd else t for odd, t in terms], order.n)
 
-        return _cofactor_det(self.entries, any, order.ok_mul, signed_sum, lambda a, b: 1)[0]
+        return _cofactor_det(self.entries, any, order.ok_mul, signed_sum, lambda a, b: 1)
 
     def norm_det(self) -> int:
         """The rational norm of the determinant, nrd ** n.
@@ -135,7 +135,6 @@ def _cofactor_det(rows, nonzero, mul, signed_sum, cost):
     mul(entry, minor) and each row's terms combine through
     signed_sum([(odd, term), ...]), where odd marks a negated term.
     Each mul counts cost(entry, minor) products; TooLarge past ENUMERATION_BOUND.
-    Returns (determinant, products made).
     """
     made = 0
 
@@ -153,7 +152,7 @@ def _cofactor_det(rows, nonzero, mul, signed_sum, cost):
                 terms.append((j % 2, mul(top, minor)))
         return signed_sum(terms)
 
-    return expand(rows), made
+    return expand(rows)
 
 
 def matrix_rep(a: OrderElement) -> SpaceTimeMatrix:
@@ -249,7 +248,8 @@ def _flat_form(order):
     sigma_image, u); it is expanded once per algebra by the cofactor recursion
     of SpaceTimeMatrix.det and checked rational, InvalidSpec otherwise (G o B
     is rational exactly when G is, B being invertible over Q); TooLarge
-    whenever its expansion made more than ENUMERATION_BOUND products.
+    while its expansion passes ENUMERATION_BOUND products, so only a form
+    that fitted the bound is cached.
     """
     key = (order.min_poly, order.spec.sigma_image, order.u)
     if key not in _FLAT_FORMS:
@@ -278,15 +278,12 @@ def _flat_form(order):
                     add_to(out, mono, [-v for v in vec] if odd else vec)
             return out
 
-        form, made = _cofactor_det(rows, bool, mul, signed_sum, lambda f, g: len(f) * len(g))
+        form = _cofactor_det(rows, bool, mul, signed_sum, lambda f, g: len(f) * len(g))
         if any(any(rest) for _, *rest in form.values()):
             raise InvalidSpec("the reduced norm form has a nonzero non-constant coordinate")
         terms = {mono: vec[0] for mono, vec in form.items() if vec[0]}
-        _FLAT_FORMS[key] = (_horner_source(terms) or "0", made)
-    source, made = _FLAT_FORMS[key]
-    if made > ENUMERATION_BOUND:
-        raise TooLarge(f"cofactor expansion exceeds {ENUMERATION_BOUND} products")
-    return source
+        _FLAT_FORMS[key] = _horner_source(terms) or "0"
+    return _FLAT_FORMS[key]
 
 
 def _basis_map(columns, indent):
@@ -390,9 +387,9 @@ def coset_encode(code: ConstacyclicCode, msg, offset_coords) -> CosetEncoding:
     if len(offset_coords) != n * n:
         raise LengthMismatch(f"expected {n * n} offset coordinates")
     codeword = code.encode(msg)
-    flat = [operator.index(p * c) for c in offset_coords]
-    rows = tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n))
-    point = tuple(tuple(map(operator.add, c.coeffs, row)) for c, row in zip(codeword, rows))
+    flat = map(operator.index, map(operator.mul, repeat(p), offset_coords))
+    rows = tuple(zip(*[flat] * n))
+    point = tuple([tuple(map(operator.add, c.coeffs, row)) for c, row in zip(codeword, rows)])
     return CosetEncoding(codeword, OrderElement(order, rows), OrderElement(order, point))
 
 
@@ -402,7 +399,7 @@ def coset_decode_label(code: ConstacyclicCode, point: OrderElement):
     codeword = reduce_element(point, code.ring)
     if not code.is_codeword(codeword):
         raise NotInLattice("point does not reduce to a codeword")
-    offset = (tuple(map(operator.sub, row, c.coeffs)) for row, c in zip(point.rows, codeword))
+    offset = [tuple(map(operator.sub, row, c.coeffs)) for row, c in zip(point.rows, codeword)]
     return codeword, OrderElement(point.order, tuple(offset))
 
 

@@ -12,6 +12,7 @@ from skewlat import (
     ConstacyclicCode,
     NaturalOrder,
     QuotientRing,
+    RingElement,
     SkewPoly,
     brute_force_dual,
     central_poly,
@@ -26,7 +27,7 @@ from skewlat import (
     spacetime,
 )
 from skewlat.errors import IndefiniteForm, InvalidSpec, TooLarge
-from skewlat.number_ring import compile_function
+from skewlat.number_ring import compile_function, nullspace_mod_p
 
 # The cyclic cubic field of 2*cos(2*pi/7): minimal polynomial y^3 + y^2 - 2y - 1,
 # Galois group generated by y -> y^2 - 2, with e^3 = 2 over p = 5.
@@ -179,6 +180,33 @@ def enumerated_dual(code, bound=ENUMERATION_BOUND):
         v
         for v in product(list(ring.elements(bound)), repeat=code.n)
         if all(inner_product(c, v) == zero for c in words)
+    ]
+
+
+def sorted_span_dual(code, bound=ENUMERATION_BOUND):
+    """Oracle: the dual as every combination of the nullspace basis of the
+    orthogonality equations (nullspace_mod_p, not echelon form), sorted by
+    flat coefficient vector (component 0 first); each word a tuple of fresh
+    RingElements."""
+    ring = code.ring
+    p, m, n = ring.p, ring.n, code.n
+    powers = [ring.gen**j for j in range(m)]
+    equations = []
+    for c in code.additive_generators():
+        products = [(c_i * power).coeffs for c_i in c for power in powers]
+        equations.extend(zip(*products))
+    kernel = nullspace_mod_p(equations, m * n, p)
+    if p ** len(kernel) > bound:
+        raise TooLarge(f"{p}^{len(kernel)} dual vectors exceeds bound {bound}")
+    span = [(0,) * (m * n)]
+    for vec in kernel:
+        span = [
+            tuple((s + a * v) % p for s, v in zip(point, vec))
+            for point in span
+            for a in range(p)
+        ]
+    return [
+        tuple(RingElement(ring, flat[i * m : (i + 1) * m]) for i in range(n)) for flat in sorted(span)
     ]
 
 

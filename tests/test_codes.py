@@ -30,6 +30,7 @@ from helpers import (
     replace_spec,
     skew_encode,
     skew_is_codeword,
+    sorted_span_dual,
     valid_specs,
 )
 
@@ -249,6 +250,42 @@ def test_dual_matches_enumeration(spec):
         assert dual == sorted(dual, key=lambda v: tuple(c.coeffs for c in v))
         words = code.additive_generators()
         assert all(inner_product(c, v) == ring.zero for c in words for v in dual)
+
+
+def assert_dual_words_in_order(code, bound):
+    """brute_force_dual against the sorted-span oracle: equal words, flat
+    coefficient vectors strictly increasing, the zero word first and built
+    from the ring's own zero; both refuse a dual above bound."""
+    ring = code.ring
+    if ring.size ** (code.n - code.k) > bound:
+        for dual in (brute_force_dual, sorted_span_dual):
+            with pytest.raises(TooLarge):
+                dual(code, bound=bound)
+        return
+    words = brute_force_dual(code, bound=bound)
+    assert words == sorted_span_dual(code, bound=bound)
+    flat = [tuple(v for c in word for v in c.coeffs) for word in words]
+    assert all(a < b for a, b in zip(flat, flat[1:]))
+    assert all(c is ring.zero for c in words[0])
+
+
+@settings(max_examples=15, deadline=None)
+@given(spec=valid_specs())
+@example(spec=AlgebraSpec((1, 0, 1), (0, -1), u=-1, p=7))
+@example(spec=replace_spec(CUBIC, p=3, u=1))
+def test_dual_words_come_in_order(spec):
+    for code in divisor_codes(QuotientRing(spec)):
+        assert_dual_words_in_order(code, ORACLE_VECTORS)
+
+
+def test_cubic_dual_words_at_p7_come_in_order():
+    # 7 ramifies in the cubic; with u = 1 the first code of each degree has
+    # a dual of 1, 7^3, 7^6 and (refused) 7^9 words.
+    ring = QuotientRing(replace_spec(CUBIC, p=7, u=1))
+    codes = list(divisor_codes(ring, per_degree=1))
+    assert [code.k for code in codes] == [3, 2, 1, 0]
+    for code in codes:
+        assert_dual_words_in_order(code, 7**6)
 
 
 def test_cubic_dual_and_its_lattice():

@@ -1,11 +1,21 @@
 import random
+import sys
+import threading
 from itertools import product
 from math import isqrt
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from skewlat import AlgebraSpec, NaturalOrder, QuotientRing, SkewPoly, intpoly, norm_witnesses
+from skewlat import (
+    AlgebraSpec,
+    NaturalOrder,
+    QuotientRing,
+    RingElement,
+    SkewPoly,
+    intpoly,
+    norm_witnesses,
+)
 from skewlat.errors import (
     InvalidSigma,
     InvalidSpec,
@@ -420,6 +430,86 @@ def test_enumerate_elements(ring):
     assert els[-1].coeffs == (ring.p - 1,) * ring.n
     with pytest.raises(TooLarge):
         list(ring.elements(bound=2))
+
+
+def test_a_ring_keeps_one_element_per_residue():
+    ring = QuotientRing(GAUSSIAN_P3)
+    assert ring._make((1, 2)) is ring._make((1, 2))
+    assert ring.zero is ring.zero is ring.from_int(3) is ring.element([3, 0, 3])
+    assert ring.one is ring.from_int(4) is ring.element([1]) is ring.gen**4
+    assert ring.gen is ring.element([0, 1]) is ring.element(ring.gen)
+    # The public constructor still builds a new element, equal to the shared one.
+    fresh = RingElement(ring, (1, 2))
+    assert fresh == ring._make((1, 2)) and fresh is not ring._make((1, 2))
+    assert hash(fresh) == hash(ring._make((1, 2)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=valid_specs(), data=st.data())
+def test_ring_results_are_the_shared_elements_of_their_residues(spec, data):
+    # Expected coefficients come from the core over Z, reduced afterwards.
+    ring = QuotientRing(spec)
+    core, p, n = ring._core, ring.p, ring.n
+    vectors = st.lists(st.integers(-40, 40), min_size=n, max_size=n)
+    x, y = ring.element(data.draw(vectors)), ring.element(data.draw(vectors))
+    power = data.draw(st.integers(0, 2 * n))
+    expected = [
+        (x + y, [a + b for a, b in zip(x.coeffs, y.coeffs)]),
+        (x - y, [a - b for a, b in zip(x.coeffs, y.coeffs)]),
+        (-x, [-a for a in x.coeffs]),
+        (x * y, core.mul(x.coeffs, y.coeffs)),
+        (x.sigma(power), core.sigma(x.coeffs, power)),
+    ]
+    if x.is_unit():
+        inverse = x.inverse()
+        assert x * inverse is ring.one
+        expected.append((inverse, inverse.coeffs))
+    for result, coeffs in expected:
+        reduced = tuple(v % p for v in coeffs)
+        assert result == RingElement(ring, reduced)
+        assert result is ring._make(reduced)
+
+
+def test_a_ring_holds_at_most_one_element_per_residue(ring):
+    table = ring._make.__self__  # the dict behind the bound lookup
+    elements = list(ring.elements())
+    assert len(table) == ring.size
+    assert all(a is b for a, b in zip(elements, ring.elements()))
+    results = [x * y + x.sigma() - y for x in elements[:20] for y in elements[-20:]]
+    assert all(z is table[z.coeffs] for z in results)
+    assert len(table) == ring.size
+
+
+def test_threads_building_one_ring_share_each_element():
+    # More threads than cores, released together, and a short switch interval,
+    # so first lookups of one residue interleave; every thread must get the
+    # element the ring keeps, and the ring keeps one per residue.
+    spec = AlgebraSpec((1, 0, 1), (0, -1), u=-1, p=31)
+    residues = [list(c) for c in product(range(spec.p), repeat=spec.n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):  # each round catches a lost update most of the time
+            ring = QuotientRing(spec)
+            barrier = threading.Barrier(6, timeout=30)
+            results = {}
+
+            def build(index):
+                barrier.wait()
+                results[index] = [ring.element(c) for c in residues]
+
+            threads = [threading.Thread(target=build, args=(i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(results) == len(threads)
+            kept = [ring.element(c) for c in residues]
+            assert all(a is b for built in results.values() for a, b in zip(built, kept))
+            assert len(ring._make.__self__) == ring.size
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_norm_witnesses():

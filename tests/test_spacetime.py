@@ -384,14 +384,18 @@ def test_determinant_with_an_irrational_coordinate_raises(monkeypatch):
 def test_cofactor_expansions_stop_past_the_enumeration_bound(monkeypatch):
     # A dense 3 x 3 determinant makes 3 + 3 * 2 = 9 products of O_K entries;
     # the cubic's reduced norm form makes 189 products of monomial coefficients.
+    # The form is cached once expanded, so each bounded call starts from an
+    # empty cache and expands it again under the lowered bound.
     order = NaturalOrder(CUBIC)
     dense = matrix_rep(order.element([[1, 1, 1]] * 3))
     cols = list(zip(*construction_a_basis(cubic_code()).basis))
     expansions = {9: dense.det, 189: lambda: reduced_norm_form(order, cols)((1,) * 9)}
     for made, expand in expansions.items():
         unbounded = expand()
+        monkeypatch.setattr(spacetime, "_FLAT_FORMS", {})
         monkeypatch.setattr(spacetime, "ENUMERATION_BOUND", made)
         assert expand() == unbounded
+        monkeypatch.setattr(spacetime, "_FLAT_FORMS", {})
         monkeypatch.setattr(spacetime, "ENUMERATION_BOUND", made - 1)
         with pytest.raises(TooLarge, match=f"exceeds {made - 1} products"):
             expand()
@@ -519,6 +523,19 @@ def test_coset_round_trip(fixture_name):
         cw, off = coset_decode_label(code, enc.point)
         assert cw == enc.codeword == code.encode(msg)
         assert off == enc.offset
+
+
+def test_coset_round_trips_return_the_shared_ring_elements(fixture_name):
+    code = fixture_code(fixture_name)
+    ring = code.ring
+    rng = random.Random(8)
+    for _ in range(20):
+        offset = [rng.randrange(-4, 5) for _ in range(code.n * code.n)]
+        enc = coset_encode(code, random_message(code, rng), offset)
+        codeword, _ = coset_decode_label(code, enc.point)
+        reduced = reduce_element(enc.point, ring)
+        assert all(a is b is c for a, b, c in zip(codeword, reduced, enc.codeword))
+        assert all(c is ring._make(c.coeffs) for c in reduced)
 
 
 @settings(max_examples=10, deadline=None)
