@@ -342,48 +342,61 @@ def _int_in_range(low, high=None):
     return integer
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_BOUND = ("--bound", {"type": _int_in_range(0), "help": "enumeration bound override"})
+
+# name, help, whether it reads a config, and its own arguments, in help order.
+_COMMANDS = (
+    ("divisors", "list monic right divisors of x^n - u", True,
+     (("--degree", {"type": _int_in_range(0), "required": True}), _BOUND)),
+    ("code", "build the code of the configured generator", True, ()),
+    ("dual", "dual generator and self-duality of the configured code", True, ()),
+    ("lattice", "Construction A basis, Gram matrix, determinant, index", True, ()),
+    ("stmatrix", "matrix representation of an order element", True,
+     (("--element", {"help": "row-major coordinate matrix, e.g. [[1,1],[1,0]]"}),)),
+    ("mindet",
+     "minimum |norm det| over nonzero lattice differences in the doubled box, "
+     "exhaustive or sampled", True,
+     (("--coeff-bound", {"type": _int_in_range(1), "default": 1}),
+      ("--samples", {"type": _int_in_range(1, ENUMERATION_BOUND), "default": 2000}),
+      _BOUND,
+      ("--seed", {"type": int, "help": "random seed override"}))),
+    ("coset-encode", "encode (message, offset) to a lattice point", True,
+     (("--msg", {"required": True, "help": "message symbols, e.g. [[1,0]]"}),
+      ("--offset", {"help": "integer offset coordinates, e.g. [1,0,0,0]"}))),
+    ("coset-decode", "split a lattice point into codeword and offset", True,
+     (("--point", {"required": True, "help": "row-major coordinate matrix"}),)),
+    ("verify-examples", "replay the bundled worked examples", False, ()),
+)
+
+
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the one named command alone.
+
+    A run parses one command, so main builds only its subparser.  The
+    command list in the usage line is then written out in full, so usage
+    errors and help read the same as from the full parser.
+    """
     parser = argparse.ArgumentParser(
         prog="skewlat",
         description="Constacyclic codes over skew polynomial quotients and their lattices.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, needs_config=True):
+    choices = "{" + ",".join(name for name, *_ in _COMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=choices)
+    for name, help_text, needs_config, arguments in _COMMANDS:
+        if command not in (None, name):
+            continue
         p = sub.add_parser(name, help=help_text)
         if needs_config:
             p.add_argument("--config", required=True, help="path to a config file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        return p
-
-    p = add("divisors", "list monic right divisors of x^n - u")
-    p.add_argument("--degree", type=_int_in_range(0), required=True)
-    p.add_argument("--bound", type=_int_in_range(0), help="enumeration bound override")
-    add("code", "build the code of the configured generator")
-    add("dual", "dual generator and self-duality of the configured code")
-    p = add("lattice", "Construction A basis, Gram matrix, determinant, index")
-    p = add("stmatrix", "matrix representation of an order element")
-    p.add_argument("--element", help="row-major coordinate matrix, e.g. [[1,1],[1,0]]")
-    p = add(
-        "mindet",
-        "minimum |norm det| over nonzero lattice differences in the doubled box, "
-        "exhaustive or sampled",
-    )
-    p.add_argument("--coeff-bound", type=_int_in_range(1), default=1)
-    p.add_argument("--samples", type=_int_in_range(1, ENUMERATION_BOUND), default=2000)
-    p.add_argument("--bound", type=_int_in_range(0), help="enumeration bound override")
-    p.add_argument("--seed", type=int, help="random seed override")
-    p = add("coset-encode", "encode (message, offset) to a lattice point")
-    p.add_argument("--msg", required=True, help="message symbols, e.g. [[1,0]]")
-    p.add_argument("--offset", help="integer offset coordinates, e.g. [1,0,0,0]")
-    p = add("coset-decode", "split a lattice point into codeword and offset")
-    p.add_argument("--point", required=True, help="row-major coordinate matrix")
-    add("verify-examples", "replay the bundled worked examples", needs_config=False)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv and argv[0] in _HANDLERS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -17,13 +17,12 @@ that needs it and never in the constructor, so building a code costs nothing
 extra; the k*m generators, one skew product each, and the powers theta^j
 they share with brute_force_dual are cached the same way.  G has the
 generators' flat coefficient vectors as rows (i outer, j inner: the order of
-the message coordinates) and n*m columns; H is its nullspace ker G,
-eliminated from G on the first is_codeword.  Encoding b is the combination
-of the rows of G with b's coordinates, which equals b*g because
-deg(b*g) < n.  v is a codeword exactly when H*v = 0, because over F_p the
-row space of G is (ker G)^perp.  Those entries lie in [0, p), so the cached
-columns of G are the lifts that lattice.construction_a_basis reads, without
-building H.
+the message coordinates) and n*m columns.  Its reduced echelon form over
+F_p is eliminated once per code, on first use: lattice.construction_a_basis
+lifts its rows, and H, the nullspace ker G, is read off it on the first
+is_codeword.  Encoding b is the combination of the rows of G with b's
+coordinates, which equals b*g because deg(b*g) < n.  v is a codeword
+exactly when H*v = 0, because over F_p the row space of G is (ker G)^perp.
 
 The Euclidean scalar product is F_p-bilinear, so products of the same
 generators decide duality for every u: is_orthogonal_to tests C inside
@@ -121,11 +120,18 @@ class ConstacyclicCode:
         return [[row[col] for row in rows] for col in range(self.n * self.ring.n)]
 
     @cached_property
+    def _echelon(self):
+        """The reduced row echelon form (rows, pivots) of G over F_p, as
+        tuples, eliminated once per code on first use: Construction A lifts
+        its rows and H is read off it."""
+        rows, pivots = echelon_mod_p(zip(*self._generator_columns), self.ring.p)
+        return tuple(map(tuple, rows)), tuple(pivots)
+
+    @cached_property
     def _parity_rows(self):
-        """The rows of H = ker G, eliminated from the columns of G on the
-        first is_codeword, so encoding and Construction A never pay for it."""
-        columns = self._generator_columns
-        return nullspace_mod_p(list(zip(*columns)), len(columns), self.ring.p)
+        """The rows of H = ker G, read off the echelon form of G on the first
+        is_codeword, so encoding and Construction A never pay for it."""
+        return nullspace_mod_p(self._echelon, self.n * self.ring.n, self.ring.p)
 
     def encode(self, msg):
         """Codeword of the message polynomial b(x): the coefficients of b*g.
@@ -275,7 +281,7 @@ def brute_force_dual(code: ConstacyclicCode, bound=ENUMERATION_BOUND):
     for c in code._generators:
         products = [(c_i * power).coeffs for c_i in c for power in code._powers]
         equations.extend(zip(*products))
-    kernel, _ = echelon_mod_p(nullspace_mod_p(equations, m * n, p), p)
+    kernel, _ = echelon_mod_p(nullspace_mod_p(echelon_mod_p(equations, p), m * n, p), p)
     if p ** len(kernel) > bound:
         raise TooLarge(f"{p}^{len(kernel)} dual vectors exceeds bound {bound}")
     span = [(0,) * (m * n)]

@@ -16,6 +16,9 @@ lattice attached to a code, lift(C) + pZ^N, contains pZ^N, so it depends only
 on the F_p row space of the code's cached generator matrix: the reduced row
 echelon rows of that space (number_ring.echelon_mod_p), with p times the
 unit vectors of the free coordinates, are already its Hermite Normal Form.
+A code keeps that echelon form, eliminated once per code, so every
+Construction A basis of the code starts from it; the dual lattice echelons
+the words of the dual.
 
 HNF convention: column style, lower triangular, positive diagonal, entries to
 the left of each pivot reduced into [0, pivot).  That canonical form makes
@@ -408,20 +411,19 @@ def gram_matrix(basis, spec: AlgebraSpec, e_weight: int = 1):
     return gram
 
 
-def _lift_basis(vectors, spec: AlgebraSpec, e_weight: int) -> LatticeBasis:
-    """The lattice spanned by the integer vectors, each of N flat
-    coordinates, together with p times the standard basis.
+def _lift_basis(rows, pivots, spec: AlgebraSpec, e_weight: int) -> LatticeBasis:
+    """The lattice spanned by pZ^N and integer vectors of N flat
+    coordinates, given by their reduced row echelon form over F_p
+    (echelon_mod_p): its rows and their pivots.
 
-    It contains pZ^N, so it depends only on the F_p row space of the
-    vectors: their reduced row echelon form over F_p (echelon_mod_p) spans
-    it with pZ^N.  Each echelon row, read as a column, has its 1 at its
-    pivot, 0 above and at the other pivots, entries in [0, p) below; with
-    p e_j for each free coordinate j that is N columns already in HNF, so
-    hnf makes one pass over them instead of eliminating every vector, and
-    the index is p^(N - rank).
+    The lattice contains pZ^N, so it depends only on the F_p row space of
+    the vectors, which the echelon rows span.  Each echelon row, read as a
+    column, has its 1 at its pivot, 0 above and at the other pivots,
+    entries in [0, p) below; with p e_j for each free coordinate j that is
+    N columns already in HNF, so hnf makes one pass over them instead of
+    eliminating every vector, and the index is p^(N - rank).
     """
     p, N = spec.p, spec.n * spec.n
-    rows, pivots = echelon_mod_p(vectors, p)
     free = [j for j in range(N) if j not in pivots]
     basis = hnf(list(zip(*rows, *([p if i == j else 0 for i in range(N)] for j in free))))
     gram = gram_matrix(basis, spec, e_weight)
@@ -434,10 +436,11 @@ def construction_a_basis(code: ConstacyclicCode, e_weight: int = 1) -> LatticeBa
 
     Generated by p times the standard order basis together with the rows
     of the code's F_p generator matrix G, the flat lifts of theta^j x^i g,
-    which _lift_basis echelons before its HNF.  The index in the full order
-    is p^(n(n-k)) when the code is a free module of rank k.
+    through the echelon form of G that the code keeps, computed once per
+    code.  The index in the full order is p^(n(n-k)) when the code is a
+    free module of rank k.
     """
-    return _lift_basis(zip(*code._generator_columns), code.ring.spec, e_weight)
+    return _lift_basis(*code._echelon, code.ring.spec, e_weight)
 
 
 def dual_lattice_basis(code: ConstacyclicCode) -> LatticeBasis:
@@ -450,7 +453,7 @@ def dual_lattice_basis(code: ConstacyclicCode) -> LatticeBasis:
     the size of the dual; the HNF and the Gram matrix see N columns.
     """
     words = ([v for c in word for v in c.coeffs] for word in brute_force_dual(code))
-    return _lift_basis(words, code.ring.spec, 1)
+    return _lift_basis(*echelon_mod_p(words, code.ring.p), code.ring.spec, 1)
 
 
 def dual_lattice_inclusion_check(code_a: ConstacyclicCode, code_b: ConstacyclicCode) -> bool:

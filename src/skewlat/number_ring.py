@@ -719,14 +719,15 @@ def echelon_mod_p(rows, p):
     return basis, pivots
 
 
-def nullspace_mod_p(rows, ncols, p):
-    """Basis of {v in F_p^ncols : row . v = 0 mod p for every row}.
+def nullspace_mod_p(echelon, ncols, p):
+    """Basis of {v in F_p^ncols : row . v = 0 mod p for every row} of the
+    rows whose echelon_mod_p form is echelon = (basis, pivots).
 
     One vector per free column f of the echelon form: 1 at f, 0 at the other
     free columns, and minus the column f entry of each echelon row at that
     row's pivot.  The vectors come in increasing order of f.
     """
-    basis, pivots = echelon_mod_p(rows, p)
+    basis, pivots = echelon
     out = []
     for free in sorted(set(range(ncols)).difference(pivots)):
         vec = [0] * ncols

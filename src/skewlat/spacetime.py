@@ -13,13 +13,17 @@ a rational integer and norm_det is nrd ** n.
 min_det_sample probes the space-time design criterion: over a division
 algebra det M(a - a') = det(M(a) - M(a')) never vanishes for a != a'.  The
 reduced norm, a form in the order's flat coordinates (_flat_form), is
-expanded once per algebra, and one sweep that evaluates it inline over
-differences of box points is compiled per (basis, form, mode) and kept in a
-bounded cache; it is fed at C level by itertools or by getrandbits bytes that
-are randint's draws.  It is a sample, never a certificate.  Both cofactor
-expansions, of det M and of the form, raise TooLarge past ENUMERATION_BOUND
-products.  Matrix entries, cofactor terms and lattice points all add through
-lattice.vector_sum.
+expanded once per algebra and kept both as monomial terms and as source.
+The exhaustive mode is exact for its box: boxsweep, imported on the first
+exhaustive sweep, composes the terms with the lattice basis and compiles
+nested loops over the half box that substitute one lattice coordinate per
+level, O(1) amortised work per difference.  The sampled mode compiles one
+loop per (basis, form) that evaluates the source inline on differences of
+box points, fed at C level by getrandbits bytes that are randint's draws;
+it is a sample, never a certificate.  Both kinds of sweep are kept in
+bounded caches.  Both cofactor expansions, of det M and of the form, raise
+TooLarge past ENUMERATION_BOUND products.  Matrix entries and cofactor
+terms add through lattice.vector_sum.
 
 Coset encoding splits a lattice point into an information codeword plus a
 random offset in p times the order (the wiretap-coding primitive), adding or
@@ -31,7 +35,7 @@ from __future__ import annotations
 import operator
 import random
 from functools import lru_cache
-from itertools import chain, islice, product, repeat
+from itertools import chain, repeat
 from math import factorial, inf
 
 from .codes import ConstacyclicCode
@@ -185,8 +189,8 @@ def exhaustive_sweep(
     an n x n determinant relative to n = 2, so every quadratic decision
     counts differences and a cubic difference counts three times.  The
     weight is kept as the decision rule so that modes stay stable; it no
-    longer measures the cost of a difference, which is one evaluation of
-    the reduced norm form."""
+    longer measures the cost of a difference, which is O(1) amortised in
+    the nested sweep of boxsweep."""
     n = code.ring.n
     differences = ((4 * coeff_bound + 1) ** (n * n) - 1) // 2
     return differences * factorial(n) // 2 <= enumeration_bound
@@ -239,8 +243,11 @@ def _horner_source(form):
 
 
 def _flat_form(order):
-    """Source of the integer form G(x) = nrd(x) in the order's flat coordinates
-    x0, x1, ..., grouped Horner-style; the sweep reads it at x = B d (_basis_map).
+    """(terms, source) of the integer form G(x) = nrd(x) in the order's flat
+    coordinates x0, x1, ...: its (sorted variable indices, coefficient)
+    pairs, which the exhaustive sweep composes with the basis B, and its
+    source grouped Horner-style, which the sampled sweep reads at x = B d
+    (_basis_map).
 
     M is additive, so G has degree n in the n^2 coordinates, and it is sparse
     since entry (r, c) of M(x) reads only the e^((r - c) mod n) coefficient of
@@ -282,7 +289,7 @@ def _flat_form(order):
         if any(any(rest) for _, *rest in form.values()):
             raise InvalidSpec("the reduced norm form has a nonzero non-constant coordinate")
         terms = {mono: vec[0] for mono, vec in form.items() if vec[0]}
-        _FLAT_FORMS[key] = _horner_source(terms) or "0"
+        _FLAT_FORMS[key] = tuple(terms.items()), _horner_source(terms) or "0"
     return _FLAT_FORMS[key]
 
 
@@ -294,22 +301,20 @@ def _basis_map(columns, indent):
 
 
 @lru_cache(maxsize=32)
-def _sweep(columns, flat_form, sampled):
+def _sweep(columns, flat_form):
     """The compiled sweep(pairs, best, left) -> (least |F(d)| below best, first such d),
-    each d read from the loop header, or as z1 - z2 of sampled pairs (z1, z2),
-    skipping equal pairs and stopping after `left` others.  Compiled sweeps are
-    kept in a bounded cache keyed by all three arguments, columns as tuples."""
+    each d read as z1 - z2 of sampled pairs (z1, z2), skipping equal pairs and
+    stopping after `left` others.  Compiled sweeps are kept in a bounded cache
+    keyed by both arguments, columns as tuples and flat_form as G's source."""
     d = [f"d{j}" for j in range(len(columns))]
     ds = ", ".join(d) + ","
-    head, diffs, tail = ds, "", ""
-    if sampled:
-        head = f"({ds.replace('d', 'a')}), ({ds.replace('d', 'b')})"
-        diffs = "".join(f"        {x} = a{j} - b{j}\n" for j, x in enumerate(d))
-        diffs += f"        if not ({' or '.join(d)}):\n            continue\n"
-        tail = "        left -= 1\n        if not left:\n            break\n"
-    body = f"{diffs}{_basis_map(columns, ' ' * 8)}        v = abs({flat_form})\n"
+    head = f"({ds.replace('d', 'a')}), ({ds.replace('d', 'b')})"
+    body = "".join(f"        {x} = a{j} - b{j}\n" for j, x in enumerate(d))
+    body += f"        if not ({' or '.join(d)}):\n            continue\n"
+    body += f"{_basis_map(columns, ' ' * 8)}        v = abs({flat_form})\n"
     body += f"        if v < best:\n            best, best_d = v, ({ds})\n"
-    body += f"            if not v:\n                break\n{tail}    return best, best_d\n"
+    body += "            if not v:\n                break\n"
+    body += "        left -= 1\n        if not left:\n            break\n    return best, best_d\n"
     source = f"def sweep(pairs, best, left):\n    for {head} in pairs:\n{body}"
     return compile_function(source, "sweep")
 
@@ -328,12 +333,14 @@ def min_det_sample(
     Points have coordinates in [-coeff_bound, coeff_bound] in the code's
     lattice basis; a difference d gives |G(B d)|^n, G from _flat_form.
     When the differences fit in enumeration_bound (exhaustive_sweep) every
-    nonzero one in the doubled box is visited once up to sign, otherwise
-    `samples` differences of random distinct box points are drawn with `seed`.
-    The minimizing difference is re-checked through norm_det (RuntimeError if
-    they disagree); zero exhibits a rank-deficient difference.  Raises
-    ValueError when coeff_bound < 1, and in sampled mode ValueError when
-    samples < 1 and TooLarge when samples > ENUMERATION_BOUND.
+    nonzero one in the doubled box is visited once up to sign, in
+    lexicographic order, by boxsweep.half_box_sweep; otherwise `samples`
+    differences of random distinct box points are drawn with `seed`.  The
+    first minimizing difference, read into the order from the basis rows, is
+    re-checked through norm_det (RuntimeError if they disagree); zero
+    exhibits a rank-deficient difference.  Raises ValueError when
+    coeff_bound < 1, and in sampled mode ValueError when samples < 1 and
+    TooLarge when samples > ENUMERATION_BOUND.
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be at least 1")
@@ -346,19 +353,20 @@ def min_det_sample(
         raise ValueError("samples must be at least 1 when sampling")
     if not exhaustive and samples > ENUMERATION_BOUND:
         raise TooLarge(f"{samples} samples exceed bound {ENUMERATION_BOUND}")
-    cols = tuple(zip(*construction_a_basis(code).basis))
-    N = len(cols)
+    basis = construction_a_basis(code).basis
+    cols = tuple(zip(*basis))
     order = NaturalOrder(code.ring.spec)  # per call: the mindet-sweep trace requires a build
-    sweep = _sweep(cols, _flat_form(order), not exhaustive)
+    terms, source = _flat_form(order)
     if exhaustive:
-        span = range(-2 * coeff_bound, 2 * coeff_bound + 1)
-        # product's order is lexicographic, so the d > 0 follow the middle, 0.
-        pairs = islice(product(span, repeat=N), (len(span) ** N + 1) // 2, None)
+        from . import boxsweep  # only exhaustive sweeps need it; every CLI run imports spacetime
+
+        best, best_d = boxsweep.half_box_sweep(cols, terms, coeff_bound)()
     else:
-        pairs = _sampled_pairs(random.Random(seed), coeff_bound, N)
-    best, best_d = sweep(pairs, inf, samples)
+        pairs = _sampled_pairs(random.Random(seed), coeff_bound, len(cols))
+        best, best_d = _sweep(cols, source)(pairs, inf, samples)
     best **= order.n
-    witness = order.from_flat(vector_sum([[z * v for v in col] for z, col in zip(best_d, cols)], N))
+    flat = [sum(map(operator.mul, row, best_d)) for row in basis]
+    witness = OrderElement(order, tuple(zip(*[iter(flat)] * order.n)))
     if abs(matrix_rep(witness).norm_det()) != best:
         raise RuntimeError(f"reduced norm form disagrees with norm_det at difference {best_d}")
     return best

@@ -1,8 +1,8 @@
 """Shared specs, random generators and brute-force oracles for the test suite."""
 
 import warnings
-from itertools import product
-from math import isqrt
+from itertools import islice, product
+from math import inf, isqrt
 
 from hypothesis import strategies as st
 
@@ -27,7 +27,7 @@ from skewlat import (
     spacetime,
 )
 from skewlat.errors import IndefiniteForm, InvalidSpec, TooLarge
-from skewlat.number_ring import compile_function, nullspace_mod_p
+from skewlat.number_ring import compile_function, echelon_mod_p, nullspace_mod_p
 
 # The cyclic cubic field of 2*cos(2*pi/7): minimal polynomial y^3 + y^2 - 2y - 1,
 # Galois group generated by y -> y^2 - 2, with e^3 = 2 over p = 5.
@@ -195,7 +195,7 @@ def sorted_span_dual(code, bound=ENUMERATION_BOUND):
     for c in code.additive_generators():
         products = [(c_i * power).coeffs for c_i in c for power in powers]
         equations.extend(zip(*products))
-    kernel = nullspace_mod_p(equations, m * n, p)
+    kernel = nullspace_mod_p(echelon_mod_p(equations, p), m * n, p)
     if p ** len(kernel) > bound:
         raise TooLarge(f"{p}^{len(kernel)} dual vectors exceeds bound {bound}")
     span = [(0,) * (m * n)]
@@ -315,14 +315,14 @@ def reduced_norm_form(order, columns):
 
     columns are the flat coordinates of a basis of a full-rank sublattice of
     the order.  The function computes x = B d through the sweep's basis map,
-    then the order's flat form G (spacetime._flat_form), so it raises what
-    G's expansion raises: InvalidSpec when G is not rational, TooLarge past
-    ENUMERATION_BOUND products.  On Z[i] and the cubic, F has up to 10 and
+    then the order's flat form G from the source spacetime._flat_form keeps,
+    so it raises what G's expansion raises: InvalidSpec when G is not
+    rational, TooLarge past ENUMERATION_BOUND products.  On Z[i] and the cubic, F has up to 10 and
     165 monomials, against 4 and 57 in G.
     """
     names = "".join(f"d{j}, " for j in range(len(columns)))
     head = f"def form(d):\n    {names}= d\n{spacetime._basis_map(columns, '    ')}"
-    return compile_function(f"{head}    return {spacetime._flat_form(order)}\n", "form")
+    return compile_function(f"{head}    return {spacetime._flat_form(order)[1]}\n", "form")
 
 
 def random_element(ring, rng):
@@ -351,3 +351,19 @@ def random_order_element(order, rng, span=5):
     return order.element(
         [[rng.randrange(-span, span + 1) for _ in range(order.n)] for _ in range(order.n)]
     )
+
+
+def product_order_sweep(columns, terms, box):
+    """Oracle: the exhaustive sweep as min_det_sample ran it before nested
+    sweeps, (least |F(d)|, first such d) over the d after the middle of
+    product(range(-2 box, 2 box + 1), repeat=N), F(d) = G(sum_j d_j
+    columns[j]) and G the homogeneous form of terms, evaluated afresh for
+    each d in one compiled loop that stops at the first zero."""
+    N = len(columns)
+    ds = "".join(f"d{j}, " for j in range(N))
+    body = f"{spacetime._basis_map(columns, ' ' * 8)}        v = abs({spacetime._horner_source(dict(terms)) or 0})\n"
+    body += f"        if v < best:\n            best, best_d = v, ({ds})\n"
+    body += "            if not v:\n                break\n    return best, best_d\n"
+    sweep = compile_function(f"def sweep(pairs, best):\n    for {ds} in pairs:\n{body}", "sweep")
+    span = range(-2 * box, 2 * box + 1)
+    return sweep(islice(product(span, repeat=N), (len(span) ** N + 1) // 2, None), inf)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from skewlat import cli
 from skewlat.cli import Config, error_code, load_config, main, parse_config
 from skewlat.errors import (
     MissingKey,
@@ -334,6 +335,58 @@ def test_usage_errors_exit_two(capsys, cfg_path):
     assert rc == 2
     rc, _, _ = run(capsys, "code", "--config", "/nonexistent/path.cfg")
     assert rc == 2
+
+
+# Command lines that end in help, a usage error or a parse, for every command.
+PARSER_TAILS = [
+    ["--help"],
+    ["-h", "--config"],
+    [],
+    ["--config"],
+    ["--config", "c.cfg"],
+    ["--config", "c.cfg", "--json", "extra"],
+    ["--config", "c.cfg", "--no-such-flag"],
+    ["--json", "--config", "c.cfg", "--bound", "3", "--seed", "x"],
+    ["--config", "c.cfg", "--degree", "-1", "--bound", "-5"],
+    ["--config", "c.cfg", "--degree", "x"],
+    ["--config", "c.cfg", "--coeff-bound", "0", "--samples", "1000001"],
+    ["--config", "c.cfg", "--samples", "0"],
+    ["--config", "c.cfg", "--msg", "[[1, 0]]", "--offset"],
+    ["--config", "c.cfg", "--point"],
+    ["--config", "c.cfg", "--element", "[[1, 1], [1, 0]]"],
+]
+
+
+def parse_outcome(parser, argv, capsys):
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    out, err = capsys.readouterr()
+    return outcome, out, err
+
+
+@pytest.mark.parametrize("command", list(cli._HANDLERS))
+def test_one_command_parser_reads_like_the_full_parser(command, capsys):
+    # main builds only the subparser of the command it runs; its help, its
+    # usage errors (those of the top-level parser included, whose usage line
+    # lists every command) and its parses must be byte for byte the same.
+    one = cli._build_parser(command)
+    assert list(one._subparsers._group_actions[0].choices) == [command]
+    for tail in PARSER_TAILS:
+        argv = [command, *tail]
+        assert parse_outcome(one, argv, capsys) == parse_outcome(cli._build_parser(), argv, capsys)
+
+
+def test_main_builds_every_parser_only_without_a_command(monkeypatch, capsys):
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: built.append(command) or build(command))
+    for argv in (["code", "--help"], ["mindet", "--config"], ["--help"], [], ["no-such"], ["-h", "code"]):
+        assert main(argv) in (0, 2)
+    assert built == ["code", "mindet", None, None, None, None]
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from skewlat import (
 from skewlat.errors import IndefiniteForm, InvalidSpec, LengthMismatch
 from skewlat.fixtures import FIXTURE_SPECS, fixture_code, fixture_ring
 from skewlat.lattice import _lift_basis
+from skewlat.number_ring import echelon_mod_p
 
 from helpers import (
     CUBIC,
@@ -466,8 +467,8 @@ def test_lattices_match_the_lifted_words_oracle(spec):
 def test_lift_basis_matches_the_lifted_words_oracle_on_awkward_generators(spec, seed):
     # The lattice contains pZ^N, so duplicated vectors, nonzero vectors that
     # vanish mod p, and entries shifted by multiples of p (negative or >= p)
-    # span the lattice of the code's words; the zero code has index p^N and
-    # the full code index 1.
+    # span the lattice of the code's words, through their echelon form over
+    # F_p; the zero code has index p^N and the full code index 1.
     rng = random.Random(seed)
     ring = QuotientRing(spec)
     p, N = spec.p, ring.n * ring.n
@@ -479,14 +480,14 @@ def test_lift_basis_matches_the_lifted_words_oracle_on_awkward_generators(spec, 
         awkward += [[v + p * rng.choice((-2, -1, 1, 2)) for v in row] for row in flat]
         rng.shuffle(awkward)
         expected = lifted_lattice_basis(spec, words)
-        lat = _lift_basis(awkward, spec, 1)
+        lat = _lift_basis(*echelon_mod_p(awkward, p), spec, 1)
         assert lat.basis == expected == construction_a_basis(code).basis
         assert lat.gram == pairwise_gram_matrix(expected, spec)
         assert lat.det == det_int(lat.gram)
         assert lat.index == prod(expected[i][i] for i in range(N))
         if code.k in (0, code.n):  # the zero code and the full code
             assert lat.index == p ** (N - code.k * ring.n)
-    assert _lift_basis([], spec, 1).basis == lifted_lattice_basis(spec, [])
+    assert _lift_basis([], [], spec, 1).basis == lifted_lattice_basis(spec, [])
 
 
 def test_cubic_inclusion_at_p31_builds_no_lattice():

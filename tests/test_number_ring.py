@@ -243,7 +243,7 @@ def test_echelon_and_nullspace_match_enumeration(p, ncols, data):
         assert all(other[pivot] == 0 for other in basis if other is not row)
     assert _span_mod_p(basis, ncols, p) == _span_mod_p(rows, ncols, p)
 
-    kernel = nullspace_mod_p(rows, ncols, p)
+    kernel = nullspace_mod_p((basis, pivots), ncols, p)
     assert len(kernel) == ncols - len(basis)
     solutions = {
         v for v in product(range(p), repeat=ncols)

@@ -1,6 +1,6 @@
 import operator
 import random
-from itertools import combinations, islice, product
+from itertools import combinations, combinations_with_replacement, islice, product
 from math import sqrt
 
 import pytest
@@ -22,7 +22,7 @@ from skewlat import (
     right_multiplication_det,
     sample_offsets,
 )
-from skewlat import spacetime
+from skewlat import boxsweep, spacetime
 from skewlat.errors import InvalidSpec, LengthMismatch, NotInLattice, TooLarge
 from skewlat.fixtures import FIXTURE_NAMES, FIXTURE_SPECS, GAUSSIAN_P3_U1, fixture_code
 from skewlat.number_ring import QuotientRing
@@ -33,6 +33,7 @@ from helpers import (
     composed_coset_decode,
     composed_coset_encode,
     divisor_codes,
+    product_order_sweep,
     quiet_ring,
     random_message,
     random_order_element,
@@ -224,28 +225,133 @@ def test_min_det_difference_sweep_matches_pair_sweep(build):
 
 def test_min_det_exhaustive_sweep_visits_each_difference_once_up_to_sign(monkeypatch):
     code = fixture_code("gaussian-p3-inert")
-    seen = []
-    build = spacetime._sweep
+    calls = []
+    build = boxsweep.half_box_sweep
 
-    def recording_sweep(*args):
-        sweep = build(*args)
+    def recording_build(columns, terms, box):
+        calls.append((columns, box))
+        return build(columns, terms, box)
 
-        def fed(pairs, *rest):
-            pairs = list(pairs)
-            seen.extend(pairs)
-            return sweep(iter(pairs), *rest)
-
-        return fed
-
-    monkeypatch.setattr(spacetime, "_sweep", recording_sweep)
+    monkeypatch.setattr(boxsweep, "half_box_sweep", recording_build)
     assert min_det_sample(code, 1, exhaustive=True) == 9
-    N = 4
-    assert len(seen) == len(set(seen)) == (5**N - 1) // 2
-    visited = set(seen) | {tuple(-v for v in d) for d in seen}
-    assert len(visited) == 5**N - 1  # no zero and never both d and -d
-    for zs in product(range(-2, 3), repeat=N):  # every difference of two box points
-        if any(zs):
-            assert zs in visited
+    assert calls == [(tuple(zip(*construction_a_basis(code).basis)), 1)]
+    # F(d) = sum_i d_i B^(N-1-i), B = 4 box + 1, is injective on the doubled
+    # box, and every value the compiled loops evaluate passes through abs
+    # once, so an abs that records its argument reads off the differences
+    # they visit.  The loops leave to the build the differences whose first
+    # nonzero coordinate is one of the last two; with those, every nonzero d
+    # of the doubled box whose first nonzero coordinate is positive comes
+    # exactly once, in lexicographic order, and never -d or 0.
+    for N, box in [(N, 1) for N in range(1, 8)] + [(N, 2) for N in range(1, 4)] + [(2, 3)]:
+        W, B = 2 * box, 4 * box + 1
+        identity = tuple(tuple(int(i == j) for i in range(N)) for j in range(N))
+        terms = tuple(((i,), B ** (N - 1 - i)) for i in range(N))
+        seen = []
+        namespace = {"abs": lambda x: seen.append(x) or abs(x)}
+        source = boxsweep._sweep_source(boxsweep._compose(identity, terms), N, W)
+        exec(compile(source, "<sweep>", "exec"), namespace)
+        assert namespace["sweep"]() == (1, (0,) * (N - 1) + (1,))
+        visited = []
+        for value in seen:
+            d = []
+            for _ in range(N):
+                value, r = divmod(value + W, B)
+                d.insert(0, r - W)
+            visited.append(tuple(d))
+        span = range(-W, W + 1)
+        half = [d for d in product(span, repeat=N) if any(d) and next(filter(None, d)) > 0]
+        assert [d for d in half if not any(d[:-2])] + visited == half
+
+
+def assert_sweep_matches_the_oracle(columns, terms, box):
+    got = boxsweep.half_box_sweep(columns, terms, box)()
+    assert got == product_order_sweep(columns, terms, box)
+    return got
+
+
+@settings(max_examples=10, deadline=None)
+@given(spec=valid_specs(), seed=st.integers(0, 2**16))
+def test_nested_sweeps_match_the_product_order_oracle_on_divisor_codes(spec, seed):
+    # Quadratic codes are swept whole at boxes 1 and 2.  A cubic box holds
+    # (4b + 1)^9 / 2 differences, so a cubic code is swept on four of its
+    # basis columns at a time: the same cubic form, through a sublattice.
+    rng = random.Random(seed)
+    ring = QuotientRing(spec)
+    order = NaturalOrder(spec)
+    terms, _ = spacetime._flat_form(order)
+    for code in divisor_codes(ring):
+        cols = tuple(zip(*construction_a_basis(code).basis))
+        if spec.n == 3:
+            cols = tuple(rng.sample(cols, 4))
+        for box in (1, 2):
+            value, d = assert_sweep_matches_the_oracle(cols, terms, box)
+            if spec.n == 2:
+                assert min_det_sample(code, box, exhaustive=True) == value**2
+
+
+def test_nested_sweep_matches_the_product_order_oracle_on_the_whole_cubic():
+    code = cubic_code()
+    cols = tuple(zip(*construction_a_basis(code).basis))
+    terms, _ = spacetime._flat_form(NaturalOrder(CUBIC))
+    value, d = assert_sweep_matches_the_oracle(cols, terms, 1)
+    assert (value, d) == (5, (0, 0, 1, -2, -1, 1, 2, 0, 1))
+    assert min_det_sample(code, 1, exhaustive=True, enumeration_bound=2_929_686) == 5**3
+
+
+@st.composite
+def random_forms(draw):
+    """(columns, terms, box): a homogeneous integer form of degree 0-3 in M <= 4
+    flat variables, often with ties and zeros, read through N <= 4 columns,
+    the identity half of the time.  A third of the forms are
+    sum_{i<j} (a_j x_i - a_i x_j)^2, zero exactly on the line through a
+    random point a."""
+    M, N = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if draw(st.integers(0, 2)):
+        degree = draw(st.integers(0, 3))
+        monomials = list(combinations_with_replacement(range(M), degree))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monomials), max_size=len(monomials)))
+        terms = tuple((mono, c) for mono, c in zip(monomials, coeffs) if c)
+    else:
+        a = draw(st.lists(st.integers(-6, 6), min_size=M, max_size=M))
+        line = {}
+        for (i, ai), (j, aj) in combinations(enumerate(a), 2):
+            for mono, c in [((i, i), aj * aj), ((i, j), -2 * ai * aj), ((j, j), ai * ai)]:
+                line[mono] = line.get(mono, 0) + c
+        terms = tuple((mono, c) for mono, c in line.items() if c)
+    if draw(st.booleans()):
+        M = N
+        columns = tuple(tuple(int(i == j) for i in range(N)) for j in range(N))
+    else:
+        entries = st.lists(st.integers(-2, 2), min_size=M, max_size=M).map(tuple)
+        columns = tuple(draw(st.lists(entries, min_size=N, max_size=N)))
+    terms = tuple((mono, c) for mono, c in terms if max(mono, default=0) < M)
+    return columns, terms, draw(st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(form=random_forms())
+def test_nested_sweeps_match_the_product_order_oracle_on_random_forms(form):
+    # Small coefficients tie often, so a skipped, repeated or reordered
+    # difference changes the first minimiser the sweep returns.
+    assert_sweep_matches_the_oracle(*form)
+
+
+def test_nested_sweeps_stop_at_the_loop_nesting_limit():
+    # CPython nests at most 20 loops in one function, one per coordinate but
+    # the last two: 22 coordinates compile (the sweep is not run; the form,
+    # d_20^2 + d_21^2, is nonzero at every difference decided while building,
+    # so all 20 loops are written), 23 raise TooLarge before any source is built.
+    def identity(N):
+        return tuple(tuple(int(i == j) for i in range(N)) for j in range(N))
+
+    def last_squares(N):
+        return (((N - 2, N - 2), 1), ((N - 1, N - 1), 1))
+
+    form = boxsweep._compose(identity(22), last_squares(22))
+    assert "for t19 in" in boxsweep._sweep_source(form, 22, 2)
+    assert callable(boxsweep.half_box_sweep.__wrapped__(identity(22), last_squares(22), 1))
+    with pytest.raises(TooLarge, match="at most 22 coordinates, not 23"):
+        boxsweep.half_box_sweep(identity(23), last_squares(23), 1)
 
 
 def test_exhaustive_sweep_bounds_the_differences_it_evaluates():
@@ -403,20 +509,25 @@ def test_cofactor_expansions_stop_past_the_enumeration_bound(monkeypatch):
 
 
 def test_min_det_rechecks_its_witness(monkeypatch):
-    build = spacetime._sweep
+    def off_by_one(build):
+        def perturbed_build(*args):
+            sweep = build(*args)
 
-    def perturbed_sweep(*args):
-        sweep = build(*args)
+            def perturbed(*fed):
+                best, best_d = sweep(*fed)
+                return best + 1, best_d
 
-        def off_by_one(*fed):
-            best, best_d = sweep(*fed)
-            return best + 1, best_d
+            return perturbed
 
-        return off_by_one
+        return perturbed_build
 
-    monkeypatch.setattr(spacetime, "_sweep", perturbed_sweep)
+    code = fixture_code("gaussian-p3-inert")
+    monkeypatch.setattr(boxsweep, "half_box_sweep", off_by_one(boxsweep.half_box_sweep))
     with pytest.raises(RuntimeError, match="disagrees with norm_det"):
-        min_det_sample(fixture_code("gaussian-p3-inert"), 1)
+        min_det_sample(code, 1)
+    monkeypatch.setattr(spacetime, "_sweep", off_by_one(spacetime._sweep))
+    with pytest.raises(RuntimeError, match="disagrees with norm_det"):
+        min_det_sample(code, 1, exhaustive=False)
 
 
 def test_flat_forms_are_cached_per_algebra_with_u_in_the_key(monkeypatch):
@@ -429,29 +540,34 @@ def test_flat_forms_are_cached_per_algebra_with_u_in_the_key(monkeypatch):
 
 
 def test_compiled_sweeps_are_cached_per_columns_form_and_mode():
-    # An exhaustive and a sampled sweep of one code share columns and form,
-    # and the full codes of gaussian-p3 and of its u = 1 sabotage share their
-    # columns (the identity) but not a form; each query must get its own
-    # compiled loop, whatever ran before it, and four loops are kept.
+    # Exhaustive sweeps are kept per (columns, form, box) and sampled ones per
+    # (columns, form).  The full codes of gaussian-p3 and of its u = 1
+    # sabotage share their columns (the identity) but not a form; each query
+    # must get its own compiled loop, whatever ran before it, and four nested
+    # sweeps and one sampled loop are kept.
     code = fixture_code("gaussian-p3-inert")
     full = ConstacyclicCode.from_generator(SkewPoly.one(code.ring))
     sabotage = sabotage_code()
     assert construction_a_basis(full).basis == construction_a_basis(sabotage).basis
     queries = [
         lambda: min_det_sample(code, 1),
+        lambda: min_det_sample(code, 2),
         lambda: min_det_sample(code, 1, seed=7, samples=50, exhaustive=False),
         lambda: min_det_sample(full, 1),
         lambda: min_det_sample(sabotage, 1),
     ]
+    caches = (boxsweep.half_box_sweep, spacetime._sweep)
     fresh = []
     for query in queries:
-        spacetime._sweep.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
         fresh.append(query())
-    assert fresh[2:] == [1, 0]
-    spacetime._sweep.cache_clear()
+    assert fresh[3:] == [1, 0]
+    for cache in caches:
+        cache.cache_clear()
     assert [query() for query in queries] == fresh
     assert [query() for query in reversed(queries)] == fresh[::-1]
-    assert spacetime._sweep.cache_info().currsize == 4
+    assert [cache.cache_info().currsize for cache in caches] == [4, 1]
 
 
 def test_sampled_min_det_bounds_its_samples(monkeypatch):
