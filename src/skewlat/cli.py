@@ -6,8 +6,10 @@ integer lists (possibly nested), or one of a few keywords.  Blank lines and
 Optional: conjugation_mode, generator, bound, seed, e_weight.
 
 Commands: divisors, code, dual, lattice, stmatrix, mindet, coset-encode,
-coset-decode, verify-examples.  Results go to stdout (plain tables by
-default, machine-readable with --json), diagnostics to stderr.  Exit codes:
+coset-decode, verify-examples, each listed once in _COMMANDS.  Each cmd_<name>
+returns (payload, render): payload is the object --json prints, and render()
+returns the human output lines, so only a run without --json builds them.
+Results go to stdout, diagnostics to stderr.  Exit codes:
 0 success, 1 domain error (with a stable error code) or a closed stdout
 (without a traceback), 2 usage error.  Library warnings print to stderr as one
 ``warning: <message>`` line each, without a source location.
@@ -155,43 +157,60 @@ def _parse_cli_list(raw: str, what: str, nested=False):
         raise ParseError(f"cannot parse {what}: {raw!r}") from None
 
 
-def cmd_divisors(cfg: Config, args) -> dict:
+def _aligned(**values):
+    """``key = value`` lines with the ``=`` of every line in one column."""
+    width = max(map(len, values))
+    return [f"{key:<{width}} = {value}" for key, value in values.items()]
+
+
+def _matrix_lines(rows):
+    return ["  " + " ".join(f"{v:>6}" for v in row) for row in rows]
+
+
+def cmd_divisors(cfg: Config, args):
     ring = _ring(cfg)
     divisors = monic_right_divisors(ring, ring.n, cfg.u, args.degree, bound=cfg.bound)
-    return {
+    payload = {
         "degree": args.degree,
         "count": len(divisors),
         "divisors": [d.to_lists() for d in divisors],
-        "pretty": [str(d) for d in divisors],
     }
+    return payload, lambda: [
+        f"monic right divisors of degree {args.degree}: {len(divisors)}",
+        *(f"  {d!s:<24} {coeffs}" for d, coeffs in zip(divisors, payload["divisors"])),
+    ]
 
 
-def cmd_code(cfg: Config, args) -> dict:
+def cmd_code(cfg: Config, args):
     code = _code(cfg)
-    out = code.to_dict()
-    out["pretty"] = {"g": str(code.g), "h": str(code.h)}
-    return out
+    payload = code.to_dict()
+    return payload, lambda: [
+        f"n = {code.n}  k = {code.k}  u = {payload['u']}", f"g = {code.g}", f"h = {code.h}",
+    ]
 
 
-def cmd_dual(cfg: Config, args) -> dict:
+def cmd_dual(cfg: Config, args):
     code = _code(cfg)
     gp = code.dual_generator()
     dual = ConstacyclicCode.from_generator(gp)
-    return {
-        "g_perp": gp.to_lists(),
-        "g_perp_monic": dual.g.to_lists(),
-        "self_dual": code.is_self_dual(),
-        "pretty": {"g_perp": str(gp), "g_perp_monic": str(dual.g)},
-    }
+    self_dual = code.is_self_dual()
+    payload = {"g_perp": gp.to_lists(), "g_perp_monic": dual.g.to_lists(), "self_dual": self_dual}
+    return payload, lambda: _aligned(
+        g_perp=gp, g_perp_monic=dual.g, self_dual=str(self_dual).lower()
+    )
 
 
-def cmd_lattice(cfg: Config, args) -> dict:
+def cmd_lattice(cfg: Config, args):
     code = _code(cfg)
-    basis = construction_a_basis(code, e_weight=cfg.e_weight)
-    return basis.to_dict()
+    payload = construction_a_basis(code, e_weight=cfg.e_weight).to_dict()
+    return payload, lambda: [
+        f"index = {payload['index']}  gram_det = {payload['det']}",
+        "basis (columns generate):", *_matrix_lines(payload["basis"]),
+        "gram:", *_matrix_lines(payload["gram"]),
+    ]
 
 
-def cmd_stmatrix(cfg: Config, args) -> dict:
+def cmd_stmatrix(cfg: Config, args):
     if args.element:
         order = natural_order(_ring(cfg).spec)
         element = order.element(_parse_cli_list(args.element, "--element", nested=True))
@@ -199,15 +218,20 @@ def cmd_stmatrix(cfg: Config, args) -> dict:
         code = _code(cfg)
         element = lift_codeword(natural_order(code.ring.spec), code.to_codeword(code.g))
     matrix = matrix_rep(element)
-    return {
+    payload = {
         "element": element.to_lists(),
         "matrix": matrix.to_lists(),
         "norm_det": matrix.norm_det(),
-        "pretty": str(element),
     }
+    return payload, lambda: [
+        f"element = {element}",
+        "matrix (entries are coordinate vectors):",
+        *("  " + "  ".join(map(str, row)) for row in payload["matrix"]),
+        f"norm_det = {payload['norm_det']}",
+    ]
 
 
-def cmd_mindet(cfg: Config, args) -> dict:
+def cmd_mindet(cfg: Config, args):
     code = _code(cfg)
     coeff_bound = args.coeff_bound
     exhaustive = exhaustive_sweep(code, coeff_bound, cfg.bound)
@@ -218,15 +242,17 @@ def cmd_mindet(cfg: Config, args) -> dict:
         samples=args.samples,
         enumeration_bound=cfg.bound,
     )
-    return {
+    mode = "exhaustive" if exhaustive else "sampled"
+    payload = {
         "coeff_bound": coeff_bound,
-        "mode": "exhaustive" if exhaustive else "sampled",
+        "mode": mode,
         "min_norm_det": value,
         "division_attested": bool(value > 0),
     }
+    return payload, lambda: [f"min |norm det| = {value} ({mode}, coeff_bound {coeff_bound})"]
 
 
-def cmd_coset_encode(cfg: Config, args) -> dict:
+def cmd_coset_encode(cfg: Config, args):
     code = _code(cfg)
     msg_lists = _parse_cli_list(args.msg, "--msg", nested=True)
     msg = [code.ring.element(c) for c in msg_lists]
@@ -234,96 +260,33 @@ def cmd_coset_encode(cfg: Config, args) -> dict:
         offset = _parse_cli_list(args.offset, "--offset", nested=False)
     else:
         offset = [0] * (code.n * code.n)
-    enc = coset_encode(code, msg, offset)
-    return enc.to_dict()
+    payload = coset_encode(code, msg, offset).to_dict()
+    return payload, lambda: _aligned(**payload)
 
 
-def cmd_coset_decode(cfg: Config, args) -> dict:
+def cmd_coset_decode(cfg: Config, args):
     code = _code(cfg)
     rows = _parse_cli_list(args.point, "--point", nested=True)
     point = natural_order(code.ring.spec).element(rows)
     codeword, offset = coset_decode_label(code, point)
-    return {
-        "codeword": [c.to_list() for c in codeword],
-        "offset": offset.to_lists(),
-    }
+    payload = {"codeword": [c.to_list() for c in codeword], "offset": offset.to_lists()}
+    return payload, lambda: _aligned(**payload)
 
 
-def cmd_verify_examples(cfg, args) -> dict:
+def cmd_verify_examples(cfg, args):
     from . import fixtures  # only this command needs them; every query imports cli
 
     results = fixtures.worked_example_checks()
-    return {
+    payload = {
         "checks": [
             {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
         ],
         "passed": all(r.passed for r in results),
     }
-
-
-# -- output formatting ------------------------------------------------------
-
-
-def _print_matrix(rows, indent="  "):
-    for row in rows:
-        print(indent + " ".join(f"{v:>6}" for v in row))
-
-
-def _print_human(command: str, payload: dict):
-    if command == "divisors":
-        print(f"monic right divisors of degree {payload['degree']}: {payload['count']}")
-        for pretty, coeffs in zip(payload["pretty"], payload["divisors"]):
-            print(f"  {pretty:<24} {coeffs}")
-    elif command == "code":
-        print(f"n = {payload['n']}  k = {payload['k']}  u = {payload['u']}")
-        print(f"g = {payload['pretty']['g']}")
-        print(f"h = {payload['pretty']['h']}")
-    elif command == "dual":
-        print(f"g_perp       = {payload['pretty']['g_perp']}")
-        print(f"g_perp_monic = {payload['pretty']['g_perp_monic']}")
-        print(f"self_dual    = {str(payload['self_dual']).lower()}")
-    elif command == "lattice":
-        print(f"index = {payload['index']}  gram_det = {payload['det']}")
-        print("basis (columns generate):")
-        _print_matrix(payload["basis"])
-        print("gram:")
-        _print_matrix(payload["gram"])
-    elif command == "stmatrix":
-        print(f"element = {payload['pretty']}")
-        print("matrix (entries are coordinate vectors):")
-        for row in payload["matrix"]:
-            print("  " + "  ".join(str(e) for e in row))
-        print(f"norm_det = {payload['norm_det']}")
-    elif command == "mindet":
-        print(
-            f"min |norm det| = {payload['min_norm_det']} "
-            f"({payload['mode']}, coeff_bound {payload['coeff_bound']})"
-        )
-    elif command == "coset-encode":
-        print(f"codeword = {payload['codeword']}")
-        print(f"offset   = {payload['offset']}")
-        print(f"point    = {payload['point']}")
-    elif command == "coset-decode":
-        print(f"codeword = {payload['codeword']}")
-        print(f"offset   = {payload['offset']}")
-    elif command == "verify-examples":
-        for check in payload["checks"]:
-            status = "PASS" if check["passed"] else "FAIL"
-            print(f"{status} {check['name']}: {check['detail']}")
-        print("all checks passed" if payload["passed"] else "SOME CHECKS FAILED")
-
-
-_HANDLERS = {
-    "divisors": cmd_divisors,
-    "code": cmd_code,
-    "dual": cmd_dual,
-    "lattice": cmd_lattice,
-    "stmatrix": cmd_stmatrix,
-    "mindet": cmd_mindet,
-    "coset-encode": cmd_coset_encode,
-    "coset-decode": cmd_coset_decode,
-    "verify-examples": cmd_verify_examples,
-}
+    return payload, lambda: [
+        *(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results),
+        "all checks passed" if payload["passed"] else "SOME CHECKS FAILED",
+    ]
 
 
 def _warning_line(message, category, filename, lineno, line=None):
@@ -344,29 +307,29 @@ def _int_in_range(low, high=None):
 
 _BOUND = ("--bound", {"type": _int_in_range(0), "help": "enumeration bound override"})
 
-# name, help, whether it reads a config, and its own arguments, in help order.
-_COMMANDS = (
-    ("divisors", "list monic right divisors of x^n - u", True,
-     (("--degree", {"type": _int_in_range(0), "required": True}), _BOUND)),
-    ("code", "build the code of the configured generator", True, ()),
-    ("dual", "dual generator and self-duality of the configured code", True, ()),
-    ("lattice", "Construction A basis, Gram matrix, determinant, index", True, ()),
-    ("stmatrix", "matrix representation of an order element", True,
-     (("--element", {"help": "row-major coordinate matrix, e.g. [[1,1],[1,0]]"}),)),
-    ("mindet",
-     "minimum |norm det| over nonzero lattice differences in the doubled box, "
-     "exhaustive or sampled", True,
-     (("--coeff-bound", {"type": _int_in_range(1), "default": 1}),
-      ("--samples", {"type": _int_in_range(1, ENUMERATION_BOUND), "default": 2000}),
-      _BOUND,
-      ("--seed", {"type": int, "help": "random seed override"}))),
-    ("coset-encode", "encode (message, offset) to a lattice point", True,
-     (("--msg", {"required": True, "help": "message symbols, e.g. [[1,0]]"}),
-      ("--offset", {"help": "integer offset coordinates, e.g. [1,0,0,0]"}))),
-    ("coset-decode", "split a lattice point into codeword and offset", True,
-     (("--point", {"required": True, "help": "row-major coordinate matrix"}),)),
-    ("verify-examples", "replay the bundled worked examples", False, ()),
-)
+# The one registry of commands: name -> (help, whether it reads a config, its
+# own arguments), in help order.  Each runs the module's cmd_<name>.
+_COMMANDS = {
+    "divisors": ("list monic right divisors of x^n - u", True,
+                 (("--degree", {"type": _int_in_range(0), "required": True}), _BOUND)),
+    "code": ("build the code of the configured generator", True, ()),
+    "dual": ("dual generator and self-duality of the configured code", True, ()),
+    "lattice": ("Construction A basis, Gram matrix, determinant, index", True, ()),
+    "stmatrix": ("matrix representation of an order element", True,
+                 (("--element", {"help": "row-major coordinate matrix, e.g. [[1,1],[1,0]]"}),)),
+    "mindet": ("minimum |norm det| over nonzero lattice differences in the doubled box, "
+               "exhaustive or sampled", True,
+               (("--coeff-bound", {"type": _int_in_range(1), "default": 1}),
+                ("--samples", {"type": _int_in_range(1, ENUMERATION_BOUND), "default": 2000}),
+                _BOUND,
+                ("--seed", {"type": int, "help": "random seed override"}))),
+    "coset-encode": ("encode (message, offset) to a lattice point", True,
+                     (("--msg", {"required": True, "help": "message symbols, e.g. [[1,0]]"}),
+                      ("--offset", {"help": "integer offset coordinates, e.g. [1,0,0,0]"}))),
+    "coset-decode": ("split a lattice point into codeword and offset", True,
+                     (("--point", {"required": True, "help": "row-major coordinate matrix"}),)),
+    "verify-examples": ("replay the bundled worked examples", False, ()),
+}
 
 
 def _build_parser(command=None) -> argparse.ArgumentParser:
@@ -380,9 +343,9 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
         prog="skewlat",
         description="Constacyclic codes over skew polynomial quotients and their lattices.",
     )
-    choices = "{" + ",".join(name for name, *_ in _COMMANDS) + "}" if command else None
+    choices = "{" + ",".join(_COMMANDS) + "}" if command else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=choices)
-    for name, help_text, needs_config, arguments in _COMMANDS:
+    for name, (help_text, needs_config, arguments) in _COMMANDS.items():
         if command not in (None, name):
             continue
         p = sub.add_parser(name, help=help_text)
@@ -396,21 +359,22 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv[0] if argv and argv[0] in _HANDLERS else None)
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     saved_format, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
-        if args.command == "verify-examples":
-            cfg = None
-        else:
+        cfg = None
+        if _COMMANDS[args.command][1]:
             cfg = load_config(args.config)
             for key in ("bound", "seed"):  # registered only where a command reads them
                 if getattr(args, key, None) is not None:
                     setattr(cfg, key, getattr(args, key))
-        payload = _HANDLERS[args.command](cfg, args)
+        # Looked up at call time, so a wrapper set on the module attribute runs.
+        handler = globals()["cmd_" + args.command.replace("-", "_")]
+        payload, render = handler(cfg, args)
     except SkewLatError as exc:
         print(f"error[{error_code(exc)}]: {exc}", file=sys.stderr)
         return 1
@@ -420,12 +384,7 @@ def main(argv=None) -> int:
     finally:
         warnings.formatwarning = saved_format
     try:
-        if args.json:
-            payload = dict(payload)
-            payload.pop("pretty", None)
-            print(json.dumps(payload))
-        else:
-            _print_human(args.command, payload)
+        print(json.dumps(payload) if args.json else "\n".join(render()))
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader is gone: send what is still buffered to devnull, so the

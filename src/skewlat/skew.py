@@ -392,7 +392,7 @@ def _root_classes(central: SkewPoly, bound):
     t, *higher = (u if n % 2 == 0 else -u).coeffs
     classes = (p**m - 1) // (p - 1)
     if classes > bound:
-        raise TooLarge(f"{classes} elements exceeds bound {bound}")
+        raise TooLarge(f"{classes} classes of (R - 0)/F_{p}* exceeds bound {bound}")
     if any(higher):
         return []
     # scales[v] lists the lam in F_p* with lam^n * v = t, v = N(b)^(n/m).

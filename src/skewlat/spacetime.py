@@ -228,18 +228,19 @@ def _horner_source(form):
 
     Monomials are grouped by their leading variable, recursively, so the
     source reads sum_i x_i * (sum_{j >= i} x_j * (...)): nesting is as deep
-    as the degree and each + chain has at most one term per variable; a
-    factor of 1 is left out.
+    as the degree and each + chain has at most one term per variable, after
+    the constant term if there is one; a factor of 1 is left out.
     """
-    if () in form:
-        return repr(form[()])
+    terms = [repr(form[()])] if () in form else []
     groups = {}
     for mono, coeff in form.items():
-        groups.setdefault(mono[0], {})[mono[1:]] = coeff
-    return "+".join(
+        if mono:
+            groups.setdefault(mono[0], {})[mono[1:]] = coeff
+    terms += (
         f"x{i}" if groups[i] == {(): 1} else f"x{i}*({_horner_source(groups[i])})"
         for i in sorted(groups)
     )
+    return "+".join(terms)
 
 
 def _flat_form(order):

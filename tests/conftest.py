@@ -1,5 +1,8 @@
 import pytest
 
+# Rewrite the oracles' asserts too, so they still check under python -O.
+pytest.register_assert_rewrite("helpers")
+
 from skewlat.fixtures import FIXTURE_NAMES, fixture_code, fixture_ring
 
 

@@ -357,8 +357,8 @@ def product_order_sweep(columns, terms, box):
     """Oracle: the exhaustive sweep as min_det_sample ran it before nested
     sweeps, (least |F(d)|, first such d) over the d after the middle of
     product(range(-2 box, 2 box + 1), repeat=N), F(d) = G(sum_j d_j
-    columns[j]) and G the homogeneous form of terms, evaluated afresh for
-    each d in one compiled loop that stops at the first zero."""
+    columns[j]) and G the form of terms, homogeneous or not, evaluated afresh
+    for each d in one compiled loop that stops at the first zero."""
     N = len(columns)
     ds = "".join(f"d{j}, " for j in range(N))
     body = f"{spacetime._basis_map(columns, ' ' * 8)}        v = abs({spacetime._horner_source(dict(terms)) or 0})\n"

@@ -366,7 +366,7 @@ def parse_outcome(parser, argv, capsys):
     return outcome, out, err
 
 
-@pytest.mark.parametrize("command", list(cli._HANDLERS))
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_one_command_parser_reads_like_the_full_parser(command, capsys):
     # main builds only the subparser of the command it runs; its help, its
     # usage errors (those of the top-level parser included, whose usage line
@@ -376,6 +376,40 @@ def test_one_command_parser_reads_like_the_full_parser(command, capsys):
     for tail in PARSER_TAILS:
         argv = [command, *tail]
         assert parse_outcome(one, argv, capsys) == parse_outcome(cli._build_parser(), argv, capsys)
+
+
+# One valid run of each command on the bundled gaussian_p3 config.
+DISPATCH_ARGV = {
+    "divisors": ["--degree", "1"],
+    "coset-encode": ["--msg", "[[1, 0]]"],
+    "coset-decode": ["--point", "[[1, 1], [1, 0]]"],
+}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_main_calls_the_module_handler_and_loader_once(command, monkeypatch, capsys):
+    # main looks cmd_<name> and load_config up in the module when it runs, so
+    # a wrapper put there (as the benchmark's tracer does) sees every call;
+    # a table that captured the functions at import would bypass it.
+    from pathlib import Path
+
+    calls = []
+
+    def counting(name):
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a: calls.append(name) or original(*a))
+
+    handler = "cmd_" + command.replace("-", "_")
+    counting(handler)
+    counting("load_config")
+    config = Path(__file__).resolve().parent.parent / "configs" / "gaussian_p3.cfg"
+    needs_config = cli._COMMANDS[command][1]
+    argv = [command, *(["--config", str(config)] if needs_config else [])]
+    for json_flag in ([], ["--json"]):
+        calls.clear()
+        rc, out, err = run(capsys, *argv, *DISPATCH_ARGV.get(command, []), *json_flag)
+        assert (rc, err) == (0, ""), err
+        assert calls == ["load_config"] * needs_config + [handler]
 
 
 def test_main_builds_every_parser_only_without_a_command(monkeypatch, capsys):
@@ -606,7 +640,7 @@ def test_bound_flag_overrides_config(capsys, cfg_path):
             capsys, "divisors", "--config", cfg_path, "--degree", "1", "--bound", bound
         )
         assert rc == 1
-        assert err == f"error[TOO_LARGE]: 4 elements exceeds bound {bound}\n"
+        assert err == f"error[TOO_LARGE]: 4 classes of (R - 0)/F_3* exceeds bound {bound}\n"
     rc, out, err = run(capsys, "divisors", "--config", cfg_path, "--degree", "1", "--bound", "4")
     assert rc == 0 and out.startswith("monic right divisors of degree 1: 4\n")
 

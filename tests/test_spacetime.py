@@ -300,15 +300,16 @@ def test_nested_sweep_matches_the_product_order_oracle_on_the_whole_cubic():
 
 @st.composite
 def random_forms(draw):
-    """(columns, terms, box): a homogeneous integer form of degree 0-3 in M <= 4
-    flat variables, often with ties and zeros, read through N <= 4 columns,
-    the identity half of the time.  A third of the forms are
+    """(columns, terms, box): an integer form whose monomials have one or
+    several degrees in 0-3, so it need not be homogeneous, in M <= 4 flat
+    variables, often with ties and zeros, read through N <= 4 columns, the
+    identity half of the time.  A third of the forms are
     sum_{i<j} (a_j x_i - a_i x_j)^2, zero exactly on the line through a
     random point a."""
     M, N = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     if draw(st.integers(0, 2)):
-        degree = draw(st.integers(0, 3))
-        monomials = list(combinations_with_replacement(range(M), degree))
+        degrees = sorted(draw(st.sets(st.integers(0, 3), min_size=1)))
+        monomials = [m for d in degrees for m in combinations_with_replacement(range(M), d)]
         coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monomials), max_size=len(monomials)))
         terms = tuple((mono, c) for mono, c in zip(monomials, coeffs) if c)
     else:
