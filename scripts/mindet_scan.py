@@ -34,17 +34,16 @@ def main():
         code = build()
         print(f"== {label} ==")
         for bound in range(1, args.max_bound + 1):
+            exhaustive = exhaustive_sweep(code, bound, SWEEP_BOUND)
             value = min_det_sample(
                 code,
                 bound,
                 seed=args.seed,
                 samples=args.samples,
                 enumeration_bound=SWEEP_BOUND,
+                exhaustive=exhaustive,
             )
-            if exhaustive_sweep(code, bound, SWEEP_BOUND):
-                mode = "exhaustive"
-            else:
-                mode = f"sampled x{args.samples}"
+            mode = "exhaustive" if exhaustive else f"sampled x{args.samples}"
             print(f"   box {bound} ({mode}): min |norm det| = {value}")
         print()
 

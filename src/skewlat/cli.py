@@ -241,6 +241,7 @@ def cmd_mindet(cfg: Config, args):
         seed=cfg.seed,
         samples=args.samples,
         enumeration_bound=cfg.bound,
+        exhaustive=exhaustive,
     )
     mode = "exhaustive" if exhaustive else "sampled"
     payload = {

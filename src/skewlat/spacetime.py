@@ -13,17 +13,18 @@ a rational integer and norm_det is nrd ** n.
 min_det_sample probes the space-time design criterion: over a division
 algebra det M(a - a') = det(M(a) - M(a')) never vanishes for a != a'.  The
 reduced norm, a form in the order's flat coordinates (_flat_form), is
-expanded once per algebra and kept both as monomial terms and as source.
-The exhaustive mode is exact for its box: boxsweep, imported on the first
-exhaustive sweep, composes the terms with the lattice basis and compiles
-nested loops over the half box that substitute one lattice coordinate per
-level, O(1) amortised work per difference.  The sampled mode compiles one
-loop per (basis, form) that evaluates the source inline on differences of
-box points, fed at C level by getrandbits bytes that are randint's draws;
-it is a sample, never a certificate.  Both kinds of sweep are kept in
-bounded caches.  Both cofactor expansions, of det M and of the form, raise
-TooLarge past ENUMERATION_BOUND products.  Matrix entries and cofactor
-terms add through lattice.vector_sum.
+expanded once per algebra and kept as monomial terms.  A query sweeps when
+the differences of its doubled box fit the enumeration bound
+(exhaustive_sweep) and samples otherwise.  The sweep is exact for its box:
+boxsweep, imported on the first sweep, compiles nested loops over the half
+box that substitute one lattice coordinate per level, O(1) amortised work
+per difference.  The sampled mode compiles one loop per (basis, form) that
+evaluates the form's Horner source on differences of box points, fed at C
+level by getrandbits bytes that are randint's draws; it gives an upper
+bound, never a certificate.  Both kinds of loop are kept in bounded caches.
+Both cofactor expansions, of det M and of the form, raise TooLarge past
+ENUMERATION_BOUND products.  Matrix entries and cofactor terms add through
+lattice.vector_sum.
 
 Coset encoding splits a lattice point into an information codeword plus a
 random offset in p times the order (the wiretap-coding primitive), adding or
@@ -36,7 +37,7 @@ import operator
 import random
 from functools import lru_cache
 from itertools import chain, repeat
-from math import factorial, inf
+from math import inf
 
 from .codes import ConstacyclicCode
 from .errors import InvalidSpec, LengthMismatch, NotInLattice, TooLarge
@@ -52,7 +53,7 @@ from .lattice import (
 from .number_ring import ENUMERATION_BOUND, Record, compile_function, linear_source
 
 _DRAW_BATCH = 1024  # 32-bit words per getrandbits batch in _sampled_pairs
-_FLAT_FORMS = {}  # (min_poly, sigma_image, u) -> source of G
+_FLAT_FORMS = {}  # (min_poly, sigma_image, u) -> terms of G
 
 
 class SpaceTimeMatrix:
@@ -185,15 +186,9 @@ def exhaustive_sweep(
     """Whether min_det_sample sweeps exhaustively: true when the
     ((4 * coeff_bound + 1)^(n^2) - 1) / 2 differences the sweep evaluates,
     each nonzero point of the doubled box once up to sign, fit in
-    enumeration_bound.  Each difference weighs n!/2, the cofactor terms of
-    an n x n determinant relative to n = 2, so every quadratic decision
-    counts differences and a cubic difference counts three times.  The
-    weight is kept as the decision rule so that modes stay stable; it no
-    longer measures the cost of a difference, which is O(1) amortised in
-    the nested sweep of boxsweep."""
+    enumeration_bound."""
     n = code.ring.n
-    differences = ((4 * coeff_bound + 1) ** (n * n) - 1) // 2
-    return differences * factorial(n) // 2 <= enumeration_bound
+    return ((4 * coeff_bound + 1) ** (n * n) - 1) // 2 <= enumeration_bound
 
 
 def _sampled_pairs(rng, coeff_bound, N):
@@ -240,15 +235,14 @@ def _horner_source(form):
         f"x{i}" if groups[i] == {(): 1} else f"x{i}*({_horner_source(groups[i])})"
         for i in sorted(groups)
     )
-    return "+".join(terms)
+    return "+".join(terms) or "0"
 
 
 def _flat_form(order):
-    """(terms, source) of the integer form G(x) = nrd(x) in the order's flat
+    """The terms of the integer form G(x) = nrd(x) in the order's flat
     coordinates x0, x1, ...: its (sorted variable indices, coefficient)
-    pairs, which the exhaustive sweep composes with the basis B, and its
-    source grouped Horner-style, which the sampled sweep reads at x = B d
-    (_basis_map).
+    pairs, which the exhaustive sweep composes with the basis B and the
+    sampled sweep compiles as Horner source read at x = B d (_basis_map).
 
     M is additive, so G has degree n in the n^2 coordinates, and it is sparse
     since entry (r, c) of M(x) reads only the e^((r - c) mod n) coefficient of
@@ -290,7 +284,7 @@ def _flat_form(order):
         if any(any(rest) for _, *rest in form.values()):
             raise InvalidSpec("the reduced norm form has a nonzero non-constant coordinate")
         terms = {mono: vec[0] for mono, vec in form.items() if vec[0]}
-        _FLAT_FORMS[key] = tuple(terms.items()), _horner_source(terms) or "0"
+        _FLAT_FORMS[key] = tuple(terms.items())
     return _FLAT_FORMS[key]
 
 
@@ -302,17 +296,17 @@ def _basis_map(columns, indent):
 
 
 @lru_cache(maxsize=32)
-def _sweep(columns, flat_form):
+def _sweep(columns, terms):
     """The compiled sweep(pairs, best, left) -> (least |F(d)| below best, first such d),
     each d read as z1 - z2 of sampled pairs (z1, z2), skipping equal pairs and
     stopping after `left` others.  Compiled sweeps are kept in a bounded cache
-    keyed by both arguments, columns as tuples and flat_form as G's source."""
+    keyed by both arguments, columns as tuples and terms as _flat_form's."""
     d = [f"d{j}" for j in range(len(columns))]
     ds = ", ".join(d) + ","
     head = f"({ds.replace('d', 'a')}), ({ds.replace('d', 'b')})"
     body = "".join(f"        {x} = a{j} - b{j}\n" for j, x in enumerate(d))
     body += f"        if not ({' or '.join(d)}):\n            continue\n"
-    body += f"{_basis_map(columns, ' ' * 8)}        v = abs({flat_form})\n"
+    body += f"{_basis_map(columns, ' ' * 8)}        v = abs({_horner_source(dict(terms))})\n"
     body += f"        if v < best:\n            best, best_d = v, ({ds})\n"
     body += "            if not v:\n                break\n"
     body += "        left -= 1\n        if not left:\n            break\n    return best, best_d\n"
@@ -333,22 +327,23 @@ def min_det_sample(
 
     Points have coordinates in [-coeff_bound, coeff_bound] in the code's
     lattice basis; a difference d gives |G(B d)|^n, G from _flat_form.
-    When the differences fit in enumeration_bound (exhaustive_sweep) every
-    nonzero one in the doubled box is visited once up to sign, in
-    lexicographic order, by boxsweep.half_box_sweep; otherwise `samples`
-    differences of random distinct box points are drawn with `seed`.  The
+    The mode is `exhaustive`, or exhaustive_sweep(...) when that is None.
+    An exhaustive query visits every nonzero difference of the doubled box
+    once up to sign, in lexicographic order (boxsweep.half_box_sweep), so its
+    value is exact for the box; TooLarge when they do not fit
+    enumeration_bound.  A sampled query draws `samples` differences of random
+    distinct box points with `seed`, so its value is an upper bound.  The
     first minimizing difference, read into the order from the basis rows, is
-    re-checked through norm_det (RuntimeError if they disagree); zero
-    exhibits a rank-deficient difference.  Raises ValueError when
-    coeff_bound < 1, and in sampled mode ValueError when samples < 1 and
-    TooLarge when samples > ENUMERATION_BOUND.
+    re-checked through norm_det (RuntimeError if they disagree); zero exhibits
+    a rank-deficient difference.  Raises ValueError when coeff_bound < 1, and
+    in sampled mode ValueError when samples < 1 and TooLarge when samples >
+    ENUMERATION_BOUND.
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be at least 1")
-    fits = exhaustive_sweep(code, coeff_bound, enumeration_bound)
     if exhaustive is None:
-        exhaustive = fits
-    elif exhaustive and not fits:
+        exhaustive = exhaustive_sweep(code, coeff_bound, enumeration_bound)
+    elif exhaustive and not exhaustive_sweep(code, coeff_bound, enumeration_bound):
         raise TooLarge(f"coefficient box {coeff_bound} exceeds bound {enumeration_bound}")
     if not exhaustive and samples < 1:
         raise ValueError("samples must be at least 1 when sampling")
@@ -357,14 +352,14 @@ def min_det_sample(
     basis = construction_a_basis(code).basis
     cols = tuple(zip(*basis))
     order = NaturalOrder(code.ring.spec)  # per call: the mindet-sweep trace requires a build
-    terms, source = _flat_form(order)
+    terms = _flat_form(order)
     if exhaustive:
         from . import boxsweep  # only exhaustive sweeps need it; every CLI run imports spacetime
 
         best, best_d = boxsweep.half_box_sweep(cols, terms, coeff_bound)()
     else:
         pairs = _sampled_pairs(random.Random(seed), coeff_bound, len(cols))
-        best, best_d = _sweep(cols, source)(pairs, inf, samples)
+        best, best_d = _sweep(cols, terms)(pairs, inf, samples)
     best **= order.n
     flat = [sum(map(operator.mul, row, best_d)) for row in basis]
     witness = OrderElement(order, tuple(zip(*[iter(flat)] * order.n)))

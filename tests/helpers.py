@@ -315,14 +315,16 @@ def reduced_norm_form(order, columns):
 
     columns are the flat coordinates of a basis of a full-rank sublattice of
     the order.  The function computes x = B d through the sweep's basis map,
-    then the order's flat form G from the source spacetime._flat_form keeps,
-    so it raises what G's expansion raises: InvalidSpec when G is not
-    rational, TooLarge past ENUMERATION_BOUND products.  On Z[i] and the cubic, F has up to 10 and
-    165 monomials, against 4 and 57 in G.
+    then the Horner source of the order's flat form G from the terms
+    spacetime._flat_form keeps, so it raises what G's expansion raises:
+    InvalidSpec when G is not rational, TooLarge past ENUMERATION_BOUND
+    products.  On Z[i] and the cubic, F has up to 10 and 165 monomials,
+    against 4 and 57 in G.
     """
     names = "".join(f"d{j}, " for j in range(len(columns)))
     head = f"def form(d):\n    {names}= d\n{spacetime._basis_map(columns, '    ')}"
-    return compile_function(f"{head}    return {spacetime._flat_form(order)[1]}\n", "form")
+    source = spacetime._horner_source(dict(spacetime._flat_form(order)))
+    return compile_function(f"{head}    return {source}\n", "form")
 
 
 def random_element(ring, rng):

@@ -182,6 +182,43 @@ def test_mindet_commands(capsys, cfg_path, tmp_path):
     assert payload["division_attested"] is False
 
 
+@pytest.mark.parametrize(
+    "config, bound, mode",
+    [
+        ("bench/configs/cubic_p5.cfg", 976_562, "exhaustive"),
+        ("bench/configs/cubic_p5.cfg", 976_561, "sampled"),
+        ("configs/gaussian_p3.cfg", 312, "exhaustive"),
+        ("configs/gaussian_p3.cfg", 311, "sampled"),
+    ],
+)
+def test_mindet_prints_the_mode_that_ran(capsys, monkeypatch, config, bound, mode):
+    # The box-1 differences number (5^9 - 1) / 2 on the cubic and (5^4 - 1) / 2
+    # on gaussian-p3; a bound one below either count makes the query sample.
+    from pathlib import Path
+
+    from skewlat import boxsweep, spacetime
+
+    calls = {"exhaustive": 0, "sampled": 0}
+
+    def count(module, name, called):
+        build = getattr(module, name)
+
+        def counting(*args):
+            calls[called] += 1
+            return build(*args)
+
+        monkeypatch.setattr(module, name, counting)
+
+    count(boxsweep, "half_box_sweep", "exhaustive")
+    count(spacetime, "_sweep", "sampled")
+    path = Path(__file__).resolve().parent.parent / config
+    argv = ["mindet", "--config", str(path), "--coeff-bound", "1", "--bound", str(bound), "--json"]
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    assert json.loads(out)["mode"] == mode
+    assert calls == {"exhaustive": 0, "sampled": 0, mode: 1}
+
+
 def test_coset_round_trip_commands(capsys, cfg_path):
     rc, out, err = run(
         capsys,

@@ -278,7 +278,7 @@ def test_nested_sweeps_match_the_product_order_oracle_on_divisor_codes(spec, see
     rng = random.Random(seed)
     ring = QuotientRing(spec)
     order = NaturalOrder(spec)
-    terms, _ = spacetime._flat_form(order)
+    terms = spacetime._flat_form(order)
     for code in divisor_codes(ring):
         cols = tuple(zip(*construction_a_basis(code).basis))
         if spec.n == 3:
@@ -292,10 +292,22 @@ def test_nested_sweeps_match_the_product_order_oracle_on_divisor_codes(spec, see
 def test_nested_sweep_matches_the_product_order_oracle_on_the_whole_cubic():
     code = cubic_code()
     cols = tuple(zip(*construction_a_basis(code).basis))
-    terms, _ = spacetime._flat_form(NaturalOrder(CUBIC))
+    terms = spacetime._flat_form(NaturalOrder(CUBIC))
     value, d = assert_sweep_matches_the_oracle(cols, terms, 1)
     assert (value, d) == (5, (0, 0, 1, -2, -1, 1, 2, 0, 1))
-    assert min_det_sample(code, 1, exhaustive=True, enumeration_bound=2_929_686) == 5**3
+    assert min_det_sample(code, 1, exhaustive=True) == 5**3
+
+
+def test_min_det_sweeps_the_cubic_box_under_the_default_bound():
+    # No argument but the box: the default bound sweeps the cubic's 976,562
+    # differences.  Both values are p^(n(n - k)), the lower bound on the
+    # lattice's |norm det| over a division algebra with p unramified and
+    # prime to u, so there the box minimum is the lattice minimum.
+    code = cubic_code()
+    cofactor = ConstacyclicCode.from_generator(code.h)
+    assert (code.k, cofactor.k) == (2, 1)
+    assert min_det_sample(code, 1) == 5**3
+    assert min_det_sample(cofactor, 1) == 5**6
 
 
 @st.composite
@@ -362,11 +374,13 @@ def test_exhaustive_sweep_bounds_the_differences_it_evaluates():
     assert not spacetime.exhaustive_sweep(code, 1, enumeration_bound=100)
     assert spacetime.exhaustive_sweep(code, 1, enumeration_bound=312)
     # The cubic's (5^9 - 1) / 2 = 976,562 differences fit in the default
-    # bound, but at 3!/2 = 3 cofactor terms' weight each they do not.
+    # bound; the quartic's (5^16 - 1) / 2, about 7.6e10, do not.
     cubic = cubic_code()
-    assert not spacetime.exhaustive_sweep(cubic, 1)
-    assert not spacetime.exhaustive_sweep(cubic, 1, enumeration_bound=2_929_685)
-    assert spacetime.exhaustive_sweep(cubic, 1, enumeration_bound=2_929_686)
+    assert spacetime.exhaustive_sweep(cubic, 1)
+    assert not spacetime.exhaustive_sweep(cubic, 1, enumeration_bound=976_561)
+    assert spacetime.exhaustive_sweep(cubic, 1, enumeration_bound=976_562)
+    assert not spacetime.exhaustive_sweep(cubic, 2)
+    assert not spacetime.exhaustive_sweep(quartic_code(), 1)
     with pytest.raises(TooLarge):
         min_det_sample(code, 1, enumeration_bound=100, exhaustive=True)
 
@@ -410,7 +424,7 @@ def test_min_det_sampled_outputs_are_pinned():
     # Recorded before the draws were batched: the cubic code of
     # bench/configs/cubic_p5.cfg at box 1, 50 samples, seeds 0-3.
     code = cubic_code()
-    got = [min_det_sample(code, 1, seed=seed, samples=50) for seed in range(4)]
+    got = [min_det_sample(code, 1, seed=seed, samples=50, exhaustive=False) for seed in range(4)]
     assert got == [274625, 91125, 274625, 1000]
 
 
