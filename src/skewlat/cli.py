@@ -3,7 +3,8 @@
 Configs are flat ``key = value`` text files; values are integers, bracketed
 integer lists (possibly nested), or one of a few keywords.  Blank lines and
 ``#`` comments are allowed.  Required keys: p, min_poly, sigma_image, u.
-Optional: conjugation_mode, generator, bound, seed, e_weight.
+Optional: generator, bound, seed; conjugation_mode, complex or identity,
+is accepted and has no effect.
 
 Commands: divisors, code, dual, lattice, stmatrix, mindet, coset-encode,
 coset-decode, verify-examples, each listed once in _COMMANDS.  Each cmd_<name>
@@ -38,36 +39,24 @@ from .spacetime import (
     min_det_sample,
 )
 
-_INT_KEYS = ("p", "u", "bound", "seed", "e_weight")
+_INT_KEYS = ("p", "u", "bound", "seed")
 _LIST_KEYS = ("min_poly", "sigma_image")
 _NESTED_KEYS = ("generator",)
-_WORD_KEYS = ("conjugation_mode",)
 REQUIRED_KEYS = ("p", "min_poly", "sigma_image", "u")
-KNOWN_KEYS = _INT_KEYS + _LIST_KEYS + _NESTED_KEYS + _WORD_KEYS
+KNOWN_KEYS = _INT_KEYS + _LIST_KEYS + _NESTED_KEYS + ("conjugation_mode",)
 
 
 class Config(Record):
-    __slots__ = _fields = (
-        "p", "min_poly", "sigma_image", "u", "conjugation_mode", "generator", "bound", "seed",
-        "e_weight",
-    )
+    __slots__ = _fields = ("p", "min_poly", "sigma_image", "u", "generator", "bound", "seed")
 
     def __init__(
-        self, p, min_poly, sigma_image, u, conjugation_mode="complex", generator=None,
-        bound=ENUMERATION_BOUND, seed=0, e_weight=1,
+        self, p, min_poly, sigma_image, u, generator=None, bound=ENUMERATION_BOUND, seed=0
     ):
         self.p, self.min_poly, self.sigma_image, self.u = p, min_poly, sigma_image, u
-        self.conjugation_mode, self.generator = conjugation_mode, generator
-        self.bound, self.seed, self.e_weight = bound, seed, e_weight
+        self.generator, self.bound, self.seed = generator, bound, seed
 
     def spec(self) -> AlgebraSpec:
-        return AlgebraSpec(
-            min_poly=self.min_poly,
-            sigma_image=self.sigma_image,
-            u=self.u,
-            p=self.p,
-            conjugation_mode=self.conjugation_mode,
-        )
+        return AlgebraSpec(min_poly=self.min_poly, sigma_image=self.sigma_image, u=self.u, p=self.p)
 
 
 def _parse_int_list(raw, lineno, nested=False):
@@ -118,11 +107,12 @@ def parse_config(text: str) -> Config:
             values[key] = _parse_int_list(raw, lineno)
         elif key in _NESTED_KEYS:
             values[key] = _parse_int_list(raw, lineno, nested=True)
-        else:
+        else:  # conjugation_mode: its spelling is checked below, then it is dropped
             values[key] = raw
     for key in REQUIRED_KEYS:
         if key not in values:
             raise MissingKey(f"missing required key {key!r}")
+    AlgebraSpec.check_conjugation_mode(values.pop("conjugation_mode", "complex"))
     return Config(**values)
 
 
@@ -202,7 +192,7 @@ def cmd_dual(cfg: Config, args):
 
 def cmd_lattice(cfg: Config, args):
     code = _code(cfg)
-    payload = construction_a_basis(code, e_weight=cfg.e_weight).to_dict()
+    payload = construction_a_basis(code).to_dict()
     return payload, lambda: [
         f"index = {payload['index']}  gram_det = {payload['det']}",
         "basis (columns generate):", *_matrix_lines(payload["basis"]),

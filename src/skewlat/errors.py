@@ -62,7 +62,7 @@ class NotInLattice(SkewLatError):
 
 
 class IndefiniteForm(SkewLatError):
-    """Trace form is not positive on the configured basis (wrong conjugation mode)."""
+    """Trace form is not positive: no definite form on the field, or a zero Gram column."""
 
 
 class ParseError(SkewLatError):

@@ -18,9 +18,7 @@ from .skew import SkewPoly, central_poly
 GAUSSIAN_P3 = AlgebraSpec(min_poly=(1, 0, 1), sigma_image=(0, -1), u=-1, p=3)
 GAUSSIAN_P5 = AlgebraSpec(min_poly=(1, 0, 1), sigma_image=(0, -1), u=-1, p=5)
 GAUSSIAN_P2 = AlgebraSpec(min_poly=(1, 0, 1), sigma_image=(0, -1), u=-1, p=2)
-SQRT2_P3 = AlgebraSpec(
-    min_poly=(-2, 0, 1), sigma_image=(0, -1), u=-5, p=3, conjugation_mode="identity"
-)
+SQRT2_P3 = AlgebraSpec(min_poly=(-2, 0, 1), sigma_image=(0, -1), u=-5, p=3)
 # e^2 = 1 makes 1 + e a zero divisor; used to exhibit vanishing determinants.
 GAUSSIAN_P3_U1 = AlgebraSpec(min_poly=(1, 0, 1), sigma_image=(0, -1), u=1, p=3)
 

@@ -26,17 +26,17 @@ lattice equality a plain matrix comparison.  All arithmetic is arbitrary
 precision; Gram determinants overflow machine words even at small sizes.
 
 The trace form used for Gram matrices is
-    B(sum a_i e^i, sum b_i e^i) = sum_i w^i * Tr(a_i * conj(b_i))
-with conj = sigma for imaginary quadratic fields ("complex" mode), identity
-for totally real ones, and w an optional positive e-block weight (default 1).
-Its matrix T on the flat basis is built once per (spec, w) and cached, and
-every Gram matrix is read off it as B^T T B.
+    B(sum a_i e^i, sum b_i e^i) = sum_i Tr(a_i * conj(b_i))
+with conj the complex conjugation of K, a fact of the field that
+NaturalOrder.conj_power derives, so the form is positive definite.  Its
+matrix T on the flat basis is built once per spec and cached, and every Gram
+matrix is read off it as B^T T B.
 """
 
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 
 from . import intpoly
@@ -69,9 +69,21 @@ class NaturalOrder:
         return sum(c * t for c, t in zip(vec, self.trace_sums))
 
     def ok_conj(self, vec):
-        if self.spec.conjugation_mode == "complex":
-            return self.ok_sigma(vec, 1)
-        return tuple(vec)
+        return self.ok_sigma(vec, self.conj_power)
+
+    @cached_property
+    def conj_power(self) -> int:
+        """The c for which sigma^c is complex conjugation of K, once per order:
+        0 when K is totally real (every odd n), that is when [Tr(theta^a
+        theta^b)] passes Sylvester's test; else n/2, the one involution of a
+        totally complex cyclic K.  IndefiniteForm if neither form is definite."""
+        n, tr, mul, sigma = self.n, self.ok_trace, self.ok_mul, self.ok_sigma
+        powers = [tuple(int(a == j) for j in range(n)) for a in range(n)]
+        for c in (0, n // 2) if n % 2 == 0 else (0,):
+            form = [[tr(mul(x, sigma(y, c))) for y in powers] for x in powers]
+            if all(det_int([row[:k] for row in form[:k]]) > 0 for k in range(1, n + 1)):
+                return c
+        raise IndefiniteForm("neither Tr(x x) nor Tr(x sigma^(n/2)(x)) is positive definite")
 
     def ok_norm(self, vec) -> int:
         """Field norm N(vec) = vec*sigma(vec)...sigma^(n-1)(vec), an integer."""
@@ -361,36 +373,34 @@ class LatticeBasis(Record):
 
 
 @lru_cache(maxsize=32)
-def _trace_form(spec: AlgebraSpec, e_weight: int):
+def _trace_form(spec: AlgebraSpec):
     """The N x N matrix T of the trace form on the flat basis {theta^j e^i}.
 
-    B(x, y) = x^T T y.  T is block-diagonal: block i is w^i times the n x n
-    matrix [Tr(theta^a conj(theta^b))], built once per (spec, e_weight)
-    through natural_order(spec)'s ok_mul, ok_conj and ok_trace; the cache is bounded.
+    B(x, y) = x^T T y.  T is block-diagonal, each block the n x n matrix
+    [Tr(theta^a conj(theta^b))], built once per spec through
+    natural_order(spec)'s ok_mul, ok_conj and ok_trace; the cache is bounded.
     """
     order = natural_order(spec)
     n = order.n
     powers = [tuple(int(a == j) for j in range(n)) for a in range(n)]
     block = [[order.ok_trace(order.ok_mul(x, order.ok_conj(y))) for y in powers] for x in powers]
     return tuple(
-        tuple(e_weight**i * block[a][b] if i == j else 0 for j in range(n) for b in range(n))
+        tuple(block[a][b] if i == j else 0 for j in range(n) for b in range(n))
         for i in range(n)
         for a in range(n)
     )
 
 
-def gram_matrix(basis, spec: AlgebraSpec, e_weight: int = 1):
+def gram_matrix(basis, spec: AlgebraSpec):
     """Gram matrix B^T T B of the basis columns, T from _trace_form.
 
     basis is row-major with the generators as columns, in the flat basis of
     the order; the zero entries of each column are skipped.  Raises
     LengthMismatch for a column that is not N long, and IndefiniteForm, row
-    by row, at the first nonpositive diagonal entry, which signals a
-    conjugation_mode inconsistent with the field.
+    by row, at the first nonpositive diagonal entry; T is positive definite,
+    so only a zero column has one.
     """
-    if not isinstance(e_weight, int) or e_weight < 1:
-        raise InvalidSpec("e_weight must be a positive integer")
-    form = _trace_form(spec, e_weight)
+    form = _trace_form(spec)
     N = len(form)
     cols = []
     for col in zip(*basis):
@@ -405,13 +415,11 @@ def gram_matrix(basis, spec: AlgebraSpec, e_weight: int = 1):
             image = images[s]
             gram[r][s] = gram[s][r] = sum(v * image[i] for i, v in col)
         if gram[r][r] <= 0:
-            raise IndefiniteForm(
-                f"diagonal entry {gram[r][r]} <= 0; check conjugation_mode"
-            )
+            raise IndefiniteForm(f"diagonal entry {gram[r][r]} <= 0")
     return gram
 
 
-def _lift_basis(rows, pivots, spec: AlgebraSpec, e_weight: int) -> LatticeBasis:
+def _lift_basis(rows, pivots, spec: AlgebraSpec) -> LatticeBasis:
     """The lattice spanned by pZ^N and integer vectors of N flat
     coordinates, given by their reduced row echelon form over F_p
     (echelon_mod_p): its rows and their pivots.
@@ -426,12 +434,12 @@ def _lift_basis(rows, pivots, spec: AlgebraSpec, e_weight: int) -> LatticeBasis:
     p, N = spec.p, spec.n * spec.n
     free = [j for j in range(N) if j not in pivots]
     basis = hnf(list(zip(*rows, *([p if i == j else 0 for i in range(N)] for j in free))))
-    gram = gram_matrix(basis, spec, e_weight)
+    gram = gram_matrix(basis, spec)
     index = prod(basis[i][i] for i in range(N))
     return LatticeBasis(basis=basis, gram=gram, det=det_int(gram), index=index)
 
 
-def construction_a_basis(code: ConstacyclicCode, e_weight: int = 1) -> LatticeBasis:
+def construction_a_basis(code: ConstacyclicCode) -> LatticeBasis:
     """Basis of the preimage lattice of the code under reduction modulo p.
 
     Generated by p times the standard order basis together with the rows
@@ -440,7 +448,7 @@ def construction_a_basis(code: ConstacyclicCode, e_weight: int = 1) -> LatticeBa
     code.  The index in the full order is p^(n(n-k)) when the code is a
     free module of rank k.
     """
-    return _lift_basis(*code._echelon, code.ring.spec, e_weight)
+    return _lift_basis(*code._echelon, code.ring.spec)
 
 
 def dual_lattice_basis(code: ConstacyclicCode) -> LatticeBasis:
@@ -453,7 +461,7 @@ def dual_lattice_basis(code: ConstacyclicCode) -> LatticeBasis:
     the size of the dual; the HNF and the Gram matrix see N columns.
     """
     words = ([v for c in word for v in c.coeffs] for word in brute_force_dual(code))
-    return _lift_basis(*echelon_mod_p(words, code.ring.p), code.ring.spec, 1)
+    return _lift_basis(*echelon_mod_p(words, code.ring.p), code.ring.spec)
 
 
 def dual_lattice_inclusion_check(code_a: ConstacyclicCode, code_b: ConstacyclicCode) -> bool:

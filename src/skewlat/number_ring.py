@@ -105,23 +105,23 @@ class AlgebraSpec(Record):
     Construction is the one check of the fields, so every ring, order and
     norm built on a spec accepts the same ones.  It raises, in this order:
     InvalidSpec for a value that is not an int (floats, strings and bools
-    included), an m not monic of degree at least 2, an unknown
-    conjugation_mode, or "complex" on a field that is not quadratic;
-    NotPrime for a composite p; NonUnitU for a u that is not a unit mod p;
-    and TooLarge when n^4 > ENUMERATION_BOUND.  IntegralArithmetic, which
-    applies m and sigma, checks them next.  A spec is immutable; its field
-    tuple and its hash, which every per-spec cache uses, are kept from here.
+    included), an m not monic of degree at least 2, or an unknown
+    conjugation_mode; NotPrime for a composite p; NonUnitU for a u that is
+    not a unit mod p; and TooLarge when n^4 > ENUMERATION_BOUND.
+    IntegralArithmetic, which applies m and sigma, checks them next.  A spec
+    is immutable; its field tuple and its hash, which every per-spec cache
+    uses, are kept from here.
 
     min_poly: monic integer coefficients of m(y), constant first, degree n.
     sigma_image: integer coefficients of s(y), the image of the generator
         under the automorphism.
     u: integer constant with e^n = u in the ambient algebra.
     p: rational prime defining the quotient.
-    conjugation_mode: "complex" (conjugate = sigma, imaginary quadratic) or
-        "identity" (totally real); used only by the trace form.
+    conjugation_mode: "complex" or "identity", checked and not kept: the
+        trace form's conjugation is a fact of the field, not of the spec.
     """
 
-    _fields = ("min_poly", "sigma_image", "u", "p", "conjugation_mode")
+    _fields = ("min_poly", "sigma_image", "u", "p")
     __slots__ = _fields + ("_key", "_hash")
 
     def __init__(self, min_poly, sigma_image, u, p, conjugation_mode="complex"):
@@ -135,10 +135,7 @@ class AlgebraSpec(Record):
             raise InvalidSpec("min_poly must have degree at least 2")
         if min_poly[-1] != 1:
             raise InvalidSpec("min_poly must be monic")
-        if conjugation_mode not in ("complex", "identity"):
-            raise InvalidSpec("conjugation_mode must be 'complex' or 'identity'")
-        if conjugation_mode == "complex" and n != 2:
-            raise InvalidSpec("complex conjugation mode requires a quadratic field")
+        AlgebraSpec.check_conjugation_mode(conjugation_mode)
         if not _is_prime(p):
             raise NotPrime(f"p = {p} is not prime")
         if gcd(u, p) != 1:
@@ -146,7 +143,7 @@ class AlgebraSpec(Record):
         # IntegralArithmetic tabulates sigma^k(y^j) for all k, j < n, about n^4 steps.
         if n**4 > ENUMERATION_BOUND:
             raise TooLarge(f"degree {n}: n^4 = {n**4} exceeds bound {ENUMERATION_BOUND}")
-        key = (min_poly, sigma_image, u, p, conjugation_mode)
+        key = (min_poly, sigma_image, u, p)
         for name, value in zip(self._fields, key):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_key", key)
@@ -172,6 +169,12 @@ class AlgebraSpec(Record):
     @property
     def n(self):
         return len(self.min_poly) - 1
+
+    @staticmethod
+    def check_conjugation_mode(mode):
+        """The one spelling check of the inert conjugation_mode key and kwarg."""
+        if mode not in ("complex", "identity"):
+            raise InvalidSpec("conjugation_mode must be 'complex' or 'identity'")
 
 
 # Miller-Rabin over the first 13 prime bases is exact below this bound

@@ -1,6 +1,7 @@
 """Shared specs, random generators and brute-force oracles for the test suite."""
 
 import warnings
+from fractions import Fraction
 from itertools import islice, product
 from math import inf, isqrt
 
@@ -36,7 +37,6 @@ CUBIC = AlgebraSpec(
     sigma_image=(-2, 0, 1),
     u=2,
     p=5,
-    conjugation_mode="identity",
 )
 
 # The totally real cyclic quartic field Q(zeta_16)^+ of 2*cos(pi/8): minimal
@@ -47,7 +47,6 @@ QUARTIC = AlgebraSpec(
     sigma_image=(0, -3, 0, 1),
     u=3,
     p=5,
-    conjugation_mode="identity",
 )
 
 # Cyclic cubic fields whose Galois group is generated by y -> y^2 - 2: the
@@ -61,11 +60,12 @@ def replace_spec(spec, **changes):
     return AlgebraSpec(**{**dict(zip(spec._fields, spec._values())), **changes})
 
 
-# AlgebraSpec called on one full dict of its fields by keyword, positionally
-# and mixed, so that a test sees each field check from every call form.
+# AlgebraSpec called on one full dict of its arguments, its fields and the
+# conjugation_mode it checks but does not keep, by keyword, positionally and
+# mixed, so that a test sees each argument check from every call form.
 SPEC_CALLS = (
     lambda f: AlgebraSpec(**f),
-    lambda f: AlgebraSpec(*(f[name] for name in AlgebraSpec._fields)),
+    lambda f: AlgebraSpec(*(f[name] for name in AlgebraSpec._fields), f["conjugation_mode"]),
     lambda f: AlgebraSpec(
         f["min_poly"], f["sigma_image"], u=f["u"], p=f["p"], conjugation_mode=f["conjugation_mode"]
     ),
@@ -84,10 +84,10 @@ def valid_specs(draw, primes=(2, 3, 5, 7)):
     """Random valid specs: a quadratic field y^2 + b*y + c with a non-square
     discriminant and sigma: y -> -b - y, or a cyclic cubic with sigma:
     y -> y^2 - 2; p drawn from primes and an integer u prime to p.  The
-    conjugation mode matches the field ("complex" exactly for imaginary
-    quadratics), so Construction A's trace form is positive definite."""
+    inert conjugation_mode is drawn too, either spelling, so every test
+    that draws a spec sees that it does not matter."""
     p = draw(st.sampled_from(primes))
-    mode = "identity"
+    mode = draw(st.sampled_from(("complex", "identity")))
     if draw(st.booleans()):
         b, c = draw(
             st.tuples(st.integers(-3, 3), st.integers(-5, 5)).filter(
@@ -95,8 +95,6 @@ def valid_specs(draw, primes=(2, 3, 5, 7)):
             )
         )
         min_poly, sigma_image = (c, b, 1), (-b, -1)
-        if b * b - 4 * c < 0:
-            mode = "complex"
     else:
         min_poly, sigma_image = draw(st.sampled_from(CYCLIC_CUBICS)), (-2, 0, 1)
     u = draw(st.integers(-6, 6).filter(lambda v: v % p))
@@ -286,18 +284,42 @@ def lifted_lattice_basis(spec, words):
     return hnf([[col[i] for col in cols] for i in range(N)])
 
 
-def pairwise_gram_matrix(basis, spec, e_weight=1):
+def oracle_conj_power(order):
+    """The power c of sigma that is complex conjugation of the field, by a
+    rule of its own: for n = 2 sigma exactly when y^2 + m1 y + m0 has no real
+    root (m1^2 < 4 m0); for odd n the identity; for even n >= 4 the identity
+    exactly when an LDL^T elimination over Fractions of the identity trace
+    form [Tr(y^a y^b)] keeps every pivot positive, else sigma^(n/2)."""
+    n, m = order.n, order.min_poly
+    if n == 2:
+        return int(m[1] * m[1] < 4 * m[0])
+    if n % 2:
+        return 0
+    powers = [tuple(int(a == j) for j in range(n)) for a in range(n)]
+    form = [[Fraction(order.ok_trace(order.ok_mul(x, y))) for y in powers] for x in powers]
+    for k in range(n):
+        if form[k][k] <= 0:
+            return n // 2
+        for i in range(k + 1, n):
+            ratio = form[i][k] / form[k][k]
+            for j in range(k, n):
+                form[i][j] -= ratio * form[k][j]
+    return 0
+
+
+def pairwise_gram_matrix(basis, spec):
     """Oracle: the Gram matrix of the basis columns, one trace-form value
-    sum_i w^i Tr(x_i conj(y_i)) per pair of columns, each column built as an
-    order element, with gram_matrix's LengthMismatch and IndefiniteForm."""
+    sum_i Tr(x_i sigma^c(y_i)) per pair of columns with c from
+    oracle_conj_power, each column built as an order element, with
+    gram_matrix's LengthMismatch and IndefiniteForm."""
     order = NaturalOrder(spec)
     elems = [order.from_flat(col) for col in zip(*basis)]
-    weights = [e_weight**i for i in range(order.n)]
+    c = oracle_conj_power(order)
 
     def form(x, y):
         total = 0
         for i in range(order.n):
-            total += weights[i] * order.ok_trace(order.ok_mul(x.rows[i], order.ok_conj(y.rows[i])))
+            total += order.ok_trace(order.ok_mul(x.rows[i], order.ok_sigma(y.rows[i], c)))
         return total
 
     size = len(elems)
@@ -306,7 +328,7 @@ def pairwise_gram_matrix(basis, spec, e_weight=1):
         for s in range(r, size):
             gram[r][s] = gram[s][r] = form(elems[r], elems[s])
         if gram[r][r] <= 0:
-            raise IndefiniteForm(f"diagonal entry {gram[r][r]} <= 0; check conjugation_mode")
+            raise IndefiniteForm(f"diagonal entry {gram[r][r]} <= 0")
     return gram
 
 

@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from skewlat import cli
 from skewlat.cli import Config, error_code, load_config, main, parse_config
 from skewlat.errors import (
+    InvalidSpec,
     MissingKey,
     NotPrime,
     ParseError,
@@ -45,9 +47,21 @@ def test_parse_config_basic():
     assert cfg.sigma_image == [0, -1]
     assert cfg.u == -1
     assert cfg.generator == [[1, 1], [1, 0]]
-    assert cfg.conjugation_mode == "complex"
     spec = cfg.spec()
     assert spec.n == 2
+
+
+def test_conjugation_mode_is_checked_but_inert_and_e_weight_is_unknown():
+    for mode in ("complex", "identity"):
+        assert parse_config(GAUSSIAN_P3_TEXT + f"conjugation_mode = {mode}\n") == parse_config(
+            GAUSSIAN_P3_TEXT
+        )
+    with pytest.raises(InvalidSpec, match="conjugation_mode must be 'complex' or 'identity'"):
+        parse_config(GAUSSIAN_P3_TEXT + "conjugation_mode = Complex\n")
+    with pytest.raises(ParseError, match="duplicate"):
+        parse_config(GAUSSIAN_P3_TEXT + "conjugation_mode = complex\n" * 2)
+    with pytest.raises(UnknownKey, match="line 7: unknown key 'e_weight'"):
+        parse_config(GAUSSIAN_P3_TEXT + "e_weight = 1\n")
 
 
 def test_parse_config_minimal_four_keys():
@@ -147,6 +161,77 @@ def test_lattice_command(capsys, cfg_path):
     assert payload["index"] == 9
     assert payload["det"] == 1296
     assert len(payload["basis"]) == 4 and len(payload["gram"]) == 4
+
+
+# -- the trace form takes its conjugation from the field ---------------------
+
+REPO = Path(__file__).resolve().parent.parent
+
+# The real quadratic Z[(1 + sqrt 5)/2] with the whole order as its lattice
+# (generator 1): sigma is no conjugation of a real field, so the form must be
+# the identity trace form whatever the config says.
+SQRT5_TEXT = """\
+p = 7
+min_poly = [1, -3, 1]
+sigma_image = [3, -1]
+u = 3
+conjugation_mode = complex
+generator = [[1, 0]]
+"""
+
+# Q(zeta_5): totally complex of degree 4, where conjugation is sigma^2.
+ZETA5_TEXT = """\
+p = 11
+min_poly = [1, 1, 1, 1, 1]
+sigma_image = [0, 0, 1]
+u = 2
+generator = [[1, 0, 0, 0]]
+"""
+
+
+def test_real_quadratic_gram_is_the_identity_trace_form(capsys, tmp_path):
+    path = tmp_path / "sqrt5.cfg"
+    path.write_text(SQRT5_TEXT)
+    rc, out, err = run(capsys, "lattice", "--config", str(path), "--json")
+    assert rc == 0, err
+    payload = json.loads(out)
+    block = [[2, 3], [3, 7]]  # [Tr(y^a y^b)]: Tr(1) = 2, Tr(y) = 3, Tr(y^2) = 7
+    assert payload["gram"] == [row + [0, 0] for row in block] + [[0, 0] + row for row in block]
+    assert payload["det"] == 25 and payload["index"] == 1
+
+
+@pytest.mark.parametrize(
+    "config, argvs",
+    [
+        ("configs/gaussian_p3.cfg", (["lattice"], ["mindet", "--coeff-bound", "1"])),
+        ("bench/configs/cubic_p5.cfg", (["code"], ["lattice"])),
+    ],
+)
+def test_conjugation_mode_line_changes_no_output(capsys, tmp_path, config, argvs):
+    # Adding or dropping the line, in either spelling, changes no output:
+    # the conjugation is complex conjugation of the field.
+    text = (REPO / config).read_text()
+    lines = [line for line in text.splitlines() if not line.startswith("conjugation_mode")]
+    variants = ["\n".join(lines) + "\n", "\n".join(lines) + "\nconjugation_mode = identity\n"]
+    for argv in argvs:
+        expected = run(capsys, argv[0], "--config", str(REPO / config), *argv[1:])
+        assert expected[0] == 0
+        for variant in variants:
+            path = tmp_path / "variant.cfg"
+            path.write_text(variant)
+            assert run(capsys, argv[0], "--config", str(path), *argv[1:]) == expected, argv
+
+
+@pytest.mark.filterwarnings("ignore:irreducibility over Q")
+def test_totally_complex_quartic_gram_is_positive_definite(capsys, tmp_path):
+    from skewlat import det_int
+
+    path = tmp_path / "zeta5.cfg"
+    path.write_text(ZETA5_TEXT)
+    rc, out, err = run(capsys, "lattice", "--config", str(path), "--json")
+    assert rc == 0, err
+    gram = json.loads(out)["gram"]
+    assert all(det_int([row[:k] for row in gram[:k]]) > 0 for k in range(1, len(gram) + 1))
 
 
 def test_stmatrix_command(capsys, cfg_path):
@@ -622,7 +707,6 @@ def test_library_warnings_print_as_one_stable_line(tmp_path):
     path.write_text(
         f"p = {QUARTIC.p}\nmin_poly = {list(QUARTIC.min_poly)}\n"
         f"sigma_image = {list(QUARTIC.sigma_image)}\nu = {QUARTIC.u}\n"
-        f"conjugation_mode = {QUARTIC.conjugation_mode}\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(
@@ -706,7 +790,7 @@ def test_one_natural_order_per_spec_across_readers(monkeypatch, capsys, cfg_path
     spec = load_config(cfg_path).spec()
     order = lattice.natural_order(spec)
     assert lattice.natural_order(load_config(cfg_path).spec()) is order
-    lattice._trace_form(spec, 1)
+    lattice._trace_form(spec)
     ring = QuotientRing(spec)
     code = ConstacyclicCode.from_generator(SkewPoly(ring, [ring.gen + 1, ring.one]))
     enc = coset_encode(code, [ring.one], [1, 0, -1, 2])

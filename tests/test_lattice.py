@@ -23,7 +23,7 @@ from skewlat import (
     lift_codeword,
     reduce_element,
 )
-from skewlat.errors import IndefiniteForm, InvalidSpec, LengthMismatch
+from skewlat.errors import IndefiniteForm, LengthMismatch
 from skewlat.fixtures import FIXTURE_SPECS, fixture_code, fixture_ring
 from skewlat.lattice import _lift_basis
 from skewlat.number_ring import echelon_mod_p
@@ -33,6 +33,7 @@ from helpers import (
     divisor_codes,
     lattice_inclusion,
     lifted_lattice_basis,
+    oracle_conj_power,
     pairwise_gram_matrix,
     random_element,
     random_order_element,
@@ -256,6 +257,7 @@ def test_gram_gaussian_order():
 
 
 def test_gram_sqrt2_order_and_e_weight():
+    # The form has no e-block weight: every block of T is the same trace form.
     spec = FIXTURE_SPECS["sqrt2-p3-selfdual"]
     assert gram_matrix(IDENTITY4, spec) == [
         [2, 0, 0, 0],
@@ -263,18 +265,37 @@ def test_gram_sqrt2_order_and_e_weight():
         [0, 0, 2, 0],
         [0, 0, 0, 4],
     ]
-    assert gram_matrix(IDENTITY4, spec, e_weight=5) == [
-        [2, 0, 0, 0],
-        [0, 4, 0, 0],
-        [0, 0, 10, 0],
-        [0, 0, 0, 20],
+    with pytest.raises(TypeError):
+        gram_matrix(IDENTITY4, spec, e_weight=5)
+
+
+def test_gram_mode_spellings_give_one_gram():
+    # Z[sqrt 2] is real: either spelling gives one spec, the identity
+    # conjugation and one positive definite Gram matrix.
+    spellings = [
+        AlgebraSpec((-2, 0, 1), (0, -1), u=-5, p=3, conjugation_mode=mode)
+        for mode in ("complex", "identity")
     ]
+    assert spellings[0] == spellings[1] == FIXTURE_SPECS["sqrt2-p3-selfdual"]
+    assert NaturalOrder(spellings[0]).conj_power == 0
+    assert gram_matrix(IDENTITY4, spellings[0]) == gram_matrix(IDENTITY4, spellings[1])
 
 
-def test_gram_wrong_mode_is_indefinite():
-    bad = AlgebraSpec((-2, 0, 1), (0, -1), u=-5, p=3, conjugation_mode="complex")
-    with pytest.raises(IndefiniteForm):
-        gram_matrix(IDENTITY4, bad)
+@pytest.mark.parametrize(
+    "min_poly, sigma_image, power",
+    [
+        ((1, 0, 1), (0, -1), 1),  # Z[i]
+        ((5, 0, 1), (0, -1), 1),  # Z[sqrt -5]
+        ((1, -3, 1), (3, -1), 0),  # Z[(1 + sqrt 5)/2], real
+        ((-1, -2, 1, 1), (-2, 0, 1), 0),  # cyclic cubic
+        ((2, 0, -4, 0, 1), (0, -3, 0, 1), 0),  # Q(zeta_16)^+, real quartic
+        ((1, 1, 1, 1, 1), (0, 0, 1), 2),  # Q(zeta_5)
+        ((1, 1, 1, 1, 1, 1, 1), (0, 0, 0, 1), 3),  # Q(zeta_7)
+    ],
+)
+def test_conjugation_is_derived_from_the_field(min_poly, sigma_image, power):
+    order = NaturalOrder(AlgebraSpec(min_poly, sigma_image, u=1, p=11))
+    assert order.conj_power == oracle_conj_power(order) == power
 
 
 def test_gram_is_symmetric_positive_on_fixture_lattices(fixture_name):
@@ -287,48 +308,36 @@ def test_gram_is_symmetric_positive_on_fixture_lattices(fixture_name):
     assert lat.det > 0
 
 
-def _other_mode(spec):
-    """The spec with the conjugation mode that does not fit its field, when
-    the field is quadratic; cubic specs allow only "identity"."""
-    if spec.n != 2:
-        return spec
-    return replace_spec(
-        spec, conjugation_mode="identity" if spec.conjugation_mode == "complex" else "complex"
-    )
-
-
 @settings(max_examples=60, deadline=None)
-@given(
-    spec=valid_specs(),
-    e_weight=st.sampled_from((1, 2, 3)),
-    flip_mode=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(spec=FIXTURE_SPECS["gaussian-p3-inert"], e_weight=2, flip_mode=True, seed=0)
-@example(spec=FIXTURE_SPECS["sqrt2-p3-selfdual"], e_weight=3, flip_mode=True, seed=1)
-def test_gram_matrix_matches_the_pairwise_oracle(spec, e_weight, flip_mode, seed):
-    # Random sparse columns, zero columns included; in the mode that does not
-    # fit the field the form may be indefinite, and both must then fail at
-    # the same row with the same message.
-    if flip_mode:
-        spec = _other_mode(spec)
+@given(spec=valid_specs(), seed=st.integers(0, 2**32 - 1))
+@example(spec=FIXTURE_SPECS["gaussian-p3-inert"], seed=0)
+@example(spec=FIXTURE_SPECS["sqrt2-p3-selfdual"], seed=1)
+@example(spec=AlgebraSpec((1, -3, 1), (3, -1), u=3, p=7, conjugation_mode="complex"), seed=2)
+@example(spec=AlgebraSpec((1, 1, 1, 1, 1), (0, 0, 1), u=2, p=11), seed=3)
+@example(spec=AlgebraSpec((1, 1, 1, 1, 1, 1, 1), (0, 0, 0, 1), u=2, p=13), seed=4)
+def test_gram_matrix_matches_the_pairwise_oracle(spec, seed):
+    # Random sparse columns, zero columns included: the form is positive
+    # definite, so both fail, at the same row with the same message, exactly
+    # at the first zero column.
     rng = random.Random(seed)
     N = spec.n * spec.n
     size = rng.randrange(1, N + 2)
     basis = [[rng.choice((0, 0, rng.randrange(-9, 10))) for _ in range(size)] for _ in range(N)]
     try:
-        expected = pairwise_gram_matrix(basis, spec, e_weight)
+        expected = pairwise_gram_matrix(basis, spec)
     except IndefiniteForm as exc:
         with pytest.raises(IndefiniteForm) as caught:
-            gram_matrix(basis, spec, e_weight)
-        assert str(caught.value) == str(exc)
+            gram_matrix(basis, spec)
+        assert str(caught.value) == str(exc) == "diagonal entry 0 <= 0"
+        assert not all(map(any, zip(*basis)))
     else:
-        assert gram_matrix(basis, spec, e_weight) == expected
+        assert gram_matrix(basis, spec) == expected
+        assert all(map(any, zip(*basis)))
     for wrong in (basis[:-1], basis + [basis[0]]):  # every column N - 1 or N + 1 long
         with pytest.raises(LengthMismatch) as caught:
-            gram_matrix(wrong, spec, e_weight)
+            gram_matrix(wrong, spec)
         with pytest.raises(LengthMismatch) as oracle:
-            pairwise_gram_matrix(wrong, spec, e_weight)
+            pairwise_gram_matrix(wrong, spec)
         assert str(caught.value) == str(oracle.value)
 
 
@@ -480,14 +489,14 @@ def test_lift_basis_matches_the_lifted_words_oracle_on_awkward_generators(spec, 
         awkward += [[v + p * rng.choice((-2, -1, 1, 2)) for v in row] for row in flat]
         rng.shuffle(awkward)
         expected = lifted_lattice_basis(spec, words)
-        lat = _lift_basis(*echelon_mod_p(awkward, p), spec, 1)
+        lat = _lift_basis(*echelon_mod_p(awkward, p), spec)
         assert lat.basis == expected == construction_a_basis(code).basis
         assert lat.gram == pairwise_gram_matrix(expected, spec)
         assert lat.det == det_int(lat.gram)
         assert lat.index == prod(expected[i][i] for i in range(N))
         if code.k in (0, code.n):  # the zero code and the full code
             assert lat.index == p ** (N - code.k * ring.n)
-    assert _lift_basis([], [], spec, 1).basis == lifted_lattice_basis(spec, [])
+    assert _lift_basis([], [], spec).basis == lifted_lattice_basis(spec, [])
 
 
 def test_cubic_inclusion_at_p31_builds_no_lattice():
@@ -510,5 +519,7 @@ def test_det_int_rejects_a_float_entry():
 
 
 def test_construction_a_rejects_a_float_e_weight():
-    with pytest.raises(InvalidSpec, match="e_weight must be a positive integer"):
-        construction_a_basis(fixture_code("gaussian-p3-inert"), e_weight=1.5)
+    # Construction A takes no e-block weight at all, float or int.
+    for e_weight in (1.5, 2):
+        with pytest.raises(TypeError):
+            construction_a_basis(fixture_code("gaussian-p3-inert"), e_weight=e_weight)

@@ -132,11 +132,6 @@ def test_spec_rejects_values_that_are_not_ints():
 # search or matrix is ever built on such a spec.
 FIELD_VIOLATIONS = (
     (dict(conjugation_mode="bogus"), InvalidSpec, "conjugation_mode must be 'complex' or 'identity'"),
-    (
-        dict(min_poly=(-1, -2, 1, 1), sigma_image=(-2, 0, 1), u=2, p=5),
-        InvalidSpec,
-        "complex conjugation mode requires a quadratic field",
-    ),
     (dict(p=4), NotPrime, "p = 4 is not prime"),
     (dict(u=6), NonUnitU, "u = 6 is not a unit modulo p = 3"),
     (dict(u=0), NonUnitU, "u = 0 is not a unit modulo p = 3"),
@@ -144,7 +139,7 @@ FIELD_VIOLATIONS = (
 
 
 @pytest.mark.parametrize(
-    "fields, error, message", FIELD_VIOLATIONS, ids=("bogus-mode", "complex-cubic", "p4", "u6", "u0")
+    "fields, error, message", FIELD_VIOLATIONS, ids=("bogus-mode", "p4", "u6", "u0")
 )
 def test_spec_is_the_one_gate_for_field_rules(fields, error, message):
     for call in SPEC_CALLS:

@@ -15,6 +15,7 @@ from skewlat import AlgebraSpec, construction_a_basis, coset_encode
 from skewlat.cli import Config
 from skewlat.errors import InvalidSpec, NotPrime
 from skewlat.fixtures import GAUSSIAN_P3, CheckResult, fixture_code
+from skewlat.lattice import LatticeBasis
 from skewlat.number_ring import ENUMERATION_BOUND
 
 from helpers import SPEC_CALLS
@@ -44,14 +45,19 @@ def test_spec_from_lists_or_tuples_is_one_value():
     tupled = AlgebraSpec(min_poly=(1, 0, 1), sigma_image=(0, -1), u=-1, p=3)
     assert listed == tupled == GAUSSIAN_P3
     assert listed.min_poly == (1, 0, 1) and listed.sigma_image == (0, -1)
-    assert listed.conjugation_mode == "complex" and listed.n == 2
-    assert hash(listed) == hash(tupled) == hash(((1, 0, 1), (0, -1), -1, 3, "complex"))
+    assert listed.n == 2 and not hasattr(listed, "conjugation_mode")
+    assert hash(listed) == hash(tupled) == hash(((1, 0, 1), (0, -1), -1, 3))
     assert {listed: 1}[tupled] == 1
     for name, other in (("u", 2), ("p", 5), ("sigma_image", (0, 1))):
         assert AlgebraSpec(**{**BASE, name: other}) != listed
-    assert AlgebraSpec(**{**BASE, "conjugation_mode": "identity"}) != listed
+    # conjugation_mode is checked, not kept: both spellings give one spec, for
+    # every degree, a cubic with "complex" included.
+    identity = AlgebraSpec(**{**BASE, "conjugation_mode": "identity"})
+    assert identity == listed and hash(identity) == hash(listed)
+    cubic = dict(min_poly=(-1, -2, 1, 1), sigma_image=(-2, 0, 1), u=2, p=5)
+    assert AlgebraSpec(**cubic, conjugation_mode="complex") == AlgebraSpec(**cubic)
     # Equal fields in another type are not a spec.
-    assert listed != ((1, 0, 1), (0, -1), -1, 3, "complex")
+    assert listed != ((1, 0, 1), (0, -1), -1, 3)
 
 
 def test_spec_is_immutable():
@@ -65,11 +71,9 @@ def test_spec_is_immutable():
 
 
 def test_spec_repr_copy_and_pickle():
-    assert repr(GAUSSIAN_P3) == (
-        "AlgebraSpec(min_poly=(1, 0, 1), sigma_image=(0, -1), u=-1, p=3, "
-        "conjugation_mode='complex')"
-    )
-    for clone in (copy.copy(GAUSSIAN_P3), pickle.loads(pickle.dumps(GAUSSIAN_P3))):
+    assert repr(GAUSSIAN_P3) == "AlgebraSpec(min_poly=(1, 0, 1), sigma_image=(0, -1), u=-1, p=3)"
+    identity = AlgebraSpec(**{**BASE, "conjugation_mode": "identity"})
+    for clone in (copy.copy(identity), pickle.loads(pickle.dumps(identity))):
         assert clone == GAUSSIAN_P3 and hash(clone) == hash(GAUSSIAN_P3)
 
 
@@ -77,7 +81,7 @@ def test_lattice_basis_to_dict_returns_fresh_lists():
     code = fixture_code("gaussian-p3-inert")
     lat = construction_a_basis(code)
     assert lat == construction_a_basis(code)
-    assert lat != construction_a_basis(code, e_weight=2)
+    assert lat != LatticeBasis(lat.basis, [row[::-1] for row in lat.gram], lat.det, lat.index)
     out = lat.to_dict()
     assert out == {"basis": lat.basis, "gram": lat.gram, "det": lat.det, "index": lat.index}
     assert all(type(row) is list for row in out["basis"] + out["gram"])
@@ -104,17 +108,20 @@ def test_coset_encodings_compare_by_value():
 
 def test_config_defaults_and_mutability():
     cfg = Config(p=3, min_poly=[1, 0, 1], sigma_image=[0, -1], u=-1)
-    assert (cfg.conjugation_mode, cfg.generator) == ("complex", None)
-    assert (cfg.bound, cfg.seed, cfg.e_weight) == (ENUMERATION_BOUND, 0, 1)
+    assert (cfg.generator, cfg.bound, cfg.seed) == (None, ENUMERATION_BOUND, 0)
     assert cfg.spec() == GAUSSIAN_P3
-    same = Config(3, [1, 0, 1], [0, -1], -1, "complex", None, ENUMERATION_BOUND, 0, 1)
+    same = Config(3, [1, 0, 1], [0, -1], -1, None, ENUMERATION_BOUND, 0)
     assert cfg == same
     cfg.bound, cfg.seed = 5, 7
     assert cfg != same and (cfg.bound, cfg.seed) == (5, 7)
     assert repr(same) == (
-        "Config(p=3, min_poly=[1, 0, 1], sigma_image=[0, -1], u=-1, conjugation_mode='complex', "
-        f"generator=None, bound={ENUMERATION_BOUND}, seed=0, e_weight=1)"
+        "Config(p=3, min_poly=[1, 0, 1], sigma_image=[0, -1], u=-1, "
+        f"generator=None, bound={ENUMERATION_BOUND}, seed=0)"
     )
+    # Config has no trace-form field.
+    for knob in ("conjugation_mode", "e_weight"):
+        with pytest.raises(TypeError):
+            Config(3, [1, 0, 1], [0, -1], -1, **{knob: 1})
 
 
 def test_check_result_fields():
