@@ -23,6 +23,12 @@ lifts its rows, and H, the nullspace ker G, is read off it on the first
 is_codeword.  Encoding b is the combination of the rows of G with b's
 coordinates, which equals b*g because deg(b*g) < n.  v is a codeword
 exactly when H*v = 0, because over F_p the row space of G is (ker G)^perp.
+Both maps run as straight-line kernels, compiled by compile_function once
+per code on first use, with the entries of G and H as literals: the first
+encode compiles the encoder, the first is_codeword the parity check.  A sum
+has at most n*m <= 961 terms (AlgebraSpec keeps n^4 <= ENUMERATION_BOUND),
+and it is written as parenthesized sums of at most 64, so compiling it
+needs little recursion whatever the caller's depth.
 
 The Euclidean scalar product is F_p-bilinear, so products of the same
 generators decide duality for every u: is_orthogonal_to tests C inside
@@ -42,10 +48,17 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import product, repeat
-from operator import add, mod, mul
+from operator import add, attrgetter, mod, mul
 
 from .errors import LengthMismatch, NonUnitLeading, NotADivisor, NotInvertible, TooLarge, UnsupportedU
-from .number_ring import ENUMERATION_BOUND, QuotientRing, echelon_mod_p, nullspace_mod_p
+from .number_ring import (
+    ENUMERATION_BOUND,
+    QuotientRing,
+    compile_function,
+    echelon_mod_p,
+    linear_source,
+    nullspace_mod_p,
+)
 from .skew import SkewPoly, central_poly
 
 
@@ -130,34 +143,47 @@ class ConstacyclicCode:
     @cached_property
     def _parity_rows(self):
         """The rows of H = ker G, read off the echelon form of G on the first
-        is_codeword, so encoding and Construction A never pay for it."""
+        is_codeword, when the parity kernel is compiled from them, so
+        encoding and Construction A never pay for it."""
         return nullspace_mod_p(self._echelon, self.n * self.ring.n, self.ring.p)
+
+    @cached_property
+    def _encoder(self):
+        """The encode kernel, compiled from the columns of G on the first
+        encode: the coefficient tuples of the k message symbols to the n
+        kept RingElements of the codeword."""
+        source = _encoder_source(self._generator_columns, self.k, self.ring.n, self.ring.p)
+        return compile_function(source, "encoder")(self.ring._make)
+
+    @cached_property
+    def _parity(self):
+        """The parity kernel, compiled from the rows of H on the first
+        is_codeword: true when every (H*v) % p is 0, stopping at the first
+        row that is not, on the coefficient tuples of the n components."""
+        source = _parity_source(self._parity_rows, self.n, self.ring.n, self.ring.p)
+        return compile_function(source, "parity")
 
     def encode(self, msg):
         """Codeword of the message polynomial b(x): the coefficients of b*g.
 
         Computed as sum_{i,j} b_i[j] G[i*m + j] mod p, which is exact:
         b_i x^i g = sum_j b_i[j] theta^j x^i g, and deg(b*g) < n, so b*g
-        needs no reduction modulo x^n - u.
+        needs no reduction modulo x^n - u.  The sums run in _encoder, a
+        kernel compiled once per code, on the first encode.
         """
         if len(msg) != self.k:
             raise LengthMismatch(f"expected {self.k} message symbols, got {len(msg)}")
-        coerce, p = self.ring.coerce, self.ring.p
-        flat = [v for symbol in msg for v in coerce(symbol).coeffs]
-        return self._from_flat([sum(map(mul, flat, col)) % p for col in self._generator_columns])
+        return self._encoder(map(_coeffs, map(self.ring.coerce, msg)))
 
     def is_codeword(self, v) -> bool:
         """Parity test a(x)*h(x) = 0 modulo x^n - u, decided as H*v = 0 mod p
         on the flat coefficients of v.  Exact because the code is the row
-        space of G, and over F_p that row space is (ker G)^perp = H^perp."""
+        space of G, and over F_p that row space is (ker G)^perp = H^perp.
+        The rows run in _parity, a kernel compiled once per code, on the
+        first is_codeword."""
         if len(v) != self.n:
             raise LengthMismatch(f"expected length {self.n}, got {len(v)}")
-        coerce, p = self.ring.coerce, self.ring.p
-        flat = [x for c in v for x in coerce(c).coeffs]
-        for row in self._parity_rows:
-            if sum(map(mul, row, flat)) % p:
-                return False
-        return True
+        return self._parity(map(_coeffs, map(self.ring.coerce, v)))
 
     def _from_flat(self, flat):
         """The vector of n ring elements whose coefficients, entries in [0, p),
@@ -237,6 +263,55 @@ class ConstacyclicCode:
 
     def __repr__(self):
         return f"ConstacyclicCode(n={self.n}, k={self.k}, g={self.g})"
+
+
+_coeffs = attrgetter("coeffs")
+# Terms per parenthesized partial sum of a kernel's sums; see _residue.
+_CHUNK = 64
+
+
+def _unpack(names, m, indent):
+    """Source unpacking `s`, an iterable of coefficient tuples of length m,
+    into the locals `names`, m to a tuple; "" when there are none."""
+    rows = ", ".join(f"({', '.join(names[i:i + m])},)" for i in range(0, len(names), m))
+    return f"{indent}{rows}, = s\n" if names else ""
+
+
+def _residue(terms, p):
+    """Source of sum c*t mod p over the (c, t) pairs; a lone t with c = 1,
+    or no term, needs no reduction, as every t is in [0, p).  A sum longer
+    than _CHUNK terms is split into parenthesized sums of _CHUNK, so that the
+    compiler's recursion, one level per term of a chain, stays near _CHUNK
+    whatever the length."""
+    terms = [(c, t) for c, t in terms if c]
+    if len(terms) > _CHUNK:
+        chunks = (terms[i:i + _CHUNK] for i in range(0, len(terms), _CHUNK))
+        source = "+".join(f"({linear_source(chunk)})" for chunk in chunks)
+    else:
+        source = linear_source(terms)
+    return source if source.isidentifier() or source == "0" else f"({source}) % {p}"
+
+
+def _encoder_source(columns, k, m, p):
+    """Source of encoder(make), which returns encode(s): s yields the k
+    message symbols' coefficient tuples, and each of the n*m columns of G is
+    one unrolled sum over their k*m flat coefficients, reduced mod p; the
+    codeword's n components are make of m consecutive sums."""
+    names = [f"c{t}" for t in range(k * m)]
+    sums = [_residue(zip(col, names), p) for col in columns]
+    words = ", ".join(f"make(({', '.join(sums[i:i + m])},))" for i in range(0, len(sums), m))
+    body = f"{_unpack(names, m, ' ' * 8)}        return ({words},)\n"
+    return f"def encoder(make):\n    def encode(s):\n{body}    return encode\n"
+
+
+def _parity_source(rows, n, m, p):
+    """Source of parity(s): s yields the n components' coefficient tuples, and
+    the result is true when every row of H has a zero dot product mod p with
+    their n*m flat coefficients, the rows tried in order and the first
+    nonzero one ending the test."""
+    names = [f"c{t}" for t in range(n * m)]
+    tests = " or ".join(_residue(zip(row, names), p) for row in rows)
+    return f"def parity(s):\n{_unpack(names, m, '    ')}    return not ({tests or 0})\n"
 
 
 def inner_product(v, w):

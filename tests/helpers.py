@@ -4,6 +4,7 @@ import warnings
 from fractions import Fraction
 from itertools import islice, product
 from math import inf, isqrt
+from operator import mul
 
 from hypothesis import strategies as st
 
@@ -27,7 +28,7 @@ from skewlat import (
     reduce_element,
     spacetime,
 )
-from skewlat.errors import IndefiniteForm, InvalidSpec, TooLarge
+from skewlat.errors import IndefiniteForm, InvalidSpec, LengthMismatch, TooLarge
 from skewlat.number_ring import compile_function, echelon_mod_p, nullspace_mod_p
 
 # The cyclic cubic field of 2*cos(2*pi/7): minimal polynomial y^3 + y^2 - 2y - 1,
@@ -206,6 +207,27 @@ def sorted_span_dual(code, bound=ENUMERATION_BOUND):
     return [
         tuple(RingElement(ring, flat[i * m : (i + 1) * m]) for i in range(n)) for flat in sorted(span)
     ]
+
+
+def column_sum_encode(code, msg):
+    """Oracle: the codeword of msg as the column sums sum_t b[t] G[t][col] mod p
+    over the flat message coefficients b, one sum per column of G, checked
+    and coerced as encode does."""
+    if len(msg) != code.k:
+        raise LengthMismatch(f"expected {code.k} message symbols, got {len(msg)}")
+    coerce, p = code.ring.coerce, code.ring.p
+    flat = [v for symbol in msg for v in coerce(symbol).coeffs]
+    return code._from_flat([sum(map(mul, flat, col)) % p for col in code._generator_columns])
+
+
+def row_dot_is_codeword(code, v):
+    """Oracle: whether every row of H has a zero dot product mod p with the
+    flat coefficients of v, checked and coerced as is_codeword does."""
+    if len(v) != code.n:
+        raise LengthMismatch(f"expected length {code.n}, got {len(v)}")
+    coerce, p = code.ring.coerce, code.ring.p
+    flat = [x for c in v for x in coerce(c).coeffs]
+    return all(sum(map(mul, row, flat)) % p == 0 for row in code._parity_rows)
 
 
 def skew_encode(code, msg):

@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -16,11 +17,13 @@ from skewlat import (
     inner_product,
     monic_right_divisors,
 )
+from skewlat import codes
 from skewlat.errors import LengthMismatch, NotADivisor, TooLarge, UnsupportedU
 from skewlat.fixtures import FIXTURE_NAMES, GAUSSIAN_P3, fixture_code, fixture_ring
 
 from helpers import (
     CUBIC,
+    column_sum_encode,
     composed_additive_generators,
     divisor_codes,
     enumerated_dual,
@@ -28,6 +31,7 @@ from helpers import (
     random_element,
     random_message,
     replace_spec,
+    row_dot_is_codeword,
     skew_encode,
     skew_is_codeword,
     sorted_span_dual,
@@ -119,25 +123,130 @@ def test_membership_agrees_with_enumeration(code):
         assert code.is_codeword(v) == (v in words)
 
 
-# The oracles multiply skew polynomials; encode and is_codeword use the F_p
-# matrices G and H = ker G instead.  divisor_codes starts at g = 1 (k = n).
+# The oracles multiply skew polynomials, or sum the columns of G and dot the
+# rows of H = ker G as encode and is_codeword did before their kernels.
+# divisor_codes runs from g = 1 (k = n, H empty, a parity kernel with no row)
+# to g = x^n - u (k = 0, an encoder that reads no coefficient).
 @settings(max_examples=15, deadline=None)
 @given(spec=valid_specs(), seed=st.integers(0, 2**32 - 1))
 @example(spec=replace_spec(CUBIC, p=7, u=3), seed=0)
+@example(spec=AlgebraSpec((1, 0, 1), (0, -1), u=-1, p=5), seed=1)
 def test_encode_and_membership_match_the_skew_products(spec, seed):
     ring = QuotientRing(spec)
     rng = random.Random(seed)
+    degrees = set()
     for code in divisor_codes(ring, per_degree=2):
+        degrees.add(int(code.g.degree))
         for _ in range(4):
             msg = random_message(code, rng)
             word = code.encode(msg)
-            assert word == skew_encode(code, msg)
+            assert word == skew_encode(code, msg) == column_sum_encode(code, msg)
+            assert all(c is ring._make(c.coeffs) for c in word)
             assert code.is_codeword(word) and skew_is_codeword(code, word)
+            assert row_dot_is_codeword(code, word)
             noise = tuple(random_element(ring, rng) for _ in range(code.n))
             while not any(noise):
                 noise = tuple(random_element(ring, rng) for _ in range(code.n))
             moved = tuple(c + e for c, e in zip(word, noise))
             assert code.is_codeword(moved) == skew_is_codeword(code, moved)
+            assert code.is_codeword(moved) == row_dot_is_codeword(code, moved)
+            one = list(word)
+            one[rng.randrange(code.n)] += random_element(ring, rng)
+            assert code.is_codeword(one) == row_dot_is_codeword(code, one)
+        if code.k == code.n:
+            assert not code._parity_rows
+    assert {0, ring.n} <= degrees
+
+
+def _error(call, *args):
+    try:
+        call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("spec", [GAUSSIAN_P3, CUBIC], ids=["gaussian-p3", "cubic"])
+def test_kernels_raise_as_the_oracles_do(spec):
+    ring = QuotientRing(spec)
+    other = QuotientRing(replace_spec(spec, p=7))
+    for code in divisor_codes(ring, per_degree=1):
+        one, stranger = [ring.one] * code.k, other.gen
+        cases = [
+            (code.encode, column_sum_encode, one + [ring.one]),
+            (code.encode, column_sum_encode, one[1:] if one else [ring.one, ring.one]),
+            (code.is_codeword, row_dot_is_codeword, [ring.one] * (code.n + 1)),
+            (code.is_codeword, row_dot_is_codeword, [ring.one] * (code.n - 1)),
+            (code.is_codeword, row_dot_is_codeword, [ring.one] * (code.n - 1) + [stranger]),
+        ]
+        if code.k:
+            cases.append((code.encode, column_sum_encode, one[1:] + [stranger]))
+        for kernel, oracle, arg in cases:
+            expected = _error(oracle, code, arg)
+            assert expected is not None and expected[0] in (LengthMismatch, ValueError)
+            assert _error(kernel, arg) == expected
+        foreign = (ValueError, "element belongs to a different ring")
+        assert _error(code.is_codeword, [stranger] * code.n) == foreign
+        if code.k:
+            assert _error(code.encode, [stranger] * code.k) == foreign
+
+
+def test_kernels_compile_once_and_only_on_first_use(monkeypatch):
+    compiled = []
+    compile_function = codes.compile_function
+
+    def counting(source, name):
+        compiled.append(name)
+        return compile_function(source, name)
+
+    monkeypatch.setattr(codes, "compile_function", counting)
+    for spec in (GAUSSIAN_P3, CUBIC):
+        ring = QuotientRing(spec)
+        rng = random.Random(5)
+        for g in monic_right_divisors(ring, ring.n, spec.u, 1)[:2]:
+            code = ConstacyclicCode.from_generator(g)
+            code.to_dict()
+            construction_a_basis(code)
+            code.is_self_dual()
+            if spec is GAUSSIAN_P3:
+                dual_lattice_basis(code)
+            assert compiled == []
+            for _ in range(3):
+                code.encode(random_message(code, rng))
+            assert compiled == ["encoder"]
+            for _ in range(3):
+                code.is_codeword(code.encode(random_message(code, rng)))
+            assert code == code
+            assert compiled == ["encoder", "parity"]
+            compiled.clear()
+
+
+def test_kernel_sums_of_961_terms_compile_at_any_depth():
+    # n = m = 31 is the largest degree AlgebraSpec admits (n^4 <= 10^6), so
+    # a column of G or a row of H has at most N = 961 terms; a single chain
+    # of that many additions overflows CPython's compiler recursion when the
+    # caller is deep, so the kernels write it as shorter parenthesized sums.
+    m, p = 31, 31
+    N = m * m
+    rng = random.Random(9)
+    dense = [rng.randrange(1, p) for _ in range(N)]
+    zeros = [0] * N
+    columns = [dense] + [zeros] * (N - 2) + [[1] + [0] * (N - 1)]
+    words = [tuple(rng.randrange(p) for _ in range(m)) for _ in range(m)]
+    flat = [c for word in words for c in word]
+
+    def deep(depth, call):
+        return deep(depth - 1, call) if depth else call()
+
+    encoder_source = codes._encoder_source(columns, m, m, p)
+    parity_source = codes._parity_source([zeros, dense], m, m, p)
+    encode = deep(800, lambda: codes.compile_function(encoder_source, "encoder"))(tuple)
+    parity = deep(800, lambda: codes.compile_function(parity_source, "parity"))
+    dot = sum(map(mul, dense, flat)) % p
+    first, middle, last = (dot,) + (0,) * (m - 1), (0,) * m, (0,) * (m - 1) + (flat[0],)
+    assert encode(words) == (first,) + (middle,) * (m - 2) + (last,)
+    assert parity(words) == (dot == 0)
+    assert parity([(0,) * m] * m)
 
 
 @settings(max_examples=10, deadline=None)
