@@ -30,7 +30,7 @@ The trace form used for Gram matrices is
 with conj the complex conjugation of K, a fact of the field that
 NaturalOrder.conj_power derives, so the form is positive definite.  Its
 matrix T on the flat basis is built once per spec and cached, and every Gram
-matrix is read off it as B^T T B.
+matrix is read off it as B^T T B, its determinant as det(T) * det(B)^2.
 """
 
 from __future__ import annotations
@@ -309,11 +309,13 @@ def vector_sum(vectors, length):
 
 
 def det_int(mat) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant by fraction-free (Bareiss) elimination; square matrices only."""
     n = len(mat)
     if n == 0:
         return 1
     a = [list(map(operator.index, row)) for row in mat]
+    if any(len(row) != n for row in a):
+        raise LengthMismatch(f"expected {n} entries in each row")
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -332,9 +334,11 @@ def det_int(mat) -> int:
 
 
 def lattice_contains(basis_rows, vec) -> bool:
-    """Whether vec lies in the lattice spanned by the HNF basis columns."""
+    """Whether vec, one coordinate per row, lies in the span of the HNF basis columns."""
     cols = list(zip(*basis_rows)) if basis_rows and basis_rows[0] else []
     v = list(vec)
+    if len(v) != len(basis_rows):
+        raise LengthMismatch(f"expected {len(basis_rows)} coordinates")
     for col in cols:
         r = next(i for i, e in enumerate(col) if e != 0)
         if v[r] % col[r]:
@@ -429,14 +433,17 @@ def _lift_basis(rows, pivots, spec: AlgebraSpec) -> LatticeBasis:
     column, has its 1 at its pivot, 0 above and at the other pivots,
     entries in [0, p) below; with p e_j for each free coordinate j that is
     N columns already in HNF, so hnf makes one pass over them instead of
-    eliminating every vector, and the index is p^(N - rank).
+    eliminating every vector, and the index is p^(N - rank), which is
+    det(B); T is n copies of one n x n block, so det(B^T T B) needs only
+    that block eliminated.
     """
-    p, N = spec.p, spec.n * spec.n
+    n, p, N = spec.n, spec.p, spec.n * spec.n
     free = [j for j in range(N) if j not in pivots]
     basis = hnf(list(zip(*rows, *([p if i == j else 0 for i in range(N)] for j in free))))
     gram = gram_matrix(basis, spec)
     index = prod(basis[i][i] for i in range(N))
-    return LatticeBasis(basis=basis, gram=gram, det=det_int(gram), index=index)
+    block = [row[:n] for row in _trace_form(spec)[:n]]
+    return LatticeBasis(basis=basis, gram=gram, det=det_int(block) ** n * index**2, index=index)
 
 
 def construction_a_basis(code: ConstacyclicCode) -> LatticeBasis:

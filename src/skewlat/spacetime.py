@@ -22,9 +22,9 @@ per difference.  The sampled mode compiles one loop per (basis, form) that
 evaluates the form's Horner source on differences of box points, fed at C
 level by getrandbits bytes that are randint's draws; it gives an upper
 bound, never a certificate.  Both kinds of loop are kept in bounded caches.
-Both cofactor expansions, of det M and of the form, raise TooLarge past
-ENUMERATION_BOUND products.  Matrix entries and cofactor terms add through
-lattice.vector_sum.
+One cofactor expansion of forms (_cofactor_det) computes both det M, on
+constant forms, and G, on linear ones; it raises TooLarge past
+ENUMERATION_BOUND products.  Matrix entries add through lattice.vector_sum.
 
 Coset encoding splits a lattice point into an information codeword plus a
 random offset in p times the order (the wiretap-coding primitive), adding or
@@ -57,13 +57,16 @@ _FLAT_FORMS = {}  # (min_poly, sigma_image, u) -> terms of G
 
 
 class SpaceTimeMatrix:
-    """n x n matrix with O_K entries, each an integer coordinate vector."""
+    """n x n matrix of O_K entries of n integer coordinates; LengthMismatch otherwise."""
 
     __slots__ = ("order", "entries")
 
     def __init__(self, order: NaturalOrder, entries):
         self.order = order
         self.entries = tuple(tuple(tuple(map(operator.index, e)) for e in row) for row in entries)
+        n = order.n
+        if {len(self.entries), *map(len, self.entries), *map(len, chain(*self.entries))} != {n}:
+            raise LengthMismatch(f"expected {n} x {n} entries of {n} coordinates")
 
     def __add__(self, other):
         return self._entrywise(other, 1)
@@ -106,13 +109,10 @@ class SpaceTimeMatrix:
         return hash(self.entries)
 
     def det(self):
-        """Determinant in O_K by cofactor expansion (exact), bounded in products."""
+        """Determinant in O_K: _cofactor_det of the constant forms {(): e}, {} for e = 0."""
         order = self.order
-
-        def signed_sum(terms):
-            return vector_sum([[-v for v in t] if odd else t for odd, t in terms], order.n)
-
-        return _cofactor_det(self.entries, any, order.ok_mul, signed_sum, lambda a, b: 1)
+        rows = [[{(): e} if any(e) else {} for e in row] for row in self.entries]
+        return tuple(_cofactor_det(rows, order.ok_mul).get((), (0,) * order.n))
 
     def norm_det(self) -> int:
         """The rational norm of the determinant, nrd ** n.
@@ -133,13 +133,13 @@ class SpaceTimeMatrix:
         return f"SpaceTimeMatrix({self.to_lists()})"
 
 
-def _cofactor_det(rows, nonzero, mul, signed_sum, cost):
-    """Determinant of a square matrix by expansion along the first row.
+def _cofactor_det(rows, mul):
+    """Determinant of a square matrix of forms by expansion along the first row.
 
-    Entries for which nonzero() is false are skipped, products go through
-    mul(entry, minor) and each row's terms combine through
-    signed_sum([(odd, term), ...]), where odd marks a negated term.
-    Each mul counts cost(entry, minor) products; TooLarge past ENUMERATION_BOUND.
+    A form is {sorted flat-variable indices: O_K vector}, {} when zero.
+    Coefficients multiply through mul(a, b), a bilinear O_K product, so a
+    negated cofactor negates its entry's coefficients.  The product of forms
+    f and g counts len(f) * len(g) products; TooLarge past ENUMERATION_BOUND.
     """
     made = 0
 
@@ -147,15 +147,20 @@ def _cofactor_det(rows, nonzero, mul, signed_sum, cost):
         nonlocal made
         if len(rows) == 1:
             return rows[0][0]
-        terms = []
+        out = {}
         for j, top in enumerate(rows[0]):
-            if nonzero(top):
+            if top:
                 minor = expand([r[:j] + r[j + 1 :] for r in rows[1:]])
-                made += cost(top, minor)
+                made += len(top) * len(minor)
                 if made > ENUMERATION_BOUND:
                     raise TooLarge(f"cofactor expansion exceeds {ENUMERATION_BOUND} products")
-                terms.append((j % 2, mul(top, minor)))
-        return signed_sum(terms)
+                for mf, a in top.items():
+                    a = [-v for v in a] if j % 2 else a
+                    for mg, b in minor.items():
+                        mono, vec = tuple(sorted(mf + mg)), mul(a, b)
+                        acc = out.get(mono)
+                        out[mono] = vec if acc is None else [*map(operator.add, acc, vec)]
+        return out
 
     return expand(rows)
 
@@ -247,40 +252,21 @@ def _flat_form(order):
     M is additive, so G has degree n in the n^2 coordinates, and it is sparse
     since entry (r, c) of M(x) reads only the e^((r - c) mod n) coefficient of
     x: 4 monomials on Z[i] and 57 on the cubic.  G depends only on (min_poly,
-    sigma_image, u); it is expanded once per algebra by the cofactor recursion
-    of SpaceTimeMatrix.det and checked rational, InvalidSpec otherwise (G o B
-    is rational exactly when G is, B being invertible over Q); TooLarge
-    while its expansion passes ENUMERATION_BOUND products, so only a form
-    that fitted the bound is cached.
+    sigma_image, u); _cofactor_det expands it once per algebra from the
+    linear forms of M(x) and it is checked rational, InvalidSpec otherwise
+    (G o B is rational exactly when G is, B being invertible over Q);
+    TooLarge while its expansion passes ENUMERATION_BOUND products, so only
+    a form that fitted the bound is cached.
     """
     key = (order.min_poly, order.spec.sigma_image, order.u)
     if key not in _FLAT_FORMS:
-        core, n = order._core, order.n
+        n = order.n
         mats = [matrix_rep(order.basis_element(i)).entries for i in range(n * n)]
         rows = [
             [{(i,): m[r][c] for i, m in enumerate(mats) if any(m[r][c])} for c in range(n)]
             for r in range(n)
         ]
-
-        def add_to(form, mono, vec):
-            acc = form.get(mono)
-            form[mono] = vec if acc is None else [a + b for a, b in zip(acc, vec)]
-
-        def mul(f, g):
-            out = {}
-            for mf, a in f.items():
-                for mg, b in g.items():
-                    add_to(out, tuple(sorted(mf + mg)), core.mul(a, b))
-            return out
-
-        def signed_sum(terms):
-            out = {}
-            for odd, term in terms:
-                for mono, vec in term.items():
-                    add_to(out, mono, [-v for v in vec] if odd else vec)
-            return out
-
-        form = _cofactor_det(rows, bool, mul, signed_sum, lambda f, g: len(f) * len(g))
+        form = _cofactor_det(rows, order.ok_mul)
         if any(any(rest) for _, *rest in form.values()):
             raise InvalidSpec("the reduced norm form has a nonzero non-constant coordinate")
         terms = {mono: vec[0] for mono, vec in form.items() if vec[0]}

@@ -29,6 +29,7 @@ from skewlat import (
     spacetime,
 )
 from skewlat.errors import IndefiniteForm, InvalidSpec, LengthMismatch, TooLarge
+from skewlat.lattice import vector_sum
 from skewlat.number_ring import compile_function, echelon_mod_p, nullspace_mod_p
 
 # The cyclic cubic field of 2*cos(2*pi/7): minimal polynomial y^3 + y^2 - 2y - 1,
@@ -266,6 +267,31 @@ def composed_coset_decode(code, point):
     """Oracle: the point reduced modulo p, and the point minus the lift of that reduction."""
     codeword = reduce_element(point, code.ring)
     return codeword, point - lift_codeword(point.order, codeword)
+
+
+def vector_cofactor_det(order, entries):
+    """Oracle: the determinant of n x n O_K entries as SpaceTimeMatrix.det
+    expanded it before its entries became constant forms, along the first
+    row over O_K vectors: zero entries are skipped, and each other entry
+    makes one order.ok_mul with its minor, zero or not.  Returns the
+    determinant, the number of products and whether some minor it
+    expanded had an all-zero first row."""
+    made, zero_first_row = 0, False
+
+    def expand(rows):
+        nonlocal made, zero_first_row
+        if len(rows) == 1:
+            return rows[0][0]
+        terms = []
+        for j, top in enumerate(rows[0]):
+            if any(top):
+                minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+                zero_first_row |= not any(map(any, minor[0]))
+                made += 1
+                terms.append((j % 2, order.ok_mul(top, expand(minor))))
+        return vector_sum([[-v for v in t] if odd else t for odd, t in terms], order.n)
+
+    return expand(entries), made, zero_first_row
 
 
 def divisor_codes(ring, per_degree=None):

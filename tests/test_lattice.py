@@ -247,7 +247,41 @@ def test_det_int_against_permutation_expansion():
     assert det_int([[2, 1], [4, 2]]) == 0
 
 
+def test_det_int_rejects_a_matrix_that_is_not_square():
+    with pytest.raises(LengthMismatch):
+        det_int([[1, 2, 3], [4, 5, 6]])
+
+
+def test_lattice_contains_rejects_a_vector_of_the_wrong_length():
+    with pytest.raises(LengthMismatch):
+        lattice_contains([[2, 0], [0, 2]], [2, 2, 2])
+
+
 # -- gram matrices ---------------------------------------------------------
+
+
+@settings(max_examples=15, deadline=None)
+@given(spec=valid_specs())
+def test_gram_determinant_in_closed_form_is_the_eliminated_one(spec):
+    # det = det(T block)^n * index^2 against Bareiss on the whole Gram
+    # matrix, for Construction A and, where the dual is small, its dual.
+    ring = QuotientRing(spec)
+    for code in divisor_codes(ring, per_degree=2):
+        lats = [construction_a_basis(code)]
+        if ring.size ** (code.n - code.k) <= ORACLE_DUAL_VECTORS:
+            lats.append(dual_lattice_basis(code))
+        for lat in lats:
+            assert lat.det == det_int(lat.gram)
+
+
+def test_cubic_gram_determinant_at_p31():
+    # The k = 2 code of x + 11a^2: det(T) = 49^3, the discriminant cubed,
+    # and index 31^3.
+    ring = QuotientRing(replace_spec(CUBIC, p=31))
+    code = ConstacyclicCode.from_generator(SkewPoly(ring, [11 * ring.gen**2, ring.one]))
+    lat = construction_a_basis(code)
+    assert (lat.index, lat.det) == (31**3, 104_413_920_565_969)
+    assert lat.det == 49**3 * 29_791**2 == det_int(lat.gram)
 
 
 def test_gram_gaussian_order():

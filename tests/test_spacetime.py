@@ -40,6 +40,7 @@ from helpers import (
     reduced_norm_form,
     replace_spec,
     valid_specs,
+    vector_cofactor_det,
 )
 
 QUATERNION = FIXTURE_SPECS["gaussian-p3-inert"]
@@ -500,6 +501,57 @@ def test_determinant_with_an_irrational_coordinate_raises(monkeypatch):
         with pytest.raises(InvalidSpec, match="non-constant"):
             reduced_norm_form(order, [(0, 1, 0, 0), (1, 0, 0, 0)])
     assert spacetime._FLAT_FORMS == {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=valid_specs(), seed=st.integers(0, 2**32 - 1))
+def test_det_matches_the_vector_cofactor_oracle(spec, seed):
+    # Random entries, some zero and some rows zero (rarely a codeword
+    # matrix), and codeword matrices of elements with zero rows.  det makes
+    # one ok_mul per product it counts.  It skips each minor with an
+    # all-zero first row, which the oracle still multiplies, so it makes at
+    # most the oracle's products, and as many when there is no such minor.
+    rng = random.Random(seed)
+    order = NaturalOrder(spec)
+    n, calls = order.n, []
+    order.ok_mul = lambda a, b, mul=order.ok_mul: calls.append(None) or mul(a, b)
+
+    def vec(zero):
+        return (0,) * n if zero else tuple(rng.randint(-3, 3) for _ in range(n))
+
+    for _ in range(12):
+        zero_row = rng.randrange(n + 2)  # no zero row when past n - 1
+        if rng.random() < 0.5:
+            rows = [[vec(r == zero_row or rng.random() < 0.3) for _ in range(n)] for r in range(n)]
+            m = SpaceTimeMatrix(order, rows)
+        else:
+            m = matrix_rep(order.element([vec(r == zero_row) for r in range(n)]))
+        calls.clear()
+        got = m.det()
+        products = len(calls)
+        want, made, zero_first_row = vector_cofactor_det(order, m.entries)
+        assert got == want
+        assert products <= made
+        assert zero_first_row or products == made
+
+
+def test_det_skips_the_zero_minors_the_vector_expansion_multiplies():
+    order = NaturalOrder(QUATERNION)
+    calls = []
+    order.ok_mul = lambda a, b, mul=order.ok_mul: calls.append(None) or mul(a, b)
+    m = SpaceTimeMatrix(order, [[(1, 2), (3, 0)], [(0, 0), (0, 0)]])
+    assert m.det() == (0, 0) and calls == []
+    assert vector_cofactor_det(order, m.entries) == ((0, 0), 2, True)
+
+
+def test_space_time_matrix_rejects_a_ragged_matrix():
+    with pytest.raises(LengthMismatch):
+        SpaceTimeMatrix(NaturalOrder(QUATERNION), [[(1, 0)], [(0, 0), (1, 0)]])
+
+
+def test_space_time_matrix_rejects_an_entry_of_the_wrong_length():
+    with pytest.raises(LengthMismatch):
+        SpaceTimeMatrix(NaturalOrder(QUATERNION), [[(1, 0, 0), (0, 0)], [(0, 0), (1, 0)]])
 
 
 def test_cofactor_expansions_stop_past_the_enumeration_bound(monkeypatch):
