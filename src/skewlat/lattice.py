@@ -60,10 +60,16 @@ class NaturalOrder:
     # -- O_K coefficient vectors (length n integer tuples) ---------------
 
     def ok_mul(self, a, b):
-        return tuple(self._core.mul(a, b))
+        try:
+            return self._core.mul(a, b)
+        except ValueError:  # the compiled product unpacks exactly n coordinates
+            raise LengthMismatch(f"expected O_K vectors of {self.n} coordinates") from None
 
     def ok_sigma(self, vec, power=1):
-        return tuple(self._core.sigma(vec, power))
+        try:
+            return self._core.sigma(vec, power)
+        except ValueError:  # as in ok_mul
+            raise LengthMismatch(f"expected O_K vectors of {self.n} coordinates") from None
 
     def ok_trace(self, vec) -> int:
         return sum(c * t for c, t in zip(vec, self.trace_sums))

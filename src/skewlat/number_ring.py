@@ -9,10 +9,10 @@ equality, hashing and enumeration order deterministic.
 
 The arithmetic itself lives in one place, IntegralArithmetic: multiplication,
 sigma and the field norm N(a) = a*sigma(a)...sigma^(n-1)(a) in O_K = Z[y]/(m)
-over the integers, built once per (min_poly, sigma_image).  The norm is
-compiled lazily, on its first call, by compile_function into one
-straight-line integer function with O(n^3) terms, cached on the core, that
-also returns the suffix products the divisor roots scale.
+over the integers, built once per (min_poly, sigma_image), each straight-line
+integer code from one emitter: the product and the powers of sigma compiled
+with the core, the norm on its first call, with O(n^3) terms, cached on the
+core, that also returns the suffix products the divisor roots scale.
 QuotientRing reduces its results modulo p, so inverses are norm cofactors
 divided by the norm; lattice.NaturalOrder uses the same instance and keeps
 them over Z.
@@ -49,7 +49,7 @@ from __future__ import annotations
 import operator
 import warnings
 from functools import cached_property, lru_cache
-from itertools import product, repeat
+from itertools import accumulate, product, repeat
 from math import gcd, isqrt
 from operator import add, mod, mul, neg, sub
 
@@ -250,14 +250,15 @@ class IntegralArithmetic:
 
     Built once per (min_poly, sigma_image) pair by integral_arithmetic().
     Owns the folding row y^n mod m, the tables of sigma^k on the powers y^j
-    and the power sums Tr(y^j).  Results are integer lists reduced modulo
-    m only: QuotientRing reduces them modulo p, NaturalOrder keeps them over Z.
-    norm_cofactor is the one norm rule of the library, compiled once per
-    core on its first call into straight-line code with O(n^3) terms, so
-    building a core compiles nothing.  After AlgebraSpec's field checks it
-    raises NotIrreducible for a reducible m of degree at most 3 (above that
-    irreducibility is trusted, and QuotientRing warns), then InvalidSigma
-    unless s(y) induces a ring map of O_K of order exactly n.
+    and the power sums Tr(y^j).  mul and sigma take vectors of exactly n
+    integers and return tuples reduced modulo m only: QuotientRing reduces
+    them modulo p, NaturalOrder keeps them over Z.  _Emitter writes both as
+    straight-line code compiled with the core, and norm_cofactor, the one
+    norm rule of the library, on its first call, with O(n^3) terms.  After
+    AlgebraSpec's field checks it raises NotIrreducible for a reducible m of
+    degree at most 3 (above that irreducibility is trusted, and QuotientRing
+    warns), then InvalidSigma unless s(y) induces a ring map of O_K of order
+    exactly n.
     """
 
     def __init__(self, min_poly, sigma_image):
@@ -272,29 +273,26 @@ class IntegralArithmetic:
 
         # y^n mod m: folds every coefficient above degree n-1 back down.
         self._yn = tuple(-c for c in min_poly[:n])
+        emit = _Emitter(self, "a", "b")
+        self.mul = emit.compile("mul", emit.mul(*emit.args, "c"))
 
-        # sigma^k applied to the basis powers y^j, for k = 1 .. n-1, once s is
+        # sigma^k applied to the basis powers y^j, for k = 0 .. n-1, once s is
         # known to give a ring map (m(s) = sum m_j s^j vanishes in O_K) whose
         # iterates sigma^k(y) first return to y at k = n.
         self.sigma_image = tuple(self.reduce(sigma_image))
-        powers = [self.reduce((1,))]
-        for _ in range(n):
-            powers.append(self.mul(powers[-1], self.sigma_image))
+        identity = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+        powers = list(accumulate(repeat(self.sigma_image, n), self.mul, initial=identity[0]))
         if any(sum(c * power[i] for c, power in zip(min_poly, powers)) for i in range(n)):
             raise InvalidSigma("m(s(y)) is not divisible by m(y)")
-        tables = [tuple(tuple(power) for power in powers[:n])]
-        y = self.reduce((0, 1))
-        image, order = y, None
-        for k in range(1, n + 1):
-            image = self._apply(image, tables[0])
-            if image == y:
-                order = k
-                break
+        tables = [identity, tuple(powers[:n])]
+        sigma = self._sigma_program(tables[1])
+        for _ in range(n - 1):
+            tables.append(tuple(map(sigma, tables[-1])))
+        order = next((k for k in range(1, n + 1) if tables[k][1] == identity[1]), None)
         if order != n:
             raise InvalidSigma(f"automorphism order is {order}, expected {n}")
-        for _ in range(n - 2):
-            tables.append(tuple(tuple(self._apply(vec, tables[0])) for vec in tables[-1]))
-        self._sigma_tables = tuple(tables)
+        self._sigma_tables = tuple(tables[:n])
+        self._sigmas = (self._sigma_program(identity), sigma, *map(self._sigma_program, tables[2:n]))
 
         # Tr(y^j) for j < n via Newton's identities.
         sums = [n]
@@ -304,6 +302,11 @@ class IntegralArithmetic:
                 acc += min_poly[n - i] * sums[k - i]
             sums.append(-acc)
         self.trace_sums = tuple(sums)
+
+    def _sigma_program(self, table):
+        """The compiled a -> sum_j a_j table[j], sigma^k when table is sigma^k(y^j)."""
+        emit = _Emitter(self, "a")
+        return emit.compile("sigma", emit.sigma(*emit.args, table, "s"))
 
     def _fold(self, c):
         """Reduce the integer list c modulo m in place, down to length n."""
@@ -320,26 +323,8 @@ class IntegralArithmetic:
         c = list(map(operator.index, coeffs))
         return self._fold(c + [0] * (self.n - len(c)))
 
-    def mul(self, a, b):
-        conv = [0] * (2 * self.n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        return self._fold(conv)
-
-    def _apply(self, vec, table):
-        out = [0] * self.n
-        for j, c in enumerate(vec):
-            if c:
-                img = table[j]
-                for i in range(self.n):
-                    out[i] += c * img[i]
-        return out
-
     def sigma(self, vec, power=1):
-        k = power % self.n
-        return self._apply(vec, self._sigma_tables[k - 1]) if k else list(vec)
+        return self._sigmas[power % self.n](vec)
 
     def norm_cofactor(self, vec):
         """(N, c) with c = sigma(vec)...sigma^(n-1)(vec) and vec*c = N.
@@ -373,40 +358,38 @@ class IntegralArithmetic:
         Straight-line integer code from _Emitter, with O(n^3) terms: the
         n - 1 images sigma^k(a) and n - 1 unrolled products.
         """
-        n = self.n
+        n, tables = self.n, self._sigma_tables
         emit = _Emitter(self, "a")
-        a = emit.arg
-        suffixes = [emit.sigma(a, n - 1, f"s{n - 1}")]
+        (a,) = emit.args
+        suffixes = [emit.sigma(a, tables[n - 1], f"s{n - 1}")]
         for k in range(n - 2, 0, -1):
-            suffixes.append(emit.mul(suffixes[-1], emit.sigma(a, k, f"s{k}"), f"c{k}"))
-        prod = emit.mul(a, suffixes[-1], "r")
-        returns = "".join(f"({', '.join(s)},), " for s in suffixes)
-        return emit.compile("norm", f"({', '.join(prod)},), ({returns})")
+            suffixes.append(emit.mul(suffixes[-1], emit.sigma(a, tables[k], f"s{k}"), f"c{k}"))
+        return emit.compile("norm", (emit.mul(a, suffixes[-1], "r"), suffixes))
 
 
 class _Emitter:
     """Straight-line integer source over one IntegralArithmetic.
 
-    The one argument is a vector of length n, unpacked into the locals
-    <arg>0 ... <arg>(n-1); every value is a list of n local names.  sigma^k
-    is n linear forms whose sigma table entries are integer literals, a
+    Each parameter is a vector of length n, unpacked into the locals
+    <param>0 ... <param>(n-1); every value is a list of n local names.  A
+    linear map is n linear forms whose table entries are integer literals, a
     product is an unrolled convolution whose coordinates above n - 1 are
     folded from the top down by y^n = -m_0 - ... - m_(n-1) y^(n-1),
     inlined.  Zero table entries and fold coefficients are dropped.
     """
 
-    def __init__(self, core, param):
+    def __init__(self, core, *params):
         self.core = core
-        self.param = param
-        self.arg = [f"{param}{j}" for j in range(core.n)]
-        self.lines = [f"    {', '.join(self.arg)}, = {param}"]
+        self.params = params
+        self.args = [[f"{param}{j}" for j in range(core.n)] for param in params]
+        self.lines = [f"    {', '.join(arg)}, = {param}" for param, arg in zip(params, self.args)]
 
     def assign(self, name, terms):
         self.lines.append(f"    {name} = {linear_source(terms)}")
         return name
 
-    def sigma(self, x, k, out):
-        table = self.core._sigma_tables[k - 1]
+    def sigma(self, x, table, out):
+        """The vector sum_j x_j table[j]: sigma^k(x) for the table of sigma^k(y^j)."""
         return [
             self.assign(f"{out}_{i}", [(table[j][i], a) for j, a in enumerate(x)])
             for i in range(self.core.n)
@@ -424,9 +407,15 @@ class _Emitter:
             self.assign(f"{out}_{t}", conv[t] + [(yn[t - h + n], f"{out}_{h}") for h in highs])
         return [f"{out}_{t}" for t in range(n)]
 
-    def compile(self, name, returns):
-        head = f"def {name}({self.param}):\n"
-        return compile_function(head + "\n".join(self.lines) + f"\n    return {returns}\n", name)
+    def compile(self, name, value):
+        """name(*params) returning value, a vector or a list of values, as nested tuples."""
+        source = "\n".join([f"def {name}({', '.join(self.params)}):", *self.lines])
+        return compile_function(f"{source}\n    return {_tuple_source(value)}\n", name)
+
+
+def _tuple_source(value):
+    """Source of value, a local name or a list of values, as nested tuples."""
+    return value if isinstance(value, str) else f"({', '.join(map(_tuple_source, value))},)"
 
 
 def linear_source(terms):

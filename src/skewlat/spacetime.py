@@ -136,10 +136,11 @@ class SpaceTimeMatrix:
 def _cofactor_det(rows, mul):
     """Determinant of a square matrix of forms by expansion along the first row.
 
-    A form is {sorted flat-variable indices: O_K vector}, {} when zero.
-    Coefficients multiply through mul(a, b), a bilinear O_K product, so a
-    negated cofactor negates its entry's coefficients.  The product of forms
-    f and g counts len(f) * len(g) products; TooLarge past ENUMERATION_BOUND.
+    A form is {sorted flat-variable indices: nonzero O_K vector}, {} when
+    zero; a monomial whose coefficients cancel is dropped.  Coefficients
+    multiply through mul(a, b), a bilinear O_K product, so a negated cofactor
+    negates its entry's coefficients.  The product of forms f and g counts
+    len(f) * len(g) products; TooLarge past ENUMERATION_BOUND.
     """
     made = 0
 
@@ -160,7 +161,7 @@ def _cofactor_det(rows, mul):
                         mono, vec = tuple(sorted(mf + mg)), mul(a, b)
                         acc = out.get(mono)
                         out[mono] = vec if acc is None else [*map(operator.add, acc, vec)]
-        return out
+        return {mono: vec for mono, vec in out.items() if any(vec)}
 
     return expand(rows)
 
@@ -269,8 +270,7 @@ def _flat_form(order):
         form = _cofactor_det(rows, order.ok_mul)
         if any(any(rest) for _, *rest in form.values()):
             raise InvalidSpec("the reduced norm form has a nonzero non-constant coordinate")
-        terms = {mono: vec[0] for mono, vec in form.items() if vec[0]}
-        _FLAT_FORMS[key] = tuple(terms.items())
+        _FLAT_FORMS[key] = tuple((mono, vec[0]) for mono, vec in form.items())
     return _FLAT_FORMS[key]
 
 

@@ -19,6 +19,7 @@ from skewlat import (
     brute_force_dual,
     central_poly,
     construction_a_basis,
+    intpoly,
     dual_lattice_basis,
     hnf,
     inner_product,
@@ -155,17 +156,45 @@ def division_cofactors(ring, n, u, degree, bound=ENUMERATION_BOUND):
     return sorted(cofactors, key=lambda f: tuple(c.coeffs for c in f.coeffs))
 
 
-def table_norm_cofactor(core, vec):
-    """Oracle: IntegralArithmetic.norm_cofactor through the core's sigma
-    tables and folded products, sigma(vec) times each sigma^k(vec) in turn,
-    then times vec."""
-    cofactor = core.sigma(vec)
-    for k in range(2, core.n):
-        cofactor = core.mul(cofactor, core.sigma(vec, k))
-    norm, *rest = core.mul(vec, cofactor)
+def _padded(coeffs, m):
+    return tuple(coeffs) + (0,) * (len(m) - 1 - len(coeffs))
+
+
+def oracle_mul(a, b, m):
+    """Oracle: the product a*b in Z[y]/(m) by intpoly, as n coefficients."""
+    return _padded(intpoly.mod_monic(intpoly.mul(a, b), m), m)
+
+
+def oracle_sigma(a, s, m, k):
+    """Oracle: sigma^k(a) as a(s(y)) modulo m, composed k >= 0 times by
+    Horner's rule, as n coefficients."""
+    out = tuple(a)
+    for _ in range(k):
+        acc = ()
+        for c in reversed(out):
+            acc = list(intpoly.mul(acc, s)) or [0]
+            acc[0] += c
+            acc = intpoly.mod_monic(acc, m)
+        out = acc
+    return _padded(out, m)
+
+
+def oracle_norm_suffixes(m, s, vec):
+    """Oracle: IntegralArithmetic.norm_suffixes by oracle_sigma and
+    oracle_mul alone, so it shares no code with the core: (N, (S_1, ...,
+    S_(n-1))) with S_1 = sigma^(n-1)(vec), S_r = S_(r-1)*sigma^(n-r)(vec)
+    and N = vec*S_(n-1), the norm cofactor."""
+    n = len(m) - 1
+    images = [tuple(vec)]
+    for _ in range(n - 1):
+        images.append(oracle_sigma(images[-1], s, m, 1))
+    suffixes = [images[n - 1]]
+    for k in range(n - 2, 0, -1):
+        suffixes.append(oracle_mul(suffixes[-1], images[k], m))
+    norm, *rest = oracle_mul(vec, suffixes[-1], m)
     if any(rest):
         raise InvalidSpec("a*sigma(a)...sigma^(n-1)(a) is not rational: min_poly is reducible")
-    return norm, tuple(cofactor)
+    return norm, tuple(suffixes)
 
 
 def enumerated_dual(code, bound=ENUMERATION_BOUND):
@@ -275,23 +304,23 @@ def vector_cofactor_det(order, entries):
     row over O_K vectors: zero entries are skipped, and each other entry
     makes one order.ok_mul with its minor, zero or not.  Returns the
     determinant, the number of products and whether some minor it
-    expanded had an all-zero first row."""
-    made, zero_first_row = 0, False
+    expanded is zero."""
+    made, zero_minor = 0, False
 
     def expand(rows):
-        nonlocal made, zero_first_row
+        nonlocal made, zero_minor
         if len(rows) == 1:
             return rows[0][0]
         terms = []
         for j, top in enumerate(rows[0]):
             if any(top):
-                minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-                zero_first_row |= not any(map(any, minor[0]))
+                minor = expand([r[:j] + r[j + 1 :] for r in rows[1:]])
+                zero_minor |= not any(minor)
                 made += 1
-                terms.append((j % 2, order.ok_mul(top, expand(minor))))
+                terms.append((j % 2, order.ok_mul(top, minor)))
         return vector_sum([[-v for v in t] if odd else t for odd, t in terms], order.n)
 
-    return expand(entries), made, zero_first_row
+    return expand(entries), made, zero_minor
 
 
 def divisor_codes(ring, per_degree=None):

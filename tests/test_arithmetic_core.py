@@ -4,7 +4,9 @@ QuotientRing (modulo p) and NaturalOrder (over Z) both run on one
 IntegralArithmetic per spec.  These tests cross the two views against each
 other and against plain intpoly arithmetic, on quadratic and cubic specs
 whose primes cover the inert, split and ramified cases, and on random valid
-specs from helpers.valid_specs.
+specs from helpers.valid_specs.  The core's compiled product, powers of
+sigma and norm are checked against the intpoly oracles of helpers, which
+share no code with it, up to degree 30.
 """
 
 import random
@@ -15,10 +17,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewlat import AlgebraSpec, NaturalOrder, QuotientRing, det_int, intpoly
-from skewlat.errors import InvalidSpec
-from skewlat.number_ring import integral_arithmetic
+from skewlat.errors import InvalidSpec, LengthMismatch
+from skewlat.number_ring import IntegralArithmetic, integral_arithmetic
 
-from helpers import CUBIC, QUARTIC, table_norm_cofactor, valid_specs
+from helpers import (
+    CUBIC,
+    QUARTIC,
+    oracle_mul,
+    oracle_norm_suffixes,
+    oracle_sigma,
+    valid_specs,
+)
 
 # (min_poly, sigma_image, conjugation_mode)
 FIELDS = {
@@ -66,27 +75,6 @@ def _mod(vec, p):
     return tuple(v % p for v in vec)
 
 
-def _padded(coeffs, m):
-    return tuple(coeffs) + (0,) * (len(m) - 1 - len(coeffs))
-
-
-def _oracle_mul(a, b, m):
-    return _padded(intpoly.mod_monic(intpoly.mul(a, b), m), m)
-
-
-def _oracle_sigma(a, s, m, k):
-    """sigma^k(a) as a(s(y)) modulo m, composed k times by Horner's rule."""
-    out = tuple(a)
-    for _ in range(k):
-        acc = ()
-        for c in reversed(out):
-            acc = list(intpoly.mul(acc, s)) or [0]
-            acc[0] += c
-            acc = intpoly.mod_monic(acc, m)
-        out = acc
-    return _padded(out, m)
-
-
 @pytest.mark.parametrize("field,p,kind", CASES, ids=IDS)
 def test_ring_and_order_agree(field, p, kind):
     ring, order = _build(field, p)
@@ -95,12 +83,84 @@ def test_ring_and_order_agree(field, p, kind):
     vecs = _vectors(n, seed=p * 31 + n)
     for a, b in zip(vecs, reversed(vecs)):
         product = order.ok_mul(a, b)
-        assert product == _oracle_mul(a, b, m)
+        assert product == oracle_mul(a, b, m)
         assert (ring.element(a) * ring.element(b)).coeffs == _mod(product, p)
         for k in range(n + 1):
             image = order.ok_sigma(a, k)
-            assert image == _oracle_sigma(a, s, m, k % n)
+            assert image == oracle_sigma(a, s, m, k % n)
             assert ring.sigma(ring.element(a), k).coeffs == _mod(image, p)
+
+
+# (min_poly, sigma_image) above degree 3: Q(zeta_16)^+, Q(zeta_11)^+ with
+# sigma: y -> y^2 - 2, and Q(zeta_17) with sigma: y -> y^3 (n = 16).
+HIGHER = {
+    "quartic": (QUARTIC.min_poly, QUARTIC.sigma_image),
+    "quintic": ((1, 3, -3, -4, 1, 1), (-2, 0, 1, 0, 0)),
+    "phi17": ((1,) * 17, (0, 0, 0, 1)),
+}
+
+
+def assert_core_matches_the_oracles(core, min_poly, sigma_image, vecs):
+    """core.mul, and core.sigma(., k) for k in [-n, 2n], equal the intpoly
+    oracles, which share no code with the compiled core."""
+    n = core.n
+    for a, b in zip(vecs, reversed(vecs)):
+        assert core.mul(a, b) == oracle_mul(a, b, min_poly)
+        images = [a]
+        for _ in range(n - 1):
+            images.append(oracle_sigma(images[-1], sigma_image, min_poly, 1))
+        for k in range(-n, 2 * n + 1):
+            assert core.sigma(a, k) == images[k % n], k
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=valid_specs(), seed=st.integers(0, 2**32))
+def test_core_products_and_sigma_powers_match_the_oracles(spec, seed):
+    core = integral_arithmetic(spec.min_poly, spec.sigma_image)
+    vecs = _vectors(core.n, seed, count=10)
+    assert_core_matches_the_oracles(core, spec.min_poly, spec.sigma_image, vecs)
+
+
+@pytest.mark.parametrize("field", HIGHER)
+def test_core_products_and_sigma_powers_match_the_oracles_above_degree_three(field):
+    min_poly, sigma_image = HIGHER[field]
+    core = integral_arithmetic(min_poly, sigma_image)
+    vecs = _vectors(core.n, seed=core.n, count=6)
+    assert_core_matches_the_oracles(core, min_poly, sigma_image, vecs)
+
+
+def test_degree_30_core_compiles_at_any_depth():
+    # Phi_31 with sigma: y -> y^3 has n = 30, near the largest degree
+    # AlgebraSpec admits (n^4 <= 10^6).  Building its core compiles the
+    # product, whose longest sum has 2n - 1 terms, and the 30 powers of
+    # sigma; CPython's compiler has less recursion to spare the deeper its
+    # caller, so the core is built from 850 frames down.
+    min_poly, sigma_image = (1,) * 31, (0, 0, 0, 1)
+
+    def deep(depth, call):
+        return deep(depth - 1, call) if depth else call()
+
+    core = deep(850, lambda: IntegralArithmetic(min_poly, sigma_image))
+    assert_core_matches_the_oracles(core, min_poly, sigma_image, _vectors(30, seed=31, count=2))
+
+
+def test_order_products_reject_a_short_vector():
+    # The core's compiled functions unpack exactly n coordinates.
+    order = _build("gaussian", 3)[1]
+    with pytest.raises(LengthMismatch):
+        order.ok_mul((1,), (1, 0))
+    for power in (0, 1):
+        with pytest.raises(LengthMismatch):
+            order.ok_sigma((1,), power)
+
+
+def test_order_products_reject_a_long_vector():
+    order = _build("gaussian", 3)[1]
+    with pytest.raises(LengthMismatch):
+        order.ok_mul((1, 2, 3), (1, 2, 3))
+    for power in (0, 1):
+        with pytest.raises(LengthMismatch):
+            order.ok_sigma((1, 0, 0), power)
 
 
 # Each fixed case also runs on a few random valid specs.
@@ -136,42 +196,41 @@ def test_norm_is_det_of_multiplication_matrix(field, p, kind, spec):
             assert order.ok_norm(order.ok_mul(a, b)) == order.ok_norm(a) * order.ok_norm(b)
 
 
-def assert_norm_matches_table_oracle(spec, seed):
-    """The compiled norm_cofactor equals the table oracle on every element
-    of R, as representatives in [0, p), and on random vectors over Z, and
-    norm_suffixes gives the same norm and the table's suffix products
-    S_r = sigma^(n-1)(vec)...sigma^(n-r)(vec)."""
+def assert_norm_matches_the_oracle(spec, seed):
+    """The compiled norm_cofactor and norm_suffixes equal the intpoly
+    oracle on every element of R, as representatives in [0, p), and on
+    random vectors over Z: the norm, and the suffix products
+    S_r = sigma^(n-1)(vec)...sigma^(n-r)(vec), the last the cofactor."""
     core = integral_arithmetic(spec.min_poly, spec.sigma_image)
     n = core.n
     rng = random.Random(seed)
     wide = [tuple(rng.randint(-(10**6), 10**6) for _ in range(n)) for _ in range(200)]
     for vec in [*product(range(spec.p), repeat=n), *wide]:
-        norm, cofactor = table_norm_cofactor(core, vec)
-        assert core.norm_cofactor(vec) == (norm, cofactor), vec
-        suffixes = [tuple(core.sigma(vec, n - 1))]
-        for k in range(n - 2, 0, -1):
-            suffixes.append(tuple(core.mul(suffixes[-1], core.sigma(vec, k))))
-        assert core.norm_suffixes(vec) == (norm, tuple(suffixes)), vec
+        norm, suffixes = oracle_norm_suffixes(spec.min_poly, spec.sigma_image, vec)
+        assert core.norm_cofactor(vec) == (norm, suffixes[-1]), vec
+        assert core.norm_suffixes(vec) == (norm, suffixes), vec
 
 
 @settings(max_examples=30, deadline=None)
 @given(spec=valid_specs(), seed=st.integers(0, 2**32))
 def test_compiled_norm_matches_the_table_oracle(spec, seed):
-    assert_norm_matches_table_oracle(spec, seed)
+    assert_norm_matches_the_oracle(spec, seed)
 
 
 @pytest.mark.parametrize("spec", [CUBIC, QUARTIC], ids=["cubic", "quartic"])
 def test_compiled_norm_matches_the_table_oracle_on_the_fixtures(spec):
-    assert_norm_matches_table_oracle(spec, seed=spec.n)
+    assert_norm_matches_the_oracle(spec, seed=spec.n)
 
 
 def test_reducible_min_poly_norms_above_degree_three():
     # Irreducibility is trusted above degree 3.  y^2 (y - 1)^2 with this s
     # swaps its two local factors with order 4; such a sigma fixes only Q, so
     # every norm is rational and InvalidSpec cannot be reached on a quartic.
-    quartic = integral_arithmetic((0, 0, 1, -2, 1), (1, -1, -2, 2))
+    m, s = (0, 0, 1, -2, 1), (1, -1, -2, 2)
+    quartic = integral_arithmetic(m, s)
     for vec in product(range(-3, 4), repeat=4):
-        assert quartic.norm_cofactor(vec) == table_norm_cofactor(quartic, vec)
+        norm, suffixes = oracle_norm_suffixes(m, s, vec)
+        assert quartic.norm_cofactor(vec) == (norm, suffixes[-1])
     # y (y^2 - 2y - 1)(y^3 + y^2 - 2y - 1) with s acting on Q, Q(sqrt 2) and
     # the cubic field by their Galois groups: sigma has order lcm(2, 3) = 6
     # and fixes Q^3, so the norm of y is not rational.
@@ -181,7 +240,7 @@ def test_reducible_min_poly_norms_above_degree_three():
     )
     sextic = integral_arithmetic(spec.min_poly, spec.sigma_image)
     y = (0, 1, 0, 0, 0, 0)
-    oracle = partial(table_norm_cofactor, sextic)
+    oracle = partial(oracle_norm_suffixes, spec.min_poly, spec.sigma_image)
     for norm in (sextic.norm_cofactor, oracle, NaturalOrder(spec).ok_norm):
         with pytest.raises(InvalidSpec, match="not rational"):
             norm(y)

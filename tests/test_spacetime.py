@@ -508,9 +508,9 @@ def test_determinant_with_an_irrational_coordinate_raises(monkeypatch):
 def test_det_matches_the_vector_cofactor_oracle(spec, seed):
     # Random entries, some zero and some rows zero (rarely a codeword
     # matrix), and codeword matrices of elements with zero rows.  det makes
-    # one ok_mul per product it counts.  It skips each minor with an
-    # all-zero first row, which the oracle still multiplies, so it makes at
-    # most the oracle's products, and as many when there is no such minor.
+    # one ok_mul per product it counts.  It skips each zero minor, which
+    # the oracle still multiplies, so it makes at most the oracle's
+    # products, and as many when no minor is zero.
     rng = random.Random(seed)
     order = NaturalOrder(spec)
     n, calls = order.n, []
@@ -529,10 +529,10 @@ def test_det_matches_the_vector_cofactor_oracle(spec, seed):
         calls.clear()
         got = m.det()
         products = len(calls)
-        want, made, zero_first_row = vector_cofactor_det(order, m.entries)
+        want, made, zero_minor = vector_cofactor_det(order, m.entries)
         assert got == want
         assert products <= made
-        assert zero_first_row or products == made
+        assert zero_minor or products == made
 
 
 def test_det_skips_the_zero_minors_the_vector_expansion_multiplies():
@@ -542,6 +542,25 @@ def test_det_skips_the_zero_minors_the_vector_expansion_multiplies():
     m = SpaceTimeMatrix(order, [[(1, 2), (3, 0)], [(0, 0), (0, 0)]])
     assert m.det() == (0, 0) and calls == []
     assert vector_cofactor_det(order, m.entries) == ((0, 0), 2, True)
+
+
+def test_det_makes_no_products_for_a_singular_minor():
+    # The minor of entry (0, 0) is [[1, 2], [2, 4]], singular but with no
+    # zero row: det makes the 2 * 3 products of the 2 x 2 minors and one for
+    # each of the two nonzero minors, where the oracle multiplies all three.
+    order = NaturalOrder(CUBIC)
+    calls = []
+    order.ok_mul = lambda a, b, mul=order.ok_mul: calls.append(None) or mul(a, b)
+    m = SpaceTimeMatrix(
+        order,
+        [
+            [(1, 0, 0), (2, 0, 0), (3, 0, 0)],
+            [(1, 1, 0), (1, 0, 0), (2, 0, 0)],
+            [(0, 1, 0), (2, 0, 0), (4, 0, 0)],
+        ],
+    )
+    assert m.det() == (-2, -1, 0) and len(calls) == 8
+    assert vector_cofactor_det(order, m.entries) == ((-2, -1, 0), 9, True)
 
 
 def test_space_time_matrix_rejects_a_ragged_matrix():
@@ -555,14 +574,16 @@ def test_space_time_matrix_rejects_an_entry_of_the_wrong_length():
 
 
 def test_cofactor_expansions_stop_past_the_enumeration_bound(monkeypatch):
-    # A dense 3 x 3 determinant makes 3 + 3 * 2 = 9 products of O_K entries;
-    # the cubic's reduced norm form makes 189 products of monomial coefficients.
+    # A 3 x 3 determinant of nonzero entries makes 3 * 2 products inside its
+    # 2 x 2 minors and one per nonzero minor: 8 for this codeword matrix,
+    # whose rows 1 and 2 agree in columns 0 and 1; the cubic's reduced norm
+    # form makes 189 products of monomial coefficients.
     # The form is cached once expanded, so each bounded call starts from an
     # empty cache and expands it again under the lowered bound.
     order = NaturalOrder(CUBIC)
     dense = matrix_rep(order.element([[1, 1, 1]] * 3))
     cols = list(zip(*construction_a_basis(cubic_code()).basis))
-    expansions = {9: dense.det, 189: lambda: reduced_norm_form(order, cols)((1,) * 9)}
+    expansions = {8: dense.det, 189: lambda: reduced_norm_form(order, cols)((1,) * 9)}
     for made, expand in expansions.items():
         unbounded = expand()
         monkeypatch.setattr(spacetime, "_FLAT_FORMS", {})
@@ -573,6 +594,19 @@ def test_cofactor_expansions_stop_past_the_enumeration_bound(monkeypatch):
         with pytest.raises(TooLarge, match=f"exceeds {made - 1} products"):
             expand()
         monkeypatch.undo()
+
+
+def test_flat_form_expansions_drop_cancelled_monomials(monkeypatch):
+    # A monomial whose coefficients sum to zero is dropped as the expansion
+    # goes, so no product is made with it: the quartic's form makes 4,608
+    # products instead of 4,992 and keeps its 404 monomials.
+    for spec, products, monomials in ((CUBIC, 189, 57), (QUARTIC, 4608, 404)):
+        order = NaturalOrder(spec)
+        calls = []
+        order.ok_mul = lambda a, b, mul=order.ok_mul: calls.append(None) or mul(a, b)
+        monkeypatch.setattr(spacetime, "_FLAT_FORMS", {})
+        assert len(spacetime._flat_form(order)) == monomials
+        assert len(calls) == products
 
 
 def test_min_det_rechecks_its_witness(monkeypatch):
