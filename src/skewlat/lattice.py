@@ -11,10 +11,14 @@ reduces modulo p, and natural_order(spec) keeps one NaturalOrder per spec.
 Coordinate vectors of equal length, O_K rows or flat points, add through vector_sum.
 
 Lifting a codeword takes its canonical representatives in [0, p) as integer
-coordinates; reducing an order element mods every coordinate by p.  The
-lattice attached to a code, lift(C) + pZ^N, contains pZ^N, so it depends only
-on the F_p row space of the code's cached generator matrix: the reduced row
-echelon rows of that space (number_ring.echelon_mod_p), with p times the
+coordinates; reducing an order element mods every coordinate by p.  Coset
+points go through coset_kernels, a straight-line lift and split compiled
+together once per degree; reduce_element is the residue half of
+split_element, so there is one reduction rule.
+
+The lattice attached to a code, lift(C) + pZ^N, contains pZ^N, so it depends
+only on the F_p row space of the code's cached generator matrix: the reduced
+row echelon rows of that space (number_ring.echelon_mod_p), with p times the
 unit vectors of the free coordinates, are already its Hermite Normal Form.
 A code keeps that echelon form, eliminated once per code, so every
 Construction A basis of the code starts from it; the dual lattice echelons
@@ -42,7 +46,14 @@ from math import prod
 from . import intpoly
 from .codes import ConstacyclicCode, brute_force_dual
 from .errors import IndefiniteForm, InvalidSpec, LengthMismatch
-from .number_ring import AlgebraSpec, QuotientRing, Record, echelon_mod_p, integral_arithmetic
+from .number_ring import (
+    AlgebraSpec,
+    QuotientRing,
+    Record,
+    compile_function,
+    echelon_mod_p,
+    integral_arithmetic,
+)
 
 
 class NaturalOrder:
@@ -245,14 +256,59 @@ def lift_codeword(order: NaturalOrder, codeword) -> OrderElement:
 
 
 def reduce_element(a: OrderElement, ring: QuotientRing):
-    """Coordinatewise reduction modulo p; inverse of lift_codeword on
-    canonical representatives.  Raises ValueError for an element of an order
-    of another spec than the ring's."""
+    """Coordinatewise reduction modulo p, the codeword of split_element;
+    inverse of lift_codeword on canonical representatives."""
+    return split_element(a, ring)[0]
+
+
+def split_element(a: OrderElement, ring: QuotientRing):
+    """(a mod p, the rows of a - a mod p): the ring's kept elements of the
+    rows reduced modulo p, and integer rows divisible by p, from the split
+    kernel of coset_kernels.  Raises ValueError for an element of an order
+    of another spec than the ring's, and LengthMismatch for rows that are
+    not n x n, before any element is built."""
     spec = a.order.spec
     if spec is not ring.spec and spec != ring.spec:
         raise ValueError("elements belong to different orders")
-    make, ps = ring._make, ring._ps
-    return tuple([make(tuple(map(operator.mod, row, ps))) for row in a.rows])
+    try:
+        return coset_kernels(ring.n)[1](ring.p, ring._make, a.rows)
+    except ValueError:  # the kernel unpacks exactly n rows of n coordinates
+        raise LengthMismatch(f"expected {ring.n} rows of {ring.n} coordinates") from None
+
+
+@lru_cache(maxsize=32)
+def coset_kernels(n):
+    """(lift, split) of degree n, straight-line code compiled in one call on
+    first use; p is an argument, so one pair serves every spec of degree n.
+
+    lift(p, c, o): c yields a codeword's n coefficient tuples and o its n*n
+    offset coordinates, each taken through operator.index; returns the rows
+    of p*o and of c + p*o.  split(p, make, rows): returns make of each of the
+    n rows reduced modulo p, and the rows minus those residues.  Both unpack
+    exactly n rows of n entries, so other shapes raise ValueError first.
+    """
+    def row(form, i):  # row i as a tuple display, form.format(t) at flat index t
+        return f"({', '.join(map(form.format, range(i * n, i * n + n)))},)"
+
+    def rows(form):
+        return f"({', '.join(row(form, i) for i in range(n))},)"
+
+    flat = range(n * n)
+    residues = ", ".join(f"make({row('r{}', i)})" for i in range(n))
+    source = "\n".join([
+        "def kernels(index):",
+        "    def lift(p, c, o):",
+        f"        {rows('c{}')} = c",
+        f"        {''.join(f'o{t}, ' for t in flat)}= map(index, o)",
+        *(f"        o{t} = p*o{t}" for t in flat),
+        f"        return {rows('o{}')}, {rows('c{0}+o{0}')}",
+        "    def split(p, make, rows):",
+        f"        {rows('x{}')} = rows",
+        *(f"        r{t} = x{t} % p" for t in flat),
+        f"        return ({residues},), {rows('x{0}-r{0}')}",
+        "    return lift, split\n",
+    ])
+    return compile_function(source, "kernels")(operator.index)
 
 
 # -- exact integer linear algebra ----------------------------------------

@@ -10,9 +10,10 @@ equality, hashing and enumeration order deterministic.
 The arithmetic itself lives in one place, IntegralArithmetic: multiplication,
 sigma and the field norm N(a) = a*sigma(a)...sigma^(n-1)(a) in O_K = Z[y]/(m)
 over the integers, built once per (min_poly, sigma_image), each straight-line
-integer code from one emitter: the product and the powers of sigma compiled
-with the core, the norm on its first call, with O(n^3) terms, cached on the
-core, that also returns the suffix products the divisor roots scale.
+integer code from one emitter: the product and sigma compiled with the core,
+every other power of sigma on its first use, and the norm on its first call,
+with O(n^3) terms, cached on the core, that also returns the suffix products
+the divisor roots scale.
 QuotientRing reduces its results modulo p, so inverses are norm cofactors
 divided by the norm; lattice.NaturalOrder uses the same instance and keeps
 them over Z.
@@ -39,9 +40,10 @@ is capped by ENUMERATION_BOUND.  Reduced tuples are built by map pipelines
 over the coefficients, at C level.
 
 All values are immutable after construction and safe to share across threads;
-the norm a core compiles on first use is a pure function of the core, so a
-second thread that compiles it too gets an equal one, and two threads that
-build one residue at once may briefly hold equal copies of its element.
+the norm and the powers of sigma a core compiles on first use are pure
+functions of the core, so a second thread that compiles one too gets an equal
+one, and two threads that build one residue at once may briefly hold equal
+copies of its element.
 """
 
 from __future__ import annotations
@@ -253,12 +255,13 @@ class IntegralArithmetic:
     and the power sums Tr(y^j).  mul and sigma take vectors of exactly n
     integers and return tuples reduced modulo m only: QuotientRing reduces
     them modulo p, NaturalOrder keeps them over Z.  _Emitter writes both as
-    straight-line code compiled with the core, and norm_cofactor, the one
-    norm rule of the library, on its first call, with O(n^3) terms.  After
-    AlgebraSpec's field checks it raises NotIrreducible for a reducible m of
-    degree at most 3 (above that irreducibility is trusted, and QuotientRing
-    warns), then InvalidSigma unless s(y) induces a ring map of O_K of order
-    exactly n.
+    straight-line code: mul and sigma^1 compiled with the core, which its
+    checks need, each other sigma^k on its first use (_SigmaPrograms), and
+    norm_cofactor, the one norm rule of the library, on its first call, with
+    O(n^3) terms.  After AlgebraSpec's field checks it raises NotIrreducible
+    for a reducible m of degree at most 3 (above that irreducibility is
+    trusted, and QuotientRing warns), then InvalidSigma unless s(y) induces a
+    ring map of O_K of order exactly n.
     """
 
     def __init__(self, min_poly, sigma_image):
@@ -292,7 +295,7 @@ class IntegralArithmetic:
         if order != n:
             raise InvalidSigma(f"automorphism order is {order}, expected {n}")
         self._sigma_tables = tuple(tables[:n])
-        self._sigmas = (self._sigma_program(identity), sigma, *map(self._sigma_program, tables[2:n]))
+        self._sigmas = _SigmaPrograms(self, sigma)
 
         # Tr(y^j) for j < n via Newton's identities.
         sums = [n]
@@ -367,6 +370,22 @@ class IntegralArithmetic:
         return emit.compile("norm", (emit.mul(a, suffixes[-1], "r"), suffixes))
 
 
+class _SigmaPrograms(dict):
+    """A core's compiled sigma^k by k in [0, n): sigma^1, which the core's
+    checks need, from the start, and every other power, the identity
+    included, compiled on its first lookup.  setdefault keeps the first of
+    two equal programs that threads compile at once."""
+
+    __slots__ = ("core",)
+
+    def __init__(self, core, sigma):
+        super().__init__({1: sigma})
+        self.core = core
+
+    def __missing__(self, k):
+        return self.setdefault(k, self.core._sigma_program(self.core._sigma_tables[k]))
+
+
 class _Emitter:
     """Straight-line integer source over one IntegralArithmetic.
 
@@ -431,9 +450,9 @@ def compile_function(source, name):
     return namespace[name]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def integral_arithmetic(min_poly, sigma_image) -> IntegralArithmetic:
-    """The shared IntegralArithmetic of O_K for this (min_poly, sigma_image)."""
+    """The shared IntegralArithmetic of O_K for this (min_poly, sigma_image), bounded."""
     return IntegralArithmetic(min_poly, sigma_image)
 
 

@@ -27,8 +27,12 @@ constant forms, and G, on linear ones; it raises TooLarge past
 ENUMERATION_BOUND products.  Matrix entries add through lattice.vector_sum.
 
 Coset encoding splits a lattice point into an information codeword plus a
-random offset in p times the order (the wiretap-coding primitive), adding or
-reducing integer rows directly; encoded points share lattice.natural_order(spec).
+random offset in p times the order, the wiretap coset code of
+Kositwattanarerk, Ong and Oggier.  coset_encode runs code.encode, then the
+lift kernel of lattice.coset_kernels, which writes the offset rows p*o and
+the point rows lift(c) + p*o in one pass; coset_decode_label runs its split
+kernel through lattice.split_element, then code.is_codeword.  Encoded points
+share lattice.natural_order(spec).
 """
 
 from __future__ import annotations
@@ -45,15 +49,17 @@ from .lattice import (
     NaturalOrder,
     OrderElement,
     construction_a_basis,
+    coset_kernels,
     det_int,
     natural_order,
-    reduce_element,
+    split_element,
     vector_sum,
 )
 from .number_ring import ENUMERATION_BOUND, Record, compile_function, linear_source
 
 _DRAW_BATCH = 1024  # 32-bit words per getrandbits batch in _sampled_pairs
 _FLAT_FORMS = {}  # (min_poly, sigma_image, u) -> terms of G
+_coeffs = operator.attrgetter("coeffs")
 
 
 class SpaceTimeMatrix:
@@ -377,20 +383,19 @@ def coset_encode(code: ConstacyclicCode, msg, offset_coords) -> CosetEncoding:
     if len(offset_coords) != n * n:
         raise LengthMismatch(f"expected {n * n} offset coordinates")
     codeword = code.encode(msg)
-    flat = map(operator.index, map(operator.mul, repeat(p), offset_coords))
-    rows = tuple(zip(*[flat] * n))
-    point = tuple([tuple(map(operator.add, c.coeffs, row)) for c, row in zip(codeword, rows)])
+    rows, point = coset_kernels(n)[0](p, map(_coeffs, codeword), offset_coords)
     return CosetEncoding(codeword, OrderElement(order, rows), OrderElement(order, point))
 
 
 def coset_decode_label(code: ConstacyclicCode, point: OrderElement):
-    """Split a lattice point into (point mod p, point - point mod p).  Raises ValueError
-    for a point of another spec's order, NotInLattice when point mod p is not a codeword."""
-    codeword = reduce_element(point, code.ring)
+    """Split a lattice point into (point mod p, point - point mod p) by
+    lattice.split_element.  Raises ValueError for a point of another spec's
+    order, LengthMismatch for rows that are not n x n, NotInLattice when
+    point mod p is not a codeword."""
+    codeword, offset = split_element(point, code.ring)
     if not code.is_codeword(codeword):
         raise NotInLattice("point does not reduce to a codeword")
-    offset = [tuple(map(operator.sub, row, c.coeffs)) for row, c in zip(point.rows, codeword)]
-    return codeword, OrderElement(point.order, tuple(offset))
+    return codeword, OrderElement(point.order, offset)
 
 
 def sample_offsets(seed: int, count: int, box: int, dims: int):

@@ -16,7 +16,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewlat import AlgebraSpec, NaturalOrder, QuotientRing, det_int, intpoly
+from skewlat import AlgebraSpec, NaturalOrder, QuotientRing, det_int, intpoly, number_ring
 from skewlat.errors import InvalidSpec, LengthMismatch
 from skewlat.number_ring import IntegralArithmetic, integral_arithmetic
 
@@ -132,16 +132,45 @@ def test_core_products_and_sigma_powers_match_the_oracles_above_degree_three(fie
 def test_degree_30_core_compiles_at_any_depth():
     # Phi_31 with sigma: y -> y^3 has n = 30, near the largest degree
     # AlgebraSpec admits (n^4 <= 10^6).  Building its core compiles the
-    # product, whose longest sum has 2n - 1 terms, and the 30 powers of
-    # sigma; CPython's compiler has less recursion to spare the deeper its
-    # caller, so the core is built from 850 frames down.
+    # product, whose longest sum has 2n - 1 terms, and sigma, and checking it
+    # compiles the other 29 powers of sigma on first use; CPython's compiler
+    # has less recursion to spare the deeper its caller, so the core is
+    # built and checked from 850 frames down.
     min_poly, sigma_image = (1,) * 31, (0, 0, 0, 1)
 
     def deep(depth, call):
         return deep(depth - 1, call) if depth else call()
 
-    core = deep(850, lambda: IntegralArithmetic(min_poly, sigma_image))
-    assert_core_matches_the_oracles(core, min_poly, sigma_image, _vectors(30, seed=31, count=2))
+    def build_and_check():
+        core = IntegralArithmetic(min_poly, sigma_image)
+        vecs = _vectors(30, seed=31, count=2)
+        assert_core_matches_the_oracles(core, min_poly, sigma_image, vecs)
+
+    deep(850, build_and_check)
+
+
+@pytest.mark.parametrize("field", ["gaussian", "cubic", *HIGHER])
+def test_core_build_compiles_mul_and_sigma_only(monkeypatch, field):
+    # Every other power of sigma, the identity included, compiles on its
+    # first use, once, and equals the oracle.
+    min_poly, sigma_image = FIELDS[field][:2] if field in FIELDS else HIGHER[field]
+    compiled = []
+    compile_function = number_ring.compile_function
+
+    def counting(source, name):
+        compiled.append(name)
+        return compile_function(source, name)
+
+    monkeypatch.setattr(number_ring, "compile_function", counting)
+    core = IntegralArithmetic(min_poly, sigma_image)
+    assert compiled == ["mul", "sigma"]
+    n = core.n
+    for a in _vectors(n, seed=n, count=2):
+        image = a
+        for k in range(n):
+            assert core.sigma(a, k) == image
+            image = oracle_sigma(image, sigma_image, min_poly, 1)
+    assert compiled == ["mul"] + ["sigma"] * n
 
 
 def test_order_products_reject_a_short_vector():

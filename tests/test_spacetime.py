@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewlat import (
+    AlgebraSpec,
     ConstacyclicCode,
     NaturalOrder,
+    OrderElement,
     SkewPoly,
     SpaceTimeMatrix,
     construction_a_basis,
@@ -22,7 +24,7 @@ from skewlat import (
     right_multiplication_det,
     sample_offsets,
 )
-from skewlat import boxsweep, spacetime
+from skewlat import boxsweep, lattice, spacetime
 from skewlat.errors import InvalidSpec, LengthMismatch, NotInLattice, TooLarge
 from skewlat.fixtures import FIXTURE_NAMES, FIXTURE_SPECS, GAUSSIAN_P3_U1, fixture_code
 from skewlat.number_ring import QuotientRing
@@ -808,6 +810,68 @@ def test_coset_encodings_share_one_order():
     second = coset_encode(code, [code.ring.zero], [0, 2, -1, 0])
     assert first.point.order is second.point.order is first.offset.order
     assert second.point.order is second.offset.order
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [((1, 1, 0), (2, 0, 0)), ((1,), (2,)), ((1, 1), (2, 0), (0, 0))],
+    ids=["long rows", "short rows", "three rows"],
+)
+def test_misshapen_point_rows_raise_and_build_no_element(rows):
+    # The split kernel unpacks n rows of n coordinates before it builds any
+    # element, so the ring's shared element table keeps no misshapen entry.
+    code = fixture_code("gaussian-p3-inert")
+    table = code.ring._make.__self__
+    point = OrderElement(NaturalOrder(QUATERNION), rows)
+    before = dict(table)
+    with pytest.raises(LengthMismatch):
+        coset_decode_label(code, point)
+    with pytest.raises(LengthMismatch):
+        reduce_element(point, code.ring)
+    assert table == before
+
+
+def test_coset_kernels_compile_once_per_degree(monkeypatch):
+    compiled = []
+    compile_function = lattice.compile_function
+
+    def counting(source, name):
+        compiled.append(name)
+        return compile_function(source, name)
+
+    monkeypatch.setattr(lattice, "compile_function", counting)
+    lattice.coset_kernels.cache_clear()
+    rng = random.Random(36)
+    for name in ("gaussian-p3-inert", "gaussian-p5-split", "sqrt2-p3-selfdual"):
+        code = fixture_code(name)
+        for _ in range(5):
+            enc = coset_encode(code, random_message(code, rng), [rng.randint(-4, 4) for _ in range(4)])
+            assert coset_decode_label(code, enc.point) == (enc.codeword, enc.offset)
+    assert compiled == ["kernels"]
+
+
+def test_degree_30_coset_round_trip_compiles_at_any_depth():
+    # Phi_31 with sigma: y -> y^3 at p = 2 and g = 1: the full code, k = 30.
+    # The kernels unpack 900 coordinates and the encoder sums 900 columns;
+    # the first round trip compiles them 800 frames down.
+    ring = quiet_ring(AlgebraSpec((1,) * 31, (0, 0, 0, 1), u=3, p=2))
+    code = ConstacyclicCode.from_generator(SkewPoly.one(ring))
+    lattice.coset_kernels.cache_clear()
+    rng = random.Random(31)
+
+    def deep(depth, call):
+        return deep(depth - 1, call) if depth else call()
+
+    def round_trip():
+        msg = random_message(code, rng)
+        offset = [rng.randint(-3, 3) for _ in range(900)]
+        enc = coset_encode(code, msg, offset)
+        assert (enc.codeword, enc.offset, enc.point) == composed_coset_encode(code, msg, offset)
+        assert coset_decode_label(code, enc.point) == composed_coset_decode(code, enc.point)
+
+    assert code.k == 30
+    deep(800, round_trip)
+    round_trip()
 
 
 def test_sample_offsets_contract():
