@@ -17,7 +17,9 @@ are unrolled over their (4b + 1)^2 values with constant powers, the values
 at t and -t sharing their even and odd parts, and min and index find the
 first least value of each block.  So a difference costs O(1) amortised
 work, the loops visit the d in the order of the product, and the first
-lexicographic minimiser is the one returned.
+lexicographic minimiser is the one returned.  The loops are written here;
+their Horner forms, sums and tuples come from skewlat.emit, which compiles
+the sweep.
 
 A loop runs over [0, 2b] while every coordinate before it is 0 (its start
 lo is 0) and over [-2b, 2b] once one is not (lo = -2b).  The differences
@@ -34,7 +36,7 @@ from functools import lru_cache
 from math import prod
 
 from .errors import TooLarge
-from .number_ring import compile_function, linear_source
+from .emit import compile_function, horner, linear_source, tuple_source
 
 _MAX_LOOPS = 20  # CPython's limit on statically nested blocks in one function
 
@@ -60,16 +62,6 @@ def _compose(columns, terms):
         for exps, c in poly.items():
             form[exps] = form.get(exps, 0) + c
     return {exps: c for exps, c in form.items() if c}
-
-
-def _horner(by_power, t):
-    """Source of sum_e t^e * by_power[e], nested Horner-style in t."""
-    top = max(by_power)
-    expr = by_power[top]
-    for e in range(top - 1, -1, -1):
-        inner = f"{t}*{expr}" if expr.isidentifier() else f"{t}*({expr})"
-        expr = f"{by_power[e]}+{inner}" if e in by_power else inner
-    return expr
 
 
 def _sweep_source(form, N, W):
@@ -103,10 +95,10 @@ def _sweep_source(form, N, W):
             pad += "    "
             if j < N - 3:
                 lines.append(f"{pad}lo{j + 1} = {-W} if t{j} else {'0' if j == 0 else f'lo{j}'}")
-            groups = {}
+            groups = {}  # each coefficient left, as a form in t_j
             for exps, src in coeffs.items():
-                groups.setdefault(exps[1:], {})[exps[0]] = src
-            coeffs = {rest: assign(pad, _horner(by_power, f"t{j}")) for rest, by_power in groups.items()}
+                groups.setdefault(exps[1:], {})[(0,) * exps[0]] = src
+            coeffs = {rest: assign(pad, horner(form, [f"t{j}"])) for rest, form in groups.items()}
         pad = "    " * (N - 1)
         values = []
         for s in span:
@@ -120,13 +112,13 @@ def _sweep_source(form, N, W):
             ]
             signed = [f"(even{t} := {even})-(odd{t} := {odd})" for t, (even, odd) in enumerate(parts)]
             values += signed[:0:-1] + [parts[0][0]] + [f"even{t}+odd{t}" for t in range(1, W + 1)]
-        prefix = "".join(f"t{j}, " for j in range(N - 2))
+        best_d = tuple_source([*(f"t{j}" for j in range(N - 2)), f"s - {W}", f"t - {W}"])
         lines += [
             f"{pad}values = [{', '.join(f'abs({v})' for v in values)}]",
             f"{pad}v = min(values)",
             f"{pad}if v < best:",
             f"{pad}    s, t = divmod(values.index(v), {2 * W + 1})",
-            f"{pad}    best, best_d = v, ({prefix}s - {W}, t - {W})",
+            f"{pad}    best, best_d = v, {best_d}",
             f"{pad}    if not v:",
             f"{pad}        return best, best_d",
         ]

@@ -23,12 +23,13 @@ lifts its rows, and H, the nullspace ker G, is read off it on the first
 is_codeword.  Encoding b is the combination of the rows of G with b's
 coordinates, which equals b*g because deg(b*g) < n.  v is a codeword
 exactly when H*v = 0, because over F_p the row space of G is (ker G)^perp.
-Both maps run as straight-line kernels, compiled by compile_function once
-per code on first use, with the entries of G and H as literals: the first
-encode compiles the encoder, the first is_codeword the parity check.  A sum
-has at most n*m <= 961 terms (AlgebraSpec keeps n^4 <= ENUMERATION_BOUND),
-and it is written as parenthesized sums of at most 64, so compiling it
-needs little recursion whatever the caller's depth.
+Both maps run as straight-line kernels, compiled once per code on first
+use, with the entries of G and H as literals: the first encode compiles the
+encoder, the first is_codeword the parity check.  skewlat.emit writes their
+sums and tuples and compiles them.  A sum has at most n*m <= 961 terms
+(AlgebraSpec keeps n^4 <= ENUMERATION_BOUND), and emit.linear_source writes
+it as parenthesized sums of at most 64, so compiling it needs little
+recursion whatever the caller's depth.
 
 The Euclidean scalar product is F_p-bilinear, so products of the same
 generators decide duality for every u: is_orthogonal_to tests C inside
@@ -50,15 +51,9 @@ from functools import cached_property
 from itertools import product, repeat
 from operator import add, attrgetter, mod, mul
 
+from .emit import compile_function, linear_source, tuple_source
 from .errors import LengthMismatch, NonUnitLeading, NotADivisor, NotInvertible, TooLarge, UnsupportedU
-from .number_ring import (
-    ENUMERATION_BOUND,
-    QuotientRing,
-    compile_function,
-    echelon_mod_p,
-    linear_source,
-    nullspace_mod_p,
-)
+from .number_ring import ENUMERATION_BOUND, QuotientRing, echelon_mod_p, nullspace_mod_p
 from .skew import SkewPoly, central_poly
 
 
@@ -266,29 +261,12 @@ class ConstacyclicCode:
 
 
 _coeffs = attrgetter("coeffs")
-# Terms per parenthesized partial sum of a kernel's sums; see _residue.
-_CHUNK = 64
-
-
-def _unpack(names, m, indent):
-    """Source unpacking `s`, an iterable of coefficient tuples of length m,
-    into the locals `names`, m to a tuple; "" when there are none."""
-    rows = ", ".join(f"({', '.join(names[i:i + m])},)" for i in range(0, len(names), m))
-    return f"{indent}{rows}, = s\n" if names else ""
 
 
 def _residue(terms, p):
     """Source of sum c*t mod p over the (c, t) pairs; a lone t with c = 1,
-    or no term, needs no reduction, as every t is in [0, p).  A sum longer
-    than _CHUNK terms is split into parenthesized sums of _CHUNK, so that the
-    compiler's recursion, one level per term of a chain, stays near _CHUNK
-    whatever the length."""
-    terms = [(c, t) for c, t in terms if c]
-    if len(terms) > _CHUNK:
-        chunks = (terms[i:i + _CHUNK] for i in range(0, len(terms), _CHUNK))
-        source = "+".join(f"({linear_source(chunk)})" for chunk in chunks)
-    else:
-        source = linear_source(terms)
+    or no term, needs no reduction, as every t is in [0, p)."""
+    source = linear_source(terms)
     return source if source.isidentifier() or source == "0" else f"({source}) % {p}"
 
 
@@ -299,8 +277,9 @@ def _encoder_source(columns, k, m, p):
     codeword's n components are make of m consecutive sums."""
     names = [f"c{t}" for t in range(k * m)]
     sums = [_residue(zip(col, names), p) for col in columns]
-    words = ", ".join(f"make(({', '.join(sums[i:i + m])},))" for i in range(0, len(sums), m))
-    body = f"{_unpack(names, m, ' ' * 8)}        return ({words},)\n"
+    words = tuple_source([f"make({tuple_source(sums[i:i + m])})" for i in range(0, len(sums), m)])
+    body = f"        {tuple_source(names, m)} = s\n" if names else ""
+    body += f"        return {words}\n"
     return f"def encoder(make):\n    def encode(s):\n{body}    return encode\n"
 
 
@@ -311,7 +290,7 @@ def _parity_source(rows, n, m, p):
     nonzero one ending the test."""
     names = [f"c{t}" for t in range(n * m)]
     tests = " or ".join(_residue(zip(row, names), p) for row in rows)
-    return f"def parity(s):\n{_unpack(names, m, '    ')}    return not ({tests or 0})\n"
+    return f"def parity(s):\n    {tuple_source(names, m)} = s\n    return not ({tests or 0})\n"
 
 
 def inner_product(v, w):

@@ -13,8 +13,9 @@ Coordinate vectors of equal length, O_K rows or flat points, add through vector_
 Lifting a codeword takes its canonical representatives in [0, p) as integer
 coordinates; reducing an order element mods every coordinate by p.  Coset
 points go through coset_kernels, a straight-line lift and split compiled
-together once per degree; reduce_element is the residue half of
-split_element, so there is one reduction rule.
+together once per degree, their tuples written and compiled by
+skewlat.emit; reduce_element is the residue half of split_element, so there
+is one reduction rule.
 
 The lattice attached to a code, lift(C) + pZ^N, contains pZ^N, so it depends
 only on the F_p row space of the code's cached generator matrix: the reduced
@@ -45,15 +46,9 @@ from math import prod
 
 from . import intpoly
 from .codes import ConstacyclicCode, brute_force_dual
+from .emit import compile_function, tuple_source
 from .errors import IndefiniteForm, InvalidSpec, LengthMismatch
-from .number_ring import (
-    AlgebraSpec,
-    QuotientRing,
-    Record,
-    compile_function,
-    echelon_mod_p,
-    integral_arithmetic,
-)
+from .number_ring import AlgebraSpec, QuotientRing, Record, echelon_mod_p, integral_arithmetic
 
 
 class NaturalOrder:
@@ -287,25 +282,19 @@ def coset_kernels(n):
     n rows reduced modulo p, and the rows minus those residues.  Both unpack
     exactly n rows of n entries, so other shapes raise ValueError first.
     """
-    def row(form, i):  # row i as a tuple display, form.format(t) at flat index t
-        return f"({', '.join(map(form.format, range(i * n, i * n + n)))},)"
-
-    def rows(form):
-        return f"({', '.join(row(form, i) for i in range(n))},)"
-
-    flat = range(n * n)
-    residues = ", ".join(f"make({row('r{}', i)})" for i in range(n))
+    c, o, x, r = ([f"{v}{t}" for t in range(n * n)] for v in "coxr")
+    residues = tuple_source([f"make({tuple_source(r[i:i + n])})" for i in range(0, n * n, n)])
     source = "\n".join([
         "def kernels(index):",
         "    def lift(p, c, o):",
-        f"        {rows('c{}')} = c",
-        f"        {''.join(f'o{t}, ' for t in flat)}= map(index, o)",
-        *(f"        o{t} = p*o{t}" for t in flat),
-        f"        return {rows('o{}')}, {rows('c{0}+o{0}')}",
+        f"        {tuple_source(c, n)} = c",
+        f"        {tuple_source(o)} = map(index, o)",
+        *(f"        {v} = p*{v}" for v in o),
+        f"        return {tuple_source(o, n)}, {tuple_source(map('{}+{}'.format, c, o), n)}",
         "    def split(p, make, rows):",
-        f"        {rows('x{}')} = rows",
-        *(f"        r{t} = x{t} % p" for t in flat),
-        f"        return ({residues},), {rows('x{0}-r{0}')}",
+        f"        {tuple_source(x, n)} = rows",
+        *(f"        {w} = {v} % p" for v, w in zip(x, r)),
+        f"        return {residues}, {tuple_source(map('{}-{}'.format, x, r), n)}",
         "    return lift, split\n",
     ])
     return compile_function(source, "kernels")(operator.index)

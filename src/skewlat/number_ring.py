@@ -13,7 +13,8 @@ over the integers, built once per (min_poly, sigma_image), each straight-line
 integer code from one emitter: the product and sigma compiled with the core,
 every other power of sigma on its first use, and the norm on its first call,
 with O(n^3) terms, cached on the core, that also returns the suffix products
-the divisor roots scale.
+the divisor roots scale.  The emitter writes its sums and tuples with
+skewlat.emit, which compiles them.
 QuotientRing reduces its results modulo p, so inverses are norm cofactors
 divided by the norm; lattice.NaturalOrder uses the same instance and keeps
 them over Z.
@@ -56,6 +57,7 @@ from math import gcd, isqrt
 from operator import add, mod, mul, neg, sub
 
 from . import intpoly
+from .emit import compile_function, linear_source, tuple_source
 from .errors import (
     InvalidSigma,
     InvalidSpec,
@@ -401,7 +403,7 @@ class _Emitter:
         self.core = core
         self.params = params
         self.args = [[f"{param}{j}" for j in range(core.n)] for param in params]
-        self.lines = [f"    {', '.join(arg)}, = {param}" for param, arg in zip(params, self.args)]
+        self.lines = [f"    {tuple_source(arg)} = {param}" for param, arg in zip(params, self.args)]
 
     def assign(self, name, terms):
         self.lines.append(f"    {name} = {linear_source(terms)}")
@@ -429,25 +431,7 @@ class _Emitter:
     def compile(self, name, value):
         """name(*params) returning value, a vector or a list of values, as nested tuples."""
         source = "\n".join([f"def {name}({', '.join(self.params)}):", *self.lines])
-        return compile_function(f"{source}\n    return {_tuple_source(value)}\n", name)
-
-
-def _tuple_source(value):
-    """Source of value, a local name or a list of values, as nested tuples."""
-    return value if isinstance(value, str) else f"({', '.join(map(_tuple_source, value))},)"
-
-
-def linear_source(terms):
-    """Source of sum c*t over the (c, t) pairs with c != 0, 1 and -1 as signs; "0" if none."""
-    parts = [t if c == 1 else f"-{t}" if c == -1 else f"{c}*{t}" for c, t in terms if c]
-    return "+".join(parts).replace("+-", "-") or "0"
-
-
-def compile_function(source, name):
-    """The function `name` that the generated Python source defines."""
-    namespace = {}
-    exec(compile(source, f"<generated {name}>", "exec"), namespace)
-    return namespace[name]
+        return compile_function(f"{source}\n    return {tuple_source(value)}\n", name)
 
 
 @lru_cache(maxsize=32)

@@ -13,15 +13,16 @@ a rational integer and norm_det is nrd ** n.
 min_det_sample probes the space-time design criterion: over a division
 algebra det M(a - a') = det(M(a) - M(a')) never vanishes for a != a'.  The
 reduced norm, a form in the order's flat coordinates (_flat_form), is
-expanded once per algebra and kept as monomial terms.  A query sweeps when
-the differences of its doubled box fit the enumeration bound
-(exhaustive_sweep) and samples otherwise.  The sweep is exact for its box:
-boxsweep, imported on the first sweep, compiles nested loops over the half
-box that substitute one lattice coordinate per level, O(1) amortised work
-per difference.  The sampled mode compiles one loop per (basis, form) that
+expanded once per algebra and kept as monomial terms for the newest 32
+algebras.  A query sweeps when the differences of its doubled box fit the
+enumeration bound (exhaustive_sweep) and samples otherwise.  The sweep is
+exact for its box: boxsweep, imported on the first sweep, compiles nested
+loops over the half box that substitute one lattice coordinate per level,
+O(1) amortised work per difference.  The sampled mode compiles one loop per (basis, form) that
 evaluates the form's Horner source on differences of box points, fed at C
 level by getrandbits bytes that are randint's draws; it gives an upper
-bound, never a certificate.  Both kinds of loop are kept in bounded caches.
+bound, never a certificate.  Both kinds of loop are kept in bounded caches;
+skewlat.emit writes their Horner forms, sums and tuples and compiles them.
 One cofactor expansion of forms (_cofactor_det) computes both det M, on
 constant forms, and G, on linear ones; it raises TooLarge past
 ENUMERATION_BOUND products.  Matrix entries add through lattice.vector_sum.
@@ -44,6 +45,7 @@ from itertools import chain, repeat
 from math import inf
 
 from .codes import ConstacyclicCode
+from .emit import compile_function, horner, linear_source, tuple_source
 from .errors import InvalidSpec, LengthMismatch, NotInLattice, TooLarge
 from .lattice import (
     NaturalOrder,
@@ -55,10 +57,10 @@ from .lattice import (
     split_element,
     vector_sum,
 )
-from .number_ring import ENUMERATION_BOUND, Record, compile_function, linear_source
+from .number_ring import ENUMERATION_BOUND, Record
 
 _DRAW_BATCH = 1024  # 32-bit words per getrandbits batch in _sampled_pairs
-_FLAT_FORMS = {}  # (min_poly, sigma_image, u) -> terms of G
+_FLAT_FORMS = {}  # (min_poly, sigma_image, u) -> terms of G, for the newest 32
 _coeffs = operator.attrgetter("coeffs")
 
 
@@ -230,26 +232,6 @@ def _sampled_pairs(rng, coeff_bound, N):
     return zip(points, points)
 
 
-def _horner_source(form):
-    """Python source of a form, given as {sorted variable indices: int}.
-
-    Monomials are grouped by their leading variable, recursively, so the
-    source reads sum_i x_i * (sum_{j >= i} x_j * (...)): nesting is as deep
-    as the degree and each + chain has at most one term per variable, after
-    the constant term if there is one; a factor of 1 is left out.
-    """
-    terms = [repr(form[()])] if () in form else []
-    groups = {}
-    for mono, coeff in form.items():
-        if mono:
-            groups.setdefault(mono[0], {})[mono[1:]] = coeff
-    terms += (
-        f"x{i}" if groups[i] == {(): 1} else f"x{i}*({_horner_source(groups[i])})"
-        for i in sorted(groups)
-    )
-    return "+".join(terms) or "0"
-
-
 def _flat_form(order):
     """The terms of the integer form G(x) = nrd(x) in the order's flat
     coordinates x0, x1, ...: its (sorted variable indices, coefficient)
@@ -276,6 +258,8 @@ def _flat_form(order):
         form = _cofactor_det(rows, order.ok_mul)
         if any(any(rest) for _, *rest in form.values()):
             raise InvalidSpec("the reduced norm form has a nonzero non-constant coordinate")
+        if len(_FLAT_FORMS) >= 32:
+            del _FLAT_FORMS[next(iter(_FLAT_FORMS))]  # the oldest
         _FLAT_FORMS[key] = tuple((mono, vec[0]) for mono, vec in form.items())
     return _FLAT_FORMS[key]
 
@@ -293,17 +277,16 @@ def _sweep(columns, terms):
     each d read as z1 - z2 of sampled pairs (z1, z2), skipping equal pairs and
     stopping after `left` others.  Compiled sweeps are kept in a bounded cache
     keyed by both arguments, columns as tuples and terms as _flat_form's."""
-    d = [f"d{j}" for j in range(len(columns))]
-    ds = ", ".join(d) + ","
-    head = f"({ds.replace('d', 'a')}), ({ds.replace('d', 'b')})"
-    body = "".join(f"        {x} = a{j} - b{j}\n" for j, x in enumerate(d))
+    a, b, d = ([f"{v}{j}" for j in range(len(columns))] for v in "abd")
+    x = [f"x{i}" for i in range(len(columns[0]))]
+    body = f"    for {tuple_source(a)}, {tuple_source(b)} in pairs:\n"
+    body += "".join(f"        {dj} = {aj} - {bj}\n" for aj, bj, dj in zip(a, b, d))
     body += f"        if not ({' or '.join(d)}):\n            continue\n"
-    body += f"{_basis_map(columns, ' ' * 8)}        v = abs({_horner_source(dict(terms))})\n"
-    body += f"        if v < best:\n            best, best_d = v, ({ds})\n"
+    body += f"{_basis_map(columns, ' ' * 8)}        v = abs({horner(dict(terms), x)})\n"
+    body += f"        if v < best:\n            best, best_d = v, {tuple_source(d)}\n"
     body += "            if not v:\n                break\n"
     body += "        left -= 1\n        if not left:\n            break\n    return best, best_d\n"
-    source = f"def sweep(pairs, best, left):\n    for {head} in pairs:\n{body}"
-    return compile_function(source, "sweep")
+    return compile_function(f"def sweep(pairs, best, left):\n{body}", "sweep")
 
 
 def min_det_sample(

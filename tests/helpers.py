@@ -31,7 +31,8 @@ from skewlat import (
 )
 from skewlat.errors import IndefiniteForm, InvalidSpec, LengthMismatch, TooLarge
 from skewlat.lattice import vector_sum
-from skewlat.number_ring import compile_function, echelon_mod_p, nullspace_mod_p
+from skewlat.emit import compile_function
+from skewlat.number_ring import echelon_mod_p, nullspace_mod_p
 
 # The cyclic cubic field of 2*cos(2*pi/7): minimal polynomial y^3 + y^2 - 2y - 1,
 # Galois group generated by y -> y^2 - 2, with e^3 = 2 over p = 5.
@@ -413,17 +414,30 @@ def reduced_norm_form(order, columns):
     """The integer form F with F(d) = nrd(sum_j d_j columns[j]), as a function of d.
 
     columns are the flat coordinates of a basis of a full-rank sublattice of
-    the order.  The function computes x = B d through the sweep's basis map,
-    then the Horner source of the order's flat form G from the terms
-    spacetime._flat_form keeps, so it raises what G's expansion raises:
-    InvalidSpec when G is not rational, TooLarge past ENUMERATION_BOUND
-    products.  On Z[i] and the cubic, F has up to 10 and 165 monomials,
-    against 4 and 57 in G.
+    the order.  The function computes x = B d, then the order's flat form G
+    from the terms spacetime._flat_form keeps, both written out as flat sums
+    (_flat_sum_source), so it raises what G's expansion raises: InvalidSpec
+    when G is not rational, TooLarge past ENUMERATION_BOUND products.  On
+    Z[i] and the cubic, F has up to 10 and 165 monomials, against 4 and 57
+    in G.
     """
     names = "".join(f"d{j}, " for j in range(len(columns)))
-    head = f"def form(d):\n    {names}= d\n{spacetime._basis_map(columns, '    ')}"
-    source = spacetime._horner_source(dict(spacetime._flat_form(order)))
-    return compile_function(f"{head}    return {source}\n", "form")
+    body, value = _flat_sum_source(columns, spacetime._flat_form(order), "    ")
+    return compile_function(f"def form(d):\n    {names}= d\n{body}    return {value}\n", "form")
+
+
+def _flat_sum_source(columns, terms, indent):
+    """Oracle source, independent of the library's emitter: the lines
+    x_i = sum_j columns[j][i]*d_j over the nonzero entries, and the
+    expression sum c*x_i*x_j*... over the (sorted variable indices, c) terms,
+    each sum one plain "+".join of its monomials."""
+    d = [f"d{j}" for j in range(len(columns))]
+    body = "".join(
+        f"{indent}x{i} = {'+'.join(f'{c}*{dj}' for c, dj in zip(row, d) if c) or 0}\n"
+        for i, row in enumerate(zip(*columns))
+    )
+    value = "+".join("*".join([str(c), *(f"x{i}" for i in mono)]) for mono, c in terms)
+    return body, value or "0"
 
 
 def random_element(ring, rng):
@@ -462,7 +476,8 @@ def product_order_sweep(columns, terms, box):
     for each d in one compiled loop that stops at the first zero."""
     N = len(columns)
     ds = "".join(f"d{j}, " for j in range(N))
-    body = f"{spacetime._basis_map(columns, ' ' * 8)}        v = abs({spacetime._horner_source(dict(terms)) or 0})\n"
+    body, value = _flat_sum_source(columns, terms, " " * 8)
+    body += f"        v = abs({value})\n"
     body += f"        if v < best:\n            best, best_d = v, ({ds})\n"
     body += "            if not v:\n                break\n    return best, best_d\n"
     sweep = compile_function(f"def sweep(pairs, best):\n    for {ds} in pairs:\n{body}", "sweep")

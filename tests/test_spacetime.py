@@ -642,6 +642,22 @@ def test_flat_forms_are_cached_per_algebra_with_u_in_the_key(monkeypatch):
         assert len(spacetime._FLAT_FORMS) == 2
 
 
+def test_flat_forms_keep_the_newest_32_algebras(monkeypatch):
+    # Z[i] at p = 101 with u = 1, ..., 33: 33 algebras, so the form of u = 1,
+    # the oldest, is dropped and expanded again on its next use.
+    expanded = []
+    det = spacetime._cofactor_det
+    monkeypatch.setattr(spacetime, "_FLAT_FORMS", {})
+    monkeypatch.setattr(spacetime, "_cofactor_det", lambda *args: expanded.append(1) or det(*args))
+    orders = [NaturalOrder(AlgebraSpec((1, 0, 1), (0, -1), u=u, p=101)) for u in range(1, 34)]
+    forms = [spacetime._flat_form(order) for order in orders]
+    assert len(expanded) == 33 and len(spacetime._FLAT_FORMS) == 32
+    assert [key[2] for key in spacetime._FLAT_FORMS] == list(range(2, 34))
+    assert spacetime._flat_form(orders[-1]) is forms[-1] and len(expanded) == 33
+    assert spacetime._flat_form(orders[0]) == forms[0] and len(expanded) == 34
+    assert [key[2] for key in spacetime._FLAT_FORMS] == [*range(3, 34), 1]
+
+
 def test_compiled_sweeps_are_cached_per_columns_form_and_mode():
     # Exhaustive sweeps are kept per (columns, form, box) and sampled ones per
     # (columns, form).  The full codes of gaussian-p3 and of its u = 1
