@@ -32,10 +32,10 @@ precision; Gram determinants overflow machine words even at small sizes.
 
 The trace form used for Gram matrices is
     B(sum a_i e^i, sum b_i e^i) = sum_i Tr(a_i * conj(b_i))
-with conj the complex conjugation of K, a fact of the field that
-NaturalOrder.conj_power derives, so the form is positive definite.  Its
-matrix T on the flat basis is built once per spec and cached, and every Gram
-matrix is read off it as B^T T B, its determinant as det(T) * det(B)^2.
+with conj the complex conjugation of K, a fact of the field, so the form is
+positive definite.  Its matrix T on the flat basis is n copies of one n x n
+block, NaturalOrder.trace_block, kept on the one order per spec; every Gram
+matrix B^T T B is read off that block, its determinant as det(block)^n * det(B)^2.
 """
 
 from __future__ import annotations
@@ -83,18 +83,24 @@ class NaturalOrder:
     def ok_conj(self, vec):
         return self.ok_sigma(vec, self.conj_power)
 
-    @cached_property
+    @property
     def conj_power(self) -> int:
-        """The c for which sigma^c is complex conjugation of K, once per order:
-        0 when K is totally real (every odd n), that is when [Tr(theta^a
-        theta^b)] passes Sylvester's test; else n/2, the one involution of a
-        totally complex cyclic K.  IndefiniteForm if neither form is definite."""
+        """The c for which sigma^c is complex conjugation of K (trace_block)."""
+        return self.trace_block[0]
+
+    @cached_property
+    def trace_block(self):
+        """(c, [Tr(theta^a sigma^c(theta^b))]), the trace form on each O_K e^i,
+        once per order: c = 0 when K is totally real (every odd n), that is
+        when the block of c = 0 passes Sylvester's test; else n/2, the one
+        involution of a totally complex cyclic K.  IndefiniteForm if neither
+        block is definite."""
         n, tr, mul, sigma = self.n, self.ok_trace, self.ok_mul, self.ok_sigma
         powers = [tuple(int(a == j) for j in range(n)) for a in range(n)]
         for c in (0, n // 2) if n % 2 == 0 else (0,):
-            form = [[tr(mul(x, sigma(y, c))) for y in powers] for x in powers]
-            if all(det_int([row[:k] for row in form[:k]]) > 0 for k in range(1, n + 1)):
-                return c
+            block = tuple(tuple(tr(mul(x, sigma(y, c))) for y in powers) for x in powers)
+            if all(det_int([row[:k] for row in block[:k]]) > 0 for k in range(1, n + 1)):
+                return c, block
         raise IndefiniteForm("neither Tr(x x) nor Tr(x sigma^(n/2)(x)) is positive definite")
 
     def ok_norm(self, vec) -> int:
@@ -106,7 +112,7 @@ class NaturalOrder:
     def element(self, rows) -> "OrderElement":
         if len(rows) != self.n:
             raise LengthMismatch(f"expected {self.n} rows")
-        return OrderElement(self, tuple(tuple(self._core.reduce(row)) for row in rows))
+        return OrderElement(self, tuple(map(self._core.reduce, rows)))
 
     @property
     def zero(self):
@@ -427,27 +433,9 @@ class LatticeBasis(Record):
         }
 
 
-@lru_cache(maxsize=32)
-def _trace_form(spec: AlgebraSpec):
-    """The N x N matrix T of the trace form on the flat basis {theta^j e^i}.
-
-    B(x, y) = x^T T y.  T is block-diagonal, each block the n x n matrix
-    [Tr(theta^a conj(theta^b))], built once per spec through
-    natural_order(spec)'s ok_mul, ok_conj and ok_trace; the cache is bounded.
-    """
-    order = natural_order(spec)
-    n = order.n
-    powers = [tuple(int(a == j) for j in range(n)) for a in range(n)]
-    block = [[order.ok_trace(order.ok_mul(x, order.ok_conj(y))) for y in powers] for x in powers]
-    return tuple(
-        tuple(block[a][b] if i == j else 0 for j in range(n) for b in range(n))
-        for i in range(n)
-        for a in range(n)
-    )
-
-
 def gram_matrix(basis, spec: AlgebraSpec):
-    """Gram matrix B^T T B of the basis columns, T from _trace_form.
+    """Gram matrix B^T T B of the basis columns, T being n copies of
+    natural_order(spec)'s trace_block.
 
     basis is row-major with the generators as columns, in the flat basis of
     the order; the zero entries of each column are skipped.  Raises
@@ -455,14 +443,21 @@ def gram_matrix(basis, spec: AlgebraSpec):
     by row, at the first nonpositive diagonal entry; T is positive definite,
     so only a zero column has one.
     """
-    form = _trace_form(spec)
-    N = len(form)
-    cols = []
+    block = natural_order(spec).trace_block[1]
+    n = len(block)
+    N = n * n
+    cols, images = [], []
     for col in zip(*basis):
         if len(col) != N:
             raise LengthMismatch(f"expected {N} coordinates")
-        cols.append([(i, v) for i, v in enumerate(map(operator.index, col)) if v])
-    images = [vector_sum([[v * t for t in form[i]] for i, v in col], N) for col in cols]
+        col = [(i, v) for i, v in enumerate(map(operator.index, col)) if v]
+        image = [0] * N
+        for i, v in col:
+            e, a = divmod(i, n)  # coordinate i is theta^a e^e
+            for j, t in enumerate(block[a], e * n):
+                image[j] += v * t
+        cols.append(col)
+        images.append(image)
     size = len(cols)
     gram = [[0] * size for _ in range(size)]
     for r, col in enumerate(cols):
@@ -485,15 +480,15 @@ def _lift_basis(rows, pivots, spec: AlgebraSpec) -> LatticeBasis:
     entries in [0, p) below; with p e_j for each free coordinate j that is
     N columns already in HNF, so hnf makes one pass over them instead of
     eliminating every vector, and the index is p^(N - rank), which is
-    det(B); T is n copies of one n x n block, so det(B^T T B) needs only
-    that block eliminated.
+    det(B); T is n copies of the order's trace_block, so det(B^T T B)
+    needs only that block eliminated.
     """
     n, p, N = spec.n, spec.p, spec.n * spec.n
     free = [j for j in range(N) if j not in pivots]
     basis = hnf(list(zip(*rows, *([p if i == j else 0 for i in range(N)] for j in free))))
     gram = gram_matrix(basis, spec)
     index = prod(basis[i][i] for i in range(N))
-    block = [row[:n] for row in _trace_form(spec)[:n]]
+    block = natural_order(spec).trace_block[1]
     return LatticeBasis(basis=basis, gram=gram, det=det_int(block) ** n * index**2, index=index)
 
 
@@ -510,7 +505,9 @@ def construction_a_basis(code: ConstacyclicCode) -> LatticeBasis:
 
 
 def dual_lattice_basis(code: ConstacyclicCode) -> LatticeBasis:
-    """Basis of the preimage lattice of the Euclidean dual code.
+    """Basis of the preimage lattice of the Euclidean dual code: the
+    Construction A lattice of that code, not the dual L^# of the code's
+    lattice L under the trace form.
 
     Built from the flat coefficients of the words of brute_force_dual, the
     F_p-nullspace of the code's products, so it is exact for every u,

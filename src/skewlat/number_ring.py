@@ -14,7 +14,8 @@ integer code from one emitter: the product and sigma compiled with the core,
 every other power of sigma on its first use, and the norm on its first call,
 with O(n^3) terms, cached on the core, that also returns the suffix products
 the divisor roots scale.  The emitter writes its sums and tuples with
-skewlat.emit, which compiles them.
+skewlat.emit, which compiles them.  Vectors of any other length are reduced
+modulo m by intpoly.mod_monic, like every other polynomial remainder.
 QuotientRing reduces its results modulo p, so inverses are norm cofactors
 divided by the norm; lattice.NaturalOrder uses the same instance and keeps
 them over Z.
@@ -253,14 +254,16 @@ class IntegralArithmetic:
     """Arithmetic of O_K = Z[y]/(m) on integer coefficient vectors of length n.
 
     Built once per (min_poly, sigma_image) pair by integral_arithmetic().
-    Owns the folding row y^n mod m, the tables of sigma^k on the powers y^j
-    and the power sums Tr(y^j).  mul and sigma take vectors of exactly n
+    Owns m, its folding row y^n mod m, the tables of sigma^k on the powers
+    y^j and the power sums Tr(y^j).  mul and sigma take vectors of exactly n
     integers and return tuples reduced modulo m only: QuotientRing reduces
-    them modulo p, NaturalOrder keeps them over Z.  _Emitter writes both as
-    straight-line code: mul and sigma^1 compiled with the core, which its
-    checks need, each other sigma^k on its first use (_SigmaPrograms), and
-    norm_cofactor, the one norm rule of the library, on its first call, with
-    O(n^3) terms.  After AlgebraSpec's field checks it raises NotIrreducible
+    them modulo p, NaturalOrder keeps them over Z.  reduce takes vectors of
+    any length through intpoly.mod_monic, the one rule for reduction modulo
+    m; only the compiled product inlines the folding row.  _Emitter writes
+    mul and sigma as straight-line code: mul and sigma^1 compiled with the
+    core, which its checks need, each other sigma^k on its first use
+    (_SigmaPrograms), and norm_cofactor, the one norm rule of the library,
+    on its first call, with O(n^3) terms.  After AlgebraSpec's field checks it raises NotIrreducible
     for a reducible m of degree at most 3 (above that irreducibility is
     trusted, and QuotientRing warns), then InvalidSigma unless s(y) induces a
     ring map of O_K of order exactly n.
@@ -269,6 +272,7 @@ class IntegralArithmetic:
     def __init__(self, min_poly, sigma_image):
         n = len(min_poly) - 1
         self.n = n
+        self.min_poly = min_poly
 
         # A monic quadratic or cubic is reducible over Q exactly when it has a
         # rational, hence integer, root.
@@ -284,7 +288,7 @@ class IntegralArithmetic:
         # sigma^k applied to the basis powers y^j, for k = 0 .. n-1, once s is
         # known to give a ring map (m(s) = sum m_j s^j vanishes in O_K) whose
         # iterates sigma^k(y) first return to y at k = n.
-        self.sigma_image = tuple(self.reduce(sigma_image))
+        self.sigma_image = self.reduce(sigma_image)
         identity = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
         powers = list(accumulate(repeat(self.sigma_image, n), self.mul, initial=identity[0]))
         if any(sum(c * power[i] for c, power in zip(min_poly, powers)) for i in range(n)):
@@ -313,20 +317,10 @@ class IntegralArithmetic:
         emit = _Emitter(self, "a")
         return emit.compile("sigma", emit.sigma(*emit.args, table, "s"))
 
-    def _fold(self, c):
-        """Reduce the integer list c modulo m in place, down to length n."""
-        n = self.n
-        while len(c) > n:
-            top = c.pop()
-            if top:
-                for j, y in enumerate(self._yn, len(c) - n):
-                    c[j] += top * y
-        return c
-
     def reduce(self, coeffs):
-        """Integer coefficients of any length, reduced modulo m to length n."""
-        c = list(map(operator.index, coeffs))
-        return self._fold(c + [0] * (self.n - len(c)))
+        """Integer coefficients of any length, reduced modulo m to a tuple of length n."""
+        c = intpoly.mod_monic(map(operator.index, coeffs), self.min_poly)
+        return c + (0,) * (self.n - len(c))
 
     def sigma(self, vec, power=1):
         return self._sigmas[power % self.n](vec)

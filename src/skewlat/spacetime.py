@@ -13,12 +13,13 @@ a rational integer and norm_det is nrd ** n.
 min_det_sample probes the space-time design criterion: over a division
 algebra det M(a - a') = det(M(a) - M(a')) never vanishes for a != a'.  The
 reduced norm, a form in the order's flat coordinates (_flat_form), is
-expanded once per algebra and kept as monomial terms for the newest 32
-algebras.  A query sweeps when the differences of its doubled box fit the
-enumeration bound (exhaustive_sweep) and samples otherwise.  The sweep is
-exact for its box: boxsweep, imported on the first sweep, compiles nested
-loops over the half box that substitute one lattice coordinate per level,
-O(1) amortised work per difference.  The sampled mode compiles one loop per (basis, form) that
+expanded once per spec and kept as monomial terms for the 32 most recently
+used specs, in an lru_cache like every other per-spec object.  A query
+sweeps when the differences of its doubled box fit the enumeration bound
+(exhaustive_sweep) and samples otherwise.  The sweep is exact for its box:
+boxsweep, imported on the first sweep, compiles nested loops over the half
+box that substitute one lattice coordinate per level, O(1) amortised work
+per difference.  The sampled mode compiles one loop per (basis, form) that
 evaluates the form's Horner source on differences of box points, fed at C
 level by getrandbits bytes that are randint's draws; it gives an upper
 bound, never a certificate.  Both kinds of loop are kept in bounded caches;
@@ -60,7 +61,6 @@ from .lattice import (
 from .number_ring import ENUMERATION_BOUND, Record
 
 _DRAW_BATCH = 1024  # 32-bit words per getrandbits batch in _sampled_pairs
-_FLAT_FORMS = {}  # (min_poly, sigma_image, u) -> terms of G, for the newest 32
 _coeffs = operator.attrgetter("coeffs")
 
 
@@ -232,6 +232,7 @@ def _sampled_pairs(rng, coeff_bound, N):
     return zip(points, points)
 
 
+@lru_cache(maxsize=32)
 def _flat_form(order):
     """The terms of the integer form G(x) = nrd(x) in the order's flat
     coordinates x0, x1, ...: its (sorted variable indices, coefficient)
@@ -240,28 +241,24 @@ def _flat_form(order):
 
     M is additive, so G has degree n in the n^2 coordinates, and it is sparse
     since entry (r, c) of M(x) reads only the e^((r - c) mod n) coefficient of
-    x: 4 monomials on Z[i] and 57 on the cubic.  G depends only on (min_poly,
-    sigma_image, u); _cofactor_det expands it once per algebra from the
-    linear forms of M(x) and it is checked rational, InvalidSpec otherwise
-    (G o B is rational exactly when G is, B being invertible over Q);
-    TooLarge while its expansion passes ENUMERATION_BOUND products, so only
-    a form that fitted the bound is cached.
+    x: 4 monomials on Z[i] and 57 on the cubic.  _cofactor_det expands it
+    from the linear forms of M(x) once per spec, orders comparing by spec,
+    and keeps it for the 32 most recently used; it is checked rational,
+    InvalidSpec otherwise (G o B is rational exactly when G is, B being
+    invertible over Q); TooLarge while its expansion passes
+    ENUMERATION_BOUND products, so only a form that fitted the bound is
+    cached.
     """
-    key = (order.min_poly, order.spec.sigma_image, order.u)
-    if key not in _FLAT_FORMS:
-        n = order.n
-        mats = [matrix_rep(order.basis_element(i)).entries for i in range(n * n)]
-        rows = [
-            [{(i,): m[r][c] for i, m in enumerate(mats) if any(m[r][c])} for c in range(n)]
-            for r in range(n)
-        ]
-        form = _cofactor_det(rows, order.ok_mul)
-        if any(any(rest) for _, *rest in form.values()):
-            raise InvalidSpec("the reduced norm form has a nonzero non-constant coordinate")
-        if len(_FLAT_FORMS) >= 32:
-            del _FLAT_FORMS[next(iter(_FLAT_FORMS))]  # the oldest
-        _FLAT_FORMS[key] = tuple((mono, vec[0]) for mono, vec in form.items())
-    return _FLAT_FORMS[key]
+    n = order.n
+    mats = [matrix_rep(order.basis_element(i)).entries for i in range(n * n)]
+    rows = [
+        [{(i,): m[r][c] for i, m in enumerate(mats) if any(m[r][c])} for c in range(n)]
+        for r in range(n)
+    ]
+    form = _cofactor_det(rows, order.ok_mul)
+    if any(any(rest) for _, *rest in form.values()):
+        raise InvalidSpec("the reduced norm form has a nonzero non-constant coordinate")
+    return tuple((mono, vec[0]) for mono, vec in form.items())
 
 
 def _basis_map(columns, indent):

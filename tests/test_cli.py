@@ -771,9 +771,10 @@ def test_load_config_matches_parse(cfg_path):
 
 
 def test_one_natural_order_per_spec_across_readers(monkeypatch, capsys, cfg_path):
-    # lattice.natural_order is the one cache of NaturalOrder: the trace form,
-    # coset encoding and the stmatrix and coset-decode commands all read it,
-    # so from a cleared cache they build one order between them.
+    # lattice.natural_order is the one cache of NaturalOrder: the trace form
+    # (its trace_block), coset encoding and the stmatrix and coset-decode
+    # commands all read it, so from a cleared cache they build one order
+    # between them.
     from skewlat import ConstacyclicCode, NaturalOrder, QuotientRing, SkewPoly, coset_encode
     from skewlat import lattice
 
@@ -786,11 +787,10 @@ def test_one_natural_order_per_spec_across_readers(monkeypatch, capsys, cfg_path
 
     monkeypatch.setattr(NaturalOrder, "__init__", counting_init)
     lattice.natural_order.cache_clear()
-    lattice._trace_form.cache_clear()
     spec = load_config(cfg_path).spec()
     order = lattice.natural_order(spec)
     assert lattice.natural_order(load_config(cfg_path).spec()) is order
-    lattice._trace_form(spec)
+    assert lattice.natural_order(spec).trace_block is order.trace_block
     ring = QuotientRing(spec)
     code = ConstacyclicCode.from_generator(SkewPoly(ring, [ring.gen + 1, ring.one]))
     enc = coset_encode(code, [ring.one], [1, 0, -1, 2])

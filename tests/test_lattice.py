@@ -23,6 +23,7 @@ from skewlat import (
     lift_codeword,
     reduce_element,
 )
+from skewlat import lattice
 from skewlat.errors import IndefiniteForm, LengthMismatch
 from skewlat.fixtures import FIXTURE_SPECS, fixture_code, fixture_ring
 from skewlat.lattice import _lift_basis
@@ -30,11 +31,13 @@ from skewlat.number_ring import echelon_mod_p
 
 from helpers import (
     CUBIC,
+    QUARTIC,
     divisor_codes,
     lattice_inclusion,
     lifted_lattice_basis,
     oracle_conj_power,
     pairwise_gram_matrix,
+    quiet_ring,
     random_element,
     random_order_element,
     replace_spec,
@@ -330,6 +333,30 @@ def test_gram_mode_spellings_give_one_gram():
 def test_conjugation_is_derived_from_the_field(min_poly, sigma_image, power):
     order = NaturalOrder(AlgebraSpec(min_poly, sigma_image, u=1, p=11))
     assert order.conj_power == oracle_conj_power(order) == power
+
+
+@pytest.mark.parametrize(
+    "spec, traces",
+    [
+        (CUBIC, 9),
+        (QUARTIC, 16),  # Q(zeta_16)^+, real: c = 0 passes
+        (AlgebraSpec((1, 1, 1, 1, 1), (0, 0, 1), u=2, p=11), 32),  # Q(zeta_5): c = 0, then c = 2
+    ],
+)
+def test_the_trace_block_is_built_once_per_spec(monkeypatch, spec, traces):
+    # The order's trace_block picks the conjugation and gives every Gram
+    # matrix and its determinant, so two Construction A builds from cleared
+    # caches take n^2 traces for each power of sigma tried, once.
+    for cached in vars(lattice).values():
+        if getattr(cached, "__module__", None) == lattice.__name__:
+            getattr(cached, "cache_clear", lambda: None)()
+    calls = []
+    trace = NaturalOrder.ok_trace
+    monkeypatch.setattr(NaturalOrder, "ok_trace", lambda self, v: calls.append(v) or trace(self, v))
+    ring = quiet_ring(spec)
+    code = ConstacyclicCode.from_generator(SkewPoly(ring, [ring.one]))
+    assert construction_a_basis(code) == construction_a_basis(code)
+    assert len(calls) == traces
 
 
 def test_gram_is_symmetric_positive_on_fixture_lattices(fixture_name):

@@ -493,7 +493,7 @@ def test_determinant_with_an_irrational_coordinate_raises(monkeypatch):
     # A form built from such matrices fails its one rationality check, each
     # time: the cache starts empty, so the patched matrix_rep is expanded,
     # and a failed expansion is not cached.
-    monkeypatch.setattr(spacetime, "_FLAT_FORMS", {})
+    spacetime._flat_form.cache_clear()
     monkeypatch.setattr(
         spacetime,
         "matrix_rep",
@@ -502,7 +502,7 @@ def test_determinant_with_an_irrational_coordinate_raises(monkeypatch):
     for _ in range(2):
         with pytest.raises(InvalidSpec, match="non-constant"):
             reduced_norm_form(order, [(0, 1, 0, 0), (1, 0, 0, 0)])
-    assert spacetime._FLAT_FORMS == {}
+    assert spacetime._flat_form.cache_info().currsize == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -588,17 +588,17 @@ def test_cofactor_expansions_stop_past_the_enumeration_bound(monkeypatch):
     expansions = {8: dense.det, 189: lambda: reduced_norm_form(order, cols)((1,) * 9)}
     for made, expand in expansions.items():
         unbounded = expand()
-        monkeypatch.setattr(spacetime, "_FLAT_FORMS", {})
+        spacetime._flat_form.cache_clear()
         monkeypatch.setattr(spacetime, "ENUMERATION_BOUND", made)
         assert expand() == unbounded
-        monkeypatch.setattr(spacetime, "_FLAT_FORMS", {})
+        spacetime._flat_form.cache_clear()
         monkeypatch.setattr(spacetime, "ENUMERATION_BOUND", made - 1)
         with pytest.raises(TooLarge, match=f"exceeds {made - 1} products"):
             expand()
         monkeypatch.undo()
 
 
-def test_flat_form_expansions_drop_cancelled_monomials(monkeypatch):
+def test_flat_form_expansions_drop_cancelled_monomials():
     # A monomial whose coefficients sum to zero is dropped as the expansion
     # goes, so no product is made with it: the quartic's form makes 4,608
     # products instead of 4,992 and keeps its 404 monomials.
@@ -606,7 +606,7 @@ def test_flat_form_expansions_drop_cancelled_monomials(monkeypatch):
         order = NaturalOrder(spec)
         calls = []
         order.ok_mul = lambda a, b, mul=order.ok_mul: calls.append(None) or mul(a, b)
-        monkeypatch.setattr(spacetime, "_FLAT_FORMS", {})
+        spacetime._flat_form.cache_clear()
         assert len(spacetime._flat_form(order)) == monomials
         assert len(calls) == products
 
@@ -633,29 +633,33 @@ def test_min_det_rechecks_its_witness(monkeypatch):
         min_det_sample(code, 1, exhaustive=False)
 
 
-def test_flat_forms_are_cached_per_algebra_with_u_in_the_key(monkeypatch):
+def test_flat_forms_are_cached_per_algebra_with_u_in_the_key():
     # gaussian-p3 and its u = 1 sabotage share a field but not a form.
     division, sabotage = fixture_code("gaussian-p3-inert"), sabotage_code()
     for first, second, values in [(division, sabotage, [9, 0, 9]), (sabotage, division, [0, 9, 0])]:
-        monkeypatch.setattr(spacetime, "_FLAT_FORMS", {})
+        spacetime._flat_form.cache_clear()
         assert [min_det_sample(c, 1) for c in (first, second, first)] == values
-        assert len(spacetime._FLAT_FORMS) == 2
+        assert spacetime._flat_form.cache_info().currsize == 2
 
 
-def test_flat_forms_keep_the_newest_32_algebras(monkeypatch):
-    # Z[i] at p = 101 with u = 1, ..., 33: 33 algebras, so the form of u = 1,
-    # the oldest, is dropped and expanded again on its next use.
+def test_flat_forms_keep_the_32_most_recently_used_algebras(monkeypatch):
+    # Z[i] at p = 101 with u = 1, ..., 33: 33 algebras.  Reading u = 1 again
+    # once the cache is full makes u = 2 the least recently used, so u = 33
+    # drops u = 2, not u = 1, and u = 2 is expanded again on its next use.
     expanded = []
     det = spacetime._cofactor_det
-    monkeypatch.setattr(spacetime, "_FLAT_FORMS", {})
+    spacetime._flat_form.cache_clear()
     monkeypatch.setattr(spacetime, "_cofactor_det", lambda *args: expanded.append(1) or det(*args))
     orders = [NaturalOrder(AlgebraSpec((1, 0, 1), (0, -1), u=u, p=101)) for u in range(1, 34)]
-    forms = [spacetime._flat_form(order) for order in orders]
-    assert len(expanded) == 33 and len(spacetime._FLAT_FORMS) == 32
-    assert [key[2] for key in spacetime._FLAT_FORMS] == list(range(2, 34))
+    forms = [spacetime._flat_form(order) for order in orders[:32]]
+    assert len(expanded) == 32 and spacetime._flat_form.cache_info().currsize == 32
+    assert spacetime._flat_form(orders[0]) is forms[0] and len(expanded) == 32
+    forms.append(spacetime._flat_form(orders[32]))
+    assert len(expanded) == 33 and spacetime._flat_form.cache_info().currsize == 32
+    assert spacetime._flat_form(orders[0]) is forms[0] and len(expanded) == 33
     assert spacetime._flat_form(orders[-1]) is forms[-1] and len(expanded) == 33
-    assert spacetime._flat_form(orders[0]) == forms[0] and len(expanded) == 34
-    assert [key[2] for key in spacetime._FLAT_FORMS] == [*range(3, 34), 1]
+    assert spacetime._flat_form(orders[1]) == forms[1] and len(expanded) == 34
+    assert spacetime._flat_form.cache_info()[:4] == (3, 34, 32, 32)  # hits, misses, bound, size
 
 
 def test_compiled_sweeps_are_cached_per_columns_form_and_mode():
