@@ -17,17 +17,21 @@ are unrolled over their (4b + 1)^2 values with constant powers, the values
 at t and -t sharing their even and odd parts, and min and index find the
 first least value of each block.  So a difference costs O(1) amortised
 work, the loops visit the d in the order of the product, and the first
-lexicographic minimiser is the one returned.  The loops are written here;
-their Horner forms, sums and tuples come from skewlat.emit, which compiles
-the sweep.
+lexicographic minimiser is the one returned.  sweep(stop) returns as soon
+as its least value is <= stop: stop = 0 sweeps to the first zero, and
+spacetime passes the index bound of a proven division algebra, below which
+no value falls, so the first value that meets it is the first minimiser.
+The loops are written here; their Horner forms, sums and tuples come from
+skewlat.emit, which compiles the sweep.
 
 A loop runs over [0, 2b] while every coordinate before it is 0 (its start
 lo is 0) and over [-2b, 2b] once one is not (lo = -2b).  The differences
 whose first nonzero coordinate is one of the last two come first in the
-order; they are evaluated when the sweep is built, so the last loop starts
-at 1 while lo is 0.  CPython nests at most 20 loops in one function, so a
-sweep of more than 22 coordinates raises TooLarge; at box 1 that is already
-5^23 / 2 differences.
+order; they are evaluated when the sweep is built, and their first least
+value is written in as the starting best, which the sweep returns at once
+when it is <= stop; the last loop starts at 1 while lo is 0.  CPython nests
+at most 20 loops in one function, so a sweep of more than 22 coordinates
+raises TooLarge; at box 1 that is already 5^23 / 2 differences.
 """
 
 from __future__ import annotations
@@ -75,6 +79,7 @@ def _sweep_source(form, N, W):
     best = min(first)
     lines = [f"    best, best_d = {best}, {heads[first.index(best)]}"]
     if best and N > 2:
+        lines += ["    if best <= stop:", "        return best, best_d"]
         coeffs = {exps: f"({c})" if c < 0 else str(c) for exps, c in form.items()}
         names = 0
 
@@ -119,22 +124,22 @@ def _sweep_source(form, N, W):
             f"{pad}if v < best:",
             f"{pad}    s, t = divmod(values.index(v), {2 * W + 1})",
             f"{pad}    best, best_d = v, {best_d}",
-            f"{pad}    if not v:",
+            f"{pad}    if v <= stop:",
             f"{pad}        return best, best_d",
         ]
     lines.append("    return best, best_d\n")
-    return "def sweep():\n" + "\n".join(lines)
+    return "def sweep(stop):\n" + "\n".join(lines)
 
 
 @lru_cache(maxsize=32)
 def half_box_sweep(columns, terms, box):
-    """The compiled sweep() -> (least |F(d)|, first such d) over the half box.
+    """The compiled sweep(stop) -> (least |F(d)|, first such d) over the half box.
 
     F(d) = G(sum_j d_j columns[j]), G the form of terms, a tuple of (sorted
     flat variable indices, integer coefficient) pairs; d runs over the
     nonzero points of [-2 box, 2 box]^N whose first nonzero coordinate is
-    positive, in lexicographic order, and the sweep returns at the first
-    zero.  Compiled once per (columns, terms, box) and kept in a bounded
+    positive, in lexicographic order, and the sweep returns once its least
+    value is <= stop (at the first zero for stop = 0).  Compiled once per (columns, terms, box) and kept in a bounded
     cache.  Raises TooLarge past 22 coordinates (see the module docstring).
     """
     N = len(columns)

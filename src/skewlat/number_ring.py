@@ -175,6 +175,12 @@ class AlgebraSpec(Record):
     def n(self):
         return len(self.min_poly) - 1
 
+    @property
+    def algebra(self):
+        """(min_poly, sigma_image, u): the cyclic algebra without p, the key of
+        every per-algebra cache (spacetime._flat_form, invariants.division_proven)."""
+        return self._key[:3]
+
     @staticmethod
     def check_conjugation_mode(mode):
         """The one spelling check of the inert conjugation_mode key and kwarg."""

@@ -12,18 +12,25 @@ a rational integer and norm_det is nrd ** n.
 
 min_det_sample probes the space-time design criterion: over a division
 algebra det M(a - a') = det(M(a) - M(a')) never vanishes for a != a'.  The
-reduced norm, a form in the order's flat coordinates (_flat_form), is
-expanded once per spec and kept as monomial terms for the 32 most recently
-used specs, in an lru_cache like every other per-spec object.  A query
-sweeps when the differences of its doubled box fit the enumeration bound
-(exhaustive_sweep) and samples otherwise.  The sweep is exact for its box:
-boxsweep, imported on the first sweep, compiles nested loops over the half
-box that substitute one lattice coordinate per level, O(1) amortised work
-per difference.  The sampled mode compiles one loop per (basis, form) that
-evaluates the form's Horner source on differences of box points, fed at C
-level by getrandbits bytes that are randint's draws; it gives an upper
-bound, never a certificate.  Both kinds of loop are kept in bounded caches;
-skewlat.emit writes their Horner forms, sums and tuples and compiles them.
+reduced norm, a form in the order's flat coordinates (_flat_form), does not
+depend on p: it is expanded once per algebra (min_poly, sigma_image, u) and
+kept as monomial terms for the 32 most recently used algebras, in an
+lru_cache.  A query sweeps when the differences of its doubled box fit the
+enumeration bound (exhaustive_sweep) and samples otherwise.  The sweep is
+exact for its box: boxsweep, imported on the first sweep, compiles nested
+loops over the half box that substitute one lattice coordinate per level,
+O(1) amortised work per difference.  The sampled mode compiles one loop per
+(basis, form) that evaluates the form's Horner source on differences of box
+points, fed at C level by getrandbits bytes that are randint's draws; it
+gives an upper bound, never a certificate.  Both kinds of loop are kept in
+bounded caches; skewlat.emit writes their Horner forms, sums and tuples and
+compiles them.  Both end at the first value <= stop, an argument of the
+compiled loop: 0, or, once invariants (imported by the first query) proves
+a division algebra, the least s with s^n >= the lattice's index.  There a
+nonzero point a of the lattice L, a left ideal of the order Lambda, has
+|norm_det(a)| = [Lambda : Lambda a] >= [Lambda : L], so the first value
+that meets s is the first minimiser, and the answer is the one a sweep to
+the end gives.
 One cofactor expansion of forms (_cofactor_det) computes both det M, on
 constant forms, and G, on linear ones; it raises TooLarge past
 ENUMERATION_BOUND products.  Matrix entries add through lattice.vector_sum.
@@ -42,7 +49,7 @@ from __future__ import annotations
 import operator
 import random
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from math import inf
 
 from .codes import ConstacyclicCode
@@ -58,7 +65,7 @@ from .lattice import (
     split_element,
     vector_sum,
 )
-from .number_ring import ENUMERATION_BOUND, Record
+from .number_ring import ENUMERATION_BOUND, AlgebraSpec, Record
 
 _DRAW_BATCH = 1024  # 32-bit words per getrandbits batch in _sampled_pairs
 _coeffs = operator.attrgetter("coeffs")
@@ -233,7 +240,7 @@ def _sampled_pairs(rng, coeff_bound, N):
 
 
 @lru_cache(maxsize=32)
-def _flat_form(order):
+def _flat_form(min_poly, sigma_image, u):
     """The terms of the integer form G(x) = nrd(x) in the order's flat
     coordinates x0, x1, ...: its (sorted variable indices, coefficient)
     pairs, which the exhaustive sweep composes with the basis B and the
@@ -241,14 +248,18 @@ def _flat_form(order):
 
     M is additive, so G has degree n in the n^2 coordinates, and it is sparse
     since entry (r, c) of M(x) reads only the e^((r - c) mod n) coefficient of
-    x: 4 monomials on Z[i] and 57 on the cubic.  _cofactor_det expands it
-    from the linear forms of M(x) once per spec, orders comparing by spec,
-    and keeps it for the 32 most recently used; it is checked rational,
+    x: 4 monomials on Z[i] and 57 on the cubic.  G does not depend on p, so
+    it is kept per algebra, AlgebraSpec.algebra, the key of
+    invariants.division_proven too: _cofactor_det expands it from the linear
+    forms of M(x) in the order of the algebra at the least prime p prime to
+    u, once for the 32 most recently used algebras.  It is checked rational,
     InvalidSpec otherwise (G o B is rational exactly when G is, B being
     invertible over Q); TooLarge while its expansion passes
     ENUMERATION_BOUND products, so only a form that fitted the bound is
     cached.
     """
+    p = next(q for q in count(2) if u % q and all(q % f for f in range(2, q)))
+    order = NaturalOrder(AlgebraSpec(min_poly, sigma_image, u, p))
     n = order.n
     mats = [matrix_rep(order.basis_element(i)).entries for i in range(n * n)]
     rows = [
@@ -270,10 +281,11 @@ def _basis_map(columns, indent):
 
 @lru_cache(maxsize=32)
 def _sweep(columns, terms):
-    """The compiled sweep(pairs, best, left) -> (least |F(d)| below best, first such d),
-    each d read as z1 - z2 of sampled pairs (z1, z2), skipping equal pairs and
-    stopping after `left` others.  Compiled sweeps are kept in a bounded cache
-    keyed by both arguments, columns as tuples and terms as _flat_form's."""
+    """The compiled sweep(pairs, best, left, stop) -> (least |F(d)| below best,
+    first such d), each d read as z1 - z2 of sampled pairs (z1, z2), skipping
+    equal pairs and stopping after `left` others, or at the first value <=
+    stop.  Compiled sweeps are kept in a bounded cache keyed by both
+    arguments, columns as tuples and terms as _flat_form's."""
     a, b, d = ([f"{v}{j}" for j in range(len(columns))] for v in "abd")
     x = [f"x{i}" for i in range(len(columns[0]))]
     body = f"    for {tuple_source(a)}, {tuple_source(b)} in pairs:\n"
@@ -281,9 +293,29 @@ def _sweep(columns, terms):
     body += f"        if not ({' or '.join(d)}):\n            continue\n"
     body += f"{_basis_map(columns, ' ' * 8)}        v = abs({horner(dict(terms), x)})\n"
     body += f"        if v < best:\n            best, best_d = v, {tuple_source(d)}\n"
-    body += "            if not v:\n                break\n"
+    body += "            if v <= stop:\n                break\n"
     body += "        left -= 1\n        if not left:\n            break\n    return best, best_d\n"
-    return compile_function(f"def sweep(pairs, best, left):\n{body}", "sweep")
+    return compile_function(f"def sweep(pairs, best, left, stop):\n{body}", "sweep")
+
+
+def _certified_stop(spec, index):
+    """The least s with s^n >= index when invariants.division_proven says the
+    spec's algebra is a division algebra, else 0.  There every nonzero
+    lattice point has |nrd|^n = |norm_det| >= index, the lattice's index in
+    the order, so no value |G(B d)| of a sweep is below s, and the first one
+    <= s is the first minimiser."""
+    from . import invariants  # only min_det_sample reads it; every CLI run imports spacetime
+
+    return _least_root(index, spec.n) if invariants.division_proven(*spec.algebra) else 0
+
+
+def _least_root(x, n):
+    """The least s >= 1 with s**n >= x, for an integer x >= 1: Newton's
+    iteration from above reaches the floor of the n-th root."""
+    s = 1 << -(-x.bit_length() // n)
+    while (t := ((n - 1) * s + x // s ** (n - 1)) // n) < s:
+        s = t
+    return s if s**n >= x else s + 1
 
 
 def min_det_sample(
@@ -307,9 +339,11 @@ def min_det_sample(
     distinct box points with `seed`, so its value is an upper bound.  The
     first minimizing difference, read into the order from the basis rows, is
     re-checked through norm_det (RuntimeError if they disagree); zero exhibits
-    a rank-deficient difference.  Raises ValueError when coeff_bound < 1, and
-    in sampled mode ValueError when samples < 1 and TooLarge when samples >
-    ENUMERATION_BOUND.
+    a rank-deficient difference.  Either sweep ends early at the first value
+    that meets _certified_stop, the index bound of a proven division
+    algebra, with the value and difference a full sweep returns.  Raises
+    ValueError when coeff_bound < 1, and in sampled mode ValueError when
+    samples < 1 and TooLarge when samples > ENUMERATION_BOUND.
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be at least 1")
@@ -321,17 +355,20 @@ def min_det_sample(
         raise ValueError("samples must be at least 1 when sampling")
     if not exhaustive and samples > ENUMERATION_BOUND:
         raise TooLarge(f"{samples} samples exceed bound {ENUMERATION_BOUND}")
-    basis = construction_a_basis(code).basis
+    spec = code.ring.spec
+    lattice = construction_a_basis(code)
+    basis = lattice.basis
     cols = tuple(zip(*basis))
-    order = NaturalOrder(code.ring.spec)  # per call: the mindet-sweep trace requires a build
-    terms = _flat_form(order)
+    order = NaturalOrder(spec)  # per call: the mindet-sweep trace requires a build
+    terms = _flat_form(*spec.algebra)
+    stop = _certified_stop(spec, lattice.index)
     if exhaustive:
-        from . import boxsweep  # only exhaustive sweeps need it; every CLI run imports spacetime
+        from . import boxsweep  # only exhaustive sweeps need it
 
-        best, best_d = boxsweep.half_box_sweep(cols, terms, coeff_bound)()
+        best, best_d = boxsweep.half_box_sweep(cols, terms, coeff_bound)(stop)
     else:
         pairs = _sampled_pairs(random.Random(seed), coeff_bound, len(cols))
-        best, best_d = _sweep(cols, terms)(pairs, inf, samples)
+        best, best_d = _sweep(cols, terms)(pairs, inf, samples, stop)
     best **= order.n
     flat = [sum(map(operator.mul, row, best_d)) for row in basis]
     witness = OrderElement(order, tuple(zip(*[iter(flat)] * order.n)))

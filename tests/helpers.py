@@ -109,6 +109,43 @@ def _is_square(d):
     return d >= 0 and isqrt(d) ** 2 == d
 
 
+def hilbert_symbol(a, b, place):
+    """Oracle: the Hilbert symbol (a, b)_v of nonzero integers, 1 or -1, at a
+    prime place or at the real place, place = -1 (Serre, A Course in
+    Arithmetic, III.1.2)."""
+    if place == -1:
+        return -1 if a < 0 and b < 0 else 1
+
+    def split(x):  # (v_p(x), x / p^v_p(x))
+        v = 0
+        while x % place == 0:
+            x //= place
+            v += 1
+        return v, x
+
+    (alpha, a), (beta, b) = split(a), split(b)
+    if place == 2:
+        eps, omega = (lambda x: (x - 1) // 2 % 2), (lambda x: (x * x - 1) // 8 % 2)
+        return (-1) ** (eps(a) * eps(b) + alpha * omega(b) + beta * omega(a))
+    legendre = lambda x: 1 if pow(x, (place - 1) // 2, place) == 1 else -1  # noqa: E731
+    sign = (-1) ** (alpha * beta * ((place - 1) // 2))
+    return sign * legendre(a) ** beta * legendre(b) ** alpha
+
+
+def quaternion_division(d, u):
+    """Oracle: whether the quaternion algebra (d, u) over Q, the cyclic algebra
+    of Q(sqrt d) with e^2 = u, is a division algebra: some Hilbert symbol is
+    -1, at the real place or at a prime of 2du."""
+    places, rest, q = [-1], abs(2 * d * u), 2
+    while rest > 1:
+        if rest % q == 0:
+            places.append(q)
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    return any(hilbert_symbol(d, u, v) == -1 for v in places)
+
+
 def brute_force_right_divisors(ring, n, u, degree, bound=ENUMERATION_BOUND):
     """Oracle: every monic candidate of the given degree, one right division
     each, in lexicographic order of coefficient vectors (constant term first)."""
@@ -422,7 +459,7 @@ def reduced_norm_form(order, columns):
     in G.
     """
     names = "".join(f"d{j}, " for j in range(len(columns)))
-    body, value = _flat_sum_source(columns, spacetime._flat_form(order), "    ")
+    body, value = _flat_sum_source(columns, spacetime._flat_form(*order.spec.algebra), "    ")
     return compile_function(f"def form(d):\n    {names}= d\n{body}    return {value}\n", "form")
 
 

@@ -1,7 +1,7 @@
 import operator
 import random
 from itertools import combinations, combinations_with_replacement, islice, product
-from math import sqrt
+from math import inf, sqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +24,7 @@ from skewlat import (
     right_multiplication_det,
     sample_offsets,
 )
-from skewlat import boxsweep, lattice, spacetime
+from skewlat import boxsweep, invariants, lattice, spacetime
 from skewlat.errors import InvalidSpec, LengthMismatch, NotInLattice, TooLarge
 from skewlat.fixtures import FIXTURE_NAMES, FIXTURE_SPECS, GAUSSIAN_P3_U1, fixture_code
 from skewlat.number_ring import QuotientRing
@@ -253,7 +253,7 @@ def test_min_det_exhaustive_sweep_visits_each_difference_once_up_to_sign(monkeyp
         namespace = {"abs": lambda x: seen.append(x) or abs(x)}
         source = boxsweep._sweep_source(boxsweep._compose(identity, terms), N, W)
         exec(compile(source, "<sweep>", "exec"), namespace)
-        assert namespace["sweep"]() == (1, (0,) * (N - 1) + (1,))
+        assert namespace["sweep"](0) == (1, (0,) * (N - 1) + (1,))
         visited = []
         for value in seen:
             d = []
@@ -266,8 +266,83 @@ def test_min_det_exhaustive_sweep_visits_each_difference_once_up_to_sign(monkeyp
         assert [d for d in half if not any(d[:-2])] + visited == half
 
 
+def test_the_certified_stop_ends_the_gaussian_p3_sweep_early():
+    # Z[i] with u = -1 is definite, so no nonzero point of the index-9
+    # lattice has |nrd| below 3 = 9^(1/2): the loops, whose 300 values pass
+    # through abs once each, end with the first block that holds a 3, and
+    # return what the sweep to the end returns.
+    code = fixture_code("gaussian-p3-inert")
+    spec, lat = code.ring.spec, construction_a_basis(code)
+    stop = spacetime._certified_stop(spec, lat.index)
+    assert (lat.index, stop) == (9, 3)
+    form = boxsweep._compose(tuple(zip(*lat.basis)), spacetime._flat_form(*spec.algebra))
+    source = boxsweep._sweep_source(form, 4, 2)
+    results, evaluated = [], []
+    for s in (0, stop):
+        seen = []
+        namespace = {"abs": lambda x: seen.append(x) or abs(x)}
+        exec(compile(source, "<sweep>", "exec"), namespace)
+        results.append(namespace["sweep"](s))
+        evaluated.append(len(seen))
+    assert results[0] == results[1] and results[0][0] == 3
+    assert evaluated[0] == 300 and evaluated[1] < 300
+
+
+def test_the_certified_stop_is_the_index_root_of_proven_algebras_only():
+    cubic = cubic_code()
+    cofactor = ConstacyclicCode.from_generator(cubic.h)
+    cases = [
+        (fixture_code("gaussian-p3-inert"), 3),  # index 9
+        (fixture_code("gaussian-p2-ramified"), 2),  # index 4
+        (sabotage_code(), 0),  # index 1, u = 1: not proven
+        (cubic, 5),  # index 5^3
+        (cofactor, 25),  # index 5^6
+    ]
+    for code, stop in cases:
+        assert spacetime._certified_stop(code.ring.spec, construction_a_basis(code).index) == stop
+    # 10 is the least s with s^2 >= 91, and 5 the least with s^3 >= 65.
+    assert spacetime._certified_stop(QUATERNION, 91) == 10
+    assert spacetime._certified_stop(CUBIC, 65) == 5
+
+
+@settings(max_examples=8, deadline=None)
+@given(spec=valid_specs(), seed=st.integers(0, 2**16))
+def test_the_certified_stop_changes_no_answer_on_divisor_codes(spec, seed):
+    # A proven algebra's whole box-1 sweep, run to the end (stop = 0), finds
+    # no zero and nothing below the stop.  With the certified stop both
+    # compiled sweeps return the (value, difference) they return with
+    # stop = 0, the nested one that of the product-order oracle, and
+    # min_det_sample the value's n-th power.  Cubic codes meet the oracle on
+    # four of their basis columns: points of the same lattice, so the stop
+    # still holds.
+    rng = random.Random(seed)
+    ring = QuotientRing(spec)
+    terms = spacetime._flat_form(*spec.algebra)
+    proven = invariants.division_proven(*spec.algebra)
+    for code in divisor_codes(ring, per_degree=1):
+        lat = construction_a_basis(code)
+        cols = tuple(zip(*lat.basis))
+        stop = spacetime._certified_stop(spec, lat.index)
+        assert bool(stop) == proven
+        whole = boxsweep.half_box_sweep(cols, terms, 1)
+        value, d = whole(0)
+        assert not proven or value >= stop
+        assert whole(stop) == (value, d)
+        assert min_det_sample(code, 1, exhaustive=True) == value**spec.n
+        sub = tuple(rng.sample(cols, 4)) if spec.n == 3 else cols
+        for box in (1, 2):
+            swept = boxsweep.half_box_sweep(sub, terms, box)
+            assert swept(stop) == swept(0) == product_order_sweep(sub, terms, box)
+        sampled = spacetime._sweep(cols, terms)
+        for s in range(3):
+            fed = [spacetime._sampled_pairs(random.Random(s), 2, len(cols)) for _ in range(2)]
+            got = sampled(fed[0], inf, 200, stop)
+            assert got == sampled(fed[1], inf, 200, 0)
+            assert min_det_sample(code, 2, seed=s, samples=200, exhaustive=False) == got[0] ** spec.n
+
+
 def assert_sweep_matches_the_oracle(columns, terms, box):
-    got = boxsweep.half_box_sweep(columns, terms, box)()
+    got = boxsweep.half_box_sweep(columns, terms, box)(0)
     assert got == product_order_sweep(columns, terms, box)
     return got
 
@@ -280,8 +355,7 @@ def test_nested_sweeps_match_the_product_order_oracle_on_divisor_codes(spec, see
     # basis columns at a time: the same cubic form, through a sublattice.
     rng = random.Random(seed)
     ring = QuotientRing(spec)
-    order = NaturalOrder(spec)
-    terms = spacetime._flat_form(order)
+    terms = spacetime._flat_form(*spec.algebra)
     for code in divisor_codes(ring):
         cols = tuple(zip(*construction_a_basis(code).basis))
         if spec.n == 3:
@@ -295,7 +369,7 @@ def test_nested_sweeps_match_the_product_order_oracle_on_divisor_codes(spec, see
 def test_nested_sweep_matches_the_product_order_oracle_on_the_whole_cubic():
     code = cubic_code()
     cols = tuple(zip(*construction_a_basis(code).basis))
-    terms = spacetime._flat_form(NaturalOrder(CUBIC))
+    terms = spacetime._flat_form(*CUBIC.algebra)
     value, d = assert_sweep_matches_the_oracle(cols, terms, 1)
     assert (value, d) == (5, (0, 0, 1, -2, -1, 1, 2, 0, 1))
     assert min_det_sample(code, 1, exhaustive=True) == 5**3
@@ -598,16 +672,19 @@ def test_cofactor_expansions_stop_past_the_enumeration_bound(monkeypatch):
         monkeypatch.undo()
 
 
-def test_flat_form_expansions_drop_cancelled_monomials():
+def test_flat_form_expansions_drop_cancelled_monomials(monkeypatch):
     # A monomial whose coefficients sum to zero is dropped as the expansion
     # goes, so no product is made with it: the quartic's form makes 4,608
-    # products instead of 4,992 and keeps its 404 monomials.
+    # products instead of 4,992 and keeps its 404 monomials.  The form is
+    # expanded in an order of the algebra that _flat_form builds, so the
+    # products are counted on the class.
+    calls = []
+    mul = NaturalOrder.ok_mul
+    monkeypatch.setattr(NaturalOrder, "ok_mul", lambda *args: calls.append(None) or mul(*args))
     for spec, products, monomials in ((CUBIC, 189, 57), (QUARTIC, 4608, 404)):
-        order = NaturalOrder(spec)
-        calls = []
-        order.ok_mul = lambda a, b, mul=order.ok_mul: calls.append(None) or mul(a, b)
+        calls.clear()
         spacetime._flat_form.cache_clear()
-        assert len(spacetime._flat_form(order)) == monomials
+        assert len(spacetime._flat_form(*spec.algebra)) == monomials
         assert len(calls) == products
 
 
@@ -642,6 +719,19 @@ def test_flat_forms_are_cached_per_algebra_with_u_in_the_key():
         assert spacetime._flat_form.cache_info().currsize == 2
 
 
+def test_a_mindet_sweep_first_pass_expands_one_form_per_algebra():
+    # The queries of one mindet-sweep pass: five box-1 sweeps and two sampled
+    # queries over six specs, of which gaussian-p3, p5 and p2 share Z[i] with
+    # u = -1.  G does not depend on p, so four forms are expanded, not six.
+    spacetime._flat_form.cache_clear()
+    for name in ("gaussian-p3-inert", "gaussian-p5-split", "gaussian-p2-ramified", "sqrt2-p3-selfdual"):
+        min_det_sample(fixture_code(name), 1)
+    min_det_sample(sabotage_code(), 1)
+    min_det_sample(fixture_code("gaussian-p3-inert"), 2, seed=1, samples=2000, exhaustive=False)
+    min_det_sample(cubic_code(), 1, seed=1, samples=2000, exhaustive=False)
+    assert spacetime._flat_form.cache_info()[1:] == (4, 32, 4)  # misses, bound, size
+
+
 def test_flat_forms_keep_the_32_most_recently_used_algebras(monkeypatch):
     # Z[i] at p = 101 with u = 1, ..., 33: 33 algebras.  Reading u = 1 again
     # once the cache is full makes u = 2 the least recently used, so u = 33
@@ -650,15 +740,15 @@ def test_flat_forms_keep_the_32_most_recently_used_algebras(monkeypatch):
     det = spacetime._cofactor_det
     spacetime._flat_form.cache_clear()
     monkeypatch.setattr(spacetime, "_cofactor_det", lambda *args: expanded.append(1) or det(*args))
-    orders = [NaturalOrder(AlgebraSpec((1, 0, 1), (0, -1), u=u, p=101)) for u in range(1, 34)]
-    forms = [spacetime._flat_form(order) for order in orders[:32]]
+    algebras = [AlgebraSpec((1, 0, 1), (0, -1), u=u, p=101).algebra for u in range(1, 34)]
+    forms = [spacetime._flat_form(*algebra) for algebra in algebras[:32]]
     assert len(expanded) == 32 and spacetime._flat_form.cache_info().currsize == 32
-    assert spacetime._flat_form(orders[0]) is forms[0] and len(expanded) == 32
-    forms.append(spacetime._flat_form(orders[32]))
+    assert spacetime._flat_form(*algebras[0]) is forms[0] and len(expanded) == 32
+    forms.append(spacetime._flat_form(*algebras[32]))
     assert len(expanded) == 33 and spacetime._flat_form.cache_info().currsize == 32
-    assert spacetime._flat_form(orders[0]) is forms[0] and len(expanded) == 33
-    assert spacetime._flat_form(orders[-1]) is forms[-1] and len(expanded) == 33
-    assert spacetime._flat_form(orders[1]) == forms[1] and len(expanded) == 34
+    assert spacetime._flat_form(*algebras[0]) is forms[0] and len(expanded) == 33
+    assert spacetime._flat_form(*algebras[-1]) is forms[-1] and len(expanded) == 33
+    assert spacetime._flat_form(*algebras[1]) == forms[1] and len(expanded) == 34
     assert spacetime._flat_form.cache_info()[:4] == (3, 34, 32, 32)  # hits, misses, bound, size
 
 
