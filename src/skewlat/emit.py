@@ -1,10 +1,11 @@
 """Python source for every generated kernel, and the one module that compiles it.
 
 The O_K product, sigma and norm (number_ring), a code's encoder and parity
-check (codes), the coset kernels (lattice) and the min-det sweeps (boxsweep,
-spacetime) write their sums, Horner forms and tuple displays with the rules
-here and compile through compile_function; no other module calls exec or
-compile.  The module imports nothing from the package.
+check (codes), the coset kernels and the trace-form image (lattice) and the
+min-det sweeps (boxsweep, spacetime) write their sums, Horner forms and
+tuple displays with the rules here and compile through compile_function; no
+other module calls exec or compile.  The module imports nothing from the
+package.
 """
 
 _CHUNK = 64  # terms per parenthesized partial sum in linear_source

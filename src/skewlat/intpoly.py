@@ -43,8 +43,15 @@ def divmod_monic(a, m):
 
 
 def mod_monic(a, m):
-    """Remainder of a modulo the monic polynomial m, computed over Z."""
-    return divmod_monic(a, m)[1]
+    """The deg(m) coefficients of a mod m over Z, zeros included, with no
+    quotient built.  m is monic and trimmed: divmod_monic checks it, not this."""
+    n = len(m) - 1
+    out = list(a)
+    for d in range(len(out) - 1, n - 1, -1):
+        if c := out[d]:
+            for j in range(n):
+                out[d - n + j] -= c * m[j]
+    return tuple(out[:n]) + (0,) * (n - len(out))
 
 
 def to_str(coeffs, var):

@@ -20,10 +20,10 @@ is one reduction rule.
 The lattice attached to a code, lift(C) + pZ^N, contains pZ^N, so it depends
 only on the F_p row space of the code's cached generator matrix: the reduced
 row echelon rows of that space (number_ring.echelon_mod_p), with p times the
-unit vectors of the free coordinates, are already its Hermite Normal Form.
-A code keeps that echelon form, eliminated once per code, so every
-Construction A basis of the code starts from it; the dual lattice echelons
-the words of the dual.
+unit vectors of the free coordinates, are already its Hermite Normal Form,
+in order of their leading rows.  A code keeps that echelon form, eliminated
+once per code, so every Construction A basis of the code starts from it;
+the dual lattice echelons the words of the dual.
 
 HNF convention: column style, lower triangular, positive diagonal, entries to
 the left of each pivot reduced into [0, pivot).  That canonical form makes
@@ -34,19 +34,20 @@ The trace form used for Gram matrices is
     B(sum a_i e^i, sum b_i e^i) = sum_i Tr(a_i * conj(b_i))
 with conj the complex conjugation of K, a fact of the field, so the form is
 positive definite.  Its matrix T on the flat basis is n copies of one n x n
-block, NaturalOrder.trace_block, kept on the one order per spec; every Gram
-matrix B^T T B is read off that block, its determinant as det(block)^n * det(B)^2.
+block, NaturalOrder.trace_block, kept on the one order per spec with the
+compiled map x -> T x (trace_image); every Gram matrix B^T T B takes its
+entries as dot products of the columns with their images, and its
+determinant as det(block)^n * det(B)^2.
 """
 
 from __future__ import annotations
 
 import operator
 from functools import cached_property, lru_cache
-from math import prod
 
 from . import intpoly
 from .codes import ConstacyclicCode, brute_force_dual
-from .emit import compile_function, tuple_source
+from .emit import compile_function, linear_source, tuple_source
 from .errors import IndefiniteForm, InvalidSpec, LengthMismatch
 from .number_ring import AlgebraSpec, QuotientRing, Record, echelon_mod_p, integral_arithmetic
 
@@ -102,6 +103,21 @@ class NaturalOrder:
             if all(det_int([row[:k] for row in block[:k]]) > 0 for k in range(1, n + 1)):
                 return c, block
         raise IndefiniteForm("neither Tr(x x) nor Tr(x sigma^(n/2)(x)) is positive definite")
+
+    @cached_property
+    def trace_image(self):
+        """The compiled x -> T x of N = n^2 index-checked coordinates, T being
+        n copies of trace_block's block: N sums of n terms, once per order."""
+        n, block = self.n, self.trace_block[1]
+        x = [f"x{i}" for i in range(n * n)]
+        forms = [
+            linear_source((row[b], x[e + a]) for a, row in enumerate(block))
+            for e in range(0, n * n, n)
+            for b in range(n)
+        ]
+        source = f"def kernel(index):\n    def image(x):\n        {tuple_source(x)} = map(index, x)\n"
+        source += f"        return {tuple_source(forms)}\n    return image\n"
+        return compile_function(source, "kernel")(operator.index)
 
     def ok_norm(self, vec) -> int:
         """Field norm N(vec) = vec*sigma(vec)...sigma^(n-1)(vec), an integer."""
@@ -329,35 +345,38 @@ def hnf(mat):
     Input and output are row-major; columns are the generators.  Zero columns
     are dropped, so the result has exactly rank(mat) columns, each with a
     positive pivot strictly below the previous column's pivot and with the
-    entries to the left of every pivot reduced into [0, pivot).
+    entries to the left of every pivot reduced into [0, pivot).  Columns are
+    sorted once into buckets by leading row; row r combines its bucket by
+    extended gcds, sending each remainder to the bucket of its new leading
+    row.  So an input already in HNF costs O(N^2), one pass.
     """
     nrows = len(mat)
-    pool = [list(col) for col in zip(*mat)]
-    placed = []  # (pivot_row, column)
-    for r in range(nrows):
-        cand = [c for c in pool if c[r] != 0]
-        pool = [c for c in pool if c[r] == 0]
+    buckets = [[] for _ in range(nrows)]
+    for col in zip(*mat):
+        for r, v in enumerate(col):
+            if v:
+                buckets[r].append(list(col))
+                break
+    placed = []
+    for r, cand in enumerate(buckets):
         if not cand:
             continue
         piv = cand[0]
         for c in cand[1:]:
             x, y, g = _xgcd(piv[r], c[r])
-            pr, cr = piv[r], c[r]
-            new_piv = [x * a + y * b for a, b in zip(piv, c)]
-            new_c = [-(cr // g) * a + (pr // g) * b for a, b in zip(piv, c)]
-            piv = new_piv
-            pool.append(new_c)
+            pr, cr, pairs = piv[r] // g, c[r] // g, list(zip(piv, c))
+            piv, c = [x * a + y * b for a, b in pairs], [pr * b - cr * a for a, b in pairs]
+            lead = next((i for i in range(r + 1, nrows) if c[i]), None)
+            if lead is not None:
+                buckets[lead].append(c)
         if piv[r] < 0:
             piv = [-v for v in piv]
-        for _, earlier in placed:
-            q = earlier[r] // piv[r]
-            if q:
-                for i in range(nrows):
+        for earlier in placed:
+            if q := earlier[r] // piv[r]:
+                for i in range(r, nrows):
                     earlier[i] -= q * piv[i]
-        placed.append((r, piv))
-    if not placed:
-        return [[] for _ in range(nrows)]
-    return [[col[i] for _, col in placed] for i in range(nrows)]
+        placed.append(piv)
+    return [list(row) for row in zip(*placed)] if placed else [[] for _ in range(nrows)]
 
 
 def vector_sum(vectors, length):
@@ -438,32 +457,23 @@ def gram_matrix(basis, spec: AlgebraSpec):
     natural_order(spec)'s trace_block.
 
     basis is row-major with the generators as columns, in the flat basis of
-    the order; the zero entries of each column are skipped.  Raises
-    LengthMismatch for a column that is not N long, and IndefiniteForm, row
-    by row, at the first nonpositive diagonal entry; T is positive definite,
-    so only a zero column has one.
+    the order; each column's image T col comes from the order's compiled
+    trace_image, and entry (r, s) is the dot product of column r with image
+    s.  Raises LengthMismatch for a column that is not N long, and
+    IndefiniteForm, row by row, at the first nonpositive diagonal entry; T
+    is positive definite, so only a zero column has one.
     """
-    block = natural_order(spec).trace_block[1]
-    n = len(block)
-    N = n * n
-    cols, images = [], []
-    for col in zip(*basis):
-        if len(col) != N:
-            raise LengthMismatch(f"expected {N} coordinates")
-        col = [(i, v) for i, v in enumerate(map(operator.index, col)) if v]
-        image = [0] * N
-        for i, v in col:
-            e, a = divmod(i, n)  # coordinate i is theta^a e^e
-            for j, t in enumerate(block[a], e * n):
-                image[j] += v * t
-        cols.append(col)
-        images.append(image)
+    order = natural_order(spec)
+    cols = list(zip(*basis))
+    try:
+        images = list(map(order.trace_image, cols))
+    except ValueError:  # the compiled image unpacks exactly N coordinates
+        raise LengthMismatch(f"expected {order.n * order.n} coordinates") from None
     size = len(cols)
     gram = [[0] * size for _ in range(size)]
     for r, col in enumerate(cols):
         for s in range(r, size):
-            image = images[s]
-            gram[r][s] = gram[s][r] = sum(v * image[i] for i, v in col)
+            gram[r][s] = gram[s][r] = sum(map(operator.mul, col, images[s]))
         if gram[r][r] <= 0:
             raise IndefiniteForm(f"diagonal entry {gram[r][r]} <= 0")
     return gram
@@ -477,18 +487,19 @@ def _lift_basis(rows, pivots, spec: AlgebraSpec) -> LatticeBasis:
     The lattice contains pZ^N, so it depends only on the F_p row space of
     the vectors, which the echelon rows span.  Each echelon row, read as a
     column, has its 1 at its pivot, 0 above and at the other pivots,
-    entries in [0, p) below; with p e_j for each free coordinate j that is
-    N columns already in HNF, so hnf makes one pass over them instead of
-    eliminating every vector, and the index is p^(N - rank), which is
+    entries in [0, p) below; with p e_j for each free coordinate j, put in
+    order of their leading rows, that is N columns already in HNF, so hnf
+    makes one pass over them, and the index is p^(N - rank), which is
     det(B); T is n copies of the order's trace_block, so det(B^T T B)
     needs only that block eliminated.
     """
     n, p, N = spec.n, spec.p, spec.n * spec.n
-    free = [j for j in range(N) if j not in pivots]
-    basis = hnf(list(zip(*rows, *([p if i == j else 0 for i in range(N)] for j in free))))
-    gram = gram_matrix(basis, spec)
-    index = prod(basis[i][i] for i in range(N))
+    lead = dict(zip(pivots, rows))
+    cols = [lead.get(j) or [p if i == j else 0 for i in range(N)] for j in range(N)]
+    basis = hnf(list(zip(*cols)))
+    index = p ** (N - len(rows))
     block = natural_order(spec).trace_block[1]
+    gram = gram_matrix(basis, spec)
     return LatticeBasis(basis=basis, gram=gram, det=det_int(block) ** n * index**2, index=index)
 
 

@@ -324,9 +324,9 @@ class IntegralArithmetic:
         return emit.compile("sigma", emit.sigma(*emit.args, table, "s"))
 
     def reduce(self, coeffs):
-        """Integer coefficients of any length, reduced modulo m to a tuple of length n."""
-        c = intpoly.mod_monic(map(operator.index, coeffs), self.min_poly)
-        return c + (0,) * (self.n - len(c))
+        """Integer coefficients of any length, reduced modulo m to a tuple of
+        length n; m is monic with 1 last, as AlgebraSpec checks once."""
+        return intpoly.mod_monic(map(operator.index, coeffs), self.min_poly)
 
     def sigma(self, vec, power=1):
         return self._sigmas[power % self.n](vec)

@@ -8,7 +8,8 @@ matrix_rep(a*b) = matrix_rep(b) * matrix_rep(a), because column c tracks
 right multiplication acting on e^c.
 
 The centre of the algebra is Q, so det M(a) = nrd(a), the reduced norm, is
-a rational integer and norm_det is nrd ** n.
+a rational integer and norm_det is nrd ** n.  SpaceTimeMatrix.det is Bareiss
+elimination over O_K: O(n^3) products, and no bound on them.
 
 min_det_sample probes the space-time design criterion: over a division
 algebra det M(a - a') = det(M(a) - M(a')) never vanishes for a != a'.  The
@@ -31,9 +32,9 @@ nonzero point a of the lattice L, a left ideal of the order Lambda, has
 |norm_det(a)| = [Lambda : Lambda a] >= [Lambda : L], so the first value
 that meets s is the first minimiser, and the answer is the one a sweep to
 the end gives.
-One cofactor expansion of forms (_cofactor_det) computes both det M, on
-constant forms, and G, on linear ones; it raises TooLarge past
-ENUMERATION_BOUND products.  Matrix entries add through lattice.vector_sum.
+The reduced norm form G is a cofactor expansion of the linear forms of
+M(x) (_cofactor_det), which raises TooLarge past ENUMERATION_BOUND
+products.  Matrix entries add through lattice.vector_sum.
 
 Coset encoding splits a lattice point into an information codeword plus a
 random offset in p times the order, the wiretap coset code of
@@ -124,10 +125,37 @@ class SpaceTimeMatrix:
         return hash(self.entries)
 
     def det(self):
-        """Determinant in O_K: _cofactor_det of the constant forms {(): e}, {} for e = 0."""
+        """Determinant in O_K by fraction-free (Bareiss) elimination: O(n^3)
+        ok_mul products, none with a zero factor.  Step k sets each entry
+        (i, j) past the pivot d_k to (a_ij d_k - a_ik a_kj) / d_(k-1), a minor,
+        so the division is exact: v c / N, (N, c) = norm_cofactor(d_(k-1)).
+        A zero pivot swaps in the first lower row nonzero in its column, or
+        the determinant is 0."""
         order = self.order
-        rows = [[{(): e} if any(e) else {} for e in row] for row in self.entries]
-        return tuple(_cofactor_det(rows, order.ok_mul).get((), (0,) * order.n))
+        n, mul, zero = order.n, order.ok_mul, (0,) * order.n
+        a = [list(row) for row in self.entries]
+        sign = 1
+        for k in range(n - 1):
+            if not any(a[k][k]):
+                swap = next((i for i in range(k + 1, n) if any(a[i][k])), None)
+                if swap is None:
+                    return zero
+                a[k], a[swap], sign = a[swap], a[k], -sign
+            if k:
+                norm, cofactor = order._core.norm_cofactor(a[k - 1][k - 1])
+                if not norm:
+                    raise InvalidSpec("a pivot has norm 0: min_poly is reducible")
+            top = a[k]
+            for row in a[k + 1 :]:
+                left = row[k] if any(row[k]) else None
+                for j in range(k + 1, n):
+                    v = mul(row[j], top[k]) if any(row[j]) else zero
+                    if left and any(top[j]):
+                        v = tuple(map(operator.sub, v, mul(left, top[j])))
+                    if k and any(v):
+                        v = tuple(x // norm for x in mul(v, cofactor))
+                    row[j] = v
+        return tuple(sign * v for v in a[n - 1][n - 1])
 
     def norm_det(self) -> int:
         """The rational norm of the determinant, nrd ** n.
@@ -149,7 +177,8 @@ class SpaceTimeMatrix:
 
 
 def _cofactor_det(rows, mul):
-    """Determinant of a square matrix of forms by expansion along the first row.
+    """Determinant of a square matrix of forms by expansion along the first
+    row: the reduced norm form G of _flat_form, from linear forms.
 
     A form is {sorted flat-variable indices: nonzero O_K vector}, {} when
     zero; a monomial whose coefficients cancel is dropped.  Coefficients
@@ -189,7 +218,9 @@ def matrix_rep(a: OrderElement) -> SpaceTimeMatrix:
         vec = order.ok_sigma(a.rows[(r - c) % n], c)
         return vec if r >= c else tuple(order.u * v for v in vec)
 
-    return SpaceTimeMatrix(order, [[entry(r, c) for c in range(n)] for r in range(n)])
+    m = object.__new__(SpaceTimeMatrix)  # tuples of ints built here: not checked again
+    m.order, m.entries = order, tuple(tuple(entry(r, c) for c in range(n)) for r in range(n))
+    return m
 
 
 def right_multiplication_det(a: OrderElement) -> int:

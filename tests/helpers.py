@@ -30,7 +30,7 @@ from skewlat import (
     spacetime,
 )
 from skewlat.errors import IndefiniteForm, InvalidSpec, LengthMismatch, TooLarge
-from skewlat.lattice import vector_sum
+from skewlat.lattice import _xgcd, vector_sum
 from skewlat.emit import compile_function
 from skewlat.number_ring import echelon_mod_p, nullspace_mod_p
 
@@ -50,6 +50,14 @@ QUARTIC = AlgebraSpec(
     min_poly=(2, 0, -4, 0, 1),
     sigma_image=(0, -3, 0, 1),
     u=3,
+    p=5,
+)
+
+# The sextic field Q(zeta_13)^+ of 2*cos(2*pi/13), sigma: y -> y^2 - 2.
+SEXTIC = AlgebraSpec(
+    min_poly=(-1, 3, 6, -4, -5, 1, 1),
+    sigma_image=(-2, 0, 1),
+    u=2,
     p=5,
 )
 
@@ -397,6 +405,37 @@ def lifted_lattice_basis(spec, words):
     cols = [list(lift_codeword(order, w).flatten()) for w in words]
     cols += [[spec.p if i == r else 0 for i in range(N)] for r in range(N)]
     return hnf([[col[i] for col in cols] for i in range(N)])
+
+
+def pool_hnf(mat):
+    """Oracle: the column HNF of mat as hnf computed it before it kept
+    buckets.  For each row r it rescans the whole pool of columns not yet
+    placed, combines those nonzero at r by extended gcds into one pivot,
+    returns the remainders to the end of the pool, then reduces the placed
+    columns at r."""
+    nrows = len(mat)
+    pool = [list(col) for col in zip(*mat)]
+    placed = []
+    for r in range(nrows):
+        cand = [c for c in pool if c[r] != 0]
+        pool = [c for c in pool if c[r] == 0]
+        if not cand:
+            continue
+        piv = cand[0]
+        for c in cand[1:]:
+            x, y, g = _xgcd(piv[r], c[r])
+            pr, cr = piv[r], c[r]
+            new_piv = [x * a + y * b for a, b in zip(piv, c)]
+            pool.append([-(cr // g) * a + (pr // g) * b for a, b in zip(piv, c)])
+            piv = new_piv
+        if piv[r] < 0:
+            piv = [-v for v in piv]
+        for earlier in placed:
+            q = earlier[r] // piv[r]
+            for i in range(nrows):
+                earlier[i] -= q * piv[i]
+        placed.append(piv)
+    return [[col[i] for col in placed] for i in range(nrows)]
 
 
 def oracle_conj_power(order):

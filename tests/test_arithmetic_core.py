@@ -113,6 +113,22 @@ def assert_core_matches_the_oracles(core, min_poly, sigma_image, vecs):
             assert core.sigma(a, k) == images[k % n], k
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.lists(st.integers(-50, 50), max_size=12),
+    m=st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(lambda c: (*c, 1)),
+)
+def test_mod_monic_is_the_remainder_of_divmod_monic(a, m):
+    # mod_monic builds no quotient and leaves m's check to its caller; it
+    # returns divmod_monic's remainder padded to deg(m) coefficients, which
+    # is what every core's reduce returns for its m.
+    rem = intpoly.divmod_monic(a, m)[1]
+    assert intpoly.mod_monic(a, m) == rem + (0,) * (len(m) - 1 - len(rem))
+    core = integral_arithmetic(CUBIC.min_poly, CUBIC.sigma_image)
+    rem = intpoly.divmod_monic(a, CUBIC.min_poly)[1]
+    assert core.reduce(a) == rem + (0,) * (3 - len(rem))
+
+
 @settings(max_examples=30, deadline=None)
 @given(spec=valid_specs(), seed=st.integers(0, 2**32))
 def test_core_products_and_sigma_powers_match_the_oracles(spec, seed):

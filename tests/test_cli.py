@@ -364,16 +364,12 @@ conjugation_mode = identity
 
 
 @pytest.mark.parametrize(
-    "text, argv",
-    [
-        (SEXTIC_TEXT, ["mindet", "--coeff-bound", "1"]),
-        (PHI11_TEXT, ["stmatrix", "--element", str([[1] * 10] * 10)]),
-    ],
-    ids=["sextic-mindet", "dense-phi11-stmatrix"],
+    "text, argv", [(SEXTIC_TEXT, ["mindet", "--coeff-bound", "1"])], ids=["sextic-mindet"]
 )
 def test_factorial_expansions_end_too_large(capsys, tmp_path, monkeypatch, text, argv):
-    # At ENUMERATION_BOUND both run for seconds before they stop (the CI
-    # checks that); a smaller bound shows the same ending at once.
+    # The sweep needs the reduced norm form G, a cofactor expansion: at
+    # ENUMERATION_BOUND it runs for seconds before it stops (the CI checks
+    # that); a smaller bound shows the same ending at once.
     from skewlat import spacetime
 
     monkeypatch.setattr(spacetime, "ENUMERATION_BOUND", 10**4)
@@ -383,6 +379,25 @@ def test_factorial_expansions_end_too_large(capsys, tmp_path, monkeypatch, text,
         rc, out, err = run(capsys, argv[0], "--config", str(path), *argv[1:])
     assert (rc, out) == (1, "")
     assert err == "error[TOO_LARGE]: cofactor expansion exceeds 10000 products\n"
+
+
+def test_dense_phi11_stmatrix_answers(capsys, tmp_path, monkeypatch):
+    # The 10 x 10 determinant is eliminated, with no product bound: the
+    # all-ones element has nrd = -1, so norm_det is 1, the determinant of
+    # right multiplication over Z, under a bound that a cofactor expansion
+    # would pass at once.
+    from skewlat import NaturalOrder, right_multiplication_det, spacetime
+
+    monkeypatch.setattr(spacetime, "ENUMERATION_BOUND", 10**4)
+    path = tmp_path / "phi11.cfg"
+    path.write_text(PHI11_TEXT)
+    with pytest.warns(UserWarning, match="irreducibility"):
+        rc, out, err = run(capsys, "stmatrix", "--config", str(path), "--json",
+                           "--element", str([[1] * 10] * 10))
+    assert (rc, err) == (0, "")
+    payload = json.loads(out)
+    order = NaturalOrder(load_config(path).spec())
+    assert payload["norm_det"] == 1 == right_multiplication_det(order.element(payload["element"]))
 
 
 def test_verify_examples_command(capsys):

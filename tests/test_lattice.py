@@ -37,6 +37,7 @@ from helpers import (
     lifted_lattice_basis,
     oracle_conj_power,
     pairwise_gram_matrix,
+    pool_hnf,
     quiet_ring,
     random_element,
     random_order_element,
@@ -225,6 +226,36 @@ def test_hnf_rank_deficient_drops_zero_columns():
     assert not lattice_contains(h, [1, 1, 1])
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    mat=st.integers(1, 9).flatmap(
+        lambda rows: st.lists(
+            st.lists(st.integers(-7, 7) | st.just(0), min_size=rows, max_size=rows),
+            max_size=10,
+        ).map(lambda cols: [list(row) for row in zip(*cols)] if cols else [[] for _ in range(rows)])
+    ),
+    copies=st.lists(st.tuples(st.integers(0, 9), st.integers(-3, 3)), max_size=3),
+)
+def test_hnf_equals_the_pool_rescan_oracle(mat, copies):
+    # Random integer matrices of 1-9 rows and 0-10 columns, negative entries
+    # and zero columns included; each copy appends c times an existing
+    # column, so the rank is often deficient.
+    cols = [list(c) for c in zip(*mat)]
+    for j, c in copies:
+        if cols:
+            cols.append([c * v for v in cols[j % len(cols)]])
+    rows = [list(row) for row in zip(*cols)] if cols else mat
+    assert hnf(rows) == pool_hnf(rows)
+
+
+def test_hnf_of_an_hnf_input_is_one_pass(monkeypatch):
+    # The Construction A input is already in HNF: no extended gcd runs.
+    code = fixture_code("gaussian-p5-split")
+    basis = construction_a_basis(code).basis
+    monkeypatch.setattr(lattice, "_xgcd", lambda *args: pytest.fail("combined a bucket"))
+    assert hnf(basis) == basis == pool_hnf(basis)
+
+
 def test_det_int_against_permutation_expansion():
     def leibniz(mat):
         n = len(mat)
@@ -400,6 +431,17 @@ def test_gram_matrix_matches_the_pairwise_oracle(spec, seed):
         with pytest.raises(LengthMismatch) as oracle:
             pairwise_gram_matrix(wrong, spec)
         assert str(caught.value) == str(oracle.value)
+
+
+@pytest.mark.parametrize("name", ["gaussian-p3-inert", "sqrt2-p3-selfdual"])
+def test_gram_matrix_of_fewer_than_n_columns(name):
+    # Every proper prefix of a Construction A basis, 1 to N - 1 columns,
+    # has the pairwise oracle's Gram matrix through the compiled image.
+    code = fixture_code(name)
+    spec, basis = code.ring.spec, construction_a_basis(code).basis
+    for k in range(1, len(basis)):
+        prefix = [row[:k] for row in basis]
+        assert gram_matrix(prefix, spec) == pairwise_gram_matrix(prefix, spec)
 
 
 # -- construction A --------------------------------------------------------

@@ -32,6 +32,7 @@ from skewlat.number_ring import QuotientRing
 from helpers import (
     CUBIC,
     QUARTIC,
+    SEXTIC,
     composed_coset_decode,
     composed_coset_encode,
     divisor_codes,
@@ -579,14 +580,21 @@ def test_determinant_with_an_irrational_coordinate_raises(monkeypatch):
     assert spacetime._flat_form.cache_info().currsize == 0
 
 
+def bareiss_products(n):
+    """The ok_mul calls of an n x n Bareiss elimination with no zero entry:
+    two per entry below and right of pivot k, and a third, the exact
+    division, from k = 1 on."""
+    return sum((n - 1 - k) ** 2 * (2 + (k > 0)) for k in range(n - 1))
+
+
 @settings(max_examples=40, deadline=None)
 @given(spec=valid_specs(), seed=st.integers(0, 2**32 - 1))
 def test_det_matches_the_vector_cofactor_oracle(spec, seed):
     # Random entries, some zero and some rows zero (rarely a codeword
-    # matrix), and codeword matrices of elements with zero rows.  det makes
-    # one ok_mul per product it counts.  It skips each zero minor, which
-    # the oracle still multiplies, so it makes at most the oracle's
-    # products, and as many when no minor is zero.
+    # matrix), codeword matrices of elements with zero rows, and either
+    # kind with its rows rotated, so zero pivots and row swaps come up.
+    # det makes one ok_mul per product of elimination, none with a zero
+    # factor, so at most bareiss_products(n): 2 for n = 2 and 11 for n = 3.
     rng = random.Random(seed)
     order = NaturalOrder(spec)
     n, calls = order.n, []
@@ -599,16 +607,32 @@ def test_det_matches_the_vector_cofactor_oracle(spec, seed):
         zero_row = rng.randrange(n + 2)  # no zero row when past n - 1
         if rng.random() < 0.5:
             rows = [[vec(r == zero_row or rng.random() < 0.3) for _ in range(n)] for r in range(n)]
-            m = SpaceTimeMatrix(order, rows)
         else:
-            m = matrix_rep(order.element([vec(r == zero_row) for r in range(n)]))
+            rows = matrix_rep(order.element([vec(r == zero_row) for r in range(n)])).entries
+        shift = rng.randrange(n)
+        m = SpaceTimeMatrix(order, rows[shift:] + rows[:shift])
         calls.clear()
-        got = m.det()
-        products = len(calls)
-        want, made, zero_minor = vector_cofactor_det(order, m.entries)
-        assert got == want
-        assert products <= made
-        assert zero_minor or products == made
+        got, products = m.det(), len(calls)
+        assert got == vector_cofactor_det(order, m.entries)[0]
+        assert products <= bareiss_products(n)
+
+
+def test_det_of_a_dense_matrix_makes_every_product():
+    # Every entry and every intermediate minor is nonzero: the cubic
+    # elimination makes all 11 products.
+    order = NaturalOrder(CUBIC)
+    calls = []
+    order.ok_mul = lambda a, b, mul=order.ok_mul: calls.append(None) or mul(a, b)
+    m = SpaceTimeMatrix(
+        order,
+        [
+            [(1, 0, 0), (2, 0, 0), (3, 0, 0)],
+            [(1, 1, 0), (1, 0, 0), (2, 0, 0)],
+            [(0, 1, 0), (2, 0, 0), (4, 0, 0)],
+        ],
+    )
+    assert m.det() == (-2, -1, 0) and len(calls) == bareiss_products(3) == 11
+    assert vector_cofactor_det(order, m.entries)[0] == (-2, -1, 0)
 
 
 def test_det_skips_the_zero_minors_the_vector_expansion_multiplies():
@@ -621,22 +645,55 @@ def test_det_skips_the_zero_minors_the_vector_expansion_multiplies():
 
 
 def test_det_makes_no_products_for_a_singular_minor():
-    # The minor of entry (0, 0) is [[1, 2], [2, 4]], singular but with no
-    # zero row: det makes the 2 * 3 products of the 2 x 2 minors and one for
-    # each of the two nonzero minors, where the oracle multiplies all three.
+    # Column 1 is y times column 0, so every 2 x 2 minor of those columns
+    # is singular: after the 2 * 4 products of the first step, column 1
+    # holds no nonzero pivot, and det is 0 with no product, norm or
+    # division for the second step, where the oracle multiplies on.
     order = NaturalOrder(CUBIC)
     calls = []
     order.ok_mul = lambda a, b, mul=order.ok_mul: calls.append(None) or mul(a, b)
     m = SpaceTimeMatrix(
         order,
         [
-            [(1, 0, 0), (2, 0, 0), (3, 0, 0)],
-            [(1, 1, 0), (1, 0, 0), (2, 0, 0)],
-            [(0, 1, 0), (2, 0, 0), (4, 0, 0)],
+            [(1, 0, 0), (0, 1, 0), (3, 0, 0)],
+            [(2, 0, 0), (0, 2, 0), (5, 0, 0)],
+            [(0, 1, 0), (0, 0, 1), (7, 0, 0)],
         ],
     )
-    assert m.det() == (-2, -1, 0) and len(calls) == 8
-    assert vector_cofactor_det(order, m.entries) == ((-2, -1, 0), 9, True)
+    assert m.det() == (0, 0, 0) and len(calls) == 8
+    assert vector_cofactor_det(order, m.entries) == ((0, 0, 0), 9, True)
+
+
+@pytest.mark.parametrize("spec", [GAUSSIAN_P3_U1, replace_spec(CUBIC, u=1)], ids=["gaussian", "cubic"])
+def test_det_of_the_u1_sabotage_is_zero_without_a_division_by_zero(spec):
+    # With u = 1, (1 - e)(1 + e + ... + e^(n-1)) = 1 - e^n = 0: a = 1 - e is
+    # a zero divisor and M(a) is singular.
+    order = NaturalOrder(spec)
+    n = order.n
+    a = order.element([(1,) + (0,) * (n - 1), (-1,) + (0,) * (n - 1)] + [()] * (n - 2))
+    assert matrix_rep(a).det() == (0,) * n
+    assert matrix_rep(a).norm_det() == 0 == right_multiplication_det(a)
+
+
+def test_a_pivot_of_norm_zero_raises_invalid_spec(monkeypatch):
+    # Only a reducible m, trusted above degree 3, has a nonzero pivot of
+    # norm 0; det reports it instead of dividing by zero.
+    order = NaturalOrder(CUBIC)
+    monkeypatch.setattr(order._core, "norm_cofactor", lambda vec: (0, vec))
+    one, zero = (1, 0, 0), (0, 0, 0)
+    m = SpaceTimeMatrix(order, [[one, one, zero], [zero, one, one], [one, zero, one]])
+    with pytest.raises(InvalidSpec, match="norm 0"):
+        m.det()
+
+
+@pytest.mark.parametrize("spec", [QUARTIC, SEXTIC], ids=["quartic", "sextic"])
+def test_norm_det_is_the_right_multiplication_determinant(spec):
+    order = NaturalOrder(spec)
+    rng = random.Random(spec.n)
+    n = order.n
+    for _ in range(4):
+        a = order.element([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        assert matrix_rep(a).norm_det() == right_multiplication_det(a)
 
 
 def test_space_time_matrix_rejects_a_ragged_matrix():
@@ -650,26 +707,31 @@ def test_space_time_matrix_rejects_an_entry_of_the_wrong_length():
 
 
 def test_cofactor_expansions_stop_past_the_enumeration_bound(monkeypatch):
-    # A 3 x 3 determinant of nonzero entries makes 3 * 2 products inside its
-    # 2 x 2 minors and one per nonzero minor: 8 for this codeword matrix,
-    # whose rows 1 and 2 agree in columns 0 and 1; the cubic's reduced norm
-    # form makes 189 products of monomial coefficients.
-    # The form is cached once expanded, so each bounded call starts from an
-    # empty cache and expands it again under the lowered bound.
+    # The cubic's reduced norm form makes 189 products of monomial
+    # coefficients, and raises TooLarge under any lower bound.  The form is
+    # cached once expanded, so each bounded call starts from an empty cache
+    # and expands it again under the lowered bound.  det eliminates, with no
+    # bound: this codeword matrix, whose rows 0 and 1 agree in column 2,
+    # makes 10 products, one fewer than bareiss_products(3), under a bound
+    # of 1 as under the real one.
     order = NaturalOrder(CUBIC)
-    dense = matrix_rep(order.element([[1, 1, 1]] * 3))
     cols = list(zip(*construction_a_basis(cubic_code()).basis))
-    expansions = {8: dense.det, 189: lambda: reduced_norm_form(order, cols)((1,) * 9)}
-    for made, expand in expansions.items():
-        unbounded = expand()
+    unbounded = reduced_norm_form(order, cols)((1,) * 9)
+    for bound in (189, 188):
         spacetime._flat_form.cache_clear()
-        monkeypatch.setattr(spacetime, "ENUMERATION_BOUND", made)
-        assert expand() == unbounded
-        spacetime._flat_form.cache_clear()
-        monkeypatch.setattr(spacetime, "ENUMERATION_BOUND", made - 1)
-        with pytest.raises(TooLarge, match=f"exceeds {made - 1} products"):
-            expand()
-        monkeypatch.undo()
+        monkeypatch.setattr(spacetime, "ENUMERATION_BOUND", bound)
+        if bound == 189:
+            assert reduced_norm_form(order, cols)((1,) * 9) == unbounded
+        else:
+            with pytest.raises(TooLarge, match="exceeds 188 products"):
+                reduced_norm_form(order, cols)((1,) * 9)
+    spacetime._flat_form.cache_clear()
+    calls = []
+    order.ok_mul = lambda a, b, mul=order.ok_mul: calls.append(None) or mul(a, b)
+    dense = matrix_rep(order.element([[1, 1, 1]] * 3))
+    monkeypatch.setattr(spacetime, "ENUMERATION_BOUND", 1)
+    assert dense.det() == (7, 0, 0) and len(calls) == 10
+    assert vector_cofactor_det(order, dense.entries)[0] == (7, 0, 0)
 
 
 def test_flat_form_expansions_drop_cancelled_monomials(monkeypatch):
