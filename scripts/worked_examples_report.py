@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Full walkthrough of every bundled fixture: ring structure, divisors,
-code, dual, and Construction A lattice.  Run from the repository root:
+"""Full walkthrough of every bundled fixture: ring structure, whether the
+algebra is proven a division algebra, divisors, code, dual, and Construction
+A lattice.  Run from the repository root:
 
     python scripts/worked_examples_report.py
 """
@@ -10,9 +11,9 @@ from skewlat import (
     construction_a_basis,
     dual_lattice_basis,
     monic_right_divisors,
-    norm_witnesses,
 )
 from skewlat.fixtures import FIXTURE_NAMES, FIXTURE_SPECS, fixture_code, fixture_ring
+from skewlat.invariants import division_proven
 
 
 def report(name):
@@ -24,8 +25,8 @@ def report(name):
           f"u = {spec.u}, p = {spec.p}")
     dec = ring.decompose()
     print(f"   ring: {ring.size} elements, p is {dec.ramification()}")
-    witnesses = norm_witnesses(spec, 20)
-    print(f"   norm witnesses for u^i up to |20|: {witnesses or 'none (division plausible)'}")
+    proven = "proven" if division_proven(*spec.algebra) else "not proven"
+    print(f"   division algebra: {proven} by a local invariant")
     divisors = monic_right_divisors(ring, ring.n, spec.u, 1)
     print(f"   monic degree-1 right divisors of x^{ring.n} - u: "
           + ", ".join(str(d) for d in divisors))

@@ -22,7 +22,6 @@ from .number_ring import (
     QuotientRing,
     RingDecomposition,
     RingElement,
-    norm_witnesses,
 )
 from .skew import (
     OppositePoly,

@@ -820,18 +820,3 @@ class RingDecomposition:
         parts = ", ".join(f"{list(f)}^{e}" for f, e in self.factors)
         return f"RingDecomposition({self.ramification()}: {parts})"
 
-
-def norm_witnesses(spec: AlgebraSpec, bound: int):
-    """Search the vectors a in [-bound, bound]^n for field norms N(a) equal to u^i.
-
-    Returns all witnesses (*a, i) with i in 1..n-1, lexicographic in a; for a
-    quadratic field they read (a0, a1, i).  An empty list is consistent with,
-    but does not prove, the division property.
-    """
-    core = integral_arithmetic(spec.min_poly, spec.sigma_image)
-    targets = [(spec.u**i, i) for i in range(1, spec.n)]
-    out = []
-    for vec in product(range(-bound, bound + 1), repeat=spec.n):
-        norm = core.norm_cofactor(vec)[0]
-        out.extend((*vec, i) for value, i in targets if norm == value)
-    return out

@@ -32,9 +32,11 @@ nonzero point a of the lattice L, a left ideal of the order Lambda, has
 |norm_det(a)| = [Lambda : Lambda a] >= [Lambda : L], so the first value
 that meets s is the first minimiser, and the answer is the one a sweep to
 the end gives.
-The reduced norm form G is a cofactor expansion of the linear forms of
-M(x) (_cofactor_det), which raises TooLarge past ENUMERATION_BOUND
-products.  Matrix entries add through lattice.vector_sum.
+The reduced norm form G is a cofactor expansion (_cofactor_det) of the
+linear forms of M(x), which the shared core of the field,
+number_ring.integral_arithmetic, gives as its sigma^c(theta^j) with no order
+built; it raises TooLarge past ENUMERATION_BOUND products.  Matrix entries
+add through lattice.vector_sum.
 
 Coset encoding splits a lattice point into an information codeword plus a
 random offset in p times the order, the wiretap coset code of
@@ -50,7 +52,7 @@ from __future__ import annotations
 import operator
 import random
 from functools import lru_cache
-from itertools import chain, count, repeat
+from itertools import chain, repeat
 from math import inf
 
 from .codes import ConstacyclicCode
@@ -66,7 +68,7 @@ from .lattice import (
     split_element,
     vector_sum,
 )
-from .number_ring import ENUMERATION_BOUND, AlgebraSpec, Record
+from .number_ring import ENUMERATION_BOUND, Record, integral_arithmetic
 
 _DRAW_BATCH = 1024  # 32-bit words per getrandbits batch in _sampled_pairs
 _coeffs = operator.attrgetter("coeffs")
@@ -182,9 +184,10 @@ def _cofactor_det(rows, mul):
 
     A form is {sorted flat-variable indices: nonzero O_K vector}, {} when
     zero; a monomial whose coefficients cancel is dropped.  Coefficients
-    multiply through mul(a, b), a bilinear O_K product, so a negated cofactor
-    negates its entry's coefficients.  The product of forms f and g counts
-    len(f) * len(g) products; TooLarge past ENUMERATION_BOUND.
+    multiply through mul(a, b), the core's O_K product, which is bilinear, so
+    a negated cofactor negates its entry's coefficients.  The product of
+    forms f and g counts len(f) * len(g) products; TooLarge past
+    ENUMERATION_BOUND.
     """
     made = 0
 
@@ -224,12 +227,12 @@ def matrix_rep(a: OrderElement) -> SpaceTimeMatrix:
 
 
 def right_multiplication_det(a: OrderElement) -> int:
-    """Determinant of right multiplication by a on the full order, over Z;
+    """Determinant of right multiplication by a on the full order, over Z, as
+    det_int of the images of the basis taken as rows (det A^T = det A);
     independent of matrix_rep, it cross-checks norm_det values."""
     order = a.order
     N = order.n * order.n
-    cols = [(order.basis_element(i) * a).flatten() for i in range(N)]
-    return det_int([[cols[j][i] for j in range(N)] for i in range(N)])
+    return det_int([(order.basis_element(i) * a).flatten() for i in range(N)])
 
 
 def exhaustive_sweep(
@@ -277,27 +280,27 @@ def _flat_form(min_poly, sigma_image, u):
     pairs, which the exhaustive sweep composes with the basis B and the
     sampled sweep compiles as Horner source read at x = B d (_basis_map).
 
-    M is additive, so G has degree n in the n^2 coordinates, and it is sparse
-    since entry (r, c) of M(x) reads only the e^((r - c) mod n) coefficient of
-    x: 4 monomials on Z[i] and 57 on the cubic.  G does not depend on p, so
-    it is kept per algebra, AlgebraSpec.algebra, the key of
-    invariants.division_proven too: _cofactor_det expands it from the linear
-    forms of M(x) in the order of the algebra at the least prime p prime to
-    u, once for the 32 most recently used algebras.  It is checked rational,
-    InvalidSpec otherwise (G o B is rational exactly when G is, B being
-    invertible over Q); TooLarge while its expansion passes
-    ENUMERATION_BOUND products, so only a form that fitted the bound is
-    cached.
+    M(x) is matrix_rep of a general x, x_(k n + j) the coefficient of
+    theta^j e^k: entry (r, c) is the linear form sum_j x_((r - c) mod n * n
+    + j) sigma^c(theta^j), times u when r < c, whose coefficients the
+    field's shared core (number_ring.integral_arithmetic) holds, and
+    _cofactor_det expands it with the core's product.  So G has degree n in
+    the n^2 coordinates and is sparse: 4 monomials on Z[i] and 57 on the
+    cubic.  G does not depend on p, so it is kept per algebra,
+    AlgebraSpec.algebra, the key of invariants.division_proven too, for the
+    32 most recently used algebras.  It is checked rational, InvalidSpec
+    otherwise (G o B is rational exactly when G is, B being invertible over
+    Q); TooLarge while its expansion passes ENUMERATION_BOUND products, so
+    only a form that fitted the bound is cached.
     """
-    p = next(q for q in count(2) if u % q and all(q % f for f in range(2, q)))
-    order = NaturalOrder(AlgebraSpec(min_poly, sigma_image, u, p))
-    n = order.n
-    mats = [matrix_rep(order.basis_element(i)).entries for i in range(n * n)]
-    rows = [
-        [{(i,): m[r][c] for i, m in enumerate(mats) if any(m[r][c])} for c in range(n)]
-        for r in range(n)
-    ]
-    form = _cofactor_det(rows, order.ok_mul)
+    core = integral_arithmetic(min_poly, sigma_image)
+    n, tables = core.n, core._sigma_tables
+
+    def entry(r, c):  # sigma^c(theta^j) are never 0, so every term is kept
+        start, scale = (r - c) % n * n, 1 if r >= c else u
+        return {(start + j,): tuple(scale * v for v in vec) for j, vec in enumerate(tables[c])}
+
+    form = _cofactor_det([[entry(r, c) for c in range(n)] for r in range(n)], core.mul)
     if any(any(rest) for _, *rest in form.values()):
         raise InvalidSpec("the reduced norm form has a nonzero non-constant coordinate")
     return tuple((mono, vec[0]) for mono, vec in form.items())

@@ -25,6 +25,7 @@ from skewlat import (
     inner_product,
     lattice_contains,
     lift_codeword,
+    matrix_rep,
     monic_right_divisors,
     reduce_element,
     spacetime,
@@ -32,7 +33,7 @@ from skewlat import (
 from skewlat.errors import IndefiniteForm, InvalidSpec, LengthMismatch, TooLarge
 from skewlat.lattice import _xgcd, vector_sum
 from skewlat.emit import compile_function
-from skewlat.number_ring import echelon_mod_p, nullspace_mod_p
+from skewlat.number_ring import echelon_mod_p, integral_arithmetic, nullspace_mod_p
 
 # The cyclic cubic field of 2*cos(2*pi/7): minimal polynomial y^3 + y^2 - 2y - 1,
 # Galois group generated by y -> y^2 - 2, with e^3 = 2 over p = 5.
@@ -51,6 +52,15 @@ QUARTIC = AlgebraSpec(
     sigma_image=(0, -3, 0, 1),
     u=3,
     p=5,
+)
+
+# The totally real cyclic quintic field Q(zeta_11)^+ of 2*cos(2*pi/11),
+# sigma: y -> y^2 - 2, with e^5 = 2 over p = 13; 2 and 13 are inert.
+QUINTIC = AlgebraSpec(
+    min_poly=(1, 3, -3, -4, 1, 1),
+    sigma_image=(-2, 0, 1, 0, 0),
+    u=2,
+    p=13,
 )
 
 # The sextic field Q(zeta_13)^+ of 2*cos(2*pi/13), sigma: y -> y^2 - 2.
@@ -367,6 +377,41 @@ def vector_cofactor_det(order, entries):
         return vector_sum([[-v for v in t] if odd else t for odd, t in terms], order.n)
 
     return expand(entries), made, zero_minor
+
+
+def basis_matrix_flat_form(order):
+    """Oracle: the terms of spacetime._flat_form for the algebra of any order
+    of it, by evaluation.  The linear forms of M(x) are read off matrix_rep
+    of the n^2 basis elements, variable i carrying entry (r, c) of the i-th,
+    and spacetime._cofactor_det expands them with order.ok_mul.  InvalidSpec
+    when the form is not rational."""
+    n = order.n
+    mats = [matrix_rep(order.basis_element(i)).entries for i in range(n * n)]
+    rows = [
+        [{(i,): m[r][c] for i, m in enumerate(mats) if any(m[r][c])} for c in range(n)]
+        for r in range(n)
+    ]
+    form = spacetime._cofactor_det(rows, order.ok_mul)
+    if any(any(rest) for _, *rest in form.values()):
+        raise InvalidSpec("the reduced norm form has a nonzero non-constant coordinate")
+    return tuple((mono, vec[0]) for mono, vec in form.items())
+
+
+def norm_witnesses(spec, bound):
+    """Oracle: the vectors a in [-bound, bound]^n whose field norm N(a) is u^i.
+
+    Returns all witnesses (*a, i) with i in 1..n-1, lexicographic in a; for a
+    quadratic field they read (a0, a1, i).  A witness for u^i makes the
+    algebra's index divide i, so in a division algebra there is none; an
+    empty list is consistent with, but does not prove, the division property.
+    """
+    core = integral_arithmetic(spec.min_poly, spec.sigma_image)
+    targets = [(spec.u**i, i) for i in range(1, spec.n)]
+    out = []
+    for vec in product(range(-bound, bound + 1), repeat=spec.n):
+        norm = core.norm_cofactor(vec)[0]
+        out.extend((*vec, i) for value, i in targets if norm == value)
+    return out
 
 
 def divisor_codes(ring, per_degree=None):

@@ -708,6 +708,40 @@ def test_closed_stdout_exits_one_without_a_traceback(cfg_path):
         assert proc.stderr == ""
 
 
+def test_closed_stdout_exits_one_in_process(capsys, cfg_path):
+    # The same path within this process: stdout is a pipe whose read end is
+    # closed, so the flush after the answer fails with EPIPE, main sends the
+    # buffered rest to devnull and returns 1 with nothing on stderr.
+    import os
+    import sys
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    saved, sys.stdout = sys.stdout, open(write_end, "w")
+    try:
+        rc = main(["divisors", "--config", cfg_path, "--degree", "1"])
+    finally:
+        sys.stdout.close()  # its descriptor now refers to devnull
+        sys.stdout = saved
+    assert rc == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_a_failing_worked_example_prints_fail_and_exits_one(monkeypatch, capsys):
+    # x + (2 + a) is another divisor of x^2 + 1 over F_9, so the gaussian-p3
+    # check fails on the code it makes, and the others still pass.
+    from skewlat import fixtures
+
+    monkeypatch.setitem(fixtures.FIXTURE_GENERATORS, "gaussian-p3-inert", ((2, 1), (1, 0)))
+    rc, out, err = run(capsys, "verify-examples")
+    lines = out.splitlines()
+    assert rc == 1 and err == ""
+    assert lines[0] == "FAIL gaussian-p3-inert: parity check"
+    others = ("gaussian-p5-split", "gaussian-p2-ramified", "sqrt2-p3-selfdual")
+    assert [line.split(":")[0] for line in lines[1:4]] == [f"PASS {name}" for name in others]
+    assert lines[4:] == ["SOME CHECKS FAILED"]
+
+
 def test_library_warnings_print_as_one_stable_line(tmp_path):
     # The degree > 3 irreducibility warning names neither a file nor a line,
     # so editing the CLI cannot change the stderr of a quartic config.
@@ -818,6 +852,24 @@ def test_one_natural_order_per_spec_across_readers(monkeypatch, capsys, cfg_path
     ):
         assert run(capsys, argv[0], "--config", cfg_path, *argv[1:])[0] == 0, argv
     assert builds == [spec]
+
+
+@pytest.mark.parametrize(
+    "config, ps", [("configs/gaussian_p3.cfg", [3, 3]), ("bench/configs/cubic_p5.cfg", [5, 5])]
+)
+def test_mindet_builds_orders_only_at_its_spec(monkeypatch, capsys, config, ps):
+    # From cleared caches a mindet run builds the one order of its spec and
+    # min_det_sample's own, and the reduced norm form, read off the field's
+    # arithmetic core, builds none at any other prime.
+    from skewlat import NaturalOrder, lattice, spacetime
+
+    builds, init = [], NaturalOrder.__init__
+    monkeypatch.setattr(NaturalOrder, "__init__", lambda self, s: builds.append(s) or init(self, s))
+    lattice.natural_order.cache_clear()
+    spacetime._flat_form.cache_clear()
+    assert run(capsys, "mindet", "--config", str(REPO / config), "--coeff-bound", "1")[0] == 0
+    assert [spec.p for spec in builds] == ps
+    assert set(builds) == {load_config(str(REPO / config)).spec()}
 
 
 def test_bundled_configs_parse_and_run(capsys):

@@ -18,8 +18,8 @@ from skewlat import (
     monic_right_divisors,
 )
 from skewlat import codes
-from skewlat.errors import LengthMismatch, NotADivisor, TooLarge, UnsupportedU
-from skewlat.fixtures import FIXTURE_NAMES, GAUSSIAN_P3, fixture_code, fixture_ring
+from skewlat.errors import LengthMismatch, NonUnitLeading, NotADivisor, TooLarge, UnsupportedU
+from skewlat.fixtures import FIXTURE_NAMES, GAUSSIAN_P2, GAUSSIAN_P3, fixture_code, fixture_ring
 
 from helpers import (
     CUBIC,
@@ -521,3 +521,21 @@ def test_a_code_makes_its_generator_products_once(monkeypatch, spec):
         code.additive_generators()
         assert not products, code
         monkeypatch.undo()
+
+
+def test_a_generator_with_a_non_unit_lead_is_rejected():
+    # 2 ramifies in Z[i]: 1 + a is nilpotent in Z[i]/2, so it has no inverse
+    # to make the generator monic.
+    ring = QuotientRing(GAUSSIAN_P2)
+    g = SkewPoly(ring, [ring.one, ring.one + ring.gen])
+    with pytest.raises(NonUnitLeading, match="not a unit"):
+        ConstacyclicCode.from_generator(g)
+
+
+def test_vectors_of_the_wrong_length_are_rejected():
+    code = fixture_code("gaussian-p3-inert")
+    one = code.ring.one
+    with pytest.raises(LengthMismatch, match="expected length 2, got 1"):
+        code.to_poly([one])
+    with pytest.raises(LengthMismatch, match="different lengths"):
+        inner_product([one], [one, one])

@@ -25,9 +25,15 @@ from skewlat import (
     right_multiplication_det,
 )
 from skewlat.errors import NotIrreducible
-from skewlat.number_ring import norm_witnesses
 
-from helpers import CUBIC, random_element, random_poly, random_unit_lead_poly, replace_spec
+from helpers import (
+    CUBIC,
+    norm_witnesses,
+    random_element,
+    random_poly,
+    random_unit_lead_poly,
+    replace_spec,
+)
 
 
 @pytest.fixture

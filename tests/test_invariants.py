@@ -4,9 +4,7 @@ from hypothesis import given, settings
 from skewlat import AlgebraSpec, invariants
 from skewlat.fixtures import FIXTURE_SPECS, GAUSSIAN_P3_U1
 
-from helpers import CUBIC, QUARTIC, quaternion_division, valid_specs
-
-QUINTIC = ((1, 3, -3, -4, 1, 1), (-2, 0, 1, 0, 0))  # Q(zeta_11)^+, sigma: y -> y^2 - 2
+from helpers import CUBIC, QUARTIC, QUINTIC, norm_witnesses, quaternion_division, valid_specs
 
 
 def proven(min_poly, sigma_image, u):
@@ -34,7 +32,7 @@ def test_the_u1_sabotage_is_not_proven():
         # and v_3(9) = 2 is not prime to n = 4.
         (QUARTIC.algebra[:2], (3,), (7, 9)),
         # 2 and 3 are inert in Q(zeta_11)^+; 23 and 89 split.
-        (QUINTIC, (2, 3), (23, 89)),
+        (QUINTIC.algebra[:2], (2, 3), (23, 89)),
     ],
     ids=["cubic", "quartic", "quintic"],
 )
@@ -59,6 +57,15 @@ def test_division_proven_never_contradicts_the_hilbert_symbol(spec):
     if spec.n == 2:
         c, b, _ = spec.min_poly
         assert not proven(*spec.algebra) or quaternion_division(b * b - 4 * c, spec.u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=valid_specs())
+def test_no_power_of_u_below_n_is_a_norm_in_a_proven_division_algebra(spec):
+    # A norm u^i with 0 < i < n would make the index divide i, so where
+    # division is proven the bounded witness search finds none.
+    if proven(*spec.algebra):
+        assert norm_witnesses(spec, 2) == []
 
 
 def test_the_real_place_proves_every_definite_quaternion_algebra():

@@ -24,7 +24,7 @@ from skewlat import (
     reduce_element,
 )
 from skewlat import lattice
-from skewlat.errors import IndefiniteForm, LengthMismatch
+from skewlat.errors import IndefiniteForm, InvalidSpec, LengthMismatch
 from skewlat.fixtures import FIXTURE_SPECS, fixture_code, fixture_ring
 from skewlat.lattice import _lift_basis
 from skewlat.number_ring import echelon_mod_p
@@ -626,3 +626,22 @@ def test_construction_a_rejects_a_float_e_weight():
     for e_weight in (1.5, 2):
         with pytest.raises(TypeError):
             construction_a_basis(fixture_code("gaussian-p3-inert"), e_weight=e_weight)
+
+
+def test_the_empty_determinant_is_one():
+    assert det_int([]) == 1
+
+
+def test_order_rows_and_codewords_of_the_wrong_length_are_rejected():
+    ring = fixture_ring("gaussian-p3-inert")
+    order = NaturalOrder(ring.spec)
+    with pytest.raises(LengthMismatch, match="expected 2 rows"):
+        order.element([(1, 0)])
+    with pytest.raises(LengthMismatch, match="expected length 2"):
+        lift_codeword(order, [ring.one])
+
+
+def test_inclusion_checks_need_one_ring():
+    p3, p5 = fixture_code("gaussian-p3-inert"), fixture_code("gaussian-p5-split")
+    with pytest.raises(InvalidSpec, match="share the same ring"):
+        dual_lattice_inclusion_check(p3, p5)

@@ -14,7 +14,6 @@ from skewlat import (
     RingElement,
     SkewPoly,
     intpoly,
-    norm_witnesses,
 )
 from skewlat.errors import (
     InvalidSigma,
@@ -34,7 +33,7 @@ from skewlat.number_ring import (
     nullspace_mod_p,
 )
 
-from helpers import SPEC_CALLS, random_element, valid_specs
+from helpers import SPEC_CALLS, norm_witnesses, random_element, valid_specs
 
 
 def test_ring_new_fixture_parameters():
@@ -535,3 +534,17 @@ def test_element_serialization_round_trip(ring):
         x = random_element(ring, rng)
         assert ring.element(x.to_list()) == x
         assert len(x.to_list()) == ring.n
+
+
+def test_negative_powers_are_powers_of_the_inverse():
+    ring = QuotientRing(GAUSSIAN_P3)
+    for x in ring.elements():
+        if x:
+            assert x ** -1 == x.inverse() and x ** -2 == x.inverse() * x.inverse()
+
+
+def test_the_factor_scan_stops_past_the_enumeration_bound():
+    # The quartic has no root modulo 1013, and its degree-2 scan would take
+    # 1013^2 > 10^6 candidates.
+    with pytest.raises(TooLarge, match="1013\\^2 candidates exceeds bound"):
+        _factor_mod_p((2, 0, -4, 0, 1), 1013)

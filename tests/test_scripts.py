@@ -38,3 +38,5 @@ def test_worked_examples_report():
     assert len(re.findall(r"lattice equals dual-code lattice: (True|False)", out)) == len(
         FIXTURE_NAMES
     )
+    # Every fixture's algebra is proven a division algebra by invariants.
+    assert out.count("   division algebra: proven by a local invariant\n") == len(FIXTURE_NAMES)

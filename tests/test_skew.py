@@ -495,3 +495,19 @@ def test_serialization(p3):
     f = SkewPoly(p3, (p3.gen + 1, 1))
     assert f.to_lists() == [[1, 1], [1, 0]]
     assert SkewPoly(p3, f.to_lists()) == f
+
+
+def test_the_middle_degree_scan_stops_past_its_bound():
+    # Degree 2 of x^4 - 3 over the quartic at p = 5 scans 625^2 candidates.
+    ring = quiet_ring(QUARTIC)
+    with pytest.raises(TooLarge, match="625\\^2 candidates exceeds bound 1000"):
+        monic_right_divisors(ring, 4, QUARTIC.u, 2, bound=1000)
+
+
+def test_value_errors_of_divisors_padding_and_leads(p3):
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        monic_right_divisors(p3, 2, -1, -1)
+    with pytest.raises(ValueError, match="degree too large"):
+        SkewPoly(p3, [p3.one, p3.one, p3.one]).padded_coeffs(2)
+    with pytest.raises(ValueError, match="no leading coefficient"):
+        SkewPoly(p3).lead

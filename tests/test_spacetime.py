@@ -27,12 +27,14 @@ from skewlat import (
 from skewlat import boxsweep, invariants, lattice, spacetime
 from skewlat.errors import InvalidSpec, LengthMismatch, NotInLattice, TooLarge
 from skewlat.fixtures import FIXTURE_NAMES, FIXTURE_SPECS, GAUSSIAN_P3_U1, fixture_code
-from skewlat.number_ring import QuotientRing
+from skewlat.number_ring import QuotientRing, integral_arithmetic
 
 from helpers import (
     CUBIC,
     QUARTIC,
+    QUINTIC,
     SEXTIC,
+    basis_matrix_flat_form,
     composed_coset_decode,
     composed_coset_encode,
     divisor_codes,
@@ -565,15 +567,14 @@ def test_determinant_with_an_irrational_coordinate_raises(monkeypatch):
     assert m.det() == (0, 1)
     with pytest.raises(InvalidSpec, match="non-constant"):
         m.norm_det()
-    # A form built from such matrices fails its one rationality check, each
-    # time: the cache starts empty, so the patched matrix_rep is expanded,
-    # and a failed expansion is not cached.
+    # A form read off sigma tables whose sigma^1 is patched to the identity is
+    # det [[a, u b], [b, a]] = a^2 - u b^2 for a = x0 + x1 i, b = x2 + x3 i,
+    # whose i coordinate is 2 x0 x1 - 2 u x2 x3: it fails its one rationality
+    # check, each time, since the cache starts empty and a failed expansion
+    # is not cached.
     spacetime._flat_form.cache_clear()
-    monkeypatch.setattr(
-        spacetime,
-        "matrix_rep",
-        lambda a: SpaceTimeMatrix(a.order, [[a.rows[0], (0, 0)], [(0, 0), (1, 0)]]),
-    )
+    core = integral_arithmetic(QUATERNION.min_poly, QUATERNION.sigma_image)
+    monkeypatch.setattr(core, "_sigma_tables", (core._sigma_tables[0],) * 2)
     for _ in range(2):
         with pytest.raises(InvalidSpec, match="non-constant"):
             reduced_norm_form(order, [(0, 1, 0, 0), (1, 0, 0, 0)])
@@ -738,16 +739,43 @@ def test_flat_form_expansions_drop_cancelled_monomials(monkeypatch):
     # A monomial whose coefficients sum to zero is dropped as the expansion
     # goes, so no product is made with it: the quartic's form makes 4,608
     # products instead of 4,992 and keeps its 404 monomials.  The form is
-    # expanded in an order of the algebra that _flat_form builds, so the
-    # products are counted on the class.
-    calls = []
-    mul = NaturalOrder.ok_mul
-    monkeypatch.setattr(NaturalOrder, "ok_mul", lambda *args: calls.append(None) or mul(*args))
-    for spec, products, monomials in ((CUBIC, 189, 57), (QUARTIC, 4608, 404)):
-        calls.clear()
+    # expanded with the product of the field's shared core, so the products
+    # are counted there.
+    expansions = ((CUBIC, 189, 57), (QUARTIC, 4608, 404), (QUINTIC, 168_125, 23_755))
+    for spec, products, monomials in expansions:
+        core, calls = integral_arithmetic(spec.min_poly, spec.sigma_image), []
+        monkeypatch.setattr(core, "mul", lambda a, b, mul=core.mul: calls.append(None) or mul(a, b))
         spacetime._flat_form.cache_clear()
         assert len(spacetime._flat_form(*spec.algebra)) == monomials
         assert len(calls) == products
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        pytest.param(AlgebraSpec((1, 0, 1), (0, -1), u=1, p=5), id="gaussian-u1"),
+        pytest.param(AlgebraSpec((1, 0, 1), (0, -1), u=-1, p=3), id="gaussian-u-1"),
+        pytest.param(AlgebraSpec((-2, 0, 1), (0, -1), u=-5, p=3), id="sqrt2-u-5"),
+        pytest.param(CUBIC, id="cubic-u2"),
+        pytest.param(replace_spec(CUBIC, u=13, p=7), id="cubic-u13"),
+        pytest.param(QUARTIC, id="quartic"),
+        pytest.param(QUINTIC, id="quintic"),
+    ],
+)
+def test_flat_form_is_the_expansion_of_matrix_rep_of_the_basis(monkeypatch, spec):
+    # The form read off the core's sigma tables is, term for term and in the
+    # same order, the one that matrix_rep of the n^2 basis elements of an
+    # order of the algebra gives, with the same number of products; and no
+    # order is built for it.
+    builds, init = [], NaturalOrder.__init__
+    monkeypatch.setattr(NaturalOrder, "__init__", lambda self, s: builds.append(s) or init(self, s))
+    core, calls = integral_arithmetic(spec.min_poly, spec.sigma_image), []
+    monkeypatch.setattr(core, "mul", lambda a, b, mul=core.mul: calls.append(None) or mul(a, b))
+    spacetime._flat_form.cache_clear()
+    terms = spacetime._flat_form(*spec.algebra)
+    assert builds == []
+    made = len(calls)
+    assert basis_matrix_flat_form(NaturalOrder(spec)) == terms and len(calls) == 2 * made
 
 
 def test_min_det_rechecks_its_witness(monkeypatch):
