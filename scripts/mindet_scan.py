@@ -8,8 +8,10 @@ where 1 + e is a zero divisor and the minimum collapses to zero.
 """
 
 import argparse
+import sys
 
 from skewlat import ConstacyclicCode, QuotientRing, SkewPoly, min_det_sample
+from skewlat.cli import _stdout_closed
 from skewlat.fixtures import GAUSSIAN_P3_U1, fixture_code
 from skewlat.spacetime import exhaustive_sweep
 
@@ -49,4 +51,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        raise SystemExit(_stdout_closed())

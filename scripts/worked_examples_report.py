@@ -6,12 +6,15 @@ A lattice.  Run from the repository root:
     python scripts/worked_examples_report.py
 """
 
+import sys
+
 from skewlat import (
     brute_force_dual,
     construction_a_basis,
     dual_lattice_basis,
     monic_right_divisors,
 )
+from skewlat.cli import _stdout_closed
 from skewlat.fixtures import FIXTURE_NAMES, FIXTURE_SPECS, fixture_code, fixture_ring
 from skewlat.invariants import division_proven
 
@@ -48,4 +51,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        raise SystemExit(_stdout_closed())

@@ -348,6 +348,16 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_closed() -> int:
+    """The exit code 1 after a BrokenPipeError on stdout.  The reader is gone:
+    what is still buffered goes to devnull, so the flush at exit cannot raise
+    again, and the process fails without a traceback.  The scripts under
+    scripts/ call it too."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    return 1
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
@@ -378,11 +388,7 @@ def main(argv=None) -> int:
         print(json.dumps(payload) if args.json else "\n".join(render()))
         sys.stdout.flush()
     except BrokenPipeError:
-        # The reader is gone: send what is still buffered to devnull, so the
-        # flush at exit cannot raise again, and fail without a traceback.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        return 1
+        return _stdout_closed()
     if args.command == "verify-examples" and not payload["passed"]:
         return 1
     return 0

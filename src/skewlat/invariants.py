@@ -24,7 +24,8 @@ for one at two kinds of place; False means "not proven", never "split".
 disc(m) = (-1)^(n(n-1)/2) N(m'(y)), N the core's norm_cofactor (a norm that
 is not rational, which only a reducible m gives, proves nothing), and y^l
 comes by repeated squaring with the core's mul, reduced modulo l; the
-sigma-fixed part is the kernel of sigma - 1, from echelon_mod_p.  The
+images sigma(y^j) and sigma^k(y) are read off the core's sigma tables, and
+the sigma-fixed part is the kernel of sigma - 1, from echelon_mod_p.  The
 primes of u are found by trial division below _TRIAL, so a cofactor above
 _TRIAL^2 with no prime below _TRIAL proves nothing.
 
@@ -66,13 +67,13 @@ def _prime_powers(u):
 def _frobenius_power(core, ell):
     """The r in [0, n) with sigma^r(y) = y^ell modulo (ell, m), or None when
     no power of sigma matches or sigma fixes more than F_ell in F_ell[y]/(m)."""
-    n = core.n
-    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    if len(echelon_mod_p([map(sub, core.sigma(e), e) for e in units], ell)[0]) != n - 1:
+    tables = core._sigma_tables  # tables[k][j] = sigma^k(y^j)
+    units = tables[0]
+    rows = [map(sub, image, e) for image, e in zip(tables[1], units)]  # sigma - 1
+    if len(echelon_mod_p(rows, ell)[0]) != core.n - 1:
         return None
-    y = units[1]
-    images = [tuple(c % ell for c in core.sigma(y, k)) for k in range(n)]
-    power, acc, e = y, units[0], ell
+    images = [tuple(c % ell for c in table[1]) for table in tables]
+    power, acc, e = units[1], units[0], ell
     while e:
         if e & 1:
             acc = tuple(c % ell for c in core.mul(acc, power))

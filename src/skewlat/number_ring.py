@@ -11,11 +11,13 @@ The arithmetic itself lives in one place, IntegralArithmetic: multiplication,
 sigma and the field norm N(a) = a*sigma(a)...sigma^(n-1)(a) in O_K = Z[y]/(m)
 over the integers, built once per (min_poly, sigma_image), each straight-line
 integer code from one emitter: the product and sigma compiled with the core,
-every other power of sigma on its first use, and the norm on its first call,
-with O(n^3) terms, cached on the core, that also returns the suffix products
-the divisor roots scale.  The emitter writes its sums and tuples with
-skewlat.emit, which compiles them.  Vectors of any other length are reduced
-modulo m by intpoly.mod_monic, like every other polynomial remainder.
+and the norm on its first call, with O(n^3) terms, cached on the core, that
+also returns the suffix products the divisor roots scale.  Every other power
+of sigma applies the one compiled sigma again, and the tables of sigma^k(y^j)
+that the core's checks build give the traces Tr(y^j).  The emitter writes
+its sums and tuples with skewlat.emit, which compiles them.  Vectors of any
+other length are reduced modulo m by intpoly.mod_monic, like every other
+polynomial remainder.
 QuotientRing reduces its results modulo p, so inverses are norm cofactors
 divided by the norm; lattice.NaturalOrder uses the same instance and keeps
 them over Z.
@@ -42,10 +44,9 @@ is capped by ENUMERATION_BOUND.  Reduced tuples are built by map pipelines
 over the coefficients, at C level.
 
 All values are immutable after construction and safe to share across threads;
-the norm and the powers of sigma a core compiles on first use are pure
-functions of the core, so a second thread that compiles one too gets an equal
-one, and two threads that build one residue at once may briefly hold equal
-copies of its element.
+the norm a core compiles on first use is a pure function of the core, so a
+second thread that compiles it too gets an equal one, and two threads that
+build one residue at once may briefly hold equal copies of its element.
 """
 
 from __future__ import annotations
@@ -261,18 +262,18 @@ class IntegralArithmetic:
 
     Built once per (min_poly, sigma_image) pair by integral_arithmetic().
     Owns m, its folding row y^n mod m, the tables of sigma^k on the powers
-    y^j and the power sums Tr(y^j).  mul and sigma take vectors of exactly n
-    integers and return tuples reduced modulo m only: QuotientRing reduces
-    them modulo p, NaturalOrder keeps them over Z.  reduce takes vectors of
-    any length through intpoly.mod_monic, the one rule for reduction modulo
-    m; only the compiled product inlines the folding row.  _Emitter writes
-    mul and sigma as straight-line code: mul and sigma^1 compiled with the
-    core, which its checks need, each other sigma^k on its first use
-    (_SigmaPrograms), and norm_cofactor, the one norm rule of the library,
-    on its first call, with O(n^3) terms.  After AlgebraSpec's field checks it raises NotIrreducible
-    for a reducible m of degree at most 3 (above that irreducibility is
-    trusted, and QuotientRing warns), then InvalidSigma unless s(y) induces a
-    ring map of O_K of order exactly n.
+    y^j and the power sums Tr(y^j), read off those tables.  mul and sigma
+    take vectors of exactly n integers and return tuples reduced modulo m
+    only: QuotientRing reduces them modulo p, NaturalOrder keeps them over Z.
+    reduce takes vectors of any length through intpoly.mod_monic, the one
+    rule for reduction modulo m; only the compiled product inlines the
+    folding row.  _Emitter writes straight-line code: mul and sigma^1,
+    compiled with the core, which its checks need, and norm_cofactor, the
+    one norm rule of the library, on its first call, with O(n^3) terms;
+    sigma^k applies sigma^1 k mod n times.  After AlgebraSpec's field
+    checks it raises NotIrreducible for a reducible m of degree at most 3
+    (above that irreducibility is trusted, and QuotientRing warns), then
+    InvalidSigma unless s(y) induces a ring map of O_K of order exactly n.
     """
 
     def __init__(self, min_poly, sigma_image):
@@ -300,28 +301,18 @@ class IntegralArithmetic:
         if any(sum(c * power[i] for c, power in zip(min_poly, powers)) for i in range(n)):
             raise InvalidSigma("m(s(y)) is not divisible by m(y)")
         tables = [identity, tuple(powers[:n])]
-        sigma = self._sigma_program(tables[1])
+        emit = _Emitter(self, "a")
+        self._sigma = emit.compile("sigma", emit.sigma(*emit.args, tables[1], "s"))
         for _ in range(n - 1):
-            tables.append(tuple(map(sigma, tables[-1])))
+            tables.append(tuple(map(self._sigma, tables[-1])))
         order = next((k for k in range(1, n + 1) if tables[k][1] == identity[1]), None)
         if order != n:
             raise InvalidSigma(f"automorphism order is {order}, expected {n}")
         self._sigma_tables = tuple(tables[:n])
-        self._sigmas = _SigmaPrograms(self, sigma)
 
-        # Tr(y^j) for j < n via Newton's identities.
-        sums = [n]
-        for k in range(1, n):
-            acc = k * min_poly[n - k]
-            for i in range(1, k):
-                acc += min_poly[n - i] * sums[k - i]
-            sums.append(-acc)
-        self.trace_sums = tuple(sums)
-
-    def _sigma_program(self, table):
-        """The compiled a -> sum_j a_j table[j], sigma^k when table is sigma^k(y^j)."""
-        emit = _Emitter(self, "a")
-        return emit.compile("sigma", emit.sigma(*emit.args, table, "s"))
+        # Tr(y^j) = sum_k sigma^k(y^j), rational since sigma generates the
+        # Galois group: its constant coordinate.
+        self.trace_sums = tuple(sum(table[j][0] for table in self._sigma_tables) for j in range(n))
 
     def reduce(self, coeffs):
         """Integer coefficients of any length, reduced modulo m to a tuple of
@@ -329,7 +320,18 @@ class IntegralArithmetic:
         return intpoly.mod_monic(map(operator.index, coeffs), self.min_poly)
 
     def sigma(self, vec, power=1):
-        return self._sigmas[power % self.n](vec)
+        """sigma^power(vec) as a tuple: the compiled sigma applied power mod n
+        times.  A vector of other than n coordinates raises ValueError, as in
+        the compiled functions, whatever the power."""
+        k = power % self.n
+        if k == 1:
+            return self._sigma(vec)
+        vec = tuple(vec)
+        if len(vec) != self.n:
+            raise ValueError(f"expected a vector of {self.n} coordinates")
+        for _ in range(k):
+            vec = self._sigma(vec)
+        return vec
 
     def norm_cofactor(self, vec):
         """(N, c) with c = sigma(vec)...sigma^(n-1)(vec) and vec*c = N.
@@ -370,22 +372,6 @@ class IntegralArithmetic:
         for k in range(n - 2, 0, -1):
             suffixes.append(emit.mul(suffixes[-1], emit.sigma(a, tables[k], f"s{k}"), f"c{k}"))
         return emit.compile("norm", (emit.mul(a, suffixes[-1], "r"), suffixes))
-
-
-class _SigmaPrograms(dict):
-    """A core's compiled sigma^k by k in [0, n): sigma^1, which the core's
-    checks need, from the start, and every other power, the identity
-    included, compiled on its first lookup.  setdefault keeps the first of
-    two equal programs that threads compile at once."""
-
-    __slots__ = ("core",)
-
-    def __init__(self, core, sigma):
-        super().__init__({1: sigma})
-        self.core = core
-
-    def __missing__(self, k):
-        return self.setdefault(k, self.core._sigma_program(self.core._sigma_tables[k]))
 
 
 class _Emitter:

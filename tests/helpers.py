@@ -253,6 +253,19 @@ def oracle_norm_suffixes(m, s, vec):
     return norm, tuple(suffixes)
 
 
+def newton_trace_sums(min_poly):
+    """Oracle: the power sums Tr(y^j), j < n, of the roots of min_poly by
+    Newton's identities, from its coefficients alone."""
+    n = len(min_poly) - 1
+    sums = [n]
+    for k in range(1, n):
+        acc = k * min_poly[n - k]
+        for i in range(1, k):
+            acc += min_poly[n - i] * sums[k - i]
+        sums.append(-acc)
+    return tuple(sums)
+
+
 def enumerated_dual(code, bound=ENUMERATION_BOUND):
     """Oracle: every vector of R^n tested against every codeword, in
     lexicographic order of coefficient vectors (component 0 first)."""

@@ -6,7 +6,8 @@ other and against plain intpoly arithmetic, on quadratic and cubic specs
 whose primes cover the inert, split and ramified cases, and on random valid
 specs from helpers.valid_specs.  The core's compiled product, powers of
 sigma and norm are checked against the intpoly oracles of helpers, which
-share no code with it, up to degree 30.
+share no code with it, up to degree 30, and its traces against Newton's
+identities.
 """
 
 import random
@@ -23,6 +24,7 @@ from skewlat.number_ring import IntegralArithmetic, integral_arithmetic
 from helpers import (
     CUBIC,
     QUARTIC,
+    newton_trace_sums,
     oracle_mul,
     oracle_norm_suffixes,
     oracle_sigma,
@@ -148,10 +150,10 @@ def test_core_products_and_sigma_powers_match_the_oracles_above_degree_three(fie
 def test_degree_30_core_compiles_at_any_depth():
     # Phi_31 with sigma: y -> y^3 has n = 30, near the largest degree
     # AlgebraSpec admits (n^4 <= 10^6).  Building its core compiles the
-    # product, whose longest sum has 2n - 1 terms, and sigma, and checking it
-    # compiles the other 29 powers of sigma on first use; CPython's compiler
-    # has less recursion to spare the deeper its caller, so the core is
-    # built and checked from 850 frames down.
+    # product, whose longest sum has 2n - 1 terms, and sigma, which the
+    # check then applies up to 29 times for each other power; CPython's
+    # compiler has less recursion to spare the deeper its caller, so the
+    # core is built and checked from 850 frames down.
     min_poly, sigma_image = (1,) * 31, (0, 0, 0, 1)
 
     def deep(depth, call):
@@ -165,10 +167,35 @@ def test_degree_30_core_compiles_at_any_depth():
     deep(850, build_and_check)
 
 
+def assert_trace_sums_match_newton(min_poly, sigma_image):
+    """trace_sums, read off the sigma tables, equals the power sums of
+    Newton's identities, and every sum_k sigma^k(y^j) is rational."""
+    core = integral_arithmetic(min_poly, sigma_image)
+    assert core.trace_sums == newton_trace_sums(min_poly)
+    n = core.n
+    for j in range(n):
+        power = tuple(int(i == j) for i in range(n))
+        total = [sum(images) for images in zip(*(core.sigma(power, k) for k in range(n)))]
+        assert total == [core.trace_sums[j]] + [0] * (n - 1), j
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=valid_specs())
+def test_trace_sums_match_newton(spec):
+    assert_trace_sums_match_newton(spec.min_poly, spec.sigma_image)
+
+
+@pytest.mark.parametrize("field", [*HIGHER, "phi31"])
+def test_trace_sums_match_newton_above_degree_three(field):
+    # Phi_31 with sigma: y -> y^3, n = 30, as in the degree-30 test above.
+    min_poly, sigma_image = HIGHER.get(field, ((1,) * 31, (0, 0, 0, 1)))
+    assert_trace_sums_match_newton(min_poly, sigma_image)
+
+
 @pytest.mark.parametrize("field", ["gaussian", "cubic", *HIGHER])
 def test_core_build_compiles_mul_and_sigma_only(monkeypatch, field):
-    # Every other power of sigma, the identity included, compiles on its
-    # first use, once, and equals the oracle.
+    # Every other power of sigma, the identity included, applies the one
+    # compiled sigma, compiles nothing, and equals the oracle.
     min_poly, sigma_image = FIELDS[field][:2] if field in FIELDS else HIGHER[field]
     compiled = []
     compile_function = number_ring.compile_function
@@ -186,17 +213,23 @@ def test_core_build_compiles_mul_and_sigma_only(monkeypatch, field):
         for k in range(n):
             assert core.sigma(a, k) == image
             image = oracle_sigma(image, sigma_image, min_poly, 1)
-    assert compiled == ["mul"] + ["sigma"] * n
+    assert compiled == ["mul", "sigma"]
 
 
 def test_order_products_reject_a_short_vector():
-    # The core's compiled functions unpack exactly n coordinates.
+    # The core's compiled functions unpack exactly n coordinates, and sigma
+    # checks the length itself at every other power: 0, and those it reaches
+    # by applying sigma^1 again.
     order = _build("gaussian", 3)[1]
     with pytest.raises(LengthMismatch):
         order.ok_mul((1,), (1, 0))
     for power in (0, 1):
         with pytest.raises(LengthMismatch):
             order.ok_sigma((1,), power)
+    order = _build("cubic", 5)[1]
+    for power in (0, 1, 2, -1, order.n + 2):
+        with pytest.raises(LengthMismatch):
+            order.ok_sigma((1, 0), power)
 
 
 def test_order_products_reject_a_long_vector():
@@ -206,6 +239,10 @@ def test_order_products_reject_a_long_vector():
     for power in (0, 1):
         with pytest.raises(LengthMismatch):
             order.ok_sigma((1, 0, 0), power)
+    order = _build("cubic", 5)[1]
+    for power in (0, 1, 2, -1, order.n + 2):
+        with pytest.raises(LengthMismatch):
+            order.ok_sigma((1, 0, 0, 0), power)
 
 
 # Each fixed case also runs on a few random valid specs.

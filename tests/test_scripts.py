@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from skewlat.fixtures import FIXTURE_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,3 +42,40 @@ def test_worked_examples_report():
     )
     # Every fixture's algebra is proven a division algebra by invariants.
     assert out.count("   division algebra: proven by a local invariant\n") == len(FIXTURE_NAMES)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["scripts/mindet_scan.py"],
+        ["scripts/worked_examples_report.py"],
+        ["-m", "skewlat", "verify-examples"],
+    ],
+    ids=["mindet_scan", "worked_examples_report", "verify-examples"],
+)
+def test_closed_stdout_fails_quietly(args, unbuffered):
+    # The read end of the child's stdout is closed before the child starts,
+    # so its first write or its final flush meets a closed pipe, whatever the
+    # length of its output (a `| head` reader races with short output).
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, *args],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=ROOT,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
