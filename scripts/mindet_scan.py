@@ -36,15 +36,15 @@ def main():
         code = build()
         print(f"== {label} ==")
         for bound in range(1, args.max_bound + 1):
-            exhaustive = exhaustive_sweep(code, bound, SWEEP_BOUND)
             value = min_det_sample(
                 code,
                 bound,
                 seed=args.seed,
                 samples=args.samples,
                 enumeration_bound=SWEEP_BOUND,
-                exhaustive=exhaustive,
             )
+            # min_det_sample picks the mode; the same rule only names it here.
+            exhaustive = exhaustive_sweep(code, bound, SWEEP_BOUND)
             mode = "exhaustive" if exhaustive else f"sampled x{args.samples}"
             print(f"   box {bound} ({mode}): min |norm det| = {value}")
         print()

@@ -224,16 +224,15 @@ def cmd_stmatrix(cfg: Config, args):
 def cmd_mindet(cfg: Config, args):
     code = _code(cfg)
     coeff_bound = args.coeff_bound
-    exhaustive = exhaustive_sweep(code, coeff_bound, cfg.bound)
     value = min_det_sample(
         code,
         coeff_bound,
         seed=cfg.seed,
         samples=args.samples,
         enumeration_bound=cfg.bound,
-        exhaustive=exhaustive,
     )
-    mode = "exhaustive" if exhaustive else "sampled"
+    # min_det_sample picks the mode; the same rule only names it here.
+    mode = "exhaustive" if exhaustive_sweep(code, coeff_bound, cfg.bound) else "sampled"
     payload = {
         "coeff_bound": coeff_bound,
         "mode": mode,

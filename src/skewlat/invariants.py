@@ -19,7 +19,7 @@ for one at two kinds of place; False means "not proven", never "split".
   Frobenius-fixed part, whose dimension counts those factors (Berlekamp),
   is its sigma-fixed part, and that part is required to be F_l: m is
   irreducible modulo l, hence over Q, and the case never fires on a
-  reducible m that QuotientRing trusts above degree 3.
+  reducible m of the composite degrees that QuotientRing trusts.
 
 disc(m) = (-1)^(n(n-1)/2) N(m'(y)), N the core's norm_cofactor (a norm that
 is not rational, which only a reducible m gives, proves nothing), and y^l

@@ -22,7 +22,8 @@ QuotientRing reduces its results modulo p, so inverses are norm cofactors
 divided by the norm; lattice.NaturalOrder uses the same instance and keeps
 them over Z.
 AlgebraSpec is the one check of a spec's fields, and IntegralArithmetic of
-m and sigma, so no consumer of a spec validates it again.
+m (by its discriminant for n = 2, by the order of sigma for odd prime n) and
+sigma, so no consumer of a spec validates it again.
 
 echelon_mod_p is the one elimination over F_p, and nullspace_mod_p reads
 solution bases off it; codes.brute_force_dual solves its orthogonality
@@ -213,50 +214,6 @@ def _is_prime(p):
     return True
 
 
-def _integer_root(m):
-    """An integer root of the monic integer polynomial m of degree 2 or 3, or None.
-
-    Every real root lies inside the Cauchy bound 1 + max|m_i|, and m is monotone
-    between the integers next to its critical points, so bisection on each
-    monotone piece decides exactly, with O(log bound) evaluations.
-    """
-
-    def at(x):
-        v = 0
-        for c in reversed(m):
-            v = v * x + c
-        return v
-
-    bound = 1 + max(abs(c) for c in m[:-1])
-    if len(m) == 3:
-        near = [-m[1] // 2]  # m' = 2y + m1
-    else:
-        # m' = 3y^2 + 2 m2 y + m1 vanishes at (-m2 +- sqrt(disc)) / 3.
-        disc = m[2] * m[2] - 3 * m[1]
-        near = [(-m[2] + r) // 3 for r in (isqrt(disc), -isqrt(disc))] if disc >= 0 else []
-    # Each critical point lies within 1 of its `near` integer, so it falls in
-    # a unit gap between cuts and m is monotone on every longer piece.
-    cuts = sorted({-bound, bound}.union(*(range(f - 1, f + 3) for f in near)))
-    points = [(x, at(x)) for x in cuts if -bound <= x <= bound]
-    for x, v in points:
-        if v == 0:
-            return x
-    for (lo, vlo), (hi, vhi) in zip(points, points[1:]):
-        negative = vlo < 0
-        if negative == (vhi < 0):
-            continue
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            v = at(mid)
-            if v == 0:
-                return mid
-            if (v < 0) == negative:
-                lo = mid
-            else:
-                hi = mid
-    return None
-
-
 class IntegralArithmetic:
     """Arithmetic of O_K = Z[y]/(m) on integer coefficient vectors of length n.
 
@@ -271,9 +228,18 @@ class IntegralArithmetic:
     compiled with the core, which its checks need, and norm_cofactor, the
     one norm rule of the library, on its first call, with O(n^3) terms;
     sigma^k applies sigma^1 k mod n times.  After AlgebraSpec's field
-    checks it raises NotIrreducible for a reducible m of degree at most 3
-    (above that irreducibility is trusted, and QuotientRing warns), then
-    InvalidSigma unless s(y) induces a ring map of O_K of order exactly n.
+    checks it raises NotIrreducible for a quadratic m whose discriminant is
+    a square, then InvalidSigma unless s(y) induces a ring map of O_K of
+    order exactly n.  For composite n >= 4, m is trusted; QuotientRing warns.
+
+    For odd prime n the order check proves m irreducible.  sigma permutes
+    the local factors of Q[y]/(m) in cycles of length 1 or n.  An n-cycle
+    needs n distinct integer roots that s permutes cyclically; each
+    difference of consecutive roots then divides the next, so all have one
+    absolute value, and an odd number of them cannot sum to 0.  A fixed
+    factor has dimension below n, too small for a map that fixes 1 and has
+    the n - 1 primitive n-th roots of unity as eigenvalues, or is
+    Q[e]/(e^n), where an automorphism of odd order is unipotent.
     """
 
     def __init__(self, min_poly, sigma_image):
@@ -281,11 +247,11 @@ class IntegralArithmetic:
         self.n = n
         self.min_poly = min_poly
 
-        # A monic quadratic or cubic is reducible over Q exactly when it has a
-        # rational, hence integer, root.
-        root = _integer_root(min_poly) if n <= 3 else None
-        if root is not None:
-            raise NotIrreducible(f"min_poly has the integer root {root}")
+        if n == 2:  # a square d gives the integer roots (-m1 +- sqrt d) / 2
+            d = min_poly[1] ** 2 - 4 * min_poly[0]
+            if d >= 0 and isqrt(d) ** 2 == d:
+                root = (-min_poly[1] - isqrt(d)) // 2
+                raise NotIrreducible(f"min_poly has the integer root {root}")
 
         # y^n mod m: folds every coefficient above degree n-1 back down.
         self._yn = tuple(-c for c in min_poly[:n])
@@ -307,7 +273,10 @@ class IntegralArithmetic:
             tables.append(tuple(map(self._sigma, tables[-1])))
         order = next((k for k in range(1, n + 1) if tables[k][1] == identity[1]), None)
         if order != n:
-            raise InvalidSigma(f"automorphism order is {order}, expected {n}")
+            raise InvalidSigma(
+                f"automorphism order is {order}, expected {n}" if order else
+                f"no sigma^k with k <= {n} returns y to y, so s(y) is no automorphism of order {n}"
+            )
         self._sigma_tables = tuple(tables[:n])
 
         # Tr(y^j) = sum_k sigma^k(y^j), rational since sigma generates the
@@ -544,16 +513,17 @@ class QuotientRing:
     """The ring R = Z[y]/(p, m(y)) with its automorphism sigma.
 
     Validates nothing (see AlgebraSpec); it only warns that irreducibility
-    is trusted above degree 3.  The ring keeps one RingElement per residue
-    it has built, so it holds at most |R| = p^n of them; element, from_int,
-    the constants, the arithmetic, sigma and inverse all return those.
+    is trusted for a composite degree.  The ring keeps one RingElement per
+    residue it has built, so it holds at most |R| = p^n of them; element,
+    from_int, the constants, the arithmetic, sigma and inverse all return
+    those.
     """
 
     def __init__(self, spec: AlgebraSpec):
         n = spec.n
-        if n > 3:
+        if not _is_prime(n):
             warnings.warn(
-                "irreducibility over Q is only verified up to degree 3; "
+                "irreducibility over Q is only verified for prime degrees; "
                 f"degree {n} is trusted",
                 stacklevel=2,
             )

@@ -95,7 +95,7 @@ SPEC_CALLS = (
 
 
 def quiet_ring(spec):
-    """QuotientRing(spec) without the warning that degree > 3 irreducibility is trusted."""
+    """QuotientRing(spec) without the warning that a composite degree's irreducibility is trusted."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return QuotientRing(spec)

@@ -131,6 +131,12 @@ def test_mod_monic_is_the_remainder_of_divmod_monic(a, m):
     assert core.reduce(a) == rem + (0,) * (3 - len(rem))
 
 
+def test_divmod_monic_rejects_a_modulus_that_is_not_monic():
+    for m in ((1, 2), (3, 0, -1), (0, 0), ()):
+        with pytest.raises(ValueError, match="modulus must be monic"):
+            intpoly.divmod_monic((1, 2, 3), m)
+
+
 @settings(max_examples=30, deadline=None)
 @given(spec=valid_specs(), seed=st.integers(0, 2**32))
 def test_core_products_and_sigma_powers_match_the_oracles(spec, seed):
@@ -305,7 +311,7 @@ def test_compiled_norm_matches_the_table_oracle_on_the_fixtures(spec):
 
 
 def test_reducible_min_poly_norms_above_degree_three():
-    # Irreducibility is trusted above degree 3.  y^2 (y - 1)^2 with this s
+    # Irreducibility is trusted at composite degrees.  y^2 (y - 1)^2 with this s
     # swaps its two local factors with order 4; such a sigma fixes only Q, so
     # every norm is rational and InvalidSpec cannot be reached on a quartic.
     m, s = (0, 0, 1, -2, 1), (1, -1, -2, 2)

@@ -743,7 +743,7 @@ def test_a_failing_worked_example_prints_fail_and_exits_one(monkeypatch, capsys)
 
 
 def test_library_warnings_print_as_one_stable_line(tmp_path):
-    # The degree > 3 irreducibility warning names neither a file nor a line,
+    # The composite-degree irreducibility warning names neither a file nor a line,
     # so editing the CLI cannot change the stderr of a quartic config.
     import os
     import subprocess
@@ -769,7 +769,7 @@ def test_library_warnings_print_as_one_stable_line(tmp_path):
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 156
     assert proc.stderr == (
-        "warning: irreducibility over Q is only verified up to degree 3; degree 4 is trusted\n"
+        "warning: irreducibility over Q is only verified for prime degrees; degree 4 is trusted\n"
     )
 
 

@@ -81,6 +81,14 @@ def test_non_monic_generator_is_normalized():
     assert code == fixture_code("gaussian-p5-split")
 
 
+def test_codes_equal_no_integer_and_no_code_over_another_ring():
+    code = fixture_code("gaussian-p3-inert")
+    assert code.__eq__(5) is NotImplemented
+    assert (code == 5) is False and code != 5
+    assert code == fixture_code("gaussian-p3-inert")
+    assert code != fixture_code("gaussian-p5-split")
+
+
 def test_encode_examples(p3_code):
     ring = p3_code.ring
     a = ring.gen

@@ -24,10 +24,12 @@ from skewlat import (
     opposite,
     right_multiplication_det,
 )
-from skewlat.errors import NotIrreducible
+from skewlat.errors import InvalidSigma
 
 from helpers import (
     CUBIC,
+    QUARTIC,
+    QUINTIC,
     norm_witnesses,
     random_element,
     random_poly,
@@ -42,12 +44,17 @@ def ring():
 
 
 def test_irreducibility_is_checked_for_cubics_and_trusted_above():
+    # The order of sigma proves odd prime degrees irreducible, so the cubic
+    # and the quintic build silently; a reducible cubic admits no sigma of
+    # order 3, so the sigma check rejects it.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         QuotientRing(CUBIC)
+        QuotientRing(QUINTIC)
     quartic = AlgebraSpec((1, 1, 1, 1, 1), (0, 0, 1), u=1, p=2, conjugation_mode="identity")
-    with pytest.warns(UserWarning, match="irreducibility"):
-        QuotientRing(quartic)
+    for spec in (quartic, QUARTIC):
+        with pytest.warns(UserWarning, match="verified for prime degrees; degree 4 is trusted"):
+            QuotientRing(spec)
     big = 10**18 + 9
     for min_poly in (
         (-2, -3, 0, 1),  # (y + 1)^2 (y - 2)
@@ -55,7 +62,7 @@ def test_irreducibility_is_checked_for_cubics_and_trusted_above():
         (3, 0, -4, 1),  # (y - 1)(y^2 - 3y - 3): the root 1 between the critical points
         (-big, 1 - big, 1 - big, 1),  # (y - big)(y^2 + y + 1)
     ):
-        with pytest.raises(NotIrreducible):
+        with pytest.raises(InvalidSigma):
             QuotientRing(replace_spec(CUBIC, min_poly=min_poly))
 
 

@@ -366,6 +366,12 @@ def test_conjugation_is_derived_from_the_field(min_poly, sigma_image, power):
     assert order.conj_power == oracle_conj_power(order) == power
 
 
+def test_ok_conj_is_complex_conjugation():
+    # sigma on Z[i], the identity on the real cubic field.
+    assert NaturalOrder(FIXTURE_SPECS["gaussian-p3-inert"]).ok_conj((1, 2)) == (1, -2)
+    assert NaturalOrder(CUBIC).ok_conj((1, 2, 3)) == (1, 2, 3)
+
+
 @pytest.mark.parametrize(
     "spec, traces",
     [

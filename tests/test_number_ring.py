@@ -26,8 +26,8 @@ from skewlat.errors import (
 )
 from skewlat.fixtures import GAUSSIAN_P3, GAUSSIAN_P5, SQRT2_P3
 from skewlat.number_ring import (
+    IntegralArithmetic,
     _factor_mod_p,
-    _integer_root,
     _is_prime,
     echelon_mod_p,
     nullspace_mod_p,
@@ -55,6 +55,12 @@ def test_subtraction_from_an_integer():
     assert 1 - a == ring.one - a == -(a - 1)
 
 
+def test_an_element_equals_the_integers_of_its_residue():
+    ring = QuotientRing(GAUSSIAN_P3)
+    assert ring.from_int(4) == 1 and ring.from_int(4) != 2
+    assert ring.gen != 0 and ring.zero == 3
+
+
 def test_factor_scan_of_degree_two():
     # y^4 - 4y^2 + 2 = (y^2 + 1)(y^2 + 2) mod 7 has no root, so only the
     # scan over monic quadratics finds its factors.
@@ -75,9 +81,9 @@ def test_ring_new_rejects_bad_sigma():
 @st.composite
 def reducible_specs(draw):
     """Specs whose m is reducible over Q: m = (y - r)(y - s) with sigma
-    swapping the roots, a ring map of order 2, so only the irreducibility
+    swapping the roots, a ring map of order 2, so only the discriminant
     check can reject it; or the cubic (y + 1)^2 (y - 2) with the sigma of
-    the cyclic cubics, rejected for m before sigma is looked at."""
+    the cyclic cubics, which has no order 3 on that m."""
     p = draw(st.sampled_from((2, 3, 5, 7)))
     u = draw(st.integers(-6, 6).filter(lambda v: v % p))
     if draw(st.booleans()):
@@ -92,8 +98,9 @@ def reducible_specs(draw):
 def test_order_and_norms_reject_a_reducible_min_poly(spec):
     # Without the check in the shared core, NaturalOrder builds y^2 - 4 and
     # matrix_rep(2 + y).det() is (0, 0), with no error.
+    error, message = (NotIrreducible, "integer root") if spec.n == 2 else (InvalidSigma, "no sigma")
     for build in (QuotientRing, NaturalOrder, lambda s: norm_witnesses(s, 1)):
-        with pytest.raises(NotIrreducible, match="integer root"):
+        with pytest.raises(error, match=message):
             build(spec)
 
 
@@ -170,21 +177,62 @@ def test_ring_new_rejects_bad_p_and_u():
         QuotientRing(AlgebraSpec((1, 0, 1), (0, -1), u=6, p=3))
     with pytest.raises(NotIrreducible):
         QuotientRing(AlgebraSpec((-4, 0, 1), (0, -1), u=-1, p=3))
+    # y -> -y has order 2 on Z[y]/(y^2 - 1), so only the discriminant rejects it.
+    with pytest.raises(NotIrreducible, match="integer root -1"):
+        QuotientRing(AlgebraSpec((-1, 0, 1), (0, -1), u=1, p=3))
     with pytest.raises(InvalidSpec):
         QuotientRing(AlgebraSpec((1, 1), (0, 1), u=1, p=3))
 
 
-def test_integer_root_matches_scan():
-    # Oracle: every integer inside the Cauchy bound, for all monic quadratics
-    # and cubics with small coefficients (double roots and roots between the
-    # critical points included).
-    for n in (2, 3):
-        for low in product(range(-6, 7), repeat=n):
-            m = low + (1,)
-            bound = 1 + max(map(abs, low))
-            roots = [x for x in range(-bound, bound + 1) if sum(c * x**i for i, c in enumerate(m)) == 0]
-            root = _integer_root(m)
-            assert (root in roots) if roots else (root is None), m
+def _integer_roots(m):
+    """Every integer root of m, scanned inside the Cauchy bound 1 + max|m_i|."""
+    bound = 1 + max(map(abs, m[:-1]))
+    return [x for x in range(-bound, bound + 1) if sum(c * x**i for i, c in enumerate(m)) == 0]
+
+
+def test_a_quadratic_is_not_irreducible_exactly_when_a_root_scan_finds_a_root():
+    # y -> -m1 - y swaps the roots of every monic quadratic, a ring map of
+    # order 2, so only the discriminant decides.
+    for m0, m1 in product(range(-12, 13), repeat=2):
+        m = (m0, m1, 1)
+        roots = _integer_roots(m)
+        if roots:
+            with pytest.raises(NotIrreducible) as info:
+                IntegralArithmetic(m, (-m1, -1))
+            assert str(info.value) == f"min_poly has the integer root {min(roots)}"
+        else:
+            assert IntegralArithmetic(m, (-m1, -1)).n == 2
+
+
+def test_the_order_of_sigma_rejects_every_cubic_with_an_integer_root():
+    # The core scans no cubic for roots, yet every (m, s) it accepts has an m
+    # free of integer roots, and every m with one raises InvalidSigma for every s.
+    accepted = set()
+    for low in product(range(-2, 3), repeat=3):
+        m = low + (1,)
+        has_root = bool(_integer_roots(m))
+        for s in product(range(-2, 3), repeat=3):
+            try:
+                IntegralArithmetic(m, s)
+            except InvalidSigma:
+                continue
+            assert not has_root, (m, s)
+            accepted.add(m)
+    assert accepted == {(-1, -2, 1, 1), (-1, -1, 2, 1), (1, -2, -1, 1), (1, -1, -2, 1)}
+
+
+def test_invalid_sigma_names_a_wrong_order_or_no_order():
+    # y -> 1 on y^4 - 1 never returns y to y; y -> -y on y^4 + 1 has order 2.
+    # The reducible cubic (y + 1)^2 (y - 2) gets the first message too.
+    no_order = "no sigma^k with k <= {0} returns y to y, so s(y) is no automorphism of order {0}"
+    for m, s, message in (
+        ((-1, 0, 0, 0, 1), (1,), no_order.format(4)),
+        ((-2, -3, 0, 1), (-2, 0, 1), no_order.format(3)),
+        ((1, 0, 0, 0, 1), (0, -1), "automorphism order is 2, expected 4"),
+    ):
+        with pytest.raises(InvalidSigma) as info:
+            IntegralArithmetic(m, s)
+        assert str(info.value) == message
 
 
 def _trial_division_is_prime(n):

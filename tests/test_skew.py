@@ -78,6 +78,11 @@ def test_zero_polynomial_degree(p3):
     assert z.degree < SkewPoly.one(p3).degree
 
 
+def test_zero_polynomial_prints_as_zero(p3):
+    assert str(SkewPoly.zero(p3)) == "0"
+    assert str(SkewPoly.zero(p3) * SkewPoly.one(p3)) == "0"
+
+
 def test_right_division_examples(p3):
     a = p3.gen
     x = SkewPoly.monomial(p3, 1)

@@ -677,7 +677,7 @@ def test_det_of_the_u1_sabotage_is_zero_without_a_division_by_zero(spec):
 
 
 def test_a_pivot_of_norm_zero_raises_invalid_spec(monkeypatch):
-    # Only a reducible m, trusted above degree 3, has a nonzero pivot of
+    # Only a reducible m, trusted at composite degrees, has a nonzero pivot of
     # norm 0; det reports it instead of dividing by zero.
     order = NaturalOrder(CUBIC)
     monkeypatch.setattr(order._core, "norm_cofactor", lambda vec: (0, vec))
