@@ -14,12 +14,19 @@ Results go to stdout, diagnostics to stderr.  Exit codes:
 0 success, 1 domain error (with a stable error code) or a closed stdout
 (without a traceback), 2 usage error.  Library warnings print to stderr as one
 ``warning: <message>`` line each, without a source location.
+
+main() without an argv owns the process: it reads sys.argv and freezes the
+start-up heap (gc.freeze) before the command runs, so the command's own
+collections and interpreter shutdown skip the objects the imports made.
+Both process entries, ``python -m skewlat`` and the ``skewlat`` script, call
+it that way; a caller that passes an argv keeps its heap as it is.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import gc
 import json
 import os
 import re
@@ -117,8 +124,16 @@ def parse_config(text: str) -> Config:
 
 
 def load_config(path: str) -> Config:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            f"line {lineno}: the config is not UTF-8 text (byte {data[exc.start]:#04x})"
+        ) from None
+    return parse_config(text)
 
 
 def error_code(exc: SkewLatError) -> str:
@@ -358,7 +373,15 @@ def _stdout_closed() -> int:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    """Run one command and return its exit code.  Without an argv, main
+    reads sys.argv and owns the process: every import is done, so it calls
+    gc.freeze() once, and the collections still to come skip the start-up
+    objects.  GC stays enabled.  With an argv the caller's heap is untouched."""
+    if argv is None:
+        argv = sys.argv[1:]
+        gc.freeze()
+    else:
+        argv = list(argv)
     parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)

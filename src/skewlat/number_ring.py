@@ -272,10 +272,11 @@ class IntegralArithmetic:
         for _ in range(n - 1):
             tables.append(tuple(map(self._sigma, tables[-1])))
         order = next((k for k in range(1, n + 1) if tables[k][1] == identity[1]), None)
-        if order != n:
+        if order != n:  # the discriminant has ruled out a reducible quadratic m
             raise InvalidSigma(
-                f"automorphism order is {order}, expected {n}" if order else
-                f"no sigma^k with k <= {n} returns y to y, so s(y) is no automorphism of order {n}"
+                (f"automorphism order is {order}, expected {n}" if order else
+                 f"no sigma^k with k <= {n} returns y to y, so s(y) is no automorphism of order {n}")
+                + (", or min_poly is reducible" if n > 2 else "")
             )
         self._sigma_tables = tuple(tables[:n])
 

@@ -819,6 +819,61 @@ def test_load_config_matches_parse(cfg_path):
     assert load_config(cfg_path) == parse_config(GAUSSIAN_P3_TEXT)
 
 
+def test_a_config_that_is_not_utf8_is_parse_error(capsys, tmp_path):
+    # A valid config whose comment holds the byte 0xff: one stable error line.
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(GAUSSIAN_P3_TEXT.replace("worked", "worked \xff").encode("latin-1"))
+    rc, out, err = run(capsys, "code", "--config", str(path))
+    assert (rc, out) == (1, "")
+    assert err == "error[PARSE_ERROR]: line 1: the config is not UTF-8 text (byte 0xff)\n"
+
+
+def test_main_freezes_the_heap_only_when_it_reads_sys_argv(monkeypatch, capsys, cfg_path):
+    import gc
+    import sys
+
+    freezes = []
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(1))
+    argv = ["code", "--config", cfg_path, "--json"]
+    expected = run(capsys, *argv)
+    assert expected[0] == 0 and freezes == []
+    monkeypatch.setattr(sys, "argv", ["skewlat", *argv])
+    rc = main()
+    assert (rc, *capsys.readouterr()) == expected
+    assert freezes == [1]
+
+
+def test_python_m_skewlat_runs_the_command_on_a_frozen_heap(capsys):
+    # python -m skewlat, with cli.cmd_code wrapped to report what the handler
+    # sees: a frozen start-up heap and the collector still enabled.
+    import os
+    import subprocess
+    import sys
+
+    config = str(REPO / "configs" / "gaussian_p3.cfg")
+    argv = ["code", "--config", config, "--json"]
+    script = (
+        "import gc, runpy, sys\n"
+        "from skewlat import cli\n"
+        "handler = cli.cmd_code\n"
+        "def cmd_code(cfg, args):\n"
+        "    print(gc.get_freeze_count() > 0, gc.isenabled(), file=sys.stderr)\n"
+        "    return handler(cfg, args)\n"
+        "cli.cmd_code = cmd_code\n"
+        f"sys.argv = ['skewlat', *{argv!r}]\n"
+        "runpy.run_module('skewlat', run_name='__main__')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "True True\n")
+    assert proc.stdout == run(capsys, *argv)[1]
+
+
 def test_one_natural_order_per_spec_across_readers(monkeypatch, capsys, cfg_path):
     # lattice.natural_order is the one cache of NaturalOrder: the trace form
     # (its trace_block), coset encoding and the stmatrix and coset-decode

@@ -224,11 +224,15 @@ def test_the_order_of_sigma_rejects_every_cubic_with_an_integer_root():
 def test_invalid_sigma_names_a_wrong_order_or_no_order():
     # y -> 1 on y^4 - 1 never returns y to y; y -> -y on y^4 + 1 has order 2.
     # The reducible cubic (y + 1)^2 (y - 2) gets the first message too.
+    # Past n = 2 both name the other cause, a reducible min_poly; a quadratic's
+    # discriminant has already decided that, so y -> y on y^2 + 1 does not.
+    reducible = ", or min_poly is reducible"
     no_order = "no sigma^k with k <= {0} returns y to y, so s(y) is no automorphism of order {0}"
     for m, s, message in (
-        ((-1, 0, 0, 0, 1), (1,), no_order.format(4)),
-        ((-2, -3, 0, 1), (-2, 0, 1), no_order.format(3)),
-        ((1, 0, 0, 0, 1), (0, -1), "automorphism order is 2, expected 4"),
+        ((-1, 0, 0, 0, 1), (1,), no_order.format(4) + reducible),
+        ((-2, -3, 0, 1), (-2, 0, 1), no_order.format(3) + reducible),
+        ((1, 0, 0, 0, 1), (0, -1), "automorphism order is 2, expected 4" + reducible),
+        ((1, 0, 1), (0, 1), "automorphism order is 1, expected 2"),
     ):
         with pytest.raises(InvalidSigma) as info:
             IntegralArithmetic(m, s)
