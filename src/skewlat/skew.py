@@ -12,6 +12,11 @@ degree below n canonical representatives modulo the central x^n - u.  There
 is one division loop, right_divmod; left division is right division in the
 opposite ring, mapped back.
 
+Products and division run on the elements' raw coefficient tuples: a
+product sums each coefficient over Z from the core's compiled mul and sigma
+and reduces it mod p once, and right_divmod keeps its remainder as tuples,
+one skew product per quotient term.  _coerce holds the one ring check.
+
 Monic right divisors of x^n - u come from roots and cofactors: degree 1 by
 the norm equation N_n(-c) = u (Lam-Leroy evaluation), degree n - 1 as the
 closed-form Lam-Leroy quotients of the same roots, and any other degree
@@ -23,13 +28,13 @@ scales by lam^m under c -> lam*c.  Only the middle degrees 2 <= d <= n/2
 counts the classes the roots visit, or candidates on that scan.
 
 The zero polynomial has an empty coefficient tuple and degree -inf (a float
-sentinel, so degree comparisons in division loops need no special casing).
+sentinel, so degree comparisons need no special casing).
 """
 
 from __future__ import annotations
 
 from itertools import product, repeat
-from operator import mod, mul
+from operator import add, mod, mul, sub
 
 from .errors import DivisionByZero, NonUnitLeading, NotADivisor, NotInvertible, TooLarge
 from .number_ring import ENUMERATION_BOUND, QuotientRing, RingElement
@@ -96,6 +101,8 @@ class SkewPoly:
         if isinstance(other, SkewPoly):
             if type(other) is not type(self):
                 raise ValueError("cannot mix polynomials with different twists")
+            if other.ring is not self.ring and other.ring != self.ring:
+                raise ValueError("polynomial belongs to a different ring")
             return other
         if isinstance(other, (RingElement, int)):
             return type(self)(self.ring, (other,))
@@ -131,17 +138,21 @@ class SkewPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return type(self).zero(self.ring)
         ring = self.ring
-        out = [ring.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        core, n = ring._core, ring.n
+        bs = [b.coeffs for b in other.coeffs]
+        sums = [None] * (len(self.coeffs) + len(bs) - 1)
         for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * ring.sigma(b, self.TWIST * i)
-        return type(self)(ring, out)
+            a, k = a.coeffs, self.TWIST * i % n
+            if any(a):
+                for j, b in enumerate(bs, i):
+                    if any(b):
+                        c = core.mul(a, core.sigma(b, k) if k else b)
+                        sums[j] = c if (s := sums[j]) is None else tuple(map(add, s, c))
+        cs = [tuple(map(mod, c, ring._ps)) if c else (0,) * n for c in sums]
+        while cs and not any(cs[-1]):
+            cs.pop()
+        return type(self)._make(ring, tuple(map(ring._make, cs)))
 
     def __rmul__(self, other):
         other = self._coerce(other)
@@ -174,16 +185,19 @@ class SkewPoly:
         g = self._coerce(g)
         lead_inv = self._check_divisor(g)
         ring = self.ring
-        q = type(self).zero(ring)
-        r = self
-        l = g.degree
-        while not r.is_zero and r.degree >= l:
-            shift = r.degree - l
-            c = r.lead * ring.sigma(lead_inv, self.TWIST * shift)
-            term = type(self).monomial(ring, shift, c)
-            q = q + term
-            r = r - term * g
-        return q, r
+        make, ps, zero = ring._make, ring._ps, ring.zero
+        l = len(g.coeffs) - 1
+        r = [c.coeffs for c in self.coeffs]
+        q = [zero] * max(len(r) - l, 0)
+        while len(r) > l:
+            shift = len(r) - 1 - l
+            c = q[shift] = make(r[-1]) * ring.sigma(lead_inv, self.TWIST * shift)
+            term = type(self)._make(ring, (zero,) * shift + (c,)) * g
+            for i, t in enumerate(term.coeffs[shift:], shift):
+                r[i] = tuple(map(mod, map(sub, r[i], t.coeffs), ps))
+            while r and not any(r[-1]):
+                r.pop()
+        return type(self)._make(ring, tuple(q)), type(self)._make(ring, tuple(map(make, r)))
 
     def left_divmod(self, g: "SkewPoly"):
         """Unique (q, r) with self = g*q + r and deg r < deg g.
@@ -260,7 +274,7 @@ def opposite(f: SkewPoly) -> SkewPoly:
     """
     ring = f.ring
     image = SkewPoly if isinstance(f, OppositePoly) else OppositePoly
-    return image(ring, tuple(ring.sigma(c, -f.TWIST * i) for i, c in enumerate(f.coeffs)))
+    return image._make(ring, tuple(ring.sigma(c, -f.TWIST * i) for i, c in enumerate(f.coeffs)))
 
 
 def _central_constant(ring: QuotientRing, u) -> RingElement:
@@ -423,9 +437,9 @@ def _low_degree_divisors(central: SkewPoly, degree: int, bound):
         return [SkewPoly._make(ring, (ring._make(c), one)) for c in _roots(central, bound)]
     if ring.size**degree > bound:
         raise TooLarge(f"{ring.size}^{degree} candidates exceeds bound {bound}")
-    out = []
+    out, one = [], (ring.one,)
     for tail in product(list(ring.elements(bound)), repeat=degree):
-        g = SkewPoly(ring, tail + (ring.one,))
+        g = SkewPoly._make(ring, tail + one)
         if central.right_divmod(g)[1].is_zero:
             out.append(g)
     return out

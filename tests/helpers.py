@@ -27,6 +27,7 @@ from skewlat import (
     lift_codeword,
     matrix_rep,
     monic_right_divisors,
+    opposite,
     reduce_element,
     spacetime,
 )
@@ -210,6 +211,41 @@ def division_cofactors(ring, n, u, degree, bound=ENUMERATION_BOUND):
         assert r.is_zero, g
         cofactors.append(q)
     return sorted(cofactors, key=lambda f: tuple(c.coeffs for c in f.coeffs))
+
+
+def oracle_skew_mul(f, g):
+    """Oracle: f*g by the object loop, each a_i*sigma^(t*i)(b_j) (t the
+    twist of f's class) a RingElement product added into coefficient i + j."""
+    ring = f.ring
+    if f.is_zero or g.is_zero:
+        return type(f).zero(ring)
+    out = [ring.zero] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        if not a:
+            continue
+        for j, b in enumerate(g.coeffs):
+            if b:
+                out[i + j] = out[i + j] + a * ring.sigma(b, f.TWIST * i)
+    return type(f)(ring, out)
+
+
+def oracle_right_divmod(f, g):
+    """Oracle: (q, r) with f = q*g + r by the object loop, one monomial
+    polynomial per quotient term, multiplied into g by oracle_skew_mul."""
+    ring, cls = f.ring, type(f)
+    lead_inv = g.lead.inverse()
+    q, r = cls.zero(ring), f
+    while not r.is_zero and r.degree >= g.degree:
+        shift = r.degree - g.degree
+        term = cls.monomial(ring, shift, r.lead * ring.sigma(lead_inv, f.TWIST * shift))
+        q, r = q + term, r - oracle_skew_mul(term, g)
+    return q, r
+
+
+def oracle_left_divmod(f, g):
+    """Oracle: (q, r) with f = g*q + r, oracle_right_divmod in the opposite ring."""
+    q, r = oracle_right_divmod(opposite(f), opposite(g))
+    return opposite(q), opposite(r)
 
 
 def _padded(coeffs, m):

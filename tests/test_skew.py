@@ -15,13 +15,17 @@ from skewlat import (
 )
 from skewlat import skew
 from skewlat.errors import DivisionByZero, InvalidSpec, NonUnitLeading, TooLarge
-from skewlat.fixtures import GAUSSIAN_P2, GAUSSIAN_P3
+from skewlat.fixtures import GAUSSIAN_P2, GAUSSIAN_P3, GAUSSIAN_P5
 
 from helpers import (
     CUBIC,
     QUARTIC,
+    QUINTIC,
     brute_force_right_divisors,
     division_cofactors,
+    oracle_left_divmod,
+    oracle_right_divmod,
+    oracle_skew_mul,
     quiet_ring,
     random_poly,
     random_unit_lead_poly,
@@ -163,6 +167,68 @@ def test_division_identity_hypothesis(fc, gc):
         return
     q, r = f.right_divmod(g)
     assert f == q * g + r and r.degree < g.degree
+
+
+def assert_canonical(f, ring, cls):
+    """f is a cls over ring whose coefficients are the ring's own elements,
+    with a nonzero last one."""
+    assert type(f) is cls and f.ring is ring
+    assert all(c is ring._make(c.coeffs) for c in f.coeffs)
+    assert not f.coeffs or any(f.coeffs[-1].coeffs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=valid_specs(), seed=st.integers(0, 2**16), cls=st.sampled_from((SkewPoly, OppositePoly)))
+@example(spec=QUARTIC, seed=1, cls=SkewPoly)
+@example(spec=QUARTIC, seed=2, cls=OppositePoly)
+@example(spec=QUINTIC, seed=3, cls=SkewPoly)
+@example(spec=QUINTIC, seed=4, cls=OppositePoly)
+def test_products_and_divisions_equal_the_object_oracles(spec, seed, cls):
+    ring = quiet_ring(spec)
+    rng = random.Random(seed)
+    zero = cls.zero(ring)
+    for _ in range(6):
+        f = cls(ring, random_poly(ring, rng, max_degree=6).coeffs)
+        h = cls(ring, random_poly(ring, rng).coeffs)
+        g = cls(ring, random_unit_lead_poly(ring, rng).coeffs)
+        for a, b in ((f, h), (h, f), (f, g), (g, zero), (zero, f)):
+            product = a * b
+            assert product == oracle_skew_mul(a, b)
+            assert_canonical(product, ring, cls)
+        for a in (f, h, g, zero):
+            q, r = a.right_divmod(g)
+            assert (q, r) == oracle_right_divmod(a, g)
+            assert q * g + r == a and r.degree < g.degree
+            q2, r2 = a.left_divmod(g)
+            assert (q2, r2) == oracle_left_divmod(a, g)
+            assert g * q2 + r2 == a and r2.degree < g.degree
+            for result in (q, r, q2, r2):
+                assert_canonical(result, ring, cls)
+
+
+def test_polynomials_over_different_rings_or_twists_do_not_mix():
+    p3, p5 = QuotientRing(GAUSSIAN_P3), QuotientRing(GAUSSIAN_P5)
+    operations = (
+        lambda f, g: f + g,
+        lambda f, g: f - g,
+        lambda f, g: f * g,
+        lambda f, g: f.right_divmod(g),
+        lambda f, g: f.left_divmod(g),
+    )
+    pairs = (
+        (SkewPoly(p3, (p3.gen, 1)), SkewPoly(p5, (p5.gen, 1)), "different ring"),
+        (SkewPoly.one(p3), SkewPoly.one(p5), "different ring"),
+        (SkewPoly(p3, (p3.gen, 1)), OppositePoly(p3, (p3.gen, 1)), "different twists"),
+        (OppositePoly.one(p3), SkewPoly.one(p3), "different twists"),
+    )
+    for f, g, message in pairs:
+        for operation in operations:
+            with pytest.raises(ValueError, match=message):
+                operation(f, g)
+    # A ring built again from the same spec is equal, so its polynomials mix.
+    twin = QuotientRing(GAUSSIAN_P3)
+    f, g = SkewPoly(p3, (p3.gen, 1)), SkewPoly(twin, (twin.gen, 1))
+    assert f * g == oracle_skew_mul(f, g) and f.right_divmod(g) == (SkewPoly.one(p3), SkewPoly.zero(p3))
 
 
 def test_reduce_mod_central(p3):
@@ -426,6 +492,29 @@ def test_quartic_middle_degree_scan_and_cofactors():
     ring = quiet_ring(AlgebraSpec((1, 1, 1, 1, 1), (0, 0, 1), u=1, p=2, conjugation_mode="identity"))
     assert [len(monic_right_divisors(ring, 4, 1, d)) for d in range(6)] == [1, 15, 35, 15, 1, 0]
     assert_divisors_match_oracle(ring, 1)
+
+
+def test_the_middle_degree_scan_takes_its_candidates_as_they_are(monkeypatch):
+    # y^4 + y^3 + y^2 + y + 1 at p = 2: degree 2 scans 16^2 candidates, each
+    # made of the ring's own elements without a constructor, and divides
+    # x^4 - 1 by each once; only the central polynomial is constructed.
+    ring = quiet_ring(AlgebraSpec((1, 1, 1, 1, 1), (0, 0, 1), u=1, p=2, conjugation_mode="identity"))
+    calls = {"init": 0, "right_divmod": 0}
+    init, right_divmod = SkewPoly.__init__, SkewPoly.right_divmod
+
+    def counting(name, method):
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapper
+
+    monkeypatch.setattr(SkewPoly, "__init__", counting("init", init))
+    monkeypatch.setattr(SkewPoly, "right_divmod", counting("right_divmod", right_divmod))
+    divisors = monic_right_divisors(ring, 4, 1, 2)
+    assert calls == {"init": 1, "right_divmod": 16**2}
+    assert len(divisors) == 35
+    for g in divisors:
+        assert_canonical(g, ring, SkewPoly)
 
 
 def test_cubic_p13_roots_and_cofactors():
