@@ -8,6 +8,7 @@ generator.  Flattened row-major, that gives coordinates in the Z-basis
 theta^(n-1), e, theta e, ...  Arithmetic in O_K goes through the shared
 number_ring.IntegralArithmetic of the spec, the same instance QuotientRing
 reduces modulo p, and natural_order(spec) keeps one NaturalOrder per spec.
+Products are skew.skew_product folded by skew.fold_central, kept over Z.
 Coordinate vectors of equal length, O_K rows or flat points, add through vector_sum.
 
 Lifting a codeword takes its canonical representatives in [0, p) as integer
@@ -50,6 +51,7 @@ from .codes import ConstacyclicCode, brute_force_dual
 from .emit import compile_function, linear_source, tuple_source
 from .errors import IndefiniteForm, InvalidSpec, LengthMismatch
 from .number_ring import AlgebraSpec, QuotientRing, Record, echelon_mod_p, integral_arithmetic
+from .skew import fold_central, skew_product
 
 
 class NaturalOrder:
@@ -213,20 +215,12 @@ class OrderElement:
         if other is None:
             return NotImplemented
         order = self.order
-        n = order.n
-        products = [[] for _ in range(n)]  # products[t] lands on e^t
-        for i, a_i in enumerate(self.rows):
-            if not any(a_i):
-                continue
-            for j, b_j in enumerate(other.rows):
-                if not any(b_j):
-                    continue
-                c = order.ok_mul(a_i, order.ok_sigma(b_j, i))
-                if i + j >= n:
-                    c = tuple(order.u * v for v in c)
-                products[(i + j) % n].append(c)
-        # ok_mul folds every product modulo m, so the sums need no reduction.
-        return OrderElement(order, tuple(vector_sum(terms, n) for terms in products))
+        core, n = order._core, order.n
+        try:
+            rows = skew_product(core, 1, self.rows, other.rows)
+            return OrderElement(order, tuple(fold_central(core, rows, n, (order.u,) + (0,) * (n - 1))))
+        except ValueError:  # the compiled product unpacks exactly n coordinates
+            raise LengthMismatch(f"expected O_K vectors of {n} coordinates") from None
 
     # Reflected only for a left operand that is not an OrderElement: an int, which is central.
     __rmul__ = __mul__

@@ -12,10 +12,10 @@ degree below n canonical representatives modulo the central x^n - u.  There
 is one division loop, right_divmod; left division is right division in the
 opposite ring, mapped back.
 
-Products and division run on the elements' raw coefficient tuples: a
-product sums each coefficient over Z from the core's compiled mul and sigma
-and reduces it mod p once, and right_divmod keeps its remainder as tuples,
-one skew product per quotient term.  _coerce holds the one ring check.
+Arithmetic runs on raw coefficient tuples over Z, each result coefficient
+reduced mod p once: skew_product is the one product, fold_central the one
+fold by x^n = u, and lattice.OrderElement keeps both over Z.  right_divmod
+keeps its remainder as tuples.  _coerce holds the one ring check.
 
 Monic right divisors of x^n - u come from roots and cofactors: degree 1 by
 the norm equation N_n(-c) = u (Lam-Leroy evaluation), degree n - 1 as the
@@ -33,8 +33,8 @@ sentinel, so degree comparisons need no special casing).
 
 from __future__ import annotations
 
-from itertools import product, repeat
-from operator import add, mod, mul, sub
+from itertools import product, repeat, zip_longest
+from operator import add, mod, mul, neg, sub
 
 from .errors import DivisionByZero, NonUnitLeading, NotADivisor, NotInvertible, TooLarge
 from .number_ring import ENUMERATION_BOUND, QuotientRing, RingElement
@@ -108,28 +108,35 @@ class SkewPoly:
             return type(self)(self.ring, (other,))
         return None
 
-    def __add__(self, other):
+    def _from_rows(self, rows):
+        """The polynomial of integer coefficient rows, reduced mod p once."""
+        ring = self.ring
+        cs = [tuple(map(mod, c, ring._ps)) for c in rows]
+        while cs and not any(cs[-1]):
+            cs.pop()
+        return type(self)._make(ring, tuple(map(ring._make, cs)))
+
+    def _rows(self):
+        return [c.coeffs for c in self.coeffs]
+
+    def _combine(self, other, op):
+        """self op other coefficientwise on the raw tuples, op add or sub."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return type(self)(self.ring, out)
+        pairs = zip_longest(self._rows(), other._rows(), fillvalue=(0,) * self.ring.n)
+        return self._from_rows([tuple(map(op, a, b)) for a, b in pairs])
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)(self.ring, tuple(-c for c in self.coeffs))
+        return self._from_rows([tuple(map(neg, c)) for c in self._rows()])
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -138,21 +145,7 @@ class SkewPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        ring = self.ring
-        core, n = ring._core, ring.n
-        bs = [b.coeffs for b in other.coeffs]
-        sums = [None] * (len(self.coeffs) + len(bs) - 1)
-        for i, a in enumerate(self.coeffs):
-            a, k = a.coeffs, self.TWIST * i % n
-            if any(a):
-                for j, b in enumerate(bs, i):
-                    if any(b):
-                        c = core.mul(a, core.sigma(b, k) if k else b)
-                        sums[j] = c if (s := sums[j]) is None else tuple(map(add, s, c))
-        cs = [tuple(map(mod, c, ring._ps)) if c else (0,) * n for c in sums]
-        while cs and not any(cs[-1]):
-            cs.pop()
-        return type(self)._make(ring, tuple(map(ring._make, cs)))
+        return self._from_rows(skew_product(self.ring._core, self.TWIST, self._rows(), other._rows()))
 
     def __rmul__(self, other):
         other = self._coerce(other)
@@ -170,28 +163,28 @@ class SkewPoly:
     def __hash__(self):
         return hash((type(self).__name__, self.coeffs))
 
-    def _check_divisor(self, g):
+    def right_divmod(self, g: "SkewPoly"):
+        """Unique (q, r) with self = q*g + r and deg r < deg g."""
+        g = self._coerce(g)
         if g.is_zero:
             raise DivisionByZero("division by the zero polynomial")
         try:
-            return g.lead.inverse()
+            lead_inv = g.lead.inverse()
         except NotInvertible:
             raise NonUnitLeading(
                 f"leading coefficient {g.lead!r} is not a unit"
             ) from None
-
-    def right_divmod(self, g: "SkewPoly"):
-        """Unique (q, r) with self = q*g + r and deg r < deg g."""
-        g = self._coerce(g)
-        lead_inv = self._check_divisor(g)
         ring = self.ring
         make, ps, zero = ring._make, ring._ps, ring.zero
         l = len(g.coeffs) - 1
-        r = [c.coeffs for c in self.coeffs]
+        r = self._rows()
         q = [zero] * max(len(r) - l, 0)
+        lead_invs = {}  # sigma^(t*s)(lead_inv) by residue s mod n, each taken on first use
         while len(r) > l:
             shift = len(r) - 1 - l
-            c = q[shift] = make(r[-1]) * ring.sigma(lead_inv, self.TWIST * shift)
+            if (k := shift % ring.n) not in lead_invs:
+                lead_invs[k] = ring.sigma(lead_inv, self.TWIST * shift)
+            c = q[shift] = make(r[-1]) * lead_invs[k]
             term = type(self)._make(ring, (zero,) * shift + (c,)) * g
             for i, t in enumerate(term.coeffs[shift:], shift):
                 r[i] = tuple(map(mod, map(sub, r[i], t.coeffs), ps))
@@ -209,21 +202,13 @@ class SkewPoly:
         return opposite(q), opposite(r)
 
     def mod_central(self, n: int, u) -> "SkewPoly":
-        """Canonical representative of degree < n modulo x^n - u.
-
-        u is fixed by sigma, so c*x^i = c*x^(i-n)*x^n is congruent to
-        (u*c)*x^(i-n) for i >= n; folding from the top down leaves the
-        remainder of right division by x^n - u without dividing.
-        """
+        """Canonical representative of degree < n modulo x^n - u: the
+        coefficients folded by fold_central over Z and reduced mod p once,
+        which is the remainder of right division by x^n - u."""
         if self.degree < n:
             return self
         u = _central_constant(self.ring, u)
-        cs = list(self.coeffs)
-        for i in range(len(cs) - 1, n - 1, -1):
-            top = cs.pop()
-            if top:
-                cs[i - n] = cs[i - n] + u * top
-        return type(self)(self.ring, cs)
+        return self._from_rows(fold_central(self.ring._core, self._rows(), n, u.coeffs))
 
     def padded_coeffs(self, length):
         if self.degree >= length:
@@ -275,6 +260,32 @@ def opposite(f: SkewPoly) -> SkewPoly:
     ring = f.ring
     image = SkewPoly if isinstance(f, OppositePoly) else OppositePoly
     return image._make(ring, tuple(ring.sigma(c, -f.TWIST * i) for i, c in enumerate(f.coeffs)))
+
+
+def skew_product(core, twist, a, b):
+    """The integer coefficient rows of (sum a_i x^i)(sum b_j x^j) with
+    x*s = sigma^twist(s)*x, a and b lists of rows: row k sums the core's
+    compiled mul(a_i, sigma^(twist*i)(b_j)) over i + j = k."""
+    n, zero = core.n, (0,) * core.n
+    sums = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        k = twist * i % n
+        if any(x):
+            for j, y in enumerate(b, i):
+                if any(y):
+                    c = core.mul(x, core.sigma(y, k) if k else y)
+                    sums[j] = c if (s := sums[j]) is zero else tuple(map(add, s, c))
+    return sums
+
+
+def fold_central(core, rows, n, u):
+    """The list of integer rows folded in place by x^n = u, from the top down
+    to at most n rows: c*x^i = (u*c)*x^(i-n) for i >= n, as sigma fixes u."""
+    for i in range(len(rows) - 1, n - 1, -1):
+        top = rows.pop()
+        if any(top):
+            rows[i - n] = tuple(map(add, rows[i - n], core.mul(u, top)))
+    return rows
 
 
 def _central_constant(ring: QuotientRing, u) -> RingElement:

@@ -13,6 +13,7 @@ from skewlat import (
     AlgebraSpec,
     ConstacyclicCode,
     NaturalOrder,
+    OrderElement,
     QuotientRing,
     RingElement,
     SkewPoly,
@@ -229,17 +230,71 @@ def oracle_skew_mul(f, g):
     return type(f)(ring, out)
 
 
+def oracle_add(f, g):
+    """Oracle: f + g by the object loop, one RingElement sum per coefficient."""
+    a, b = f.coeffs, g.coeffs
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = out[i] + c
+    return type(f)(f.ring, out)
+
+
+def oracle_neg(f):
+    """Oracle: -f by the object loop, one RingElement negation per coefficient."""
+    return type(f)(f.ring, [-c for c in f.coeffs])
+
+
+def oracle_sub(f, g):
+    """Oracle: f - g as oracle_add(f, oracle_neg(g))."""
+    return oracle_add(f, oracle_neg(g))
+
+
+def oracle_mod_central(f, n, u):
+    """Oracle: f modulo x^n - u by the object loop, from the top down, each
+    c*x^i with i >= n adding the RingElement product u*c to coefficient i - n."""
+    ring = f.ring
+    u = ring.coerce(u)
+    cs = list(f.coeffs)
+    for i in range(len(cs) - 1, n - 1, -1):
+        top = cs.pop()
+        cs[i - n] = cs[i - n] + u * top
+    return type(f)(ring, cs)
+
+
 def oracle_right_divmod(f, g):
     """Oracle: (q, r) with f = q*g + r by the object loop, one monomial
-    polynomial per quotient term, multiplied into g by oracle_skew_mul."""
+    polynomial per quotient term, multiplied into g by oracle_skew_mul and
+    added and subtracted by oracle_add and oracle_sub."""
     ring, cls = f.ring, type(f)
     lead_inv = g.lead.inverse()
     q, r = cls.zero(ring), f
     while not r.is_zero and r.degree >= g.degree:
         shift = r.degree - g.degree
         term = cls.monomial(ring, shift, r.lead * ring.sigma(lead_inv, f.TWIST * shift))
-        q, r = q + term, r - oracle_skew_mul(term, g)
+        q, r = oracle_add(q, term), oracle_sub(r, oracle_skew_mul(term, g))
     return q, r
+
+
+def oracle_order_mul(a, b):
+    """Oracle: the product of two order elements by the object loop over
+    O_K rows, each a_i*sigma^i(b_j) one order.ok_mul landing on e^((i+j) mod n),
+    times the integer u when i + j >= n."""
+    order = a.order
+    n = order.n
+    products = [[] for _ in range(n)]  # products[t] lands on e^t
+    for i, a_i in enumerate(a.rows):
+        if not any(a_i):
+            continue
+        for j, b_j in enumerate(b.rows):
+            if not any(b_j):
+                continue
+            c = order.ok_mul(a_i, order.ok_sigma(b_j, i))
+            if i + j >= n:
+                c = tuple(order.u * v for v in c)
+            products[(i + j) % n].append(c)
+    return OrderElement(order, tuple(vector_sum(terms, n) for terms in products))
 
 
 def oracle_left_divmod(f, g):

@@ -35,6 +35,7 @@ from helpers import (
     divisor_codes,
     lattice_inclusion,
     lifted_lattice_basis,
+    oracle_order_mul,
     oracle_conj_power,
     pairwise_gram_matrix,
     pool_hnf,
@@ -100,6 +101,24 @@ def test_lift_is_multiplicative_modulo_p(fixture_name):
         prod_lift = lift_codeword(order, v) * lift_codeword(order, w)
         poly_prod = (SkewPoly(ring, v) * SkewPoly(ring, w)).mod_central(code.n, code.u)
         assert reduce_element(prod_lift, ring) == poly_prod.padded_coeffs(code.n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=valid_specs(), seed=st.integers(0, 2**16))
+def test_reduction_is_the_isomorphism_onto_the_skew_quotient(spec, seed):
+    """Lambda/p Lambda = R[x; sigma]/(x^n - u) on signed order elements: reducing
+    a product equals folding the skew product of the reductions, and the
+    product equals the object-loop oracle and is associative."""
+    ring, order = QuotientRing(spec), NaturalOrder(spec)
+    n, u = spec.n, spec.u
+    rng = random.Random(seed)
+    for _ in range(10):
+        a, b, c = (random_order_element(order, rng) for _ in range(3))
+        product = a * b
+        assert product == oracle_order_mul(a, b)
+        assert product * c == a * (b * c)
+        fa, fb = (SkewPoly(ring, reduce_element(x, ring)) for x in (a, b))
+        assert reduce_element(product, ring) == (fa * fb).mod_central(n, u).padded_coeffs(n)
 
 
 # -- order arithmetic ------------------------------------------------------

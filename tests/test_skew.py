@@ -8,6 +8,7 @@ from skewlat import (
     AlgebraSpec,
     OppositePoly,
     QuotientRing,
+    RingElement,
     SkewPoly,
     central_poly,
     monic_right_divisors,
@@ -23,9 +24,13 @@ from helpers import (
     QUINTIC,
     brute_force_right_divisors,
     division_cofactors,
+    oracle_add,
     oracle_left_divmod,
+    oracle_mod_central,
+    oracle_neg,
     oracle_right_divmod,
     oracle_skew_mul,
+    oracle_sub,
     quiet_ring,
     random_poly,
     random_unit_lead_poly,
@@ -248,13 +253,69 @@ def test_reduce_mod_central(p3):
 def test_mod_central_fold_is_the_division_remainder(spec, seed):
     ring = QuotientRing(spec)
     rng = random.Random(seed)
-    n = ring.n
-    # opposite maps x^n - u to w^n - u: sigma fixes 1 and u.
-    for central in (central_poly(ring, n, spec.u), opposite(central_poly(ring, n, spec.u))):
-        cls = type(central)
-        for _ in range(10):
-            f = cls(ring, random_poly(ring, rng, max_degree=2 * n + 1).coeffs)
-            assert f.mod_central(n, spec.u) == f.right_divmod(central)[1]
+    # x^m - u is central for every multiple m of the order of sigma, and
+    # opposite maps it to w^m - u: sigma fixes 1 and u.
+    for m in (ring.n, 2 * ring.n):
+        for central in (central_poly(ring, m, spec.u), opposite(central_poly(ring, m, spec.u))):
+            cls = type(central)
+            for _ in range(10):
+                f = cls(ring, random_poly(ring, rng, max_degree=3 * m).coeffs)
+                assert f.mod_central(m, spec.u) == f.right_divmod(central)[1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=valid_specs(), seed=st.integers(0, 2**16), cls=st.sampled_from((SkewPoly, OppositePoly)))
+@example(spec=QUARTIC, seed=5, cls=SkewPoly)
+@example(spec=QUINTIC, seed=6, cls=OppositePoly)
+def test_sums_negations_and_folds_equal_the_object_oracles(spec, seed, cls):
+    ring = quiet_ring(spec)
+    rng = random.Random(seed)
+    zero = cls.zero(ring)
+    for _ in range(6):
+        f = cls(ring, random_poly(ring, rng, max_degree=6).coeffs)
+        g = cls(ring, random_poly(ring, rng, max_degree=6).coeffs)
+        for a, b in ((f, g), (g, f), (f, f), (f, zero), (zero, f)):
+            for result, expected in ((a + b, oracle_add(a, b)), (a - b, oracle_sub(a, b)), (-a, oracle_neg(a))):
+                assert result == expected
+                assert_canonical(result, ring, cls)
+        for m in (ring.n, 2 * ring.n):
+            h = cls(ring, random_poly(ring, rng, max_degree=3 * m).coeffs)
+            folded = h.mod_central(m, spec.u)
+            assert folded == oracle_mod_central(h, m, spec.u) and folded.degree < m
+            assert_canonical(folded, ring, cls)
+
+
+def test_mod_central_folds_a_sigma_fixed_u_outside_f_p():
+    # At p = 2, sigma: i -> -i acts trivially on F_2[i], so x^m - i is
+    # central although i is no integer.
+    ring = QuotientRing(GAUSSIAN_P2)
+    u = ring.gen
+    rng = random.Random(11)
+    for m in (2, 4):
+        for central in (central_poly(ring, m, u), opposite(central_poly(ring, m, u))):
+            cls = type(central)
+            for _ in range(30):
+                f = cls(ring, random_poly(ring, rng, max_degree=3 * m).coeffs)
+                folded = f.mod_central(m, u)
+                assert folded == oracle_mod_central(f, m, u) == f.right_divmod(central)[1]
+                assert_canonical(folded, ring, cls)
+    x = SkewPoly.monomial(ring, 1)
+    assert (x * x * x).mod_central(2, u) == SkewPoly(ring, (0, u))
+
+
+def test_sums_negations_and_folds_take_no_element_arithmetic(monkeypatch):
+    ring = QuotientRing(GAUSSIAN_P3)
+    a = ring.gen
+    f, g = SkewPoly(ring, (1, a, 2, a + 1, a)), SkewPoly(ring, (a, 1, 2))
+    expected = (oracle_add(f, g), oracle_sub(f, g), oracle_neg(f), oracle_mod_central(f, 2, -1))
+
+    def forbidden(*args):
+        raise AssertionError("element arithmetic or a coercing constructor")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(RingElement, name, forbidden)
+    monkeypatch.setattr(SkewPoly, "__init__", forbidden)
+    assert (f + g, f - g, -f, f.mod_central(2, -1)) == expected
 
 
 def test_centrality(ring):
