@@ -19,8 +19,8 @@ first least value of each block.  So a difference costs O(1) amortised
 work, the loops visit the d in the order of the product, and the first
 lexicographic minimiser is the one returned.  sweep(stop) returns as soon
 as its least value is <= stop: stop = 0 sweeps to the first zero, and
-spacetime passes the index bound of a proven division algebra, below which
-no value falls, so the first value that meets it is the first minimiser.
+spacetime passes p^(n-k) in a proven division algebra, below which no value
+falls, so the first value that meets it is the first minimiser.
 The loops are written here; their Horner forms, sums and tuples come from
 skewlat.emit, which compiles the sweep.
 

@@ -8,35 +8,37 @@ so (g*h - h*g)*g = 0, and a monic g cancels on the right.  A vector is a
 codeword exactly when its polynomial kills h on the right.  Codewords are
 plain tuples of RingElement of length n.
 
-Everything here is exact.  As an additive group a code is spanned by the
-k*m codewords theta^j x^i g (m = [K:Q], theta the ring generator); they are
-F_p-independent, since b*g = 0 with g monic forces b = 0.
+Everything here is exact.  A code of dimension k is a free R-module with
+basis the k codewords x^i g (i < k), R-independent since b*g = 0 with g
+monic forces b = 0; so |C| = |R|^k, and as an additive group it is spanned
+by the k*m codewords theta^j x^i g (m = [K:Q], theta the ring generator).
 
 encode and is_codeword use two F_p matrices, each built on the first call
 that needs it and never in the constructor, so building a code costs nothing
-extra; the k*m generators, one skew product each, and the powers theta^j
-they share with brute_force_dual are cached the same way.  G has the
-generators' flat coefficient vectors as rows (i outer, j inner: the order of
-the message coordinates) and n*m columns.  Its reduced echelon form over
-F_p is eliminated once per code, on first use: lattice.construction_a_basis
-lifts its rows, and H, the nullspace ker G, is read off it on the first
-is_codeword.  Encoding b is the combination of the rows of G with b's
-coordinates, which equals b*g because deg(b*g) < n.  v is a codeword
-exactly when H*v = 0, because over F_p the row space of G is (ker G)^perp.
-Both maps run as straight-line kernels, compiled once per code on first
-use, with the entries of G and H as literals: the first encode compiles the
-encoder, the first is_codeword the parity check.  skewlat.emit writes their
-sums and tuples and compiles them.  A sum has at most n*m <= 961 terms
-(AlgebraSpec keeps n^4 <= ENUMERATION_BOUND), and emit.linear_source writes
-it as parenthesized sums of at most 64, so compiling it needs little
-recursion whatever the caller's depth.
+extra; the k words x^i g, one skew product each, and the powers theta^j,
+both shared with brute_force_dual, and the k*m generators theta^j x^i g are
+cached the same way.  G has the generators' flat coefficient vectors as rows
+(i outer, j inner: the order of the message coordinates) and n*m columns.
+Its reduced echelon form over F_p is eliminated once per code, on first use:
+lattice.construction_a_basis lifts its rows, and H, the nullspace ker G, is
+read off it on the first is_codeword.  Encoding b is the combination of the
+rows of G with b's coordinates, which equals b*g because deg(b*g) < n.  v is
+a codeword exactly when H*v = 0, because over F_p the row space of G is
+(ker G)^perp.  Both maps run as straight-line kernels, compiled once per
+code on first use, with the entries of G and H as literals: the first encode
+compiles the encoder, the first is_codeword the parity check.  skewlat.emit
+writes their sums and tuples and compiles them.  A sum has at most
+n*m <= 961 terms (AlgebraSpec keeps n^4 <= ENUMERATION_BOUND), and
+emit.linear_source writes it as parenthesized sums of at most 64, so
+compiling it needs little recursion whatever the caller's depth.
 
-The Euclidean scalar product is F_p-bilinear, so products of the same
-generators decide duality for every u: is_orthogonal_to tests C inside
-D^perp, and is_self_dual adds 2k = n.  brute_force_dual finds the dual itself
-as the F_p-nullspace of the same products; it never uses dual_generator(),
-which makes it the check of the algebraic dual, and its work grows with the
-size of the dual, not with |R|^n.  Its basis is in reduced echelon form, so
+The Euclidean scalar product is R-bilinear, so products of the words x^i g
+decide duality for every u: is_orthogonal_to tests C inside D^perp, and
+is_self_dual adds 2k = n, as R is a Frobenius ring and |C^perp| = |R|^(n-k).
+brute_force_dual finds the dual itself as the F_p-nullspace of the products
+with the x^i g; it never uses dual_generator(), which makes it the check of
+the algebraic dual, and its work grows with the size of the dual, p^(m(n-k)),
+not with |R|^n.  Its basis is in reduced echelon form, so
 it builds the words already in the order of their coefficient vectors, with
 no sort.  Only dual_generator and dual_code need u*u = 1.
 
@@ -113,11 +115,16 @@ class ConstacyclicCode:
         return tuple(self.ring.gen**j for j in range(self.ring.n))
 
     @cached_property
+    def _basis(self):
+        """The k codewords x^i g, one skew product each, built on first use:
+        the code's basis as a free R-module."""
+        ring, g = self.ring, self.g
+        return tuple(self.to_codeword(SkewPoly.monomial(ring, i) * g) for i in range(self.k))
+
+    @cached_property
     def _generators(self):
-        """The k*m codewords theta^j x^i g, each one skew product, built on first use."""
-        ring, powers = self.ring, self._powers
-        monomials = (SkewPoly.monomial(ring, i, c) for i in range(self.k) for c in powers)
-        return tuple(self.to_codeword(f * self.g) for f in monomials)
+        """The k*m codewords theta^j x^i g, each word x^i g of _basis scaled by theta^j."""
+        return tuple(tuple(c * w for w in word) for word in self._basis for c in self._powers)
 
     @cached_property
     def _generator_columns(self):
@@ -226,8 +233,8 @@ class ConstacyclicCode:
 
     def is_orthogonal_to(self, other: "ConstacyclicCode") -> bool:
         """Whether every codeword of self is orthogonal to every codeword of
-        other: the product is F_p-bilinear, so the additive generators decide."""
-        return all(not inner_product(c, d) for c in self._generators for d in other._generators)
+        other: the product is R-bilinear, so the words x^i g of both decide."""
+        return all(not inner_product(c, d) for c in self._basis for d in other._basis)
 
     def is_self_dual(self) -> bool:
         """C = C^perp, for every u: |C| |C^perp| = |R|^n over the Frobenius
@@ -307,22 +314,21 @@ def inner_product(v, w):
 def brute_force_dual(code: ConstacyclicCode, bound=ENUMERATION_BOUND):
     """The exact Euclidean dual, every vector v with <c, v> = 0 for all codewords c.
 
-    The product is F_p-bilinear, so v is in the dual exactly when it is
-    orthogonal to each of the k*m additive generators c of the code.  Each c
+    The product is R-bilinear, so v is in the dual exactly when it is
+    orthogonal to each of the k words c = x^i g of the code's basis.  Each c
     gives m linear equations over F_p in the m*n coordinates of v: column
     (i, j), for the coordinate j of component i, holds c_i * theta^j, the
-    product of c with theta^j e_i.  (The product is even R-bilinear, so the
-    equations of theta^j x^i g repeat those of x^i g; solving over all k*m
-    generators keeps the argument to F_p-linear algebra on the set
-    construction_a_basis lifts.)  The dual is the nullspace of those equations, and the
-    p^dim combinations of its basis are returned as tuples of RingElement in
-    the order of their coefficient vectors (component 0 first), the order of
-    a scan of R^n.  The basis is echelon_mod_p's reduced echelon form, pivots
-    increasing, so the combination with coefficients (a_1, ..., a_dim) is 0
-    before the first pivot and reads a_i at the i-th pivot, with entries
-    between pivots fixed by the earlier a's: the words come in order when a_1
-    varies slowest, and no sort is needed.  bound caps the p^dim vectors;
-    TooLarge is raised before any of them is built.
+    product of c with theta^j e_i.  The code is free of rank k over the
+    Frobenius ring R, so the dual has |R|^(n-k) = p^(m(n-k)) = p^dim words:
+    bound is checked, and TooLarge raised, before any elimination.  The dual
+    is the nullspace of those equations, and the p^dim combinations of its
+    basis are returned as tuples of RingElement in the order of their
+    coefficient vectors (component 0 first), the order of a scan of R^n.  The
+    basis is echelon_mod_p's reduced echelon form, pivots increasing, so the
+    combination with coefficients (a_1, ..., a_dim) is 0 before the first
+    pivot and reads a_i at the i-th pivot, with entries between pivots fixed
+    by the earlier a's: the words come in order when a_1 varies slowest, and
+    no sort is needed.
 
     Independent of dual_generator(), so it checks the algebraic dual and
     serves any u.  The name is older than the nullspace: the benchmark's
@@ -331,13 +337,14 @@ def brute_force_dual(code: ConstacyclicCode, bound=ENUMERATION_BOUND):
     """
     ring = code.ring
     p, m, n, ps = ring.p, ring.n, code.n, ring._ps
+    dim = m * (n - code.k)
+    if p**dim > bound:
+        raise TooLarge(f"{p}^{dim} dual vectors exceeds bound {bound}")
     equations = []
-    for c in code._generators:
+    for c in code._basis:
         products = [(c_i * power).coeffs for c_i in c for power in code._powers]
         equations.extend(zip(*products))
     kernel, _ = echelon_mod_p(nullspace_mod_p(echelon_mod_p(equations, p), m * n, p), p)
-    if p ** len(kernel) > bound:
-        raise TooLarge(f"{p}^{len(kernel)} dual vectors exceeds bound {bound}")
     span = [(0,) * (m * n)]
     for vec in reversed(kernel):
         steps = [tuple(map(mod, map(mul, vec, repeat(a)), ps)) for a in range(p)]

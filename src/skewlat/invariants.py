@@ -30,9 +30,10 @@ primes of u are found by trial division below _TRIAL, so a cofactor above
 _TRIAL^2 with no prime below _TRIAL proves nothing.
 
 spacetime.min_det_sample reads the answer: in a division algebra every
-nonzero point a of a Construction A lattice L, a left ideal of the order
-Lambda, has |norm_det(a)| = [Lambda : Lambda a] >= [Lambda : L], the index,
-so a sweep may end at the first value that meets it.
+nonzero point a of the Construction A lattice L of a code of dimension k, a
+left ideal of the order Lambda, has |norm_det(a)| = [Lambda : Lambda a] >=
+[Lambda : L] = p^(n(n-k)), so a sweep may end at the first |nrd(a)| that
+meets p^(n-k).
 """
 
 from __future__ import annotations

@@ -503,8 +503,8 @@ def construction_a_basis(code: ConstacyclicCode) -> LatticeBasis:
     Generated by p times the standard order basis together with the rows
     of the code's F_p generator matrix G, the flat lifts of theta^j x^i g,
     through the echelon form of G that the code keeps, computed once per
-    code.  The index in the full order is p^(n(n-k)) when the code is a
-    free module of rank k.
+    code.  The index in the full order is p^(n(n-k)), the code being a
+    free R-module of rank k.
     """
     return _lift_basis(*code._echelon, code.ring.spec)
 

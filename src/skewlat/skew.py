@@ -179,12 +179,9 @@ class SkewPoly:
         l = len(g.coeffs) - 1
         r = self._rows()
         q = [zero] * max(len(r) - l, 0)
-        lead_invs = {}  # sigma^(t*s)(lead_inv) by residue s mod n, each taken on first use
         while len(r) > l:
             shift = len(r) - 1 - l
-            if (k := shift % ring.n) not in lead_invs:
-                lead_invs[k] = ring.sigma(lead_inv, self.TWIST * shift)
-            c = q[shift] = make(r[-1]) * lead_invs[k]
+            c = q[shift] = make(r[-1]) * ring.sigma(lead_inv, self.TWIST * shift)
             term = type(self)._make(ring, (zero,) * shift + (c,)) * g
             for i, t in enumerate(term.coeffs[shift:], shift):
                 r[i] = tuple(map(mod, map(sub, r[i], t.coeffs), ps))

@@ -27,11 +27,11 @@ gives an upper bound, never a certificate.  Both kinds of loop are kept in
 bounded caches; skewlat.emit writes their Horner forms, sums and tuples and
 compiles them.  Both end at the first value <= stop, an argument of the
 compiled loop: 0, or, once invariants (imported by the first query) proves
-a division algebra, the least s with s^n >= the lattice's index.  There a
-nonzero point a of the lattice L, a left ideal of the order Lambda, has
-|norm_det(a)| = [Lambda : Lambda a] >= [Lambda : L], so the first value
-that meets s is the first minimiser, and the answer is the one a sweep to
-the end gives.
+a division algebra, p^(n-k).  There a nonzero point a of the lattice L, a
+left ideal of the order Lambda, has |norm_det(a)| = [Lambda : Lambda a] >=
+[Lambda : L] = p^(n(n-k)), as a code of dimension k has |R|^k = p^(nk)
+words, so the first value that meets p^(n-k) is the first minimiser, and
+the answer is the one a sweep to the end gives.
 The reduced norm form G is a cofactor expansion (_cofactor_det) of the
 linear forms of M(x), which the shared core of the field,
 number_ring.integral_arithmetic, gives as its sigma^c(theta^j) with no order
@@ -332,24 +332,16 @@ def _sweep(columns, terms):
     return compile_function(f"def sweep(pairs, best, left, stop):\n{body}", "sweep")
 
 
-def _certified_stop(spec, index):
-    """The least s with s^n >= index when invariants.division_proven says the
-    spec's algebra is a division algebra, else 0.  There every nonzero
-    lattice point has |nrd|^n = |norm_det| >= index, the lattice's index in
-    the order, so no value |G(B d)| of a sweep is below s, and the first one
-    <= s is the first minimiser."""
+def _certified_stop(code):
+    """p^(n-k) when invariants.division_proven says the code's algebra is a
+    division algebra, else 0.  There every nonzero lattice point has
+    |nrd|^n = |norm_det| >= p^(n(n-k)), the lattice's index in the order,
+    so no value |G(B d)| of a sweep is below p^(n-k), and the first one
+    <= it is the first minimiser."""
     from . import invariants  # only min_det_sample reads it; every CLI run imports spacetime
 
-    return _least_root(index, spec.n) if invariants.division_proven(*spec.algebra) else 0
-
-
-def _least_root(x, n):
-    """The least s >= 1 with s**n >= x, for an integer x >= 1: Newton's
-    iteration from above reaches the floor of the n-th root."""
-    s = 1 << -(-x.bit_length() // n)
-    while (t := ((n - 1) * s + x // s ** (n - 1)) // n) < s:
-        s = t
-    return s if s**n >= x else s + 1
+    spec = code.ring.spec
+    return spec.p ** (spec.n - code.k) if invariants.division_proven(*spec.algebra) else 0
 
 
 def min_det_sample(
@@ -374,10 +366,10 @@ def min_det_sample(
     first minimizing difference, read into the order from the basis rows, is
     re-checked through norm_det (RuntimeError if they disagree); zero exhibits
     a rank-deficient difference.  Either sweep ends early at the first value
-    that meets _certified_stop, the index bound of a proven division
-    algebra, with the value and difference a full sweep returns.  Raises
-    ValueError when coeff_bound < 1, and in sampled mode ValueError when
-    samples < 1 and TooLarge when samples > ENUMERATION_BOUND.
+    that meets _certified_stop, p^(n-k) in a proven division algebra, with
+    the value and difference a full sweep returns.  Raises ValueError when
+    coeff_bound < 1, and in sampled mode ValueError when samples < 1 and
+    TooLarge when samples > ENUMERATION_BOUND.
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be at least 1")
@@ -390,12 +382,11 @@ def min_det_sample(
     if not exhaustive and samples > ENUMERATION_BOUND:
         raise TooLarge(f"{samples} samples exceed bound {ENUMERATION_BOUND}")
     spec = code.ring.spec
-    lattice = construction_a_basis(code)
-    basis = lattice.basis
+    basis = construction_a_basis(code).basis
     cols = tuple(zip(*basis))
     order = NaturalOrder(spec)  # per call: the mindet-sweep trace requires a build
     terms = _flat_form(*spec.algebra)
-    stop = _certified_stop(spec, lattice.index)
+    stop = _certified_stop(code)
     if exhaustive:
         from . import boxsweep  # only exhaustive sweeps need it
 

@@ -21,6 +21,7 @@ from skewlat import (
     central_poly,
     construction_a_basis,
     intpoly,
+    invariants,
     dual_lattice_basis,
     hnf,
     inner_product,
@@ -441,6 +442,27 @@ def composed_additive_generators(code):
         for i in range(code.k)
         for power in powers
     ]
+
+
+def generator_pairs_orthogonal(code, other):
+    """Oracle: whether every pair of the k*m additive generators of code and
+    other, each composed afresh, has a zero inner product (F_p-bilinearity
+    only, not R-bilinearity)."""
+    words = composed_additive_generators(other)
+    return all(not inner_product(c, d) for c in composed_additive_generators(code) for d in words)
+
+
+def least_root_stop(spec, index):
+    """Oracle: the sweep stop for any lattice index, the least s >= 1 with
+    s^n >= index when invariants.division_proven holds for spec's algebra,
+    else 0, by Newton's iteration from above to the floor of the n-th root."""
+    if not invariants.division_proven(*spec.algebra):
+        return 0
+    n = spec.n
+    s = 1 << -(-index.bit_length() // n)
+    while (t := ((n - 1) * s + index // s ** (n - 1)) // n) < s:
+        s = t
+    return s if s**n >= index else s + 1
 
 
 def composed_coset_encode(code, msg, offset):

@@ -28,6 +28,7 @@ from helpers import (
     divisor_codes,
     enumerated_dual,
     enumerated_self_duality,
+    generator_pairs_orthogonal,
     random_element,
     random_message,
     replace_spec,
@@ -439,6 +440,44 @@ def test_orthogonality_of_generators_decides_the_dual_code(p3_code):
     assert not full.is_orthogonal_to(full)
 
 
+# is_orthogonal_to reads the k words x^i g of each code, the oracle every pair
+# of their k*m additive generators.
+@settings(max_examples=15, deadline=None)
+@given(spec=valid_specs())
+@example(spec=AlgebraSpec((1, 0, 1), (0, -1), u=2, p=5))
+@example(spec=replace_spec(CUBIC, p=3, u=1))
+def test_orthogonality_of_the_basis_words_matches_every_generator_pair(spec):
+    codes_ = list(divisor_codes(QuotientRing(spec), per_degree=4))
+    for code, other in product(codes_, repeat=2):
+        assert code.is_orthogonal_to(other) == generator_pairs_orthogonal(code, other)
+
+
+def _refuse_elimination(*args):
+    raise AssertionError("echelon_mod_p called")
+
+
+# The dual of a code of dimension k has |R|^(n-k) = p^(m(n-k)) words, so
+# brute_force_dual checks its bound before any elimination over F_p.
+@settings(max_examples=15, deadline=None)
+@given(spec=valid_specs())
+@example(spec=replace_spec(CUBIC, p=7, u=1))
+def test_the_dual_has_p_to_the_m_n_minus_k_words(spec):
+    ring = QuotientRing(spec)
+    p, m = spec.p, ring.n
+    found = list(divisor_codes(ring, per_degree=2))
+    for code in found:
+        size = p ** (m * (code.n - code.k))
+        if size <= ORACLE_VECTORS:
+            assert len(brute_force_dual(code, bound=size)) == size
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codes, "echelon_mod_p", _refuse_elimination)
+        for code in found:
+            dim = m * (code.n - code.k)
+            with pytest.raises(TooLarge) as refused:
+                brute_force_dual(code, bound=p**dim - 1)
+            assert str(refused.value) == f"{p}^{dim} dual vectors exceeds bound {p**dim - 1}"
+
+
 def test_cubic_self_duality_at_p31_without_a_dual_generator():
     ring = QuotientRing(replace_spec(CUBIC, p=31))
     a = ring.gen
@@ -518,7 +557,7 @@ def test_a_code_makes_its_generator_products_once(monkeypatch, spec):
     for code in divisor_codes(ring, per_degree=2):  # each built fresh, outside the count
         monkeypatch.setattr(SkewPoly, "__mul__", counting_mul)
         code.additive_generators()
-        assert len(products) == code.k * ring.n
+        assert len(products) == code.k  # one per word x^i g, scaled by each theta^j
         products.clear()
         code.is_self_dual()
         code.is_orthogonal_to(code)

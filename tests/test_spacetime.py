@@ -38,6 +38,7 @@ from helpers import (
     composed_coset_decode,
     composed_coset_encode,
     divisor_codes,
+    least_root_stop,
     product_order_sweep,
     quiet_ring,
     random_message,
@@ -276,7 +277,7 @@ def test_the_certified_stop_ends_the_gaussian_p3_sweep_early():
     # return what the sweep to the end returns.
     code = fixture_code("gaussian-p3-inert")
     spec, lat = code.ring.spec, construction_a_basis(code)
-    stop = spacetime._certified_stop(spec, lat.index)
+    stop = spacetime._certified_stop(code)
     assert (lat.index, stop) == (9, 3)
     form = boxsweep._compose(tuple(zip(*lat.basis)), spacetime._flat_form(*spec.algebra))
     source = boxsweep._sweep_source(form, 4, 2)
@@ -302,10 +303,29 @@ def test_the_certified_stop_is_the_index_root_of_proven_algebras_only():
         (cofactor, 25),  # index 5^6
     ]
     for code, stop in cases:
-        assert spacetime._certified_stop(code.ring.spec, construction_a_basis(code).index) == stop
-    # 10 is the least s with s^2 >= 91, and 5 the least with s^3 >= 65.
-    assert spacetime._certified_stop(QUATERNION, 91) == 10
-    assert spacetime._certified_stop(CUBIC, 65) == 5
+        assert spacetime._certified_stop(code) == stop
+
+
+def test_the_least_root_stop_oracle_takes_any_index():
+    # 10 is the least s with s^2 >= 91, and 5 the least with s^3 >= 65;
+    # an exact power gives its root, and an algebra not proven gives 0.
+    assert least_root_stop(QUATERNION, 91) == 10
+    assert least_root_stop(CUBIC, 65) == 5
+    assert least_root_stop(CUBIC, 5**6) == 25
+    assert least_root_stop(GAUSSIAN_P3_U1, 9) == 0
+
+
+# A code of dimension k has |R|^k = p^(nk) words, so the lattice's index is
+# p^(n(n-k)) and the stop its n-th root, p^(n-k), with no root search.
+@settings(max_examples=15, deadline=None)
+@given(spec=valid_specs())
+def test_the_certified_stop_is_the_index_root_on_divisor_codes(spec):
+    proven = invariants.division_proven(*spec.algebra)
+    for code in divisor_codes(QuotientRing(spec), per_degree=2):
+        index = construction_a_basis(code).index
+        stop = spacetime._certified_stop(code)
+        assert stop == least_root_stop(spec, index)
+        assert stop**spec.n == index if proven else stop == 0
 
 
 @settings(max_examples=8, deadline=None)
@@ -325,7 +345,7 @@ def test_the_certified_stop_changes_no_answer_on_divisor_codes(spec, seed):
     for code in divisor_codes(ring, per_degree=1):
         lat = construction_a_basis(code)
         cols = tuple(zip(*lat.basis))
-        stop = spacetime._certified_stop(spec, lat.index)
+        stop = spacetime._certified_stop(code)
         assert bool(stop) == proven
         whole = boxsweep.half_box_sweep(cols, terms, 1)
         value, d = whole(0)
