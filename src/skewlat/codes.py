@@ -33,8 +33,9 @@ emit.linear_source writes it as parenthesized sums of at most 64, so
 compiling it needs little recursion whatever the caller's depth.
 
 The Euclidean scalar product is R-bilinear, so products of the words x^i g
-decide duality for every u: is_orthogonal_to tests C inside D^perp, and
-is_self_dual adds 2k = n, as R is a Frobenius ring and |C^perp| = |R|^(n-k).
+decide duality for every u: is_orthogonal_to tests C inside D^perp by g
+alone, as D^perp is sigma-u^-1-constacyclic, and is_self_dual adds 2k = n,
+as R is a Frobenius ring and |C^perp| = |R|^(n-k).
 brute_force_dual finds the dual itself as the F_p-nullspace of the products
 with the x^i g; it never uses dual_generator(), which makes it the check of
 the algebraic dual, and its work grows with the size of the dual, p^(m(n-k)),
@@ -233,8 +234,19 @@ class ConstacyclicCode:
 
     def is_orthogonal_to(self, other: "ConstacyclicCode") -> bool:
         """Whether every codeword of self is orthogonal to every codeword of
-        other: the product is R-bilinear, so the words x^i g of both decide."""
-        return all(not inner_product(c, d) for c in self._basis for d in other._basis)
+        other, from the k' products of g with other's words x^i g'.
+
+        The product is R-bilinear, so g lies in D^perp (D = other) exactly
+        when it is orthogonal to the words x^i g' that span D over R.  D^perp
+        is sigma-u^-1-constacyclic: with T_u(a) = (u sigma(a_(n-1)),
+        sigma(a_0), ..., sigma(a_(n-2))), the shift by x modulo x^n - u,
+        <T_u(a), T_(u^-1)(b)> = sigma(<a, b>), and T_u permutes D, so
+        T_(u^-1) maps D^perp into itself.  For i < k the word x^i g has
+        degree below n, so it is T_(u^-1)^i(g) too, and C, spanned over R by
+        these words, lies in D^perp once g does.  The zero code (k = 0) has
+        no words and is orthogonal to every code.
+        """
+        return all(not inner_product(g, d) for g in self._basis[:1] for d in other._basis)
 
     def is_self_dual(self) -> bool:
         """C = C^perp, for every u: |C| |C^perp| = |R|^n over the Frobenius

@@ -11,13 +11,15 @@ The arithmetic itself lives in one place, IntegralArithmetic: multiplication,
 sigma and the field norm N(a) = a*sigma(a)...sigma^(n-1)(a) in O_K = Z[y]/(m)
 over the integers, built once per (min_poly, sigma_image), each straight-line
 integer code from one emitter: the product and sigma compiled with the core,
-and the norm on its first call, with O(n^3) terms, cached on the core, that
-also returns the suffix products the divisor roots scale.  Every other power
-of sigma applies the one compiled sigma again, and the tables of sigma^k(y^j)
-that the core's checks build give the traces Tr(y^j).  The emitter writes
-its sums and tuples with skewlat.emit, which compiles them.  Vectors of any
-other length are reduced modulo m by intpoly.mod_monic, like every other
-polynomial remainder.
+and the norm on its first call, with O(n^3) terms, cached on the core.  The
+same emitted norm, with its suffix products, is the body of the root scans
+that skew's divisor search compiles per degree on first use: a loop over
+the classes of (R - 0)/F_p* that checks each norm and yields the divisors'
+coefficients.  Every other power of sigma applies the one compiled sigma
+again, and the tables of sigma^k(y^j) that the core's checks build give the
+traces Tr(y^j).  The emitter writes its sums and tuples with skewlat.emit,
+which compiles them.  Vectors of any other length are reduced modulo m by
+intpoly.mod_monic, like every other polynomial remainder.
 QuotientRing reduces its results modulo p, so inverses are norm cofactors
 divided by the norm; lattice.NaturalOrder uses the same instance and keeps
 them over Z.
@@ -45,9 +47,10 @@ is capped by ENUMERATION_BOUND.  Reduced tuples are built by map pipelines
 over the coefficients, at C level.
 
 All values are immutable after construction and safe to share across threads;
-the norm a core compiles on first use is a pure function of the core, so a
-second thread that compiles it too gets an equal one, and two threads that
-build one residue at once may briefly hold equal copies of its element.
+the norm and root scans a core compiles on first use are pure functions of
+the core, so a second thread that compiles one too gets an equal one, and
+two threads that build one residue at once may briefly hold equal copies of
+its element.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ from .errors import (
 )
 
 ENUMERATION_BOUND = 10**6
+_NOT_RATIONAL = "a*sigma(a)...sigma^(n-1)(a) is not rational: min_poly is reducible"
 
 
 def _is_int(value):
@@ -225,12 +229,13 @@ class IntegralArithmetic:
     reduce takes vectors of any length through intpoly.mod_monic, the one
     rule for reduction modulo m; only the compiled product inlines the
     folding row.  _Emitter writes straight-line code: mul and sigma^1,
-    compiled with the core, which its checks need, and norm_cofactor, the
-    one norm rule of the library, on its first call, with O(n^3) terms;
-    sigma^k applies sigma^1 k mod n times.  After AlgebraSpec's field
-    checks it raises NotIrreducible for a quadratic m whose discriminant is
-    a square, then InvalidSigma unless s(y) induces a ring map of O_K of
-    order exactly n.  For composite n >= 4, m is trusted; QuotientRing warns.
+    compiled with the core, which its checks need, and _Emitter.norm, the
+    one norm rule of the library, with O(n^3) terms, compiled on first use
+    into norm_cofactor and into each degree's root_scan; sigma^k applies
+    sigma^1 k mod n times.  After AlgebraSpec's field checks it raises
+    NotIrreducible for a quadratic m whose discriminant is a square, then
+    InvalidSigma unless s(y) induces a ring map of O_K of order exactly n.
+    For composite n >= 4, m is trusted; QuotientRing warns.
 
     For odd prime n the order check proves m irreducible.  sigma permutes
     the local factors of Q[y]/(m) in cycles of length 1 or n.  An n-cycle
@@ -283,6 +288,7 @@ class IntegralArithmetic:
         # Tr(y^j) = sum_k sigma^k(y^j), rational since sigma generates the
         # Galois group: its constant coordinate.
         self.trace_sums = tuple(sum(table[j][0] for table in self._sigma_tables) for j in range(n))
+        self._root_scans = {}
 
     def reduce(self, coeffs):
         """Integer coefficients of any length, reduced modulo m to a tuple of
@@ -307,41 +313,67 @@ class IntegralArithmetic:
         """(N, c) with c = sigma(vec)...sigma^(n-1)(vec) and vec*c = N.
 
         sigma has order n on O_K, so when m is irreducible it generates the
-        Galois group of K = Q[y]/(m) and N is the field norm, an integer.  c
-        is the last of the suffix products of norm_suffixes, which makes the
-        check that N is rational.
+        Galois group of K = Q[y]/(m) and N is the field norm, an integer.  A
+        product vec*c with a nonzero non-constant coordinate, which only a
+        reducible m allows, raises InvalidSpec.  vec has length n; the
+        arithmetic runs in _norm_program, compiled on the first call.
         """
-        norm, suffixes = self.norm_suffixes(vec)
-        return norm, suffixes[-1]
-
-    def norm_suffixes(self, vec):
-        """(N, (S_1, ..., S_(n-1))) with S_r = sigma^(n-1)(vec)...sigma^(n-r)(vec).
-
-        S_(n-1) is the norm cofactor and vec*S_(n-1) = N.  A product with a
-        nonzero non-constant coordinate, which only a reducible m allows,
-        raises InvalidSpec.  vec has length n; the arithmetic runs in
-        _norm_program, compiled on the first call.
-        """
-        prod, suffixes = self._norm_program(vec)
+        prod, cofactor = self._norm_program(vec)
         if any(prod[1:]):
-            raise InvalidSpec("a*sigma(a)...sigma^(n-1)(a) is not rational: min_poly is reducible")
-        return prod[0], suffixes
+            raise InvalidSpec(_NOT_RATIONAL)
+        return prod[0], cofactor
 
     @cached_property
     def _norm_program(self):
-        """a -> (a*S_(n-1), (S_1, ..., S_(n-1))) as tuples, S_1 = sigma^(n-1)(a)
-        and S_r = S_(r-1)*sigma^(n-r)(a).
-
-        Straight-line integer code from _Emitter, with O(n^3) terms: the
-        n - 1 images sigma^k(a) and n - 1 unrolled products.
-        """
-        n, tables = self.n, self._sigma_tables
+        """a -> (a*c, c) as tuples, c the norm cofactor: _Emitter.norm, with
+        O(n^3) terms."""
         emit = _Emitter(self, "a")
-        (a,) = emit.args
-        suffixes = [emit.sigma(a, tables[n - 1], f"s{n - 1}")]
-        for k in range(n - 2, 0, -1):
-            suffixes.append(emit.mul(suffixes[-1], emit.sigma(a, tables[k], f"s{k}"), f"c{k}"))
-        return emit.compile("norm", (emit.mul(a, suffixes[-1], "r"), suffixes))
+        prod, suffixes = emit.norm(*emit.args)
+        return emit.compile("norm", (prod, suffixes[-1]))
+
+    def root_scan(self, degree):
+        """The compiled scan for the monic right divisors of x^n' - u of
+        degree 1 or, for degree >= 2, of degree n' - 1 = degree, compiled on
+        the first call for each degree and cached.
+
+        scan(classes, scales, p) iterates classes, vectors b of n
+        coordinates: for each it computes N(b) and the suffix products S_r
+        of _Emitter.norm inline, raises InvalidSpec when N(b) is not
+        rational, and then yields one tuple of coefficient vectors for each
+        entry of scales[N(b) mod p], a list over F_p.  At degree 1 an entry
+        is lam and the tuple (lam*b mod p,).  At degree d an entry is d
+        scalars (q_0, ..., q_(d-1)), and coefficient j of the tuple is
+        q_j * S_((d - j) mod n) mod p, S_0 = 1: the coefficients below x^d
+        of a Lam-Leroy quotient (see skew.monic_right_divisors).
+        """
+        if degree in self._root_scans:
+            return self._root_scans[degree]
+        n = self.n
+        emit = _Emitter(self, "b")
+        (b,) = emit.args
+        (norm, *higher), suffixes = emit.norm(b)
+        if degree == 1:
+            target, rows = "lam", [[f"lam*{x} % p" for x in b]]
+        else:
+            target, rows = tuple_source([f"q{j}" for j in range(degree)]), []
+            for j in range(degree):
+                r = (degree - j) % n
+                row = [f"q{j}*{x} % p" for x in suffixes[r - 1]] if r else [f"q{j}"] + ["0"] * (n - 1)
+                rows.append(row)
+        loop = _block(f"for {tuple_source(b)} in classes:", [
+            *emit.lines,
+            *_block(f"if {' or '.join(higher)}:", [f"raise InvalidSpec({_NOT_RATIONAL!r})"]),
+            *_block(f"for {target} in scales[{norm} % p]:", [f"yield {tuple_source(rows)}"]),
+        ])
+        inner = _block("def scan(classes, scales, p):", loop)
+        source = "\n".join(_block("def root_scan(InvalidSpec):", [*inner, "return scan"]))
+        scan = self._root_scans[degree] = compile_function(source + "\n", "root_scan")(InvalidSpec)
+        return scan
+
+
+def _block(header, body):
+    """The source lines of a compound statement: header, then body indented."""
+    return [header, *(f"    {line}" for line in body)]
 
 
 class _Emitter:
@@ -352,17 +384,19 @@ class _Emitter:
     linear map is n linear forms whose table entries are integer literals, a
     product is an unrolled convolution whose coordinates above n - 1 are
     folded from the top down by y^n = -m_0 - ... - m_(n-1) y^(n-1),
-    inlined.  Zero table entries and fold coefficients are dropped.
+    inlined.  Zero table entries and fold coefficients are dropped.  The
+    assignments are kept in lines, unindented, for compile or a caller's
+    loop body.
     """
 
     def __init__(self, core, *params):
         self.core = core
         self.params = params
         self.args = [[f"{param}{j}" for j in range(core.n)] for param in params]
-        self.lines = [f"    {tuple_source(arg)} = {param}" for param, arg in zip(params, self.args)]
+        self.lines = []
 
     def assign(self, name, terms):
-        self.lines.append(f"    {name} = {linear_source(terms)}")
+        self.lines.append(f"{name} = {linear_source(terms)}")
         return name
 
     def sigma(self, x, table, out):
@@ -384,10 +418,24 @@ class _Emitter:
             self.assign(f"{out}_{t}", conv[t] + [(yn[t - h + n], f"{out}_{h}") for h in highs])
         return [f"{out}_{t}" for t in range(n)]
 
+    def norm(self, x):
+        """(x*S_(n-1), [S_1, ..., S_(n-1)]) with S_1 = sigma^(n-1)(x) and
+        S_r = S_(r-1)*sigma^(n-r)(x): the n - 1 images sigma^k(x) and n - 1
+        unrolled products.  x*S_(n-1) is the norm, rational when m is
+        irreducible, and S_(n-1) its cofactor; the one norm rule of the
+        library."""
+        n, tables = self.core.n, self.core._sigma_tables
+        suffixes = [self.sigma(x, tables[n - 1], f"s{n - 1}")]
+        for k in range(n - 2, 0, -1):
+            suffixes.append(self.mul(suffixes[-1], self.sigma(x, tables[k], f"s{k}"), f"c{k}"))
+        return self.mul(x, suffixes[-1], "r"), suffixes
+
     def compile(self, name, value):
         """name(*params) returning value, a vector or a list of values, as nested tuples."""
-        source = "\n".join([f"def {name}({', '.join(self.params)}):", *self.lines])
-        return compile_function(f"{source}\n    return {tuple_source(value)}\n", name)
+        unpack = [f"{tuple_source(arg)} = {param}" for param, arg in zip(self.params, self.args)]
+        body = [*unpack, *self.lines, f"return {tuple_source(value)}"]
+        source = "\n".join(_block(f"def {name}({', '.join(self.params)}):", body))
+        return compile_function(source + "\n", name)
 
 
 @lru_cache(maxsize=32)

@@ -23,7 +23,10 @@ closed-form Lam-Leroy quotients of the same roots, and any other degree
 d > n - d as the quotients of x^n - u by the divisors of degree n - d.  At
 every p the roots are read off the (p^m - 1)/(p - 1) classes of
 (R - 0)/F_p* (m = deg m(y)), one norm each: sigma fixes F_p, so a norm
-scales by lam^m under c -> lam*c.  Only the middle degrees 2 <= d <= n/2
+scales by lam^m under c -> lam*c.  Degrees 1 and n - 1 are one call each of
+the core's root scan, one straight-line kernel per degree compiled on first
+use, which iterates the classes, computes each norm inline and yields the
+divisors' coefficient tuples.  Only the middle degrees 2 <= d <= n/2
 (n >= 4) scan the p^(n*d) monic candidates, and the enumeration bound
 counts the classes the roots visit, or candidates on that scan.
 
@@ -33,8 +36,8 @@ sentinel, so degree comparisons need no special casing).
 
 from __future__ import annotations
 
-from itertools import product, repeat, zip_longest
-from operator import add, mod, mul, neg, sub
+from itertools import chain, product, repeat, zip_longest
+from operator import add, mod, neg, sub
 
 from .errors import DivisionByZero, NonUnitLeading, NotADivisor, NotInvertible, TooLarge
 from .number_ring import ENUMERATION_BOUND, QuotientRing, RingElement
@@ -312,17 +315,19 @@ def monic_right_divisors(ring: QuotientRing, n: int, u, degree: int, bound=ENUME
       N_n(c) = N(c)^(n / ring.n) with N the field norm.  Every nonzero c
       is lam*b for one lam in F_p* and one class representative b of
       (R - 0)/F_p* (first nonzero coordinate 1), and N(lam*b) =
-      lam^m N(b) (m = ring.n) at every p, ramified included.  So each
-      class is one call of the core's compiled norm_suffixes on a raw
-      coefficient tuple, and its roots are the lam*b whose lam solves the
-      norm equation.  Ring elements and polynomials are built only for the
-      roots, in lexicographic order.
+      lam^m N(b) (m = ring.n) at every p, ramified included.  So the roots
+      are the lam*b whose lam solves the norm equation for N(b), and one
+      call of the core's compiled root_scan computes every class's norm,
+      checks that it is rational, looks its lam up in a table over F_p and
+      yields the roots as raw coefficient tuples.  Ring elements and
+      polynomials are built only for the roots, in lexicographic order.
     - d = n - 1 >= 2, by the same roots: for each root a,
       q_a = sum_{j<n} sigma^(n-1)(a)...sigma^(j+1)(a) x^j satisfies
       q_a*(x - a) = x^n - N_n(a) = x^n - u, and as x^n - u is central also
       (x - a)*q_a = x^n - u.  So a -> q_a is the cofactor bijection below,
       computed without any division; its coefficients are scalar multiples
-      of the class's suffix products.
+      of the class's suffix products, which the root scan of degree n - 1
+      computes with the norm and scales by a table of scalars per lam.
     - any other d > n - d, by cofactors: x^n - u is central and a monic
       polynomial is not a zero divisor, so h*g = x^n - u exactly when
       g*h = x^n - u.  The divisors of degree d are the quotients
@@ -343,8 +348,8 @@ def monic_right_divisors(ring: QuotientRing, n: int, u, degree: int, bound=ENUME
     central = central_poly(ring, n, u)
     if degree > n:
         return []
-    if degree == n - 1 >= 2:
-        return _root_quotients(central, bound)
+    if degree in (1, n - 1):
+        return _root_divisors(central, degree, bound)
     if degree > n - degree:
         cofactors = []
         for g in _low_degree_divisors(central, n - degree, bound):
@@ -356,43 +361,10 @@ def monic_right_divisors(ring: QuotientRing, n: int, u, degree: int, bound=ENUME
     return _low_degree_divisors(central, degree, bound)
 
 
-def _root_quotients(central: SkewPoly, bound):
-    """The monic right divisors of degree n - 1 of the central x^n - u, sorted:
-    one Lam-Leroy quotient q_a per root a, the bijection a -> q_a of
-    monic_right_divisors.  For the root c = lam*b of _root_classes, a = -c
-    and q_j = sigma^(n-1)(a)...sigma^(j+1)(a), L = n - 1 - j factors; sigma
-    fixes lam and sigma^m = id, so q_j = (-lam)^L * N(b)^(L // m) * S_(L % m)
-    with S_0 = 1 and the suffix products S_r of norm_suffixes.  The
-    coefficients are scalar multiples of raw tuples, with no sigma or
-    product per root."""
-    ring = central.ring
-    n = int(central.degree)
-    p, m, ps = ring.p, ring.n, ring._ps
-    one = ring.one
-    quotients = []
-    for lam, b, norm, suffixes in _root_classes(central, bound):
-        products = (one.coeffs,) + suffixes
-        scale, coeffs = 1, []
-        for length in range(1, n):
-            scale = scale * -lam % p
-            if length % m == 0:
-                scale = scale * norm % p
-            coeffs.append(tuple(map(mod, map(mul, products[length % m], repeat(scale)), ps)))
-        quotients.append(coeffs[::-1])
-    quotients.sort()
-    return [SkewPoly._make(ring, (*map(ring._make, coeffs), one)) for coeffs in quotients]
-
-
-def _roots(central: SkewPoly, bound):
-    """The constant terms c of the monic right divisors x + c of the central
-    x^n - u, as raw coefficient tuples in lexicographic order."""
-    ps = central.ring._ps
-    classes = _root_classes(central, bound)
-    return sorted([tuple(map(mod, map(mul, b, repeat(lam)), ps)) for lam, b, _, _ in classes])
-
-
-def _root_classes(central: SkewPoly, bound):
-    """The roots c of x + c | x^n - u as (lam, b, N(b), suffixes), c = lam*b.
+def _root_divisors(central: SkewPoly, degree, bound):
+    """The monic right divisors of degree 1 or n - 1 of the central x^n - u,
+    sorted, from the roots c of x + c | x^n - u by one call of the core's
+    compiled root_scan.
 
     N_n(-c) = (-1)^n N_n(c), so x + c divides when N_n(c) = t with
     t = (-1)^n u; sigma^m = id (m = ring.n) makes N_n(c) = N(c)^(n / m).
@@ -402,8 +374,12 @@ def _root_classes(central: SkewPoly, bound):
     coordinate 1), and sigma fixes lam, so N(c) = lam^m N(b): for a unit t
     the roots are the lam*b with lam^n N(b)^(n/m) = t, and for p | t they
     are 0 (lam = 0) and every lam*b with N(b) = 0.  This holds at every p,
-    ramified included.  Each class is one call of the core's norm_suffixes,
-    which raises InvalidSpec on a norm that is not rational.
+    ramified included.  scales[v] lists the lam for N(b) = v mod p.  At
+    degree n - 1 it lists instead, per lam, the scalars (-lam)^L v^(L // m)
+    of the coefficients q_j = (-lam)^L N(b)^(L // m) S_(L % m),
+    L = n - 1 - j, of the Lam-Leroy quotient of the root a = -lam*b, as
+    sigma fixes lam and sigma^m = id.  The scan raises InvalidSpec on a norm
+    that is not rational.
 
     bound caps the (p^m - 1)/(p - 1) classes and is checked before any norm.
     """
@@ -417,32 +393,37 @@ def _root_classes(central: SkewPoly, bound):
         raise TooLarge(f"{classes} classes of (R - 0)/F_{p}* exceeds bound {bound}")
     if any(higher):
         return []
-    # scales[v] lists the lam in F_p* with lam^n * v = t, v = N(b)^(n/m).
+    # lams[w] lists the lam in F_p* with lam^n * w = t, w = N(b)^(n/m).
     if t:
-        scales, out = {}, []
+        lams = {}
         for lam in range(1, p):
-            scales.setdefault(t * pow(lam, -n, p) % p, []).append(lam)
-    else:  # 0 is a root too, as lam = 0 on the zero vector
-        zero = (0,) * m
-        scales, out = {0: range(1, p)}, [(0, zero, 0, (zero,) * (m - 1))]
-    norm, power = ring._core.norm_suffixes, n // m
-    for k in range(m):
-        for tail in product(range(p), repeat=m - 1 - k):
-            b = (0,) * k + (1,) + tail
-            s, suffixes = norm(b)
-            for lam in scales.get(pow(s, power, p), ()):
-                out.append((lam, b, s, suffixes))
-    return out
+            lams.setdefault(t * pow(lam, -n, p) % p, []).append(lam)
+    else:
+        lams = {0: range(1, p)}
+    scales = [lams.get(pow(v, n // m, p), ()) for v in range(p)]
+    if degree > 1:
+        scales = [
+            [tuple(pow(-lam, L, p) * pow(v, L // m, p) % p for L in range(degree, 0, -1)) for lam in row]
+            for v, row in enumerate(scales)
+        ]
+    reps = chain.from_iterable(
+        product(*[(0,)] * k, (1,), *[range(p)] * (m - 1 - k)) for k in range(m)
+    )
+    found = sorted(ring._core.root_scan(degree)(reps, scales, p))
+    if not t:  # the root 0 (lam = 0), the least tuple: x, or x^(n-1)
+        found.insert(0, ((0,) * m,) * degree)
+    # Each coefficient column through the ring's element table, at C level.
+    columns = [map(ring._make, column) for column in zip(*found)]
+    poly = SkewPoly._make
+    return [poly(ring, coeffs) for coeffs in zip(*columns, repeat(ring.one, len(found)))]
 
 
 def _low_degree_divisors(central: SkewPoly, degree: int, bound):
-    """Monic right divisors of the central x^n - u of degree d <= n/2."""
+    """Monic right divisors of the central x^n - u of degree 0, or of degree
+    2 <= d <= n/2 by a scan of the monic candidates, one right division each."""
     ring = central.ring
     if degree == 0:
         return [SkewPoly.one(ring)]
-    if degree == 1:
-        one = ring.one
-        return [SkewPoly._make(ring, (ring._make(c), one)) for c in _roots(central, bound)]
     if ring.size**degree > bound:
         raise TooLarge(f"{ring.size}^{degree} candidates exceeds bound {bound}")
     out, one = [], (ring.one,)

@@ -328,7 +328,8 @@ def oracle_sigma(a, s, m, k):
 
 
 def oracle_norm_suffixes(m, s, vec):
-    """Oracle: IntegralArithmetic.norm_suffixes by oracle_sigma and
+    """Oracle: the norm and suffix products of the core's _Emitter.norm, which
+    norm_cofactor and the root scans compute, by oracle_sigma and
     oracle_mul alone, so it shares no code with the core: (N, (S_1, ...,
     S_(n-1))) with S_1 = sigma^(n-1)(vec), S_r = S_(r-1)*sigma^(n-r)(vec)
     and N = vec*S_(n-1), the norm cofactor."""

@@ -285,18 +285,26 @@ def test_norm_is_det_of_multiplication_matrix(field, p, kind, spec):
 
 
 def assert_norm_matches_the_oracle(spec, seed):
-    """The compiled norm_cofactor and norm_suffixes equal the intpoly
-    oracle on every element of R, as representatives in [0, p), and on
-    random vectors over Z: the norm, and the suffix products
-    S_r = sigma^(n-1)(vec)...sigma^(n-r)(vec), the last the cofactor."""
+    """The compiled norm_cofactor equals the intpoly oracle on every element
+    of R, as representatives in [0, p), and on random vectors over Z.  The
+    root scans compute the same norm and suffix products
+    S_r = sigma^(n-1)(vec)...sigma^(n-r)(vec) inline: fed the same vectors
+    with scales[v] = [v] at degree 1 they yield (N*vec mod p,), and with
+    the d = 2n - 1 scalars v at degree d, whose coefficients run through
+    every S_r, N*S_((d - j) mod n) mod p, S_0 = 1."""
     core = integral_arithmetic(spec.min_poly, spec.sigma_image)
-    n = core.n
+    n, p, d = core.n, spec.p, 2 * core.n - 1
     rng = random.Random(seed)
     wide = [tuple(rng.randint(-(10**6), 10**6) for _ in range(n)) for _ in range(200)]
-    for vec in [*product(range(spec.p), repeat=n), *wide]:
+    vecs, roots, quotients = [*product(range(p), repeat=n), *wide], [], []
+    for vec in vecs:
         norm, suffixes = oracle_norm_suffixes(spec.min_poly, spec.sigma_image, vec)
         assert core.norm_cofactor(vec) == (norm, suffixes[-1]), vec
-        assert core.norm_suffixes(vec) == (norm, suffixes), vec
+        products = [(1,) + (0,) * (n - 1), *suffixes]
+        roots.append((tuple(norm * x % p for x in vec),))
+        quotients.append(tuple(tuple(norm * x % p for x in products[(d - j) % n]) for j in range(d)))
+    assert list(core.root_scan(1)(vecs, [[v] for v in range(p)], p)) == roots
+    assert list(core.root_scan(d)(vecs, [[(v,) * d] for v in range(p)], p)) == quotients
 
 
 @settings(max_examples=30, deadline=None)

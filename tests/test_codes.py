@@ -440,11 +440,14 @@ def test_orthogonality_of_generators_decides_the_dual_code(p3_code):
     assert not full.is_orthogonal_to(full)
 
 
-# is_orthogonal_to reads the k words x^i g of each code, the oracle every pair
-# of their k*m additive generators.
+# is_orthogonal_to reads g against the k' words x^i g' of the other code, the
+# oracle every pair of their k*m additive generators; the examples with u^2 != 1
+# mod p check the sigma-u^-1-constacyclic dual that lets g stand for its code.
 @settings(max_examples=15, deadline=None)
 @given(spec=valid_specs())
 @example(spec=AlgebraSpec((1, 0, 1), (0, -1), u=2, p=5))
+@example(spec=CUBIC)
+@example(spec=replace_spec(CUBIC, p=13, u=5))
 @example(spec=replace_spec(CUBIC, p=3, u=1))
 def test_orthogonality_of_the_basis_words_matches_every_generator_pair(spec):
     codes_ = list(divisor_codes(QuotientRing(spec), per_degree=4))

@@ -1,10 +1,11 @@
 import random
+from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from skewlat import (
-    ENUMERATION_BOUND,
     AlgebraSpec,
     OppositePoly,
     QuotientRing,
@@ -14,7 +15,6 @@ from skewlat import (
     monic_right_divisors,
     opposite,
 )
-from skewlat import skew
 from skewlat.errors import DivisionByZero, InvalidSpec, NonUnitLeading, TooLarge
 from skewlat.fixtures import GAUSSIAN_P2, GAUSSIAN_P3, GAUSSIAN_P5
 
@@ -394,10 +394,10 @@ def _unexpected(*args):
 
 def test_root_scan_checks_its_bound_first_and_needs_an_integer_target(p3, monkeypatch):
     # The roots visit the 4 classes of (R - 0)/F_3*, and the bound is checked
-    # before the norm kernel runs on any of them.
+    # before the root scan is fetched, let alone run on any of them.
     classes = root_classes(p3)
     assert classes == 4
-    monkeypatch.setattr(p3._core, "_norm_program", _unexpected)
+    monkeypatch.setattr(p3._core, "root_scan", _unexpected)
     for bound in (0, classes - 1):
         with pytest.raises(
             TooLarge, match=rf"^{classes} classes of \(R - 0\)/F_3\* exceeds bound {bound}$"
@@ -430,14 +430,21 @@ def test_root_scan_checks_its_bound_first_and_needs_an_integer_target(p3, monkey
 @example(replace_spec(CUBIC, p=13, u=5), 2, None)
 @example(replace_spec(CUBIC, p=7, u=3), 2, None)
 @example(replace_spec(CUBIC, p=7, u=3), 1, 7)
+@example(replace_spec(CUBIC, p=13, u=2), 1, None)
+@example(replace_spec(CUBIC, p=5), 1, 5)
 @example(AlgebraSpec((1, 0, 1), (0, -1), u=2, p=13), 2, None)
+@example(AlgebraSpec((1, 0, 1), (0, -1), u=2, p=7), 2, None)
+@example(AlgebraSpec((1, 0, 1), (0, -1), u=-1, p=3), 2, 3)
 @example(GAUSSIAN_P2, 1, "a")
 @example(GAUSSIAN_P2, 2, 0)
 def test_roots_and_quotients_equal_their_oracles(spec, multiple, u):
     """At every p, ramified included, and for u the spec's unit (None), any
     integer (p | u included) or the generator a where sigma fixes it: the
     degree-1 divisors are the scan's roots, degree n - 1 the division
-    cofactors, and the bound counts the classes of (R - 0)/F_p*."""
+    cofactors, and the bound counts the classes of (R - 0)/F_p*.  The
+    examples include n = 2m (x^4 - u over Z[i], split at 13 and inert at
+    7), p | u at degree n - 1 (the cubic and x^4 - 3 over Z[i] at p = 3)
+    and the split cubic at p = 13."""
     ring = QuotientRing(spec)
     n = multiple * ring.n
     u = spec.u if u is None else ring.gen if u == "a" else u
@@ -461,15 +468,40 @@ def test_roots_and_quotients_equal_their_oracles(spec, multiple, u):
 
 @pytest.mark.parametrize(
     "p, count",
-    [(5, (5**3 - 1) // 4), (31, (31**3 - 1) // 30), (13, 12**2), (29, 28**2)],
-    ids=["inert-5", "inert-31", "split-13", "split-29"],
+    [(5, (5**3 - 1) // 4), (31, (31**3 - 1) // 30), (101, (101**3 - 1) // 100), (13, 12**2), (29, 28**2)],
+    ids=["inert-5", "inert-31", "inert-101", "split-13", "split-29"],
 )
 def test_cubic_root_counts(p, count):
+    """x^3 - 2 has (p^3 - 1)/(p - 1) roots at an inert p and (p - 1)^2 at a
+    split p, and as many quotients of degree 2; up to p = 31 the roots are
+    also those of the scan of all p^3 elements."""
     ring = QuotientRing(replace_spec(CUBIC, p=p))
-    assert ring.decompose().ramification() == ("inert" if p in (5, 31) else "split")
-    roots = skew._roots(central_poly(ring, 3, 2), ENUMERATION_BOUND)
-    assert len(roots) == count
-    assert roots == scan_roots(ring, 1, (-2 % p, 0, 0), ring.size)
+    assert ring.decompose().ramification() == ("inert" if p in (5, 31, 101) else "split")
+    roots = monic_right_divisors(ring, 3, 2, 1)
+    assert len(roots) == len(monic_right_divisors(ring, 3, 2, 2)) == count
+    if p <= 31:
+        assert [g.coeff(0).coeffs for g in roots] == scan_roots(ring, 1, (-2 % p, 0, 0), ring.size)
+
+
+@settings(max_examples=30, deadline=None)
+@given(valid_specs(primes=(2, 3, 5, 7, 11, 13)), st.sampled_from((1, 2)))
+@example(replace_spec(CUBIC, p=13), 2)
+@example(AlgebraSpec((1, 0, 1), (0, -1), u=2, p=5), 2)
+def test_root_counts_at_an_unramified_p(spec, multiple):
+    """At an unramified p the norm maps R* onto F_p* with fibres of
+    |R*|/(p - 1) units, so x^n - u (n = multiple * m) has
+    #{s in F_p* : s^multiple = t} * |R*|/(p - 1) roots, t = (-1)^n u, and
+    as many divisors of degree n - 1."""
+    ring = QuotientRing(spec)
+    decomposition = ring.decompose()
+    if decomposition.ramification() == "ramified":
+        return
+    p, n = spec.p, multiple * ring.n
+    units = prod(p ** (len(f) - 1) - 1 for f, _ in decomposition.factors)
+    t = (-1) ** n * spec.u % p
+    count = sum(pow(s, multiple, p) == t for s in range(1, p)) * units // (p - 1)
+    assert len(monic_right_divisors(ring, n, spec.u, 1)) == count
+    assert len(monic_right_divisors(ring, n, spec.u, n - 1)) == count
 
 
 def test_roots_at_a_ramified_p_and_at_p_dividing_u(p3):
@@ -483,40 +515,84 @@ def test_roots_at_a_ramified_p_and_at_p_dividing_u(p3):
     assert monic_right_divisors(p3, 2, 0, 1) == [SkewPoly.monomial(p3, 1)]
 
 
+# y (y^2 - 2y - 1)(y^3 + y^2 - 2y - 1) is squarefree mod 5, but its sigma
+# fixes Q^3, so some norms are not rational.
+HILBERT90 = AlgebraSpec(
+    (0, 1, 4, 2, -5, -1, 1), (0, -115, -190, 215, 70, -49), u=1, p=5,
+    conjugation_mode="identity",
+)
+
+
 def test_hilbert90_roots_keep_the_norm_rationality_check():
-    # y (y^2 - 2y - 1)(y^3 + y^2 - 2y - 1) is squarefree mod 5, but its sigma
-    # fixes Q^3: a class meets a norm that is not rational and raises as the
-    # scan does.
-    spec = AlgebraSpec(
-        (0, 1, 4, 2, -5, -1, 1), (0, -115, -190, 215, 70, -49), u=1, p=5,
-        conjugation_mode="identity",
-    )
-    ring = quiet_ring(spec)
+    # A class meets a norm that is not rational and raises as the scan does,
+    # at degree 1 and at degree n - 1.
+    ring = quiet_ring(HILBERT90)
     assert ring.decompose().ramification() == "split"
-    with pytest.raises(InvalidSpec, match="not rational"):
-        monic_right_divisors(ring, 6, 1, 1)
+    for degree in (1, 5):
+        with pytest.raises(InvalidSpec, match="not rational"):
+            monic_right_divisors(ring, 6, 1, degree)
+
+
+def class_representatives(ring):
+    """Oracle: the classes of (R - 0)/F_p* in the order the roots visit them,
+    the nonzero vectors whose first nonzero coordinate is 1, fewest leading
+    zeros first and lexicographic within."""
+    return sorted(
+        (c for c in product(range(ring.p), repeat=ring.n) if any(c) and next(v for v in c if v) == 1),
+        key=lambda c: (c.index(1), c),
+    )
+
+
+def scanning(monkeypatch, core, feed):
+    """Make core.root_scan hand its scan the vectors feed(classes), recorded
+    as they are read, in place of the class iterable; returns the record."""
+    root_scan, seen = core.root_scan, []
+
+    def recorded(classes):
+        for b in feed(classes):
+            seen.append(b)
+            yield b
+
+    def wrapped(degree):
+        scan = root_scan(degree)
+        return lambda classes, scales, p: scan(recorded(classes), scales, p)
+
+    monkeypatch.setattr(core, "root_scan", wrapped)
+    return seen
 
 
 def test_root_classes_check_every_norm(monkeypatch):
-    """Each class of (R - 0)/F_p* is one kernel call, none repeated, and the
-    rationality check runs on every one: a kernel whose product on the last
-    class has a nonzero higher coordinate raises, at degrees 1 and n - 1."""
+    """The scan reads each class of (R - 0)/F_p* once, in order, from the
+    iterable it is handed, at degrees 1 and n - 1.  On the Hilbert-90 sextic,
+    fed every class with a rational norm and then one without, it reads them
+    all and raises on the last, at both degrees: the rationality check runs
+    on every class, not on the first alone."""
     ring = QuotientRing(CUBIC)
-    core = ring._core
-    program, calls = core._norm_program, []
-
-    def last_class_not_rational(b):
-        calls.append(b)
-        prod, suffixes = program(b)
-        return (prod[0], int(b == (0, 0, 1)), 0), suffixes
-
-    monkeypatch.setattr(core, "_norm_program", last_class_not_rational)
+    seen = scanning(monkeypatch, ring._core, lambda classes: classes)
+    expected = class_representatives(ring)
+    assert len(expected) == root_classes(ring) == 31
     for degree in (1, 2):
-        calls.clear()
+        seen.clear()
+        assert len(monic_right_divisors(ring, 3, 2, degree)) == 31
+        assert seen == expected
+    monkeypatch.undo()
+
+    ring = quiet_ring(HILBERT90)
+    rational, irrational = [], []
+    for b in class_representatives(ring):
+        try:
+            ring._core.norm_cofactor(b)
+        except InvalidSpec:
+            irrational.append(b)
+        else:
+            rational.append(b)
+    assert rational and irrational
+    seen = scanning(monkeypatch, ring._core, lambda classes: [*rational, irrational[-1]])
+    for degree in (1, 5):
+        seen.clear()
         with pytest.raises(InvalidSpec, match="not rational"):
-            monic_right_divisors(ring, 3, 2, degree)
-        assert len(calls) == len(set(calls)) == root_classes(ring) == 31
-        assert calls[-1] == (0, 0, 1)
+            monic_right_divisors(ring, 6, 1, degree)
+        assert seen == [*rational, irrational[-1]]
 
 
 # Above this many candidates the brute-force oracle takes seconds.
