@@ -41,18 +41,23 @@ with the x^i g; it never uses dual_generator(), which makes it the check of
 the algebraic dual, and its work grows with the size of the dual, p^(m(n-k)),
 not with |R|^n.  Its basis is in reduced echelon form, so
 it builds the words already in the order of their coefficient vectors, with
-no sort.  Only dual_generator and dual_code need u*u = 1.
+no sort, and the word at index p^j is a basis vector, which is all that
+lattice.dual_lattice_basis reads.  Only dual_generator and dual_code need
+u*u = 1.
 
 Codewords and dual words are built from flat coefficients at C level, and
 each component is the one element the ring keeps for its residue (see
-number_ring), so a word costs n table lookups, not n new elements.
+number_ring), so a word costs n table lookups, not n new elements.  The
+dual's words are built a flat coordinate at a time: one list per coordinate
+over every word, m of them zipped into each component's elements, and the n
+components zipped into the words.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product, repeat
-from operator import add, attrgetter, mod, mul
+from itertools import product
+from operator import attrgetter
 
 from .emit import compile_function, linear_source, tuple_source
 from .errors import LengthMismatch, NonUnitLeading, NotADivisor, NotInvertible, TooLarge, UnsupportedU
@@ -187,11 +192,6 @@ class ConstacyclicCode:
         if len(v) != self.n:
             raise LengthMismatch(f"expected length {self.n}, got {len(v)}")
         return self._parity(map(_coeffs, map(self.ring.coerce, v)))
-
-    def _from_flat(self, flat):
-        """The vector of n ring elements whose coefficients, entries in [0, p),
-        run component by component through flat, n*m of them."""
-        return tuple(map(self.ring._make, zip(*[iter(flat)] * self.ring.n)))
 
     def shift(self, v):
         """The twisted shift x*v(x) mod x^n - u, that is
@@ -340,7 +340,14 @@ def brute_force_dual(code: ConstacyclicCode, bound=ENUMERATION_BOUND):
     combination with coefficients (a_1, ..., a_dim) is 0 before the first
     pivot and reads a_i at the i-th pivot, with entries between pivots fixed
     by the earlier a's: the words come in order when a_1 varies slowest, and
-    no sort is needed.
+    no sort is needed.  The word at index p^j is then the basis vector of
+    a_(dim-j).
+
+    The words are listed column by column: each of the m*n flat coordinates
+    is one list over all p^dim combinations (_span_column), each component's
+    elements are ring._make mapped over the zip of its m coordinate lists,
+    and the words are the zip of the n components, so no Python frame runs
+    per word and each entry is the element the ring keeps for its residue.
 
     Independent of dual_generator(), so it checks the algebraic dual and
     serves any u.  The name is older than the nullspace: the benchmark's
@@ -348,7 +355,7 @@ def brute_force_dual(code: ConstacyclicCode, bound=ENUMERATION_BOUND):
     pins the public entry points instead.
     """
     ring = code.ring
-    p, m, n, ps = ring.p, ring.n, code.n, ring._ps
+    p, m, n = ring.p, ring.n, code.n
     dim = m * (n - code.k)
     if p**dim > bound:
         raise TooLarge(f"{p}^{dim} dual vectors exceeds bound {bound}")
@@ -357,8 +364,17 @@ def brute_force_dual(code: ConstacyclicCode, bound=ENUMERATION_BOUND):
         products = [(c_i * power).coeffs for c_i in c for power in code._powers]
         equations.extend(zip(*products))
     kernel, _ = echelon_mod_p(nullspace_mod_p(echelon_mod_p(equations, p), m * n, p), p)
-    span = [(0,) * (m * n)]
-    for vec in reversed(kernel):
-        steps = [tuple(map(mod, map(mul, vec, repeat(a)), ps)) for a in range(p)]
-        span = [tuple(map(mod, map(add, point, step), ps)) for step in steps for point in span]
-    return list(map(code._from_flat, span))
+    columns = [_span_column([row[t] for row in kernel], p) for t in range(m * n)]
+    make = ring._make
+    return list(zip(*[map(make, zip(*columns[i:i + m])) for i in range(0, m * n, m)]))
+
+
+def _span_column(coeffs, p):
+    """One flat coordinate of every word of a span over F_p: the entry for
+    the coefficients (a_1, ..., a_dim) is sum a_i * coeffs[i] mod p, and the
+    p^dim entries come with a_1 varying slowest."""
+    column = [0]
+    for c in reversed(coeffs):
+        steps = [a * c % p for a in range(p)]
+        column = [(v + s) % p for s in steps for v in column]
+    return column

@@ -24,7 +24,7 @@ row echelon rows of that space (number_ring.echelon_mod_p), with p times the
 unit vectors of the free coordinates, are already its Hermite Normal Form,
 in order of their leading rows.  A code keeps that echelon form, eliminated
 once per code, so every Construction A basis of the code starts from it;
-the dual lattice echelons the words of the dual.
+the dual lattice echelons the dual's m(n-k) basis words.
 
 HNF convention: column style, lower triangular, positive diagonal, entries to
 the left of each pivot reduced into [0, pivot).  That canonical form makes
@@ -514,14 +514,29 @@ def dual_lattice_basis(code: ConstacyclicCode) -> LatticeBasis:
     Construction A lattice of that code, not the dual L^# of the code's
     lattice L under the trace form.
 
-    Built from the flat coefficients of the words of brute_force_dual, the
-    F_p-nullspace of the code's products, so it is exact for every u,
-    including u*u != 1 where no dual generator formula applies.  Only the
-    enumeration of the p^dim words and their echelon over F_p grow with
-    the size of the dual; the HNF and the Gram matrix see N columns.
+    Built from the words of brute_force_dual, the F_p-nullspace of the
+    code's products, so it is exact for every u, including u*u != 1 where
+    no dual generator formula applies.  The dual has dimension
+    dim = m(n-k) over F_p, and its word at index p^j is a basis vector, so
+    only the dim words at indices p^j are flattened and echeloned.  Any dim
+    independent words of the dual span it, and the rank is checked with a
+    RuntimeError, not an assert, so that a wrong list of words cannot give a
+    wrong lattice under python -O either.
+
+    The listing stays: brute_force_dual raises TooLarge for a dual above
+    ENUMERATION_BOUND before any elimination, which is this function's
+    bound too, and the benchmark's traced run requires its calls.  Only
+    that listing grows with the size of the dual; the echelon sees dim
+    rows, and the HNF and the Gram matrix N columns.
     """
-    words = ([v for c in word for v in c.coeffs] for word in brute_force_dual(code))
-    return _lift_basis(*echelon_mod_p(words, code.ring.p), code.ring.spec)
+    p = code.ring.p
+    dim = code.ring.n * (code.n - code.k)
+    words = brute_force_dual(code)
+    basis_words = ([v for c in words[p**j] for v in c.coeffs] for j in range(dim))
+    rows, pivots = echelon_mod_p(basis_words, p)
+    if len(rows) != dim:
+        raise RuntimeError(f"{dim} dual basis words have rank {len(rows)}")
+    return _lift_basis(rows, pivots, code.ring.spec)
 
 
 def dual_lattice_inclusion_check(code_a: ConstacyclicCode, code_b: ConstacyclicCode) -> bool:

@@ -34,7 +34,7 @@ from skewlat import (
     spacetime,
 )
 from skewlat.errors import IndefiniteForm, InvalidSpec, LengthMismatch, TooLarge
-from skewlat.lattice import _xgcd, vector_sum
+from skewlat.lattice import _lift_basis, _xgcd, vector_sum
 from skewlat.emit import compile_function
 from skewlat.number_ring import echelon_mod_p, integral_arithmetic, nullspace_mod_p
 
@@ -409,7 +409,9 @@ def column_sum_encode(code, msg):
         raise LengthMismatch(f"expected {code.k} message symbols, got {len(msg)}")
     coerce, p = code.ring.coerce, code.ring.p
     flat = [v for symbol in msg for v in coerce(symbol).coeffs]
-    return code._from_flat([sum(map(mul, flat, col)) % p for col in code._generator_columns])
+    sums = [sum(map(mul, flat, col)) % p for col in code._generator_columns]
+    m = code.ring.n
+    return tuple(code.ring.element(sums[i : i + m]) for i in range(0, len(sums), m))
 
 
 def row_dot_is_codeword(code, v):
@@ -567,6 +569,13 @@ def lattice_inclusion(code_a, code_b):
     target = dual_lattice_basis(code_b).basis
     source = construction_a_basis(code_a).basis
     return all(lattice_contains(target, col) for col in zip(*source))
+
+
+def all_words_dual_lattice_basis(code):
+    """Oracle: the lattice of the dual code from the echelon form over F_p of
+    the flat coefficients of every one of its p^dim words."""
+    words = ([v for c in word for v in c.coeffs] for word in brute_force_dual(code))
+    return _lift_basis(*echelon_mod_p(words, code.ring.p), code.ring.spec)
 
 
 def lifted_lattice_basis(spec, words):

@@ -17,7 +17,7 @@ from skewlat import (
     inner_product,
     monic_right_divisors,
 )
-from skewlat import codes
+from skewlat import codes, lattice
 from skewlat.errors import LengthMismatch, NonUnitLeading, NotADivisor, TooLarge, UnsupportedU
 from skewlat.fixtures import FIXTURE_NAMES, GAUSSIAN_P2, GAUSSIAN_P3, fixture_code, fixture_ring
 
@@ -479,6 +479,19 @@ def test_the_dual_has_p_to_the_m_n_minus_k_words(spec):
             with pytest.raises(TooLarge) as refused:
                 brute_force_dual(code, bound=p**dim - 1)
             assert str(refused.value) == f"{p}^{dim} dual vectors exceeds bound {p**dim - 1}"
+
+
+def test_dual_lattice_of_the_k1_cubic_at_p31_is_refused_before_any_elimination(monkeypatch):
+    ring = QuotientRing(replace_spec(CUBIC, p=31))
+    a = ring.gen
+    code = ConstacyclicCode.from_generator(SkewPoly(ring, (11 * a * a, 1)))
+    cofactor = ConstacyclicCode.from_generator(code.h)
+    assert cofactor.k == 1
+    for module in (codes, lattice):
+        monkeypatch.setattr(module, "echelon_mod_p", _refuse_elimination)
+    with pytest.raises(TooLarge) as refused:
+        dual_lattice_basis(cofactor)
+    assert str(refused.value) == "31^6 dual vectors exceeds bound 1000000"
 
 
 def test_cubic_self_duality_at_p31_without_a_dual_generator():

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations, product
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,13 +29,14 @@ from skewlat import (
 )
 from skewlat import lattice
 from skewlat.errors import IndefiniteForm, InvalidSpec, LengthMismatch
-from skewlat.fixtures import FIXTURE_SPECS, fixture_code, fixture_ring
+from skewlat.fixtures import FIXTURE_SPECS, GAUSSIAN_P2, GAUSSIAN_P3, fixture_code, fixture_ring
 from skewlat.lattice import _lift_basis
 from skewlat.number_ring import echelon_mod_p
 
 from helpers import (
     CUBIC,
     QUARTIC,
+    all_words_dual_lattice_basis,
     divisor_codes,
     lattice_inclusion,
     lifted_lattice_basis,
@@ -596,6 +601,85 @@ def test_lattices_match_the_lifted_words_oracle(spec):
             assert dual_lattice_basis(code).basis == lifted_lattice_basis(
                 spec, brute_force_dual(code)
             )
+
+
+def _recording_echelon(seen):
+    """echelon_mod_p that first records how many rows it was handed."""
+
+    def recording(rows, p):
+        rows = [list(row) for row in rows]
+        seen.append(len(rows))
+        return echelon_mod_p(rows, p)
+
+    return recording
+
+
+# dual_lattice_basis echelons the dual's m(n-k) basis words, those at the
+# indices p^j of brute_force_dual, not all p^(m(n-k)) of them; the oracle
+# echelons every word.  Every divisor degree runs, so k = n (dual {0}, no
+# rows, the lattice pZ^N) and, where the dual is small, k = 0 (dual R^n,
+# N rows, the whole order) are included.
+@settings(max_examples=10, deadline=None)
+@given(spec=valid_specs())
+@example(spec=GAUSSIAN_P2)  # 2 ramifies in Z[i]
+@example(spec=GAUSSIAN_P3)  # k = 0: 4 rows of the 81 dual words
+@example(spec=CUBIC)  # u = 2, so u^2 != 1 and there is no dual generator
+def test_dual_lattice_echelons_only_the_basis_words(spec):
+    ring = QuotientRing(spec)
+    p, N = spec.p, ring.n * ring.n
+    for code in divisor_codes(ring, per_degree=2):
+        if ring.size ** (code.n - code.k) > ORACLE_DUAL_VECTORS:
+            continue
+        expected = all_words_dual_lattice_basis(code)
+        seen = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lattice, "echelon_mod_p", _recording_echelon(seen))
+            got = dual_lattice_basis(code)
+        assert seen == [ring.n * (code.n - code.k)]
+        assert got.to_dict() == expected.to_dict()
+        if code.k in (0, code.n):
+            scale = 1 if code.k == 0 else p
+            assert got.basis == [[scale if i == j else 0 for j in range(N)] for i in range(N)]
+
+
+RANK_CHECK = """
+import sys
+from skewlat import brute_force_dual, lattice
+from skewlat.fixtures import fixture_code
+code = fixture_code("gaussian-p3-inert")
+words = brute_force_dual(code)
+zero = (code.ring.zero,) * code.n
+lattice.brute_force_dual = lambda c: [zero] * len(words)
+try:
+    lattice.dual_lattice_basis(code)
+except RuntimeError:
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_dual_lattice_refuses_words_of_too_low_rank(monkeypatch):
+    # gaussian-p3-inert has k = 1, so its dual has 9 words and rank 2.  Words
+    # whose basis positions span less, the zero word 9 times or one basis
+    # word repeated, must raise RuntimeError, not give a wrong lattice; the
+    # zero words again in a python -O child, where asserts are stripped.
+    code = fixture_code("gaussian-p3-inert")
+    words = brute_force_dual(code)
+    repeated = list(words)
+    repeated[3] = words[1]
+    for fake in ([(code.ring.zero,) * code.n] * len(words), repeated):
+        monkeypatch.setattr(lattice, "brute_force_dual", lambda c, fake=fake: fake)
+        with pytest.raises(RuntimeError):
+            dual_lattice_basis(code)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", RANK_CHECK],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @settings(max_examples=15, deadline=None)
