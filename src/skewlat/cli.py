@@ -175,14 +175,16 @@ def _matrix_lines(rows):
 def cmd_divisors(cfg: Config, args):
     ring = _ring(cfg)
     divisors = monic_right_divisors(ring, ring.n, cfg.u, args.degree, bound=cfg.bound)
+    # json writes the coefficient tuples as arrays; lists are built only for
+    # the human lines.
     payload = {
         "degree": args.degree,
         "count": len(divisors),
-        "divisors": [d.to_lists() for d in divisors],
+        "divisors": [tuple(c.coeffs for c in d.coeffs) for d in divisors],
     }
     return payload, lambda: [
         f"monic right divisors of degree {args.degree}: {len(divisors)}",
-        *(f"  {d!s:<24} {coeffs}" for d, coeffs in zip(divisors, payload["divisors"])),
+        *(f"  {d!s:<24} {d.to_lists()}" for d in divisors),
     ]
 
 

@@ -50,7 +50,10 @@ All values are immutable after construction and safe to share across threads;
 the norm and root scans a core compiles on first use are pure functions of
 the core, so a second thread that compiles one too gets an equal one, and
 two threads that build one residue at once may briefly hold equal copies of
-its element.
+its element.  The same holds for the two tables a ring keeps for skew's
+divisor search, x^n - u and the root scans' scales: each entry is a pure
+function of the ring and its key, stored with setdefault, so two racing
+builds give equal values and both callers get the first one stored.
 """
 
 from __future__ import annotations
@@ -588,6 +591,11 @@ class QuotientRing:
         # The element of a reduced coefficient tuple: a C-level lookup in the
         # ring's table, which builds each element on its first use.
         self._make = _ElementTable(self).__getitem__
+        # skew's divisor set-up, kept for the ring's lifetime: x^n - u by
+        # (n, u.coeffs) in central_poly, the root scans' scales by
+        # (n, t, degree) in _root_scales.
+        self._central_polys = {}
+        self._root_scales = {}
 
     # -- raw coefficient arithmetic ------------------------------------
 

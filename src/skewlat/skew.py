@@ -30,6 +30,14 @@ divisors' coefficient tuples.  Only the middle degrees 2 <= d <= n/2
 (n >= 4) scan the p^(n*d) monic candidates, and the enumeration bound
 counts the classes the roots visit, or candidates on that scan.
 
+What a divisor query would otherwise re-derive from the ring alone is kept
+in two tables on the QuotientRing, for as long as the ring lives:
+central_poly's x^n - u by (n, u), and _root_scales's tables over F_p by
+(n, t, degree).  Each entry is built on the first call for its key, and a
+call that raises stores nothing.  Entries are pure functions of the ring
+and the key, so two threads that build one at once get equal values, and
+both get the first one stored.
+
 The zero polynomial has an empty coefficient tuple and degree -inf (a float
 sentinel, so degree comparisons need no special casing).
 """
@@ -37,7 +45,7 @@ sentinel, so degree comparisons need no special casing).
 from __future__ import annotations
 
 from itertools import chain, product, repeat, zip_longest
-from operator import add, mod, neg, sub
+from operator import add, index, mod, neg, sub
 
 from .errors import DivisionByZero, NonUnitLeading, NotADivisor, NotInvertible, TooLarge
 from .number_ring import ENUMERATION_BOUND, QuotientRing, RingElement
@@ -207,7 +215,7 @@ class SkewPoly:
         which is the remainder of right division by x^n - u."""
         if self.degree < n:
             return self
-        u = _central_constant(self.ring, u)
+        u = _central_constant(self.ring, self.ring.coerce(u))
         return self._from_rows(fold_central(self.ring._core, self._rows(), n, u.coeffs))
 
     def padded_coeffs(self, length):
@@ -288,18 +296,30 @@ def fold_central(core, rows, n, u):
     return rows
 
 
-def _central_constant(ring: QuotientRing, u) -> RingElement:
-    """u as a ring element, raising ValueError unless sigma fixes it, which
+def _central_constant(ring: QuotientRing, u: RingElement) -> RingElement:
+    """u, an element of ring, raising ValueError unless sigma fixes it, which
     is what makes x^n - u central."""
-    u = ring.coerce(u)
     if ring.sigma(u) != u:
         raise ValueError("u must be fixed by sigma for x^n - u to be central")
     return u
 
 
 def central_poly(ring: QuotientRing, n: int, u) -> SkewPoly:
-    """The polynomial x^n - u; requires sigma(u) = u so it is central."""
-    return SkewPoly(ring, (-_central_constant(ring, u),) + (0,) * (n - 1) + (1,))
+    """The polynomial x^n - u; requires sigma(u) = u so it is central.
+
+    u is coerced on every call, so one of another ring raises ValueError.
+    The polynomial is kept in the ring's table by (n, u.coeffs), built and
+    checked on the first call for that key; a u that sigma does not fix
+    raises ValueError on every call, as nothing is stored for it.  Two
+    threads that build one key at once get the first polynomial stored.
+    """
+    el, n = ring.coerce(u), index(n)
+    key = (n, el.coeffs)
+    central = ring._central_polys.get(key)
+    if central is None:
+        central = SkewPoly(ring, (-_central_constant(ring, el),) + (0,) * (n - 1) + (1,))
+        central = ring._central_polys.setdefault(key, central)
+    return central
 
 
 def monic_right_divisors(ring: QuotientRing, n: int, u, degree: int, bound=ENUMERATION_BOUND):
@@ -374,14 +394,13 @@ def _root_divisors(central: SkewPoly, degree, bound):
     coordinate 1), and sigma fixes lam, so N(c) = lam^m N(b): for a unit t
     the roots are the lam*b with lam^n N(b)^(n/m) = t, and for p | t they
     are 0 (lam = 0) and every lam*b with N(b) = 0.  This holds at every p,
-    ramified included.  scales[v] lists the lam for N(b) = v mod p.  At
-    degree n - 1 it lists instead, per lam, the scalars (-lam)^L v^(L // m)
-    of the coefficients q_j = (-lam)^L N(b)^(L // m) S_(L % m),
-    L = n - 1 - j, of the Lam-Leroy quotient of the root a = -lam*b, as
-    sigma fixes lam and sigma^m = id.  The scan raises InvalidSpec on a norm
-    that is not rational.
+    ramified included.  The scan reads its per-norm scales from
+    _root_scales, a table the ring keeps by (n, t, degree) for as long as it
+    lives, which two racing threads build to equal values; the scan raises
+    InvalidSpec on a norm that is not rational.
 
-    bound caps the (p^m - 1)/(p - 1) classes and is checked before any norm.
+    bound caps the (p^m - 1)/(p - 1) classes and is checked before any norm
+    or table; so is a target with no root.
     """
     ring = central.ring
     n = int(central.degree)
@@ -393,6 +412,40 @@ def _root_divisors(central: SkewPoly, degree, bound):
         raise TooLarge(f"{classes} classes of (R - 0)/F_{p}* exceeds bound {bound}")
     if any(higher):
         return []
+    scales = _root_scales(ring, n, t, degree)
+    reps = chain.from_iterable(
+        product(*[(0,)] * k, (1,), *[range(p)] * (m - 1 - k)) for k in range(m)
+    )
+    found = sorted(ring._core.root_scan(degree)(reps, scales, p))
+    if not t:  # the root 0 (lam = 0), the least tuple: x, or x^(n-1)
+        found.insert(0, ((0,) * m,) * degree)
+    # Each coefficient column through the ring's element table, at C level.
+    columns = [map(ring._make, column) for column in zip(*found)]
+    poly = SkewPoly._make
+    return [poly(ring, coeffs) for coeffs in zip(*columns, repeat(ring.one, len(found)))]
+
+
+def _root_scales(ring: QuotientRing, n, t, degree):
+    """The scales of the root scan for x^n - u with t = (-1)^n u mod p, a
+    tuple over v in F_p, from the ring's table by (n, t, degree).
+
+    scales[v] lists the lam in F_p* with lam^n v^(n/m) = t (m = ring.n), so
+    the roots of a class b with N(b) = v are the lam*b; for t = 0 it lists
+    every lam at v = 0 only.  At degree n - 1 it lists instead, per lam, the
+    scalars (-lam)^L v^(L // m) of the coefficients
+    q_j = (-lam)^L N(b)^(L // m) S_(L % m), L = n - 1 - j, of the Lam-Leroy
+    quotient of the root a = -lam*b, as sigma fixes lam and sigma^m = id.
+
+    A table is built on the first query for its key, p - 1 inverses and p
+    powers, and lives as long as the ring; it has p entries, so callers check
+    the class bound first.  Two threads that build one key at once get the
+    first table stored.
+    """
+    key = (n, t, degree)
+    scales = ring._root_scales.get(key)
+    if scales is not None:
+        return scales
+    p, m = ring.p, ring.n
     # lams[w] lists the lam in F_p* with lam^n * w = t, w = N(b)^(n/m).
     if t:
         lams = {}
@@ -406,16 +459,7 @@ def _root_divisors(central: SkewPoly, degree, bound):
             [tuple(pow(-lam, L, p) * pow(v, L // m, p) % p for L in range(degree, 0, -1)) for lam in row]
             for v, row in enumerate(scales)
         ]
-    reps = chain.from_iterable(
-        product(*[(0,)] * k, (1,), *[range(p)] * (m - 1 - k)) for k in range(m)
-    )
-    found = sorted(ring._core.root_scan(degree)(reps, scales, p))
-    if not t:  # the root 0 (lam = 0), the least tuple: x, or x^(n-1)
-        found.insert(0, ((0,) * m,) * degree)
-    # Each coefficient column through the ring's element table, at C level.
-    columns = [map(ring._make, column) for column in zip(*found)]
-    poly = SkewPoly._make
-    return [poly(ring, coeffs) for coeffs in zip(*columns, repeat(ring.one, len(found)))]
+    return ring._root_scales.setdefault(key, tuple(map(tuple, scales)))
 
 
 def _low_degree_divisors(central: SkewPoly, degree: int, bound):

@@ -1,4 +1,8 @@
+import gc
 import random
+import sys
+import threading
+import weakref
 from itertools import product
 from math import prod
 
@@ -14,6 +18,7 @@ from skewlat import (
     central_poly,
     monic_right_divisors,
     opposite,
+    skew,
 )
 from skewlat.errors import DivisionByZero, InvalidSpec, NonUnitLeading, TooLarge
 from skewlat.fixtures import GAUSSIAN_P2, GAUSSIAN_P3, GAUSSIAN_P5
@@ -716,10 +721,105 @@ def test_monic_right_divisors_needs_a_multiple_of_the_sigma_order(p3):
 def test_central_poly_requires_fixed_u():
     ring5 = QuotientRing(AlgebraSpec((1, 0, 1), (0, -1), u=-1, p=5))
     moved = ring5.gen  # sigma(gen) = -gen != gen
-    with pytest.raises(ValueError):
-        central_poly(ring5, 2, moved)
+    # Nothing is kept for a u that sigma moves, so every call checks it
+    # again, before and after a fixed u of the same n is kept.
+    for _ in range(2):
+        with pytest.raises(ValueError, match="fixed by sigma"):
+            central_poly(ring5, 2, moved)
+        with pytest.raises(ValueError, match="fixed by sigma"):
+            monic_right_divisors(ring5, 2, moved, 1)
+        assert central_poly(ring5, 2, -1) == SkewPoly(ring5, (1, 0, 1))
     with pytest.raises(ValueError):
         SkewPoly.monomial(ring5, 2).mod_central(2, moved)
+    other = QuotientRing(GAUSSIAN_P3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="different ring"):
+            central_poly(ring5, 2, other.one)
+        with pytest.raises(ValueError, match="different ring"):
+            monic_right_divisors(ring5, 2, other.one, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(valid_specs(), st.integers(-6, 6), st.integers(0, 2**16))
+@example(replace_spec(CUBIC, p=7, u=3), 2, 0)
+@example(GAUSSIAN_P5, 3, 1)
+def test_repeated_divisor_queries_on_one_ring_equal_a_fresh_ring(spec, second, seed):
+    """Queries that differ only in n, u or the degree, interleaved on one
+    ring in a drawn order and each asked twice, give what the same query
+    gives on a fresh ring, so no table the ring keeps is keyed too coarsely.
+    The second u is an integer unit too; u is passed as an int, as the same
+    int plus p or as a ring element."""
+    ring = QuotientRing(spec)
+    p, m = spec.p, ring.n
+    second += not second % p
+    queries = [(n, u, d) for n in (m, 2 * m) for u in (spec.u, second) for d in sorted({1, n - 1})]
+    rng = random.Random(seed)
+    order = rng.sample(queries * 2, 2 * len(queries))
+    for n, u, d in order:
+        spelling = rng.choice((u, u + p, ring.coerce(u)))
+        fresh = QuotientRing(spec)
+        assert central_poly(ring, n, spelling) == central_poly(fresh, n, u)
+        assert monic_right_divisors(ring, n, spelling, d) == monic_right_divisors(fresh, n, u, d)
+
+
+def test_divisor_set_up_is_kept_on_the_ring_and_dies_with_it(p3, monkeypatch):
+    central = central_poly(p3, 2, -1)
+    assert central_poly(p3, 2, 2) is central and central_poly(p3, 2, p3.coerce(-1)) is central
+    assert central_poly(QuotientRing(GAUSSIAN_P3), 2, -1) is not central
+    # The class bound is checked before any scale table is built.
+    with pytest.raises(TooLarge):
+        monic_right_divisors(p3, 2, -1, 1, bound=1)
+    assert not p3._root_scales
+    first = monic_right_divisors(p3, 2, -1, 1)
+    # Neither table is built again: no sigma check, no power over F_p.
+    monkeypatch.setattr(skew, "_central_constant", _unexpected)
+    monkeypatch.setattr(skew, "pow", _unexpected, raising=False)
+    assert monic_right_divisors(p3, 2, -1, 1) == first
+    monkeypatch.undo()
+    ring = QuotientRing(GAUSSIAN_P5)
+    monic_right_divisors(ring, 4, 2, 3)
+    kept = weakref.ref(ring)
+    del ring
+    gc.collect()
+    assert kept() is None
+
+
+def test_threads_racing_on_divisor_queries_share_the_kept_tables():
+    # More threads than cores, released together, with a short switch
+    # interval, so first builds of one key interleave: every thread must get
+    # the x^n - u the ring keeps and a fresh ring's divisors, and the ring
+    # keeps one entry per key.
+    spec = replace_spec(CUBIC, p=13)
+    queries = [(n, d) for n in (3, 6) for d in (1, n - 1)]
+    expected = [monic_right_divisors(QuotientRing(spec), n, spec.u, d) for n, d in queries]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):  # each round catches a lost first entry most of the time
+            ring = QuotientRing(spec)
+            barrier = threading.Barrier(4, timeout=30)
+            results = {}
+
+            def query(index):
+                barrier.wait()
+                results[index] = [
+                    (central_poly(ring, n, spec.u), monic_right_divisors(ring, n, spec.u, d)) for n, d in queries
+                ]
+
+            threads = [threading.Thread(target=query, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(results) == len(threads)
+            for got in results.values():
+                for (central, divisors), (n, _), want in zip(got, queries, expected):
+                    assert central is central_poly(ring, n, spec.u)
+                    assert divisors == want
+            assert len(ring._central_polys) == 2 and len(ring._root_scales) == 4
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_serialization(p3):
