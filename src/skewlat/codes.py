@@ -13,24 +13,28 @@ basis the k codewords x^i g (i < k), R-independent since b*g = 0 with g
 monic forces b = 0; so |C| = |R|^k, and as an additive group it is spanned
 by the k*m codewords theta^j x^i g (m = [K:Q], theta the ring generator).
 
-encode and is_codeword use two F_p matrices, each built on the first call
-that needs it and never in the constructor, so building a code costs nothing
-extra; the k words x^i g, one skew product each, and the powers theta^j,
-both shared with brute_force_dual, and the k*m generators theta^j x^i g are
-cached the same way.  G has the generators' flat coefficient vectors as rows
-(i outer, j inner: the order of the message coordinates) and n*m columns.
-Its reduced echelon form over F_p is eliminated once per code, on first use:
-lattice.construction_a_basis lifts its rows, and H, the nullspace ker G, is
-read off it on the first is_codeword.  Encoding b is the combination of the
-rows of G with b's coordinates, which equals b*g because deg(b*g) < n.  v is
-a codeword exactly when H*v = 0, because over F_p the row space of G is
-(ker G)^perp.  Both maps run as straight-line kernels, compiled once per
-code on first use, with the entries of G and H as literals: the first encode
-compiles the encoder, the first is_codeword the parity check.  skewlat.emit
-writes their sums and tuples and compiles them.  A sum has at most
-n*m <= 961 terms (AlgebraSpec keeps n^4 <= ENUMERATION_BOUND), and
-emit.linear_source writes it as parenthesized sums of at most 64, so
-compiling it needs little recursion whatever the caller's depth.
+After its construction a code is the F_p row space of its generator matrix
+G, and every reader takes G's k*m rows: the flat coefficients of
+theta^j x^i g (i outer, j inner: the order of the message coordinates),
+built once per code on first use, never in the constructor, from the k words
+x^i g, one skew product each, scaled by theta^j on coefficient tuples.  Their
+reduced echelon form over F_p, eliminated once, feeds
+lattice.construction_a_basis, H = ker G and equality: a row space has only
+one reduced echelon form, so two codes over one ring are equal exactly when
+theirs are, and == compiles nothing.  encode combines the rows with b's
+coordinates, which is b*g because deg(b*g) < n; v is a codeword exactly
+when H*v = 0, because over F_p the row space of G is (ker G)^perp.
+brute_force_dual reads its equations off the rows, and codewords() lists
+their span through _span, which lists the dual's words too.
+
+encode and is_codeword run as straight-line kernels, compiled once per code
+on first use, with the entries of G and H as literals: the first encode
+compiles the encoder, the first is_codeword the parity check, which reads H
+off the echelon form then.  skewlat.emit writes their sums and tuples and
+compiles them.  A sum has at most n*m <= 961 terms (AlgebraSpec keeps
+n^4 <= ENUMERATION_BOUND), and emit.linear_source writes it as parenthesized
+sums of at most 64, so compiling it needs little recursion whatever the
+caller's depth.
 
 The Euclidean scalar product is R-bilinear, so products of the words x^i g
 decide duality for every u: is_orthogonal_to tests C inside D^perp by g
@@ -45,18 +49,14 @@ no sort, and the word at index p^j is a basis vector, which is all that
 lattice.dual_lattice_basis reads.  Only dual_generator and dual_code need
 u*u = 1.
 
-Codewords and dual words are built from flat coefficients at C level, and
-each component is the one element the ring keeps for its residue (see
-number_ring), so a word costs n table lookups, not n new elements.  The
-dual's words are built a flat coordinate at a time: one list per coordinate
-over every word, m of them zipped into each component's elements, and the n
-components zipped into the words.
+_span builds a span's words at C level, a flat coordinate at a time, each
+component the one element the ring keeps for its residue (see number_ring),
+so a word costs n table lookups, not n new elements.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
 from operator import attrgetter
 
 from .emit import compile_function, linear_source, tuple_source
@@ -116,11 +116,6 @@ class ConstacyclicCode:
     # -- core operations -------------------------------------------------
 
     @cached_property
-    def _powers(self):
-        """theta^j for j < m, read by the generators and by brute_force_dual."""
-        return tuple(self.ring.gen**j for j in range(self.ring.n))
-
-    @cached_property
     def _basis(self):
         """The k codewords x^i g, one skew product each, built on first use:
         the code's basis as a free R-module."""
@@ -128,24 +123,24 @@ class ConstacyclicCode:
         return tuple(self.to_codeword(SkewPoly.monomial(ring, i) * g) for i in range(self.k))
 
     @cached_property
-    def _generators(self):
-        """The k*m codewords theta^j x^i g, each word x^i g of _basis scaled by theta^j."""
-        return tuple(tuple(c * w for w in word) for word in self._basis for c in self._powers)
-
-    @cached_property
-    def _generator_columns(self):
-        """The columns of G, built on first use, not in the constructor.  They
-        depend only on g, so they are the same whichever thread builds them,
-        and no field of the code is reassigned."""
-        rows = [[v for c in word for v in c.coeffs] for word in self._generators]
-        return [[row[col] for row in rows] for col in range(self.n * self.ring.n)]
+    def _rows(self):
+        """The k*m rows of G, built on first use, not in the constructor: the
+        flat coefficients of theta^j x^i g, i outer and j inner, each word
+        x^i g of _basis scaled by theta^j on coefficient tuples.  They depend
+        only on g, so they are the same whichever thread builds them, and no
+        field of the code is reassigned."""
+        ring = self.ring
+        powers = [ring._reduce((0,) * j + (1,)) for j in range(ring.n)]
+        return tuple(
+            tuple(v for c in word for v in ring._mul(c.coeffs, power)) for word in self._basis for power in powers
+        )
 
     @cached_property
     def _echelon(self):
         """The reduced row echelon form (rows, pivots) of G over F_p, as
         tuples, eliminated once per code on first use: Construction A lifts
-        its rows and H is read off it."""
-        rows, pivots = echelon_mod_p(zip(*self._generator_columns), self.ring.p)
+        its rows, H is read off it, and two codes are equal when theirs are."""
+        rows, pivots = echelon_mod_p(self._rows, self.ring.p)
         return tuple(map(tuple, rows)), tuple(pivots)
 
     @cached_property
@@ -160,7 +155,8 @@ class ConstacyclicCode:
         """The encode kernel, compiled from the columns of G on the first
         encode: the coefficient tuples of the k message symbols to the n
         kept RingElements of the codeword."""
-        source = _encoder_source(self._generator_columns, self.k, self.ring.n, self.ring.p)
+        columns = [[row[t] for row in self._rows] for t in range(self.n * self.ring.n)]
+        source = _encoder_source(columns, self.k, self.ring.n, self.ring.p)
         return compile_function(source, "encoder")(self.ring._make)
 
     @cached_property
@@ -198,19 +194,14 @@ class ConstacyclicCode:
         (u*sigma(a_{n-1}), sigma(a_0), ..., sigma(a_{n-2}))."""
         return self.to_codeword(SkewPoly.monomial(self.ring, 1) * self.to_poly(v))
 
-    def additive_generators(self):
-        """The k*m codewords theta^j x^i g, i < k outer and j < m inner: the
-        code as an additive group, where the x^i g alone span it only as an
-        R-module."""
-        return list(self._generators)
-
     def codewords(self, bound=ENUMERATION_BOUND):
-        """All |R|^k codewords, in lexicographic message order."""
+        """All |R|^k codewords, in lexicographic message order: the span of
+        the rows of G with the first row varying slowest, each word a tuple
+        of the ring's kept elements.  A generator, so TooLarge comes on the
+        first next."""
         if self.ring.size**self.k > bound:
             raise TooLarge(f"{self.ring.size}^{self.k} codewords exceeds bound {bound}")
-        elems = list(self.ring.elements(bound)) if self.k else []
-        for msg in product(elems, repeat=self.k):
-            yield self.encode(msg)
+        yield from _span(self._rows, self.ring, self.n)
 
     # -- duality -----------------------------------------------------------
 
@@ -255,14 +246,11 @@ class ConstacyclicCode:
         return 2 * self.k == self.n and self.is_orthogonal_to(self)
 
     def __eq__(self, other):
-        """Codeword-set equality, decided by mutual generator membership."""
+        """Codeword-set equality: the same ring and the same reduced echelon
+        form of G, which a row space over F_p has only one of."""
         if not isinstance(other, ConstacyclicCode):
             return NotImplemented
-        if self.ring != other.ring:
-            return False
-        return self.is_codeword(self.to_codeword(other.g)) and other.is_codeword(
-            other.to_codeword(self.g)
-        )
+        return self.ring == other.ring and self._echelon == other._echelon
 
     __hash__ = None
 
@@ -328,26 +316,24 @@ def brute_force_dual(code: ConstacyclicCode, bound=ENUMERATION_BOUND):
 
     The product is R-bilinear, so v is in the dual exactly when it is
     orthogonal to each of the k words c = x^i g of the code's basis.  Each c
-    gives m linear equations over F_p in the m*n coordinates of v: column
-    (i, j), for the coordinate j of component i, holds c_i * theta^j, the
-    product of c with theta^j e_i.  The code is free of rank k over the
-    Frobenius ring R, so the dual has |R|^(n-k) = p^(m(n-k)) = p^dim words:
-    bound is checked, and TooLarge raised, before any elimination.  The dual
-    is the nullspace of those equations, and the p^dim combinations of its
-    basis are returned as tuples of RingElement in the order of their
-    coefficient vectors (component 0 first), the order of a scan of R^n.  The
-    basis is echelon_mod_p's reduced echelon form, pivots increasing, so the
-    combination with coefficients (a_1, ..., a_dim) is 0 before the first
-    pivot and reads a_i at the i-th pivot, with entries between pivots fixed
-    by the earlier a's: the words come in order when a_1 varies slowest, and
-    no sort is needed.  The word at index p^j is then the basis vector of
-    a_(dim-j).
+    gives m linear equations over F_p in the m*n coordinates of v: equation
+    t holds at column (i, j) coordinate t of c_i * theta^j, which, as R is
+    commutative, is G's entry at row (c, j), column (i, t).  The code is free
+    of rank k over the Frobenius ring R, so the dual has |R|^(n-k) =
+    p^(m(n-k)) = p^dim words: bound is checked, and TooLarge raised, before
+    any elimination.  The dual is the nullspace of those equations, and the
+    p^dim combinations of its basis are returned as tuples of RingElement in
+    the order of their coefficient vectors (component 0 first), the order of
+    a scan of R^n.  The basis is echelon_mod_p's reduced echelon form, pivots
+    increasing, so the combination with coefficients (a_1, ..., a_dim) is 0
+    before the first pivot and reads a_i at the i-th pivot, with entries
+    between pivots fixed by the earlier a's: the words come in order when
+    a_1 varies slowest, and no sort is needed.  The word at index p^j is then
+    the basis vector of a_(dim-j).
 
-    The words are listed column by column: each of the m*n flat coordinates
-    is one list over all p^dim combinations (_span_column), each component's
-    elements are ring._make mapped over the zip of its m coordinate lists,
-    and the words are the zip of the n components, so no Python frame runs
-    per word and each entry is the element the ring keeps for its residue.
+    The words are listed by _span, as codewords() lists the code's, so no
+    Python frame runs per word and each entry is the element the ring keeps
+    for its residue.
 
     Independent of dual_generator(), so it checks the algebraic dual and
     serves any u.  The name is older than the nullspace: the benchmark's
@@ -359,14 +345,25 @@ def brute_force_dual(code: ConstacyclicCode, bound=ENUMERATION_BOUND):
     dim = m * (n - code.k)
     if p**dim > bound:
         raise TooLarge(f"{p}^{dim} dual vectors exceeds bound {bound}")
-    equations = []
-    for c in code._basis:
-        products = [(c_i * power).coeffs for c_i in c for power in code._powers]
-        equations.extend(zip(*products))
+    rows = code._rows
+    equations = [
+        [rows[w + j][i + t] for i in range(0, m * n, m) for j in range(m)]
+        for w in range(0, len(rows), m)
+        for t in range(m)
+    ]
     kernel, _ = echelon_mod_p(nullspace_mod_p(echelon_mod_p(equations, p), m * n, p), p)
-    columns = [_span_column([row[t] for row in kernel], p) for t in range(m * n)]
-    make = ring._make
-    return list(zip(*[map(make, zip(*columns[i:i + m])) for i in range(0, m * n, m)]))
+    return _span(kernel, ring, n)
+
+
+def _span(rows, ring, n):
+    """Every F_p-combination of the flat rows, as words of n kept ring
+    elements, the first row's coefficient varying slowest: one list per flat
+    coordinate over every word (_span_column), each component's elements
+    ring._make mapped over the zip of its m coordinate lists, and the words
+    the zip of the n components.  No rows give the one zero word."""
+    m = ring.n
+    columns = [_span_column([row[t] for row in rows], ring.p) for t in range(m * n)]
+    return list(zip(*[map(ring._make, zip(*columns[i:i + m])) for i in range(0, m * n, m)]))
 
 
 def _span_column(coeffs, p):

@@ -383,7 +383,7 @@ def sorted_span_dual(code, bound=ENUMERATION_BOUND):
     p, m, n = ring.p, ring.n, code.n
     powers = [ring.gen**j for j in range(m)]
     equations = []
-    for c in code.additive_generators():
+    for c in composed_additive_generators(code):
         products = [(c_i * power).coeffs for c_i in c for power in powers]
         equations.extend(zip(*products))
     kernel = nullspace_mod_p(echelon_mod_p(equations, p), m * n, p)
@@ -403,14 +403,14 @@ def sorted_span_dual(code, bound=ENUMERATION_BOUND):
 
 def column_sum_encode(code, msg):
     """Oracle: the codeword of msg as the column sums sum_t b[t] G[t][col] mod p
-    over the flat message coefficients b, one sum per column of G, checked
-    and coerced as encode does."""
+    over the flat message coefficients b, one sum per column of G read off
+    G's rows (n*m sums even when G has no row), checked and coerced as
+    encode does."""
     if len(msg) != code.k:
         raise LengthMismatch(f"expected {code.k} message symbols, got {len(msg)}")
-    coerce, p = code.ring.coerce, code.ring.p
+    coerce, p, m = code.ring.coerce, code.ring.p, code.ring.n
     flat = [v for symbol in msg for v in coerce(symbol).coeffs]
-    sums = [sum(map(mul, flat, col)) % p for col in code._generator_columns]
-    m = code.ring.n
+    sums = [sum(b * row[col] for b, row in zip(flat, code._rows)) % p for col in range(code.n * m)]
     return tuple(code.ring.element(sums[i : i + m]) for i in range(0, len(sums), m))
 
 

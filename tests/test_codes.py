@@ -258,15 +258,22 @@ def test_kernel_sums_of_961_terms_compile_at_any_depth():
     assert parity([(0,) * m] * m)
 
 
+# codewords() lists the span of the rows of G, and calls no encode: the
+# patched encode raises.  divisor_codes ends with g = x^n - u, whose one
+# codeword is the zero word.
 @settings(max_examples=10, deadline=None)
 @given(spec=valid_specs())
 def test_codewords_list_the_skew_products_in_message_order(spec):
     ring = QuotientRing(spec)
-    for code in divisor_codes(ring, per_degree=1):
-        if ring.size**code.k > 2000:
-            continue
-        messages = product(list(ring.elements()), repeat=code.k)
-        assert list(code.codewords()) == [skew_encode(code, msg) for msg in messages]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ConstacyclicCode, "encode", lambda code, msg: pytest.fail("encode called"))
+        for code in divisor_codes(ring, per_degree=1):
+            if ring.size**code.k > 2000:
+                continue
+            messages = product(list(ring.elements()), repeat=code.k)
+            assert list(code.codewords()) == [skew_encode(code, msg) for msg in messages]
+        assert list(code.codewords()) == [(ring.zero,) * ring.n]
+        assert all(c is ring.zero for c in next(code.codewords()))
 
 
 def test_shift_examples(p3_code):
@@ -366,7 +373,7 @@ def test_dual_matches_enumeration(spec):
             continue
         assert len(dual) * ring.size**code.k == ring.size**code.n
         assert dual == sorted(dual, key=lambda v: tuple(c.coeffs for c in v))
-        words = code.additive_generators()
+        words = composed_additive_generators(code)
         assert all(inner_product(c, v) == ring.zero for c in words for v in dual)
 
 
@@ -412,7 +419,7 @@ def test_cubic_dual_and_its_lattice():
     code = ConstacyclicCode.from_generator(SkewPoly(ring, (2 * a * a, 1)))
     dual = brute_force_dual(code)
     assert len(dual) == 125
-    words = code.additive_generators()
+    words = composed_additive_generators(code)
     assert all(inner_product(c, v) == ring.zero for c in words for v in dual)
     assert dual_lattice_basis(code).index == 5**6
 
@@ -516,18 +523,10 @@ def test_proposition_both_sided_for_all_degree_one_divisors(code, spec):
             assert built.g * built.h == central
 
 
-def test_code_equality_by_mutual_membership(p3_code):
-    ring = p3_code.ring
-    a = ring.gen
-    same = ConstacyclicCode.from_generator(SkewPoly(ring, ((a + 1) * 2, 2)))
-    assert same == p3_code
-    other = ConstacyclicCode.from_generator(SkewPoly(ring, (a + 2, 1)))
-    assert other != p3_code
-
-
 def test_codeword_enumeration_bound(p3_code):
-    with pytest.raises(TooLarge):
-        list(p3_code.codewords(bound=4))
+    words = p3_code.codewords(bound=4)  # a generator: nothing is checked yet
+    with pytest.raises(TooLarge, match=r"^9\^1 codewords exceeds bound 4$"):
+        next(words)
     assert len(brute_force_dual(p3_code, bound=9)) == 9
     with pytest.raises(TooLarge):
         brute_force_dual(p3_code, bound=8)
@@ -549,15 +548,63 @@ def test_serialization(p3_code):
     assert d["u"] == [2, 0]
 
 
-# The generators are cached per code; the oracle composes each skew product afresh.
+# Equality is equality of the reduced echelon forms of G, read off rows the
+# code builds once; the oracle sets are the skew products b*g of every
+# message b.  Codes whose oracle set would exceed EQUALITY_WORDS only meet the
+# checks that need no set: a unit multiple of g, another ring, an integer.
+EQUALITY_WORDS = 1000
+
+
+@settings(max_examples=10, deadline=None)
+@given(spec=valid_specs(), seed=st.integers(0, 2**32 - 1))
+@example(spec=GAUSSIAN_P3, seed=0)
+@example(spec=replace_spec(CUBIC, p=7, u=1), seed=1)
+def test_code_equality_is_row_space_equality(spec, seed):
+    ring = QuotientRing(spec)
+    rng = random.Random(seed)
+    elements = list(ring.elements())
+    units = [a for a in elements if ring.norm(a)]
+    other = QuotientRing(replace_spec(spec, p=next(q for q in (2, 3, 5) if q != spec.p), u=1))
+    strangers = list(divisor_codes(other, per_degree=1))
+    built = list(divisor_codes(ring, per_degree=4))
+    sets = [
+        {skew_encode(code, msg) for msg in product(elements, repeat=code.k)}
+        if ring.size**code.k <= EQUALITY_WORDS
+        else None
+        for code in built
+    ]
+    compiled, compile_function = [], codes.compile_function
+
+    def recording(source, name):
+        compiled.append(name)
+        return compile_function(source, name)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codes, "compile_function", recording)
+        for a, words_a in zip(built, sets):
+            fresh = ConstacyclicCode.from_generator(a.g)
+            assert fresh == a and a == fresh
+            assert ConstacyclicCode.from_generator(rng.choice(units) * a.g) == a
+            assert a.__eq__(5) is NotImplemented and a != 5
+            assert all(a != b for b in strangers if b.k == a.k)
+            for b, words_b in zip(built, sets):
+                if words_a is not None and words_b is not None:
+                    assert (a == b) == (words_a == words_b)
+                elif a.k != b.k:
+                    assert a != b
+    assert compiled == []
+    assert {0, ring.n} <= {code.k for code in built}
+
+
+# The rows of G are cached per code; the oracle composes each skew product afresh.
 @settings(max_examples=15, deadline=None)
 @given(spec=valid_specs())
 @example(spec=replace_spec(CUBIC, p=7, u=3))
 def test_cached_generators_match_the_composed_skew_products(spec):
     ring = QuotientRing(spec)
     for code in divisor_codes(ring):
-        assert code.additive_generators() == composed_additive_generators(code)
-        assert code.additive_generators() is not code.additive_generators()
+        words = composed_additive_generators(code)
+        assert code._rows == tuple(tuple(v for c in word for v in c.coeffs) for word in words)
 
 
 @pytest.mark.parametrize("spec", [GAUSSIAN_P3, CUBIC], ids=["gaussian-p3", "cubic"])
@@ -571,17 +618,22 @@ def test_a_code_makes_its_generator_products_once(monkeypatch, spec):
         return mul(self, other)
 
     for code in divisor_codes(ring, per_degree=2):  # each built fresh, outside the count
+        twin = ConstacyclicCode.from_generator(code.g)
+        twin._rows
         monkeypatch.setattr(SkewPoly, "__mul__", counting_mul)
-        code.additive_generators()
+        code._rows
         assert len(products) == code.k  # one per word x^i g, scaled by each theta^j
         products.clear()
         code.is_self_dual()
         code.is_orthogonal_to(code)
         if ring.size ** (code.n - code.k) <= ORACLE_VECTORS:
             brute_force_dual(code)
+        if ring.size**code.k <= ORACLE_VECTORS:
+            list(code.codewords())
         construction_a_basis(code)
         code.encode([ring.one] * code.k)
-        code.additive_generators()
+        assert code == twin
+        code._rows
         assert not products, code
         monkeypatch.undo()
 

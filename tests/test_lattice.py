@@ -37,6 +37,7 @@ from helpers import (
     CUBIC,
     QUARTIC,
     all_words_dual_lattice_basis,
+    composed_additive_generators,
     divisor_codes,
     lattice_inclusion,
     lifted_lattice_basis,
@@ -595,7 +596,7 @@ def test_lattices_match_the_lifted_words_oracle(spec):
     ring = QuotientRing(spec)
     for code in divisor_codes(ring, per_degree=2):
         assert construction_a_basis(code).basis == lifted_lattice_basis(
-            spec, code.additive_generators()
+            spec, composed_additive_generators(code)
         )
         if ring.size ** (code.n - code.k) <= ORACLE_DUAL_VECTORS:
             assert dual_lattice_basis(code).basis == lifted_lattice_basis(
@@ -694,7 +695,7 @@ def test_lift_basis_matches_the_lifted_words_oracle_on_awkward_generators(spec, 
     ring = QuotientRing(spec)
     p, N = spec.p, ring.n * ring.n
     for code in divisor_codes(ring, per_degree=2):
-        words = code.additive_generators()
+        words = composed_additive_generators(code)
         flat = [[v for c in word for v in c.coeffs] for word in words]
         awkward = flat + flat
         awkward += [[p * rng.randrange(-3, 4) for _ in range(N)] for _ in range(2)]
